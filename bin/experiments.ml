@@ -182,7 +182,7 @@ let with_metrics metrics f =
           (Bcclb_dist.Addr.to_string (Bcclb_dist.Expose.address endpoint));
         Fun.protect ~finally:(fun () -> Bcclb_dist.Expose.stop endpoint) f))
 
-(* A --n override is validated against each experiment's declared range
+(* A -n override is validated against each experiment's declared range
    BEFORE any enumeration starts: an infeasible size is a one-line
    refusal, not an out-of-memory hours into a census scan. The arena's
    own range message is appended where it explains the ceiling. *)
@@ -226,7 +226,7 @@ let run_experiments ~results_dir ~no_cache ~jobs ~backend ~ns exps =
           match (ns, exp.grid_of_ns) with
           | Some ns, Some f -> Some (f ns)
           | Some _, None ->
-            Printf.eprintf "[harness] %s: --n is not an axis of this experiment; ignored\n%!"
+            Printf.eprintf "[harness] %s: -n is not an axis of this experiment; ignored\n%!"
               exp.id;
             None
           | None, _ -> None

@@ -1,7 +1,7 @@
 (* A command-line driver: run any implemented BCC algorithm on a
    generated instance and report the outcome, rounds, and traffic.
 
-     dune exec bin/run_algo.exe -- --algo discovery-kt0 --graph two-cycles --n 32
+     dune exec bin/run_algo.exe -- --algo discovery-kt0 --graph two-cycles -n 32
 *)
 
 open Cmdliner

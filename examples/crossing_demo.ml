@@ -42,14 +42,14 @@ let () =
   in
   Printf.printf "3-round algorithm  : indistinguishable = %b (it answers %s on both)\n"
     (Simulator.indistinguishable truncated inst crossed)
-    (if Problems.system_decision (Simulator.run truncated inst).Simulator.outputs then "YES" else "NO");
+    (if Problems.system_decision (Simulator.run_outputs truncated inst) then "YES" else "NO");
 
   (* The full O(log n)-round algorithm distinguishes them: after enough
      rounds the endpoints of the crossed edges broadcast different
      sequences, breaking Lemma 3.4's hypothesis. *)
   let full = Bcclb_algorithms.Discovery.connectivity ~knowledge:Instance.KT0 ~max_degree:2 in
-  let yes = Problems.system_decision (Simulator.run full inst).Simulator.outputs in
-  let no = Problems.system_decision (Simulator.run full crossed).Simulator.outputs in
+  let yes = Problems.system_decision (Simulator.run_outputs full inst) in
+  let no = Problems.system_decision (Simulator.run_outputs full crossed) in
   Printf.printf "full algorithm     : indistinguishable = %b, answers %s / %s\n"
     (Simulator.indistinguishable full inst crossed)
     (if yes then "YES" else "NO")

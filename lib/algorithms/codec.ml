@@ -8,45 +8,35 @@ let bit_of_int ~width ~pos v =
 
 let msg_of_bit b = Msg.of_bit b
 
+(* Element r-1 is the inbox carrying the round-r broadcasts, indexed by
+   port: senders' sequences are read where they lie, never copied out
+   per port. *)
+type history = Msg.t array array
+
+let history inboxes = Array.of_list (List.rev inboxes)
+
 (* Decode big-endian bits broadcast during rounds [first..first+width-1]
-   from one sender's broadcast sequence. Silent rounds decode as 0 and are
-   reported, so truncated executions can be detected. *)
-let decode_int ~first ~width broadcasts =
-  let missing = ref false in
+   by the sender behind [port]. Missing and silent rounds decode as 0
+   and are reported, so truncated executions can be detected. *)
+let decode h ~port ~first ~width =
+  let complete = ref true in
   let v = ref 0 in
-  for k = 0 to width - 1 do
-    let r = first + k in
+  for r = first to first + width - 1 do
     let bit =
-      if r - 1 >= Array.length broadcasts then begin
-        missing := true;
-        false
+      if r > Array.length h then begin
+        complete := false;
+        0
       end
       else begin
-        match broadcasts.(r - 1) with
+        match h.(r - 1).(port) with
         | Msg.Silent ->
-          missing := true;
-          false
-        | Msg.Word b -> Bcclb_util.Bits.to_bool b
+          complete := false;
+          0
+        | Msg.Word b -> if Bcclb_util.Bits.to_bool b then 1 else 0
       end
     in
-    v := (!v lsl 1) lor (if bit then 1 else 0)
+    v := (!v lsl 1) lor bit
   done;
-  (!v, not !missing)
-
-(* The per-sender broadcast sequences seen by one vertex: element [p] is
-   the array of broadcasts of the peer behind port [p]. [inboxes] is the
-   full list of inboxes delivered so far, oldest first. Inbox r carries
-   the round r−1 broadcasts, so dropping the (all-silent) first inbox
-   leaves exactly the broadcasts of rounds 1..len−1. *)
-let broadcast_sequences ~num_ports ~inboxes =
-  let all = match inboxes with [] -> [] | _ :: tl -> tl in
-  let t = List.length all in
-  let seqs = Array.make num_ports [||] in
-  for p = 0 to num_ports - 1 do
-    let arr = Array.make t Msg.Silent in
-    List.iteri (fun i inbox -> arr.(i) <- inbox.(p)) all;
-    seqs.(p) <- arr
-  done;
-  seqs
+  (!v, !complete)
 
 let id_width ~n = Bcclb_util.Mathx.ceil_log2 (n + 1)

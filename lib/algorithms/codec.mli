@@ -7,17 +7,22 @@ val bit_of_int : width:int -> pos:int -> int -> bool
 
 val msg_of_bit : bool -> Bcclb_bcc.Msg.t
 
-val decode_int : first:int -> width:int -> Bcclb_bcc.Msg.t array -> int * bool
-(** Decode the integer broadcast in rounds [first..first+width−1] of a
-    sender's broadcast sequence. Returns [(value, complete)]; missing or
-    silent rounds decode as 0 bits with [complete = false], so truncated
-    algorithms can fall back to guessing. *)
+type history
+(** The broadcasts a vertex has heard, indexed by round and port and
+    decoded in place. *)
 
-val broadcast_sequences :
-  num_ports:int -> inboxes:Bcclb_bcc.Msg.t array list -> Bcclb_bcc.Msg.t array array
-(** Reassemble, per port, the broadcast sequence of the vertex behind that
-    port from all inboxes delivered so far (oldest first, including the
-    all-silent round-1 inbox; in [finish], append the final inbox). *)
+val history : Bcclb_bcc.Msg.t array list -> history
+(** [history inboxes] from inboxes newest first, the oldest of which
+    carries the round-1 broadcasts: algorithms skip the all-silent inbox
+    they consume in round 1, and [finish] adds the final inbox. Linear
+    in the number of rounds, independent of the number of ports. *)
+
+val decode : history -> port:int -> first:int -> width:int -> int * bool
+(** [decode h ~port ~first ~width]: the integer broadcast big-endian in
+    rounds [first..first+width−1] by the sender behind [port]. Returns
+    [(value, complete)]; missing or silent rounds decode as 0 bits with
+    [complete = false], so truncated algorithms can fall back to
+    guessing. *)
 
 val id_width : n:int -> int
 (** Bits needed for IDs under the repository's default ID space 1..n. *)

@@ -16,67 +16,73 @@ type state = {
   view : View.t;
   l : int;
   d : int;
-  inboxes : Msg.t array list;  (* newest first *)
+  nbrs : int array;
+      (* own input-neighbour IDs, ascending: initial knowledge in KT-1;
+         in KT-0 decoded once, when the last bit of phase 1 arrives *)
+  inboxes : Msg.t array list;  (* newest first, from the round-2 inbox on *)
 }
-
-(* IDs of this vertex's input-graph neighbours, ascending. In KT-1 they
-   are initial knowledge; in KT-0 they are decoded from the first L
-   broadcasts heard on input ports (available from round l+1 on). *)
-let own_neighbor_ids st =
-  match View.kt1 st.view with
-  | Some _ -> List.map (fun p -> View.neighbor_id st.view p) (View.input_ports st.view)
-  | None ->
-    let seqs =
-      Codec.broadcast_sequences ~num_ports:(View.num_ports st.view) ~inboxes:(List.rev st.inboxes)
-    in
-    List.filter_map
-      (fun p ->
-        let v, complete = Codec.decode_int ~first:1 ~width:st.l seqs.(p) in
-        if complete then Some v else None)
-      (View.input_ports st.view)
 
 let phase1_rounds st = match View.kt1 st.view with Some _ -> 0 | None -> st.l
 
-let schedule st ~round =
+(* The round-1 inbox is all silent: nothing was broadcast in round 0. *)
+let remember st ~round inbox = if round = 1 then st else { st with inboxes = inbox :: st.inboxes }
+
+let sorted ids =
+  let a = Array.of_list ids in
+  Array.sort Int.compare a;
+  a
+
+(* KT-0: the IDs heard on input ports in rounds 1..L. *)
+let decode_neighbors st =
+  let h = Codec.history st.inboxes in
+  sorted
+    (List.filter_map
+       (fun p ->
+         let v, complete = Codec.decode h ~port:p ~first:1 ~width:st.l in
+         if complete then Some v else None)
+       (View.input_ports st.view))
+
+let step st ~round ~inbox =
   let p1 = phase1_rounds st in
   if round <= p1 then
     (* Broadcast own ID, big-endian. *)
-    Codec.msg_of_bit (Codec.bit_of_int ~width:st.l ~pos:(round - 1) (View.id st.view))
+    let bit = Codec.bit_of_int ~width:st.l ~pos:(round - 1) (View.id st.view) in
+    (remember st ~round inbox, Codec.msg_of_bit bit)
   else begin
+    let st = remember st ~round inbox in
+    let st = if round = p1 + 1 && p1 > 0 then { st with nbrs = decode_neighbors st } else st in
     let r = round - p1 - 1 in
     let block = r / st.l and pos = r mod st.l in
-    let nbrs = List.sort Int.compare (own_neighbor_ids st) in
-    let value = match List.nth_opt nbrs block with Some id -> id | None -> 0 in
-    Codec.msg_of_bit (Codec.bit_of_int ~width:st.l ~pos value)
+    let value = if block < Array.length st.nbrs then st.nbrs.(block) else 0 in
+    (st, Codec.msg_of_bit (Codec.bit_of_int ~width:st.l ~pos value))
   end
 
 (* Decode everything heard (tolerating truncation) into a graph over IDs.
    Returns the edge list over IDs and whether decoding was complete. *)
 let decode_graph st ~final_inbox =
-  let inboxes = List.rev (final_inbox :: st.inboxes) in
-  let seqs = Codec.broadcast_sequences ~num_ports:(View.num_ports st.view) ~inboxes in
+  (* After 0 rounds the final inbox is the all-silent initial one: read
+     as round 1 it decodes as incomplete, like an empty history. *)
+  let h = Codec.history (final_inbox :: st.inboxes) in
   let p1 = phase1_rounds st in
   let complete = ref true in
   let edges = ref [] in
   (* Own adjacency: in KT-0 it is only known once phase 1 decoded. *)
   let own = View.id st.view in
-  List.iter (fun nbr -> edges := (own, nbr) :: !edges) (own_neighbor_ids st);
-  (match View.kt1 st.view with
-  | Some _ -> ()
-  | None -> if List.length (own_neighbor_ids st) < View.degree st.view then complete := false);
+  Array.iter (fun nbr -> edges := (own, nbr) :: !edges) st.nbrs;
+  if Array.length st.nbrs < View.degree st.view then complete := false;
   for p = 0 to View.num_ports st.view - 1 do
     let sender_id =
       match View.kt1 st.view with
       | Some _ -> Some (View.neighbor_id st.view p)
       | None ->
-        let v, ok = Codec.decode_int ~first:1 ~width:st.l seqs.(p) in
+        let v, ok = Codec.decode h ~port:p ~first:1 ~width:st.l in
         if ok then Some v else None
     in
     match sender_id with
     | None -> complete := false
     | Some sid ->
       for block = 0 to st.d - 1 do
-        let v, ok = Codec.decode_int ~first:(p1 + (block * st.l) + 1) ~width:st.l seqs.(p) in
+        let v, ok = Codec.decode h ~port:p ~first:(p1 + (block * st.l) + 1) ~width:st.l in
         if not ok then complete := false
         else if v <> 0 then edges := (sid, v) :: !edges
       done
@@ -117,11 +123,12 @@ let make ~knowledge ~max_degree ~name ~on_incomplete () =
     (match (knowledge, View.kt1 view) with
     | Instance.KT1, None -> invalid_arg (name ^ ": needs a KT-1 instance")
     | _ -> ());
-    { view; l = Codec.id_width ~n:(View.n view); d = max_degree; inboxes = [] }
-  in
-  let step st ~round ~inbox =
-    let st = { st with inboxes = inbox :: st.inboxes } in
-    (st, schedule st ~round)
+    let nbrs =
+      match View.kt1 view with
+      | Some _ -> sorted (List.map (View.neighbor_id view) (View.input_ports view))
+      | None -> [||]
+    in
+    { view; l = Codec.id_width ~n:(View.n view); d = max_degree; nbrs; inboxes = [] }
   in
   let finish st ~inbox =
     let edges, complete = decode_graph st ~final_inbox:inbox in

@@ -19,7 +19,8 @@ type state = {
   view : View.t;
   k : int;
   hash : int;  (* own k-bit hash *)
-  inboxes : Msg.t array list;
+  nbrs : int array;  (* neighbour hashes, ascending; decoded once, in round k+1 *)
+  inboxes : Msg.t array list;  (* newest first, from the round-2 inbox on *)
 }
 
 (* Public-coin universal-style hash: (a*id + b) mod p, truncated to k
@@ -30,70 +31,81 @@ let hash_of ~coins ~k id =
   let b = Rng.int coins p in
   (((a * id) + b) mod p) land ((1 lsl k) - 1)
 
+(* The round-1 inbox is all silent: nothing was broadcast in round 0. *)
+let remember st ~round inbox = if round = 1 then st else { st with inboxes = inbox :: st.inboxes }
+
+(* The hashes heard on the input ports in rounds 1..k, ascending. *)
+let decode_neighbors st =
+  let h = Codec.history st.inboxes in
+  let nbrs =
+    Array.of_list
+      (List.filter_map
+         (fun p ->
+           let v, ok = Codec.decode h ~port:p ~first:1 ~width:st.k in
+           if ok then Some v else None)
+         (View.input_ports st.view))
+  in
+  Array.sort Int.compare nbrs;
+  nbrs
+
+(* Connectivity of the hashed graph that [h] and our own neighbour
+   hashes describe. Its vertices are the hashes actually touched — at
+   most 3(n-1)+3 — given dense indices as they appear, so the work
+   never depends on 2^k. *)
+let hashed_graph_connected st h =
+  let ports = View.num_ports st.view in
+  let dense = Hashtbl.create 64 in
+  let index hash =
+    match Hashtbl.find_opt dense hash with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length dense in
+      Hashtbl.add dense hash i;
+      i
+  in
+  let edges = ref [] in
+  let link h1 h2 = edges := (index h1, index h2) :: !edges in
+  (* Every sender's hash with both of its neighbour hashes, plus our own. *)
+  Array.iter (fun nbr -> link st.hash nbr) st.nbrs;
+  for p = 0 to ports - 1 do
+    let sender, ok0 = Codec.decode h ~port:p ~first:1 ~width:st.k in
+    if ok0 then begin
+      let n1, ok1 = Codec.decode h ~port:p ~first:(st.k + 1) ~width:st.k in
+      let n2, ok2 = Codec.decode h ~port:p ~first:((2 * st.k) + 1) ~width:st.k in
+      if ok1 then link sender n1;
+      if ok2 then link sender n2
+    end
+  done;
+  let uf = Conn.create (Hashtbl.length dense) in
+  List.iter (fun (i, j) -> ignore (Conn.union uf i j)) !edges;
+  Conn.components uf <= 1
+
 let make ~k () =
   if k < 1 || k > 20 then invalid_arg "Hashed_discovery.make: k out of range";
   let name = Printf.sprintf "hashed-discovery[k=%d]" k in
   let rounds ~n:_ = 3 * k in
   let init view =
     if View.degree view > 2 then invalid_arg (name ^ ": needs a 2-regular input");
-    { view; k; hash = hash_of ~coins:(View.coins view) ~k (View.id view); inboxes = [] }
+    { view; k; hash = hash_of ~coins:(View.coins view) ~k (View.id view); nbrs = [||]; inboxes = [] }
   in
   (* Schedule: rounds 1..k own hash; rounds k+1..3k the two neighbour
-     hashes (decoded from what arrived on the input ports). *)
-  let neighbor_hashes st =
-    let seqs = Codec.broadcast_sequences ~num_ports:(View.num_ports st.view) ~inboxes:(List.rev st.inboxes) in
-    List.filter_map
-      (fun p ->
-        let v, ok = Codec.decode_int ~first:1 ~width:st.k seqs.(p) in
-        if ok then Some v else None)
-      (View.input_ports st.view)
-  in
+     hashes, decoded once when the last bit of phase 1 arrives. *)
   let step st ~round ~inbox =
-    let st = { st with inboxes = inbox :: st.inboxes } in
-    let msg =
-      if round <= st.k then Codec.msg_of_bit (Codec.bit_of_int ~width:st.k ~pos:(round - 1) st.hash)
-      else begin
-        let r = round - st.k - 1 in
-        let block = r / st.k and pos = r mod st.k in
-        let nbrs = List.sort Int.compare (neighbor_hashes st) in
-        let value = match List.nth_opt nbrs block with Some h -> h | None -> 0 in
-        Codec.msg_of_bit (Codec.bit_of_int ~width:st.k ~pos value)
-      end
-    in
-    (st, msg)
+    if round <= st.k then
+      let bit = Codec.bit_of_int ~width:st.k ~pos:(round - 1) st.hash in
+      (remember st ~round inbox, Codec.msg_of_bit bit)
+    else begin
+      let st = remember st ~round inbox in
+      let st = if round = st.k + 1 then { st with nbrs = decode_neighbors st } else st in
+      let r = round - st.k - 1 in
+      let block = r / st.k and pos = r mod st.k in
+      let value = if block < Array.length st.nbrs then st.nbrs.(block) else 0 in
+      (st, Codec.msg_of_bit (Codec.bit_of_int ~width:st.k ~pos value))
+    end
   in
-  let finish st ~inbox =
-    let inboxes = List.rev (inbox :: st.inboxes) in
-    let seqs = Codec.broadcast_sequences ~num_ports:(View.num_ports st.view) ~inboxes in
-    (* Union hashed endpoints: every sender's hash with both of its
-       neighbour hashes, plus our own. *)
-    let buckets = 1 lsl st.k in
-    let uf = Conn.create buckets in
-    let touched = Array.make buckets false in
-    let link h1 h2 =
-      touched.(h1) <- true;
-      touched.(h2) <- true;
-      ignore (Conn.union uf h1 h2)
-    in
-    List.iter (fun h -> link st.hash h) (neighbor_hashes st);
-    for p = 0 to View.num_ports st.view - 1 do
-      let sender, ok0 = Codec.decode_int ~first:1 ~width:st.k seqs.(p) in
-      let n1, ok1 = Codec.decode_int ~first:(st.k + 1) ~width:st.k seqs.(p) in
-      let n2, ok2 = Codec.decode_int ~first:((2 * st.k) + 1) ~width:st.k seqs.(p) in
-      if ok0 && ok1 then link sender n1;
-      if ok0 && ok2 then link sender n2
-    done;
-    (* Connected iff all touched buckets share one class. *)
-    let root = ref (-1) in
-    let connected = ref true in
-    for h = 0 to buckets - 1 do
-      if touched.(h) then begin
-        let r = Conn.find uf h in
-        if !root = -1 then root := r else if r <> !root then connected := false
-      end
-    done;
-    !connected
-  in
+  (* After 0 rounds the final inbox is the all-silent initial one: read
+     as round 1 it decodes as incomplete, like an empty history. *)
+  let finish st ~inbox = hashed_graph_connected st (Codec.history (inbox :: st.inboxes)) in
   Algo.bcc1 ~name ~rounds ~init ~step ~finish
 
 let connectivity ~k = Algo.pack (make ~k ())

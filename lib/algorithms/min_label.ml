@@ -20,15 +20,10 @@ type state = {
 let decode_phase_labels st =
   (* acc holds the inboxes of rounds 2..L+1 relative to the phase start,
      i.e. exactly the L broadcast bits of the phase, for every port. *)
-  let inboxes = List.rev st.acc in
-  let num_ports = View.num_ports st.view in
-  let labels = Array.make num_ports None in
-  let seq p = Array.of_list (List.map (fun inbox -> inbox.(p)) inboxes) in
-  for p = 0 to num_ports - 1 do
-    let v, ok = Codec.decode_int ~first:1 ~width:st.l (seq p) in
-    labels.(p) <- (if ok then Some v else None)
-  done;
-  labels
+  let h = Codec.history st.acc in
+  Array.init (View.num_ports st.view) (fun p ->
+      let v, ok = Codec.decode h ~port:p ~first:1 ~width:st.l in
+      if ok then Some v else None)
 
 let make ~phases_of =
   let rounds ~n =

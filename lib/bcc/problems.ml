@@ -54,7 +54,7 @@ let measure_decision_error ?(seed = 0) algo ~trials gen =
   let errors = ref 0 in
   for trial = 1 to trials do
     let inst, truth = gen trial in
-    let result = Simulator.run ~seed:(seed + trial) algo inst in
-    if not (decision_correct ~truth result.Simulator.outputs) then incr errors
+    if not (decision_correct ~truth (Simulator.run_outputs ~seed:(seed + trial) algo inst)) then
+      incr errors
   done;
   { trials; errors = !errors }

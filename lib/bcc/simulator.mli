@@ -5,7 +5,12 @@
     broadcasts at most b bits (or stays silent); outputs consume the last
     round's broadcasts. Bandwidth violations raise immediately — an
     algorithm cannot cheat the model. Randomness is public-coin: all
-    vertices receive generators with the same [seed]. *)
+    vertices receive generators with the same [seed].
+
+    The three entries share one engine setup and differ only in what
+    they record: {!run} keeps full transcripts, {!run_outputs} only the
+    outputs, {!run_sent_codes} only the packed broadcast codes. Every
+    entry enforces the bandwidth and feeds [engine.bits_broadcast]. *)
 
 type 'o result = {
   outputs : 'o array;  (** Per-vertex outputs. *)
@@ -15,6 +20,12 @@ type 'o result = {
 
 val run : ?seed:int -> 'o Algo.packed -> Instance.t -> 'o result
 (** Execute the algorithm on the instance.
+    @raise Invalid_argument if a vertex exceeds the declared bandwidth. *)
+
+val run_outputs : ?seed:int -> 'o Algo.packed -> Instance.t -> 'o array
+(** [(run ?seed algo inst).outputs] without recording any traffic: the
+    entry for callers that read only the decision (Monte Carlo error
+    cells, exact distributional error, execution checks).
     @raise Invalid_argument if a vertex exceeds the declared bandwidth. *)
 
 val run_sent_codes : ?seed:int -> 'o Algo.packed -> Instance.t -> int array

@@ -19,7 +19,7 @@ type error_report = {
 let error_float r = Ratio.to_float r.error
 
 let decide ?(seed = 0) algo inst =
-  Problems.system_decision (Simulator.run ~seed algo inst).Simulator.outputs
+  Problems.system_decision (Simulator.run_outputs ~seed algo inst)
 
 (* Exact distributional error of a decision algorithm over μ: runs the
    algorithm on EVERY census instance. *)

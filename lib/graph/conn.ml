@@ -2,14 +2,16 @@ module Ufind = Bcclb_ufind.Ufind
 
 type t = Lf of Ufind.t | Dsu of Union_find.t
 
-(* One read per process: the oracle is an execution mode, not a per-call
-   knob, so a sweep cannot mix structures mid-report. *)
-let use_dsu =
-  lazy (match Sys.getenv_opt "BCCLB_CONN_ORACLE" with Some "dsu" -> true | _ -> false)
+(* One read per process, at start-up: the oracle is an execution mode,
+   not a per-call knob, so a sweep cannot mix structures mid-report. A
+   plain value, not a lazy one, because pool domains call [create]
+   concurrently and OCaml 5 raises [CamlinternalLazy.Undefined] when two
+   domains force the same lazy at once. *)
+let use_dsu = match Sys.getenv_opt "BCCLB_CONN_ORACLE" with Some "dsu" -> true | _ -> false
 
-let lock_free () = not (Lazy.force use_dsu)
+let lock_free () = not use_dsu
 
-let create n = if Lazy.force use_dsu then Dsu (Union_find.create n) else Lf (Ufind.create n)
+let create n = if use_dsu then Dsu (Union_find.create n) else Lf (Ufind.create n)
 
 let size = function Lf u -> Ufind.size u | Dsu u -> Union_find.size u
 

@@ -148,9 +148,7 @@ let kt0_error_rand =
       for seed = 1 to trials do
         let yes = Instance.kt0_circulant (Gen.random_cycle rng n) in
         let no = Instance.kt0_circulant (Gen.random_two_cycles rng n) in
-        let run inst =
-          Problems.system_decision (Simulator.run ~seed algo inst).Simulator.outputs
-        in
+        let run inst = Problems.system_decision (Simulator.run_outputs ~seed algo inst) in
         if not (run yes) then incr errs_yes;
         if run no then incr errs_no
       done;

@@ -55,9 +55,7 @@ let upper_bounds =
         let rng = Rng.create ~seed:(100 + n) in
         let yes = Gen.random_cycle rng n in
         let no = Gen.random_two_cycles rng n in
-        let run algo inst =
-          Problems.system_decision (Simulator.run algo inst).Simulator.outputs
-        in
+        let run algo inst = Problems.system_decision (Simulator.run_outputs algo inst) in
         [ E.row ~table:"execution check (YES/NO answers on random instances)"
             [ pi "n" n; pb "yes" (run (d0 ()) (Instance.kt0_circulant yes));
               pb "no" (run (d0 ()) (Instance.kt0_circulant no)) ]

@@ -45,32 +45,29 @@ let bandwidth =
           let rng = Rng.create ~seed:13 in
           let inst = Instance.kt1_of_graph (Gen.gnp rng 14 0.2) in
           let bv = Algos.Boruvka.connectivity () in
-          let direct = Simulator.run bv inst in
-          let split = Simulator.run (Bcclb_bcc.Split.compile bv) inst in
-          exec_row "split-vs-direct"
-            (direct.Simulator.outputs = split.Simulator.outputs)
-            "same outputs on G(14,0.2)"
+          let direct = Simulator.run_outputs bv inst in
+          let split = Simulator.run_outputs (Bcclb_bcc.Split.compile bv) inst in
+          exec_row "split-vs-direct" (direct = split) "same outputs on G(14,0.2)"
         | "kt0-compiled-boruvka" ->
           let rng = Rng.create ~seed:113 in
           let bv = Algos.Boruvka.connectivity () in
           let kt0 = Algos.Kt0_compiler.compile bv in
           let g0 = Gen.random_multicycle rng 12 in
-          let r0 = Simulator.run kt0 (Instance.kt0_random rng g0) in
-          exec_row "kt0-compiled-boruvka"
-            (Problems.system_decision r0.Simulator.outputs = Graph.is_connected g0)
+          let r0 = Simulator.run_outputs kt0 (Instance.kt0_random rng g0) in
+          exec_row "kt0-compiled-boruvka" (Problems.system_decision r0 = Graph.is_connected g0)
             (Printf.sprintf "additive %d learning rounds"
                (Algos.Kt0_compiler.learning_rounds ~n:12 ~bandwidth:(Algo.bandwidth bv ~n:12)))
         | "mst-vs-kruskal" ->
           let rng = Rng.create ~seed:213 in
           let g = Gen.gnp rng 14 0.2 in
           let inst = Instance.kt1_of_graph g in
-          let mst = Simulator.run (Algos.Mst_boruvka.forest ()) inst in
+          let mst = Simulator.run_outputs (Algos.Mst_boruvka.forest ()) inst in
           let weight_ids = Bcclb_graph.Mst.weight_of_ids ~max_id:14 in
           let weight u v = weight_ids (u + 1) (v + 1) in
           let kruskal = List.sort compare (Bcclb_graph.Mst.kruskal g ~weight) in
           let got =
             List.sort compare
-              (List.map (fun (a, b) -> (a - 1, b - 1)) mst.Simulator.outputs.(0))
+              (List.map (fun (a, b) -> (a - 1, b - 1)) mst.(0))
           in
           exec_row "mst-vs-kruskal" (got = kruskal) "distributed forest = Kruskal"
         | check -> invalid_arg ("bandwidth: unknown check " ^ check))

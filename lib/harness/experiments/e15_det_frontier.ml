@@ -152,8 +152,8 @@ let det_frontier =
           List.iteri
             (fun i algo ->
               Metrics.Counter.incr exec_metric;
-              let r = Simulator.run ~seed algo (Instance.kt1_of_graph g) in
-              if Problems.system_decision r.Simulator.outputs = truth then
+              let outputs = Simulator.run_outputs ~seed algo (Instance.kt1_of_graph g) in
+              if Problems.system_decision outputs = truth then
                 counts.(i) <- counts.(i) + 1)
             [ mt; mt_narrow; agm; adj ]
         done;

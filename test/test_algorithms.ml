@@ -487,15 +487,20 @@ let test_codec () =
   Alcotest.check_raises "position out of range"
     (Invalid_argument "Codec.bit_of_int: position out of range") (fun () ->
       ignore (Codec.bit_of_int ~width:3 ~pos:3 0));
-  (* decode_int reads [first, first+width) of a broadcast sequence and
-     flags missing rounds. *)
-  let seq = Array.of_list (List.map Bcclb_bcc.Msg.of_bit [ true; false; true ]) in
-  Alcotest.(check (pair int bool)) "complete" (0b101, true) (Codec.decode_int ~first:1 ~width:3 seq);
-  Alcotest.(check (pair int bool)) "inner window" (0b01, true) (Codec.decode_int ~first:2 ~width:2 seq);
-  Alcotest.(check (pair int bool)) "truncated" (0b10, false) (Codec.decode_int ~first:3 ~width:2 seq);
-  let with_silence = [| Bcclb_bcc.Msg.one; Bcclb_bcc.Msg.silent; Bcclb_bcc.Msg.one |] in
+  (* decode reads rounds [first, first+width) of the sender behind a
+     port, in place, and flags missing rounds. Port 0 carries the
+     sequence under test; port 1 a different sender, never read. *)
+  let history round_msgs =
+    Codec.history (List.rev_map (fun m -> [| m; Bcclb_bcc.Msg.zero |]) round_msgs)
+  in
+  let seq = history (List.map Bcclb_bcc.Msg.of_bit [ true; false; true ]) in
+  let decode ~first ~width h = Codec.decode h ~port:0 ~first ~width in
+  Alcotest.(check (pair int bool)) "complete" (0b101, true) (decode ~first:1 ~width:3 seq);
+  Alcotest.(check (pair int bool)) "inner window" (0b01, true) (decode ~first:2 ~width:2 seq);
+  Alcotest.(check (pair int bool)) "truncated" (0b10, false) (decode ~first:3 ~width:2 seq);
+  let with_silence = history [ Bcclb_bcc.Msg.one; Bcclb_bcc.Msg.silent; Bcclb_bcc.Msg.one ] in
   Alcotest.(check (pair int bool)) "silence = incomplete" (0b101, false)
-    (Codec.decode_int ~first:1 ~width:3 with_silence)
+    (decode ~first:1 ~width:3 with_silence)
 
 let suites =
   [ Alcotest.test_case "discovery KT-0" `Quick test_discovery_kt0;
@@ -546,6 +551,44 @@ let qsuites =
         let inst = Instance.kt0_circulant g in
         let algo = Discovery.connectivity ~knowledge:Instance.KT0 ~max_degree:2 in
         run_decision algo inst = G.is_connected g);
+    (* Hashed discovery decides connectivity of the hashed graph: one
+       vertex per distinct public-coin hash, an edge h(u)-h(v) per input
+       edge. The oracle redraws (a, b) from the public coins, hashes the
+       IDs itself and never touches the decoder; k <= 5 at n >= 33 forces
+       collisions, and small k collides often below that. *)
+    Test.make ~name:"hashed discovery = connectivity of the hashed graph" ~count:200
+      Gen.(triple (6 -- 64) (1 -- 12) (0 -- 100000))
+      (fun (n, k, seed) ->
+        let rng = Rng.create ~seed in
+        let g =
+          match seed mod 3 with
+          | 0 -> Ggen.random_cycle rng n
+          | 1 -> Ggen.random_two_cycles rng n
+          | _ -> Ggen.random_multicycle rng n
+        in
+        let hash =
+          let coins = Rng.create ~seed in
+          let p = 2147483647 in
+          let a = 1 + Rng.int coins (p - 1) in
+          let b = Rng.int coins p in
+          fun id -> (((a * id) + b) mod p) land ((1 lsl k) - 1)
+        in
+        (* Default IDs: vertex v has ID v + 1. *)
+        let h = Array.init n (fun v -> hash (v + 1)) in
+        let distinct = List.sort_uniq Int.compare (Array.to_list h) in
+        let index = Hashtbl.create n in
+        List.iteri (fun i x -> Hashtbl.replace index x i) distinct;
+        let edges = ref [] in
+        G.iter_edges
+          (fun u v ->
+            let hu = Hashtbl.find index h.(u) and hv = Hashtbl.find index h.(v) in
+            if hu <> hv then edges := (hu, hv) :: !edges)
+          g;
+        let hashed = G.of_edges ~n:(List.length distinct) !edges in
+        let outputs =
+          Simulator.run_outputs ~seed (Hashed_discovery.connectivity ~k) (Instance.kt0_circulant g)
+        in
+        Array.for_all (Bool.equal (G.is_connected hashed)) outputs);
     Test.make ~name:"boruvka agrees with ground truth on gnp" ~count:60
       Gen.(pair (4 -- 16) (0 -- 100000))
       (fun (n, seed) ->

@@ -105,11 +105,16 @@ let test_simulator_bandwidth_enforced () =
          ~finish:(fun () ~inbox:_ -> true))
   in
   let inst = Instance.kt0_circulant cycle6 in
-  Alcotest.(check bool) "bandwidth violation raises" true
-    (try
-       ignore (Simulator.run cheat inst);
-       false
-     with Invalid_argument _ -> true)
+  let raises entry run =
+    Alcotest.(check bool) (entry ^ ": bandwidth violation raises") true
+      (try
+         run ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  raises "run" (fun () -> ignore (Simulator.run cheat inst));
+  raises "run_outputs" (fun () -> ignore (Simulator.run_outputs cheat inst));
+  raises "run_sent_codes" (fun () -> ignore (Simulator.run_sent_codes cheat inst))
 
 let test_simulator_delivery () =
   (* Vertex broadcasts its id's parity in round 1; in round 2 everyone
@@ -220,6 +225,71 @@ let test_run_sent_codes () =
       in
       Alcotest.(check string) "codes = transcript" (Transcript.sent_string t) decoded)
     r.Simulator.transcripts
+
+(* The three simulator entries share one engine setup and differ only in
+   their recorder, so they must agree wherever their outputs overlap:
+   [run_outputs] is [run]'s outputs, and [run_sent_codes] is [run]'s
+   transcripts packed 2 bits per round (where codes apply: BCC(1), at
+   most 31 rounds). *)
+let test_entries_agree () =
+  let module A = Bcclb_algorithms in
+  let n = 10 in
+  let rng = Rng.create ~seed:41 in
+  let yes = Gen.random_cycle rng n and no = Gen.random_two_cycles rng n in
+  let kt0 = [ Instance.kt0_circulant yes; Instance.kt0_circulant no ] in
+  let kt1 = [ Instance.kt1_of_graph yes; Instance.kt1_of_graph no ] in
+  let packed_code t =
+    let code = ref 0 in
+    for r = 1 to Transcript.rounds t do
+      code := !code lor (Msg.code1 (Transcript.sent t r) lsl (2 * (r - 1)))
+    done;
+    !code
+  in
+  let check (algo : bool Algo.packed) insts =
+    List.iteri
+      (fun i inst ->
+        let what = Printf.sprintf "%s on instance %d" (Algo.name algo) i in
+        let seed = 7 + i in
+        let full = Simulator.run ~seed algo inst in
+        Alcotest.(check (array bool))
+          (what ^ ": run_outputs = run")
+          full.Simulator.outputs
+          (Simulator.run_outputs ~seed algo inst);
+        if Algo.bandwidth algo ~n = 1 && 2 * Algo.rounds algo ~n <= Bcclb_util.Bits.max_width then
+          Alcotest.(check (array int))
+            (what ^ ": run_sent_codes = packed transcripts")
+            (Array.map packed_code full.Simulator.transcripts)
+            (Simulator.run_sent_codes ~seed algo inst))
+      insts
+  in
+  (* The families bin/run_algo.ml offers, each on its own model. *)
+  let mt_bcc1 = { A.Mt_connectivity.s0 = 4; phases = 2; bandwidth = 1 } in
+  List.iter (fun algo -> check algo kt0)
+    [ A.Discovery.connectivity ~knowledge:Instance.KT0 ~max_degree:2; A.Min_label.connectivity ();
+      A.Hashed_discovery.connectivity ~k:6; A.Kt0_compiler.compile (A.Boruvka.connectivity ());
+      A.Trivial.always_yes () ];
+  List.iter (fun algo -> check algo kt1)
+    [ A.Discovery.connectivity ~knowledge:Instance.KT1 ~max_degree:2; A.Boruvka.connectivity ();
+      Split.compile (A.Boruvka.connectivity ()); A.Adjacency_matrix.connectivity ();
+      A.Agm_connectivity.connectivity (); A.Mt_connectivity.connectivity ();
+      A.Mt_connectivity.connectivity ~params:mt_bcc1 () ];
+  (* E3's truncated subjects at every t up to the full algorithm. *)
+  for t = 0 to Bcclb_core.Kt0_bound.upper_bound_rounds ~n do
+    List.iter
+      (fun optimist ->
+        let family f = f ~knowledge:Instance.KT0 ~max_degree:2 ~rounds:t ~optimist in
+        check (family A.Discovery.connectivity_truncated) kt0;
+        check (family A.Discovery.connectivity_partial) kt0)
+      [ true; false ]
+  done;
+  (* Hashed discovery cut after every round, collisions (k = 1) included. *)
+  List.iter
+    (fun k ->
+      let (Algo.Packed a) = A.Hashed_discovery.connectivity ~k in
+      for t = 0 to 3 * k do
+        check (Algo.pack (Algo.truncate ~rounds:t a)) (kt0 @ kt1)
+      done)
+    [ 1; 3; 6 ]
 
 let test_indistinguishable_from () =
   let algo = Bcclb_algorithms.Trivial.chatter ~rounds:5 () in
@@ -350,6 +420,7 @@ let suites =
     Alcotest.test_case "transcripts" `Quick test_transcripts;
     Alcotest.test_case "packed sent_code parity" `Quick test_packed_sent_code;
     Alcotest.test_case "run_sent_codes = transcripts" `Quick test_run_sent_codes;
+    Alcotest.test_case "simulator entries agree" `Quick test_entries_agree;
     Alcotest.test_case "indistinguishable_from" `Quick test_indistinguishable_from;
     Alcotest.test_case "split compiler: boruvka" `Quick test_split_compiler_boruvka;
     Alcotest.test_case "split compiler: rounds" `Quick test_split_compiler_rounds;
