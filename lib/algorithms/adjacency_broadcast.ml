@@ -22,9 +22,16 @@ open Bcclb_graph
 
 type state = {
   view : View.t;
-  heard : bool array array;  (* heard.(p).(s): port s of the sender behind port p *)
+  heard : Bytes.t;
+      (* (n-1)² flags, row-major: byte p(n-1) + s is port s of the sender
+         behind port p *)
   rounds_done : int;
 }
+
+let hear st p s b =
+  Bytes.set st.heard ((p * View.num_ports st.view) + s) (if b then '\001' else '\000')
+
+let heard st p s = Bytes.get st.heard ((p * View.num_ports st.view) + s) <> '\000'
 
 let relative_edges st ~known_ports =
   let n = View.n st.view in
@@ -33,7 +40,7 @@ let relative_edges st ~known_ports =
      further s+1 steps clockwise. *)
   for p = 0 to n - 2 do
     for s = 0 to known_ports - 1 do
-      if st.heard.(p).(s) then edges := (p + 1, (p + s + 2) mod n) :: !edges
+      if heard st p s then edges := (p + 1, (p + s + 2) mod n) :: !edges
     done
   done;
   (* Own broadcasts, heard by everyone including (conceptually) self:
@@ -71,9 +78,7 @@ let make ~name ~optimist =
   let rounds ~n = n - 1 in
   let init view =
     let ports = View.num_ports view in
-    { view;
-      heard = Bcclb_util.Arrayx.init_matrix ports ports (fun _ _ -> false);
-      rounds_done = 0 }
+    { view; heard = Bytes.make (ports * ports) '\000'; rounds_done = 0 }
   in
   let step st ~round ~inbox =
     (* inbox carries round-1 broadcasts: the bit for the sender's port round-2. *)
@@ -81,7 +86,7 @@ let make ~name ~optimist =
       Array.iteri
         (fun p m ->
           match m with
-          | Msg.Word b -> st.heard.(p).(round - 2) <- Bcclb_util.Bits.to_bool b
+          | Msg.Word b -> hear st p (round - 2) (Bcclb_util.Bits.to_bool b)
           | Msg.Silent -> ())
         inbox;
     ({ st with rounds_done = round }, Msg.of_bit (View.is_input_port st.view (round - 1)))
@@ -93,7 +98,7 @@ let make ~name ~optimist =
       Array.iteri
         (fun p m ->
           match m with
-          | Msg.Word b -> st.heard.(p).(t - 1) <- Bcclb_util.Bits.to_bool b
+          | Msg.Word b -> hear st p (t - 1) (Bcclb_util.Bits.to_bool b)
           | Msg.Silent -> ())
         inbox;
     let edges = relative_edges st ~known_ports:t in

@@ -34,14 +34,10 @@ type handle = int
 (* ---- packed canonical keys ----
 
    A two-cycle structure packs as [len c1][c1 minus its leading 0][all of
-   c2], one coordinate per field, LSB-first. The first cycle is the one
-   containing vertex 0 (canonically it leads with it), so its leading
+   c2], one 4-bit coordinate per field, LSB-first. The first cycle is the
+   one containing vertex 0 (canonically it leads with it), so its leading
    coordinate is implied; the length coordinate disambiguates the split.
-   Coordinates are 4 bits wherever 4 bits suffice — which keeps every
-   n <= 15 key the exact integer it has always been — and widen to
-   ceil(log2 n) beyond, at which point the n coordinates no longer fit a
-   word and the key becomes the packed byte string of the same bit
-   layout ({!Bits.Seq.to_packed_string}). *)
+   n <= 15 coordinates fill at most 60 bits, so every key is one int. *)
 
 let coord_width ~n =
   if n <= 16 then 4
@@ -58,80 +54,86 @@ let max_n = 15
 let min_n = 6
 let orbit_max_n = 13
 
-let emit_two s push =
+let key_two s =
+  if Cycles.num_vertices s > max_n then
+    invalid_arg (Printf.sprintf "Arena.key_two: integer keys need n <= %d" max_n);
   match Cycles.cycles s with
   | [ c1; c2 ] ->
+    let key = ref 0 and shift = ref 0 in
+    let push v =
+      key := !key lor (v lsl !shift);
+      shift := !shift + 4
+    in
     push (Array.length c1);
     for i = 1 to Array.length c1 - 1 do
       push c1.(i)
     done;
-    Array.iter push c2
+    Array.iter push c2;
+    !key
   | _ -> invalid_arg "Arena.key_two: not a two-cycle structure"
 
-let key_two s =
-  if Cycles.num_vertices s > max_n then
-    invalid_arg (Printf.sprintf "Arena.key_two: integer keys need n <= %d" max_n);
-  let key = ref 0 and shift = ref 0 in
-  emit_two s (fun v ->
-      key := !key lor (v lsl !shift);
-      shift := !shift + 4);
-  !key
+(* The key of a structure whose two cycles are arcs of existing arrays —
+   the halves of a crossed one-cycle, or the rotated cycles of a V2
+   structure — computed without building the structure. An arc is
+   (a, s, l): a.(s), ..., a.(s + l - 1), indices mod [Array.length a],
+   with s < Array.length a and l <= it. Cycles.canonical_cycle's choices
+   are read off the arc (the position of the minimum vertex and the
+   direction toward its smaller neighbour) and the key is packed
+   straight from them: no closure, tuple or array is allocated. *)
 
-(* Canonical traversal of a cycle presented as an accessor: position of
-   the minimum vertex and direction toward its smaller neighbour —
-   exactly Cycles.canonical_cycle, without materialising the array. *)
-let canon_start get len =
-  let p = ref 0 in
-  for i = 1 to len - 1 do
-    if get i < get !p then p := i
+let[@inline] arc_get (a : int array) s q =
+  let i = s + q in
+  a.(if i >= Array.length a then i - Array.length a else i)
+
+(* 2p when the canonical traversal walks forward from arc position p
+   (the minimum), 2p + 1 when it walks backward. *)
+let arc_start a s l =
+  let p = ref 0 and m = ref (arc_get a s 0) in
+  for q = 1 to l - 1 do
+    let v = arc_get a s q in
+    if v < !m then begin
+      p := q;
+      m := v
+    end
   done;
   let p = !p in
-  let dir = if get ((p + 1) mod len) <= get ((p + len - 1) mod len) then 1 else -1 in
-  (p, dir)
+  let next = arc_get a s (if p = l - 1 then 0 else p + 1) in
+  let prev = arc_get a s (if p = 0 then l - 1 else p - 1) in
+  if next <= prev then 2 * p else (2 * p) + 1
 
-let emit_cross cyc i j push =
+(* The canonical traversal's vertices from the [first]-th on, in 4-bit
+   fields from bit [shift]. *)
+let arc_bits a s l start ~first ~shift =
+  let back = start land 1 = 1 in
+  let q = ref (start lsr 1) and bits = ref 0 in
+  for step = 0 to l - 1 do
+    if step >= first then bits := !bits lor (arc_get a s !q lsl (shift + (4 * (step - first))));
+    q := if back then if !q = 0 then l - 1 else !q - 1 else if !q = l - 1 then 0 else !q + 1
+  done;
+  !bits
+
+let pack_arcs a sa la ka b sb lb kb =
+  la lor arc_bits a sa la ka ~first:1 ~shift:4 lor arc_bits b sb lb kb ~first:0 ~shift:(4 * la)
+
+(* The arc holding the smaller minimum is the first cycle. *)
+let key_of_arcs a sa la b sb lb =
+  let ka = arc_start a sa la and kb = arc_start b sb lb in
+  if arc_get a sa (ka lsr 1) < arc_get b sb (kb lsr 1) then pack_arcs a sa la ka b sb lb kb
+  else pack_arcs b sb lb kb a sa la ka
+
+let cross_key cyc i j =
   let k = Array.length cyc in
-  let i, j = if i < j then (i, j) else (j, i) in
+  let i = Int.min i j and j = Int.max i j in
   if i < 0 || j >= k then invalid_arg "Arena.cross_key: edge index out of range";
   let len1 = j - i and len2 = k - (j - i) in
   if len1 < 3 || len2 < 3 then invalid_arg "Arena.cross_key: arcs must have length >= 3";
-  (* The two arcs of Census.cross_one_cycle: arc_a = c_{i+1}..c_j,
-     arc_b = c_{j+1}..c_i (wrapping). *)
-  let get_a idx = cyc.(i + 1 + idx) in
-  let get_b idx = cyc.((j + 1 + idx) mod k) in
-  let pa, da = canon_start get_a len1 in
-  let pb, db = canon_start get_b len2 in
-  let at get len p d step = get (((p + (d * step)) mod len + len) mod len) in
-  (* First cycle = the arc containing the overall minimum vertex (its
-     canonical leading vertex, skipped in the key). *)
-  let a_first = at get_a len1 pa da 0 < at get_b len2 pb db 0 in
-  let g1, l1, p1, d1, g2, l2, p2, d2 =
-    if a_first then (get_a, len1, pa, da, get_b, len2, pb, db)
-    else (get_b, len2, pb, db, get_a, len1, pa, da)
-  in
-  push l1;
-  for step = 1 to l1 - 1 do
-    push (at g1 l1 p1 d1 step)
-  done;
-  for step = 0 to l2 - 1 do
-    push (at g2 l2 p2 d2 step)
-  done
+  (* The two arcs of Census.cross_one_cycle: c_{i+1}..c_j and
+     c_{j+1}..c_i (wrapping). *)
+  key_of_arcs cyc (i + 1) len1 cyc (if j + 1 = k then 0 else j + 1) len2
 
-let cross_key cyc i j =
-  let key = ref 0 and shift = ref 0 in
-  emit_cross cyc i j (fun v ->
-      key := !key lor (v lsl !shift);
-      shift := !shift + 4);
-  !key
-
-let packed_of_emit ~n emit =
-  let w = coord_width ~n in
-  let seq = Bits.Seq.create ~capacity:(w * n) () in
-  emit (fun v -> Bits.Seq.append_word seq ~width:w ~value:v);
-  Bits.Seq.to_packed_string seq
-
-let key_two_packed ~n s = packed_of_emit ~n (emit_two s)
-let cross_key_packed ~n cyc i j = packed_of_emit ~n (emit_cross cyc i j)
+let key_smaller_len ~n key =
+  let l1 = key land 15 in
+  Int.min l1 (n - l1)
 
 let supported ~n =
   if n < min_n || n > max_n then
@@ -230,9 +232,9 @@ let two_smaller_len t h = t.two_smaller.(h)
 
 let two_handle t ~key =
   Obs.Metrics.Counter.incr cross_probes_metric;
-  match Hashtbl.find_opt t.two_index key with
-  | Some h -> h
-  | None -> invalid_arg "Arena.two_handle: key does not intern a census structure"
+  match Hashtbl.find t.two_index key with
+  | h -> h
+  | exception Not_found -> invalid_arg "Arena.two_handle: key does not intern a census structure"
 
 let cross_handle t cyc i j = two_handle t ~key:(cross_key cyc i j)
 
@@ -309,8 +311,23 @@ let rotation_map_two t c =
       match Hashtbl.find_opt t.rot2_memo c with
       | Some m -> m
       | None ->
+        let n = t.n in
+        let ra = Array.make n 0 and rb = Array.make n 0 in
         let m =
-          Array.map (fun s -> Hashtbl.find t.two_index (key_two (Census.rotate ~n:t.n c s))) t.two
+          Array.map
+            (fun s ->
+              match Cycles.cycles s with
+              | [ c1; c2 ] ->
+                let l1 = Array.length c1 and l2 = Array.length c2 in
+                for i = 0 to l1 - 1 do
+                  ra.(i) <- (c1.(i) + c) mod n
+                done;
+                for i = 0 to l2 - 1 do
+                  rb.(i) <- (c2.(i) + c) mod n
+                done;
+                Hashtbl.find t.two_index (key_of_arcs ra 0 l1 rb 0 l2)
+              | _ -> invalid_arg "Arena.rotation_map_two: not a two-cycle structure")
+            t.two
         in
         Hashtbl.replace t.rot2_memo c m;
         m)

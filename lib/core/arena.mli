@@ -4,14 +4,13 @@
 
     The census is enumerated once per arena (in {!Census} order, so
     handles agree with every array-indexed census consumer), two-cycle
-    structures are deduplicated behind packed canonical keys
-    ({!coord_width} bits per coordinate — one machine word up to n = 15,
-    a packed byte string of the same bit layout beyond), and crossing
+    structures are deduplicated behind packed canonical keys (4 bits
+    per coordinate, one machine word up to n = 15), and crossing
     successors of a one-cycle instance resolve by hash lookup of the
-    crossed key — computed arithmetically from the arc decomposition, no
-    intermediate {!Bcclb_graph.Cycles.t} allocation. Broadcast codes
-    (2 bits per round, {!Bcclb_bcc.Simulator.run_sent_codes}) are
-    memoised per (algorithm name, seed): each distinct execution runs
+    crossed key — computed arithmetically from the arc decomposition,
+    allocating nothing. Broadcast codes (2 bits per round,
+    {!Bcclb_bcc.Simulator.run_sent_codes}) are memoised per
+    (algorithm name, seed): each distinct execution runs
     once per arena, which is what makes the packed {!Indist_graph} and
     {!Crossing_check} paths cheap.
 
@@ -40,9 +39,8 @@ val supported : n:int -> (unit, string) result
     before any enumeration starts. *)
 
 val coord_width : n:int -> int
-(** Bits per key coordinate: 4 wherever 4 bits suffice (n ≤ 16, keeping
-    every n ≤ 15 integer key bit-identical to the historical nibble
-    encoding), ⌈log₂ n⌉ beyond. *)
+(** Bits per vertex coordinate in {!Orbit} records: 4 wherever 4 bits
+    suffice (n ≤ 16, the key width), ⌈log₂ n⌉ beyond. *)
 
 val create : n:int -> t
 (** Enumerate and intern both censuses.
@@ -81,19 +79,13 @@ val key_two : Bcclb_graph.Cycles.t -> int
 
 val cross_key : int array -> int -> int -> int
 (** [cross_key cyc i j] = [key_two (Census.cross_one_cycle cyc i j)]
-    without allocating the crossed structure.
-    @raise Invalid_argument under the same conditions. *)
+    (i > j allowed) without allocating anything.
+    @raise Invalid_argument under the same conditions as
+    {!Census.cross_one_cycle}. *)
 
-val key_two_packed : n:int -> Bcclb_graph.Cycles.t -> string
-(** The same key as a packed byte string ({!coord_width} bits per
-    coordinate, LSB-first — {!Bcclb_util.Bits.Seq.to_packed_string}
-    layout), defined for every n: for n ≤ 15 its bytes are exactly the
-    little-endian bytes of {!key_two}. *)
-
-val cross_key_packed : n:int -> int array -> int -> int -> string
-(** [cross_key_packed ~n cyc i j] =
-    [key_two_packed ~n (Census.cross_one_cycle cyc i j)], allocation-free
-    on the structure side. *)
+val key_smaller_len : n:int -> int -> int
+(** Smaller cycle length of the n-vertex two-cycle structure a key
+    names, read off the key's length field. *)
 
 val two_handle : t -> key:int -> handle
 (** Resolve a packed key to its V₂ handle.
@@ -122,7 +114,8 @@ val orbit_one : t -> orbit_one
 val rotation_map_two : t -> int -> int array
 (** [rotation_map_two t c].(h) is the V₂ handle of the rotation by [c]
     of structure [h] — the handle permutation that maps a
-    representative's adjacency row to any orbit member's. Memoised
+    representative's adjacency row to any orbit member's. Keys come from
+    the same allocation-free canonicaliser as {!cross_key}. Memoised
     per [c]. *)
 
 val codes : t -> ?seed:int -> 'o Bcclb_bcc.Algo.packed -> int array array

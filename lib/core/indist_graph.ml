@@ -35,17 +35,61 @@ let active_positions sent cyc ~x ~y =
   let k = Array.length cyc in
   List.filter (fun i -> sent.(cyc.(i)) = x && sent.(cyc.((i + 1) mod k)) = y) (Bcclb_util.Arrayx.range 0 k)
 
-let dedup l =
-  let a = Array.of_list l in
-  Array.sort Int.compare a;
-  let out = ref [] in
-  Array.iteri (fun i v -> if i = 0 || a.(i - 1) <> v then out := v :: !out) a;
-  Array.of_list (List.rev !out)
+(* Rows arrive as unsorted int arrays that may repeat a handle (two
+   crossings can reach one structure); each is deduplicated in place. The
+   reverse adjacency is a counting transpose: scanning left vertices in
+   ascending order leaves every radj row sorted and distinct. *)
+let finish ~n ~x ~y ~v1 ~v2 rows =
+  let adj =
+    Array.map
+      (fun row ->
+        let d = Bcclb_util.Arrayx.sort_uniq_prefix row (Array.length row) in
+        if d = Array.length row then row else Array.sub row 0 d)
+      rows
+  in
+  let fill = Array.make (Array.length v2) 0 in
+  Array.iter (Array.iter (fun i2 -> fill.(i2) <- fill.(i2) + 1)) adj;
+  let radj = Array.map (fun d -> Array.make d 0) fill in
+  Array.fill fill 0 (Array.length fill) 0;
+  Array.iteri
+    (fun i1 row ->
+      Array.iter
+        (fun i2 ->
+          radj.(i2).(fill.(i2)) <- i1;
+          fill.(i2) <- fill.(i2) + 1)
+        row)
+    adj;
+  { n; x; y; v1; v2; adj; radj }
 
-let finish ~n ~x ~y ~v1 ~v2 adj_sets =
-  let radj_sets = Array.make (Array.length v2) [] in
-  Array.iteri (fun i1 row -> List.iter (fun i2 -> radj_sets.(i2) <- i1 :: radj_sets.(i2)) row) adj_sets;
-  { n; x; y; v1; v2; adj = Array.map dedup adj_sets; radj = Array.map dedup radj_sets }
+(* The crossing successors of a one-cycle over its crossable pairs
+   (i < j, both arcs >= 3) that [pair] accepts, as a sorted distinct
+   handle row. An n-cycle has n(n-5)/2 crossable pairs. *)
+let crossing_row arena cyc pair =
+  let k = Array.length cyc in
+  let buf = Array.make (k * (k - 5) / 2) 0 and m = ref 0 in
+  for i = 0 to k - 1 do
+    for j = i + 3 to k - 1 do
+      if k - (j - i) >= 3 && pair i j then begin
+        buf.(!m) <- Arena.cross_handle arena cyc i j;
+        incr m
+      end
+    done
+  done;
+  Array.sub buf 0 (Bcclb_util.Arrayx.sort_uniq_prefix buf !m)
+
+(* Both directed edges (c_i, c_i+1) and (c_j, c_j+1) carry the label
+   (x, y): the active pairs of Definition 3.6. *)
+let active_row arena cyc (sent : int array) ~x ~y =
+  let k = Array.length cyc in
+  let active i = sent.(cyc.(i)) = x && sent.(cyc.((i + 1) mod k)) = y in
+  crossing_row arena cyc (fun i j -> active i && active j)
+
+(* The two directed edges carry the same label, whatever it is: the
+   same-label condition of Lemma 3.4, i.e. the full graph. *)
+let same_label_row arena cyc (sent : int array) =
+  let k = Array.length cyc in
+  crossing_row arena cyc (fun i j ->
+      sent.(cyc.(i)) = sent.(cyc.(j)) && sent.(cyc.((i + 1) mod k)) = sent.(cyc.((j + 1) mod k)))
 
 (* Most frequent (head, tail) code label across all one-cycle edges.
    Ties break on the DECODED string pair — int code order differs from
@@ -90,26 +134,7 @@ let build_packed ?(seed = 0) algo ~n ?xy () =
      aggregated sequentially afterwards. *)
   let adj_sets =
     Bcclb_engine.Pool.tabulate (Arena.n_one arena) (fun i1 ->
-        let cyc = Arena.one_cycle arena i1 in
-        let sent = codes1.(i1) in
-        let k = Array.length cyc in
-        let actives = ref [] in
-        for i = k - 1 downto 0 do
-          if sent.(cyc.(i)) = x && sent.(cyc.((i + 1) mod k)) = y then actives := i :: !actives
-        done;
-        let actives = !actives in
-        let row = ref [] in
-        List.iter
-          (fun i ->
-            List.iter
-              (fun j ->
-                if i < j then begin
-                  let len1 = j - i and len2 = k - (j - i) in
-                  if len1 >= 3 && len2 >= 3 then row := Arena.cross_handle arena cyc i j :: !row
-                end)
-              actives)
-          actives;
-        !row)
+        active_row arena (Arena.one_cycle arena i1) codes1.(i1) ~x ~y)
   in
   finish ~n
     ~x:(Labels.string_of_code ~rounds x)
@@ -121,23 +146,7 @@ let build_full_packed ?(seed = 0) algo ~n () =
   let codes1 = Arena.codes arena ~seed algo in
   let adj_sets =
     Bcclb_engine.Pool.tabulate (Arena.n_one arena) (fun i1 ->
-        let cyc = Arena.one_cycle arena i1 in
-        let sent = codes1.(i1) in
-        let k = Array.length cyc in
-        let row = ref [] in
-        for i = 0 to k - 1 do
-          for j = i + 1 to k - 1 do
-            let len1 = j - i and len2 = k - (j - i) in
-            if len1 >= 3 && len2 >= 3 then begin
-              (* Same-label condition of Lemma 3.4 for this directed pair. *)
-              let vi = cyc.(i) and ui = cyc.((i + 1) mod k) in
-              let vj = cyc.(j) and uj = cyc.((j + 1) mod k) in
-              if sent.(vi) = sent.(vj) && sent.(ui) = sent.(uj) then
-                row := Arena.cross_handle arena cyc i j :: !row
-            end
-          done
-        done;
-        !row)
+        same_label_row arena (Arena.one_cycle arena i1) codes1.(i1))
   in
   finish ~n ~x:"*" ~y:"*" ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena) adj_sets
 
@@ -155,15 +164,16 @@ let build_full_packed ?(seed = 0) algo ~n () =
 let orbit_applicable algo ~n =
   Bcclb_bcc.Algo.anonymous algo || Bcclb_bcc.Algo.rounds algo ~n = 0
 
-(* Rep-index rows -> per-handle rows, through the rotation maps. *)
-let expand_orbit arena (o : Arena.orbit_one) rep_rows =
+(* Per-handle rows from [rep_row h], the representative's row that
+   handle h is the rotation image of, through the rotation maps. *)
+let expand_orbit arena (o : Arena.orbit_one) rep_row =
   let rot =
     Array.init (Arena.n arena) (fun c -> if c = 0 then [||] else Arena.rotation_map_two arena c)
   in
   Array.init (Arena.n_one arena) (fun h ->
-      let row = rep_rows.(o.Arena.rep_of.(h)) in
+      let row = rep_row h in
       let c = o.Arena.shift_of.(h) in
-      if c = 0 then row else List.map (fun h2 -> rot.(c).(h2)) row)
+      if c = 0 then row else Array.map (fun h2 -> rot.(c).(h2)) row)
 
 let build_orbit ?(seed = 0) algo ~n ?xy () =
   let arena = Arena.get ~n in
@@ -187,48 +197,21 @@ let build_orbit ?(seed = 0) algo ~n ?xy () =
      the representative's (y, x)-active pairs. Compute both orientations
      per representative (they coincide when x = y) and pick by the
      atlas's flip bit during expansion. *)
-  let row_for cyc sent ~x ~y =
-    let k = Array.length cyc in
-    let actives = ref [] in
-    for i = k - 1 downto 0 do
-      if sent.(cyc.(i)) = x && sent.(cyc.((i + 1) mod k)) = y then actives := i :: !actives
-    done;
-    let actives = !actives in
-    let row = ref [] in
-    List.iter
-      (fun i ->
-        List.iter
-          (fun j ->
-            if i < j then begin
-              let len1 = j - i and len2 = k - (j - i) in
-              if len1 >= 3 && len2 >= 3 then row := Arena.cross_handle arena cyc i j :: !row
-            end)
-          actives)
-      actives;
-    !row
-  in
   let rep_rows =
     Bcclb_engine.Pool.tabulate (Array.length o.Arena.reps) (fun ri ->
         let cyc = Arena.one_cycle arena o.Arena.reps.(ri) in
         let sent = codes_r.(ri) in
-        let fwd = row_for cyc sent ~x ~y in
-        let rev = if x = y then fwd else row_for cyc sent ~x:y ~y:x in
+        let fwd = active_row arena cyc sent ~x ~y in
+        let rev = if x = y then fwd else active_row arena cyc sent ~x:y ~y:x in
         (fwd, rev))
-  in
-  let rot =
-    Array.init (Arena.n arena) (fun c -> if c = 0 then [||] else Arena.rotation_map_two arena c)
-  in
-  let adj_sets =
-    Array.init (Arena.n_one arena) (fun h ->
-        let fwd, rev = rep_rows.(o.Arena.rep_of.(h)) in
-        let row = if o.Arena.flip_of.(h) then rev else fwd in
-        let c = o.Arena.shift_of.(h) in
-        if c = 0 then row else List.map (fun h2 -> rot.(c).(h2)) row)
   in
   finish ~n
     ~x:(Labels.string_of_code ~rounds x)
     ~y:(Labels.string_of_code ~rounds y)
-    ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena) adj_sets
+    ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena)
+    (expand_orbit arena o (fun h ->
+         let fwd, rev = rep_rows.(o.Arena.rep_of.(h)) in
+         if o.Arena.flip_of.(h) then rev else fwd))
 
 let build_full_orbit ?(seed = 0) algo ~n () =
   let arena = Arena.get ~n in
@@ -236,25 +219,10 @@ let build_full_orbit ?(seed = 0) algo ~n () =
   let codes_r = Arena.codes_reps arena ~seed algo in
   let rep_rows =
     Bcclb_engine.Pool.tabulate (Array.length o.Arena.reps) (fun ri ->
-        let cyc = Arena.one_cycle arena o.Arena.reps.(ri) in
-        let sent = codes_r.(ri) in
-        let k = Array.length cyc in
-        let row = ref [] in
-        for i = 0 to k - 1 do
-          for j = i + 1 to k - 1 do
-            let len1 = j - i and len2 = k - (j - i) in
-            if len1 >= 3 && len2 >= 3 then begin
-              let vi = cyc.(i) and ui = cyc.((i + 1) mod k) in
-              let vj = cyc.(j) and uj = cyc.((j + 1) mod k) in
-              if sent.(vi) = sent.(vj) && sent.(ui) = sent.(uj) then
-                row := Arena.cross_handle arena cyc i j :: !row
-            end
-          done
-        done;
-        !row)
+        same_label_row arena (Arena.one_cycle arena o.Arena.reps.(ri)) codes_r.(ri))
   in
   finish ~n ~x:"*" ~y:"*" ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena)
-    (expand_orbit arena o rep_rows)
+    (expand_orbit arena o (fun h -> rep_rows.(o.Arena.rep_of.(h))))
 
 (* ------------------------------------------------------------------ *)
 (* Reference (legacy) path: string labels, Cycles.t-keyed successor
@@ -305,7 +273,7 @@ let build_reference ?(seed = 0) algo ~n ?xy () =
                 end)
               actives)
           actives;
-        !row)
+        Array.of_list !row)
   in
   finish ~n ~x ~y ~v1 ~v2 adj_sets
 
@@ -334,7 +302,7 @@ let build_full_reference ?(seed = 0) algo ~n () =
             end
           done
         done;
-        !row)
+        Array.of_list !row)
       v1
   in
   finish ~n ~x:"*" ~y:"*" ~v1 ~v2 adj_sets
@@ -361,9 +329,18 @@ let degree_v1 t i = Array.length t.adj.(i)
 let degree_v2 t i = Array.length t.radj.(i)
 
 let neighborhood t indices =
-  let seen = Hashtbl.create 64 in
-  List.iter (fun i -> Array.iter (fun j -> Hashtbl.replace seen j ()) t.adj.(i)) indices;
-  Hashtbl.length seen
+  let seen = Bytes.make (Array.length t.v2) '\000' and count = ref 0 in
+  List.iter
+    (fun i ->
+      Array.iter
+        (fun j ->
+          if Bytes.get seen j = '\000' then begin
+            Bytes.set seen j '\001';
+            incr count
+          end)
+        t.adj.(i))
+    indices;
+  !count
 
 (* Check the Polygamous Hall condition |N(S)| >= k|S| on sampled subsets
    of the positive-degree left vertices; exhaustive subsets are

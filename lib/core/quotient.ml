@@ -60,32 +60,28 @@ let require_sound algo ~n =
 (* Degree computation for one representative, given its executed codes:
    enumerate independent same-label pairs, identify the crossed
    structure by its packed canonical key (no V₂ table — n <= 13 keys fit
-   a word), and deduplicate by sorting (key, smaller-length) pairs. *)
-let process_rep p cyc sent ~weight =
+   a word), and deduplicate by sorting the keys in [keys], the chunk's
+   scratch row. A key's length field gives its smaller cycle length. *)
+let process_rep p keys cyc (sent : int array) ~weight =
   let k = Array.length cyc in
-  let row = ref [] in
+  let m = ref 0 in
   for i = 0 to k - 1 do
-    for j = i + 1 to k - 1 do
-      let len1 = j - i and len2 = k - (j - i) in
-      if len1 >= 3 && len2 >= 3 then begin
+    for j = i + 3 to k - 1 do
+      if k - (j - i) >= 3 then begin
         let vi = cyc.(i) and ui = cyc.((i + 1) mod k) in
         let vj = cyc.(j) and uj = cyc.((j + 1) mod k) in
-        if sent.(vi) = sent.(vj) && sent.(ui) = sent.(uj) then
-          row := (Arena.cross_key cyc i j, min len1 len2) :: !row
+        if sent.(vi) = sent.(vj) && sent.(ui) = sent.(uj) then begin
+          keys.(!m) <- Arena.cross_key cyc i j;
+          incr m
+        end
       end
     done
   done;
-  let row = Array.of_list !row in
-  Array.sort compare row;
-  let deg = ref 0 in
-  Array.iteri
-    (fun idx (key, smaller) ->
-      if idx = 0 || fst row.(idx - 1) <> key then begin
-        incr deg;
-        p.p_by_smaller.(smaller) <- p.p_by_smaller.(smaller) + weight
-      end)
-    row;
-  let deg = !deg in
+  let deg = Bcclb_util.Arrayx.sort_uniq_prefix keys !m in
+  for idx = 0 to deg - 1 do
+    let smaller = Arena.key_smaller_len ~n:k keys.(idx) in
+    p.p_by_smaller.(smaller) <- p.p_by_smaller.(smaller) + weight
+  done;
   p.p_reps <- p.p_reps + 1;
   p.p_edges <- p.p_edges + (weight * deg);
   if deg = 0 then p.p_isolated <- p.p_isolated + weight
@@ -129,12 +125,14 @@ let full_stats ?(seed = 0) ?root algo ~n () =
             p_by_smaller = Array.make ((n / 2) + 1) 0 }
         in
         let neighbors = Array.make n (0, 0) in
+        (* An n-cycle has n(n-5)/2 crossable pairs. *)
+        let keys = Array.make (n * (n - 5) / 2) 0 in
         Arena.Orbit.iter_segment ~lo ~hi store si (fun cyc ~weight ->
             for i = 0 to n - 1 do
               neighbors.(cyc.(i)) <- (cyc.((i + n - 1) mod n), cyc.((i + 1) mod n))
             done;
             let sent = Simulator.run_sent_codes ~seed algo (stamp neighbors) in
-            process_rep p cyc sent ~weight);
+            process_rep p keys cyc sent ~weight);
         p)
       (Array.of_list !chunks)
   in

@@ -43,6 +43,26 @@ let rev_in_place a =
     swap a i (n - 1 - i)
   done
 
+(* Insertion sort: no allocation, and linear on rows that arrive sorted. *)
+let sort_uniq_prefix (a : int array) len =
+  for i = 1 to len - 1 do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done;
+  let d = ref (Int.min len 1) in
+  for i = 1 to len - 1 do
+    if a.(i) <> a.(!d - 1) then begin
+      a.(!d) <- a.(i);
+      incr d
+    end
+  done;
+  !d
+
 let rotate_left a k =
   let n = Array.length a in
   if n = 0 then [||]

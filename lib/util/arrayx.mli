@@ -23,6 +23,11 @@ val for_all2 : ('a -> 'b -> bool) -> 'a array -> 'b array -> bool
 
 val rev_in_place : 'a array -> unit
 
+val sort_uniq_prefix : int array -> int -> int
+(** [sort_uniq_prefix a len] sorts [a.(0 .. len-1)] ascending in place,
+    moves its distinct values to the front and returns their count.
+    Allocation-free; quadratic in [len], so meant for short rows. *)
+
 val rotate_left : 'a array -> int -> 'a array
 (** Fresh array rotated left by [k] (any sign). *)
 

@@ -117,7 +117,7 @@ let test_arena_flip_of_orientation () =
     (Array.init (Arena.n_one arena) (Arena.one_cycle arena));
   Alcotest.(check bool) "some members flip at n=8" true (!flips > 0)
 
-(* ---- satellite 1: cross_key = key_two . cross_one_cycle, every n ---- *)
+(* ---- crossing and rotation keys against their definitions ---- *)
 
 let qtest_cross_key_property =
   let open QCheck2 in
@@ -126,28 +126,55 @@ let qtest_cross_key_property =
     (fun (n, seed) ->
       let rng = Rng.create ~seed in
       (* A random cycle through all n vertices, not necessarily canonical:
-         the key functions must agree on raw traversals too. *)
+         the key functions must agree on raw traversals too, and on edge
+         indices given in either order. *)
       let cyc = Rng.permutation rng n in
       let i = Rng.int rng n and j = Rng.int rng n in
-      let i, j = (min i j, max i j) in
-      if j - i < 3 || n - (j - i) < 3 then QCheck2.assume_fail ()
+      let d = abs (j - i) in
+      if d < 3 || n - d < 3 then QCheck2.assume_fail ()
       else
         let expect = Arena.key_two (Census.cross_one_cycle cyc i j) in
         Arena.cross_key cyc i j = expect)
 
-let qtest_cross_key_packed_property =
-  let open QCheck2 in
-  Test.make ~name:"cross_key_packed agrees beyond the word-key range" ~count:150
-    Gen.(pair (14 -- 18) (0 -- 1_000_000))
-    (fun (n, seed) ->
-      let rng = Rng.create ~seed in
-      let cyc = Rng.permutation rng n in
-      let i = Rng.int rng n and j = Rng.int rng n in
-      let i, j = (min i j, max i j) in
-      if j - i < 3 || n - (j - i) < 3 then QCheck2.assume_fail ()
-      else
-        let expect = Arena.key_two_packed ~n (Census.cross_one_cycle cyc i j) in
-        String.equal (Arena.cross_key_packed ~n cyc i j) expect)
+let test_cross_key_allocation_free () =
+  (* Probes shaped like the bench kernel's: n = 9, both arcs >= 3, and
+     i > j whenever the second index wraps. *)
+  let n = 9 in
+  let arena = Arena.get ~n in
+  let rng = Rng.create ~seed:17 in
+  let probes =
+    Array.init 1000 (fun _ ->
+        let i = Rng.int rng n in
+        (Arena.one_cycle arena (Rng.int rng (Arena.n_one arena)), i, (i + 3 + Rng.int rng 4) mod n))
+  in
+  let sink = ref 0 in
+  let probe () =
+    for p = 0 to Array.length probes - 1 do
+      let c, i, j = probes.(p) in
+      sink := !sink lxor Arena.cross_key c i j
+    done
+  in
+  probe ();
+  let w0 = Gc.minor_words () in
+  probe ();
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !sink);
+  Alcotest.(check (float 0.)) "minor words over 1000 probes" 0. words
+
+let test_rotation_map_two_oracle () =
+  List.iter
+    (fun n ->
+      let arena = Arena.create ~n in
+      let two = Arena.two_structures arena in
+      for c = 0 to n - 1 do
+        let expect =
+          Array.map (fun s -> Arena.two_handle arena ~key:(Arena.key_two (Census.rotate ~n c s))) two
+        in
+        Alcotest.(check (array int))
+          (Printf.sprintf "n=%d c=%d" n c)
+          expect (Arena.rotation_map_two arena c)
+      done)
+    [ 6; 7; 8; 9 ]
 
 (* ---- satellite 2: Hall witness on a constructed violation ---- *)
 
@@ -361,6 +388,51 @@ let test_build_full_orbit_parity () =
       Alcotest.(check bool) (Printf.sprintf "radj t=%d" t) true (o.Indist_graph.radj = p.Indist_graph.radj))
     [ 0; 2; 3 ]
 
+(* Rows checked on their own, not against another path: every path ends
+   in the same row dedup and transpose, so parity alone would not see a
+   fault there. *)
+let check_rows what (g : Indist_graph.t) =
+  let increasing row =
+    let ok = ref true in
+    Array.iteri (fun i v -> if i > 0 && row.(i - 1) >= v then ok := false) row;
+    !ok
+  in
+  Array.iteri
+    (fun i row -> if not (increasing row) then Alcotest.failf "%s: adj.(%d) not increasing" what i)
+    g.adj;
+  Array.iteri
+    (fun i row -> if not (increasing row) then Alcotest.failf "%s: radj.(%d) not increasing" what i)
+    g.radj;
+  (* With rows strictly increasing, equal totals and adj ⊆ radj⁻¹ make
+     the two relations equal. *)
+  let total rows = Array.fold_left (fun acc r -> acc + Array.length r) 0 rows in
+  Alcotest.(check int) (what ^ ": |adj| = |radj|") (total g.adj) (total g.radj);
+  Array.iteri
+    (fun i1 row ->
+      Array.iter
+        (fun i2 ->
+          if not (Array.mem i1 g.radj.(i2)) then
+            Alcotest.failf "%s: (%d, %d) in adj but %d not in radj.(%d)" what i1 i2 i1 i2)
+        row)
+    g.adj
+
+let test_indist_rows_every_path () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun t ->
+          let algo = anonymous ~rounds:t in
+          List.iter
+            (fun (path, build) -> check_rows (Printf.sprintf "%s n=%d t=%d" path n t) (build ()))
+            [ ("build_orbit", fun () -> Indist_graph.build_orbit algo ~n ());
+              ("build_packed", fun () -> Indist_graph.build_packed algo ~n ());
+              ("build_reference", fun () -> Indist_graph.build_reference algo ~n ());
+              ("build_full_orbit", fun () -> Indist_graph.build_full_orbit algo ~n ());
+              ("build_full_packed", fun () -> Indist_graph.build_full_packed algo ~n ());
+              ("build_full_reference", fun () -> Indist_graph.build_full_reference algo ~n ()) ])
+        [ 0; 1; 2; 3 ])
+    [ 6; 7; 8 ]
+
 let test_build_dispatch_through_orbit () =
   (* The public build/build_full must route the anonymous family through
      the orbit path and still agree with the reference implementation. *)
@@ -395,6 +467,16 @@ let test_quotient_parity () =
         (Printf.sprintf "min live degree t=%d" t)
         (Array.fold_left (fun acc d -> if d > 0 && (acc = 0 || d < acc) then d else acc) 0 degrees)
         s.Quotient.min_live_degree;
+      let by_smaller = Array.make ((n / 2) + 1) 0 in
+      Array.iter
+        (Array.iter (fun i2 ->
+             let i = List.fold_left min n (Cycles.lengths g.Indist_graph.v2.(i2)) in
+             by_smaller.(i) <- by_smaller.(i) + 1))
+        g.Indist_graph.adj;
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "edges by smaller cycle t=%d" t)
+        (List.filter (fun (_, c) -> c > 0) (List.mapi (fun i c -> (i, c)) (Array.to_list by_smaller)))
+        s.Quotient.edges_by_smaller;
       (* Closed-form |T_i| agrees with the census-level counts. *)
       List.iter
         (fun (i, c) ->
@@ -450,6 +532,8 @@ let suites =
     Alcotest.test_case "census orbit partition" `Quick test_census_orbit_partition;
     Alcotest.test_case "arena orbit atlas" `Quick test_arena_orbit_atlas;
     Alcotest.test_case "arena flip_of orientation" `Quick test_arena_flip_of_orientation;
+    Alcotest.test_case "cross_key allocates nothing" `Quick test_cross_key_allocation_free;
+    Alcotest.test_case "rotation_map_two = rotate oracle" `Quick test_rotation_map_two_oracle;
     Alcotest.test_case "Hall witness violates" `Quick test_hall_witness;
     Alcotest.test_case "Hall holds on matching" `Quick test_hall_passes_when_satisfied;
     Alcotest.test_case "orbit store cold/warm" `Quick test_orbit_store_cold_warm;
@@ -460,10 +544,11 @@ let suites =
     Alcotest.test_case "orbit applicability gate" `Quick test_id_reading_not_equivariant_gate;
     Alcotest.test_case "build_orbit = build_packed" `Slow test_build_orbit_parity;
     Alcotest.test_case "build_full_orbit = build_full_packed" `Slow test_build_full_orbit_parity;
+    Alcotest.test_case "indist rows sorted, transposed" `Slow test_indist_rows_every_path;
     Alcotest.test_case "dispatch routes orbit" `Slow test_build_dispatch_through_orbit;
     Alcotest.test_case "quotient streaming parity" `Slow test_quotient_parity;
     Alcotest.test_case "quotient soundness gate" `Quick test_quotient_rejects_unsound;
     Alcotest.test_case "check_reps weighted sweep" `Slow test_check_reps_weighted;
     Alcotest.test_case "check_reps soundness gate" `Quick test_check_reps_rejects_unsound ]
 
-let qsuites = [ qtest_cross_key_property; qtest_cross_key_packed_property; qtest_seq_packed_roundtrip ]
+let qsuites = [ qtest_cross_key_property; qtest_seq_packed_roundtrip ]

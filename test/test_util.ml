@@ -256,4 +256,13 @@ let qsuites =
       Gen.(pair (array_size (1 -- 20) (0 -- 100)) (0 -- 40))
       (fun (a, k) ->
         let n = Array.length a in
-        Arrayx.rotate_left (Arrayx.rotate_left a k) (n - (k mod n)) = a) ]
+        Arrayx.rotate_left (Arrayx.rotate_left a k) (n - (k mod n)) = a);
+    Test.make ~name:"sort_uniq_prefix = List.sort_uniq on the prefix" ~count:500
+      Gen.(pair (array_size (0 -- 40) (0 -- 12)) (0 -- 40))
+      (fun (a, len) ->
+        let len = min len (Array.length a) in
+        let tail = Array.sub a len (Array.length a - len) in
+        let expect = List.sort_uniq Int.compare (Array.to_list (Array.sub a 0 len)) in
+        let d = Arrayx.sort_uniq_prefix a len in
+        Array.to_list (Array.sub a 0 d) = expect
+        && Array.sub a len (Array.length a - len) = tail) ]
