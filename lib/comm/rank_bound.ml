@@ -10,21 +10,24 @@ let partition_bits ~n = Nat.log2 (Combi.bell n)
 
 let two_partition_bits ~n = Nat.log2 (Combi.perfect_matchings n)
 
-(* Verified variant: build the actual matrix and certify full rank over
-   Q by full rank mod p. Feasible to n = 7 for M^n, n = 10 for E^n. *)
-let verified_partition_bits ~n =
-  let m = Bcclb_linalg.Partition_matrix.m_matrix ~n in
-  let rank = Bcclb_linalg.Zmod.rank (Bcclb_linalg.Zmod.create ()) m in
+(* Rank over Z_p, p = 2^31 - 1. It never exceeds the rank over Q, so
+   rank = dimension certifies full rank over Q. *)
+let rank_mod_p m = Bcclb_linalg.Zmod.rank (Bcclb_linalg.Zmod.create ()) m
+
+(* Verified variant: build the actual matrix and certify full rank. *)
+let verified_bits ~name ~claim m =
+  let rank = rank_mod_p m in
   if rank <> Array.length m then
-    failwith "Rank_bound.verified_partition_bits: matrix is not full rank (contradicts Theorem 2.3)";
+    failwith (Printf.sprintf "Rank_bound.%s: matrix is not full rank (contradicts %s)" name claim);
   Bcclb_util.Mathx.log2 (float_of_int rank)
 
+let verified_partition_bits ~n =
+  verified_bits ~name:"verified_partition_bits" ~claim:"Theorem 2.3"
+    (Bcclb_linalg.Partition_matrix.m_matrix ~n)
+
 let verified_two_partition_bits ~n =
-  let m = Bcclb_linalg.Partition_matrix.e_matrix ~n in
-  let rank = Bcclb_linalg.Zmod.rank (Bcclb_linalg.Zmod.create ()) m in
-  if rank <> Array.length m then
-    failwith "Rank_bound.verified_two_partition_bits: matrix is not full rank (contradicts Lemma 4.1)";
-  Bcclb_util.Mathx.log2 (float_of_int rank)
+  verified_bits ~name:"verified_two_partition_bits" ~claim:"Lemma 4.1"
+    (Bcclb_linalg.Partition_matrix.e_matrix ~n)
 
 (* The round lower bound the reduction of §4.3 yields: a KT-1 BCC(1)
    algorithm solving Connectivity on 4n-vertex gadgets in t rounds gives

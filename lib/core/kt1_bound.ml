@@ -11,32 +11,17 @@ type rank_row = {
   ub_bits : int;  (* measured bits of the trivial protocol, worst case over samples *)
 }
 
-(* E5/E6 for Partition: verify rank(M^n) = B_n and sandwich the bound
-   with the trivial protocol's measured cost. *)
-let partition_rank_row ~n rng ~samples =
-  let m = Bcclb_linalg.Partition_matrix.m_matrix ~n in
-  let dim = Array.length m in
-  let rank = Bcclb_linalg.Zmod.rank (Bcclb_linalg.Zmod.create ()) m in
+(* E5/E6: certify the rank of a Partition matrix (M^n or E^n) and
+   sandwich the bound with the trivial protocol's measured cost on pairs
+   of inputs drawn by [sample]. *)
+let rank_row ~n ~matrix ~sample rng ~samples =
+  let dim = Array.length matrix in
+  let rank = Rank_bound.rank_mod_p matrix in
   let spec = Upper_bounds.partition_protocol ~n in
   let worst = ref 0 in
   for _ = 1 to samples do
-    let pa = Bcclb_partition.Set_partition.random_crp rng ~n in
-    let pb = Bcclb_partition.Set_partition.random_crp rng ~n in
-    let r = Protocol.run spec pa pb in
-    worst := max !worst (Protocol.total_bits r)
-  done;
-  { n; dimension = dim; rank; full = rank = dim;
-    lb_bits = Bcclb_util.Mathx.log2 (float_of_int (max 1 rank)); ub_bits = !worst }
-
-let two_partition_rank_row ~n rng ~samples =
-  let m = Bcclb_linalg.Partition_matrix.e_matrix ~n in
-  let dim = Array.length m in
-  let rank = Bcclb_linalg.Zmod.rank (Bcclb_linalg.Zmod.create ()) m in
-  let spec = Upper_bounds.partition_protocol ~n in
-  let worst = ref 0 in
-  for _ = 1 to samples do
-    let pa = Bcclb_partition.Two_partition.random rng ~n in
-    let pb = Bcclb_partition.Two_partition.random rng ~n in
+    let pa = sample rng ~n in
+    let pb = sample rng ~n in
     let r = Protocol.run spec pa pb in
     worst := max !worst (Protocol.total_bits r)
   done;

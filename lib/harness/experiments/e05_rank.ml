@@ -3,6 +3,9 @@
 open Exp_common
 
 let rank =
+  let module Pm = Bcclb_linalg.Partition_matrix in
+  let module Sp = Bcclb_partition.Set_partition in
+  let module Tp = Bcclb_partition.Two_partition in
   experiment ~id:"rank" ~title:"E5  Theorem 2.3 / Lemma 4.1: rank(M^n) = B_n, rank(E^n) = r"
     ~doc:"E5: rank certificates for M^n and E^n"
     ~tables:
@@ -20,12 +23,13 @@ let rank =
     (fun p ->
       let n = P.int p "n" and samples = P.int p "samples" and matrix = P.str p "matrix" in
       let rng = Rng.create ~seed:(500 + (2 * n) + String.length matrix mod 2) in
-      let r =
+      let m, sample =
         match matrix with
-        | "M" -> Core.Kt1_bound.partition_rank_row ~n rng ~samples
-        | "E" -> Core.Kt1_bound.two_partition_rank_row ~n rng ~samples
+        | "M" -> (Pm.m_matrix ~n, Sp.random_crp)
+        | "E" -> (Pm.e_matrix ~n, Tp.random)
         | m -> invalid_arg ("rank: unknown matrix " ^ m)
       in
+      let r = Core.Kt1_bound.rank_row ~n ~matrix:m ~sample rng ~samples in
       Core.Kt1_bound.
         [ E.row
             [ ps "matrix" (matrix ^ "^n"); pi "n" n; pi "dim" r.dimension; pi "rank" r.rank;

@@ -41,48 +41,42 @@ let inv t a =
   if a = 0 then raise Division_by_zero;
   pow t a (t.p - 2)
 
-(* Rank by Gaussian elimination over Z_p. Destroys its (copied) input. *)
+(* Rank by Gaussian elimination over Z_p. Destroys its (copied) input.
+   Row r becomes r + neg·pivot_row with neg = p − factor, so every entry
+   stays in [0, p) with one [mod] per step: entries and neg are below
+   p < 2^31, so r + neg·x < 2^62 fits a native int. *)
 let rank t m =
+  let p = t.p in
   let rows = Array.length m in
   if rows = 0 then 0
   else begin
     let cols = Array.length m.(0) in
     let m = Array.map (fun row -> Array.map (normalize t) row) m in
     let rank = ref 0 in
-    let row = ref 0 in
     let col = ref 0 in
-    while !row < rows && !col < cols do
-      (* Find a pivot in this column. *)
-      let pivot = ref (-1) in
-      (try
-         for r = !row to rows - 1 do
-           if m.(r).(!col) <> 0 then begin
-             pivot := r;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if !pivot = -1 then incr col
-      else begin
-        let p = !pivot in
-        if p <> !row then begin
-          let tmp = m.(p) in
-          m.(p) <- m.(!row);
-          m.(!row) <- tmp
-        end;
-        let inv_pivot = inv t m.(!row).(!col) in
-        for r = !row + 1 to rows - 1 do
-          if m.(r).(!col) <> 0 then begin
-            let factor = mul t m.(r).(!col) inv_pivot in
-            for c = !col to cols - 1 do
-              m.(r).(c) <- sub t m.(r).(c) (mul t factor m.(!row).(c))
+    while !rank < rows && !col < cols do
+      let c = !col in
+      let pivot = ref !rank in
+      while !pivot < rows && m.(!pivot).(c) = 0 do
+        incr pivot
+      done;
+      if !pivot < rows then begin
+        let top = m.(!pivot) in
+        m.(!pivot) <- m.(!rank);
+        m.(!rank) <- top;
+        let inv_pivot = inv t top.(c) in
+        for r = !rank + 1 to rows - 1 do
+          let row = m.(r) in
+          if row.(c) <> 0 then begin
+            let neg = p - mul t row.(c) inv_pivot in
+            for j = c to cols - 1 do
+              row.(j) <- (row.(j) + (neg * top.(j))) mod p
             done
           end
         done;
-        incr rank;
-        incr row;
-        incr col
-      end
+        incr rank
+      end;
+      incr col
     done;
     !rank
   end
