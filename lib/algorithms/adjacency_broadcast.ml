@@ -20,33 +20,27 @@ open Bcclb_graph
    the same verdict. The decision uses only that common slice, not the
    listener's own full row, to keep outputs unanimous. *)
 
-type state = {
-  view : View.t;
-  heard : Bytes.t;
-      (* (n-1)² flags, row-major: byte p(n-1) + s is port s of the sender
-         behind port p *)
-  rounds_done : int;
-}
+(* The bit heard on port p in round s+1: whether port s of the sender
+   behind port p carries an input edge. *)
+let heard inbox p s =
+  match Inbox.heard inbox ~round:(s + 1) p with
+  | Msg.Word b -> Bcclb_util.Bits.to_bool b
+  | Msg.Silent -> false
 
-let hear st p s b =
-  Bytes.set st.heard ((p * View.num_ports st.view) + s) (if b then '\001' else '\000')
-
-let heard st p s = Bytes.get st.heard ((p * View.num_ports st.view) + s) <> '\000'
-
-let relative_edges st ~known_ports =
-  let n = View.n st.view in
+let relative_edges view inbox ~known_ports =
+  let n = View.n view in
   let edges = ref [] in
   (* Sender behind port p sits at relative offset p+1; its port s leads a
      further s+1 steps clockwise. *)
   for p = 0 to n - 2 do
     for s = 0 to known_ports - 1 do
-      if heard st p s then edges := (p + 1, (p + s + 2) mod n) :: !edges
+      if heard inbox p s then edges := (p + 1, (p + s + 2) mod n) :: !edges
     done
   done;
   (* Own broadcasts, heard by everyone including (conceptually) self:
      the same slice of our own row, offsets from self = 0. *)
   for s = 0 to known_ports - 1 do
-    if View.is_input_port st.view s then edges := (0, s + 1) :: !edges
+    if View.is_input_port view s then edges := (0, s + 1) :: !edges
   done;
   (* An edge at offset s is also the edge at offset n−s from the other
      endpoint, so the slice can name it twice. *)
@@ -74,34 +68,15 @@ let infer ~n ~optimist edges =
     edges;
   if !short_cycle then false else if Conn.components uf = 1 then true else optimist
 
+(* The state is the view: everything heard is read off the inbox. *)
 let make ~name ~optimist =
   let rounds ~n = n - 1 in
-  let init view =
-    let ports = View.num_ports view in
-    { view; heard = Bytes.make (ports * ports) '\000'; rounds_done = 0 }
-  in
-  let step st ~round ~inbox =
-    (* inbox carries round-1 broadcasts: the bit for the sender's port round-2. *)
-    if round >= 2 then
-      Array.iteri
-        (fun p m ->
-          match m with
-          | Msg.Word b -> hear st p (round - 2) (Bcclb_util.Bits.to_bool b)
-          | Msg.Silent -> ())
-        inbox;
-    ({ st with rounds_done = round }, Msg.of_bit (View.is_input_port st.view (round - 1)))
-  in
-  let finish st ~inbox =
-    let n = View.n st.view in
-    let t = st.rounds_done in
-    if t >= 1 then
-      Array.iteri
-        (fun p m ->
-          match m with
-          | Msg.Word b -> hear st p (t - 1) (Bcclb_util.Bits.to_bool b)
-          | Msg.Silent -> ())
-        inbox;
-    let edges = relative_edges st ~known_ports:t in
+  let init view = view in
+  let step view ~round ~inbox:_ = (view, Msg.of_bit (View.is_input_port view (round - 1))) in
+  let finish view ~inbox =
+    let n = View.n view in
+    let t = Inbox.rounds inbox in
+    let edges = relative_edges view inbox ~known_ports:t in
     if t >= n - 1 then Graph.is_connected (Graph.of_edges ~n edges)
     else infer ~n ~optimist edges
   in

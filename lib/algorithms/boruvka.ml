@@ -76,7 +76,7 @@ let absorb st ~inbox =
   let pairs = ref [] in
   let missing = ref false in
   for p = 0 to View.num_ports st.view - 1 do
-    match decode st inbox.(p) with
+    match decode st (Inbox.latest inbox p) with
     | Some pair -> pairs := pair :: !pairs
     | None -> missing := true
   done;

@@ -17,13 +17,12 @@ let emit ~bits ~bandwidth ~chunk =
   Msg.of_int ~width !v
 
 let absorb ~into inbox =
-  Array.iteri
-    (fun p m ->
-      match m with
-      | Msg.Word w ->
-        let width = Bcclb_util.Bits.width w and v = Bcclb_util.Bits.value w in
-        for i = width - 1 downto 0 do
-          Buffer.add_char into.(p) (if (v lsr i) land 1 = 1 then '1' else '0')
-        done
-      | Msg.Silent -> ())
-    inbox
+  for p = 0 to Inbox.ports inbox - 1 do
+    match Inbox.latest inbox p with
+    | Msg.Word w ->
+      let width = Bcclb_util.Bits.width w and v = Bcclb_util.Bits.value w in
+      for i = width - 1 downto 0 do
+        Buffer.add_char into.(p) (if (v lsr i) land 1 = 1 then '1' else '0')
+      done
+    | Msg.Silent -> ()
+  done

@@ -15,6 +15,6 @@ val rounds : bits:int -> bandwidth:int -> int
 val emit : bits:string -> bandwidth:int -> chunk:int -> Bcclb_bcc.Msg.t
 (** The [chunk]-th (0-based) b-bit slice of the payload as a word. *)
 
-val absorb : into:Buffer.t array -> Bcclb_bcc.Msg.t array -> unit
-(** Append each port's received word to its buffer, bit by bit
-    (silent ports contribute nothing). *)
+val absorb : into:Buffer.t array -> Bcclb_bcc.Inbox.t -> unit
+(** Append each port's word of the latest round heard to its buffer, bit
+    by bit (silent ports contribute nothing). *)

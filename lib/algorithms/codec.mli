@@ -6,21 +6,14 @@ val bit_of_int : width:int -> pos:int -> int -> bool
     @raise Invalid_argument out of range. *)
 
 val msg_of_bit : bool -> Bcclb_bcc.Msg.t
+(** {!Bcclb_bcc.Msg.of_bit}: the shared 1-bit messages, no allocation. *)
 
-type history
-(** The broadcasts a vertex has heard, indexed by round and port and
-    decoded in place. *)
-
-val history : Bcclb_bcc.Msg.t array list -> history
-(** [history inboxes] from inboxes newest first, the oldest of which
-    carries the round-1 broadcasts: algorithms skip the all-silent inbox
-    they consume in round 1, and [finish] adds the final inbox. Linear
-    in the number of rounds, independent of the number of ports. *)
-
-val decode : history -> port:int -> first:int -> width:int -> int * bool
-(** [decode h ~port ~first ~width]: the integer broadcast big-endian in
-    rounds [first..first+width−1] by the sender behind [port]. Returns
-    [(value, complete)]; missing or silent rounds decode as 0 bits with
+val decode : Bcclb_bcc.Inbox.t -> port:int -> first:int -> width:int -> int * bool
+(** [decode inbox ~port ~first ~width]: the integer broadcast big-endian
+    in rounds [first..first+width−1] by the sender behind [port] —
+    {!Bcclb_bcc.Inbox.bits}, read in place on the run's board (no
+    per-port copy, no private history). Returns [(value, complete)];
+    rounds not heard and silent rounds decode as 0 bits with
     [complete = false], so truncated algorithms can fall back to
     guessing. *)
 

@@ -19,13 +19,9 @@ type state = {
   nbrs : int array;
       (* own input-neighbour IDs, ascending: initial knowledge in KT-1;
          in KT-0 decoded once, when the last bit of phase 1 arrives *)
-  inboxes : Msg.t array list;  (* newest first, from the round-2 inbox on *)
 }
 
 let phase1_rounds st = match View.kt1 st.view with Some _ -> 0 | None -> st.l
-
-(* The round-1 inbox is all silent: nothing was broadcast in round 0. *)
-let remember st ~round inbox = if round = 1 then st else { st with inboxes = inbox :: st.inboxes }
 
 let sorted ids =
   let a = Array.of_list ids in
@@ -33,12 +29,11 @@ let sorted ids =
   a
 
 (* KT-0: the IDs heard on input ports in rounds 1..L. *)
-let decode_neighbors st =
-  let h = Codec.history st.inboxes in
+let decode_neighbors st inbox =
   sorted
     (List.filter_map
        (fun p ->
-         let v, complete = Codec.decode h ~port:p ~first:1 ~width:st.l in
+         let v, complete = Codec.decode inbox ~port:p ~first:1 ~width:st.l in
          if complete then Some v else None)
        (View.input_ports st.view))
 
@@ -47,10 +42,11 @@ let step st ~round ~inbox =
   if round <= p1 then
     (* Broadcast own ID, big-endian. *)
     let bit = Codec.bit_of_int ~width:st.l ~pos:(round - 1) (View.id st.view) in
-    (remember st ~round inbox, Codec.msg_of_bit bit)
+    (st, Codec.msg_of_bit bit)
   else begin
-    let st = remember st ~round inbox in
-    let st = if round = p1 + 1 && p1 > 0 then { st with nbrs = decode_neighbors st } else st in
+    let st =
+      if round = p1 + 1 && p1 > 0 then { st with nbrs = decode_neighbors st inbox } else st
+    in
     let r = round - p1 - 1 in
     let block = r / st.l and pos = r mod st.l in
     let value = if block < Array.length st.nbrs then st.nbrs.(block) else 0 in
@@ -59,10 +55,7 @@ let step st ~round ~inbox =
 
 (* Decode everything heard (tolerating truncation) into a graph over IDs.
    Returns the edge list over IDs and whether decoding was complete. *)
-let decode_graph st ~final_inbox =
-  (* After 0 rounds the final inbox is the all-silent initial one: read
-     as round 1 it decodes as incomplete, like an empty history. *)
-  let h = Codec.history (final_inbox :: st.inboxes) in
+let decode_graph st inbox =
   let p1 = phase1_rounds st in
   let complete = ref true in
   let edges = ref [] in
@@ -75,14 +68,14 @@ let decode_graph st ~final_inbox =
       match View.kt1 st.view with
       | Some _ -> Some (View.neighbor_id st.view p)
       | None ->
-        let v, ok = Codec.decode h ~port:p ~first:1 ~width:st.l in
+        let v, ok = Codec.decode inbox ~port:p ~first:1 ~width:st.l in
         if ok then Some v else None
     in
     match sender_id with
     | None -> complete := false
     | Some sid ->
       for block = 0 to st.d - 1 do
-        let v, ok = Codec.decode h ~port:p ~first:(p1 + (block * st.l) + 1) ~width:st.l in
+        let v, ok = Codec.decode inbox ~port:p ~first:(p1 + (block * st.l) + 1) ~width:st.l in
         if not ok then complete := false
         else if v <> 0 then edges := (sid, v) :: !edges
       done
@@ -128,10 +121,10 @@ let make ~knowledge ~max_degree ~name ~on_incomplete () =
       | Some _ -> sorted (List.map (View.neighbor_id view) (View.input_ports view))
       | None -> [||]
     in
-    { view; l = Codec.id_width ~n:(View.n view); d = max_degree; nbrs; inboxes = [] }
+    { view; l = Codec.id_width ~n:(View.n view); d = max_degree; nbrs }
   in
   let finish st ~inbox =
-    let edges, complete = decode_graph st ~final_inbox:inbox in
+    let edges, complete = decode_graph st inbox in
     if not complete then on_incomplete st edges
     else begin
       (* All IDs are known: 1..n by repository convention in KT-0; exact
@@ -172,19 +165,6 @@ let components ~knowledge ~max_degree =
       ()
   in
   Algo.pack (Algo.map_output (fun o -> o.component) algo)
-
-let connectivity_guess_no ~knowledge ~max_degree =
-  let name =
-    Printf.sprintf "discovery-connectivity-pessimist[%s,d<=%d]"
-      (match knowledge with Instance.KT0 -> "KT-0" | Instance.KT1 -> "KT-1")
-      max_degree
-  in
-  let algo =
-    make ~knowledge ~max_degree ~name
-      ~on_incomplete:(fun st _edges -> { connected = false; component = View.id st.view })
-      ()
-  in
-  Algo.pack (Algo.map_output (fun o -> o.connected) algo)
 
 let connectivity_truncated ~knowledge ~max_degree ~rounds ~optimist =
   let name =

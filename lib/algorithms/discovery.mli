@@ -18,12 +18,8 @@
 val connectivity : knowledge:Bcclb_bcc.Instance.knowledge -> max_degree:int -> bool Bcclb_bcc.Algo.packed
 (** YES iff the input graph is connected. When truncated (see
     {!Bcclb_bcc.Algo.truncate}) and the transcript does not determine the
-    graph, guesses YES ("optimist"). *)
-
-val connectivity_guess_no :
-  knowledge:Bcclb_bcc.Instance.knowledge -> max_degree:int -> bool Bcclb_bcc.Algo.packed
-(** Same algorithm, but guesses NO under truncation ("pessimist") — the
-    lower-bound experiments quantify over both. *)
+    graph, guesses YES ("optimist"); {!connectivity_truncated} also
+    offers the pessimist. *)
 
 val components : knowledge:Bcclb_bcc.Instance.knowledge -> max_degree:int -> int Bcclb_bcc.Algo.packed
 (** ConnectedComponents: each vertex outputs the smallest ID in its

@@ -20,7 +20,6 @@ type state = {
   k : int;
   hash : int;  (* own k-bit hash *)
   nbrs : int array;  (* neighbour hashes, ascending; decoded once, in round k+1 *)
-  inboxes : Msg.t array list;  (* newest first, from the round-2 inbox on *)
 }
 
 (* Public-coin universal-style hash: (a*id + b) mod p, truncated to k
@@ -31,28 +30,24 @@ let hash_of ~coins ~k id =
   let b = Rng.int coins p in
   (((a * id) + b) mod p) land ((1 lsl k) - 1)
 
-(* The round-1 inbox is all silent: nothing was broadcast in round 0. *)
-let remember st ~round inbox = if round = 1 then st else { st with inboxes = inbox :: st.inboxes }
-
 (* The hashes heard on the input ports in rounds 1..k, ascending. *)
-let decode_neighbors st =
-  let h = Codec.history st.inboxes in
+let decode_neighbors st inbox =
   let nbrs =
     Array.of_list
       (List.filter_map
          (fun p ->
-           let v, ok = Codec.decode h ~port:p ~first:1 ~width:st.k in
+           let v, ok = Codec.decode inbox ~port:p ~first:1 ~width:st.k in
            if ok then Some v else None)
          (View.input_ports st.view))
   in
   Array.sort Int.compare nbrs;
   nbrs
 
-(* Connectivity of the hashed graph that [h] and our own neighbour
-   hashes describe. Its vertices are the hashes actually touched — at
-   most 3(n-1)+3 — given dense indices as they appear, so the work
-   never depends on 2^k. *)
-let hashed_graph_connected st h =
+(* Connectivity of the hashed graph that the inbox and our own
+   neighbour hashes describe. Its vertices are the hashes actually
+   touched — at most 3(n-1)+3 — given dense indices as they appear, so
+   the work never depends on 2^k. *)
+let hashed_graph_connected st inbox =
   let ports = View.num_ports st.view in
   let dense = Hashtbl.create 64 in
   let index hash =
@@ -68,10 +63,10 @@ let hashed_graph_connected st h =
   (* Every sender's hash with both of its neighbour hashes, plus our own. *)
   Array.iter (fun nbr -> link st.hash nbr) st.nbrs;
   for p = 0 to ports - 1 do
-    let sender, ok0 = Codec.decode h ~port:p ~first:1 ~width:st.k in
+    let sender, ok0 = Codec.decode inbox ~port:p ~first:1 ~width:st.k in
     if ok0 then begin
-      let n1, ok1 = Codec.decode h ~port:p ~first:(st.k + 1) ~width:st.k in
-      let n2, ok2 = Codec.decode h ~port:p ~first:((2 * st.k) + 1) ~width:st.k in
+      let n1, ok1 = Codec.decode inbox ~port:p ~first:(st.k + 1) ~width:st.k in
+      let n2, ok2 = Codec.decode inbox ~port:p ~first:((2 * st.k) + 1) ~width:st.k in
       if ok1 then link sender n1;
       if ok2 then link sender n2
     end
@@ -86,26 +81,23 @@ let make ~k () =
   let rounds ~n:_ = 3 * k in
   let init view =
     if View.degree view > 2 then invalid_arg (name ^ ": needs a 2-regular input");
-    { view; k; hash = hash_of ~coins:(View.coins view) ~k (View.id view); nbrs = [||]; inboxes = [] }
+    { view; k; hash = hash_of ~coins:(View.coins view) ~k (View.id view); nbrs = [||] }
   in
   (* Schedule: rounds 1..k own hash; rounds k+1..3k the two neighbour
      hashes, decoded once when the last bit of phase 1 arrives. *)
   let step st ~round ~inbox =
     if round <= st.k then
       let bit = Codec.bit_of_int ~width:st.k ~pos:(round - 1) st.hash in
-      (remember st ~round inbox, Codec.msg_of_bit bit)
+      (st, Codec.msg_of_bit bit)
     else begin
-      let st = remember st ~round inbox in
-      let st = if round = st.k + 1 then { st with nbrs = decode_neighbors st } else st in
+      let st = if round = st.k + 1 then { st with nbrs = decode_neighbors st inbox } else st in
       let r = round - st.k - 1 in
       let block = r / st.k and pos = r mod st.k in
       let value = if block < Array.length st.nbrs then st.nbrs.(block) else 0 in
       (st, Codec.msg_of_bit (Codec.bit_of_int ~width:st.k ~pos value))
     end
   in
-  (* After 0 rounds the final inbox is the all-silent initial one: read
-     as round 1 it decodes as incomplete, like an empty history. *)
-  let finish st ~inbox = hashed_graph_connected st (Codec.history (inbox :: st.inboxes)) in
+  let finish st ~inbox = hashed_graph_connected st inbox in
   Algo.bcc1 ~name ~rounds ~init ~step ~finish
 
 let connectivity ~k = Algo.pack (make ~k ())

@@ -15,9 +15,9 @@ open Bcclb_bcc
    wiring; KT-1 algorithms only ever rely on knowing the ID behind each
    port, never on the ID-sorted wiring convention, so they run unchanged. *)
 
-type ('s, 'v) phase = Learning of Msg.t array list (* inboxes, newest first *) | Running of 's
+type 's phase = Learning | Running of 's
 
-type ('s, 'v) state = { view : View.t; l : int; chunk : int; phase : ('s, 'v) phase }
+type 's state = { view : View.t; l : int; chunk : int; phase : 's phase }
 
 let compile (Algo.Packed a) =
   let name = Printf.sprintf "kt0[%s]" a.Algo.name in
@@ -33,7 +33,7 @@ let compile (Algo.Packed a) =
     | Some _ -> invalid_arg (name ^ ": expects a KT-0 instance")
     | None -> ());
     let n = View.n view in
-    { view; l = Codec.id_width ~n; chunk = bandwidth ~n; phase = Learning [] }
+    { view; l = Codec.id_width ~n; chunk = bandwidth ~n; phase = Learning }
   in
   (* Broadcast own ID in big-endian chunks of [chunk] bits (the last
      chunk may be shorter). *)
@@ -43,51 +43,51 @@ let compile (Algo.Packed a) =
     let value = (View.id st.view lsr (st.l - sent - width)) land ((1 lsl width) - 1) in
     Msg.of_int ~width value
   in
-  let synthesize st inboxes =
-    (* Reassemble each port's ID from the learning-phase broadcasts. *)
-    let num_ports = View.num_ports st.view in
+  let synthesize st inbox =
+    (* Reassemble each port's ID from the learning-phase broadcasts,
+       rounds 1..lr of the inbox (fewer if the run was cut short). *)
+    let lr = min (learn_rounds ~n:(View.n st.view)) (Inbox.rounds inbox) in
     let neighbor_ids =
-      Array.init num_ports (fun p ->
-          List.fold_left
-            (fun acc inbox ->
-              match inbox.(p) with
-              | Msg.Silent -> acc
-              | Msg.Word w -> (acc lsl Bcclb_util.Bits.width w) lor Bcclb_util.Bits.value w)
-            0 (List.rev inboxes))
+      Array.init (View.num_ports st.view) (fun p ->
+          let id = ref 0 in
+          for r = 1 to lr do
+            match Inbox.heard inbox ~round:r p with
+            | Msg.Silent -> ()
+            | Msg.Word w -> id := (!id lsl Bcclb_util.Bits.width w) lor Bcclb_util.Bits.value w
+          done;
+          !id)
     in
     let all = Array.append [| View.id st.view |] neighbor_ids in
     Array.sort Int.compare all;
     { st.view with View.kt1 = Some { View.all_ids = all; neighbor_ids } }
   in
+  (* The inner algorithm's round 1 is the first round after learning:
+     its inbox is the outer one with the learning rounds dropped. *)
+  let inner_inbox st inbox = Inbox.shift inbox ~rounds:(learn_rounds ~n:(View.n st.view)) in
   let step st ~round ~inbox =
     let lr = learn_rounds ~n:(View.n st.view) in
     match st.phase with
-    | Learning inboxes ->
-      if round <= lr then
-        (* Still broadcasting ID chunks; inboxes of rounds 2..lr carry
-           the chunks of rounds 1..lr-1. *)
-        ({ st with phase = Learning (inbox :: inboxes) }, id_chunk st ~round)
+    | Learning ->
+      if round <= lr then (* Still broadcasting ID chunks. *)
+        (st, id_chunk st ~round)
       else begin
-        (* First inner round: [inbox] carries the final ID chunks. *)
-        let kt1_view = synthesize st (inbox :: inboxes) in
-        let inner = a.Algo.init kt1_view in
-        let silent = Array.make (View.num_ports st.view) Msg.silent in
-        let inner', msg = a.Algo.step inner ~round:1 ~inbox:silent in
+        (* First inner round: [inbox] has heard every ID chunk. *)
+        let inner = a.Algo.init (synthesize st inbox) in
+        let inner', msg = a.Algo.step inner ~round:1 ~inbox:(inner_inbox st inbox) in
         ({ st with phase = Running inner' }, msg)
       end
     | Running inner ->
-      let inner', msg = a.Algo.step inner ~round:(round - lr) ~inbox in
+      let inner', msg = a.Algo.step inner ~round:(round - lr) ~inbox:(inner_inbox st inbox) in
       ({ st with phase = Running inner' }, msg)
   in
   let finish st ~inbox =
     match st.phase with
-    | Running inner -> a.Algo.finish inner ~inbox
-    | Learning inboxes ->
+    | Running inner -> a.Algo.finish inner ~inbox:(inner_inbox st inbox)
+    | Learning ->
       (* Degenerate: the inner algorithm declared zero rounds. Initialise
-         and finish immediately. *)
-      let kt1_view = synthesize st (inbox :: inboxes) in
-      let inner = a.Algo.init kt1_view in
-      a.Algo.finish inner ~inbox:(Array.make (View.num_ports st.view) Msg.silent)
+         and finish immediately, on an inbox that has heard nothing. *)
+      let inner = a.Algo.init (synthesize st inbox) in
+      a.Algo.finish inner ~inbox:(Inbox.shift inbox ~rounds:(Inbox.rounds inbox))
   in
   Algo.pack { Algo.name; anonymous = false; bandwidth; rounds; init; step; finish }
 

@@ -14,15 +14,14 @@ type state = {
   l : int;
   phases : int;
   label : int;
-  acc : Msg.t array list;  (* inboxes of the current phase, newest first *)
 }
 
-let decode_phase_labels st =
-  (* acc holds the inboxes of rounds 2..L+1 relative to the phase start,
-     i.e. exactly the L broadcast bits of the phase, for every port. *)
-  let h = Codec.history st.acc in
+(* The labels of the phase whose L bits end with the latest round the
+   inbox has heard, one per port. *)
+let decode_phase_labels st inbox =
+  let first = Inbox.rounds inbox - st.l + 1 in
   Array.init (View.num_ports st.view) (fun p ->
-      let v, ok = Codec.decode h ~port:p ~first:1 ~width:st.l in
+      let v, ok = Codec.decode inbox ~port:p ~first ~width:st.l in
       if ok then Some v else None)
 
 let make ~phases_of =
@@ -34,24 +33,22 @@ let make ~phases_of =
     { view;
       l = Codec.id_width ~n:(View.n view);
       phases = phases_of ~n:(View.n view) + 1;
-      label = View.id view;
-      acc = [] }
+      label = View.id view }
   in
   let step st ~round ~inbox =
     let pos = (round - 1) mod st.l in
-    (* A phase's bits are received one round late: collect inboxes of
-       rounds 2..L+1 of each phase, then update the label. *)
+    (* A phase's last bit arrives one round late: in the first round of
+       the next phase, decode the phase just heard and update the label. *)
     let st =
       if pos = 0 && round > 1 then begin
-        let labels = decode_phase_labels { st with acc = inbox :: st.acc } in
+        let labels = decode_phase_labels st inbox in
         let lbl = ref st.label in
         List.iter
           (fun p -> match labels.(p) with Some v -> lbl := min !lbl v | None -> ())
           (View.input_ports st.view);
-        { st with label = !lbl; acc = [] }
+        { st with label = !lbl }
       end
-      else if pos = 1 then { st with acc = [ inbox ] }
-      else { st with acc = inbox :: st.acc }
+      else st
     in
     (st, Codec.msg_of_bit (Codec.bit_of_int ~width:st.l ~pos st.label))
   in
@@ -64,7 +61,7 @@ let connectivity ?phases () =
   let finish st ~inbox =
     (* The last phase broadcast everyone's converged label; all labels
        (over all ports) must equal ours for a YES. *)
-    let labels = decode_phase_labels { st with acc = inbox :: st.acc } in
+    let labels = decode_phase_labels st inbox in
     Array.for_all (function Some v -> v = st.label | None -> false) labels
   in
   Algo.pack (Algo.bcc1 ~name ~rounds ~init ~step ~finish)

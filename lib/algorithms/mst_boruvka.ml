@@ -105,7 +105,7 @@ let absorb st ~inbox =
   let pairs = ref [] in
   let missing = ref false in
   for p = 0 to View.num_ports st.view - 1 do
-    match decode st inbox.(p) with
+    match decode st (Inbox.latest inbox p) with
     | Some (lbl, out) -> pairs := (View.neighbor_id st.view p, lbl, out) :: !pairs
     | None -> missing := true
   done;

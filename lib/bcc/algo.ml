@@ -4,8 +4,8 @@ type ('s, 'o) t = {
   bandwidth : n:int -> int;
   rounds : n:int -> int;
   init : View.t -> 's;
-  step : 's -> round:int -> inbox:Msg.t array -> 's * Msg.t;
-  finish : 's -> inbox:Msg.t array -> 'o;
+  step : 's -> round:int -> inbox:Inbox.t -> 's * Msg.t;
+  finish : 's -> inbox:Inbox.t -> 'o;
 }
 
 type 'o packed = Packed : ('s, 'o) t -> 'o packed

@@ -2,10 +2,12 @@
 
     All n vertices run the same code; a vertex's behaviour may depend only
     on its {!View.t} (initial knowledge) and the messages it has received.
-    Round semantics follow §1.2: in round r a vertex receives the round
-    r−1 broadcasts ([inbox], indexed by port), computes, and broadcasts a
-    message of at most [bandwidth ~n] bits; outputs are produced by
-    [finish], which receives the final round's broadcasts. *)
+    Round semantics follow §1.2: in round r a vertex has heard the
+    broadcasts of rounds 1..r−1 ([inbox], read by port), computes, and
+    broadcasts a message of at most [bandwidth ~n] bits; outputs are
+    produced by [finish], whose inbox has heard every round. The inbox
+    is a view of the run's shared board ({!Inbox}), so an algorithm
+    reads earlier rounds from it instead of keeping its own history. *)
 
 type ('s, 'o) t = {
   name : string;
@@ -21,11 +23,13 @@ type ('s, 'o) t = {
   bandwidth : n:int -> int;  (** b; the simulator rejects wider messages. *)
   rounds : n:int -> int;  (** Declared round bound T(n). *)
   init : View.t -> 's;
-  step : 's -> round:int -> inbox:Msg.t array -> 's * Msg.t;
-      (** Rounds are numbered 1..T; [inbox.(p)] is the message that
-          arrived through port [p] (all-[Silent] in round 1). *)
-  finish : 's -> inbox:Msg.t array -> 'o;
-      (** Final output, consuming the round-T broadcasts. *)
+  step : 's -> round:int -> inbox:Inbox.t -> 's * Msg.t;
+      (** Rounds are numbered 1..T; [Inbox.latest inbox p] is the
+          message that arrived through port [p] in round r−1 (all
+          [Silent] in round 1), and [Inbox.heard] reaches every earlier
+          round. *)
+  finish : 's -> inbox:Inbox.t -> 'o;
+      (** Final output; the inbox has heard rounds 1..T. *)
 }
 
 type 'o packed = Packed : ('s, 'o) t -> 'o packed
@@ -48,8 +52,8 @@ val bcc1 :
   name:string ->
   rounds:(n:int -> int) ->
   init:(View.t -> 's) ->
-  step:('s -> round:int -> inbox:Msg.t array -> 's * Msg.t) ->
-  finish:('s -> inbox:Msg.t array -> 'o) ->
+  step:('s -> round:int -> inbox:Inbox.t -> 's * Msg.t) ->
+  finish:('s -> inbox:Inbox.t -> 'o) ->
   ('s, 'o) t
 (** Convenience constructor with bandwidth fixed to 1 bit and
     [anonymous = false] (the safe declaration). *)

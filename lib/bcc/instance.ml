@@ -19,6 +19,8 @@ let id_of t v = t.ids.(v)
 
 let peer t v p = t.peer.(v).(p)
 
+let peer_row t v = t.peer.(v)
+
 let port_to t v u =
   let p = t.port_to.(v).(u) in
   if p < 0 then invalid_arg "Instance.port_to: no port between these vertices";

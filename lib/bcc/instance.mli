@@ -23,6 +23,11 @@ val id_of : t -> int -> int
 val peer : t -> int -> int -> int
 (** [peer t v p]: the vertex at the far end of port [p] of vertex [v]. *)
 
+val peer_row : t -> int -> int array
+(** [peer_row t v]: the row [p ↦ peer t v p] — shared with the instance,
+    not copied, so do not mutate it. What the simulator reads each
+    vertex's inbox through ({!Inbox.view}). *)
+
 val port_to : t -> int -> int -> int
 (** [port_to t v u]: the port of [v] whose far end is [u].
     @raise Invalid_argument if [u = v]. *)

@@ -7,7 +7,8 @@ let silent = Silent
 let zero = Word (Bits.of_bool false)
 let one = Word (Bits.of_bool true)
 
-let of_bit b = Word (Bits.of_bool b)
+(* Every 1-bit emission is one of these two values: no allocation. *)
+let of_bit b = if b then one else zero
 
 let of_bits b = Word b
 
@@ -53,8 +54,8 @@ let code1 = function
 
 let of_code1 = function
   | 0 -> Silent
-  | 2 -> Word (Bits.of_bool false)
-  | 3 -> Word (Bits.of_bool true)
+  | 2 -> zero
+  | 3 -> one
   | c -> invalid_arg (Printf.sprintf "Msg.of_code1: invalid code %d" c)
 
 let char_of_code1 = function

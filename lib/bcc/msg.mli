@@ -13,6 +13,8 @@ val one : t
 (** 1-bit 1. *)
 
 val of_bit : bool -> t
+(** {!zero} or {!one} themselves: allocates nothing. *)
+
 val of_bits : Bcclb_util.Bits.t -> t
 val of_int : width:int -> int -> t
 

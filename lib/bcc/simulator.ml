@@ -20,8 +20,11 @@ let check_width ~b ~round ~vertex msg =
    validated and sized, and returns what the entry keeps plus the
    observers that fill it. Every emission is checked against the
    bandwidth and counted as it leaves [step], before any observer sees
-   it, so no entry lets an algorithm cheat the model. The returned thunk
-   runs [finish]: only entries that return outputs call it. *)
+   it, so no entry lets an algorithm cheat the model. The run has one
+   board: each round's emissions array is posted as the engine built it,
+   and vertex v's inbox is a view of it through v's port row, built once
+   per run. The returned thunk runs [finish]: only entries that return
+   outputs call it. *)
 let execute ~entry ~seed ~record (Algo.Packed a) inst =
   let n = Instance.n inst in
   let b = a.Algo.bandwidth ~n in
@@ -37,11 +40,12 @@ let execute ~entry ~seed ~record (Algo.Packed a) inst =
     bits := !bits + Msg.width emit;
     stepped
   in
+  let board = Topology.Board.create () in
   let outcome =
     Engine.run ~observers
-      { Engine.n; rounds; step; exchange = Topology.broadcast ~n ~peer:(Instance.peer inst) }
+      { Engine.n; rounds; step; exchange = Topology.board board }
       ~init_state:(fun v -> a.Algo.init (Instance.view ~coins_seed:seed inst v))
-      ~init_inbox:(fun _ -> Array.make (n - 1) Msg.silent)
+      ~init_inbox:(fun v -> Inbox.view board ~row:(Instance.peer_row inst v))
   in
   Bcclb_obs.Metrics.Counter.add bits_broadcast_metric !bits;
   let outputs () =
@@ -50,13 +54,14 @@ let execute ~entry ~seed ~record (Algo.Packed a) inst =
   (kept, outputs)
 
 (* Transcripts: every emission and every inbox, per vertex and round,
-   next to each vertex's coin-free initial knowledge. *)
+   next to each vertex's coin-free initial knowledge. The only entry
+   that copies inboxes: it materialises each view as it is stepped. *)
 let run ?(seed = 0) packed inst =
   let record ~n ~rounds =
     let sent = Array.init n (fun _ -> Array.make rounds Msg.silent) in
     let received = Array.init n (fun _ -> Array.make rounds [||]) in
     let keep ~round ~vertex ~inbox ~emit =
-      received.(vertex).(round - 1) <- inbox;
+      received.(vertex).(round - 1) <- Inbox.to_array inbox;
       sent.(vertex).(round - 1) <- emit
     in
     ((rounds, sent, received), [ Observer.make ~on_emit:keep () ])

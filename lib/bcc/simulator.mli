@@ -10,7 +10,10 @@
     The three entries share one engine setup and differ only in what
     they record: {!run} keeps full transcripts, {!run_outputs} only the
     outputs, {!run_sent_codes} only the packed broadcast codes. Every
-    entry enforces the bandwidth and feeds [engine.bits_broadcast]. *)
+    entry enforces the bandwidth and feeds [engine.bits_broadcast]. A
+    run keeps one board — each round's emissions, indexed by sender —
+    and every vertex's inbox is a view of it through the vertex's port
+    row ({!Inbox}); only {!run} copies inboxes, into its transcripts. *)
 
 type 'o result = {
   outputs : 'o array;  (** Per-vertex outputs. *)

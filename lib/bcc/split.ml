@@ -1,4 +1,5 @@
 open Bcclb_util
+module Topology = Bcclb_engine.Topology
 
 (* The constructive direction of §1.1's bandwidth translation ("a t-round
    lower bound in BCC(1) immediately translates to a t/b-round lower
@@ -20,16 +21,18 @@ type ('s, 'o) outer_state = {
   inner : 's;
   b : int;
   pending : Msg.t;  (* own inner message for the current block *)
-  acc : Msg.t array list;  (* outer inboxes of the current block, newest first *)
+  decoded : Inbox.board;  (* one port-indexed array per completed block *)
+  inner_inbox : Inbox.t;  (* [decoded] through the identity row *)
 }
 
-let decode_block ~b ~num_ports acc =
-  (* acc: the H+b outer inboxes of a completed block, oldest first. *)
-  let inboxes = Array.of_list acc in
+(* The inner messages of the block that ends with the latest outer
+   round, read from the outer inbox where they lie. *)
+let decode_block ~b inbox =
   let h = header_bits ~b in
-  Array.init num_ports (fun p ->
+  let first = Inbox.rounds inbox - block_len ~b in
+  Array.init (Inbox.ports inbox) (fun p ->
       let bit r =
-        match inboxes.(r).(p) with
+        match Inbox.heard inbox ~round:(first + r + 1) p with
         | Msg.Silent -> false
         | Msg.Word w -> Bits.to_bool w
       in
@@ -63,7 +66,12 @@ let compile (Algo.Packed a) =
   let rounds ~n = a.Algo.rounds ~n * block_len ~b:(a.Algo.bandwidth ~n) in
   let init view =
     let b = a.Algo.bandwidth ~n:(View.n view) in
-    { inner = a.Algo.init view; b; pending = Msg.silent; acc = [] }
+    let decoded = Topology.Board.create () in
+    { inner = a.Algo.init view;
+      b;
+      pending = Msg.silent;
+      decoded;
+      inner_inbox = Inbox.of_ports decoded ~ports:(View.num_ports view) }
   in
   let step st ~round ~inbox =
     let bl = block_len ~b:st.b in
@@ -71,22 +79,18 @@ let compile (Algo.Packed a) =
     let st =
       if pos = 0 then begin
         (* Block boundary: previous block complete (or this is round 1). *)
+        if round > 1 then Topology.Board.post st.decoded (decode_block ~b:st.b inbox);
         let inner_round = ((round - 1) / bl) + 1 in
-        let inner_inbox =
-          if round = 1 then Array.make (Array.length inbox) Msg.silent
-          else decode_block ~b:st.b ~num_ports:(Array.length inbox) (List.rev (inbox :: st.acc))
-        in
-        let inner', msg = a.Algo.step st.inner ~round:inner_round ~inbox:inner_inbox in
-        { st with inner = inner'; pending = msg; acc = [] }
+        let inner', msg = a.Algo.step st.inner ~round:inner_round ~inbox:st.inner_inbox in
+        { st with inner = inner'; pending = msg }
       end
-      else { st with acc = inbox :: st.acc }
+      else st
     in
     (st, encode_round ~b:st.b st.pending ~pos)
   in
   let finish st ~inbox =
-    let num_ports = Array.length inbox in
-    let inner_inbox = decode_block ~b:st.b ~num_ports (List.rev (inbox :: st.acc)) in
-    a.Algo.finish st.inner ~inbox:inner_inbox
+    if Inbox.rounds inbox > 0 then Topology.Board.post st.decoded (decode_block ~b:st.b inbox);
+    a.Algo.finish st.inner ~inbox:st.inner_inbox
   in
   (* Splitting re-encodes the inner broadcasts bit-by-bit, so the compiled
      transcripts are ID-free exactly when the inner ones are. *)

@@ -1,7 +1,4 @@
 open Bcclb_bcc
-module Engine = Bcclb_engine.Engine
-module Observer = Bcclb_engine.Observer
-module Topology = Bcclb_engine.Topology
 
 (* The §4.3 reduction: two parties jointly simulate a KT-1 BCC(b)
    algorithm on a vertex-partitioned input graph. Both know all IDs (and
@@ -24,48 +21,25 @@ type 'o result = {
 
 let char_bits ~b = b + 1
 
-let run ?(seed = 0) (Algo.Packed a) g ~alice_hosts =
+(* The joint simulation is the plain simulation: both parties know the
+   wiring and every broadcast after each exchange, so together they
+   execute exactly [Simulator.run_outputs] (which also rejects over-wide
+   emissions). What the reduction adds is the bill: every round, each
+   party ships one (b+1)-bit character per hosted vertex. *)
+let run ?(seed = 0) algo g ~alice_hosts =
   let inst = Instance.kt1_of_graph g in
   let n = Instance.n inst in
-  let b = a.Algo.bandwidth ~n in
-  let total_rounds = a.Algo.rounds ~n in
-  let hosted_by_alice = Array.init n (fun v -> alice_hosts v) in
-  let bits_alice = ref 0 and bits_bob = ref 0 in
-  (* Each party computes its hosted vertices' broadcasts and ships them to
-     the other party, b+1 bits per character; after the exchange both
-     parties know all broadcasts and can build every hosted vertex's next
-     inbox from the shared wiring. *)
-  let accountant =
-    Observer.make
-      ~on_emit:(fun ~round:_ ~vertex ~inbox:_ ~emit ->
-        if Msg.width emit > b then invalid_arg "Bcc_simulation.run: bandwidth violation";
-        let cost = char_bits ~b in
-        if hosted_by_alice.(vertex) then bits_alice := !bits_alice + cost
-        else bits_bob := !bits_bob + cost)
-      ()
-  in
-  let outcome =
-    Engine.run ~observers:[ accountant ]
-      { Engine.n;
-        rounds = total_rounds;
-        step = (fun state ~round ~vertex:_ ~inbox -> a.Algo.step state ~round ~inbox);
-        exchange = Topology.broadcast ~n ~peer:(Instance.peer inst) }
-      ~init_state:(fun v ->
-        (* Each party initialises only its hosted vertices: a view depends
-           only on IDs (shared knowledge) and the vertex's incident edges
-           (the host's knowledge). *)
-        a.Algo.init (Instance.view ~coins_seed:seed inst v))
-      ~init_inbox:(fun _ -> Array.make (n - 1) Msg.silent)
-  in
-  let outputs =
-    Array.init n (fun v -> a.Algo.finish outcome.Engine.states.(v) ~inbox:outcome.Engine.final_inbox.(v))
-  in
+  let b = Algo.bandwidth algo ~n in
+  let rounds = Algo.rounds algo ~n in
+  let outputs = Simulator.run_outputs ~seed algo inst in
+  let alice = List.length (List.filter alice_hosts (List.init n Fun.id)) in
+  let per_vertex = rounds * char_bits ~b in
   { outputs;
-    rounds = total_rounds;
+    rounds;
     chars_per_round = n;
-    bits_total = !bits_alice + !bits_bob;
-    bits_alice = !bits_alice;
-    bits_bob = !bits_bob }
+    bits_total = n * per_vertex;
+    bits_alice = alice * per_vertex;
+    bits_bob = (n - alice) * per_vertex }
 
 (* Reduction pipelines: Partition -> 2-party Connectivity -> KT-1 BCC. *)
 

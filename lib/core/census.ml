@@ -160,11 +160,6 @@ let orbit_rep ~n s =
   done;
   !best
 
-let iter_two_cycle_orbits ~n f =
-  iter_two_cycles ~n (fun s ->
-      let w = structure_orbit ~n s in
-      if w > 0 then f s ~weight:w)
-
 (* Structure-level crossing: cross directed edges (c_i, c_{i+1}) and
    (c_j, c_{j+1}) of a one-cycle instance, replacing them by
    (c_i, c_{j+1}) and (c_j, c_{i+1}) — splitting the cycle into the arcs

@@ -51,10 +51,6 @@ val iter_one_cycle_orbits :
     [second ∈ 1..n−1] partition the enumeration, so workers can scan
     branches in parallel. @raise Invalid_argument for n < 3. *)
 
-val iter_two_cycle_orbits : n:int -> (Bcclb_graph.Cycles.t -> weight:int -> unit) -> unit
-(** One representative per rotation class of V₂ with its class size;
-    Σ weight = |V₂|. @raise Invalid_argument for n < 6. *)
-
 val to_instance : ?ids:int array -> Bcclb_graph.Cycles.t -> n:int -> Bcclb_bcc.Instance.t
 (** KT-0 instance of the structure over the circulant background wiring. *)
 

@@ -41,20 +41,6 @@ let exact_error ?(seed = 0) algo ~n =
   { n; algo_name = Algo.name algo; v1_total = !v1_total; v1_errors = !v1_errors;
     v2_total = !v2_total; v2_errors = !v2_errors; error }
 
-(* Sampled variant for larger n, drawing YES/NO with probability 1/2 and
-   instances uniformly within each side. *)
-let sampled_error ?(seed = 0) algo ~n ~trials rng =
-  let errors = ref 0 in
-  for trial = 1 to trials do
-    let yes = Bcclb_util.Rng.bool rng in
-    let g =
-      if yes then Bcclb_graph.Gen.random_cycle rng n else Bcclb_graph.Gen.random_two_cycles rng n
-    in
-    let inst = Instance.kt0_circulant g in
-    if decide ~seed:(seed + trial) algo inst <> yes then incr errors
-  done;
-  float_of_int !errors /. float_of_int trials
-
 (* The warm-up star distribution of Theorem 3.5: mass 1/2 on a fixed
    one-cycle instance I, the rest uniform over the crossings I(e, e') of
    an independent edge set S of size floor(n/3) (we take every third

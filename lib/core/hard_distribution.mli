@@ -21,10 +21,6 @@ val error_float : error_report -> float
 val exact_error : ?seed:int -> bool Bcclb_bcc.Algo.packed -> n:int -> error_report
 (** Run on every instance of the census (feasible to n ≈ 9). *)
 
-val sampled_error :
-  ?seed:int -> bool Bcclb_bcc.Algo.packed -> n:int -> trials:int -> Bcclb_util.Rng.t -> float
-(** Monte-Carlo estimate of the μ-error for larger n. *)
-
 val star_support : n:int -> Bcclb_graph.Cycles.t * Bcclb_graph.Cycles.t list
 (** The Theorem 3.5 warm-up family: a fixed one-cycle instance and the
     Θ(n²) two-cycle instances obtained by crossing pairs from an

@@ -60,19 +60,6 @@ let edge_labels sent structure =
           ((v, u), (sent.(v), sent.(u)))))
     (Cycles.cycles structure)
 
-(* Count label multiplicities over a whole family of instances. *)
-let label_histogram ?(seed = 0) algo ~n structures =
-  let tbl = Hashtbl.create 256 in
-  Array.iter
-    (fun s ->
-      let sent = sent_strings ~seed algo ~n s in
-      List.iter
-        (fun (_, lbl) ->
-          Hashtbl.replace tbl lbl (1 + Option.value ~default:0 (Hashtbl.find_opt tbl lbl)))
-        (edge_labels sent s))
-    structures;
-  tbl
-
 let most_frequent_label histogram =
   let best = ref None in
   Hashtbl.iter

@@ -33,11 +33,6 @@ val edge_labels :
 (** Directed edges along each cycle's stored orientation with their
     (head-string, tail-string) labels. *)
 
-val label_histogram :
-  ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> Bcclb_graph.Cycles.t array ->
-  (string * string, int) Hashtbl.t
-(** Multiplicity of every edge label across a family of instances. *)
-
 val most_frequent_label : (string * string, int) Hashtbl.t -> string * string
 (** Ties broken lexicographically. @raise Invalid_argument if empty. *)
 

@@ -21,9 +21,10 @@ type ('state, 'inbox) outcome = {
 (* Process-wide execution metrics: every simulated run in the repository
    funnels through this loop, so the [engine.*] counters are the
    source of truth for how much simulation a workload performed.
-   [run_count] is the execution-count column of the experiment manifest,
-   now a view over the sharded obs counter (pool workers each increment
-   their own shard lock-free; the total merges them). *)
+   [run_count] is the sharded obs counter's total (pool workers each
+   increment their own shard lock-free; the total merges them), and
+   [domain_run_count] the calling domain's own shard — the per-cell
+   execution count of the experiment manifest. *)
 module Metrics = Bcclb_obs.Metrics
 
 let runs_metric = Metrics.Counter.v "engine.runs"
@@ -31,6 +32,8 @@ let rounds_metric = Metrics.Counter.v "engine.rounds"
 let emissions_metric = Metrics.Counter.v "engine.emissions"
 
 let run_count () = Metrics.Counter.total runs_metric
+
+let domain_run_count () = Metrics.Counter.local runs_metric
 
 let run ?(observers = []) spec ~init_state ~init_inbox =
   if spec.rounds < 0 then invalid_arg "Engine.run: negative round bound";

@@ -23,11 +23,16 @@ type ('state, 'inbox) outcome = {
 val run_count : unit -> int
 (** Process-wide count of {!run} invocations — a view over the sharded
     [engine.runs] counter of {!Bcclb_obs.Metrics} (each pool worker
-    increments its own shard lock-free; the total merges them), and the
-    execution-count metric recorded per experiment cell in the run
-    manifest. Reads concurrent with live workers may miss in-flight
-    increments; deltas taken after workers join are exact. The loop also
-    maintains [engine.rounds] and [engine.emissions]. *)
+    increments its own shard lock-free; the total merges them). Reads
+    concurrent with live workers may miss in-flight increments; deltas
+    taken after workers join are exact. The loop also maintains
+    [engine.rounds] and [engine.emissions]. *)
+
+val domain_run_count : unit -> int
+(** The {!run} invocations made on the calling domain: its own shard of
+    [engine.runs]. Exact at any time, and blind to runs on other
+    domains, so a delta around work done on one domain counts exactly
+    that work — the per-cell execution count of the run manifest. *)
 
 val run :
   ?observers:('emit, 'inbox) Observer.t list ->

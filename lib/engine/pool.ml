@@ -157,6 +157,3 @@ let map_batch_timed ?num_domains ?on_done f items =
 
 let tabulate ?num_domains n f =
   map_batch ?num_domains f (Array.init n (fun i -> i))
-
-let map_batch_list ?num_domains f items =
-  Array.to_list (map_batch ?num_domains f (Array.of_list items))

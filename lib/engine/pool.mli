@@ -46,5 +46,3 @@ val map_batch_timed :
 
 val tabulate : ?num_domains:int -> int -> (int -> 'b) -> 'b array
 (** [tabulate n f] = [map_batch f [|0; ...; n-1|]]. *)
-
-val map_batch_list : ?num_domains:int -> ('a -> 'b) -> 'a list -> 'b list

@@ -4,6 +4,27 @@
 
 type ('emit, 'inbox) t = round:int -> prev:'inbox array -> 'emit array -> 'inbox array
 
+module Board = struct
+  (* Arrays are kept as posted, never copied. Slots past [rounds] are
+     unused; growth doubles. *)
+  type 'msg t = { mutable posts : 'msg array array; mutable rounds : int }
+
+  let create () = { posts = [||]; rounds = 0 }
+
+  let post t msgs =
+    if t.rounds = Array.length t.posts then begin
+      let grown = Array.make (max 4 (2 * t.rounds)) [||] in
+      Array.blit t.posts 0 grown 0 t.rounds;
+      t.posts <- grown
+    end;
+    t.posts.(t.rounds) <- msgs;
+    t.rounds <- t.rounds + 1
+end
+
+let board b ~round:_ ~prev emits =
+  Board.post b emits;
+  prev
+
 let broadcast ~n ~peer ~round:_ ~prev:_ emits =
   Array.init n (fun v -> Array.init (n - 1) (fun p -> emits.(peer v p)))
 

@@ -72,17 +72,6 @@ let random_connected rng n =
   done;
   Graph.of_edges ~n !edges
 
-let random_forest rng n =
-  let edges = ref [] in
-  for i = 1 to n - 1 do
-    (* Attach i to an earlier vertex with probability 1/2: a random forest. *)
-    if Rng.bool rng then begin
-      let j = Rng.int rng i in
-      edges := (i, j) :: !edges
-    end
-  done;
-  Graph.of_edges ~n !edges
-
 let random_bounded_degree rng n d =
   if d < 0 then invalid_arg "Gen.random_bounded_degree: negative degree bound";
   let deg = Array.make n 0 in

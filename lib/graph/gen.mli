@@ -30,8 +30,5 @@ val gnp : Bcclb_util.Rng.t -> int -> float -> Graph.t
 val random_connected : Bcclb_util.Rng.t -> int -> Graph.t
 (** Random spanning tree plus a few extra edges: always connected. *)
 
-val random_forest : Bcclb_util.Rng.t -> int -> Graph.t
-(** A random forest (arboricity 1, usually disconnected). *)
-
 val random_bounded_degree : Bcclb_util.Rng.t -> int -> int -> Graph.t
 (** Random graph with maximum degree at most [d]. *)

@@ -33,10 +33,12 @@ let run_cell ?cache (exp : Experiment.t) params =
   Obs.span "runner.cell"
     ~attrs:[ ("experiment", exp.Experiment.id); ("params", Params.canonical params) ]
   @@ fun () ->
-  (* The executions column is the engine run-count delta seen by this
-     worker around the cell; peak_words the GC top-heap high-water
+  (* The executions column is the delta of this domain's own engine
+     run count around the cell: a cell runs on one domain (nested
+     batches run inside the calling task), and other domains' cells
+     must not leak into it. peak_words is the GC top-heap high-water
      mark once the cell is done (see Sink.cell_report). *)
-  let exec0 = Bcclb_engine.Engine.run_count () in
+  let exec0 = Bcclb_engine.Engine.domain_run_count () in
   let compute () =
     let rows =
       try exp.Experiment.cell params
@@ -49,7 +51,7 @@ let run_cell ?cache (exp : Experiment.t) params =
                message = Printexc.to_string e;
              })
     in
-    let executions = Bcclb_engine.Engine.run_count () - exec0 in
+    let executions = Bcclb_engine.Engine.domain_run_count () - exec0 in
     (rows, executions)
   in
   let rows, hit, executions =

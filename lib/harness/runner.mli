@@ -28,7 +28,8 @@ exception
 type cell_outcome = {
   rows : Experiment.row list;
   hit : bool;  (** The rows came from the cache. *)
-  executions : int;  (** Engine run-count delta observed around the cell. *)
+  executions : int;  (** Engine runs of the cell itself: the delta of the
+                         running domain's own count around it. *)
   peak_words : int;  (** GC top-heap high-water mark after the cell. *)
 }
 

@@ -36,11 +36,10 @@ type cell_report = {
   hit : bool;
   seconds : float;
   executions : int;
-      (** Engine round-loop runs attributed to this cell: the
-          {!Bcclb_engine.Engine.run_count} delta observed by the worker
-          around the cell's computation — exact with one domain, an
-          upper bound when other cells run concurrently; 0 on a cache
-          hit. *)
+      (** Engine round-loop runs of this cell: the
+          {!Bcclb_engine.Engine.domain_run_count} delta on the domain
+          that computed it — exact at any domain count, since a cell
+          runs on one domain; 0 on a cache hit. *)
   peak_words : int;
       (** GC top-heap high-water mark (words) when the cell finished —
           the shared-heap peak observed so far, not a per-cell delta. *)

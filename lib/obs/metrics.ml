@@ -93,6 +93,8 @@ module Counter = struct
     let ss = !shards in
     Mutex.unlock lock;
     List.fold_left (fun acc s -> if t.id < Array.length s.ints then acc + s.ints.(t.id) else acc) 0 ss
+
+  let local t = (my_shard t.id).ints.(t.id)
 end
 
 module Gauge = struct

@@ -31,6 +31,10 @@ module Counter : sig
   (** Sum over all shards. Reads concurrent with writers may miss
       in-flight increments (same weak consistency as any statistical
       counter); reads after workers have joined are exact. *)
+
+  val local : t -> int
+  (** The calling domain's own shard: everything this domain has added,
+      exact at any time and blind to every other domain. *)
 end
 
 module Gauge : sig

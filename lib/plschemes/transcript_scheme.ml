@@ -1,4 +1,5 @@
 open Bcclb_bcc
+module Board = Bcclb_engine.Topology.Board
 
 (* The transformation sketched in §1.3: "if there were a faster BCC(1)
    Connectivity algorithm, the prover could use the transcript of the
@@ -50,17 +51,19 @@ let of_algorithm (Algo.Packed a) =
       try
         let state = ref (a.Algo.init view) in
         let consistent = ref true in
-        let inbox_of r =
-          (* Broadcasts of round r, per port; all-silent for r = 0. *)
-          if r = 0 then Array.make (View.num_ports view) Msg.silent
-          else Array.map (fun s -> msg_of_char s.[r - 1]) by_port
-        in
+        (* The labels heard, posted round by round to a port-indexed
+           board: round r's step has heard rounds 1..r−1. *)
+        let heard = Board.create () in
+        let inbox = Inbox.of_ports heard ~ports:(Array.length by_port) in
+        let post r = Board.post heard (Array.map (fun s -> msg_of_char s.[r - 1]) by_port) in
         for r = 1 to rounds do
-          let state', msg = a.Algo.step !state ~round:r ~inbox:(inbox_of (r - 1)) in
+          if r > 1 then post (r - 1);
+          let state', msg = a.Algo.step !state ~round:r ~inbox in
           state := state';
           if not (Msg.equal msg (msg_of_char own.[r - 1])) then consistent := false
         done;
-        !consistent && a.Algo.finish !state ~inbox:(inbox_of rounds)
+        if rounds > 0 then post rounds;
+        !consistent && a.Algo.finish !state ~inbox
       with _ -> false
     end
   in

@@ -37,16 +37,33 @@ let distinct_messages msgs =
     msgs;
   Hashtbl.length seen
 
-(* Every broadcast algorithm is a range-1 algorithm. *)
+(* Every broadcast algorithm is a range-1 algorithm. The RCC inboxes
+   are already indexed by port: the embedding posts each one to the
+   vertex's own board and hands the broadcast algorithm that board
+   through the identity row. The all-silent round-1 inbox carries no
+   round and is not posted. *)
+type 's embedded = { inner : 's; heard : Inbox.board; inbox : Inbox.t; last_round : int }
+
 let of_broadcast (Algo.Packed a) =
+  let module Board = Bcclb_engine.Topology.Board in
   Packed
     { name = a.Algo.name;
       bandwidth = a.Algo.bandwidth;
       range = (fun ~n:_ -> 1);
       rounds = a.Algo.rounds;
-      init = a.Algo.init;
+      init =
+        (fun view ->
+          let heard = Board.create () in
+          { inner = a.Algo.init view;
+            heard;
+            inbox = Inbox.of_ports heard ~ports:(View.num_ports view);
+            last_round = 0 });
       step =
         (fun s ~round ~inbox ->
-          let s', msg = a.Algo.step s ~round ~inbox in
-          (s', Array.make (Array.length inbox) msg));
-      finish = a.Algo.finish }
+          if round > 1 then Board.post s.heard inbox;
+          let inner, msg = a.Algo.step s.inner ~round ~inbox:s.inbox in
+          ({ s with inner; last_round = round }, Array.make (Array.length inbox) msg));
+      finish =
+        (fun s ~inbox ->
+          if s.last_round > 0 then Board.post s.heard inbox;
+          a.Algo.finish s.inner ~inbox:s.inbox) }

@@ -488,10 +488,15 @@ let test_codec () =
     (Invalid_argument "Codec.bit_of_int: position out of range") (fun () ->
       ignore (Codec.bit_of_int ~width:3 ~pos:3 0));
   (* decode reads rounds [first, first+width) of the sender behind a
-     port, in place, and flags missing rounds. Port 0 carries the
-     sequence under test; port 1 a different sender, never read. *)
+     port, in place on the board, and flags missing rounds. Port 0 leads
+     to sender 1, which carries the sequence under test; sender 0,
+     behind port 1, is never read. *)
   let history round_msgs =
-    Codec.history (List.rev_map (fun m -> [| m; Bcclb_bcc.Msg.zero |]) round_msgs)
+    let board = Bcclb_engine.Topology.Board.create () in
+    List.iter
+      (fun m -> Bcclb_engine.Topology.Board.post board [| Bcclb_bcc.Msg.zero; m |])
+      round_msgs;
+    Bcclb_bcc.Inbox.view board ~row:[| 1; 0 |]
   in
   let seq = history (List.map Bcclb_bcc.Msg.of_bit [ true; false; true ]) in
   let decode ~first ~width h = Codec.decode h ~port:0 ~first ~width in

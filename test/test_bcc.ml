@@ -135,7 +135,7 @@ let test_simulator_delivery () =
                 (fun p m ->
                   let sender_id = (((v + p + 1) mod n) + 1) land 1 = 1 in
                   Msg.equal m (Msg.of_bit sender_id))
-                inbox)))
+                (Inbox.to_array inbox))))
   in
   let inst = Instance.kt0_circulant cycle6 in
   let result = Simulator.run algo inst in
@@ -313,6 +313,18 @@ let test_msg_ordering () =
        false
      with Invalid_argument _ -> true)
 
+let test_msg_of_bit_allocates_nothing () =
+  (* Every 1-bit emission of every BCC(1) algorithm goes through
+     [Msg.of_bit]: it returns the two shared messages. *)
+  Alcotest.(check bool) "of_bit true == one" true (Msg.of_bit true == Msg.one);
+  Alcotest.(check bool) "of_bit false == zero" true (Msg.of_bit false == Msg.zero);
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1000 do
+    ignore (Sys.opaque_identity (Msg.of_bit (i land 1 = 0)))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words for 1000 calls" 0. words
+
 let test_problems () =
   Alcotest.(check bool) "system AND" false (Problems.system_decision [| true; false; true |]);
   Alcotest.(check bool) "system AND all" true (Problems.system_decision [| true; true |]);
@@ -394,10 +406,10 @@ let test_split_preserves_silence_patterns () =
         init = (fun view -> (View.id view, []));
         step =
           (fun (id, log) ~round ~inbox ->
-            let received = Array.to_list (Array.map Msg.to_string inbox) in
+            let received = Array.to_list (Array.map Msg.to_string (Inbox.to_array inbox)) in
             let msg = if (round + id) mod 2 = 0 then Msg.silent else Msg.of_int ~width:(1 + (round mod 5)) round in
             ((id, received :: log), msg));
-        finish = (fun (_, log) ~inbox -> List.length log = 4 && Array.length inbox > 0) }
+        finish = (fun (_, log) ~inbox -> List.length log = 4 && Inbox.ports inbox > 0) }
   in
   let outer = Split.compile inner in
   let inst = Instance.kt0_circulant (Bcclb_graph.Gen.cycle 6) in
@@ -429,6 +441,7 @@ let suites =
     Alcotest.test_case "view details" `Quick test_view_details;
     Alcotest.test_case "transcript bounds" `Quick test_transcript_bounds;
     Alcotest.test_case "msg ordering" `Quick test_msg_ordering;
+    Alcotest.test_case "1-bit messages allocate nothing" `Quick test_msg_of_bit_allocates_nothing;
     Alcotest.test_case "problem specs" `Quick test_problems;
     Alcotest.test_case "components verifier" `Quick test_components_verifier ]
 
@@ -444,7 +457,9 @@ let fuzz_inner ~b ~rounds_n seed =
       init = (fun view -> (View.id view, 0));
       step =
         (fun (id, heard) ~round ~inbox ->
-          let heard = Array.fold_left (fun acc m -> acc + (Msg.width m * 7) + 1) heard inbox in
+          let heard =
+            Array.fold_left (fun acc m -> acc + (Msg.width m * 7) + 1) heard (Inbox.to_array inbox)
+          in
           let h = (id * 31) + (round * 101) + (heard * 17) + seed in
           let msg =
             match h mod (b + 1) with
@@ -454,7 +469,9 @@ let fuzz_inner ~b ~rounds_n seed =
           ((id, heard), msg));
       finish =
         (fun (id, heard) ~inbox ->
-          let heard = Array.fold_left (fun acc m -> acc + (Msg.width m * 7) + 1) heard inbox in
+          let heard =
+            Array.fold_left (fun acc m -> acc + (Msg.width m * 7) + 1) heard (Inbox.to_array inbox)
+          in
           (id + heard) land 0xFFFF) }
 
 let qsuites =

@@ -27,19 +27,24 @@ let reference_bcc_run ?(seed = 0) (Algo.Packed a) inst =
   let inbox_of_broadcasts broadcasts =
     Array.init n (fun v -> Array.init (n - 1) (fun p -> broadcasts.(Instance.peer inst v p)))
   in
+  (* Each vertex's per-port copies, posted round by round to its own
+     board and read through the identity row. *)
+  let copies = Array.init n (fun _ -> Topology.Board.create ()) in
+  let inboxes = Array.map (fun b -> Inbox.of_ports b ~ports:(n - 1)) copies in
   let current_inbox = ref (Array.init n (fun _ -> Array.make (n - 1) Msg.silent)) in
   for round = 1 to total_rounds do
     let broadcasts = Array.make n Msg.silent in
     for v = 0 to n - 1 do
       received.(v).(round - 1) <- !current_inbox.(v);
-      let state', msg = a.Algo.step states.(v) ~round ~inbox:!current_inbox.(v) in
+      let state', msg = a.Algo.step states.(v) ~round ~inbox:inboxes.(v) in
       states.(v) <- state';
       sent.(v).(round - 1) <- msg;
       broadcasts.(v) <- msg
     done;
-    current_inbox := inbox_of_broadcasts broadcasts
+    current_inbox := inbox_of_broadcasts broadcasts;
+    Array.iteri (fun v box -> Topology.Board.post copies.(v) box) !current_inbox
   done;
-  let outputs = Array.init n (fun v -> a.Algo.finish states.(v) ~inbox:!current_inbox.(v)) in
+  let outputs = Array.init n (fun v -> a.Algo.finish states.(v) ~inbox:inboxes.(v)) in
   let transcripts =
     Array.init n (fun v ->
         Transcript.make ~fingerprint:(View.fingerprint views.(v)) ~sent:sent.(v) ~received:received.(v))
@@ -94,25 +99,121 @@ let reference_protocol_run spec ia ib =
 
 let discovery knowledge = Bcclb_algorithms.Discovery.connectivity ~knowledge ~max_degree:2
 
+(* The board against the seed loop: the same outputs from both
+   simulator entries that return them, and every vertex's transcript
+   (each emission and each inbox, per round) equal to the one built from
+   the oracle's per-port copies. *)
+let check_bcc_parity ~seed algo inst =
+  let expected_outputs, expected_transcripts = reference_bcc_run ~seed algo inst in
+  let r = Simulator.run ~seed algo inst in
+  Alcotest.(check bool) "outputs" true (expected_outputs = r.Simulator.outputs);
+  Alcotest.(check bool) "run_outputs" true
+    (expected_outputs = Simulator.run_outputs ~seed algo inst);
+  Alcotest.(check int) "rounds" (Algo.rounds algo ~n:(Instance.n inst)) r.Simulator.rounds_used;
+  Array.iteri
+    (fun v t ->
+      Alcotest.(check bool)
+        (Printf.sprintf "transcript %d" v)
+        true
+        (Transcript.equal t r.Simulator.transcripts.(v)))
+    expected_transcripts
+
 let test_bcc_parity () =
   let rng = Rng.create ~seed:42 in
   List.iter
-    (fun (algo, inst, seed) ->
-      let expected_outputs, expected_transcripts = reference_bcc_run ~seed algo inst in
-      let r = Simulator.run ~seed algo inst in
-      Alcotest.(check (array bool)) "outputs" expected_outputs r.Simulator.outputs;
-      Alcotest.(check int) "rounds" (Algo.rounds algo ~n:(Instance.n inst)) r.Simulator.rounds_used;
-      Array.iteri
-        (fun v t ->
-          Alcotest.(check bool)
-            (Printf.sprintf "transcript %d" v)
-            true
-            (Transcript.equal t r.Simulator.transcripts.(v)))
-        expected_transcripts)
+    (fun (algo, inst, seed) -> check_bcc_parity ~seed algo inst)
     [ (discovery Instance.KT0, Instance.kt0_circulant (Ggen.cycle 10), 0);
       (discovery Instance.KT1, Instance.kt1_of_graph (Ggen.random_two_cycles rng 12), 3);
       (Bcclb_algorithms.Hashed_discovery.connectivity ~k:4,
-       Instance.kt0_circulant (Ggen.random_cycle rng 9), 7) ]
+       Instance.kt0_circulant (Ggen.random_cycle rng 9), 7);
+      (discovery Instance.KT0, Instance.kt0_random rng (Ggen.random_two_cycles rng 11), 1);
+      (discovery Instance.KT0, Instance.kt0_random rng (Ggen.random_cycle rng 12), 2) ]
+
+(* One case per family whose private copy of the traffic the board
+   replaced, each on the circulant wiring and on random wirings, where
+   no rule relates one vertex's port row to another's. *)
+let parity_on_wirings ?(n = 10) algos =
+  let rng = Rng.create ~seed:(17 + n) in
+  List.iteri
+    (fun i algo ->
+      check_bcc_parity ~seed:i algo (Instance.kt0_circulant (Ggen.random_two_cycles rng n));
+      check_bcc_parity ~seed:i algo (Instance.kt0_random rng (Ggen.random_cycle rng n));
+      check_bcc_parity ~seed:i algo (Instance.kt0_random rng (Ggen.random_two_cycles rng n)))
+    algos
+
+let test_board_parity_discovery () =
+  (* Phase 1 (the ID broadcast) lasts L = 4 rounds at n = 10: truncate
+     inside it, at its end, and past it. *)
+  let open Bcclb_algorithms.Discovery in
+  parity_on_wirings
+    (List.concat_map
+       (fun rounds ->
+         [ connectivity_truncated ~knowledge:Instance.KT0 ~max_degree:2 ~rounds ~optimist:true;
+           connectivity_partial ~knowledge:Instance.KT0 ~max_degree:2 ~rounds ~optimist:false ])
+       [ 2; 4; 5; 9 ])
+
+let test_board_parity_hashed_discovery () =
+  parity_on_wirings
+    (List.map (fun k -> Bcclb_algorithms.Hashed_discovery.connectivity ~k) [ 2; 5 ])
+
+let test_board_parity_min_label () =
+  let open Bcclb_algorithms.Min_label in
+  parity_on_wirings ~n:8 [ connectivity (); connectivity ~phases:2 () ];
+  let rng = Rng.create ~seed:8 in
+  check_bcc_parity ~seed:0 (components ()) (Instance.kt0_random rng (Ggen.random_two_cycles rng 8))
+
+let test_board_parity_adjacency_broadcast () =
+  let open Bcclb_algorithms.Adjacency_broadcast in
+  parity_on_wirings
+    (connectivity ()
+    :: List.map (fun rounds -> connectivity_truncated ~rounds ~optimist:false) [ 0; 1; 4 ])
+
+let test_board_parity_split () =
+  (* Inner BCC(2L) rounds decoded from blocks of outer rounds, on KT-1
+     and, through the KT-0 compiler, on random wirings. *)
+  let open Bcclb_algorithms in
+  let rng = Rng.create ~seed:23 in
+  check_bcc_parity ~seed:0
+    (Split.compile (Boruvka.components ()))
+    (Instance.kt1_of_graph (Ggen.random_two_cycles rng 9));
+  check_bcc_parity ~seed:0
+    (Split.compile (Kt0_compiler.compile (Boruvka.connectivity ())))
+    (Instance.kt0_random rng (Ggen.random_two_cycles rng 8))
+
+let test_board_parity_kt0_compiler () =
+  (* KT-1 algorithms compiled to KT-0, one of them a decoder that reads
+     its whole history. Besides parity with the seed loop, the compiled
+     run must be the KT-1 run shifted by the ID-learning phase: the same
+     outputs, and after learning the same broadcasts, as the inner
+     algorithm on the KT-1 instance of the same graph. *)
+  let open Bcclb_algorithms in
+  let inners =
+    [ Discovery.connectivity ~knowledge:Instance.KT1 ~max_degree:2; Boruvka.connectivity () ]
+  in
+  parity_on_wirings (List.map Kt0_compiler.compile inners);
+  let rng = Rng.create ~seed:31 in
+  List.iter
+    (fun inner ->
+      let n = 10 in
+      let learn = Kt0_compiler.learning_rounds ~n ~bandwidth:(Algo.bandwidth inner ~n) in
+      List.iter
+        (fun g ->
+          let direct = Simulator.run inner (Instance.kt1_of_graph g) in
+          let compiled = Simulator.run (Kt0_compiler.compile inner) (Instance.kt0_random rng g) in
+          Alcotest.(check (array bool)) "outputs = KT-1 outputs" direct.Simulator.outputs
+            compiled.Simulator.outputs;
+          Array.iteri
+            (fun v t ->
+              for r = 1 to Transcript.rounds t do
+                Alcotest.(check bool)
+                  (Printf.sprintf "vertex %d round %d broadcast" v r)
+                  true
+                  (Msg.equal (Transcript.sent t r)
+                     (Transcript.sent compiled.Simulator.transcripts.(v) (learn + r)))
+              done)
+            direct.Simulator.transcripts)
+        [ Ggen.random_cycle rng n; Ggen.random_two_cycles rng n ])
+    inners
 
 let test_rcc_parity () =
   let inst = Instance.kt1_of_graph (Ggen.cycle 11) in
@@ -251,6 +352,13 @@ let test_pool_empty_and_default () =
 
 let suites =
   [ Alcotest.test_case "BCC simulator parity with seed loop" `Quick test_bcc_parity;
+    Alcotest.test_case "board parity: discovery truncations" `Quick test_board_parity_discovery;
+    Alcotest.test_case "board parity: hashed discovery" `Quick test_board_parity_hashed_discovery;
+    Alcotest.test_case "board parity: min-label" `Quick test_board_parity_min_label;
+    Alcotest.test_case "board parity: adjacency broadcast" `Quick
+      test_board_parity_adjacency_broadcast;
+    Alcotest.test_case "board parity: split compiler" `Quick test_board_parity_split;
+    Alcotest.test_case "board parity: kt0 compiler" `Quick test_board_parity_kt0_compiler;
     Alcotest.test_case "RCC simulator parity with seed loop" `Quick test_rcc_parity;
     Alcotest.test_case "2-party protocol parity with seed loop" `Quick test_protocol_parity;
     Alcotest.test_case "section-4.3 simulation parity" `Quick test_bcc_simulation_parity;

@@ -242,6 +242,44 @@ let test_resume_after_failure () =
           Alcotest.(check string) "resumed report byte-identical to fresh" out_fresh
             out_resumed))
 
+(* ---- runner: each cell counts its own engine runs ---- *)
+
+let engine_runs k =
+  let spec =
+    { Bcclb_engine.Engine.n = 1;
+      rounds = 1;
+      step = (fun () ~round:_ ~vertex:_ ~inbox:_ -> ((), ()));
+      exchange = (fun ~round:_ ~prev _ -> prev) }
+  in
+  for _ = 1 to k do
+    ignore (Bcclb_engine.Engine.run spec ~init_state:(fun _ -> ()) ~init_inbox:(fun _ -> ()))
+  done
+
+let test_executions_per_cell () =
+  (* Cell n makes 100n engine runs: half, then a wait until both cells
+     have started (at most 5 s), then the other half — so on two domains
+     each cell runs while the other does. *)
+  let started = Atomic.make 0 in
+  let exp =
+    { (toy ~computed:(Atomic.make 0) ()) with
+      Experiment.id = "toy-runs";
+      default_grid = List.map (fun n -> Params.v [ ("n", Params.Int n) ]) [ 1; 2 ];
+      cell =
+        (fun p ->
+          let n = Params.int p "n" in
+          engine_runs (50 * n);
+          Atomic.incr started;
+          let t0 = Unix.gettimeofday () in
+          while Atomic.get started < 2 && Unix.gettimeofday () -. t0 < 5. do
+            Domain.cpu_relax ()
+          done;
+          engine_runs (50 * n);
+          [ Experiment.row [ ("n", Params.Int n); ("sq", Params.Int (n * n)) ] ]) }
+  in
+  let _, report = render_run ~num_domains:2 exp in
+  Alcotest.(check (list int)) "executions per cell" [ 100; 200 ]
+    (List.map (fun (c : Sink.cell_report) -> c.Sink.executions) report.Sink.cell_reports)
+
 (* ---- JSON \uXXXX surrogate pairs (RFC 8259 §7) ---- *)
 
 module Json = Bcclb_harness.Json
@@ -328,6 +366,8 @@ let suites =
     Alcotest.test_case "corrupted entries recompute" `Quick test_cache_corruption;
     Alcotest.test_case "cache keys ignore domain count" `Quick test_key_domain_independence;
     Alcotest.test_case "--no-cache bypasses reads and writes" `Quick test_no_cache_bypass;
+    Alcotest.test_case "cells count only their own runs at 2 domains" `Quick
+      test_executions_per_cell;
     Alcotest.test_case "killed sweep resumes from checkpoints" `Quick
       test_resume_after_failure ]
 
