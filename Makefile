@@ -1,4 +1,4 @@
-.PHONY: all build test check bench experiments clean
+.PHONY: all build test check experiments clean
 
 all: build
 
@@ -14,13 +14,9 @@ test:
 # arena orbit spill segments (results/cache/arena — content-addressed,
 # always rebuildable) are cleaned up so they never end up in commits.
 check:
-	rm -f *.trace.json *.trace.jsonl *.sock serve-* BENCH_serve.json
-	rm -f BENCH_current.json BENCH_doctored.json scrape.txt
+	rm -f *.trace.json *.trace.jsonl *.sock serve-* BENCH_serve.json scrape.txt
 	rm -rf results/cache/arena telemetry-* e15-*
 	dune build && dune runtest
-
-bench:
-	dune exec bench/main.exe
 
 experiments:
 	dune exec bin/experiments.exe -- all

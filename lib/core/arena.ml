@@ -26,7 +26,7 @@ let orbit_load_seconds = Obs.Metrics.Histogram.v "arena.orbit.cold_load_seconds"
    key, and crossing successors resolve by hash lookup of that key —
    computed directly from the one-cycle arc decomposition without
    allocating intermediate Cycles.t values. Broadcast codes are memoised
-   per (algorithm, seed), so each distinct execution runs once per
+   per (algorithm, seed, atlas), so each distinct execution runs once per
    arena. *)
 
 type handle = int
@@ -164,8 +164,8 @@ type t = {
   two : Cycles.t array;
   two_smaller : int array;  (* smaller cycle length of each V2 structure *)
   two_index : (int, handle) Hashtbl.t;  (* packed canonical key -> handle *)
-  codes_memo : (string * int, int array array) Hashtbl.t;
-  reps_memo : (string * int, int array array) Hashtbl.t;  (* rep-only twin *)
+  codes_memo : (string * int * bool, int array array) Hashtbl.t;
+      (* (algorithm, seed, rotation atlas?) -> codes per representative *)
   memo_lock : Mutex.t;
   mutable orbit1 : orbit_one option;
   rot2_memo : (int, int array) Hashtbl.t;  (* rotation c -> V2 handle map *)
@@ -190,7 +190,6 @@ let create ~n =
         two_smaller;
         two_index;
         codes_memo = Hashtbl.create 4;
-        reps_memo = Hashtbl.create 4;
         memo_lock = Mutex.create ();
         orbit1 = None;
         rot2_memo = Hashtbl.create 4;
@@ -332,6 +331,54 @@ let rotation_map_two t c =
         Hashtbl.replace t.rot2_memo c m;
         m)
 
+(* ---- atlases ----
+
+   Rotations are automorphisms of the circulant wiring, so when
+   transcripts are rotation-equivariant a rotation class's members can be
+   computed on through its representative: the member's codes are the
+   representative's rotated, its crossing successors the rotation image
+   of the representative's. Anonymous algorithms qualify at any depth,
+   and every algorithm at t = 0 (nothing has been broadcast yet). *)
+
+let rotation_sound algo ~n = Algo.anonymous algo || Algo.rounds algo ~n = 0
+
+type atlas = Instances | Rotations of orbit_one
+
+let atlas t algo = if rotation_sound algo ~n:t.n then Rotations (orbit_one t) else Instances
+
+let num_reps t = function Instances -> Array.length t.one | Rotations o -> Array.length o.reps
+let rep atlas ri = match atlas with Instances -> ri | Rotations o -> o.reps.(ri)
+let rep_weight atlas ri = match atlas with Instances -> 1 | Rotations o -> o.weights.(ri)
+let reverses = function Instances -> false | Rotations _ -> true
+
+(* A member's row is its representative's (read reversed when the
+   member's traversal is), pushed through the V2 handle permutation of
+   its rotation. On the per-instance atlas the representatives' rows
+   are already every handle's: no rotation map, no copy. *)
+let expand t atlas ~fwd ~rev =
+  match atlas with
+  | Instances -> fwd
+  | Rotations o ->
+    let rot = Array.init t.n (fun c -> if c = 0 then [||] else rotation_map_two t c) in
+    Array.init (Array.length t.one) (fun h ->
+        let ri = o.rep_of.(h) in
+        let row = if o.flip_of.(h) then rev.(ri) else fwd.(ri) in
+        let c = o.shift_of.(h) in
+        if c = 0 then row else Array.map (fun h2 -> rot.(c).(h2)) row)
+
+(* ---- broadcast codes ---- *)
+
+let codable algo ~n =
+  Algo.bandwidth algo ~n <= 1 && 2 * Algo.rounds algo ~n <= Bits.max_width
+
+let require_codable who algo ~n =
+  if not (codable algo ~n) then
+    invalid_arg
+      (Printf.sprintf
+         "%s: %S does not pack into machine-word codes (needs bandwidth <= 1 and at most %d \
+          rounds; has bandwidth %d and %d rounds)"
+         who (Algo.name algo) (Bits.max_width / 2) (Algo.bandwidth algo ~n) (Algo.rounds algo ~n))
+
 (* One lightweight engine execution of a one-cycle instance given as its
    canonical cycle, over the shared circulant sweep stamp. *)
 let run_codes ~seed ~n algo stamp cyc =
@@ -342,11 +389,19 @@ let run_codes ~seed ~n algo stamp cyc =
   done;
   Simulator.run_sent_codes ~seed algo (stamp neighbors)
 
-let memoised ~span_name arena ~seed algo table compute =
-  let key = (Algo.name algo, seed) in
+(* Per-(algorithm, seed, atlas) broadcast codes of the atlas's
+   representatives, one lightweight engine execution each, fanned over
+   the pool. Keyed by the algorithm's name — truncations rename
+   themselves per round bound, so distinct truncations never share an
+   entry. The span name says which atlas ran: perfbench reads the two
+   apart. *)
+let codes arena atlas ?(seed = 0) algo =
+  let rotations = match atlas with Instances -> false | Rotations _ -> true in
+  let key = (Algo.name algo, seed, rotations) in
+  let span_name = if rotations then "arena.codes_reps" else "arena.codes" in
   let cached =
     Mutex.lock arena.memo_lock;
-    let c = Hashtbl.find_opt table key in
+    let c = Hashtbl.find_opt arena.codes_memo key in
     Mutex.unlock arena.memo_lock;
     c
   in
@@ -358,45 +413,22 @@ let memoised ~span_name arena ~seed algo table compute =
     Obs.Metrics.Counter.incr memo_misses_metric;
     let computed =
       Obs.span span_name
-        ~attrs:
-          [ ("algo", fst key); ("seed", string_of_int seed); ("n", string_of_int arena.n) ]
-        compute
+        ~attrs:[ ("algo", Algo.name algo); ("seed", string_of_int seed); ("n", string_of_int arena.n) ]
+        (fun () ->
+          let n = arena.n in
+          (* Shared circulant wiring: the clique tables are built once,
+             each instance only needs its per-vertex cycle-neighbour
+             pairs. *)
+          let stamp = Instance.kt0_circulant_sweep n in
+          Bcclb_engine.Pool.tabulate (num_reps arena atlas) (fun ri ->
+              run_codes ~seed ~n algo stamp arena.one_cyc.(rep atlas ri)))
     in
     Mutex.lock arena.memo_lock;
     (* A racing recompute stores the identical deterministic result. *)
-    if not (Hashtbl.mem table key) then Hashtbl.replace table key computed;
-    let result = Hashtbl.find table key in
+    if not (Hashtbl.mem arena.codes_memo key) then Hashtbl.replace arena.codes_memo key computed;
+    let result = Hashtbl.find arena.codes_memo key in
     Mutex.unlock arena.memo_lock;
     result
-
-(* Per-(algorithm, seed) broadcast codes over all of V1, one lightweight
-   engine execution per instance, fanned over the pool. Keyed by the
-   algorithm's name — truncations rename themselves per round bound, so
-   distinct truncations never share a memo entry. *)
-let codes arena ?(seed = 0) algo =
-  memoised ~span_name:"arena.codes" arena ~seed algo arena.codes_memo (fun () ->
-      let n = arena.n in
-      (* Shared circulant wiring: the clique tables are built once, each
-         instance only needs its per-vertex cycle-neighbour pairs. *)
-      let stamp = Instance.kt0_circulant_sweep n in
-      Bcclb_engine.Pool.tabulate (Array.length arena.one) (fun h ->
-          run_codes ~seed ~n algo stamp arena.one_cyc.(h)))
-
-(* Rep-only twin of [codes], indexed by position in [orbit_one.reps]:
-   the orbit-reduced paths execute one representative per rotation class
-   and reconstruct member rows through [rotation_map_two] — the
-   factor-≈n saving the atlas licenses — so the full per-instance memo
-   is never populated on those paths. *)
-let codes_reps arena ?(seed = 0) algo =
-  let o = orbit_one arena in
-  memoised ~span_name:"arena.codes_reps" arena ~seed algo arena.reps_memo (fun () ->
-      let n = arena.n in
-      let stamp = Instance.kt0_circulant_sweep n in
-      Bcclb_engine.Pool.tabulate (Array.length o.reps) (fun ri ->
-          run_codes ~seed ~n algo stamp arena.one_cyc.(o.reps.(ri))))
-
-let codable algo ~n =
-  Algo.bandwidth algo ~n <= 1 && 2 * Algo.rounds algo ~n <= Bits.max_width
 
 (* ---- the segmented, spillable orbit store ----
 

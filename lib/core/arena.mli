@@ -10,15 +10,15 @@
     crossed key — computed arithmetically from the arc decomposition,
     allocating nothing. Broadcast codes (2 bits per round,
     {!Bcclb_bcc.Simulator.run_sent_codes}) are memoised per
-    (algorithm name, seed): each distinct execution runs
-    once per arena, which is what makes the packed {!Indist_graph} and
-    {!Crossing_check} paths cheap.
+    (algorithm name, seed, atlas): each distinct execution runs
+    once per arena, which is what makes {!Indist_graph} cheap.
 
     On top of the full census, {!orbit_one} tabulates the rotation-orbit
     atlas of V₁ (representatives, weights, and the rotation taking each
     handle back to its representative) and {!rotation_map_two} the
-    induced V₂ handle permutations — the tables the orbit-reduced
-    {!Indist_graph} paths compute on. The {!Orbit} submodule is the
+    induced V₂ handle permutations. An {!atlas} names the representatives
+    {!Indist_graph} computes on: the rotation classes where
+    {!rotation_sound}, else every instance. The {!Orbit} submodule is the
     arena's past-the-census form: a segmented, spillable, checksummed
     store of just the representatives and weights, reaching n = 13 where
     materialising the census is impossible. *)
@@ -118,21 +118,58 @@ val rotation_map_two : t -> int -> int array
     the same allocation-free canonicaliser as {!cross_key}. Memoised
     per [c]. *)
 
-val codes : t -> ?seed:int -> 'o Bcclb_bcc.Algo.packed -> int array array
-(** Per-V₁-instance, per-vertex packed broadcast codes under the
-    algorithm — memoised, pool-parallel on a miss. Requires a codable
-    algorithm ({!codable}); raises as {!Bcclb_bcc.Simulator.run_sent_codes}
+val rotation_sound : 'o Bcclb_bcc.Algo.packed -> n:int -> bool
+(** Are the algorithm's transcripts rotation-equivariant on the circulant
+    wiring — is it anonymous ({!Bcclb_bcc.Algo.anonymous}) or at
+    rounds = 0? The one condition under which a V₁ rotation class may be
+    computed on through its representative ({!Rotations}, and the
+    orbit-reduced {!Quotient} and [Crossing_check.check_reps] sweeps). *)
+
+(** The V₁ instances a §3 computation executes and sweeps — its
+    representatives — and how every V₁ handle is reached from one. *)
+type atlas =
+  | Instances  (** Every handle is its own representative. *)
+  | Rotations of orbit_one  (** V₁'s rotation classes; sound only under {!rotation_sound}. *)
+
+val atlas : t -> 'o Bcclb_bcc.Algo.packed -> atlas
+(** {!Rotations} when {!rotation_sound}, else {!Instances}. *)
+
+val num_reps : t -> atlas -> int
+
+val rep : atlas -> int -> handle
+(** The V₁ handle of the [ri]-th representative. *)
+
+val rep_weight : atlas -> int -> int
+(** How many V₁ instances the [ri]-th representative stands for. *)
+
+val reverses : atlas -> bool
+(** Can a member be its representative traversed in reverse? Only
+    {!Rotations}: orientation-sensitive rows (the labelled G^t_{x,y}
+    with x ≠ y) then need the representative's (y, x) row too. *)
+
+val expand :
+  t -> atlas -> fwd:handle array array -> rev:handle array array -> handle array array
+(** One V₂ row per V₁ handle from the representatives' rows: [fwd.(ri)]
+    is representative [ri]'s row and [rev.(ri)] the same read in reverse
+    orientation (pass [fwd] again where orientation does not matter). A
+    flipped member starts from [rev], and a rotated member's row is
+    pushed through {!rotation_map_two}. On {!Instances} the result is
+    [fwd] itself: no rotation map, no copy. *)
+
+val codes : t -> atlas -> ?seed:int -> 'o Bcclb_bcc.Algo.packed -> int array array
+(** Per-representative, per-vertex packed broadcast codes under the
+    algorithm, indexed by representative — memoised per (algorithm name,
+    seed, atlas), pool-parallel on a miss (span [arena.codes] for
+    {!Instances}, [arena.codes_reps] for {!Rotations}). Requires a codable
+    algorithm ({!require_codable}); raises as
+    {!Bcclb_bcc.Simulator.run_sent_codes} otherwise. *)
+
+val require_codable : string -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit
+(** [require_codable who algo ~n] accepts a codable algorithm: bandwidth
+    ≤ 1 and ≤ 31 declared rounds, so its broadcast sequences pack into
+    one machine word per vertex.
+    @raise Invalid_argument naming [who], the algorithm and both limits
     otherwise. *)
-
-val codes_reps : t -> ?seed:int -> 'o Bcclb_bcc.Algo.packed -> int array array
-(** Rep-only twin of {!codes}, indexed by position in
-    {!orbit_one}[.reps]: one execution per rotation class — what the
-    orbit-reduced {!Indist_graph} paths run instead of the full sweep.
-    Separately memoised. *)
-
-val codable : 'o Bcclb_bcc.Algo.packed -> n:int -> bool
-(** Bandwidth ≤ 1 and ≤ 31 declared rounds: the algorithm's broadcast
-    sequences pack into one machine word per vertex. *)
 
 (** Segmented, spillable store of V₁'s rotation-orbit representatives.
 

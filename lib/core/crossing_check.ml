@@ -11,11 +11,13 @@ open Bcclb_graph
    against that memoised result, halving executions relative to the
    original implementation (which re-ran the base per pair). The
    [verify] knob controls how many pairs are re-checked by genuine
-   port-rewired execution: [`All] executes every independent pair (the
-   legacy-parity mode), [`Sampled k] executes the first k same-label and
+   port-rewired execution: [`All] executes every independent pair,
+   [`Sampled k] executes the first k same-label and
    first k different-label pairs per instance (deterministic in
    enumeration order) and counts the remaining same-label pairs as
-   indistinguishable by Lemma 3.4, [`Off] executes none. *)
+   indistinguishable by Lemma 3.4, [`Off] executes none. [check] draws
+   random instances and [check_reps] sweeps V₁'s rotation classes; both
+   run the same pair sweep. *)
 
 type verify = [ `All | `Sampled of int | `Off ]
 
@@ -47,35 +49,20 @@ let directed_edges structure =
       List.init k (fun i -> (cyc.(i), cyc.((i + 1) mod k))))
     (Cycles.cycles structure)
 
-(* Exhaustive weighted sweep over V₁'s rotation-class representatives
-   (instead of [instances] random draws): every independent pair of
-   every census instance is accounted for — an orbit member's pairs are
-   counted through its representative with the orbit weight — while
-   genuine rewired executions run only on representatives. Sound under
-   the same condition as the orbit-reduced Indist_graph paths:
-   rotation-equivariant transcripts. In the report, pair counts are
-   census-weighted and [instances] is |V₁|; [executed]/[verified] stay
-   actual execution counts, so the reduction factor is visible as
-   verified ≪ same_label_pairs even under [`All]. *)
-let check_reps ?(seed = 0) ?(verify = `Sampled 16) algo ~n =
-  if not (Algo.anonymous algo || Algo.rounds algo ~n = 0) then
-    invalid_arg
-      (Printf.sprintf
-         "Crossing_check.check_reps: weighted-representative counting is sound only for \
-          anonymous algorithms (or at rounds = 0); %S reads vertex IDs"
-         (Algo.name algo));
-  Obs.span "crossing.check_reps" ~attrs:[ ("n", string_of_int n) ]
-  @@ fun () ->
+(* The one pair sweep. [instances] feeds every examined one-cycle
+   instance to [visit] with its structure and the weight it counts with;
+   pair counts are weighted, executions are not. *)
+let sweep ~seed ~verify algo instances =
   let crossable = ref 0 and same_label = ref 0 and indist = ref 0 in
   let violations = ref 0 and diff_dist = ref 0 in
   let executed = ref 0 and verified = ref 0 in
-  Census.iter_one_cycle_orbits ~n (fun s ~weight ->
-      let inst = Instance.kt0_circulant (Cycles.to_graph ~n s) in
+  instances (fun inst s ~weight ->
+      (* One base execution per instance; crossed runs compare against it. *)
       let base = Simulator.run ~seed algo inst in
       let indist_from_base = Simulator.indistinguishable_from base in
       let sent v = Transcript.sent_string base.Simulator.transcripts.(v) in
       let same_budget = ref (match verify with `All -> max_int | `Sampled k -> k | `Off -> 0) in
-      let diff_budget = ref (match verify with `All -> max_int | `Sampled k -> k | `Off -> 0) in
+      let diff_budget = ref !same_budget in
       let edges = Array.of_list (directed_edges s) in
       let m = Array.length edges in
       for i = 0 to m - 1 do
@@ -96,7 +83,10 @@ let check_reps ?(seed = 0) ?(verify = `Sampled 16) algo ~n =
                 if run_crossed () then indist := !indist + weight
                 else violations := !violations + weight
               end
-              else indist := !indist + weight
+              else
+                (* Unverified same-label pairs are indistinguishable by
+                   Lemma 3.4 — the sampled executions spot-check it. *)
+                indist := !indist + weight
             end
             else if !diff_budget > 0 then begin
               decr diff_budget;
@@ -108,7 +98,7 @@ let check_reps ?(seed = 0) ?(verify = `Sampled 16) algo ~n =
   Obs.Metrics.Counter.add pairs_metric !crossable;
   Obs.Metrics.Counter.add executed_metric !executed;
   Obs.Metrics.Counter.add verified_metric !verified;
-  { instances = Census.num_one_cycles ~n;
+  { instances = 0;
     crossable_pairs = !crossable;
     same_label_pairs = !same_label;
     indistinguishable = !indist;
@@ -117,69 +107,44 @@ let check_reps ?(seed = 0) ?(verify = `Sampled 16) algo ~n =
     executed = !executed;
     verified = !verified }
 
+(* Exhaustive weighted sweep over V₁'s rotation-class representatives
+   (instead of [instances] random draws): every independent pair of
+   every census instance is accounted for — an orbit member's pairs are
+   counted through its representative with the orbit weight — while
+   genuine rewired executions run only on representatives. Sound only
+   for rotation-equivariant transcripts (Arena.rotation_sound). In the
+   report, pair counts are census-weighted and [instances] is |V₁|;
+   [executed]/[verified] stay actual execution counts, so the reduction
+   factor is visible as verified ≪ same_label_pairs even under [`All]. *)
+let check_reps ?(seed = 0) ?(verify = `Sampled 16) algo ~n =
+  if not (Arena.rotation_sound algo ~n) then
+    invalid_arg
+      (Printf.sprintf
+         "Crossing_check.check_reps: weighted-representative counting is sound only for \
+          anonymous algorithms (or at rounds = 0); %S reads vertex IDs"
+         (Algo.name algo));
+  Obs.span "crossing.check_reps" ~attrs:[ ("n", string_of_int n) ] @@ fun () ->
+  let r =
+    sweep ~seed ~verify algo (fun visit ->
+        Census.iter_one_cycle_orbits ~n (fun s ~weight ->
+            visit (Instance.kt0_circulant (Cycles.to_graph ~n s)) s ~weight))
+  in
+  { r with instances = Census.num_one_cycles ~n }
+
 let check ?(seed = 0) ?(verify = `Sampled 16) algo ~n ~instances ~wiring rng =
   Obs.span "crossing.check"
     ~attrs:[ ("n", string_of_int n); ("instances", string_of_int instances) ]
   @@ fun () ->
-  let crossable = ref 0 and same_label = ref 0 and indist = ref 0 in
-  let violations = ref 0 and diff_dist = ref 0 in
-  let executed = ref 0 and verified = ref 0 in
-  for _ = 1 to instances do
-    let g = Gen.random_cycle rng n in
-    let inst =
-      match wiring with
-      | `Circulant -> Instance.kt0_circulant g
-      | `Random -> Instance.kt0_random rng g
-    in
-    (* One base execution per instance; crossed runs compare against it. *)
-    let base = Simulator.run ~seed algo inst in
-    let indist_from_base = Simulator.indistinguishable_from base in
-    let sent v = Transcript.sent_string base.Simulator.transcripts.(v) in
-    let same_budget = ref (match verify with `All -> max_int | `Sampled k -> k | `Off -> 0) in
-    let diff_budget = ref (match verify with `All -> max_int | `Sampled k -> k | `Off -> 0) in
-    match Cycles.of_graph g with
-    | None -> ()
-    | Some s ->
-      let edges = Array.of_list (directed_edges s) in
-      let m = Array.length edges in
-      for i = 0 to m - 1 do
-        for j = i + 1 to m - 1 do
-          let (v1, u1) = edges.(i) and (v2, u2) = edges.(j) in
-          if Instance.independent inst (v1, u1) (v2, u2) then begin
-            incr crossable;
-            let run_crossed () =
-              incr executed;
-              let crossed = Instance.cross inst (v1, u1) (v2, u2) in
-              indist_from_base crossed (Simulator.run ~seed algo crossed)
-            in
-            if sent v1 = sent v2 && sent u1 = sent u2 then begin
-              incr same_label;
-              if !same_budget > 0 then begin
-                decr same_budget;
-                incr verified;
-                if run_crossed () then incr indist else incr violations
-              end
-              else
-                (* Unverified same-label pairs are indistinguishable by
-                   Lemma 3.4 — the sampled executions spot-check it. *)
-                incr indist
-            end
-            else if !diff_budget > 0 then begin
-              decr diff_budget;
-              if not (run_crossed ()) then incr diff_dist
-            end
-          end
-        done
-      done
-  done;
-  Obs.Metrics.Counter.add pairs_metric !crossable;
-  Obs.Metrics.Counter.add executed_metric !executed;
-  Obs.Metrics.Counter.add verified_metric !verified;
-  { instances;
-    crossable_pairs = !crossable;
-    same_label_pairs = !same_label;
-    indistinguishable = !indist;
-    violations = !violations;
-    distinguishable_diff_label = !diff_dist;
-    executed = !executed;
-    verified = !verified }
+  let r =
+    sweep ~seed ~verify algo (fun visit ->
+        for _ = 1 to instances do
+          let g = Gen.random_cycle rng n in
+          let inst =
+            match wiring with
+            | `Circulant -> Instance.kt0_circulant g
+            | `Random -> Instance.kt0_random rng g
+          in
+          Option.iter (fun s -> visit inst s ~weight:1) (Cycles.of_graph g)
+        done)
+  in
+  { r with instances }

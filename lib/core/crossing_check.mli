@@ -5,7 +5,7 @@
 
 type verify = [ `All | `Sampled of int | `Off ]
 (** How many pairs to re-check by genuine port-rewired execution.
-    [`All] executes every independent pair (legacy-parity mode);
+    [`All] executes every independent pair;
     [`Sampled k] executes the first k same-label and first k
     different-label pairs per instance (deterministic in enumeration
     order) and counts remaining same-label pairs as indistinguishable by
@@ -47,6 +47,6 @@ val check_reps :
     counted through their representative with the orbit weight. In the
     report, pair counts are weighted, [instances] = |V₁|, and
     [executed]/[verified] remain actual execution counts (the visible
-    reduction factor). Sound under the same condition as
-    {!Indist_graph.build_orbit}.
-    @raise Invalid_argument for an ID-reading algorithm with rounds ≥ 1. *)
+    reduction factor). Shares {!check}'s pair sweep.
+    @raise Invalid_argument unless {!Arena.rotation_sound}: an
+    ID-reading algorithm with rounds ≥ 1. *)

@@ -7,19 +7,15 @@ open Bcclb_graph
    (active = head broadcasts x, tail broadcasts y during the t rounds of
    the algorithm).
 
-   Three construction paths exist. The orbit path (default wherever
-   sound) computes adjacency rows only on V₁'s rotation-class
-   representatives and reconstructs every other row through the arena's
-   V₂ handle permutations — a factor-≈n execution and crossing saving,
-   licensed exactly when transcripts are rotation-equivariant: anonymous
-   algorithms ({!Bcclb_bcc.Algo.anonymous}) and any algorithm at t = 0.
-   The packed path works over the interned Arena instance by instance:
-   labels are machine-word codes, and each crossing successor is a hash
-   lookup of a packed canonical key — no Cycles.t allocation, no string
-   comparison in the inner loops. The reference path
-   ([build_reference]/[build_full_reference]) is the original
-   string-label implementation, kept verbatim as the parity oracle. All
-   three produce byte-identical graphs where their domains overlap. *)
+   One construction path. Rows are computed once per representative of
+   the arena's atlas (Arena.atlas) and expanded to every member: V₁'s
+   rotation classes when transcripts are rotation-equivariant (anonymous
+   algorithms, and any algorithm at t = 0) — a factor-≈n execution and
+   crossing saving — and every instance on its own otherwise. Labels are
+   machine-word codes, and each crossing successor is a hash lookup of a
+   packed canonical key: no Cycles.t allocation, no string comparison in
+   the inner loops. The string-label reference lives in the tests as
+   the oracle. *)
 
 type t = {
   n : int;
@@ -30,10 +26,6 @@ type t = {
   adj : int array array;  (* v1 index -> sorted distinct v2 indices *)
   radj : int array array;  (* v2 index -> sorted distinct v1 indices *)
 }
-
-let active_positions sent cyc ~x ~y =
-  let k = Array.length cyc in
-  List.filter (fun i -> sent.(cyc.(i)) = x && sent.(cyc.((i + 1) mod k)) = y) (Bcclb_util.Arrayx.range 0 k)
 
 (* Rows arrive as unsorted int arrays that may repeat a handle (two
    crossings can reach one structure); each is deduplicated in place. The
@@ -91,11 +83,14 @@ let same_label_row arena cyc (sent : int array) =
   crossing_row arena cyc (fun i j ->
       sent.(cyc.(i)) = sent.(cyc.(j)) && sent.(cyc.((i + 1) mod k)) = sent.(cyc.((j + 1) mod k)))
 
-(* Most frequent (head, tail) code label across all one-cycle edges.
-   Ties break on the DECODED string pair — int code order differs from
-   lexicographic string order ('_' sorts after '1' in ASCII but codes as
-   0), and the reference implementation fixed string order. *)
-let most_frequent_code ~rounds ?(weight = fun _ -> 1) codes1 one_cyc =
+(* Most frequent (head, tail) code label across all one-cycle edges,
+   each representative counted with its weight: a rotated member's
+   edge-label multiset is its representative's, so the weighted counts
+   are the full-census counts. Ties break on the DECODED string pair —
+   int code order differs from lexicographic string order ('_' sorts
+   after '1' in ASCII but codes as 0), and the string-label oracle fixes
+   string order. *)
+let most_frequent_code ~rounds ~weight codes1 one_cyc =
   let tbl = Hashtbl.create 256 in
   Array.iteri
     (fun i1 sent ->
@@ -120,206 +115,49 @@ let most_frequent_code ~rounds ?(weight = fun _ -> 1) codes1 one_cyc =
   | None -> invalid_arg "Indist_graph: no edge labels"
   | Some (lbl, _) -> lbl
 
-let build_packed ?(seed = 0) algo ~n ?xy () =
+(* The entry checks: an arena for n and packed codes for the algorithm,
+   or a refusal naming the limit. *)
+let prepare who algo ~n =
+  (match Arena.supported ~n with Error m -> invalid_arg (who ^ ": " ^ m) | Ok () -> ());
+  Arena.require_codable who algo ~n;
   let arena = Arena.get ~n in
+  (arena, Arena.atlas arena algo)
+
+let build ?(seed = 0) algo ~n () =
+  Bcclb_obs.span "indist.build" ~attrs:[ ("n", string_of_int n) ] @@ fun () ->
+  let arena, atlas = prepare "Indist_graph.build" algo ~n in
   let rounds = Bcclb_bcc.Algo.rounds algo ~n in
-  let codes1 = Arena.codes arena ~seed algo in
-  let x, y =
-    match xy with
-    | Some (xs, ys) -> (Labels.code_of_string xs, Labels.code_of_string ys)
-    | None -> most_frequent_code ~rounds codes1 (Arena.one_cycle arena)
+  let codes = Arena.codes arena atlas ~seed algo in
+  let rep_cycle ri = Arena.one_cycle arena (Arena.rep atlas ri) in
+  let x, y = most_frequent_code ~rounds ~weight:(Arena.rep_weight atlas) codes rep_cycle in
+  (* Each representative's row is independent (the arena's key table is
+     read-only here), so rows run on the pool. Crossing is
+     orientation-free but the (x, y) label condition is not: a member
+     whose canonical traversal reverses its representative's has the
+     representative's (y, x)-active pairs. Where the atlas can reverse,
+     compute those rows too (they coincide when x = y). *)
+  let rows ~x ~y =
+    Bcclb_engine.Pool.tabulate (Arena.num_reps arena atlas) (fun ri ->
+        active_row arena (rep_cycle ri) codes.(ri) ~x ~y)
   in
-  (* Each left vertex's edge row is independent (the arena's key table is
-     read-only here), so rows run on the pool; the reverse adjacency is
-     aggregated sequentially afterwards. *)
-  let adj_sets =
-    Bcclb_engine.Pool.tabulate (Arena.n_one arena) (fun i1 ->
-        active_row arena (Arena.one_cycle arena i1) codes1.(i1) ~x ~y)
-  in
-  finish ~n
-    ~x:(Labels.string_of_code ~rounds x)
-    ~y:(Labels.string_of_code ~rounds y)
-    ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena) adj_sets
-
-let build_full_packed ?(seed = 0) algo ~n () =
-  let arena = Arena.get ~n in
-  let codes1 = Arena.codes arena ~seed algo in
-  let adj_sets =
-    Bcclb_engine.Pool.tabulate (Arena.n_one arena) (fun i1 ->
-        same_label_row arena (Arena.one_cycle arena i1) codes1.(i1))
-  in
-  finish ~n ~x:"*" ~y:"*" ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena) adj_sets
-
-(* ------------------------------------------------------------------ *)
-(* Orbit-reduced path. Rotations are automorphisms of the circulant
-   wiring, so when transcripts are rotation-equivariant the active pairs
-   of an orbit member are the rotation image of its representative's and
-   crossing commutes with rotation: the member's adjacency row is the
-   representative's row pushed through the V₂ handle permutation of its
-   shift. Rows are therefore computed once per representative — one
-   execution and one crossing sweep per rotation class — and every other
-   row reconstructed by table lookup. [finish] dedup-sorts all rows, so
-   the result is byte-identical to the per-instance packed path. *)
-
-let orbit_applicable algo ~n =
-  Bcclb_bcc.Algo.anonymous algo || Bcclb_bcc.Algo.rounds algo ~n = 0
-
-(* Per-handle rows from [rep_row h], the representative's row that
-   handle h is the rotation image of, through the rotation maps. *)
-let expand_orbit arena (o : Arena.orbit_one) rep_row =
-  let rot =
-    Array.init (Arena.n arena) (fun c -> if c = 0 then [||] else Arena.rotation_map_two arena c)
-  in
-  Array.init (Arena.n_one arena) (fun h ->
-      let row = rep_row h in
-      let c = o.Arena.shift_of.(h) in
-      if c = 0 then row else Array.map (fun h2 -> rot.(c).(h2)) row)
-
-let build_orbit ?(seed = 0) algo ~n ?xy () =
-  let arena = Arena.get ~n in
-  let o = Arena.orbit_one arena in
-  let rounds = Bcclb_bcc.Algo.rounds algo ~n in
-  let codes_r = Arena.codes_reps arena ~seed algo in
-  let x, y =
-    match xy with
-    | Some (xs, ys) -> (Labels.code_of_string xs, Labels.code_of_string ys)
-    | None ->
-      (* Weighted counts equal the full-census counts: an orbit member's
-         edge-label multiset is its representative's, and ties still
-         break on decoded strings. *)
-      most_frequent_code ~rounds
-        ~weight:(fun ri -> o.Arena.weights.(ri))
-        codes_r
-        (fun ri -> Arena.one_cycle arena o.Arena.reps.(ri))
-  in
-  (* Crossing is orientation-free but the (x, y) label condition is not:
-     a member whose canonical traversal reverses the representative's has
-     the representative's (y, x)-active pairs. Compute both orientations
-     per representative (they coincide when x = y) and pick by the
-     atlas's flip bit during expansion. *)
-  let rep_rows =
-    Bcclb_engine.Pool.tabulate (Array.length o.Arena.reps) (fun ri ->
-        let cyc = Arena.one_cycle arena o.Arena.reps.(ri) in
-        let sent = codes_r.(ri) in
-        let fwd = active_row arena cyc sent ~x ~y in
-        let rev = if x = y then fwd else active_row arena cyc sent ~x:y ~y:x in
-        (fwd, rev))
-  in
+  let fwd = rows ~x ~y in
+  let rev = if x = y || not (Arena.reverses atlas) then fwd else rows ~x:y ~y:x in
   finish ~n
     ~x:(Labels.string_of_code ~rounds x)
     ~y:(Labels.string_of_code ~rounds y)
     ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena)
-    (expand_orbit arena o (fun h ->
-         let fwd, rev = rep_rows.(o.Arena.rep_of.(h)) in
-         if o.Arena.flip_of.(h) then rev else fwd))
-
-let build_full_orbit ?(seed = 0) algo ~n () =
-  let arena = Arena.get ~n in
-  let o = Arena.orbit_one arena in
-  let codes_r = Arena.codes_reps arena ~seed algo in
-  let rep_rows =
-    Bcclb_engine.Pool.tabulate (Array.length o.Arena.reps) (fun ri ->
-        same_label_row arena (Arena.one_cycle arena o.Arena.reps.(ri)) codes_r.(ri))
-  in
-  finish ~n ~x:"*" ~y:"*" ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena)
-    (expand_orbit arena o (fun h -> rep_rows.(o.Arena.rep_of.(h))))
-
-(* ------------------------------------------------------------------ *)
-(* Reference (legacy) path: string labels, Cycles.t-keyed successor
-   lookup. Kept verbatim as the oracle the packed path is tested
-   against; also the fallback for algorithms whose broadcast sequences
-   do not pack into a word. *)
-
-let build_reference ?(seed = 0) algo ~n ?xy () =
-  let v1 = Census.one_cycles ~n in
-  let v2 = Census.two_cycles ~n in
-  let v2_index = Hashtbl.create (Array.length v2) in
-  Array.iteri (fun i s -> Hashtbl.add v2_index s i) v2;
-  (* One independent simulation per one-cycle instance: the hot inner
-     loop, run on the engine pool. *)
-  let sent1 = Bcclb_engine.Pool.map_batch (fun s -> Labels.sent_strings_legacy ~seed algo ~n s) v1 in
-  let x, y =
-    match xy with
-    | Some p -> p
-    | None ->
-      (* Most frequent label across all one-cycle instances. *)
-      let tbl = Hashtbl.create 256 in
-      Array.iteri
-        (fun idx s ->
-          List.iter
-            (fun (_, lbl) ->
-              Hashtbl.replace tbl lbl (1 + Option.value ~default:0 (Hashtbl.find_opt tbl lbl)))
-            (Labels.edge_labels sent1.(idx) s))
-        v1;
-      Labels.most_frequent_label tbl
-  in
-  let adj_sets =
-    Bcclb_engine.Pool.tabulate (Array.length v1) (fun i1 ->
-        let s = v1.(i1) in
-        let cyc = List.hd (Cycles.cycles s) in
-        let k = Array.length cyc in
-        let actives = active_positions sent1.(i1) cyc ~x ~y in
-        let row = ref [] in
-        List.iter
-          (fun i ->
-            List.iter
-              (fun j ->
-                if i < j then begin
-                  let len1 = j - i and len2 = k - (j - i) in
-                  if len1 >= 3 && len2 >= 3 then begin
-                    let s2 = Census.cross_one_cycle cyc i j in
-                    row := Hashtbl.find v2_index s2 :: !row
-                  end
-                end)
-              actives)
-          actives;
-        Array.of_list !row)
-  in
-  finish ~n ~x ~y ~v1 ~v2 adj_sets
-
-let build_full_reference ?(seed = 0) algo ~n () =
-  let v1 = Census.one_cycles ~n in
-  let v2 = Census.two_cycles ~n in
-  let v2_index = Hashtbl.create (Array.length v2) in
-  Array.iteri (fun i s -> Hashtbl.add v2_index s i) v2;
-  let adj_sets =
-    Bcclb_engine.Pool.map_batch
-      (fun s ->
-        let sent = Labels.sent_strings_legacy ~seed algo ~n s in
-        let cyc = List.hd (Cycles.cycles s) in
-        let k = Array.length cyc in
-        let row = ref [] in
-        for i = 0 to k - 1 do
-          for j = i + 1 to k - 1 do
-            let len1 = j - i and len2 = k - (j - i) in
-            if len1 >= 3 && len2 >= 3 then begin
-              let vi = cyc.(i) and ui = cyc.((i + 1) mod k) in
-              let vj = cyc.(j) and uj = cyc.((j + 1) mod k) in
-              if sent.(vi) = sent.(vj) && sent.(ui) = sent.(uj) then begin
-                let s2 = Census.cross_one_cycle cyc i j in
-                row := Hashtbl.find v2_index s2 :: !row
-              end
-            end
-          done
-        done;
-        Array.of_list !row)
-      v1
-  in
-  finish ~n ~x:"*" ~y:"*" ~v1 ~v2 adj_sets
-
-let build ?(seed = 0) algo ~n ?xy () =
-  Bcclb_obs.span "indist.build" ~attrs:[ ("n", string_of_int n) ] (fun () ->
-      if n <= Arena.max_n && Arena.codable algo ~n then
-        if orbit_applicable algo ~n then build_orbit ~seed algo ~n ?xy ()
-        else build_packed ~seed algo ~n ?xy ()
-      else build_reference ~seed algo ~n ?xy ())
+    (Arena.expand arena atlas ~fwd ~rev)
 
 let build_full ?(seed = 0) algo ~n () =
-  Bcclb_obs.span "indist.build_full" ~attrs:[ ("n", string_of_int n) ] (fun () ->
-      if n <= Arena.max_n && Arena.codable algo ~n then
-        if orbit_applicable algo ~n then build_full_orbit ~seed algo ~n ()
-        else build_full_packed ~seed algo ~n ()
-      else build_full_reference ~seed algo ~n ())
+  Bcclb_obs.span "indist.build_full" ~attrs:[ ("n", string_of_int n) ] @@ fun () ->
+  let arena, atlas = prepare "Indist_graph.build_full" algo ~n in
+  let codes = Arena.codes arena atlas ~seed algo in
+  let rows =
+    Bcclb_engine.Pool.tabulate (Arena.num_reps arena atlas) (fun ri ->
+        same_label_row arena (Arena.one_cycle arena (Arena.rep atlas ri)) codes.(ri))
+  in
+  finish ~n ~x:"*" ~y:"*" ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena)
+    (Arena.expand arena atlas ~fwd:rows ~rev:rows)
 
 (* ------------------------------------------------------------------ *)
 

@@ -19,41 +19,14 @@ type t = {
   radj : int array array;
 }
 
-val build : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> ?xy:string * string -> unit -> t
+val build : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
 (** Run the (already truncated) algorithm and connect crossings of
-    same-label active edge pairs. The label (x, y) defaults to the most
-    frequent one across V₁. Dispatches, when the algorithm is codable
-    and n ≤ {!Arena.max_n}, to the orbit-reduced path
-    ({!build_orbit}) wherever it is sound — anonymous algorithms
-    ({!Bcclb_bcc.Algo.anonymous}) or t = 0, whose transcripts are
-    rotation-equivariant — else to the per-instance packed path
-    ({!build_packed}); {!build_reference} otherwise. All paths produce
-    byte-identical graphs where their domains overlap. *)
-
-val build_orbit : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> ?xy:string * string -> unit -> t
-(** The orbit-reduced path, explicitly: one execution and one crossing
-    sweep per V₁ rotation class, member rows reconstructed through
-    {!Arena.rotation_map_two}. Sound only when transcripts are
-    rotation-equivariant — the {!build} dispatch checks
-    {!Bcclb_bcc.Algo.anonymous}; calling it directly on an ID-dependent
-    algorithm with t ≥ 1 silently computes the wrong graph. *)
-
-val build_packed : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> ?xy:string * string -> unit -> t
-(** The per-instance packed path, explicitly (what {!build} uses for
-    codable ID-dependent algorithms) — the baseline the orbit bench
-    gate compares against. *)
-
-val build_reference : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> ?xy:string * string -> unit -> t
-(** The original string-label implementation, kept as the parity oracle
-    for {!build} and as the fallback for non-codable algorithms. *)
-
-val orbit_applicable : 'o Bcclb_bcc.Algo.packed -> n:int -> bool
-(** Is the orbit-reduced path sound for this algorithm at this n —
-    i.e. are its transcripts rotation-equivariant? True for anonymous
-    algorithms and whenever the round bound is 0. *)
-
-val active_positions : string array -> int array -> x:string -> y:string -> int list
-(** Positions i of a cycle whose directed edge (cᵢ, cᵢ₊₁) is active. *)
+    same-label active edge pairs, for the most frequent label (x, y)
+    across V₁. Rows are computed once per representative of
+    {!Arena.atlas} and expanded to every member: V₁'s rotation classes
+    where {!Arena.rotation_sound}, every instance otherwise.
+    @raise Invalid_argument, naming the limit, for n outside
+    {!Arena.supported} or an algorithm {!Arena.require_codable} refuses. *)
 
 val num_edges : t -> int
 val degree_v1 : t -> int -> int
@@ -75,18 +48,8 @@ val k_matching : t -> k:int -> (int array * int array array) option
 val build_full : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
 (** The union of G^t_{x,y} over ALL label pairs: {I₁, I₂} is an edge iff
     some same-label active independent pair of I₁ crosses to I₂ — every
-    edge is an execution-indistinguishable pair (Lemma 3.4). Dispatch as
-    in {!build}. *)
-
-val build_full_orbit : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
-(** Orbit-reduced twin of {!build_full}; same soundness condition as
-    {!build_orbit}. *)
-
-val build_full_packed : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
-(** Per-instance packed twin of {!build_full}. *)
-
-val build_full_reference : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
-(** String-label oracle twin of {!build_full}. *)
+    edge is an execution-indistinguishable pair (Lemma 3.4). Same atlas
+    and refusals as {!build}. *)
 
 val certified_error_lb : t -> int * Bcclb_bignum.Ratio.t
 (** (matching size, certified error): a maximum matching in the full

@@ -32,23 +32,10 @@ let code_of_string s =
     s;
   !code
 
-(* The pre-arena path: a full simulator run with per-port traffic
-   capture and transcript construction per instance. Kept as the cost
-   and semantics model of the seed implementation — the reference
-   Indist_graph builders use it, so parity tests and the bench smoke
-   compare the packed path against genuine pre-PR behaviour — and as
-   the fallback for algorithms whose broadcasts do not pack. *)
-let sent_strings_legacy ?(seed = 0) algo ~n structure =
-  let inst = Census.to_instance structure ~n in
-  let result = Simulator.run ~seed algo inst in
-  Array.map Transcript.sent_string result.Simulator.transcripts
-
 let sent_strings ?(seed = 0) algo ~n structure =
-  if Arena.codable algo ~n then begin
-    let rounds = Algo.rounds algo ~n in
-    Array.map (fun c -> string_of_code ~rounds c) (sent_codes ~seed algo ~n structure)
-  end
-  else sent_strings_legacy ~seed algo ~n structure
+  Arena.require_codable "Labels.sent_strings" algo ~n;
+  let rounds = Algo.rounds algo ~n in
+  Array.map (fun c -> string_of_code ~rounds c) (sent_codes ~seed algo ~n structure)
 
 (* Directed edges along each cycle's stored orientation, with labels. *)
 let edge_labels sent structure =
@@ -59,18 +46,6 @@ let edge_labels sent structure =
           let v = cyc.(i) and u = cyc.((i + 1) mod k) in
           ((v, u), (sent.(v), sent.(u)))))
     (Cycles.cycles structure)
-
-let most_frequent_label histogram =
-  let best = ref None in
-  Hashtbl.iter
-    (fun lbl count ->
-      match !best with
-      | None -> best := Some (lbl, count)
-      | Some (lbl', count') -> if count > count' || (count = count' && lbl < lbl') then best := Some (lbl, count))
-    histogram;
-  match !best with
-  | None -> invalid_arg "Labels.most_frequent_label: empty histogram"
-  | Some (lbl, _) -> lbl
 
 (* Largest class of positions with the same (head, tail) label within one
    instance — the pigeonhole quantity of Theorems 3.1/3.5: at least

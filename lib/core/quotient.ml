@@ -48,14 +48,13 @@ type partial = {
 }
 
 let require_sound algo ~n =
-  if not (Algo.anonymous algo || Algo.rounds algo ~n = 0) then
+  if not (Arena.rotation_sound algo ~n) then
     invalid_arg
       (Printf.sprintf
          "Quotient: the orbit quotient is sound only for anonymous algorithms (or at rounds = \
           0); %S reads vertex IDs"
          (Algo.name algo));
-  if not (Arena.codable algo ~n) then
-    invalid_arg "Quotient: algorithm's broadcast sequences do not pack into machine-word codes"
+  Arena.require_codable "Quotient" algo ~n
 
 (* Degree computation for one representative, given its executed codes:
    enumerate independent same-label pairs, identify the crossed

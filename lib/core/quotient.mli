@@ -5,9 +5,9 @@
     The left side streams off the segmented orbit store
     ({!Arena.Orbit}); the right side is never materialised — crossing
     successors are identified by packed canonical keys and |V₂|, |Tᵢ|
-    come from {!Census}'s closed forms. Sound under the same condition
-    as {!Indist_graph.build_orbit}: rotation-equivariant transcripts
-    (anonymous algorithms, or rounds = 0). Peak memory is one segment
+    come from {!Census}'s closed forms. Sound only for
+    rotation-equivariant transcripts ({!Arena.rotation_sound}: anonymous
+    algorithms, or rounds = 0). Peak memory is one segment
     plus one adjacency row, which is what carries the exhaustive §3
     pipeline to n = 13. *)
 
@@ -37,5 +37,5 @@ val full_stats :
     {!Indist_graph.build_full} wherever both are feasible (n ≤ 10 is
     tested).
     @raise Invalid_argument if n < 6, n > {!Arena.Orbit.max_n}, the
-    algorithm is neither anonymous nor at rounds 0, or its codes do not
-    pack ({!Arena.codable}). *)
+    algorithm is not {!Arena.rotation_sound}, or its codes do not pack
+    ({!Arena.require_codable}). *)

@@ -3,36 +3,28 @@
     Every per-instance component decision in the repository — the
     Borůvka-family merge loops, anonymous adjacency inference, the
     partition join, {!Graph.components} itself — goes through this one
-    module, which dispatches between the lock-free
-    {!Bcclb_ufind.Ufind} (default) and the sequential {!Union_find}
-    disjoint-set forest ([BCCLB_CONN_ORACLE=dsu], read once per
-    process). Both canonicalise components by smallest member and
-    report [union]'s merged/already-joined verdict identically, so
-    downstream tables are byte-identical under either oracle — the
-    contract CI's oracle-parity step diffs.
+    module, a thin view of the lock-free {!Bcclb_ufind.Ufind}. The
+    sequential {!Union_find} disjoint-set forest is its test oracle:
+    [union]'s merged/already-joined verdicts, [components] and the
+    smallest-member labels agree with it on every union sequence.
 
-    Representatives returned by {!find} are {e not} part of that
-    contract (the two structures balance differently); use them only as
-    opaque keys consistent within one oracle. *)
+    Representatives returned by {!find} depend on union order and
+    balancing; use them only as opaque keys. *)
 
 type t
-
-val lock_free : unit -> bool
-(** Which oracle this process resolved to. *)
 
 val create : int -> t
 val size : t -> int
 
 val union : t -> int -> int -> bool
-(** Merge; [true] iff the sets were distinct — identical across
-    oracles. *)
+(** Merge; [true] iff the sets were distinct. *)
 
 val find : t -> int -> int
-(** Current representative: an opaque, oracle-dependent key. *)
+(** Current representative: an opaque key. *)
 
 val same : t -> int -> int -> bool
 
 val components : t -> int
 
 val labels : t -> int array
-(** Canonical smallest-member labels — identical across oracles. *)
+(** Canonical smallest-member labels. *)

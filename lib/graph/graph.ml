@@ -86,14 +86,7 @@ let edges t =
   done;
   !acc
 
-let union_find t =
-  let uf = Union_find.create t.n in
-  iter_edges (fun u v -> ignore (Union_find.union uf u v)) t;
-  uf
-
-(* Component views run on the Conn oracle seam: lock-free Ufind by
-   default, sequential DSU under BCCLB_CONN_ORACLE=dsu, byte-identical
-   labels either way (CI diffs the two). *)
+(* Component views run on the Conn seam, the lock-free Ufind. *)
 let conn t =
   let c = Conn.create t.n in
   iter_edges (fun u v -> ignore (Conn.union c u v)) t;

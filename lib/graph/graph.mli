@@ -35,11 +35,6 @@ val iter_edges : (int -> int -> unit) -> t -> unit
 (** Visit each edge once, (u, v) with u < v, lexicographic order,
     without materialising a list. *)
 
-val union_find : t -> Union_find.t
-(** Disjoint-set structure of the graph's components (the sequential
-    parity oracle; {!components} and friends run on the lock-free
-    {!Bcclb_ufind.Ufind} unless [BCCLB_CONN_ORACLE=dsu]). *)
-
 val ufind : t -> Bcclb_ufind.Ufind.t
 (** Lock-free component structure of the graph — the shared-memory form
     the serve daemon and bulk component calls build once and query

@@ -47,7 +47,7 @@ let partial_optimist ~rounds =
 
 (* The anonymous (ID-oblivious) family: transcripts are rotation-
    equivariant, so these are the algorithms the orbit-reduced census
-   paths (Indist_graph orbit builds, Quotient, Crossing_check.check_reps)
+   paths (Indist_graph's rotation atlas, Quotient, Crossing_check.check_reps)
    quantify over. *)
 let anonymous_optimist ~rounds =
   Algos.Adjacency_broadcast.connectivity_truncated ~rounds ~optimist:true

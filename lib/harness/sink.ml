@@ -132,7 +132,7 @@ let metrics_json () =
        (Obs.Metrics.snapshot ()))
 
 (* GC and OS-level process facts, sampled at write time — the numbers
-   that make BENCH_engine.json comparable PR-over-PR. *)
+   that make run manifests comparable PR-over-PR. *)
 let process_json () =
   let gc = Gc.quick_stat () in
   Json.Obj
@@ -180,20 +180,5 @@ let write_manifest ~path ~cache_root ~num_domains reports =
          ("executions_total", Json.Int (sum executions));
          ("seconds_total", Json.Float (sumf (fun r -> r.seconds)));
          ("experiments", Json.List (List.map report_json reports));
-         ("metrics", metrics_json ());
-         ("process", process_json ()) ])
-
-(* ---- bench report ---- *)
-
-let write_bench ~path rows =
-  Json.write_file ~pretty:true path
-    (Json.Obj
-       [ ("schema", Json.Str "bcclb-bench-v2");
-         ( "benchmarks",
-           Json.List
-             (List.map
-                (fun (name, ns) ->
-                  Json.Obj [ ("name", Json.Str name); ("time_ns_per_run", Json.Float ns) ])
-                rows) );
          ("metrics", metrics_json ());
          ("process", process_json ()) ])

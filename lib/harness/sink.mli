@@ -3,9 +3,8 @@
     A sink consumes two streams: rendered human text (the tables the CLI
     prints) and structured rows (what the JSONL writer records). Sinks
     compose with {!tee}; each constructor implements one output and
-    ignores the stream it does not care about. The run manifest and the
-    bench report are one-shot JSON documents written through the same
-    module. *)
+    ignores the stream it does not care about. The run manifest is a
+    one-shot JSON document written through the same module. *)
 
 type t = {
   text : string -> unit;  (** A rendered chunk (may span many lines). *)
@@ -60,8 +59,8 @@ val metrics_json : unit -> Json.t
     metric name. Counters/gauges carry a [value]; histograms carry
     [count]/[sum]/[mean], [p50]/[p90]/[p99] estimates, the finite bucket
     bounds [le] and the [length le + 1] bucket [counts] (last =
-    overflow). This is the ["metrics"] block of both the run manifest
-    and the bench report, and what [experiments stats] renders. *)
+    overflow). This is the ["metrics"] block of the run manifest, and
+    what [experiments stats] renders. *)
 
 val process_json : unit -> Json.t
 (** GC words/collections and peak RSS at call time — the ["process"]
@@ -79,12 +78,3 @@ val write_manifest :
     and aggregate hit/miss/timing counts ([cells_total], [hits_total],
     [misses_total], ...) — what the CI warm-run assertion greps — plus
     the [provenance], [metrics] and [process] blocks. *)
-
-(** {1 Bench report} *)
-
-val write_bench : path:string -> (string * float) list -> unit
-(** [(kernel name, nanoseconds per run)] pairs as a JSON document
-    ([bcclb-bench-v2]) — the machine-readable twin of the bench table —
-    plus the same [metrics] and [process] blocks as the manifest, so the
-    perf trajectory (executions, cache behaviour, GC pressure, peak RSS)
-    is comparable PR-over-PR. *)

@@ -367,7 +367,16 @@ let test_mt_connectivity () =
     Alcotest.(check bool)
       (Printf.sprintf "matches Conn oracle (seed %d)" seed)
       (oracle_connected g) (run_decision algo inst)
-  done
+  done;
+  (* A YES and a NO instance at n = 48. *)
+  List.iter
+    (fun (what, g) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "matches Conn oracle (n = 48, %s)" what)
+        (oracle_connected g)
+        (run_decision algo (Instance.kt1_of_graph g)))
+    [ ("random connected, seed 11", Ggen.random_connected (Rng.create ~seed:11) 48);
+      ("random two cycles, seed 12", Ggen.random_two_cycles (Rng.create ~seed:12) 48) ]
 
 let test_mt_bounded_degree_and_sparse () =
   let algo = Mt_connectivity.connectivity () in

@@ -212,32 +212,60 @@ let test_crossing_check_verify_modes () =
   Alcotest.(check int) "all verifies everything" all.Crossing_check.same_label_pairs
     all.Crossing_check.verified
 
-(* The packed arena path must be bit-for-bit interchangeable with the
-   reference implementation: same label pair, same census orders, same
-   adjacency. n=7 keeps |V1| = 360 so three truncation depths stay fast. *)
+(* The library's one path must be bit-for-bit interchangeable with the
+   string-label oracle: same label pair, same census orders, same
+   adjacency. n=7 keeps |V1| = 360 so three truncation depths stay fast;
+   n=8 at t=2 adds a per-instance build where the label pair matters. *)
+let parity_inputs = [ (7, 0); (7, 1); (7, 2); (8, 2) ]
+
 let test_indist_build_parity () =
-  let n = 7 in
   List.iter
-    (fun t ->
+    (fun (n, t) ->
       let algo = truncated ~rounds:t in
       let p = Indist_graph.build algo ~n () in
-      let r = Indist_graph.build_reference algo ~n () in
-      Alcotest.(check string) (Printf.sprintf "x t=%d" t) r.Indist_graph.x p.Indist_graph.x;
-      Alcotest.(check string) (Printf.sprintf "y t=%d" t) r.Indist_graph.y p.Indist_graph.y;
-      Alcotest.(check bool) (Printf.sprintf "adj t=%d" t) true (p.Indist_graph.adj = r.Indist_graph.adj);
-      Alcotest.(check bool) (Printf.sprintf "radj t=%d" t) true (p.Indist_graph.radj = r.Indist_graph.radj))
-    [ 0; 1; 2 ]
+      let r = Indist_oracle.build algo ~n () in
+      let what field = Printf.sprintf "%s n=%d t=%d" field n t in
+      Alcotest.(check string) (what "x") r.Indist_graph.x p.Indist_graph.x;
+      Alcotest.(check string) (what "y") r.Indist_graph.y p.Indist_graph.y;
+      Alcotest.(check bool) (what "adj") true (p.Indist_graph.adj = r.Indist_graph.adj);
+      Alcotest.(check bool) (what "radj") true (p.Indist_graph.radj = r.Indist_graph.radj))
+    parity_inputs
 
 let test_indist_build_full_parity () =
-  let n = 7 in
   List.iter
-    (fun t ->
+    (fun (n, t) ->
       let algo = truncated ~rounds:t in
       let p = Indist_graph.build_full algo ~n () in
-      let r = Indist_graph.build_full_reference algo ~n () in
-      Alcotest.(check bool) (Printf.sprintf "adj t=%d" t) true (p.Indist_graph.adj = r.Indist_graph.adj);
-      Alcotest.(check bool) (Printf.sprintf "radj t=%d" t) true (p.Indist_graph.radj = r.Indist_graph.radj))
-    [ 0; 1; 2 ]
+      let r = Indist_oracle.build_full algo ~n () in
+      let what field = Printf.sprintf "%s n=%d t=%d" field n t in
+      Alcotest.(check bool) (what "adj") true (p.Indist_graph.adj = r.Indist_graph.adj);
+      Alcotest.(check bool) (what "radj") true (p.Indist_graph.radj = r.Indist_graph.radj))
+    parity_inputs
+
+(* Inputs no caller sends are refused at entry with a message naming the
+   limit: broadcasts that do not pack into a word (here bandwidth 2) and
+   n outside the arena. *)
+let test_refuses_uncodable () =
+  let wide = Bcclb_algorithms.Adjacency_matrix.connectivity ~bandwidth:2 () in
+  let names_limit m =
+    let limit = "needs bandwidth <= 1 and at most 31 rounds" in
+    let k = String.length limit in
+    List.exists (fun i -> String.sub m i k = limit) (List.init (String.length m - k + 1) Fun.id)
+  in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a bandwidth-2 algorithm" what
+    | exception Invalid_argument m -> Alcotest.(check bool) (what ^ ": " ^ m) true (names_limit m)
+  in
+  let s = (Census.one_cycles ~n:7).(0) in
+  refused "build" (fun () -> ignore (Indist_graph.build wide ~n:7 ()));
+  refused "build_full" (fun () -> ignore (Indist_graph.build_full wide ~n:7 ()));
+  refused "sent_strings" (fun () -> ignore (Labels.sent_strings wide ~n:7 s));
+  Alcotest.check_raises "n below the arena"
+    (Invalid_argument
+       "Indist_graph.build_full: the exhaustive census arena supports 6 <= n <= 15 (got n = 5); \
+        larger n runs only through the orbit-reduced quotient paths (Arena.Orbit, n <= 13)")
+    (fun () -> ignore (Indist_graph.build_full (truncated ~rounds:0) ~n:5 ()))
 
 (* Arena invariants: interned censuses match Census order; every
    two-cycle key resolves to its own handle; cross_key computes the
@@ -410,6 +438,7 @@ let suites =
     Alcotest.test_case "crossing verify modes agree" `Slow test_crossing_check_verify_modes;
     Alcotest.test_case "packed build = reference" `Slow test_indist_build_parity;
     Alcotest.test_case "packed build_full = reference" `Slow test_indist_build_full_parity;
+    Alcotest.test_case "non-codable input refused" `Quick test_refuses_uncodable;
     Alcotest.test_case "arena interning" `Quick test_arena_interning;
     Alcotest.test_case "arena cross_key" `Quick test_arena_cross_key;
     Alcotest.test_case "Lemma 3.7 neighbour structure" `Slow test_lemma_3_7_neighbor_structure;

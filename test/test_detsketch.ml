@@ -37,7 +37,16 @@ let test_syndrome_exact_recovery () =
   check_exact ~universe:50 ~s:3 [ (0, 1); (17, -1); (49, 1) ];
   check_exact ~universe:300 ~s:4 [ (5, 2); (7, -3); (123, 5); (299, 1) ];
   (* Full budget. *)
-  check_exact ~universe:100 ~s:5 [ (1, 1); (2, -1); (3, 1); (4, -1); (5, 1) ]
+  check_exact ~universe:100 ~s:5 [ (1, 1); (2, -1); (3, 1); (4, -1); (5, 1) ];
+  (* The edge universe of n = 512 vertices, s = 24 random +-1 entries. *)
+  let universe = 512 * 511 / 2 in
+  let rng = Rng.create ~seed:99 in
+  let planted = Hashtbl.create 32 in
+  while Hashtbl.length planted < 24 do
+    let c = Rng.int rng universe in
+    if not (Hashtbl.mem planted c) then Hashtbl.add planted c (if Rng.bool rng then 1 else -1)
+  done;
+  check_exact ~universe ~s:24 (Hashtbl.fold (fun c w acc -> (c, w) :: acc) planted [])
 
 let test_syndrome_random_recovery () =
   let rng = Rng.create ~seed:1055 in

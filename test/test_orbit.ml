@@ -1,8 +1,9 @@
-(* Tests for the rotation-orbit machinery of this PR: the census orbit
-   enumerator, the arena atlas (rep_of/shift_of/flip_of), the segmented
-   spillable store, the orbit-reduced Indist_graph / Quotient /
-   Crossing_check paths, the anonymous adjacency-broadcast family they
-   are sound for, and the Bits.Seq packed encoding under the store. *)
+(* Tests for the rotation-orbit machinery: the census orbit enumerator,
+   the arena atlas (rep_of/shift_of/flip_of), the segmented spillable
+   store, Indist_graph on the rotation atlas, the orbit-reduced Quotient
+   and Crossing_check sweeps, the anonymous adjacency-broadcast family
+   they are sound for, and the Bits.Seq packed encoding under the
+   store. *)
 
 open Bcclb_core
 module Cycles = Bcclb_graph.Cycles
@@ -350,26 +351,37 @@ let test_adjacency_broadcast_rotation_equivariant () =
     [ 0; 1; 2; 3 ]
 
 let test_id_reading_not_equivariant_gate () =
-  (* The soundness gate: the ID-reading family must NOT be routed
-     through the orbit paths at t >= 1, while t = 0 and the anonymous
-     family are. *)
+  (* The soundness gate: the ID-reading family must NOT get the rotation
+     atlas at t >= 1, while t = 0 and the anonymous family do. *)
   let n = 8 in
-  Alcotest.(check bool) "anonymous t=3 applicable" true
-    (Indist_graph.orbit_applicable (anonymous ~rounds:3) ~n);
-  Alcotest.(check bool) "id-reading t=0 applicable" true
-    (Indist_graph.orbit_applicable (id_reading ~rounds:0) ~n);
-  Alcotest.(check bool) "id-reading t=1 NOT applicable" false
-    (Indist_graph.orbit_applicable (id_reading ~rounds:1) ~n)
+  let arena = Arena.get ~n in
+  let rotations algo = match Arena.atlas arena algo with Arena.Rotations _ -> true | Instances -> false in
+  List.iter
+    (fun (what, algo, sound) ->
+      Alcotest.(check bool) (what ^ " rotation_sound") sound (Arena.rotation_sound algo ~n);
+      Alcotest.(check bool) (what ^ " gets the rotation atlas") sound (rotations algo))
+    [ ("anonymous t=3", anonymous ~rounds:3, true);
+      ("id-reading t=0", id_reading ~rounds:0, true);
+      ("id-reading t=1", id_reading ~rounds:1, false) ]
 
-(* ---- orbit-reduced builds: parity with the packed path ---- *)
+(* ---- Indist_graph on the rotation atlas ---- *)
+
+(* The orbit build (rows from rotation-class representatives, expanded
+   to every member) against the per-instance build, here the string-label
+   oracle, which executes every instance on its own. *)
+let require_rotations ~n algo =
+  match Arena.atlas (Arena.get ~n) algo with
+  | Arena.Rotations _ -> ()
+  | Instances -> Alcotest.fail "anonymous algorithm on the per-instance atlas"
 
 let test_build_orbit_parity () =
   let n = 8 in
   List.iter
     (fun t ->
       let algo = anonymous ~rounds:t in
-      let o = Indist_graph.build_orbit algo ~n () in
-      let p = Indist_graph.build_packed algo ~n () in
+      require_rotations ~n algo;
+      let o = Indist_graph.build algo ~n () in
+      let p = Indist_oracle.build algo ~n () in
       Alcotest.(check string) (Printf.sprintf "x t=%d" t) p.Indist_graph.x o.Indist_graph.x;
       Alcotest.(check string) (Printf.sprintf "y t=%d" t) p.Indist_graph.y o.Indist_graph.y;
       Alcotest.(check bool) (Printf.sprintf "adj t=%d" t) true (o.Indist_graph.adj = p.Indist_graph.adj);
@@ -382,15 +394,104 @@ let test_build_full_orbit_parity () =
   List.iter
     (fun t ->
       let algo = anonymous ~rounds:t in
-      let o = Indist_graph.build_full_orbit algo ~n () in
-      let p = Indist_graph.build_full_packed algo ~n () in
+      require_rotations ~n algo;
+      let o = Indist_graph.build_full algo ~n () in
+      let p = Indist_oracle.build_full algo ~n () in
       Alcotest.(check bool) (Printf.sprintf "adj t=%d" t) true (o.Indist_graph.adj = p.Indist_graph.adj);
       Alcotest.(check bool) (Printf.sprintf "radj t=%d" t) true (o.Indist_graph.radj = p.Indist_graph.radj))
     [ 0; 2; 3 ]
 
-(* Rows checked on their own, not against another path: every path ends
-   in the same row dedup and transpose, so parity alone would not see a
-   fault there. *)
+(* Member h's labelled ((x, y)-active) and full (same-label) rows from
+   its own execution — what a per-instance computation gives, written
+   out here independently of the library's expansion. *)
+let own_rows arena stamp algo ~xy h =
+  let n = Arena.n arena in
+  let cyc = Arena.one_cycle arena h in
+  let neighbors = Array.make n (0, 0) in
+  Array.iteri (fun i v -> neighbors.(v) <- (cyc.((i + n - 1) mod n), cyc.((i + 1) mod n))) cyc;
+  let sent = Simulator.run_sent_codes algo (stamp neighbors) in
+  let label i = (sent.(cyc.(i)), sent.(cyc.((i + 1) mod n))) in
+  let labelled = ref [] and full = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 3 to n - 1 do
+      if n - (j - i) >= 3 then begin
+        let h2 = Arena.cross_handle arena cyc i j in
+        if label i = label j then full := h2 :: !full;
+        if label i = xy && label j = xy then labelled := h2 :: !labelled
+      end
+    done
+  done;
+  let row l = Array.of_list (List.sort_uniq Int.compare l) in
+  (row !labelled, row !full, label)
+
+(* Compare the rotation-atlas builds against [own_rows] on [members];
+   returns the members' edge-label counts. *)
+let check_members ~n ~t members =
+  let arena = Arena.get ~n in
+  let algo = anonymous ~rounds:t in
+  let g = Indist_graph.build algo ~n () and f = Indist_graph.build_full algo ~n () in
+  let xy = (Labels.code_of_string g.Indist_graph.x, Labels.code_of_string g.Indist_graph.y) in
+  let counts = Hashtbl.create 64 in
+  (* The circulant wiring of Census.to_instance, built once. *)
+  let stamp = Instance.kt0_circulant_sweep n in
+  List.iter
+    (fun h ->
+      let labelled, full, label = own_rows arena stamp algo ~xy h in
+      (* Plain comparisons: an Alcotest check per member would log
+         hundreds of thousands of lines. *)
+      if labelled <> g.Indist_graph.adj.(h) then Alcotest.failf "n=%d t=%d: labelled row of member %d" n t h;
+      if full <> f.Indist_graph.adj.(h) then Alcotest.failf "n=%d t=%d: full row of member %d" n t h;
+      for i = 0 to n - 1 do
+        Hashtbl.replace counts (label i) (1 + Option.value ~default:0 (Hashtbl.find_opt counts (label i)))
+      done)
+    members;
+  (xy, counts)
+
+let test_rotation_atlas_exhaustive () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun t ->
+          let xy, counts = check_members ~n ~t (List.init (Census.num_one_cycles ~n) Fun.id) in
+          (* The weighted label count picks a most frequent label of the
+             whole census. *)
+          Alcotest.(check int)
+            (Printf.sprintf "n=%d t=%d (x, y) is a most frequent label" n t)
+            (Hashtbl.fold (fun _ c acc -> max c acc) counts 0)
+            (Hashtbl.find counts xy))
+        (* At n = 8, t = 3 has x <> y: flipped members read the
+           representative's (y, x) row. *)
+        [ 0; 2; 3 ])
+    [ 8; 9 ]
+
+(* n = 10 is too slow to check exhaustively: sample up to two members
+   per (rotation shift, orientation), in a seeded random order over V₁,
+   so that every shift and both orientations occur. *)
+let test_rotation_atlas_sampled () =
+  let n = 10 in
+  let o = Arena.orbit_one (Arena.get ~n) in
+  let taken = Hashtbl.create 32 and members = ref [] in
+  Array.iter
+    (fun h ->
+      let key = (o.Arena.shift_of.(h), o.Arena.flip_of.(h)) in
+      let k = Option.value ~default:0 (Hashtbl.find_opt taken key) in
+      if k < 2 then begin
+        Hashtbl.replace taken key (k + 1);
+        members := h :: !members
+      end)
+    (Rng.permutation (Rng.create ~seed:10) (Census.num_one_cycles ~n));
+  Alcotest.(check bool) "representatives sampled" true (Hashtbl.mem taken (0, false));
+  for c = 1 to n - 1 do
+    List.iter
+      (fun flip ->
+        Alcotest.(check bool) (Printf.sprintf "shift %d flip %b sampled" c flip) true
+          (Hashtbl.mem taken (c, flip)))
+      [ false; true ]
+  done;
+  ignore (check_members ~n ~t:3 !members)
+
+(* Rows checked on their own, not against another computation: both
+   builds on both atlases end in the same row dedup and transpose. *)
 let check_rows what (g : Indist_graph.t) =
   let increasing row =
     let ok = ref true in
@@ -421,25 +522,24 @@ let test_indist_rows_every_path () =
     (fun n ->
       List.iter
         (fun t ->
-          let algo = anonymous ~rounds:t in
           List.iter
-            (fun (path, build) -> check_rows (Printf.sprintf "%s n=%d t=%d" path n t) (build ()))
-            [ ("build_orbit", fun () -> Indist_graph.build_orbit algo ~n ());
-              ("build_packed", fun () -> Indist_graph.build_packed algo ~n ());
-              ("build_reference", fun () -> Indist_graph.build_reference algo ~n ());
-              ("build_full_orbit", fun () -> Indist_graph.build_full_orbit algo ~n ());
-              ("build_full_packed", fun () -> Indist_graph.build_full_packed algo ~n ());
-              ("build_full_reference", fun () -> Indist_graph.build_full_reference algo ~n ()) ])
+            (fun (atlas, algo) ->
+              check_rows (Printf.sprintf "build %s n=%d t=%d" atlas n t) (Indist_graph.build algo ~n ());
+              check_rows
+                (Printf.sprintf "build_full %s n=%d t=%d" atlas n t)
+                (Indist_graph.build_full algo ~n ()))
+            [ ("rotations", anonymous ~rounds:t); ("instances", id_reading ~rounds:t) ])
         [ 0; 1; 2; 3 ])
     [ 6; 7; 8 ]
 
 let test_build_dispatch_through_orbit () =
-  (* The public build/build_full must route the anonymous family through
-     the orbit path and still agree with the reference implementation. *)
+  (* The public build_full must route the anonymous family through the
+     rotation atlas and still agree with the string-label oracle. *)
   let n = 7 in
   let algo = anonymous ~rounds:2 in
+  require_rotations ~n algo;
   let g = Indist_graph.build_full algo ~n () in
-  let r = Indist_graph.build_full_reference algo ~n () in
+  let r = Indist_oracle.build_full algo ~n () in
   Alcotest.(check bool) "dispatch parity" true (g.Indist_graph.adj = r.Indist_graph.adj)
 
 (* ---- quotient streaming parity ---- *)
@@ -451,7 +551,7 @@ let test_quotient_parity () =
     (fun t ->
       let algo = anonymous ~rounds:t in
       let s = Quotient.full_stats ~root algo ~n () in
-      let g = Indist_graph.build_full_packed algo ~n () in
+      let g = Indist_graph.build_full algo ~n () in
       let degrees = Array.map Array.length g.Indist_graph.adj in
       Alcotest.(check int) (Printf.sprintf "v1 t=%d" t) (Census.num_one_cycles ~n) s.Quotient.v1;
       Alcotest.(check int) (Printf.sprintf "v2 t=%d" t) (Array.length g.Indist_graph.v2) s.Quotient.v2;
@@ -520,6 +620,42 @@ let test_check_reps_weighted () =
         (sampled.Crossing_check.executed < Census.num_one_cycles ~n))
     [ 0; 2 ]
 
+(* The weighted sweep against per-instance totals: every V₁ instance
+   executed on its own, every independent pair crossed and compared. *)
+let test_check_reps_per_instance_totals () =
+  let n = 7 in
+  List.iter
+    (fun (what, algo) ->
+      let crossable = ref 0 and same_label = ref 0 and indist = ref 0 and violations = ref 0 in
+      Census.iter_one_cycles ~n (fun s ->
+          let inst = Census.to_instance s ~n in
+          let base = Simulator.run algo inst in
+          let sent v = Bcclb_bcc.Transcript.sent_string base.Simulator.transcripts.(v) in
+          let cyc = List.hd (Cycles.cycles s) in
+          let edge i = (cyc.(i), cyc.((i + 1) mod n)) in
+          for i = 0 to n - 1 do
+            for j = i + 1 to n - 1 do
+              let (v1, u1) = edge i and (v2, u2) = edge j in
+              if Instance.independent inst (v1, u1) (v2, u2) then begin
+                incr crossable;
+                if sent v1 = sent v2 && sent u1 = sent u2 then begin
+                  incr same_label;
+                  let crossed = Instance.cross inst (v1, u1) (v2, u2) in
+                  if Simulator.indistinguishable_from base crossed (Simulator.run algo crossed) then
+                    incr indist
+                  else incr violations
+                end
+              end
+            done
+          done);
+      let r = Crossing_check.check_reps ~verify:`All algo ~n in
+      Alcotest.(check int) (what ^ " instances") 360 r.Crossing_check.instances;
+      Alcotest.(check int) (what ^ " crossable") !crossable r.Crossing_check.crossable_pairs;
+      Alcotest.(check int) (what ^ " same-label") !same_label r.Crossing_check.same_label_pairs;
+      Alcotest.(check int) (what ^ " indistinguishable") !indist r.Crossing_check.indistinguishable;
+      Alcotest.(check int) (what ^ " violations") !violations r.Crossing_check.violations)
+    [ ("anonymous t=2", anonymous ~rounds:2); ("id-reading t=0", id_reading ~rounds:0) ]
+
 let test_check_reps_rejects_unsound () =
   Alcotest.(check bool) "raises on id-reading t>=1" true
     (try
@@ -544,11 +680,14 @@ let suites =
     Alcotest.test_case "orbit applicability gate" `Quick test_id_reading_not_equivariant_gate;
     Alcotest.test_case "build_orbit = build_packed" `Slow test_build_orbit_parity;
     Alcotest.test_case "build_full_orbit = build_full_packed" `Slow test_build_full_orbit_parity;
+    Alcotest.test_case "rotation atlas = own rows, n=8,9" `Slow test_rotation_atlas_exhaustive;
+    Alcotest.test_case "rotation atlas sampled rows, n=10" `Slow test_rotation_atlas_sampled;
     Alcotest.test_case "indist rows sorted, transposed" `Slow test_indist_rows_every_path;
     Alcotest.test_case "dispatch routes orbit" `Slow test_build_dispatch_through_orbit;
     Alcotest.test_case "quotient streaming parity" `Slow test_quotient_parity;
     Alcotest.test_case "quotient soundness gate" `Quick test_quotient_rejects_unsound;
     Alcotest.test_case "check_reps weighted sweep" `Slow test_check_reps_weighted;
+    Alcotest.test_case "check_reps = per-instance totals" `Slow test_check_reps_per_instance_totals;
     Alcotest.test_case "check_reps soundness gate" `Quick test_check_reps_rejects_unsound ]
 
 let qsuites = [ qtest_cross_key_property; qtest_seq_packed_roundtrip ]

@@ -1,8 +1,8 @@
 (* The lock-free union-find against its sequential parity oracle: the
-   same union sequence must yield the same canonical partition whether
-   it runs on the CAS-based Ufind (1 or 4 domains) or the plain DSU —
-   the byte-identity contract the Conn seam and the CI oracle-parity
-   step rest on. *)
+   same union sequence must yield the same verdicts, component counts
+   and canonical partition whether it runs on the CAS-based Ufind (1 or
+   4 domains) or the plain DSU. Conn, every component decision in the
+   repository, is Ufind; the DSU is only this oracle (and Mst's). *)
 
 module Ufind = Bcclb_ufind.Ufind
 module Union_find = Bcclb_graph.Union_find
@@ -149,7 +149,16 @@ let qsuites =
       pair (int_range 1 40)
         (list_size (0 -- 120) (pair (int_range 0 1000) (int_range 0 1000))))
   in
-  [ Test.make ~name:"Ufind.labels = DSU labels on any union sequence" ~count:200 edges_gen
+  [ Test.make ~name:"union verdicts and components agree with the DSU" ~count:200 edges_gen
+      (fun (n, pairs) ->
+        let u = Ufind.create n and d = Union_find.create n in
+        List.for_all
+          (fun (a, b) ->
+            let a = a mod n and b = b mod n in
+            let verdict = Ufind.union u a b in
+            verdict = Union_find.union d a b && Ufind.components u = Union_find.components d)
+          pairs);
+    Test.make ~name:"Ufind.labels = DSU labels on any union sequence" ~count:200 edges_gen
       (fun (n, pairs) ->
         let edges = Array.of_list (List.map (fun (a, b) -> (a mod n, b mod n)) pairs) in
         let u = Ufind.of_edges ~n edges in
