@@ -218,25 +218,24 @@ let run_experiments ~results_dir ~no_cache ~jobs ~backend ~ns exps =
   in
   let jsonl = H.Sink.jsonl ~dir:results_dir in
   let sink = H.Sink.tee [ H.Sink.console (); jsonl ] in
-  let num_domains = jobs in
-  let reports =
+  let sweeps =
     List.map
       (fun (exp : H.Experiment.t) ->
-        let grid =
-          match (ns, exp.grid_of_ns) with
-          | Some ns, Some f -> Some (f ns)
-          | Some _, None ->
-            Printf.eprintf "[harness] %s: -n is not an axis of this experiment; ignored\n%!"
-              exp.id;
-            None
-          | None, _ -> None
-        in
-        let r = H.Runner.run ~backend ?cache ?num_domains ?grid ~sink exp in
-        Printf.eprintf "[harness] %-16s %4d cells, %4d hits, %4d misses, %7.2fs\n%!"
-          r.H.Sink.id r.H.Sink.cells r.H.Sink.hits r.H.Sink.misses r.H.Sink.seconds;
-        r)
+        match (ns, exp.grid_of_ns) with
+        | Some ns, Some f -> (exp, f ns)
+        | Some _, None ->
+          Printf.eprintf "[harness] %s: -n is not an axis of this experiment; ignored\n%!"
+            exp.id;
+          (exp, exp.default_grid)
+        | None, _ -> (exp, exp.default_grid))
       exps
   in
+  let reports = H.Runner.run ~backend ?cache ?num_domains:jobs ~sink sweeps in
+  List.iter
+    (fun (r : H.Sink.report) ->
+      Printf.eprintf "[harness] %-16s %4d cells, %4d hits, %4d misses, %7.2fs\n%!" r.id r.cells
+        r.hits r.misses r.seconds)
+    reports;
   sink.H.Sink.close ();
   let manifest = Filename.concat results_dir "manifest.json" in
   H.Sink.write_manifest ~path:manifest

@@ -13,9 +13,10 @@ val two_partition_bits : n:int -> float
 val rank_mod_p : int array array -> int
 (** Rank over ℤ_p, p = 2³¹ − 1 ({!Bcclb_linalg.Zmod.rank}). It never
     exceeds the rank over ℚ, so rank = dimension certifies full rank
-    over ℚ. Measured on a 2-vCPU Xeon virtual machine: M⁷ ranks in
-    0.07 s, E¹⁰ in 0.45 s and M⁸ (4140 × 4140) in 2.8 s, holding the
-    matrix and one working copy (259 MiB of heap at M⁸). *)
+    over ℚ. Like {!Bcclb_linalg.Zmod.rank} it takes ownership of the
+    matrix and eliminates it in place, so only [Array.length] of it is
+    meaningful afterwards. Measured on a 2-vCPU Xeon virtual machine:
+    M⁷ ranks in 0.07 s, E¹⁰ in 0.45 s and M⁸ (4140 × 4140) in 2.8 s. *)
 
 val verified_partition_bits : n:int -> float
 (** Builds Mⁿ and certifies full rank over ℚ (full rank mod p); the

@@ -20,7 +20,8 @@ val rank_row :
   samples:int ->
   rank_row
 (** Rank [matrix] ({!Bcclb_linalg.Partition_matrix.m_matrix} or
-    [e_matrix] at [n]) by {!Bcclb_comm.Rank_bound.rank_mod_p}, and take
+    [e_matrix] at [n]) in place by {!Bcclb_comm.Rank_bound.rank_mod_p}
+    (the row takes ownership of [matrix]), and take
     the worst cost of the trivial protocol over [samples] input pairs,
     each drawn as [sample rng ~n] for Alice, then for Bob. E5's largest
     cell, E¹⁰ with 20 samples, takes ≈ 0.5 s to build and rank on a

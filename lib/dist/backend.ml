@@ -28,7 +28,7 @@ let install ?transport ?heartbeat_interval ?heartbeat_timeout ?cell_timeout ?max
   let cell_timeout =
     Some (env_float cell_timeout_env (Option.value cell_timeout ~default:600.0))
   in
-  H.Runner.set_procs_runner (fun ~roster ~cache ~exp ~cells ->
+  H.Runner.set_procs_runner (fun ~roster ~cache ~cells ->
       let c =
         match roster with
         | `Local workers ->
@@ -47,4 +47,4 @@ let install ?transport ?heartbeat_interval ?heartbeat_timeout ?cell_timeout ?max
             ?max_retries ?lease_target_seconds ~remotes ~spawn
             ~workers:(List.length remotes) ()
       in
-      Coordinator.run c ~cache ~exp ~cells)
+      Coordinator.run c ~cache ~cells)

@@ -95,7 +95,10 @@ let rec split_at k xs =
   if k <= 0 then ([], xs)
   else match xs with [] -> ([], []) | x :: tl -> let a, b = split_at (k - 1) tl in (x :: a, b)
 
-let run c ~cache ~exp ~cells =
+(* The experiment a session cell belongs to. *)
+let exp_id cells i = (fst cells.(i)).H.Experiment.id
+
+let run c ~cache ~cells =
   let n = Array.length cells in
   if n = 0 then [||]
   else begin
@@ -104,12 +107,7 @@ let run c ~cache ~exp ~cells =
       match c.roster with Local_spawn w -> w | Remote rs -> List.length rs
     in
     Obs.span "dist.sweep"
-      ~attrs:
-        [
-          ("experiment", exp.H.Experiment.id);
-          ("cells", string_of_int n);
-          ("workers", string_of_int expected);
-        ]
+      ~attrs:[ ("cells", string_of_int n); ("workers", string_of_int expected) ]
     @@ fun () ->
     (* A listener only exists for self-populated rosters; remote rosters
        dial out instead. *)
@@ -176,8 +174,8 @@ let run c ~cache ~exp ~cells =
       losses.(i) <- losses.(i) + 1;
       if losses.(i) > c.max_retries then
         fail "cell %d (%s) of %s lost its worker %d times; giving up" i
-          (H.Params.canonical cells.(i))
-          exp.H.Experiment.id losses.(i);
+          (H.Params.canonical (snd cells.(i)))
+          (exp_id cells i) losses.(i);
       Queue.push i pending
     in
 
@@ -255,7 +253,7 @@ let run c ~cache ~exp ~cells =
                (fun i ->
                  let attempt = grants.(i) in
                  grants.(i) <- attempt + 1;
-                 { Msg.cell = i; attempt; params = cells.(i) })
+                 { Msg.cell = i; attempt; exp_id = exp_id cells i; params = snd cells.(i) })
                idxs)
         in
         conn.lease <- conn.lease @ idxs;
@@ -340,7 +338,6 @@ let run c ~cache ~exp ~cells =
             send conn
               (Msg.Init
                  {
-                   exp_id = exp.H.Experiment.id;
                    cache_root = Option.map H.Cache.root cache;
                    heartbeat_interval = c.heartbeat_interval;
                    trace = Obs.Trace.context ();
@@ -570,18 +567,12 @@ let run c ~cache ~exp ~cells =
         fail "all %d roster workers lost with %d cells unresolved" expected (n - !resolved)
       | _ -> ()
     done;
-    let first_failure = ref None in
-    for i = n - 1 downto 0 do
-      match failures.(i) with Some m -> first_failure := Some (i, m) | None -> ()
-    done;
-    match !first_failure with
-    | Some (i, message) ->
-      raise
-        (H.Runner.Cell_failed
-           {
-             exp_id = exp.H.Experiment.id;
-             params = H.Params.canonical cells.(i);
-             message;
-           })
-    | None -> Array.map (fun r -> Option.get r) results
+    Array.init n (fun i ->
+        match (results.(i), failures.(i)) with
+        | Some r, _ -> Ok r
+        | None, Some message ->
+          Error
+            (H.Runner.Cell_failed
+               { exp_id = exp_id cells i; params = H.Params.canonical (snd cells.(i)); message })
+        | None, None -> assert false)
   end

@@ -38,8 +38,8 @@
        cell, not lease grants — stealing re-grants freely. Exceeding it
        (or the local spawn budget) aborts the sweep.}
     {- {b Deterministic cell failure} (the cell function raised): not
-       retried; the sweep drains and the lowest-index failure is
-       re-raised as {!Bcclb_harness.Runner.Cell_failed}.}}
+       retried; the sweep drains and the cell's result is
+       {!Bcclb_harness.Runner.Cell_failed}, which the runner raises.}}
 
     Byte-identity survives all of it: a cell is held by at most one
     live worker, steal races settle by first resolution, cells are
@@ -89,15 +89,17 @@ val config :
 val run :
   config ->
   cache:Bcclb_harness.Cache.t option ->
-  exp:Bcclb_harness.Experiment.t ->
-  cells:Bcclb_harness.Params.t array ->
-  (Bcclb_harness.Runner.cell_outcome * float) array
+  cells:(Bcclb_harness.Experiment.t * Bcclb_harness.Params.t) array ->
+  (Bcclb_harness.Runner.cell_outcome * float, exn) result array
 (** The [`Procs]/[`Roster] implementation of
     {!Bcclb_harness.Runner.procs_runner} (modulo argument shape);
-    {!Backend.install} adapts it. Raises [Failure] on infrastructure
-    exhaustion (retry cap, spawn budget, handshake rejection of a local
-    worker, unreachable or fully-lost remote roster) and
-    {!Bcclb_harness.Runner.Cell_failed} on a deterministic cell failure.
-    Always tears down: sockets closed, socket file unlinked, every
-    spawned pid killed or reaped before returning or raising. Remote
-    workers are {e not} killed — they return to accepting. *)
+    {!Backend.install} adapts it. One session — one ["dist.sweep"] span,
+    one roster — serves every cell, whatever experiments they come
+    from; each leased cell names its experiment. A deterministic cell
+    failure is that cell's [Error (Cell_failed _)], naming the cell's
+    own experiment, once the session has drained. Raises [Failure] on
+    infrastructure exhaustion (retry cap, spawn budget, handshake
+    rejection of a local worker, unreachable or fully-lost remote
+    roster). Always tears down: sockets closed, socket file unlinked,
+    every spawned pid killed or reaped before returning or raising.
+    Remote workers are {e not} killed — they return to accepting. *)

@@ -3,7 +3,10 @@
     [BCCLB_DIST_FAULTS=crash:2,stall:5] makes the worker that receives
     cell 2 exit abruptly before computing it, and the worker that
     receives cell 5 hang forever in the cell — {e on the first
-    assignment only}. The coordinator detects the crash via EOF and the
+    assignment only}. Cell indices count within the coordinator session,
+    which serves a command's whole sweep: experiments in registry order,
+    each in grid order, so for a single experiment they are its grid
+    indices. The coordinator detects the crash via EOF and the
     stall via the per-cell deadline, SIGKILLs as needed, and reassigns;
     the reassignment arrives with [attempt = 1], where no fault fires,
     so an injected sweep must complete with a byte-identical report.

@@ -2,11 +2,15 @@
    byte: 'C' on coordinator->worker payloads, 'W' on worker->coordinator
    ones. *)
 
-type assignment = { cell : int; attempt : int; params : Bcclb_harness.Params.t }
+type assignment = {
+  cell : int;
+  attempt : int;
+  exp_id : string;
+  params : Bcclb_harness.Params.t;
+}
 
 type to_worker =
   | Init of {
-      exp_id : string;
       cache_root : string option;
       heartbeat_interval : float;
       trace : Bcclb_obs.Trace.context option;

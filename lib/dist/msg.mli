@@ -14,23 +14,29 @@
     strings, lists, arrays and records thereof. Do not add a message
     that violates (4). *)
 
-type assignment = { cell : int; attempt : int; params : Bcclb_harness.Params.t }
-(** One cell of a lease. [attempt] counts prior grants of this cell —
-    fault injection only fires on [attempt = 0], which is what makes
-    injected crashes recoverable and keeps a stolen-then-re-leased cell
-    from re-firing. *)
+type assignment = {
+  cell : int;
+  attempt : int;
+  exp_id : string;
+  params : Bcclb_harness.Params.t;
+}
+(** One cell of a lease: its index within the session, its experiment
+    (resolved by the worker per assignment, so one session can serve a
+    sweep over many experiments) and its parameters. [attempt] counts
+    prior grants of this cell — fault injection only fires on
+    [attempt = 0], which is what makes injected crashes recoverable and
+    keeps a stolen-then-re-leased cell from re-firing. *)
 
 type to_worker =
   | Init of {
-      exp_id : string;
       cache_root : string option;
       heartbeat_interval : float;
       trace : Bcclb_obs.Trace.context option;
     }
-      (** First message after an accepted [Hello]: which experiment this
-          sweep runs, where the shared result cache lives ([None] =
-          [--no-cache]; multi-host rosters need the root on a shared
-          filesystem), how often an idle worker should heartbeat, and —
+      (** First message after an accepted [Hello]: where the shared
+          result cache lives ([None] = [--no-cache]; multi-host rosters
+          need the root on a shared filesystem), how often an idle
+          worker should heartbeat, and —
           when the coordinator is tracing — the trace context the
           worker should buffer spans under ([Some] switches the worker
           to {!Bcclb_obs.Trace.start_collect} mode). *)
@@ -88,8 +94,9 @@ type from_worker =
           last [Lease_done]), not a full snapshot — absorbing it cannot
           double-count what already streamed home. Same for [spans]. *)
   | Fatal of { message : string }
-      (** The worker cannot serve at all (unknown experiment id, bad
-          fault spec); the coordinator aborts the sweep. *)
+      (** The worker cannot serve at all (an assignment's unknown
+          experiment id, bad fault spec); the coordinator aborts the
+          sweep. *)
 
 (** {2 Join handshake} *)
 

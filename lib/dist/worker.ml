@@ -77,7 +77,6 @@ type session = {
   tc : Conn.t;
   faults : Faults.t;
   resolve : string -> H.Experiment.t option;
-  mutable exp : H.Experiment.t option;
   mutable cache : H.Cache.t option;
   mutable interval : float;
   mutable work : Msg.assignment list;  (* local queue, lease order *)
@@ -97,10 +96,7 @@ let ship_delta s =
 let ship_spans s = if s.collecting then Obs.Trace.drain () else []
 
 let handle s = function
-  | Msg.Init { exp_id; cache_root; heartbeat_interval; trace } ->
-    (match s.resolve exp_id with
-    | None -> fatal s.tc (Printf.sprintf "unknown experiment id %S" exp_id)
-    | Some e -> s.exp <- Some e);
+  | Msg.Init { cache_root; heartbeat_interval; trace } ->
     s.cache <- Option.map (fun root -> H.Cache.create ~root) cache_root;
     s.interval <- heartbeat_interval;
     s.trace <- trace;
@@ -145,10 +141,10 @@ let rec drain_control s =
 let run_next s =
   match s.work with
   | [] -> ()
-  | { Msg.cell; attempt; params } :: rest ->
+  | { Msg.cell; attempt; exp_id; params } :: rest ->
     s.work <- rest;
-    (match s.exp with
-    | None -> fatal s.tc "Lease before Init"
+    (match s.resolve exp_id with
+    | None -> fatal s.tc (Printf.sprintf "unknown experiment id %S" exp_id)
     | Some exp ->
       serve_cell s.tc s.faults ?trace:s.trace ~cache:s.cache ~exp ~cell ~attempt ~params ());
     if s.work = [] then
@@ -162,7 +158,6 @@ let session ?stop ~resolve tc =
       tc;
       faults;
       resolve;
-      exp = None;
       cache = None;
       interval = 0.25;
       work = [];

@@ -9,10 +9,13 @@
     one coordinator session per accepted connection until
     SIGINT/SIGTERM, then drains and unlinks its endpoint.
 
-    Within a session the worker says [Hello], learns its sweep from
-    [Init], then works {!Msg.Lease} batches by running
+    Within a session the worker says [Hello], learns the cache root and
+    heartbeat interval from [Init], then works {!Msg.Lease} batches by
+    resolving each assignment's experiment id and running
     {!Bcclb_harness.Runner.run_cell} — cache probe, compute,
-    checkpoint — streaming each {!Msg.Result} back as it lands. Control
+    checkpoint — streaming each {!Msg.Result} back as it lands. One
+    session serves a whole sweep, whatever experiments its cells come
+    from; an id the worker cannot resolve is a [Fatal]. Control
     frames are drained between cells, so a [Revoke] (work stealing)
     takes effect before the next revoked cell would start. Each drained
     lease ships a {!Bcclb_obs.Metrics.delta} in [Lease_done]; [Bye]

@@ -5,12 +5,14 @@
    is identical for every [num_domains]. Work is handed out through an
    atomic cursor — scheduling order varies, observable results do not.
 
-   Instrumentation: every task's latency lands in the [pool.cell_seconds]
-   histogram and the gap between a worker's consecutive tasks (cursor
-   fetch + scheduling) in [pool.queue_wait_seconds], both written to the
-   worker's own metric shard — lock-free, so the contract above also
-   holds for metric totals. Batches and workers appear as spans when
-   tracing is on. *)
+   Instrumentation: every outermost task's latency lands in the
+   [pool.cell_seconds] histogram (tasks of batches nested inside a task
+   only count into [pool.inner_tasks], so busy time is counted once) and
+   the gap between a worker's consecutive tasks (cursor fetch +
+   scheduling) in [pool.queue_wait_seconds], all written to the worker's
+   own metric shard — lock-free, so the contract above also holds for
+   metric totals. Batches and workers appear as spans when tracing is
+   on. *)
 
 module Obs = Bcclb_obs
 
@@ -26,6 +28,7 @@ let default_num_domains () =
 
 let batches_metric = Obs.Metrics.Counter.v "pool.batches"
 let tasks_metric = Obs.Metrics.Counter.v "pool.tasks"
+let inner_tasks_metric = Obs.Metrics.Counter.v "pool.inner_tasks"
 let domains_metric = Obs.Metrics.Counter.v "pool.domains_spawned"
 let cell_seconds = Obs.Metrics.Histogram.v "pool.cell_seconds"
 let queue_wait_seconds = Obs.Metrics.Histogram.v "pool.queue_wait_seconds"
@@ -35,17 +38,27 @@ let queue_wait_seconds = Obs.Metrics.Histogram.v "pool.queue_wait_seconds"
    from domains. *)
 let inside_pool = Domain.DLS.new_key (fun () -> false)
 
-(* Shared batch skeleton: [timed i x] must store its own result; it is
-   given the task index and input. The sequential path runs on the
-   calling domain; the parallel path spawns [d - 1] workers and joins
-   the caller in. Every task goes through [run_task], which feeds the
-   pool metrics. *)
+(* How many pool tasks enclose the running code on this domain. A
+   spawned worker starts at its spawner's depth, so a batch nested in a
+   task stays nested wherever its tasks run. *)
+let task_depth = Domain.DLS.new_key (fun () -> 0)
+
+(* Every task goes through [run_task], which feeds the pool metrics:
+   an outermost task is one [pool.tasks] and one [pool.cell_seconds]
+   sample; a task of a nested batch only counts into [pool.inner_tasks]
+   — its time is already inside the enclosing task's sample. *)
 let run_task f x =
+  let depth = Domain.DLS.get task_depth in
+  Domain.DLS.set task_depth (depth + 1);
   let t0 = Obs.Mclock.now_ns () in
   let r = try Ok (f x) with e -> Error e in
   let dt = Obs.Mclock.ns_to_s (Obs.Mclock.now_ns () - t0) in
-  Obs.Metrics.Counter.incr tasks_metric;
-  Obs.Metrics.Histogram.observe cell_seconds dt;
+  Domain.DLS.set task_depth depth;
+  if depth = 0 then begin
+    Obs.Metrics.Counter.incr tasks_metric;
+    Obs.Metrics.Histogram.observe cell_seconds dt
+  end
+  else Obs.Metrics.Counter.incr inner_tasks_metric;
   (r, dt)
 
 let span_batch ~n ~d f =
@@ -53,6 +66,9 @@ let span_batch ~n ~d f =
     ~attrs:[ ("items", string_of_int n); ("domains", string_of_int d) ]
     f
 
+(* The batch skeleton: [run i] runs task [i] and stores its result.
+   The sequential path runs on the calling domain; the parallel path
+   spawns [d - 1] workers and joins the caller in. *)
 let dispatch ~n ~d (run : int -> unit) =
   if d <= 1 || Domain.DLS.get inside_pool then
     for i = 0 to n - 1 do
@@ -60,6 +76,7 @@ let dispatch ~n ~d (run : int -> unit) =
     done
   else begin
     let cursor = Atomic.make 0 in
+    let depth = Domain.DLS.get task_depth in
     let worker () =
       Domain.DLS.set inside_pool true;
       let last_done = ref (Obs.Mclock.now_ns ()) in
@@ -79,6 +96,7 @@ let dispatch ~n ~d (run : int -> unit) =
     let domains =
       Array.init (d - 1) (fun w ->
           Domain.spawn (fun () ->
+              Domain.DLS.set task_depth depth;
               Obs.span "pool.worker" ~attrs:[ ("worker", string_of_int (w + 1)) ] worker))
     in
     worker ();
@@ -120,30 +138,16 @@ let map_batch ?num_domains f items =
 
 (* Timed variant for harness-style sweeps: same determinism contract as
    [map_batch], with per-task monotonic-clock seconds measured on the
-   worker that ran the task. [on_done] fires from worker domains under a
-   mutex, in completion order (which varies with the domain count) —
-   callers must not rely on its ordering for observable results. *)
-let map_batch_timed ?num_domains ?on_done f items =
+   worker that ran the task. *)
+let map_batch_timed ?num_domains f items =
   let n = Array.length items in
   let d = resolve_domains num_domains n in
   if n = 0 then [||]
   else begin
     Obs.Metrics.Counter.incr batches_metric;
-    let done_mutex = Mutex.create () in
-    let notify index seconds =
-      match on_done with
-      | None -> ()
-      | Some g ->
-        Mutex.lock done_mutex;
-        Fun.protect ~finally:(fun () -> Mutex.unlock done_mutex) (fun () ->
-            g ~index ~seconds)
-    in
     let results = Array.make n None in
     span_batch ~n ~d (fun () ->
-        dispatch ~n ~d (fun i ->
-            let r, dt = run_task f items.(i) in
-            notify i dt;
-            results.(i) <- Some (r, dt)));
+        dispatch ~n ~d (fun i -> results.(i) <- Some (run_task f items.(i))));
     (* Index-order extraction re-raises the lowest-index failure, as in
        [map_batch] — but only after every task has run, so independent
        tasks complete (and checkpoint) even when an earlier one fails. *)

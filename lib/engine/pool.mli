@@ -7,13 +7,16 @@
     input, never share one across tasks). Scheduling order is the only
     thing that varies with the domain count.
 
-    Observability: every batch increments [pool.batches], every task
-    increments [pool.tasks] and lands its latency in the
-    [pool.cell_seconds] histogram; workers record the gap between their
-    consecutive tasks in [pool.queue_wait_seconds] and spawned domains
-    count into [pool.domains_spawned] (all {!Bcclb_obs.Metrics},
-    shard-local writes). With tracing active, each batch is a
-    ["pool.batch"] span and each spawned worker a ["pool.worker"] span. *)
+    Observability: every batch increments [pool.batches]; every
+    outermost task increments [pool.tasks] and lands its latency in the
+    [pool.cell_seconds] histogram, while a task of a batch nested inside
+    another task only increments [pool.inner_tasks] (its time is already
+    inside the enclosing sample, so busy time is counted once). Workers
+    record the gap between their consecutive tasks in
+    [pool.queue_wait_seconds] and spawned domains count into
+    [pool.domains_spawned] (all {!Bcclb_obs.Metrics}, shard-local
+    writes). With tracing active, each batch is a ["pool.batch"] span
+    and each spawned worker a ["pool.worker"] span. *)
 
 val default_domains_env : string
 (** ["BCCLB_NUM_DOMAINS"] — the environment variable consulted when
@@ -27,22 +30,14 @@ val map_batch : ?num_domains:int -> ('a -> 'b) -> 'a array -> 'b array
     Nested calls from inside a pool task run sequentially — no domains
     are spawned from worker domains. *)
 
-val map_batch_timed :
-  ?num_domains:int ->
-  ?on_done:(index:int -> seconds:float -> unit) ->
-  ('a -> 'b) ->
-  'a array ->
-  ('b * float) array
+val map_batch_timed : ?num_domains:int -> ('a -> 'b) -> 'a array -> ('b * float) array
 (** [map_batch] plus per-task elapsed seconds (monotonic clock,
     {!Bcclb_obs.Mclock}), measured on the worker that ran each task —
-    the hook the experiment harness uses for per-cell timing. [on_done]
-    is called once per task from the worker
-    domain (serialised by a mutex), in completion order; completion order
-    varies with the domain count, results do not. Unlike exceptions in
-    [map_batch], a failing task does not prevent the remaining tasks from
-    running: the lowest-index failure is re-raised only after the whole
-    batch has drained, so independent tasks still complete (and can be
-    checkpointed) when an earlier one dies. *)
+    the hook the experiment harness uses for per-cell timing. Unlike
+    exceptions in [map_batch], a failing task does not prevent the
+    remaining tasks from running: the lowest-index failure is re-raised
+    only after the whole batch has drained, so independent tasks still
+    complete (and can be checkpointed) when an earlier one dies. *)
 
 val tabulate : ?num_domains:int -> int -> (int -> 'b) -> 'b array
 (** [tabulate n f] = [map_batch f [|0; ...; n-1|]]. *)

@@ -1,10 +1,10 @@
 module Pool = Bcclb_engine.Pool
 module Obs = Bcclb_obs
 
-(* Runner-level series: experiment wall time, and checkpoint flushes
-   (each computed cell stored from its worker the moment it finishes —
-   [runner.checkpoints] counts those stores, so a killed sweep's resume
-   cost is readable from the metrics). *)
+(* Runner-level series: the wall time of each [run] batch, and
+   checkpoint flushes (each computed cell stored from its worker the
+   moment it finishes — [runner.checkpoints] counts those stores, so a
+   killed sweep's resume cost is readable from the metrics). *)
 let experiments_metric = Obs.Metrics.Counter.v "runner.experiments"
 let cells_metric = Obs.Metrics.Counter.v "runner.cells"
 let checkpoints_metric = Obs.Metrics.Counter.v "runner.checkpoints"
@@ -78,9 +78,8 @@ type backend = [ `Domains | `Procs of int | `Roster of string list ]
 type procs_runner =
   roster:roster ->
   cache:Cache.t option ->
-  exp:Experiment.t ->
-  cells:Params.t array ->
-  (cell_outcome * float) array
+  cells:(Experiment.t * Params.t) array ->
+  (cell_outcome * float, exn) result array
 
 (* The procs implementation lives in Bcclb_dist (which depends on this
    library); it installs itself here so `Procs stays a Runner backend
@@ -88,12 +87,52 @@ type procs_runner =
 let procs_runner : procs_runner option ref = ref None
 let set_procs_runner r = procs_runner := Some r
 
-let run ?(backend = `Domains) ?cache ?num_domains ?grid ~sink (exp : Experiment.t) =
-  let grid = match grid with Some g -> g | None -> exp.Experiment.default_grid in
-  let cells = Array.of_list grid in
-  Obs.Metrics.Counter.incr experiments_metric;
+(* One experiment's tables and JSONL rows from its cells' outcomes (in
+   grid order), and its manifest entry. *)
+let render ~sink (exp : Experiment.t) grid outcomes =
+  let buf = Buffer.create 4096 in
+  Experiment.render buf exp
+    (List.concat_map (fun ((o : cell_outcome), _) -> o.rows) (Array.to_list outcomes));
+  sink.Sink.text (Buffer.contents buf);
+  Array.iteri
+    (fun i ((o : cell_outcome), _) ->
+      List.iter (fun r -> sink.Sink.row ~exp_id:exp.id ~params:grid.(i) r) o.rows)
+    outcomes;
+  let cell_reports =
+    Array.to_list
+      (Array.mapi
+         (fun i ((o : cell_outcome), seconds) ->
+           {
+             Sink.params = grid.(i);
+             hit = o.hit;
+             seconds;
+             executions = o.executions;
+             peak_words = o.peak_words;
+           })
+         outcomes)
+  in
+  let hits = List.length (List.filter (fun (c : Sink.cell_report) -> c.hit) cell_reports) in
+  {
+    Sink.id = exp.id;
+    version = exp.version;
+    cells = Array.length grid;
+    hits;
+    misses = Array.length grid - hits;
+    seconds =
+      List.fold_left (fun acc (c : Sink.cell_report) -> acc +. c.seconds) 0.0 cell_reports;
+    cell_reports;
+  }
+
+let run ?(backend = `Domains) ?cache ?num_domains ~sink sweeps =
+  (* One batch for the whole sweep: the experiments in list order, each
+     in grid order. *)
+  let cells =
+    Array.of_list
+      (List.concat_map (fun (exp, grid) -> List.map (fun params -> (exp, params)) grid) sweeps)
+  in
+  Obs.Metrics.Counter.add experiments_metric (List.length sweeps);
   Obs.Metrics.Counter.add cells_metric (Array.length cells);
-  let exp_stopwatch = Obs.Mclock.counter () in
+  let stopwatch = Obs.Mclock.counter () in
   let backend_label =
     match backend with
     | `Domains -> "domains"
@@ -104,13 +143,21 @@ let run ?(backend = `Domains) ?cache ?num_domains ?grid ~sink (exp : Experiment.
     Obs.span "runner.experiment"
       ~attrs:
         [
-          ("experiment", exp.Experiment.id);
+          ( "experiments",
+            String.concat "," (List.map (fun ((e : Experiment.t), _) -> e.id) sweeps) );
           ("backend", backend_label);
           ("cells", string_of_int (Array.length cells));
         ]
       (fun () ->
         match backend with
-        | `Domains -> Pool.map_batch_timed ?num_domains (fun params -> run_cell ?cache exp params) cells
+        | `Domains ->
+          (* Failures come back as values so the cells before them can
+             still be rendered; the batch drains either way. *)
+          Array.map
+            (fun (r, seconds) -> Result.map (fun o -> (o, seconds)) r)
+            (Pool.map_batch_timed ?num_domains
+               (fun (exp, params) -> try Ok (run_cell ?cache exp params) with e -> Error e)
+               cells)
         | (`Procs _ | `Roster _) as b -> (
           let roster =
             match b with `Procs workers -> `Local workers | `Roster addrs -> `Remote addrs
@@ -120,38 +167,22 @@ let run ?(backend = `Domains) ?cache ?num_domains ?grid ~sink (exp : Experiment.
             failwith
               "Runner: `Procs backend requested but no procs runner is installed (link \
                Bcclb_dist and call Backend.install)"
-          | Some r -> r ~roster ~cache ~exp ~cells))
+          | Some r -> r ~roster ~cache ~cells))
   in
-  Obs.Metrics.Histogram.observe experiment_seconds (exp_stopwatch ());
-  let all_rows = List.concat_map (fun ((o : cell_outcome), _) -> o.rows) (Array.to_list results) in
-  let buf = Buffer.create 4096 in
-  Experiment.render buf exp all_rows;
-  sink.Sink.text (Buffer.contents buf);
-  Array.iteri
-    (fun i ((o : cell_outcome), _) ->
-      List.iter (fun r -> sink.Sink.row ~exp_id:exp.Experiment.id ~params:cells.(i) r) o.rows)
-    results;
-  let cell_reports =
-    Array.to_list
-      (Array.mapi
-         (fun i ((o : cell_outcome), seconds) ->
-           {
-             Sink.params = cells.(i);
-             hit = o.hit;
-             seconds;
-             executions = o.executions;
-             peak_words = o.peak_words;
-           })
-         results)
-  in
-  let hits = List.length (List.filter (fun (c : Sink.cell_report) -> c.hit) cell_reports) in
-  {
-    Sink.id = exp.Experiment.id;
-    version = exp.Experiment.version;
-    cells = Array.length cells;
-    hits;
-    misses = Array.length cells - hits;
-    seconds =
-      List.fold_left (fun acc (c : Sink.cell_report) -> acc +. c.seconds) 0.0 cell_reports;
-    cell_reports;
-  }
+  Obs.Metrics.Histogram.observe experiment_seconds (stopwatch ());
+  (* Render experiment by experiment, in order, up to the first one
+     holding a failed cell: that cell's exception (the lowest failing
+     index) is raised in its place. *)
+  let first = ref 0 in
+  let reports = ref [] in
+  List.iter
+    (fun (exp, grid) ->
+      let grid = Array.of_list grid in
+      let outcomes =
+        Array.init (Array.length grid) (fun i ->
+            match results.(!first + i) with Ok r -> r | Error e -> raise e)
+      in
+      first := !first + Array.length grid;
+      reports := render ~sink exp grid outcomes :: !reports)
+    sweeps;
+  List.rev !reports

@@ -1,17 +1,21 @@
-(** The sweep engine: grid → cells → backend → checkpointed results.
+(** The sweep engine: grids → cells → one backend batch → checkpointed
+    results.
 
-    [run] splits an experiment's grid into independent cells and hands
-    them to an execution backend. The default [`Domains] backend probes
-    the cache for each cell and dispatches the misses through
+    [run] takes every (experiment, grid) pair a command selected, splits
+    them into independent cells and hands {e all} of them to an execution
+    backend as one batch, in list order and then grid order. The
+    default [`Domains] backend probes the cache for each cell and
+    dispatches the misses through one
     {!Bcclb_engine.Pool.map_batch_timed}; the [`Procs] backend ships
-    cells to worker {e processes} over a socket (see [Bcclb_dist], which
-    installs itself through {!set_procs_runner}). Either way every
-    computed cell is stored the moment it finishes — from the worker
-    that ran it — so a killed sweep has checkpointed all completed cells
-    and a rerun resumes from where it died, recomputing only what is
-    missing. Rows are assembled in grid order whatever the scheduling,
-    so the rendered report is byte-identical across backends, domain or
-    worker counts, cache states, and interrupted-then-resumed runs. *)
+    them to worker {e processes} in one coordinator session (see
+    [Bcclb_dist], which installs itself through {!set_procs_runner}).
+    Either way every computed cell is stored the moment it finishes —
+    from the worker that ran it — so a killed sweep has checkpointed all
+    completed cells and a rerun resumes from where it died, recomputing
+    only what is missing. Once the batch returns, each experiment is
+    rendered in order, its rows in grid order whatever the scheduling,
+    so the rendered reports are byte-identical across backends, domain
+    or worker counts, cache states, and interrupted-then-resumed runs. *)
 
 exception
   Cell_failed of {
@@ -58,14 +62,13 @@ type backend = [ `Domains | `Procs of int | `Roster of string list ]
 type procs_runner =
   roster:roster ->
   cache:Cache.t option ->
-  exp:Experiment.t ->
-  cells:Params.t array ->
-  (cell_outcome * float) array
-(** Contract: outcomes in cell (grid) order with per-cell seconds, every
-    cell either computed (and checkpointed into [cache]) or its
-    {!Cell_failed} raised after the rest of the sweep has drained —
-    the lowest cell index first, matching
-    {!Bcclb_engine.Pool.map_batch_timed}. *)
+  cells:(Experiment.t * Params.t) array ->
+  (cell_outcome * float, exn) result array
+(** Contract: one result per cell, in cell order, after the whole batch
+    has drained — [Ok] with the per-cell seconds for a computed (and
+    checkpointed into [cache]) cell, [Error (Cell_failed _)] naming the
+    cell's own experiment for a raising one. Infrastructure exhaustion
+    raises instead. *)
 
 val set_procs_runner : procs_runner -> unit
 (** Install the [`Procs] backend implementation. [Bcclb_dist.Backend]
@@ -77,14 +80,27 @@ val run :
   ?backend:backend ->
   ?cache:Cache.t ->
   ?num_domains:int ->
-  ?grid:Params.t list ->
   sink:Sink.t ->
-  Experiment.t ->
-  Sink.report
-(** Omitting [cache] disables lookups {e and} stores (the [--no-cache]
+  (Experiment.t * Params.t list) list ->
+  Sink.report list
+(** Run every cell of every (experiment, grid) pair as one batch, then
+    render the experiments in list order: tables to [sink.text], each
+    row to [sink.row], one {!Sink.report} each. A one-element list is
+    the single-experiment run.
+
+    Omitting [cache] disables lookups {e and} stores (the [--no-cache]
     path: every cell recomputes, nothing is written). [num_domains]
-    defaults to the [BCCLB_NUM_DOMAINS] convention of {!Bcclb_engine.Pool}
-    and only affects the [`Domains] backend; [grid] defaults to the
-    experiment's [default_grid]. The rendered tables go to [sink.text],
-    each row to [sink.row]. A raising cell propagates {!Cell_failed} —
-    after the rest of the batch has drained and checkpointed. *)
+    defaults to the [BCCLB_NUM_DOMAINS] convention of
+    {!Bcclb_engine.Pool} and only affects the [`Domains] backend.
+
+    The batch is one ["runner.experiment"] span and one
+    [runner.experiment_seconds] sample (its wall time, rendering
+    excluded), whatever the number of experiments.
+
+    Failures: the batch drains first, so every healthy cell — of every
+    experiment — is computed and checkpointed. Then the experiments
+    before the first one holding a failed cell are rendered, and that
+    cell's exception is raised ({!Cell_failed} for a raising cell; the
+    lowest failing index wins). Nothing from the failed experiment on
+    is rendered, but a rerun finds the later experiments' cells in the
+    cache. *)

@@ -41,7 +41,9 @@ let inv t a =
   if a = 0 then raise Division_by_zero;
   pow t a (t.p - 2)
 
-(* Rank by Gaussian elimination over Z_p. Destroys its (copied) input.
+(* Rank by Gaussian elimination over Z_p, in place: the caller's matrix
+   is normalised, its rows swapped and eliminated, so the largest
+   matrices (E^10 is 945 x 945) are held once.
    Row r becomes r + neg·pivot_row with neg = p − factor, so every entry
    stays in [0, p) with one [mod] per step: entries and neg are below
    p < 2^31, so r + neg·x < 2^62 fits a native int. *)
@@ -51,7 +53,7 @@ let rank t m =
   if rows = 0 then 0
   else begin
     let cols = Array.length m.(0) in
-    let m = Array.map (fun row -> Array.map (normalize t) row) m in
+    Array.iter (fun row -> Array.iteri (fun j x -> row.(j) <- normalize t x) row) m;
     let rank = ref 0 in
     let col = ref 0 in
     while !rank < rows && !col < cols do

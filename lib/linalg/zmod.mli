@@ -32,5 +32,7 @@ val inv : t -> int -> int
 (** Multiplicative inverse. @raise Division_by_zero on zero. *)
 
 val rank : t -> int array array -> int
-(** Rank of an integer matrix over ℤ_p (entries reduced first). The input
-    is not modified. *)
+(** Rank of an integer matrix over ℤ_p (entries reduced first). It takes
+    ownership of the matrix: the elimination runs in place, so on return
+    the rows are permuted and overwritten. Pass a copy to keep the
+    original. *)

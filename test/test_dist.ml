@@ -63,7 +63,23 @@ let toy =
         [ Experiment.row [ ("n", Params.Int n); ("cube", Params.Int (n * n * n)) ] ]);
   }
 
-let resolve id = if String.equal id toy.Experiment.id then Some toy else None
+(* A second experiment the workers serve, so one session can carry a
+   sweep over two. *)
+let toy_sq =
+  {
+    toy with
+    Experiment.id = "dist-toy-sq";
+    title = "Dist toy: squares";
+    tables =
+      [ { Experiment.name = ""; columns = [ Experiment.icol "n"; Experiment.icol "sq" ] } ];
+    default_grid = List.map (fun n -> Params.v [ ("n", Params.Int n) ]) [ 3; 5; 7 ];
+    cell =
+      (fun p ->
+        let n = Params.int p "n" in
+        [ Experiment.row [ ("n", Params.Int n); ("sq", Params.Int (n * n)) ] ]);
+  }
+
+let resolve id = List.find_opt (fun (e : Experiment.t) -> String.equal e.id id) [ toy; toy_sq ]
 
 (* What the re-exec'd test binary runs instead of alcotest (test_main
    checks the env var before anything else). *)
@@ -218,7 +234,14 @@ let test_trace_context_wire_roundtrip () =
     Msg.Lease
       {
         cells =
-          [| { Msg.cell = 3; attempt = 1; params = Bcclb_harness.Params.v [ ("n", Bcclb_harness.Params.Int 9) ] } |];
+          [|
+            {
+              Msg.cell = 3;
+              attempt = 1;
+              exp_id = "dist-toy";
+              params = Bcclb_harness.Params.v [ ("n", Bcclb_harness.Params.Int 9) ];
+            };
+          |];
         trace = Some ctx;
       }
   in
@@ -232,7 +255,8 @@ let test_trace_context_wire_roundtrip () =
     Alcotest.(check string) "lease trace id survives" ctx.Trace.trace_id got.Trace.trace_id;
     Alcotest.(check int) "lease parent span survives" ctx.Trace.parent_span
       got.Trace.parent_span;
-    Alcotest.(check int) "lease cells intact" 1 (Array.length cells)
+    Alcotest.(check int) "lease cells intact" 1 (Array.length cells);
+    Alcotest.(check string) "assignment names its experiment" "dist-toy" cells.(0).Msg.exp_id
   | Ok _ -> Alcotest.fail "lease decoded to something else"
   | Error e -> Alcotest.failf "lease round-trip: %s" e);
   let ev =
@@ -281,10 +305,14 @@ let install ?cell_timeout ?heartbeat_timeout () =
 
 let set_faults spec = Unix.putenv Faults.env_var spec
 
-let render_run ?backend ?cache ?num_domains exp =
+let render_run ?backend ?cache ?num_domains (exp : Experiment.t) =
   let buf = Buffer.create 256 in
-  let report = H.Runner.run ?backend ?cache ?num_domains ~sink:(H.Sink.to_buffer buf) exp in
-  (Buffer.contents buf, report)
+  match
+    H.Runner.run ?backend ?cache ?num_domains ~sink:(H.Sink.to_buffer buf)
+      [ (exp, exp.default_grid) ]
+  with
+  | [ report ] -> (Buffer.contents buf, report)
+  | _ -> Alcotest.fail "one experiment, one report"
 
 let with_faults spec f =
   set_faults spec;
@@ -344,7 +372,7 @@ let test_cell_error_names_cell () =
   let grid = List.map (fun n -> Params.v [ ("n", Params.Int n) ]) [ 1; 0; 2 ] in
   let check_backend label backend =
     let buf = Buffer.create 256 in
-    match H.Runner.run ?backend ~grid ~sink:(H.Sink.to_buffer buf) toy with
+    match H.Runner.run ?backend ~sink:(H.Sink.to_buffer buf) [ (toy, grid) ] with
     | _ -> Alcotest.fail (label ^ ": failing cell did not propagate")
     | exception H.Runner.Cell_failed { exp_id; params; message } ->
       Alcotest.(check string) (label ^ ": experiment id") "dist-toy" exp_id;
@@ -354,6 +382,39 @@ let test_cell_error_names_cell () =
   in
   check_backend "domains" None;
   check_backend "procs" (Some (`Procs 2))
+
+let test_procs_sweep_one_session () =
+  (* Two experiments in one Runner.run on `Procs 2: one coordinator
+     session with exactly two spawned workers, and the text and rows of
+     each experiment run alone on the domains backend. *)
+  install ();
+  with_faults "" @@ fun () ->
+  let record ?backend sweeps =
+    let sink, contents = Test_harness.recording_sink () in
+    ignore (H.Runner.run ?backend ~num_domains:2 ~sink sweeps);
+    contents ()
+  in
+  let sweep (e : Experiment.t) = (e, e.default_grid) in
+  let text_toy, rows_toy = record [ sweep toy ] in
+  let text_sq, rows_sq = record [ sweep toy_sq ] in
+  let spawned0 = counter_value "dist.workers_spawned" in
+  let text, rows = record ~backend:(`Procs 2) [ sweep toy; sweep toy_sq ] in
+  Alcotest.(check int) "one session, two workers" 2
+    (counter_value "dist.workers_spawned" - spawned0);
+  Alcotest.(check string) "text = each experiment alone" (text_toy ^ text_sq) text;
+  Alcotest.(check bool) "rows = each experiment alone" true (rows = rows_toy @ rows_sq)
+
+let test_unknown_experiment_is_fatal () =
+  (* Workers resolve every assignment's experiment id; one they do not
+     know is a Fatal, and the coordinator fails the sweep naming it. *)
+  install ();
+  with_faults "" @@ fun () ->
+  let stranger = { toy with Experiment.id = "dist-stranger" } in
+  match render_run ~backend:(`Procs 1) stranger with
+  | _ -> Alcotest.fail "a worker served an experiment it cannot resolve"
+  | exception Failure msg ->
+    Alcotest.(check bool) "failure names the unknown id" true
+      (contains msg "unknown experiment id \"dist-stranger\"")
 
 (* ---- addresses and rosters ---- *)
 
@@ -512,6 +573,10 @@ let suites =
       test_stall_recovery;
     Alcotest.test_case "a raising cell names itself in Cell_failed" `Slow
       test_cell_error_names_cell;
+    Alcotest.test_case "one procs session serves a two-experiment sweep" `Slow
+      test_procs_sweep_one_session;
+    Alcotest.test_case "an unknown experiment id is fatal" `Slow
+      test_unknown_experiment_is_fatal;
     Alcotest.test_case "a fingerprint-skewed worker is rejected at join" `Slow
       test_skewed_worker_rejected;
     Alcotest.test_case "an idle worker steals a stalled lease's tail" `Slow

@@ -346,6 +346,46 @@ let test_pool_exception_order () =
   in
   Alcotest.(check (option string)) "first failure wins" (Some "task 2") observed
 
+(* Pool series straight from the registry (0 when never registered).
+   The registry is process-wide, so the test reads differences. *)
+let pool_series () =
+  let module M = Bcclb_obs.Metrics in
+  let snapshot = M.snapshot () in
+  let counter name =
+    match List.assoc_opt name snapshot with Some (M.Counter c) -> c | _ -> 0
+  in
+  let samples =
+    match List.assoc_opt "pool.cell_seconds" snapshot with
+    | Some (M.Histogram h) -> h.M.count
+    | _ -> 0
+  in
+  (counter "pool.tasks", samples, counter "pool.inner_tasks")
+
+let test_pool_nested_accounting () =
+  (* Four outer tasks, each running a nested 10-task batch: the outer
+     tasks are the only pool.tasks and pool.cell_seconds samples, and
+     the nested ones count once each into pool.inner_tasks — with the
+     outer batch sequential or parallel, and with a nested batch that
+     spawns its own domains under a sequential outer one. *)
+  List.iter
+    (fun (outer, inner) ->
+      let tasks0, samples0, inner0 = pool_series () in
+      let sums =
+        Pool.map_batch_timed ~num_domains:outer
+          (fun i ->
+            Array.fold_left ( + ) 0
+              (Pool.map_batch ~num_domains:inner (fun j -> (10 * i) + j) (Array.init 10 Fun.id)))
+          (Array.init 4 Fun.id)
+      in
+      let tasks1, samples1, inner1 = pool_series () in
+      let label = Printf.sprintf "outer %d, nested %d domains" outer inner in
+      Alcotest.(check (array int)) (label ^ ": results") [| 45; 145; 245; 345 |]
+        (Array.map fst sums);
+      Alcotest.(check int) (label ^ ": pool.tasks") 4 (tasks1 - tasks0);
+      Alcotest.(check int) (label ^ ": pool.cell_seconds samples") 4 (samples1 - samples0);
+      Alcotest.(check int) (label ^ ": pool.inner_tasks") 40 (inner1 - inner0))
+    [ (1, 1); (2, 2); (1, 2) ]
+
 let test_pool_empty_and_default () =
   Alcotest.(check (array int)) "empty batch" [||] (Pool.map_batch ~num_domains:4 (fun x -> x) [||]);
   Alcotest.(check bool) "default domains >= 1" true (Pool.default_num_domains () >= 1)
@@ -368,6 +408,8 @@ let suites =
     Alcotest.test_case "pool determinism across domain counts" `Quick test_pool_determinism;
     Alcotest.test_case "pool nesting falls back to sequential" `Quick test_pool_tabulate_and_nesting;
     Alcotest.test_case "pool re-raises lowest-index failure" `Quick test_pool_exception_order;
+    Alcotest.test_case "pool counts nested tasks as inner tasks" `Quick
+      test_pool_nested_accounting;
     Alcotest.test_case "pool edge cases" `Quick test_pool_empty_and_default ]
 
 let qsuites =

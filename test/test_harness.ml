@@ -78,10 +78,15 @@ let toy ?(fail_on = fun _ -> false) ~computed () =
         [ Experiment.row [ ("n", Params.Int n); ("sq", Params.Int (n * n)) ] ]);
   }
 
-let render_run ?cache ?num_domains exp =
+(* One experiment over its default grid: the single-experiment case of
+   [Runner.run]. *)
+let render_run ?cache ?num_domains (exp : Experiment.t) =
   let buf = Buffer.create 256 in
-  let report = Runner.run ?cache ?num_domains ~sink:(Sink.to_buffer buf) exp in
-  (Buffer.contents buf, report)
+  match
+    Runner.run ?cache ?num_domains ~sink:(Sink.to_buffer buf) [ (exp, exp.default_grid) ]
+  with
+  | [ report ] -> (Buffer.contents buf, report)
+  | _ -> Alcotest.fail "one experiment, one report"
 
 (* ---- params ---- *)
 
@@ -242,6 +247,103 @@ let test_resume_after_failure () =
           Alcotest.(check string) "resumed report byte-identical to fresh" out_fresh
             out_resumed))
 
+(* ---- runner: one batch for many experiments ---- *)
+
+(* A sink that keeps both streams — the text and every row with its
+   experiment and canonical parameters — so runs compare on both. *)
+let recording_sink () =
+  let text = Buffer.create 256 and rows = ref [] in
+  ( {
+      Sink.text = Buffer.add_string text;
+      row = (fun ~exp_id ~params r -> rows := (exp_id, Params.canonical params, r) :: !rows);
+      close = ignore;
+    },
+    fun () -> (Buffer.contents text, List.rev !rows) )
+
+let grid_of ns = List.map (fun n -> Params.v [ ("n", Params.Int n) ]) ns
+
+(* The toy under another id (and title), so two of them share a batch. *)
+let named ?fail_on id =
+  { (toy ?fail_on ~computed:(Atomic.make 0) ()) with Experiment.id; title = "Toy: " ^ id }
+
+let experiment_seconds_samples () =
+  match List.assoc_opt "runner.experiment_seconds" (Bcclb_obs.Metrics.snapshot ()) with
+  | Some (Bcclb_obs.Metrics.Histogram h) -> h.Bcclb_obs.Metrics.count
+  | _ -> 0
+
+let test_sweep_matches_separate_runs () =
+  (* Two experiments with grids of different lengths in one batch: the
+     text, the rows and the per-experiment counts equal those of two
+     single-experiment runs, and the batch is one experiment_seconds
+     sample. *)
+  let a = named "toy-a" and b = named "toy-b" in
+  let grid_a = grid_of [ 1; 2; 3; 4; 5; 6 ] and grid_b = grid_of [ 7; 8; 9 ] in
+  List.iter
+    (fun d ->
+      let record sweeps =
+        let sink, contents = recording_sink () in
+        let reports = Runner.run ~num_domains:d ~sink sweeps in
+        ( contents (),
+          List.map
+            (fun (r : Sink.report) ->
+              (r.id, r.cells, r.misses, List.map (fun c -> c.Sink.params) r.cell_reports))
+            reports )
+      in
+      let (text_a, rows_a), reports_a = record [ (a, grid_a) ] in
+      let (text_b, rows_b), reports_b = record [ (b, grid_b) ] in
+      let samples0 = experiment_seconds_samples () in
+      let (text, rows), reports = record [ (a, grid_a); (b, grid_b) ] in
+      let label = Printf.sprintf "num_domains %d: " d in
+      Alcotest.(check int) (label ^ "one experiment_seconds sample per call") 1
+        (experiment_seconds_samples () - samples0);
+      Alcotest.(check string) (label ^ "text = each experiment alone") (text_a ^ text_b) text;
+      Alcotest.(check bool) (label ^ "rows = each experiment alone") true
+        (rows = rows_a @ rows_b);
+      Alcotest.(check bool) (label ^ "reports = each experiment alone") true
+        (reports = reports_a @ reports_b))
+    [ 1; 2 ]
+
+let test_sweep_failure () =
+  (* A failed cell: the batch drains and checkpoints every healthy cell,
+     the experiments before the failing one render, nothing from it on
+     does, and Cell_failed names the lowest failing cell of the batch —
+     here n = 4 of "toy-bad", ahead of n = 1 of the later "toy-worse". *)
+  let run_failing cache sweeps =
+    let sink, contents = recording_sink () in
+    match Runner.run ~cache ~num_domains:2 ~sink sweeps with
+    | _ -> Alcotest.fail "injected failure did not propagate"
+    | exception Runner.Cell_failed { exp_id; params; _ } ->
+      (exp_id ^ "[" ^ params ^ "]", contents ())
+  in
+  let all_hits cache exp =
+    match Runner.run ~cache ~sink:Sink.null [ (exp, toy_grid) ] with
+    | [ r ] -> r.Sink.hits = r.Sink.cells
+    | _ -> false
+  in
+  let bad = named ~fail_on:(fun n -> n = 4) "toy-bad" in
+  with_dir (fun dir ->
+      (* The first experiment fails: nothing renders, yet the second
+         experiment's cells are all in the cache afterwards. *)
+      let cache = Cache.create ~root:dir in
+      let good = named "toy-good" in
+      let failed, (text, rows) = run_failing cache [ (bad, toy_grid); (good, toy_grid) ] in
+      Alcotest.(check string) "Cell_failed names the cell" "toy-bad[n=i:4]" failed;
+      Alcotest.(check string) "nothing rendered" "" text;
+      Alcotest.(check int) "no rows" 0 (List.length rows);
+      Alcotest.(check bool) "the later experiment's cells are cached" true (all_hits cache good));
+  with_dir (fun dir ->
+      let cache = Cache.create ~root:dir in
+      let first = named "toy-first" and worse = named ~fail_on:(fun n -> n = 1) "toy-worse" in
+      let failed, (text, rows) =
+        run_failing cache [ (first, toy_grid); (bad, toy_grid); (worse, toy_grid) ]
+      in
+      let sink, contents = recording_sink () in
+      ignore (Runner.run ~sink [ (first, toy_grid) ]);
+      let text_first, rows_first = contents () in
+      Alcotest.(check string) "lowest failing index wins" "toy-bad[n=i:4]" failed;
+      Alcotest.(check string) "the experiment before it renders" text_first text;
+      Alcotest.(check bool) "and only its rows" true (rows = rows_first))
+
 (* ---- runner: each cell counts its own engine runs ---- *)
 
 let engine_runs k =
@@ -369,7 +471,11 @@ let suites =
     Alcotest.test_case "cells count only their own runs at 2 domains" `Quick
       test_executions_per_cell;
     Alcotest.test_case "killed sweep resumes from checkpoints" `Quick
-      test_resume_after_failure ]
+      test_resume_after_failure;
+    Alcotest.test_case "one batch over two experiments = separate runs" `Quick
+      test_sweep_matches_separate_runs;
+    Alcotest.test_case "a failed cell renders the experiments before it" `Quick
+      test_sweep_failure ]
 
 let qsuites =
   let open QCheck2 in
