@@ -80,37 +80,48 @@ let build_graph rng kind n =
   | "bounded-degree" -> Gen.random_bounded_degree rng n 2
   | other -> invalid_arg (Printf.sprintf "unknown graph kind %S" other)
 
+let report spec graph_kind n g algo result =
+  let decision = Problems.system_decision result.Simulator.outputs in
+  let truth = Graph.is_connected g in
+  Printf.printf "algorithm   : %s\n" (Bcclb_bcc.Algo.name algo);
+  Printf.printf "model       : %s, bandwidth %d\n"
+    (match spec.knowledge with Instance.KT0 -> "KT-0" | Instance.KT1 -> "KT-1")
+    (Bcclb_bcc.Algo.bandwidth algo ~n);
+  Printf.printf "instance    : %s, n=%d, %d edges, %d components\n" graph_kind n (Graph.num_edges g)
+    (Graph.num_components g);
+  Printf.printf "rounds      : %d\n" result.Simulator.rounds_used;
+  Printf.printf "bits sent   : %d (all vertices)\n" (Simulator.total_bits_broadcast result);
+  Printf.printf "decision    : %s (ground truth: %s) -> %s\n"
+    (if decision then "CONNECTED" else "DISCONNECTED")
+    (if truth then "CONNECTED" else "DISCONNECTED")
+    (if decision = truth then "CORRECT" else "WRONG");
+  0
+
 let run algo_key graph_kind n seed =
   match List.assoc_opt algo_key algos with
   | None ->
     Printf.eprintf "unknown algorithm %S; choose from: %s\n" algo_key
       (String.concat ", " (List.map fst algos));
     1
-  | Some spec ->
-    let rng = Rng.create ~seed in
-    let g = build_graph rng graph_kind n in
-    let inst =
-      match spec.knowledge with
-      | Instance.KT0 -> Instance.kt0_circulant g
-      | Instance.KT1 -> Instance.kt1_of_graph g
-    in
-    let algo = spec.build () in
-    let result = Simulator.run ~seed algo inst in
-    let decision = Problems.system_decision result.Simulator.outputs in
-    let truth = Graph.is_connected g in
-    Printf.printf "algorithm   : %s\n" (Bcclb_bcc.Algo.name algo);
-    Printf.printf "model       : %s, bandwidth %d\n"
-      (match spec.knowledge with Instance.KT0 -> "KT-0" | Instance.KT1 -> "KT-1")
-      (Bcclb_bcc.Algo.bandwidth algo ~n);
-    Printf.printf "instance    : %s, n=%d, %d edges, %d components\n" graph_kind n (Graph.num_edges g)
-      (Graph.num_components g);
-    Printf.printf "rounds      : %d\n" result.Simulator.rounds_used;
-    Printf.printf "bits sent   : %d (all vertices)\n" (Simulator.total_bits_broadcast result);
-    Printf.printf "decision    : %s (ground truth: %s) -> %s\n"
-      (if decision then "CONNECTED" else "DISCONNECTED")
-      (if truth then "CONNECTED" else "DISCONNECTED")
-      (if decision = truth then "CORRECT" else "WRONG");
-    0
+  | Some spec -> (
+    (* A family refuses an input outside its promise when it is built or
+       initialised: report that in one line, not as an uncaught
+       exception. *)
+    match
+      let rng = Rng.create ~seed in
+      let g = build_graph rng graph_kind n in
+      let inst =
+        match spec.knowledge with
+        | Instance.KT0 -> Instance.kt0_circulant g
+        | Instance.KT1 -> Instance.kt1_of_graph g
+      in
+      let algo = spec.build () in
+      (g, algo, Simulator.run ~seed algo inst)
+    with
+    | exception Invalid_argument msg ->
+      Printf.eprintf "run_algo: %s\n" msg;
+      1
+    | g, algo, result -> report spec graph_kind n g algo result)
 
 let algo_arg =
   Arg.(value & opt string "discovery-kt0"

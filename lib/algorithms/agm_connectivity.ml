@@ -12,13 +12,14 @@ open Bcclb_sketch
    over the edge-id universe, toggles its incident edges into its own
    copies, and broadcasts their serialisation bit by bit. Broadcasts
    reach everyone, so after O(phases * copies * log^2 n) = O(log^3 n)
-   rounds every vertex holds every vertex's sketches and runs the SAME
-   local Boruvka: per phase, a component's sketch is the XOR of its
-   members' (internal edges cancel), and sampling it yields an outgoing
-   edge. Monte Carlo: sampling can fail (extra phases retry with fresh
-   randomness) and checksum collisions can fabricate edges (mitigated by
-   check bits and an endpoint sanity test); errors are rare and measured
-   in the tests and experiment E14. *)
+   rounds every vertex holds every vertex's sketches and the SAME local
+   Boruvka follows, so the first vertex to finish runs it for the run:
+   per phase, a component's sketch is the XOR of its members' (internal
+   edges cancel), and sampling it yields an outgoing edge. Monte Carlo:
+   sampling can fail (extra phases retry with fresh randomness) and
+   checksum collisions can fabricate edges (mitigated by check bits and
+   an endpoint sanity test); errors are rare and measured in the tests
+   and experiment E14. *)
 
 type params = { copies : int; check_bits : int; phases : int }
 
@@ -32,7 +33,6 @@ type state = {
   params : params;
   specs : L0_sampler.hash_spec array;  (* phases * copies, row-major *)
   own_bits : string;  (* serialisation of our samplers *)
-  heard : Buffer.t array;  (* accumulated bits per port *)
 }
 
 let index_of_id all_ids id =
@@ -70,8 +70,8 @@ let payload_bits ~n params = params.phases * params.copies * sampler_bits ~n ~ch
 let total_rounds ?(bandwidth = 1) ~n params =
   Chunked.rounds ~bits:(payload_bits ~n params) ~bandwidth
 
-(* The local Boruvka every vertex runs identically once it has all n
-   sketch families. samplers.(v).(k): vertex v's k-th sampler. *)
+(* The local Boruvka every vertex would run identically once it has all
+   n sketch families. samplers.(v).(k): vertex v's k-th sampler. *)
 let local_components ~n params samplers =
   let uf = Conn.create n in
   for phase = 0 to params.phases - 1 do
@@ -109,9 +109,10 @@ let local_components ~n params samplers =
   done;
   uf
 
-let make ~name ?(bandwidth = 1) ~finish_of_uf () =
+let make ~name ?(bandwidth = 1) ~answer () =
   Chunked.check_bandwidth name bandwidth;
   let rounds ~n = total_rounds ~bandwidth ~n (default_params ~n) in
+  let labels = Type.Id.make () in
   let init view =
     match View.kt1 view with
     | None -> invalid_arg (name ^ ": needs a KT-1 instance")
@@ -123,19 +124,13 @@ let make ~name ?(bandwidth = 1) ~finish_of_uf () =
       let specs = Array.init (params.phases * params.copies) (fun _ -> L0_sampler.fresh_spec coins) in
       let own = build_own_samplers view params specs in
       let own_bits = String.concat "" (Array.to_list (Array.map L0_sampler.to_bits own)) in
-      { view;
-        params;
-        specs;
-        own_bits;
-        heard = Array.init (View.num_ports view) (fun _ -> Buffer.create (String.length own_bits)) }
+      { view; params; specs; own_bits }
   in
-  let step st ~round ~inbox =
-    (* Collect the bits broadcast in the previous round. *)
-    if round >= 2 then Chunked.absorb ~into:st.heard inbox;
-    (st, Chunked.emit ~bits:st.own_bits ~bandwidth ~chunk:(round - 1))
-  in
-  let finish st ~inbox =
-    Chunked.absorb ~into:st.heard inbox;
+  let step st ~round ~inbox:_ = (st, Chunked.emit ~bits:st.own_bits ~bandwidth ~chunk:(round - 1)) in
+  (* Every vertex's sketches, decoded from our own bits and from each
+     port's bits on the board, and the local Borůvka over them: the same
+     at every vertex once the whole payload has been heard. *)
+  let decode st inbox =
     let n = View.n st.view in
     let universe = Edge_coding.universe ~n in
     let all = View.all_ids st.view in
@@ -151,9 +146,19 @@ let make ~name ?(bandwidth = 1) ~finish_of_uf () =
     samplers.(me) <- decode_family st.own_bits;
     for p = 0 to View.num_ports st.view - 1 do
       let sender = index_of_id all (View.neighbor_id st.view p) in
-      samplers.(sender) <- decode_family (Buffer.contents st.heard.(p))
+      samplers.(sender) <- decode_family (Chunked.payload inbox ~port:p)
     done;
-    finish_of_uf st ~me (local_components ~n st.params samplers)
+    let uf = local_components ~n st.params samplers in
+    (Conn.components uf, Conn.labels uf)
+  in
+  (* Shared once the payload is complete; a truncated view decodes alone. *)
+  let finish st ~inbox =
+    let components =
+      if Inbox.rounds inbox >= rounds ~n:(View.n st.view) then
+        Inbox.once inbox labels (fun () -> decode st inbox)
+      else decode st inbox
+    in
+    answer st components
   in
   { Algo.name;
     anonymous = false;
@@ -166,15 +171,14 @@ let make ~name ?(bandwidth = 1) ~finish_of_uf () =
 let connectivity ?bandwidth () =
   Algo.pack
     (make ~name:"agm-sketch-connectivity" ?bandwidth
-       ~finish_of_uf:(fun _st ~me:_ uf -> Conn.components uf = 1)
+       ~answer:(fun _st (components, _) -> components = 1)
        ())
 
 let components ?bandwidth () =
   Algo.pack
     (make ~name:"agm-sketch-components" ?bandwidth
-       ~finish_of_uf:(fun st ~me uf ->
+       ~answer:(fun st (_, labels) ->
          (* Label: the smallest member ID of our component. *)
          let all = View.all_ids st.view in
-         let labels = Conn.labels uf in
-         all.(labels.(me)))
+         all.(labels.(index_of_id all (View.id st.view))))
        ())

@@ -6,11 +6,14 @@
 
     Every vertex broadcasts GF(2) ℓ₀-samplers of its incidence vector
     (one per Borůvka phase and boosting copy, hashes drawn from the
-    shared coins), then every vertex locally replays the identical
-    sketch-Borůvka. Monte Carlo: per-phase sampling can fail (retried
-    across copies and extra phases) and checksum collisions can fabricate
-    edges; both are rare at the default parameters and are measured in
-    experiment E14. KT-1 instances only.
+    shared coins). The decoded sketches and the sketch-Borůvka over them
+    are then the same at every vertex, so one vertex runs them for the
+    run, reading every port's payload off the board
+    ({!Bcclb_bcc.Inbox.once}), and each vertex reads its own label.
+    Monte Carlo: per-phase sampling can fail (retried across copies and
+    extra phases) and checksum collisions can fabricate edges; both are
+    rare at the default parameters and are measured in experiment E14.
+    KT-1 instances only.
 
     The same payload runs at any bandwidth b ≥ 1 ({!Chunked}): the sketch
     bits are broadcast b per round, so rounds = ⌈O(log³ n) / b⌉ — the

@@ -16,13 +16,22 @@ let emit ~bits ~bandwidth ~chunk =
   done;
   Msg.of_int ~width !v
 
+let add_word buf = function
+  | Msg.Word w ->
+    let width = Bcclb_util.Bits.width w and v = Bcclb_util.Bits.value w in
+    for i = width - 1 downto 0 do
+      Buffer.add_char buf (if (v lsr i) land 1 = 1 then '1' else '0')
+    done
+  | Msg.Silent -> ()
+
 let absorb ~into inbox =
   for p = 0 to Inbox.ports inbox - 1 do
-    match Inbox.latest inbox p with
-    | Msg.Word w ->
-      let width = Bcclb_util.Bits.width w and v = Bcclb_util.Bits.value w in
-      for i = width - 1 downto 0 do
-        Buffer.add_char into.(p) (if (v lsr i) land 1 = 1 then '1' else '0')
-      done
-    | Msg.Silent -> ()
+    add_word into.(p) (Inbox.latest inbox p)
   done
+
+let payload inbox ~port =
+  let buf = Buffer.create (Inbox.rounds inbox) in
+  for round = 1 to Inbox.rounds inbox do
+    add_word buf (Inbox.heard inbox ~round port)
+  done;
+  Buffer.contents buf

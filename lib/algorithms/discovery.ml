@@ -123,20 +123,39 @@ let make ~knowledge ~max_degree ~name ~on_incomplete () =
     in
     { view; l = Codec.id_width ~n:(View.n view); d = max_degree; nbrs }
   in
-  let finish st ~inbox =
+  (* All IDs are known: 1..n by repository convention in KT-0; exact
+     list in KT-1. *)
+  let components st edges =
+    let ids =
+      match View.kt1 st.view with
+      | Some k -> k.View.all_ids
+      | None -> Array.init (View.n st.view) (fun i -> i + 1)
+    in
+    components_of_id_edges ~ids edges
+  in
+  let answer st (num_components, label_of) =
+    { connected = num_components = 1; component = label_of (View.id st.view) }
+  in
+  let decide st inbox =
     let edges, complete = decode_graph st inbox in
-    if not complete then on_incomplete st edges
-    else begin
-      (* All IDs are known: 1..n by repository convention in KT-0; exact
-         list in KT-1. *)
-      let ids =
-        match View.kt1 st.view with
-        | Some k -> k.View.all_ids
-        | None -> Array.init (View.n st.view) (fun i -> i + 1)
-      in
-      let num_components, label_of = components_of_id_edges ~ids edges in
-      { connected = num_components = 1; component = label_of (View.id st.view) }
-    end
+    if complete then answer st (components st edges) else on_incomplete st edges
+  in
+  let graph = Type.Id.make () in
+  (* Once a vertex has heard the whole schedule and knows its own list,
+     the ID graph is common knowledge: one vertex computes its components
+     and label map for the run, and each vertex reads its own label.
+     Earlier (truncated runs), each vertex decides alone. *)
+  let finish st ~inbox =
+    let heard_schedule =
+      Inbox.rounds inbox >= rounds ~n:(View.n st.view) && Array.length st.nbrs = View.degree st.view
+    in
+    let complete_graph () =
+      let edges, complete = decode_graph st inbox in
+      if complete then Some (components st edges) else None
+    in
+    match if heard_schedule then Inbox.once inbox graph complete_graph else None with
+    | Some c -> answer st c
+    | None -> decide st inbox
   in
   Algo.bcc1 ~name ~rounds ~init ~step ~finish
 

@@ -79,8 +79,11 @@ let make ~k () =
   if k < 1 || k > 20 then invalid_arg "Hashed_discovery.make: k out of range";
   let name = Printf.sprintf "hashed-discovery[k=%d]" k in
   let rounds ~n:_ = 3 * k in
+  let verdict = Type.Id.make () in
   let init view =
-    if View.degree view > 2 then invalid_arg (name ^ ": needs a 2-regular input");
+    (* Degree exactly 2: a vertex of lower degree would pad its list with
+       hash 0, linking itself to 0 in everyone's graph but its own. *)
+    if View.degree view <> 2 then invalid_arg (name ^ ": needs a 2-regular input");
     { view; k; hash = hash_of ~coins:(View.coins view) ~k (View.id view); nbrs = [||] }
   in
   (* Schedule: rounds 1..k own hash; rounds k+1..3k the two neighbour
@@ -97,7 +100,14 @@ let make ~k () =
       (st, Codec.msg_of_bit (Codec.bit_of_int ~width:st.k ~pos value))
     end
   in
-  let finish st ~inbox = hashed_graph_connected st inbox in
+  (* After all 3k rounds every vertex has heard every hash and neighbour
+     list, its own included, so the hashed graph is common knowledge and
+     one vertex decides for the run. A truncated view knows its own
+     neighbours before the others have heard them, so it decides alone. *)
+  let finish st ~inbox =
+    let decide () = hashed_graph_connected st inbox in
+    if Inbox.rounds inbox >= 3 * k then Inbox.once inbox verdict decide else decide ()
+  in
   Algo.bcc1 ~name ~rounds ~init ~step ~finish
 
 let connectivity ~k = Algo.pack (make ~k ())

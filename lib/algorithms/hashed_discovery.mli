@@ -12,8 +12,8 @@
     by a concrete algorithm (experiment E3). *)
 
 val connectivity : k:int -> bool Bcclb_bcc.Algo.packed
-(** @raise Invalid_argument for k outside [1, 20] or non-2-regular
-    inputs. *)
+(** @raise Invalid_argument for k outside [1, 20], or at [init] on a
+    vertex whose degree is not exactly 2. *)
 
 val predicted_error : n:int -> k:int -> float
 (** Union-bound prediction for the balanced two-cycle instance. *)

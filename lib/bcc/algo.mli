@@ -29,7 +29,11 @@ type ('s, 'o) t = {
           [Silent] in round 1), and [Inbox.heard] reaches every earlier
           round. *)
   finish : 's -> inbox:Inbox.t -> 'o;
-      (** Final output; the inbox has heard rounds 1..T. *)
+      (** Final output; the inbox has heard rounds 1..T. What every
+          vertex computes alike once it has heard the whole schedule
+          (the input graph a discovery family rebuilds) may go through
+          [Inbox.once], so one vertex computes it for the run and the
+          others read it; the rest stays per vertex. *)
 }
 
 type 'o packed = Packed : ('s, 'o) t -> 'o packed

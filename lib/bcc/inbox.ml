@@ -51,6 +51,10 @@ let bits t ~port ~first ~width =
 
 let to_array t = Array.init (ports t) (latest t)
 
+(* The key includes the shift, so a compiled algorithm's inner views
+   (shifted past its own rounds) never meet its outer ones. *)
+let once t key f = Board.once t.board key ~shift:t.first f
+
 let shift t ~rounds:k =
   if k < 0 || k > rounds t then invalid_arg "Inbox.shift: more rounds than heard";
   { t with first = t.first + k }

@@ -9,7 +9,11 @@
     A view is live: it shows every round posted to its board so far, so
     in the step of round r it has heard rounds 1..r−1 and in [finish]
     every round. Algorithms read earlier rounds here instead of keeping
-    their own copies. *)
+    their own copies.
+
+    What every view of a board can work out alike is computed once per
+    board ({!once}): the first vertex that asks computes it through its
+    own view, the others get the stored value. *)
 
 type t
 
@@ -22,7 +26,9 @@ val view : board -> row:int array -> t
 val of_ports : board -> ports:int -> t
 (** A board whose arrays are already indexed by port, read through the
     identity row: the inboxes built by code rather than by the engine
-    (inner rounds of {!Split}, replays, embeddings, test oracles). *)
+    (inner rounds of {!Split}, replays, embeddings, test oracles). Each
+    such board belongs to one vertex, so {!once} on it shares nothing
+    across vertices. *)
 
 val ports : t -> int
 
@@ -49,6 +55,21 @@ val bits : t -> port:int -> first:int -> width:int -> int * bool
 val to_array : t -> Msg.t array
 (** The latest round by port, freshly allocated: what transcripts
     record. *)
+
+val once : t -> 'a Type.Id.t -> (unit -> 'a) -> 'a
+(** [once t key f]: common knowledge, computed once per board. The
+    first view that asks runs [f ()]; every other view of the same board
+    with the same rounds heard and the same {!shift} gets the stored
+    value ({!Bcclb_engine.Topology.Board.once}). [f] is the caller's own
+    per-vertex computation, read through its own view; the caller
+    declares that every vertex would compute the same value — in BCC
+    every broadcast reaches every vertex (§1.2), so this holds once the
+    vertex has heard its algorithm's full schedule, and not before (a
+    truncated view still knows its own neighbours before anyone else has
+    heard them). Like [Algo.anonymous] this is a declaration that tests
+    check, not something the types prove. Share only immutable values
+    (a bool, an int, a labels array), never a union-find. Make [key]
+    once per algorithm value ([Type.Id.make ()]). *)
 
 val shift : t -> rounds:int -> t
 (** The same view with its first [rounds] rounds dropped, so round 1 of

@@ -30,6 +30,19 @@ let is_input_port t v p = t.input.(v).(p)
 
 let is_input_edge t v u = t.input.(v).(port_to t v u)
 
+(* The input marking over a wiring already known to be a symmetric
+   clique: table sizes, and each flag equal at both ends of its edge. *)
+let validate_input ~n ~peer ~port_to (input : bool array array) =
+  if Array.length input <> n then invalid_arg "Instance.validate: table size mismatch";
+  for v = 0 to n - 1 do
+    if Array.length input.(v) <> n - 1 then invalid_arg "Instance.validate: port table size mismatch";
+    for p = 0 to n - 2 do
+      let u = peer.(v).(p) in
+      if input.(v).(p) <> input.(u).(port_to.(u).(v)) then
+        invalid_arg "Instance.validate: input flags not symmetric"
+    done
+  done
+
 let validate t =
   let n = t.n in
   if n < 2 then invalid_arg "Instance.validate: need at least 2 vertices";
@@ -40,11 +53,10 @@ let validate t =
       if Hashtbl.mem seen_ids id then invalid_arg "Instance.validate: duplicate ID";
       Hashtbl.add seen_ids id ())
     t.ids;
-  if Array.length t.peer <> n || Array.length t.input <> n || Array.length t.port_to <> n then
+  if Array.length t.peer <> n || Array.length t.port_to <> n then
     invalid_arg "Instance.validate: table size mismatch";
   for v = 0 to n - 1 do
-    if Array.length t.peer.(v) <> n - 1 || Array.length t.input.(v) <> n - 1 then
-      invalid_arg "Instance.validate: port table size mismatch";
+    if Array.length t.peer.(v) <> n - 1 then invalid_arg "Instance.validate: port table size mismatch";
     (* Each vertex sees every other vertex on exactly one port. *)
     let seen = Array.make n false in
     Array.iter
@@ -55,12 +67,12 @@ let validate t =
     for p = 0 to n - 2 do
       let u = t.peer.(v).(p) in
       if t.port_to.(v).(u) <> p then invalid_arg "Instance.validate: port_to inconsistent with peer";
-      (* Symmetry of the input-edge marking across the shared network edge. *)
       let q = t.port_to.(u).(v) in
-      if t.peer.(u).(q) <> v then invalid_arg "Instance.validate: wiring not symmetric";
-      if t.input.(v).(p) <> t.input.(u).(q) then invalid_arg "Instance.validate: input flags not symmetric"
+      if t.peer.(u).(q) <> v then invalid_arg "Instance.validate: wiring not symmetric"
     done
   done;
+  (* Symmetry of the input-edge marking across each shared network edge. *)
+  validate_input ~n ~peer:t.peer ~port_to:t.port_to t.input;
   (match t.knowledge with
   | KT0 -> ()
   | KT1 ->
@@ -82,8 +94,13 @@ let make_port_to ~n peer =
       Array.iteri (fun p u -> row.(u) <- p) peer.(v);
       row)
 
-let input_of_graph ~n peer g =
-  Array.init n (fun v -> Array.map (fun u -> Graph.mem_edge g v u) peer.(v))
+(* Row v marks the ports of v's graph neighbours, found through v's
+   port map: O(n + m) writes. *)
+let input_of_graph ~n ~port_to g =
+  Array.init n (fun v ->
+      let row = Array.make (n - 1) false in
+      Array.iter (fun u -> row.(port_to.(v).(u)) <- true) (Graph.neighbors g v);
+      row)
 
 (* Canonical circulant wiring: port p of v leads to v + p + 1 (mod n). The
    back port of (v, p) is n - 2 - p at the other end. Under this wiring a
@@ -93,35 +110,79 @@ let circulant_peer n = Arrayx.init_matrix n (n - 1) (fun v p -> (v + p + 1) mod 
 
 let default_ids n = Array.init n (fun v -> v + 1)
 
+(* The circulant wiring and default IDs depend only on n: built and
+   validated once per n and shared by every instance built on them,
+   process-wide under a mutex (the pattern of [Arena.get]). Nothing
+   writes them in place: [cross] and [copy] copy first, and [peer_row]'s
+   readers must not mutate. *)
+type circulant = { c_ids : int array; c_peer : int array array; c_port_to : int array array }
+
+let circulant_registry : (int, circulant) Hashtbl.t = Hashtbl.create 8
+let circulant_lock = Mutex.create ()
+
+let circulant n =
+  Mutex.lock circulant_lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock circulant_lock)
+    (fun () ->
+      match Hashtbl.find_opt circulant_registry n with
+      | Some c -> c
+      | None ->
+        let ids = default_ids n and peer = circulant_peer n in
+        let port_to = make_port_to ~n peer in
+        (* Every structural check, once, on the empty input graph. *)
+        let input = Array.make_matrix n (n - 1) false in
+        ignore (validate { knowledge = KT0; n; ids; peer; port_to; input });
+        let c = { c_ids = ids; c_peer = peer; c_port_to = port_to } in
+        Hashtbl.replace circulant_registry n c;
+        c)
+
 let kt0_circulant ?ids g =
   let n = Graph.n g in
   if n < 2 then invalid_arg "Instance.kt0_circulant: need at least 2 vertices";
-  let ids = match ids with Some a -> Array.copy a | None -> default_ids n in
-  let peer = circulant_peer n in
-  validate
-    { knowledge = KT0; n; ids; peer; port_to = make_port_to ~n peer; input = input_of_graph ~n peer g }
+  match ids with
+  | Some a ->
+    let peer = circulant_peer n in
+    let port_to = make_port_to ~n peer in
+    validate { knowledge = KT0; n; ids = Array.copy a; peer; port_to; input = input_of_graph ~n ~port_to g }
+  | None ->
+    let c = circulant n in
+    let input = input_of_graph ~n ~port_to:c.c_port_to g in
+    (* The shared tables are validated; only the input marking is new. *)
+    validate_input ~n ~peer:c.c_peer ~port_to:c.c_port_to input;
+    { knowledge = KT0; n; ids = c.c_ids; peer = c.c_peer; port_to = c.c_port_to; input }
 
-(* Census sweeps build one circulant instance per enumerated structure;
-   the clique tables and IDs depend only on n, so build them once and
-   stamp out instances from per-vertex cycle-neighbour pairs. The shared
-   tables are immutable and correct by construction, so the O(n^2)
-   per-instance validation of [kt0_circulant] is skipped — this is the
-   difference between instance construction dominating an arena sweep
-   and it being noise. *)
+(* Census sweeps build one circulant instance per enumerated structure,
+   from per-vertex cycle-neighbour pairs rather than a graph. The tables
+   are the validated shared ones; per instance only the neighbour table
+   is checked — in range, two distinct others, and each pair mutual,
+   which makes the input marking symmetric — in O(n), not the O(n²)
+   input scan. This is the difference between instance construction
+   dominating an arena sweep and it being noise. *)
+(* Does vertex u's neighbour pair name v? *)
+let names (neighbors : (int * int) array) u v =
+  let a, b = neighbors.(u) in
+  a = v || b = v
+
 let kt0_circulant_sweep n =
   if n < 2 then invalid_arg "Instance.kt0_circulant_sweep: need at least 2 vertices";
-  let ids = default_ids n in
-  let peer = circulant_peer n in
-  let port_to = make_port_to ~n peer in
+  let c = circulant n in
+  let peer = c.c_peer in
   fun neighbors ->
     if Array.length neighbors <> n then
       invalid_arg "Instance.kt0_circulant_sweep: neighbour table size mismatch";
+    for v = 0 to n - 1 do
+      let a, b = neighbors.(v) in
+      if a < 0 || a >= n || b < 0 || b >= n || a = v || b = v || a = b
+         || not (names neighbors a v && names neighbors b v)
+      then invalid_arg "Instance.kt0_circulant_sweep: neighbour table is not 2-regular"
+    done;
     let input =
       Array.init n (fun v ->
           let a, b = neighbors.(v) in
           Array.map (fun u -> u = a || u = b) peer.(v))
     in
-    { knowledge = KT0; n; ids; peer; port_to; input }
+    { knowledge = KT0; n; ids = c.c_ids; peer; port_to = c.c_port_to; input }
 
 let kt0_random ?ids rng g =
   let n = Graph.n g in
@@ -132,8 +193,8 @@ let kt0_random ?ids rng g =
   let base = circulant_peer n in
   let perms = Array.init n (fun _ -> Rng.permutation rng (n - 1)) in
   let peer = Arrayx.init_matrix n (n - 1) (fun v p -> base.(v).(perms.(v).(p))) in
-  validate
-    { knowledge = KT0; n; ids; peer; port_to = make_port_to ~n peer; input = input_of_graph ~n peer g }
+  let port_to = make_port_to ~n peer in
+  validate { knowledge = KT0; n; ids; peer; port_to; input = input_of_graph ~n ~port_to g }
 
 let kt1_of_graph ?ids g =
   let n = Graph.n g in
@@ -145,8 +206,8 @@ let kt1_of_graph ?ids g =
         Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) others;
         others)
   in
-  validate
-    { knowledge = KT1; n; ids; peer; port_to = make_port_to ~n peer; input = input_of_graph ~n peer g }
+  let port_to = make_port_to ~n peer in
+  validate { knowledge = KT1; n; ids; peer; port_to; input = input_of_graph ~n ~port_to g }
 
 let input_graph t =
   let edges = ref [] in

@@ -41,16 +41,20 @@ val is_input_edge : t -> int -> int -> bool
 val kt0_circulant : ?ids:int array -> Bcclb_graph.Graph.t -> t
 (** KT-0 instance over the canonical circulant wiring
     (port p of v → v+p+1 mod n); the shared background wiring of all
-    census-level instances. Default IDs are 1..n. *)
+    census-level instances. Default IDs are 1..n: the wiring tables and
+    IDs are then built and validated once per n and shared, and only the
+    input marking is checked per instance. With [?ids] everything is
+    built and validated afresh. *)
 
 val kt0_circulant_sweep : int -> (int * int) array -> t
-(** [kt0_circulant_sweep n] precomputes the circulant wiring tables and
-    default IDs once and returns a stamp: applied to a per-vertex
-    cycle-neighbour table (the two input-graph neighbours of each vertex
-    of a 2-regular instance), it builds the same instance
-    [kt0_circulant (Cycles.to_graph ...)] would, without the per-call
-    graph construction and O(n²) validation. The hot constructor behind
-    the core layer's census sweeps. *)
+(** [kt0_circulant_sweep n] returns a stamp over the same shared,
+    validated tables: applied to a per-vertex cycle-neighbour table (the
+    two input-graph neighbours of each vertex of a 2-regular instance),
+    it builds the same instance [kt0_circulant (Cycles.to_graph ...)]
+    would, without the graph construction, checking the table in O(n).
+    The hot constructor behind the core layer's census sweeps.
+    @raise Invalid_argument if the table is not 2-regular (a pair out
+    of range, repeated, naming the vertex itself, or not mutual). *)
 
 val kt0_random : ?ids:int array -> Bcclb_util.Rng.t -> Bcclb_graph.Graph.t -> t
 (** KT-0 instance with independently random port numbering at every

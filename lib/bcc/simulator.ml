@@ -9,6 +9,11 @@ type 'o result = { outputs : 'o array; transcripts : Transcript.t array; rounds_
    communicates" that the paper's counting arguments are about. *)
 let bits_broadcast_metric = Bcclb_obs.Metrics.Counter.v "engine.bits_broadcast"
 
+(* Values that [finish] computed once on the run's board ([Inbox.once])
+   and the lookups that reused them. *)
+let shared_misses_metric = Bcclb_obs.Metrics.Counter.v "bcc.shared_misses"
+let shared_hits_metric = Bcclb_obs.Metrics.Counter.v "bcc.shared_hits"
+
 let check_width ~b ~round ~vertex msg =
   if Msg.width msg > b then
     invalid_arg
@@ -24,7 +29,8 @@ let check_width ~b ~round ~vertex msg =
    board: each round's emissions array is posted as the engine built it,
    and vertex v's inbox is a view of it through v's port row, built once
    per run. The returned thunk runs [finish]: only entries that return
-   outputs call it. *)
+   outputs call it, and it lands the board's shared-value counts in
+   their series once. *)
 let execute ~entry ~seed ~record (Algo.Packed a) inst =
   let n = Instance.n inst in
   let b = a.Algo.bandwidth ~n in
@@ -49,7 +55,13 @@ let execute ~entry ~seed ~record (Algo.Packed a) inst =
   in
   Bcclb_obs.Metrics.Counter.add bits_broadcast_metric !bits;
   let outputs () =
-    Array.init n (fun v -> a.Algo.finish outcome.Engine.states.(v) ~inbox:outcome.Engine.final_inbox.(v))
+    let out =
+      Array.init n (fun v -> a.Algo.finish outcome.Engine.states.(v) ~inbox:outcome.Engine.final_inbox.(v))
+    in
+    let misses, hits = Topology.Board.shared board in
+    Bcclb_obs.Metrics.Counter.add shared_misses_metric misses;
+    Bcclb_obs.Metrics.Counter.add shared_hits_metric hits;
+    out
   in
   (kept, outputs)
 

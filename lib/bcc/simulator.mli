@@ -13,7 +13,10 @@
     entry enforces the bandwidth and feeds [engine.bits_broadcast]. A
     run keeps one board — each round's emissions, indexed by sender —
     and every vertex's inbox is a view of it through the vertex's port
-    row ({!Inbox}); only {!run} copies inboxes, into its transcripts. *)
+    row ({!Inbox}); only {!run} copies inboxes, into its transcripts.
+    The entries that call [finish] land the board's shared-value counts
+    ({!Inbox.once}) once per run in [bcc.shared_misses] (computed) and
+    [bcc.shared_hits] (reused). *)
 
 type 'o result = {
   outputs : 'o array;  (** Per-vertex outputs. *)

@@ -6,10 +6,15 @@ type ('emit, 'inbox) t = round:int -> prev:'inbox array -> 'emit array -> 'inbox
 
 module Board = struct
   (* Arrays are kept as posted, never copied. Slots past [rounds] are
-     unused; growth doubles. *)
-  type 'msg t = { mutable posts : 'msg array array; mutable rounds : int }
+     unused; growth doubles. The memo holds a handful of entries per run
+     (one per algorithm layer that asks), so a list is searched. *)
+  type entry = Entry : { key : 'a Type.Id.t; rounds : int; shift : int; value : 'a } -> entry
 
-  let create () = { posts = [||]; rounds = 0 }
+  type memo = { mutable entries : entry list; mutable misses : int; mutable hits : int }
+
+  type 'msg t = { mutable posts : 'msg array array; mutable rounds : int; memo : memo }
+
+  let create () = { posts = [||]; rounds = 0; memo = { entries = []; misses = 0; hits = 0 } }
 
   let post t msgs =
     if t.rounds = Array.length t.posts then begin
@@ -19,6 +24,30 @@ module Board = struct
     end;
     t.posts.(t.rounds) <- msgs;
     t.rounds <- t.rounds + 1
+
+  let once (type a) t (key : a Type.Id.t) ~shift f : a =
+    let rec find : entry list -> a option = function
+      | [] -> None
+      | Entry e :: rest ->
+        if e.rounds <> t.rounds || e.shift <> shift then find rest
+        else begin
+          match Type.Id.provably_equal e.key key with
+          | Some Type.Equal -> Some e.value
+          | None -> find rest
+        end
+    in
+    let m = t.memo in
+    match find m.entries with
+    | Some v ->
+      m.hits <- m.hits + 1;
+      v
+    | None ->
+      let v = f () in
+      m.entries <- Entry { key; rounds = t.rounds; shift; value = v } :: m.entries;
+      m.misses <- m.misses + 1;
+      v
+
+  let shared t = (t.memo.misses, t.memo.hits)
 end
 
 let board b ~round:_ ~prev emits =

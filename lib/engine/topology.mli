@@ -6,19 +6,33 @@ type ('emit, 'inbox) t = round:int -> prev:'inbox array -> 'emit array -> 'inbox
     [round + 1]; [prev] is the inboxes consumed in round [round] (the
     cumulative topology and the board need it). *)
 
-(** A run's broadcast history: one array per round, stored as posted. *)
+(** A run's broadcast history: one array per round, stored as posted,
+    and a memo of the values computed from it. *)
 module Board : sig
-  type 'msg t = private { mutable posts : 'msg array array; mutable rounds : int }
+  type memo
+  (** Values stored by {!once}, with their hit and miss counts. *)
+
+  type 'msg t = private { mutable posts : 'msg array array; mutable rounds : int; memo : memo }
   (** [posts.(r - 1)] is the array posted for round [r], for [r] up to
       [rounds]; later slots are unused. Readable in place, so views read
       it without a call per message; only {!post} writes it. *)
 
   val create : unit -> 'msg t
-  (** An empty board. *)
+  (** An empty board with an empty memo. *)
 
   val post : 'msg t -> 'msg array -> unit
   (** Append the next round's array. The board keeps the array itself,
       not a copy: the poster must not mutate it afterwards. *)
+
+  val once : 'msg t -> 'a Type.Id.t -> shift:int -> (unit -> 'a) -> 'a
+  (** [once t key ~shift f]: the value stored under [key] at the
+      board's current round count and [shift], computed by [f ()] and
+      stored on the first request (a miss) and returned as stored to
+      every later one (a hit). Nothing is stored if [f] raises. A board
+      belongs to one run on one domain, so there is no lock. *)
+
+  val shared : 'msg t -> int * int
+  (** [(misses, hits)] of {!once} on this board so far. *)
 end
 
 val board : 'msg Board.t -> ('msg, 'inbox) t

@@ -218,6 +218,136 @@ let test_hashed_discovery_rounds () =
   Alcotest.(check bool) "predicted error monotone" true
     (Hashed_discovery.predicted_error ~n:16 ~k:2 >= Hashed_discovery.predicted_error ~n:16 ~k:10)
 
+let test_hashed_discovery_refuses_degree () =
+  (* Degree 1 would pad with hash 0: every other vertex links the vertex
+     to hash 0 and the vertex itself does not, so verdicts would depend on
+     the vertex. Degrees 0 and 3 are refused the same way, at init. *)
+  let path = G.of_edges ~n:6 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5) ] in
+  let isolated = G.of_edges ~n:6 [ (0, 1); (1, 2); (2, 0); (3, 4) ] in
+  let claw = G.of_edges ~n:6 [ (0, 1); (0, 2); (0, 3); (4, 5) ] in
+  List.iter
+    (fun (what, g) ->
+      Alcotest.check_raises what (Invalid_argument "hashed-discovery[k=4]: needs a 2-regular input")
+        (fun () ->
+          ignore (Simulator.run_outputs (Hashed_discovery.connectivity ~k:4) (Instance.kt0_circulant g))))
+    [ ("degree 1", path); ("degree 0", isolated); ("degree 3", claw) ];
+  let rng = Rng.create ~seed:95 in
+  for _ = 1 to 20 do
+    let g = Ggen.random_bounded_degree rng 12 2 in
+    let two_regular = G.is_regular g ~k:2 in
+    let refused =
+      try
+        ignore (Simulator.run_outputs (Hashed_discovery.connectivity ~k:4) (Instance.kt0_circulant g));
+        false
+      with Invalid_argument _ -> true
+    in
+    Alcotest.(check bool) "refused iff not 2-regular" (not two_regular) refused
+  done
+
+(* ---- shared finishes against the isolated-replay oracle ---- *)
+
+let check_replay ~seed what algo inst =
+  Alcotest.(check (list int))
+    (Printf.sprintf "%s (seed %d): vertices whose shared finish differs from their own" what seed)
+    [] (Isolated_replay.disagreements ~seed algo inst)
+
+let truncations (Algo.Packed a) ~upto =
+  List.init (upto + 1) (fun t -> (t, Algo.pack (Algo.truncate ~rounds:t a)))
+
+let test_replay_hashed_discovery () =
+  (* Every truncation on random port wirings: below 3k rounds each vertex
+     decides alone, at 3k one vertex decides for the run. With these k
+     and seeds, several one-cycle runs truncated between 2k and 3k−1
+     rounds have vertices that disagree with each other, so sharing a
+     truncated verdict fails here. *)
+  let rng = Rng.create ~seed:96 in
+  List.iter
+    (fun k ->
+      for trial = 1 to 12 do
+        let n = 9 + (trial mod 5) in
+        let g = if trial mod 2 = 0 then Ggen.random_cycle rng n else Ggen.random_two_cycles rng n in
+        let inst = Instance.kt0_random rng g in
+        List.iter
+          (fun (t, algo) -> check_replay ~seed:trial (Printf.sprintf "k=%d t=%d n=%d" k t n) algo inst)
+          (truncations (Hashed_discovery.connectivity ~k) ~upto:(3 * k))
+      done)
+    [ 3; 4 ]
+
+let test_replay_discovery () =
+  (* Both truncated variants at every t up to the full schedule, and the
+     full components algorithm, in KT-0 (random wiring) and KT-1 (IDs a
+     random permutation of 1..n). *)
+  let rng = Rng.create ~seed:97 in
+  List.iter
+    (fun knowledge ->
+      for trial = 1 to 3 do
+        let n = 9 + trial in
+        let g = if trial mod 2 = 0 then Ggen.random_cycle rng n else Ggen.random_multicycle rng n in
+        let inst =
+          match knowledge with
+          | Instance.KT0 -> Instance.kt0_random rng g
+          | Instance.KT1 -> Instance.kt1_of_graph ~ids:(Array.map succ (Rng.permutation rng n)) g
+        in
+        let full = Algo.rounds (Discovery.connectivity ~knowledge ~max_degree:2) ~n in
+        for t = 0 to full do
+          check_replay ~seed:trial (Printf.sprintf "truncated t=%d" t)
+            (Discovery.connectivity_truncated ~knowledge ~max_degree:2 ~rounds:t ~optimist:true)
+            inst;
+          check_replay ~seed:trial (Printf.sprintf "partial t=%d" t)
+            (Discovery.connectivity_partial ~knowledge ~max_degree:2 ~rounds:t ~optimist:false)
+            inst
+        done;
+        check_replay ~seed:trial "components" (Discovery.components ~knowledge ~max_degree:2) inst
+      done)
+    [ Instance.KT0; Instance.KT1 ]
+
+let test_replay_board_readers () =
+  (* AGM and the adjacency matrix read every port's payload off the board;
+     KT-1 with IDs that are neither 1..n nor in vertex order, on a
+     two-component input and a G(n, p). *)
+  let rng = Rng.create ~seed:98 in
+  for trial = 1 to 2 do
+    let n = 9 in
+    let g = if trial = 1 then Ggen.multicycle_of_lengths rng n [ 4; 5 ] else Ggen.gnp rng n 0.3 in
+    let ids = Array.map (fun v -> (7 * v) + 3) (Rng.permutation rng n) in
+    let inst = Instance.kt1_of_graph ~ids g in
+    check_replay ~seed:trial "agm connectivity" (Agm_connectivity.connectivity ~bandwidth:4 ()) inst;
+    check_replay ~seed:trial "agm components" (Agm_connectivity.components ~bandwidth:4 ()) inst;
+    check_replay ~seed:trial "adjacency connectivity" (Adjacency_matrix.connectivity ()) inst;
+    check_replay ~seed:trial "adjacency components b=3" (Adjacency_matrix.components ~bandwidth:3 ()) inst;
+    Alcotest.(check bool) "adjacency components are right" true
+      (Problems.components_correct g
+         (Simulator.run_outputs ~seed:trial (Adjacency_matrix.components ~bandwidth:3 ()) inst))
+  done;
+  (* The KT-0 compiler hands its inner algorithm a shifted view of the
+     same board: the inner finish shares under its own shift. *)
+  let g = Ggen.random_multicycle rng 9 in
+  check_replay ~seed:3 "kt0[agm components]"
+    (Kt0_compiler.compile (Agm_connectivity.components ~bandwidth:4 ()))
+    (Instance.kt0_random rng g)
+
+let test_shared_counts () =
+  (* One computation and n-1 lookups per full run; none when truncated. *)
+  let misses = Bcclb_obs.Metrics.Counter.v "bcc.shared_misses"
+  and hits = Bcclb_obs.Metrics.Counter.v "bcc.shared_hits" in
+  let counted f =
+    let m0 = Bcclb_obs.Metrics.Counter.local misses and h0 = Bcclb_obs.Metrics.Counter.local hits in
+    f ();
+    (Bcclb_obs.Metrics.Counter.local misses - m0, Bcclb_obs.Metrics.Counter.local hits - h0)
+  in
+  let rng = Rng.create ~seed:99 in
+  let n = 12 in
+  let inst = Instance.kt0_circulant (Ggen.random_two_cycles rng n) in
+  let run algo () = ignore (Simulator.run_outputs ~seed:5 algo inst) in
+  Alcotest.(check (pair int int)) "full run" (1, n - 1)
+    (counted (run (Hashed_discovery.connectivity ~k:4)));
+  (match Hashed_discovery.connectivity ~k:4 with
+  | Algo.Packed a ->
+    Alcotest.(check (pair int int)) "truncated run" (0, 0)
+      (counted (run (Algo.pack (Algo.truncate ~rounds:11 a)))));
+  Alcotest.(check (pair int int)) "sent codes call no finish" (0, 0)
+    (counted (fun () -> ignore (Simulator.run_sent_codes (Hashed_discovery.connectivity ~k:4) inst)))
+
 let test_connectivity_partial () =
   (* With enough rounds to learn a short cycle's worth of edges, the
      partial decider certifies NO on small-cycle instances even though
@@ -534,6 +664,12 @@ let suites =
     Alcotest.test_case "adjacency matrix components" `Quick test_adjacency_matrix_components;
     Alcotest.test_case "hashed discovery one-sided" `Quick test_hashed_discovery_one_sided;
     Alcotest.test_case "hashed discovery rounds" `Quick test_hashed_discovery_rounds;
+    Alcotest.test_case "hashed discovery refuses degree != 2" `Quick test_hashed_discovery_refuses_degree;
+    Alcotest.test_case "shared finish = isolated replay: hashed discovery" `Quick
+      test_replay_hashed_discovery;
+    Alcotest.test_case "shared finish = isolated replay: discovery" `Quick test_replay_discovery;
+    Alcotest.test_case "shared finish = isolated replay: agm, adjacency" `Quick test_replay_board_readers;
+    Alcotest.test_case "shared finish counts" `Quick test_shared_counts;
     Alcotest.test_case "partial decider" `Quick test_connectivity_partial;
     Alcotest.test_case "agm sketch connectivity" `Slow test_agm_connectivity;
     Alcotest.test_case "agm sketch components" `Slow test_agm_components;

@@ -17,6 +17,40 @@ let test_instance_construction () =
   Alcotest.(check bool) "no edge 0-2" false (Instance.is_input_edge inst 0 2);
   Alcotest.(check bool) "graph roundtrip" true (G.equal (Instance.input_graph inst) cycle6)
 
+let test_circulant_tables () =
+  (* Default-ID circulant instances share tables built and validated once
+     per n; they equal the fully built and validated [?ids] path. *)
+  let rng = Rng.create ~seed:31 in
+  List.iter
+    (fun g ->
+      let n = G.n g in
+      let shared = Instance.kt0_circulant g in
+      Alcotest.(check bool) "= the fully validated build" true
+        (Instance.equal shared (Instance.kt0_circulant ~ids:(Array.init n succ) g));
+      ignore (Instance.validate shared))
+    [ Gen.random_cycle rng 9; Gen.random_two_cycles rng 12; Gen.gnp rng 10 0.4;
+      Gen.random_bounded_degree rng 11 3 ];
+  (* Crossing copies the shared tables first: later instances see none of
+     its rewiring. *)
+  let base = Instance.kt0_circulant cycle6 in
+  let crossed = Instance.cross base (0, 1) (3, 4) in
+  Alcotest.(check bool) "crossing rewired its copy" false (Instance.equal base crossed);
+  Alcotest.(check bool) "shared tables untouched" true (Instance.equal base (Instance.kt0_circulant cycle6));
+  Alcotest.(check int) "peer row untouched" 1 (Instance.peer (Instance.kt0_circulant cycle6) 0 0);
+  (* The census stamp builds the same instance from a cycle-neighbour
+     table, and refuses a table whose pairs are not mutual. *)
+  let g = Gen.random_cycle rng 10 in
+  let nbrs = Array.init 10 (fun v -> ((G.neighbors g v).(0), (G.neighbors g v).(1))) in
+  let stamp = Instance.kt0_circulant_sweep 10 in
+  Alcotest.(check bool) "stamp = kt0_circulant" true (Instance.equal (stamp nbrs) (Instance.kt0_circulant g));
+  let a, b = nbrs.(0) in
+  let stranger = List.find (fun u -> u <> 0 && u <> a && u <> b) (List.init 10 Fun.id) in
+  let broken = Array.copy nbrs in
+  broken.(0) <- (a, stranger);
+  Alcotest.check_raises "not mutual"
+    (Invalid_argument "Instance.kt0_circulant_sweep: neighbour table is not 2-regular") (fun () ->
+      ignore (stamp broken))
+
 let test_instance_random_wiring () =
   let rng = Rng.create ~seed:9 in
   let inst = Instance.kt0_random rng cycle6 in
@@ -341,6 +375,68 @@ let test_problems () =
   Alcotest.(check bool) "path not promise" false
     (Problems.is_two_cycle_input (G.of_edges ~n:3 [ (0, 1); (1, 2) ]))
 
+(* ---- Inbox.once: common knowledge computed once per board ---- *)
+
+(* A 2-round toy whose finish asks its board for a value that counts
+   how often it was computed. *)
+let counting_algo calls =
+  let key = Type.Id.make () in
+  Algo.pack
+    (Algo.bcc1 ~name:"counting" ~rounds:(fun ~n:_ -> 2) ~init:(fun _ -> ())
+       ~step:(fun () ~round:_ ~inbox:_ -> ((), Msg.one))
+       ~finish:(fun () ~inbox ->
+         Inbox.once inbox key (fun () ->
+             incr calls;
+             !calls)))
+
+let test_once_per_run () =
+  let calls = ref 0 in
+  let algo = counting_algo calls in
+  let inst = Instance.kt0_circulant cycle6 in
+  Alcotest.(check (array int)) "one computation, read by every vertex" (Array.make 6 1)
+    (Simulator.run_outputs algo inst);
+  Alcotest.(check (array int)) "the next run computes its own" (Array.make 6 2)
+    (Simulator.run_outputs algo inst);
+  Alcotest.(check (array int)) "so does a transcript run" (Array.make 6 3)
+    (Simulator.run algo inst).Simulator.outputs
+
+let test_once_keys () =
+  let module Board = Bcclb_engine.Topology.Board in
+  let board = Board.create () in
+  let a = Inbox.of_ports board ~ports:2 and b = Inbox.view board ~row:[| 1; 0 |] in
+  let key = Type.Id.make () and other = Type.Id.make () in
+  let calls = ref 0 in
+  let f () =
+    incr calls;
+    !calls
+  in
+  Board.post board [| Msg.zero; Msg.one |];
+  Alcotest.(check int) "first request computes" 1 (Inbox.once a key f);
+  Alcotest.(check int) "same board, rounds and shift: shared" 1 (Inbox.once b key f);
+  Alcotest.(check string) "another key computes" "other" (Inbox.once b other (fun () -> "other"));
+  Board.post board [| Msg.one; Msg.one |];
+  Alcotest.(check int) "one more round heard computes" 2 (Inbox.once a key f);
+  Alcotest.(check int) "a shifted view computes" 3 (Inbox.once (Inbox.shift a ~rounds:1) key f);
+  Alcotest.(check int) "same shift, other view: shared" 3 (Inbox.once (Inbox.shift b ~rounds:1) key f);
+  Alcotest.(check int) "unshifted again: shared" 2 (Inbox.once b key f);
+  Alcotest.check_raises "a raising computation" (Failure "no") (fun () ->
+      ignore (Inbox.once a other (fun () -> failwith "no")));
+  Alcotest.(check string) "stores nothing" "computed" (Inbox.once b other (fun () -> "computed"));
+  Alcotest.(check (pair int int)) "misses, hits" (5, 3) (Board.shared board)
+
+let test_once_split_inner () =
+  (* Split's inner rounds are a board per vertex: nothing is shared
+     across vertices there, and the run's board is never asked. *)
+  let calls = ref 0 in
+  let split = Split.compile (counting_algo calls) in
+  let misses = Bcclb_obs.Metrics.Counter.v "bcc.shared_misses" in
+  let before = Bcclb_obs.Metrics.Counter.local misses in
+  let out = Simulator.run_outputs split (Instance.kt0_circulant cycle6) in
+  Alcotest.(check int) "every vertex computed its own" 6 !calls;
+  Alcotest.(check (list int)) "six computations" [ 1; 2; 3; 4; 5; 6 ]
+    (List.sort Int.compare (Array.to_list out));
+  Alcotest.(check int) "no miss on the run's board" before (Bcclb_obs.Metrics.Counter.local misses)
+
 let test_components_verifier () =
   let g = Gen.multicycle_of_lengths (Rng.create ~seed:2) 10 [ 4; 6 ] in
   let truth = G.components g in
@@ -420,6 +516,7 @@ let test_split_preserves_silence_patterns () =
 let suites =
   [ Alcotest.test_case "instance construction" `Quick test_instance_construction;
     Alcotest.test_case "random wiring" `Quick test_instance_random_wiring;
+    Alcotest.test_case "circulant tables shared per n" `Quick test_circulant_tables;
     Alcotest.test_case "KT-1 wiring" `Quick test_kt1_wiring;
     Alcotest.test_case "KT-0 hides ids" `Quick test_kt0_view_hides_ids;
     Alcotest.test_case "independence (Def 3.2)" `Quick test_independence;
@@ -443,7 +540,10 @@ let suites =
     Alcotest.test_case "msg ordering" `Quick test_msg_ordering;
     Alcotest.test_case "1-bit messages allocate nothing" `Quick test_msg_of_bit_allocates_nothing;
     Alcotest.test_case "problem specs" `Quick test_problems;
-    Alcotest.test_case "components verifier" `Quick test_components_verifier ]
+    Alcotest.test_case "components verifier" `Quick test_components_verifier;
+    Alcotest.test_case "shared values: once per run" `Quick test_once_per_run;
+    Alcotest.test_case "shared values: rounds, shift and key" `Quick test_once_keys;
+    Alcotest.test_case "shared values: split inner boards" `Quick test_once_split_inner ]
 
 (* A deterministic pseudo-random inner BCC(b) algorithm: message widths
    and bits derived from (id, round, bits heard so far). Used to fuzz the
