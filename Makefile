@@ -9,14 +9,18 @@ test:
 	dune runtest
 
 # The tier-1 gate: what CI runs. Stray trace files from local --trace /
-# BCCLB_TRACE runs, dist sockets from killed --backend procs runs, serve
-# daemon leftovers (sockets, replay dumps, BENCH_serve.json), and the
-# arena orbit spill segments (results/cache/arena — content-addressed,
-# always rebuildable) are cleaned up so they never end up in commits.
+# BCCLB_TRACE runs, dist and metrics sockets from killed runs, scrape
+# captures, and the arena orbit spill segments (results/cache/arena —
+# content-addressed, always rebuildable) are cleaned up so they never end
+# up in commits. After the tests, tools/unused_exports fails the gate on
+# any lib/**/*.mli value that no other compilation unit references; it
+# reads the .cmt/.cmti files that `dune build @check` writes.
 check:
-	rm -f *.trace.json *.trace.jsonl *.sock serve-* BENCH_serve.json scrape.txt
+	rm -f *.trace.json *.trace.jsonl *.sock scrape.txt
 	rm -rf results/cache/arena telemetry-* e15-*
 	dune build && dune runtest
+	dune build @check ./tools/unused_exports.exe
+	./_build/default/tools/unused_exports.exe _build/default
 
 experiments:
 	dune exec bin/experiments.exe -- all

@@ -163,24 +163,26 @@ let with_trace trace f =
 
 (* --metrics-addr wraps a whole invocation too: bind the OpenMetrics
    endpoint before the work starts, tear it down (join the acceptor,
-   unlink the socket) once the work is done, whatever the exit path. *)
+   unlink the socket) once the work returns or raises. *)
 let with_metrics metrics f =
   match metrics with
   | None -> f ()
   | Some spec -> (
-    match Bcclb_dist.Addr.of_string spec with
-    | Error e ->
+    let fail e =
       Printf.eprintf "experiments: --metrics-addr: %s\n" e;
       Stdlib.exit 2
+    in
+    match Bcclb_dist.Addr.of_string spec with
+    | Error e -> fail e
     | Ok address -> (
-      match Bcclb_dist.Expose.start ~address () with
-      | Error e ->
-        Printf.eprintf "experiments: --metrics-addr: %s\n" e;
-        Stdlib.exit 2
-      | Ok endpoint ->
-        Printf.eprintf "[metrics] OpenMetrics on %s\n%!"
-          (Bcclb_dist.Addr.to_string (Bcclb_dist.Expose.address endpoint));
-        Fun.protect ~finally:(fun () -> Bcclb_dist.Expose.stop endpoint) f))
+      match
+        Bcclb_dist.Expose.with_endpoint ~address (fun endpoint ->
+            Printf.eprintf "[metrics] OpenMetrics on %s\n%!"
+              (Bcclb_dist.Addr.to_string (Bcclb_dist.Expose.address endpoint));
+            f ())
+      with
+      | Ok v -> v
+      | Error e -> fail e))
 
 (* A -n override is validated against each experiment's declared range
    BEFORE any enumeration starts: an infeasible size is a one-line
@@ -353,172 +355,6 @@ let worker_cmd =
             Stdlib.exit 2)
       $ socket_arg $ listen_arg $ metrics_addr_arg)
 
-(* ---- serve / load: the connectivity-query daemon and its driver ---- *)
-
-let serve_cmd =
-  let doc = "Serve connectivity queries over a socket (drive with $(b,experiments load))" in
-  let socket_arg =
-    Arg.(
-      value & opt string "serve.sock"
-      & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path to listen on.")
-  in
-  let tcp_port_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "tcp" ] ~docv:"PORT"
-          ~doc:"Listen on loopback TCP $(docv) instead of a unix socket.")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "domains" ] ~docv:"N" ~doc:"Handler domains accepting connections.")
-  in
-  Cmd.v (Cmd.info "serve" ~doc)
-    Term.(
-      const (fun socket tcp domains metrics ->
-          require_positive "--domains" (Some domains);
-          with_metrics metrics @@ fun () ->
-          let address =
-            match tcp with
-            | Some port ->
-              if port < 1 || port > 65535 then begin
-                Printf.eprintf "experiments: --tcp port out of range (got %d)\n" port;
-                Stdlib.exit 2
-              end;
-              Bcclb_dist.Addr.Tcp ("127.0.0.1", port)
-            | None -> Bcclb_dist.Addr.Unix_socket socket
-          in
-          match Bcclb_dist.Serve.start ~address ~domains () with
-          | Error e ->
-            Printf.eprintf "experiments: %s\n" e;
-            Stdlib.exit 2
-          | Ok server ->
-            (* SIGINT/SIGTERM request a graceful exit: drain the
-               acceptors, unlink the socket, flush the serve counters,
-               exit 0 — the shared drain protocol from Transport. *)
-            let stop = Bcclb_dist.Transport.install_stop_signals () in
-            Printf.printf "serve: listening on %s (%d domains)\n%!"
-              (Bcclb_dist.Addr.to_string (Bcclb_dist.Serve.address server))
-              domains;
-            Bcclb_dist.Transport.wait_stop stop;
-            Bcclb_dist.Serve.stop server;
-            List.iter
-              (fun (name, v) ->
-                match v with
-                | Obs.Metrics.Counter c when String.starts_with ~prefix:"serve." name ->
-                  Printf.eprintf "[serve] %s = %d\n" name c
-                | _ -> ())
-              (Obs.Metrics.snapshot ());
-            Printf.eprintf "[serve] shutdown complete\n%!")
-      $ socket_arg $ tcp_port_arg $ domains_arg $ metrics_addr_arg)
-
-let load_cmd =
-  let doc = "Drive a serve daemon: replay a query trace or generate load" in
-  let connect_arg =
-    Arg.(
-      value & opt string "unix:serve.sock"
-      & info [ "connect" ] ~docv:"ADDR"
-          ~doc:"Server address, $(b,unix:PATH) or $(b,tcp:HOST:PORT).")
-  in
-  let replay_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:
-            "Replay the query trace in $(docv) over one connection instead of generating \
-             load.")
-  in
-  let dump_arg =
-    Arg.(
-      value & flag
-      & info [ "dump-replies" ]
-          ~doc:"With $(b,--replay): print one response line per request to stdout.")
-  in
-  let clients_arg =
-    Arg.(value & opt int 1 & info [ "clients" ] ~docv:"N" ~doc:"Client connections (domains).")
-  in
-  let queries_arg =
-    Arg.(
-      value & opt int 100_000
-      & info [ "queries" ] ~docv:"N" ~doc:"Total requests across all clients.")
-  in
-  let batch_arg =
-    Arg.(value & opt int 1000 & info [ "batch" ] ~docv:"N" ~doc:"Requests per round trip.")
-  in
-  let gen_arg =
-    Arg.(value & opt int 8192 & info [ "gen" ] ~docv:"N" ~doc:"Vertices of the generated graph.")
-  in
-  let gen_edges_arg =
-    Arg.(
-      value & opt int 8192
-      & info [ "gen-edges" ] ~docv:"M" ~doc:"Random edges loaded into the served graph.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"Deterministic workload seed.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the BENCH_serve.json report to $(docv).")
-  in
-  let qps_arg =
-    Arg.(
-      value & flag
-      & info [ "qps-report" ]
-          ~doc:"Print a Prometheus-style quantile summary of the report to stdout.")
-  in
-  Cmd.v (Cmd.info "load" ~doc)
-    Term.(
-      const (fun connect replay dump clients queries batch gen gen_edges seed out qps ->
-          match Bcclb_dist.Addr.of_string connect with
-          | Error e ->
-            Printf.eprintf "experiments: --connect: %s\n" e;
-            Stdlib.exit 2
-          | Ok addr -> (
-            match replay with
-            | Some file -> (
-              let dumpf = if dump then Some print_endline else None in
-              match Bcclb_dist.Load.replay ~connect:addr ~file ~dump:dumpf with
-              | Error e ->
-                Printf.eprintf "experiments: %s\n" e;
-                Stdlib.exit 1
-              | Ok sent -> Printf.eprintf "[load] replayed %d requests from %s\n%!" sent file)
-            | None -> (
-              match
-                Bcclb_dist.Load.config ~connect:addr ~clients ~queries ~batch ~gen_n:gen
-                  ~gen_edges ~seed
-              with
-              | Error e ->
-                Printf.eprintf "experiments: %s\n" e;
-                Stdlib.exit 2
-              | Ok cfg -> (
-                match Bcclb_dist.Load.run cfg with
-                | Error e ->
-                  Printf.eprintf "experiments: %s\n" e;
-                  Stdlib.exit 1
-                | Ok report ->
-                  (match out with
-                  | Some file ->
-                    H.Json.write_file ~pretty:true file report;
-                    Printf.eprintf "[load] report -> %s\n%!" file
-                  | None -> ());
-                  if qps then print_string (Bcclb_dist.Load.qps_report report);
-                  let gi k =
-                    Option.value ~default:0
-                      (Option.bind (H.Json.member k report) H.Json.to_int_opt)
-                  in
-                  let gf k =
-                    Option.value ~default:0.0
-                      (Option.bind (H.Json.member k report) H.Json.to_float_opt)
-                  in
-                  Printf.eprintf "[load] %d queries, %d clients, %.2fs, %.0f qps\n%!"
-                    (gi "queries") (gi "clients") (gf "elapsed_seconds") (gf "qps")))))
-      $ connect_arg $ replay_arg $ dump_arg $ clients_arg $ queries_arg $ batch_arg $ gen_arg
-      $ gen_edges_arg $ seed_arg $ out_arg $ qps_arg)
-
 (* ---- stats: render the manifest's metrics block as a table ---- *)
 
 let float_s f = Printf.sprintf "%.6f" f
@@ -683,4 +519,4 @@ let () =
   in
   exit
     (Cmd.eval
-       (Cmd.group info [ list_cmd; run_cmd; all_cmd; stats_cmd; serve_cmd; load_cmd; worker_cmd ]))
+       (Cmd.group info [ list_cmd; run_cmd; all_cmd; stats_cmd; worker_cmd ]))

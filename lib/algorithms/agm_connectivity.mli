@@ -23,10 +23,6 @@ type params = { copies : int; check_bits : int; phases : int }
 
 val default_params : n:int -> params
 
-val total_rounds : ?bandwidth:int -> n:int -> params -> int
-(** Broadcast rounds = ⌈phases · copies · sampler bits / b⌉; at the
-    default b = 1 exactly the payload bit count, O(log³ n). *)
-
 val connectivity : ?bandwidth:int -> unit -> bool Bcclb_bcc.Algo.packed
 
 val components : ?bandwidth:int -> unit -> int Bcclb_bcc.Algo.packed

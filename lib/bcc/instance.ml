@@ -12,10 +12,8 @@ type t = {
   input : bool array array;
 }
 
-let knowledge t = t.knowledge
 let n t = t.n
 let ids t = Array.copy t.ids
-let id_of t v = t.ids.(v)
 
 let peer t v p = t.peer.(v).(p)
 
@@ -25,8 +23,6 @@ let port_to t v u =
   let p = t.port_to.(v).(u) in
   if p < 0 then invalid_arg "Instance.port_to: no port between these vertices";
   p
-
-let is_input_port t v p = t.input.(v).(p)
 
 let is_input_edge t v u = t.input.(v).(port_to t v u)
 
@@ -266,17 +262,5 @@ let cross t (v1, u1) (v2, u2) =
   swap_ports u2 (port_to t u2 v2) (port_to t u2 v1);
   r
 
-let copy t =
-  { t with
-    ids = Array.copy t.ids;
-    peer = Arrayx.matrix_copy t.peer;
-    port_to = Arrayx.matrix_copy t.port_to;
-    input = Arrayx.matrix_copy t.input }
-
 let equal a b =
   a.knowledge = b.knowledge && a.n = b.n && a.ids = b.ids && a.peer = b.peer && a.input = b.input
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%s instance, n=%d@,input graph: %a@]"
-    (match t.knowledge with KT0 -> "KT-0" | KT1 -> "KT-1")
-    t.n Graph.pp (input_graph t)

@@ -12,13 +12,10 @@ type knowledge = KT0 | KT1
 
 type t
 
-val knowledge : t -> knowledge
 val n : t -> int
 
 val ids : t -> int array
 (** Fresh copy: [ids.(v)] is vertex v's ID. *)
-
-val id_of : t -> int -> int
 
 val peer : t -> int -> int -> int
 (** [peer t v p]: the vertex at the far end of port [p] of vertex [v]. *)
@@ -31,9 +28,6 @@ val peer_row : t -> int -> int array
 val port_to : t -> int -> int -> int
 (** [port_to t v u]: the port of [v] whose far end is [u].
     @raise Invalid_argument if [u = v]. *)
-
-val is_input_port : t -> int -> int -> bool
-(** Is the network edge at this port an input-graph edge? *)
 
 val is_input_edge : t -> int -> int -> bool
 (** Is {u, v} an input-graph edge? *)
@@ -87,9 +81,5 @@ val cross : t -> int * int -> int * int -> t
     @raise Invalid_argument if the edges are not independent or the
     instance is KT-1 (where ports are pinned to IDs). *)
 
-val copy : t -> t
-
 val equal : t -> t -> bool
 (** Same knowledge, IDs, wiring, and input marking. *)
-
-val pp : Format.formatter -> t -> unit

@@ -10,15 +10,11 @@ let one = Word (Bits.of_bool true)
 (* Every 1-bit emission is one of these two values: no allocation. *)
 let of_bit b = if b then one else zero
 
-let of_bits b = Word b
-
 let of_int ~width v = Word (Bits.of_int ~width v)
 
 let width = function Silent -> 0 | Word b -> Bits.width b
 
 let is_silent = function Silent -> true | Word _ -> false
-
-let to_bits_opt = function Silent -> None | Word b -> Some b
 
 let equal a b =
   match (a, b) with
@@ -52,12 +48,6 @@ let code1 = function
     if Bits.width b <> 1 then invalid_arg "Msg.code1: message is not 1-bit";
     if Bits.to_bool b then 3 else 2
 
-let of_code1 = function
-  | 0 -> Silent
-  | 2 -> zero
-  | 3 -> one
-  | c -> invalid_arg (Printf.sprintf "Msg.of_code1: invalid code %d" c)
-
 let char_of_code1 = function
   | 0 -> '_'
   | 2 -> '0'
@@ -65,5 +55,3 @@ let char_of_code1 = function
   | c -> invalid_arg (Printf.sprintf "Msg.char_of_code1: invalid code %d" c)
 
 let to_string = function Silent -> "_" | Word b -> Bits.to_string b
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -2,8 +2,6 @@ open Bcclb_graph
 
 let system_decision outputs = Array.for_all Fun.id outputs
 
-let connectivity_truth g = Graph.is_connected g
-
 (* The TwoCycle promise (§3): a single cycle, or exactly two disjoint
    cycles, every cycle length >= 3. *)
 let is_two_cycle_input g =

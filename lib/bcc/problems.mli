@@ -5,16 +5,11 @@
 val system_decision : bool array -> bool
 (** §1.2: the system outputs YES iff {e all} vertices output YES. *)
 
-val connectivity_truth : Bcclb_graph.Graph.t -> bool
-
 val is_two_cycle_input : Bcclb_graph.Graph.t -> bool
 (** The §3 promise: one cycle or two disjoint cycles, lengths ≥ 3. *)
 
 val is_multicycle_input : Bcclb_graph.Graph.t -> bool
 (** The §4 promise: one cycle, or ≥ 2 disjoint cycles each of length ≥ 4. *)
-
-val decision_correct : truth:bool -> bool array -> bool
-(** Is the system decision equal to the ground truth? *)
 
 val components_correct : Bcclb_graph.Graph.t -> int array -> bool
 (** ConnectedComponents verifier: the per-vertex labels must induce

@@ -43,8 +43,6 @@ let make ~fingerprint ~sent ~received =
 
 let rounds t = Array.length t.sent
 
-let fingerprint t = t.fingerprint
-
 let sent t r =
   if r < 1 || r > rounds t then invalid_arg "Transcript.sent: round out of range";
   t.sent.(r - 1)
@@ -75,7 +73,3 @@ let equal a b =
   && Bits.Seq.equal a.packed b.packed
 
 let bits_broadcast t = Array.fold_left (fun acc m -> acc + Msg.width m) 0 t.sent
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>sent: %s@]"
-    (String.concat "," (Array.to_list (Array.map Msg.to_string t.sent)))

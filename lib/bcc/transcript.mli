@@ -12,9 +12,6 @@ val make : fingerprint:string -> sent:Msg.t array -> received:Msg.t array array 
 
 val rounds : t -> int
 
-val fingerprint : t -> string
-(** {!View.fingerprint} of the vertex at round 0. *)
-
 val sent : t -> int -> Msg.t
 (** [sent t r], rounds numbered from 1. @raise Invalid_argument. *)
 
@@ -41,5 +38,3 @@ val equal : t -> t -> bool
 
 val bits_broadcast : t -> int
 (** Total bits this vertex broadcast (silence counts 0). *)
-
-val pp : Format.formatter -> t -> unit

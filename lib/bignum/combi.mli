@@ -4,8 +4,6 @@
     r = n!/(2^{n/2}(n/2)!) (Lemma 4.1) overflow machine integers around
     n = 20–25, and the communication lower bounds are log₂ of these. *)
 
-val factorial : int -> Nat.t
-
 val binomial : int -> int -> Nat.t
 (** Zero outside the triangle. *)
 

@@ -142,10 +142,6 @@ let num_bits (t : t) =
     ((l - 1) * base_bits) + (Bcclb_util.Mathx.ilog2 top + 1)
   end
 
-let bit (t : t) i =
-  let limb = i / base_bits and off = i mod base_bits in
-  if limb >= Array.length t then false else (t.(limb) lsr off) land 1 = 1
-
 let shift_left (t : t) k =
   if k < 0 then invalid_arg "Nat.shift_left: negative shift";
   if is_zero t then zero

@@ -49,8 +49,6 @@ val pow : t -> int -> t
 val num_bits : t -> int
 (** Position of the highest set bit plus one; 0 for zero. *)
 
-val bit : t -> int -> bool
-
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 

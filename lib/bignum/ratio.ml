@@ -13,16 +13,9 @@ let make num den =
 let zero = { num = Zint.zero; den = Zint.one }
 let one = { num = Zint.one; den = Zint.one }
 
-let of_zint z = { num = z; den = Zint.one }
-let of_int n = of_zint (Zint.of_int n)
 let of_ints num den = make (Zint.of_int num) (Zint.of_int den)
 
-let num t = t.num
-let den t = t.den
-
 let is_zero t = Zint.is_zero t.num
-
-let sign t = Zint.sign t.num
 
 let neg t = { t with num = Zint.neg t.num }
 

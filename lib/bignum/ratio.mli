@@ -7,24 +7,11 @@ type t
 val zero : t
 val one : t
 
-val make : Zint.t -> Zint.t -> t
-(** [make num den], normalised. @raise Division_by_zero on zero denominator. *)
-
-val of_zint : Zint.t -> t
-val of_int : int -> t
-
 val of_ints : int -> int -> t
 (** [of_ints num den]. @raise Division_by_zero on zero denominator. *)
 
-val num : t -> Zint.t
-val den : t -> Zint.t
-(** Always positive. *)
-
 val is_zero : t -> bool
 
-val sign : t -> int
-
-val neg : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t

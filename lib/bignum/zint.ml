@@ -7,7 +7,6 @@ let make sign mag = if Nat.is_zero mag then { sign = Pos; mag } else { sign; mag
 
 let zero = { sign = Pos; mag = Nat.zero }
 let one = { sign = Pos; mag = Nat.one }
-let minus_one = { sign = Neg; mag = Nat.one }
 
 let of_nat mag = { sign = Pos; mag }
 
@@ -23,10 +22,6 @@ let is_zero t = Nat.is_zero t.mag
 let sign t = if Nat.is_zero t.mag then 0 else match t.sign with Pos -> 1 | Neg -> -1
 
 let neg t = make (match t.sign with Pos -> Neg | Neg -> Pos) t.mag
-
-let abs t = { t with sign = Pos }
-
-let abs_nat t = t.mag
 
 let compare a b =
   match (a.sign, b.sign) with
@@ -50,8 +45,6 @@ let sub a b = add a (neg b)
 
 let mul a b = make (if a.sign = b.sign then Pos else Neg) (Nat.mul a.mag b.mag)
 
-let mul_int a n = mul a (of_int n)
-
 (* Truncated division (round toward zero), matching OCaml's [/] and [mod]. *)
 let divmod a b =
   if is_zero b then raise Division_by_zero;
@@ -60,9 +53,6 @@ let divmod a b =
   let r = make a.sign r in
   (q, r)
 
-let div a b = fst (divmod a b)
-let rem a b = snd (divmod a b)
-
 (* [divexact a b] assumes b divides a exactly; checked. *)
 let divexact a b =
   let q, r = divmod a b in
@@ -70,8 +60,6 @@ let divexact a b =
   q
 
 let gcd a b = of_nat (Nat.gcd a.mag b.mag)
-
-let pow a k = make (if a.sign = Neg && k land 1 = 1 then Neg else Pos) (Nat.pow a.mag k)
 
 let to_string t = (match t.sign with Pos -> "" | Neg -> "-") ^ Nat.to_string t.mag
 

@@ -7,9 +7,7 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
-val of_nat : Nat.t -> t
 val of_int : int -> t
 val to_int_opt : t -> int option
 
@@ -19,10 +17,6 @@ val sign : t -> int
 (** -1, 0, or 1. *)
 
 val neg : t -> t
-val abs : t -> t
-
-val abs_nat : t -> Nat.t
-(** Magnitude. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
@@ -30,14 +24,10 @@ val equal : t -> t -> bool
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val mul_int : t -> int -> t
 
 val divmod : t -> t -> t * t
 (** Truncated division (OCaml convention: remainder has the dividend's
     sign). @raise Division_by_zero. *)
-
-val div : t -> t -> t
-val rem : t -> t -> t
 
 val divexact : t -> t -> t
 (** Exact division. @raise Invalid_argument if the remainder is non-zero —
@@ -46,8 +36,6 @@ val divexact : t -> t -> t
 
 val gcd : t -> t -> t
 (** Non-negative gcd of magnitudes. *)
-
-val pow : t -> int -> t
 
 val to_string : t -> string
 val of_string : string -> t

@@ -14,11 +14,8 @@
 val gadget : Bcclb_partition.Set_partition.t -> Bcclb_partition.Set_partition.t -> Bcclb_graph.Graph.t
 (** @raise Invalid_argument on mismatched ground sets. *)
 
-val vertex_a : n:int -> int -> int
 val vertex_l : n:int -> int -> int
-val vertex_r : n:int -> int -> int
-val vertex_b : n:int -> int -> int
-(** Vertex indices of the four groups. @raise Invalid_argument out of range. *)
+(** Vertex index in the L group. @raise Invalid_argument out of range. *)
 
 val alice_hosts : n:int -> int -> bool
 (** Alice hosts A ∪ L (the first 2n vertices) in the §4.3 simulation. *)
@@ -26,9 +23,6 @@ val alice_hosts : n:int -> int -> bool
 val two_gadget :
   Bcclb_partition.Set_partition.t -> Bcclb_partition.Set_partition.t -> Bcclb_graph.Graph.t
 (** @raise Invalid_argument if either input is not a TwoPartition. *)
-
-val two_vertex_l : n:int -> int -> int
-val two_vertex_r : n:int -> int -> int
 
 val two_alice_hosts : n:int -> int -> bool
 

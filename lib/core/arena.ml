@@ -162,7 +162,6 @@ type t = {
   one : Cycles.t array;
   one_cyc : int array array;  (* the single canonical cycle of each V1 structure *)
   two : Cycles.t array;
-  two_smaller : int array;  (* smaller cycle length of each V2 structure *)
   two_index : (int, handle) Hashtbl.t;  (* packed canonical key -> handle *)
   codes_memo : (string * int * bool, int array array) Hashtbl.t;
       (* (algorithm, seed, rotation atlas?) -> codes per representative *)
@@ -178,7 +177,6 @@ let create ~n =
       let one = Census.one_cycles ~n in
       let two = Census.two_cycles ~n in
       let one_cyc = Array.map (fun s -> List.hd (Cycles.cycles s)) one in
-      let two_smaller = Array.map (fun s -> List.fold_left min n (Cycles.lengths s)) two in
       let two_index = Hashtbl.create (2 * Array.length two) in
       Array.iteri (fun h s -> Hashtbl.replace two_index (key_two s) h) two;
       Obs.Metrics.Counter.add interned_one_metric (Array.length one);
@@ -187,7 +185,6 @@ let create ~n =
         one;
         one_cyc;
         two;
-        two_smaller;
         two_index;
         codes_memo = Hashtbl.create 4;
         memo_lock = Mutex.create ();
@@ -227,7 +224,6 @@ let two_structure t h = t.two.(h)
 let one_structures t = t.one
 let two_structures t = t.two
 let one_cycle t h = t.one_cyc.(h)
-let two_smaller_len t h = t.two_smaller.(h)
 
 let two_handle t ~key =
   Obs.Metrics.Counter.incr cross_probes_metric;
@@ -469,7 +465,6 @@ module Orbit = struct
     mutable resident_bytes : int;
   }
 
-  let n t = t.n
   let n_reps t = t.n_reps
   let total_weight t = t.total_weight
   let num_segments t = Array.length t.segs

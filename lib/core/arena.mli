@@ -38,10 +38,6 @@ val supported : n:int -> (unit, string) result
 (** Range check with a human-readable refusal — what the CLI surfaces
     before any enumeration starts. *)
 
-val coord_width : n:int -> int
-(** Bits per vertex coordinate in {!Orbit} records: 4 wherever 4 bits
-    suffice (n ≤ 16, the key width), ⌈log₂ n⌉ beyond. *)
-
 val create : n:int -> t
 (** Enumerate and intern both censuses.
     @raise Invalid_argument outside [min_n..max_n] (the {!supported}
@@ -68,9 +64,6 @@ val two_structures : t -> Bcclb_graph.Cycles.t array
 
 val one_cycle : t -> handle -> int array
 (** The single canonical cycle of a V₁ structure. Do not mutate. *)
-
-val two_smaller_len : t -> handle -> int
-(** Smaller cycle length of a V₂ structure (the i of Lemma 3.9's Tᵢ). *)
 
 val key_two : Bcclb_graph.Cycles.t -> int
 (** Packed canonical key of a two-cycle structure:
@@ -174,7 +167,7 @@ val require_codable : string -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit
 (** Segmented, spillable store of V₁'s rotation-orbit representatives.
 
     One fixed-width record per representative — the canonical cycle minus
-    its leading 0 at {!coord_width} bits per vertex, then a weight byte —
+    its leading 0 at 4 bits per vertex (⌈log₂ n⌉ past n = 16), then a weight byte —
     packed into segments that live as CRC-32-checksummed files under a
     content-addressed directory of [results/cache/arena]. A warm process
     reopens the manifest and streams records off disk, so re-runs never
@@ -185,15 +178,9 @@ val require_codable : string -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit
 module Orbit : sig
   type store
 
-  val min_n : int
-  (** 3. *)
-
   val max_n : int
   (** 13 — the exhaustive frontier: ~18.4M representatives standing for
       the 239.5M instances of V₁. *)
-
-  val default_root : string
-  (** ["results/cache/arena"]. *)
 
   val create : ?root:string -> n:int -> unit -> store
   (** Open warm from a valid manifest, else enumerate (branch-parallel
@@ -203,8 +190,6 @@ module Orbit : sig
 
   val get : ?root:string -> n:int -> unit -> store
   (** Shared per-(n, root) store, created on first use. Thread-safe. *)
-
-  val n : store -> int
 
   val n_reps : store -> int
   (** Number of representatives (records). *)

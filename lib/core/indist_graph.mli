@@ -32,9 +32,6 @@ val num_edges : t -> int
 val degree_v1 : t -> int -> int
 val degree_v2 : t -> int -> int
 
-val neighborhood : t -> int list -> int
-(** |N(S)| for a set S of left indices. *)
-
 val hall_condition_sampled :
   ?samples:int -> Bcclb_util.Rng.t -> t -> k:int -> (unit, int list) result
 (** Check |N(S)| ≥ k·|S| on random subsets of the positive-degree left

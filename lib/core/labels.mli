@@ -3,12 +3,6 @@
     indistinguishability graph. Labels are strings over {'0','1','_'}
     ({!Bcclb_bcc.Transcript.sent_string}). *)
 
-val sent_codes : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> Bcclb_graph.Cycles.t -> int array
-(** Per-vertex packed broadcast codes (2 bits per round, LSB-first,
-    {!Bcclb_bcc.Msg.code1} alphabet) — the machine-word labels
-    {!Indist_graph} compares. Requires a codable algorithm
-    ({!Arena.require_codable}). *)
-
 val string_of_code : rounds:int -> int -> string
 (** Decode a packed code to the {'0','1','_'} presentation string. *)
 
@@ -17,7 +11,8 @@ val code_of_string : string -> int
 
 val sent_strings : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> Bcclb_graph.Cycles.t -> string array
 (** Per-vertex broadcast strings after running the algorithm on the
-    structure's canonical instance: a decoded view of {!sent_codes}.
+    structure's canonical instance: a decoded view of the packed codes
+    {!Indist_graph} compares.
     @raise Invalid_argument, naming the limit, for an algorithm that
     {!Arena.require_codable} refuses. *)
 

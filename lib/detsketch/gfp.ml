@@ -31,7 +31,6 @@ let for_universe ~universe =
 
 let prime t = t.p
 let element_bits t = t.bits
-let zmod t = t.z
 let normalize t x = Zmod.normalize t.z x
 let add t a b = Zmod.add t.z a b
 let sub t a b = Zmod.sub t.z a b

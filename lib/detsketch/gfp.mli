@@ -29,9 +29,6 @@ val prime : t -> int
 val element_bits : t -> int
 (** ⌈log₂ p⌉: bits to serialize one field element. *)
 
-val zmod : t -> Bcclb_linalg.Zmod.t
-(** The underlying arithmetic context. *)
-
 val normalize : t -> int -> int
 val add : t -> int -> int -> int
 val sub : t -> int -> int -> int

@@ -10,10 +10,6 @@ let create ~field ~r =
   if r < 1 then invalid_arg "Syndrome.create: need at least one element";
   { field; s = Array.make r 0 }
 
-let field t = t.field
-let length t = Array.length t.s
-let elements t = Array.copy t.s
-
 let add t ~coord ~weight =
   let f = t.field in
   let alpha = coord + 1 in
@@ -35,7 +31,6 @@ let merge_into ~into t =
     into.s.(j) <- Gfp.add into.field into.s.(j) t.s.(j)
   done
 
-let copy t = { t with s = Array.copy t.s }
 let is_zero t = Array.for_all (fun x -> x = 0) t.s
 let equal a b = Gfp.equal a.field b.field && a.s = b.s
 

@@ -24,17 +24,8 @@ val elements_for : s:int -> int
 (** 2s + 3: syndrome length needed to decode sparsity s with the ±3
     misdecode margin above. *)
 
-val max_sparsity : r:int -> int
-(** Largest s decodable from an r-element syndrome: (r − 3) / 2. *)
-
 val create : field:Gfp.t -> r:int -> t
 (** The all-zero syndrome with [r] elements. *)
-
-val field : t -> Gfp.t
-val length : t -> int
-
-val elements : t -> int array
-(** Fresh copy of [S_0; …; S_{r−1}], each in [0, p). *)
 
 val add : t -> coord:int -> weight:int -> unit
 (** S_j ← S_j + weight·(coord + 1)^j for every j. Linearity in person:
@@ -46,7 +37,6 @@ val merge_into : into:t -> t -> unit
 (** Pointwise sum: the sketch of the sum of the underlying vectors.
     @raise Invalid_argument on mismatched fields or lengths. *)
 
-val copy : t -> t
 val is_zero : t -> bool
 val equal : t -> t -> bool
 

@@ -26,9 +26,6 @@ val roster_of_string : string -> (t list, string) result
 (** Comma-separated address lists — the [--workers tcp:h:p,…] roster
     syntax. Blank items are skipped; an empty roster is an error. *)
 
-val is_ipv6_literal : string -> bool
-(** The host needs [PF_INET6] and brackets in the printed form. *)
-
 val sockaddr : t -> Unix.sockaddr
 (** @raise Failure when a TCP host does not resolve. *)
 

@@ -15,14 +15,6 @@ val spawn_argv : (string -> string array) -> address:string -> int
     both stdout and stderr — worker chatter must never leak into the
     coordinator's report stream. *)
 
-val cell_timeout_env : string
-(** ["BCCLB_DIST_CELL_TIMEOUT"] — overrides the leased-worker progress
-    deadline (seconds); CI's stall smoke shortens it. *)
-
-val heartbeat_timeout_env : string
-(** ["BCCLB_DIST_HEARTBEAT_TIMEOUT"] — overrides the idle-worker
-    deadline (seconds). *)
-
 val install :
   ?transport:[ `Unix_socket | `Tcp ] ->
   ?heartbeat_interval:float ->

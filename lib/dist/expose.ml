@@ -7,9 +7,9 @@
    request head, and reads the response to EOF. The request line is
    read only to drain it (any path answers the same body); malformed or
    silent clients are cut off by a receive timeout so a stuck scraper
-   cannot wedge the acceptor. The stop protocol is the serve daemon's:
-   flip the flag, wake the acceptor with a throwaway connection, join,
-   close + unlink. *)
+   cannot wedge the acceptor. Stopping flips the flag, wakes the
+   blocked acceptor with a throwaway connection, joins it, then closes
+   and unlinks the listener. *)
 
 module Obs = Bcclb_obs
 
@@ -116,6 +116,11 @@ let stop t =
     Transport.close_listener t.listener
   end
 
+let with_endpoint ~address f =
+  Result.map
+    (fun t -> Fun.protect ~finally:(fun () -> stop t) (fun () -> f t))
+    (start ~address ())
+
 (* ---- the scrape client ---- *)
 
 let read_all fd =
@@ -151,7 +156,8 @@ let split_head raw =
     | _ :: "200" :: _ -> Ok body
     | _ -> Error ("scrape: non-200 response: " ^ status_line))
 
-let scrape ?(timeout = 5.0) address =
+let scrape address =
+  let timeout = 5.0 in
   match Unix.socket ~cloexec:true (Addr.domain address) Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error (e, _, _) -> Error ("scrape: " ^ Unix.error_message e)
   | fd -> (

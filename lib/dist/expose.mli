@@ -1,8 +1,8 @@
 (** Live metrics endpoint: OpenMetrics over minimal HTTP/1.0.
 
     [start] binds a {!Transport} listener (unix or TCP — the
-    [--metrics-addr tcp:host:port] flag on [experiments run],
-    [worker --listen] and [serve]) and answers every connection with
+    [--metrics-addr] flag on [experiments run], [all] and
+    [worker --listen]) and answers every connection with
     {!Bcclb_obs.Expo.render} of the registry snapshot taken at scrape
     time, so a sweep's live counters (including deltas absorbed from
     workers mid-flight) are visible to Prometheus, [curl], or
@@ -27,7 +27,14 @@ val stop : t -> unit
 (** Drain, join the acceptor, close and unlink the endpoint.
     Idempotent. *)
 
-val scrape : ?timeout:float -> Addr.t -> (string, string) result
+val with_endpoint : address:Addr.t -> (t -> 'a) -> ('a, string) result
+(** {!start} an endpoint, run [f] on it, then {!stop} it whether [f]
+    returns or raises — the wrapper behind every [--metrics-addr].
+    [Error] is {!start}'s bind failure, and [f] does not run. A process
+    that [exit]s inside [f] skips the stop and leaves a unix socket
+    path behind. *)
+
+val scrape : Addr.t -> (string, string) result
 (** One-shot client: connect, send a [GET /metrics] request, return the
-    response body (the OpenMetrics text). [timeout] (default 5 s)
-    bounds both connect-side sends and reads. *)
+    response body (the OpenMetrics text). A 5 s timeout bounds both
+    connect-side sends and reads. *)

@@ -19,14 +19,13 @@ type t
 val env_var : string
 (** ["BCCLB_DIST_FAULTS"]. *)
 
-val empty : t
 val is_empty : t -> bool
 
 val parse : string -> (t, string) result
-(** Comma-separated [kind:cell] entries; [""] is {!empty}. *)
+(** Comma-separated [kind:cell] entries; [""] is the empty plan. *)
 
 val of_env : unit -> (t, string) result
-(** {!parse} of [$BCCLB_DIST_FAULTS]; unset means {!empty}. A malformed
+(** {!parse} of [$BCCLB_DIST_FAULTS]; unset means the empty plan. A malformed
     spec is an [Error] the worker reports as fatal — a typo'd fault
     test should fail loudly, not silently run faultless. *)
 

@@ -100,11 +100,6 @@ type from_worker =
 
 (** {2 Join handshake} *)
 
-val fingerprint : unit -> string
-(** This process's binary digest (hex MD5 of [Sys.executable_name]),
-    computed once. The [BCCLB_DIST_FINGERPRINT] env var overrides it —
-    a test hook for forcing skew without a second binary. *)
-
 val fingerprint_env : string
 (** ["BCCLB_DIST_FINGERPRINT"]. *)
 

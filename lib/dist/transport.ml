@@ -1,12 +1,11 @@
-(* The endpoint layer under the dist runtime: every place that used to
-   hand-roll socket setup and framed I/O (the coordinator's listener,
-   the worker's dial-back, the serve daemon, the load client) goes
-   through here. A [listener] owns bind/listen/accept and the unlink of
-   a unix-domain socket path; a [Conn.t] owns one connected fd, its
-   incremental {!Wire} reader and a last-activity clock for heartbeat
-   deadlines. The SIGINT/SIGTERM drain-and-unlink protocol shared by
-   the serve daemon, the listen-mode worker and the CLI lives here too
-   ({!install_stop_signals}/{!wait_stop}). *)
+(* The endpoint layer under the dist runtime: socket setup and framed
+   I/O for the coordinator's listener, the worker's dial-back and
+   listen endpoint, and the metrics endpoint. A [listener] owns
+   bind/listen/accept and the unlink of a unix-domain socket path; a
+   [Conn.t] owns one connected fd, its incremental {!Wire} reader and a
+   last-activity clock for heartbeat deadlines. The SIGINT/SIGTERM stop
+   flag of the drain-and-unlink shutdown lives here too
+   ({!install_stop_signals}). *)
 
 module Obs = Bcclb_obs
 
@@ -26,13 +25,13 @@ let close_listener l =
     | Addr.Tcp _ -> ()
   end
 
-let listen ?(backlog = 64) ?(reuseaddr = true) addr =
+let listen ?(backlog = 64) addr =
   match
     let fd = Unix.socket ~cloexec:true (Addr.domain addr) Unix.SOCK_STREAM 0 in
     (try
        (match addr with
        | Addr.Unix_socket _ -> ()
-       | Addr.Tcp _ -> if reuseaddr then Unix.setsockopt fd Unix.SO_REUSEADDR true);
+       | Addr.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
        Unix.bind fd (Addr.sockaddr addr);
        Unix.listen fd backlog
      with e ->
@@ -58,7 +57,7 @@ let sock_counter = Atomic.make 0
 
 (* A fresh local endpoint nobody else can be squatting on: a unique
    socket path in $TMPDIR, or a kernel-chosen loopback TCP port. *)
-let listen_local ?backlog transport =
+let listen_local transport =
   let addr =
     match transport with
     | `Unix_socket ->
@@ -72,7 +71,7 @@ let listen_local ?backlog transport =
       Addr.Unix_socket path
     | `Tcp -> Addr.Tcp ("127.0.0.1", 0)
   in
-  match listen ?backlog addr with
+  match listen addr with
   | Ok l -> l
   | Error e -> failwith ("dist: " ^ e)
 
@@ -88,8 +87,6 @@ module Conn = struct
 
   let fd t = t.fd
   let is_closed t = t.closed
-  let last_seen t = t.last_seen
-  let touch t = t.last_seen <- now ()
   let idle_for ~now:t_now t = t_now -. t.last_seen
 
   let close t =
@@ -102,7 +99,7 @@ module Conn = struct
      reusable. Retries cover scheduler lag between a coordinator
      listening and its spawned workers dialing back (and the converse
      for pre-started rosters). *)
-  let dial ?(tries = 20) ?(retry_delay = 0.05) addr =
+  let dial ?(tries = 20) addr =
     let rec go tries =
       match Unix.socket ~cloexec:true (Addr.domain addr) Unix.SOCK_STREAM 0 with
       | exception Unix.Unix_error (err, _, _) ->
@@ -114,7 +111,7 @@ module Conn = struct
             Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.ETIMEDOUT), _, _)
           when tries > 0 ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
-          Unix.sleepf retry_delay;
+          Unix.sleepf 0.05;
           go (tries - 1)
         | exception Unix.Unix_error (err, _, _) ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -170,21 +167,16 @@ let accept_all l ~on_conn =
   in
   go ()
 
-(* ---- the shared SIGINT/SIGTERM drain protocol ----
+(* ---- the SIGINT/SIGTERM stop flag ----
 
-   One flag, two signals, and a polling wait: the serve daemon, the
-   listen-mode worker and `experiments serve` all used to hand-roll
-   this trio (set a flag from the handler, poll it, drain in-flight
-   work, unlink the socket file on the way out). Keeping it here means
-   the unlink cannot be forgotten: pair [wait_stop] with
-   [close_listener].
-
-   The handler only flips the flag — a trace flush does file I/O and
-   must not run in signal context — so the span buffer is flushed by an
-   [at_exit] hook instead: whichever way the drained daemon leaves
-   (normal return, [exit 0], even a Fatal's [exit 3]), an active
-   file-backed trace is written out rather than lost. Registered once,
-   from the first [install_stop_signals]. *)
+   The handler only flips the flag; the caller polls it, drains its
+   in-flight work, and closes its listener (which unlinks a unix socket
+   path). A trace flush does file I/O and must not run in signal
+   context, so the span buffer is flushed by an [at_exit] hook instead:
+   whichever way the drained process leaves (normal return, [exit 0],
+   even a Fatal's [exit 3]), an active file-backed trace is written out
+   rather than lost. Registered once, from the first
+   [install_stop_signals]. *)
 
 let trace_flush_registered = Atomic.make false
 
@@ -198,8 +190,3 @@ let install_stop_signals () =
   flag
 
 let stop_requested flag = Atomic.get flag
-
-let wait_stop ?(poll = 0.2) flag =
-  while not (Atomic.get flag) do
-    try Unix.sleepf poll with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done

@@ -2,12 +2,10 @@
 
     Every socket the dist runtime opens goes through this layer: the
     coordinator's listener and its dial-outs to roster workers, the
-    worker's dial-back and its [--listen] endpoint, the serve daemon's
-    listener and the load client's connections. It owns the three
-    things the call sites used to hand-roll — accept/connect setup,
-    {!Wire} framing over a connected fd, and activity clocks for
-    heartbeat deadlines — plus the SIGINT/SIGTERM drain-and-unlink
-    shutdown protocol shared by the long-lived daemons. *)
+    worker's dial-back and its [--listen] endpoint, and the metrics
+    endpoint's listener. It owns accept/connect setup, {!Wire} framing
+    over a connected fd, and activity clocks for heartbeat deadlines —
+    plus the SIGINT/SIGTERM stop flag of the drain-and-unlink shutdown. *)
 
 val now : unit -> float
 (** Monotonic seconds ({!Bcclb_obs.Mclock}) — the clock every deadline
@@ -17,13 +15,14 @@ val now : unit -> float
 
 type listener
 
-val listen : ?backlog:int -> ?reuseaddr:bool -> Addr.t -> (listener, string) result
-(** Bind and listen on [addr]. TCP listeners set [SO_REUSEADDR] by
-    default; a TCP port of [0] is resolved to the kernel-chosen port in
-    {!listener_addr}. [Error] explains a bind/listen failure (e.g. a
-    unix socket path that already exists). *)
+val listen : ?backlog:int -> Addr.t -> (listener, string) result
+(** Bind and listen on [addr] ([backlog] defaults to 64). TCP listeners
+    set [SO_REUSEADDR]; a TCP port of [0] is resolved to the
+    kernel-chosen port in {!listener_addr}. [Error] explains a
+    bind/listen failure (e.g. a unix socket path that already
+    exists). *)
 
-val listen_local : ?backlog:int -> [ `Unix_socket | `Tcp ] -> listener
+val listen_local : [ `Unix_socket | `Tcp ] -> listener
 (** A fresh local endpoint for self-populated rosters: a unique socket
     path under [$TMPDIR] ([bcclb-dist-<pid>-<n>.sock]) or an ephemeral
     loopback TCP port. @raise Failure if the kernel refuses. *)
@@ -42,21 +41,19 @@ module Conn : sig
   val of_fd : Unix.file_descr -> t
   (** Wrap an accepted fd; the activity clock starts now. *)
 
-  val dial : ?tries:int -> ?retry_delay:float -> Addr.t -> (t, string) result
+  val dial : ?tries:int -> Addr.t -> (t, string) result
   (** Connect to [addr], retrying refused/absent endpoints [tries]
-      times [retry_delay] seconds apart (covers the race between a
-      process listening and its peer dialing). A fresh socket per
-      attempt — a failed connect poisons its fd. *)
+      times (default 20) 50 ms apart (covers the race between a process
+      listening and its peer dialing). A fresh socket per attempt — a
+      failed connect poisons its fd. *)
 
   val fd : t -> Unix.file_descr
   val is_closed : t -> bool
   val close : t -> unit
 
-  val last_seen : t -> float
-  val touch : t -> unit
   val idle_for : now:float -> t -> float
-  (** Heartbeat-deadline support: seconds since the last byte arrived
-      (or {!touch}). *)
+  (** Heartbeat-deadline support: seconds since the last byte
+      arrived. *)
 
   val send : t -> string -> unit
   (** One {!Wire} frame out, blocking. Raises [Unix.Unix_error] as
@@ -64,7 +61,7 @@ module Conn : sig
       wrap it. *)
 
   val recv : t -> (string, Wire.error) result
-  (** One frame in, blocking — the worker/serve/load side. *)
+  (** One frame in, blocking — the worker side. *)
 
   val pump :
     ?on_bytes:(int -> unit) ->
@@ -88,15 +85,10 @@ val accept_all : listener -> on_conn:(Conn.t -> unit) -> unit
 val install_stop_signals : unit -> bool Atomic.t
 (** Install SIGINT/SIGTERM handlers that set (and only set) the
     returned flag — the first half of the drain protocol shared by the
-    serve daemon, the listen-mode worker and the CLI. Also registers
+    listen-mode worker and [stats --follow]. Also registers
     (once per process) an [at_exit] hook calling
     {!Bcclb_obs.Trace.stop}, so a SIGTERM'd daemon that traces via
     [$BCCLB_TRACE] flushes a complete file on every exit path instead
     of losing its span buffer. *)
 
 val stop_requested : bool Atomic.t -> bool
-
-val wait_stop : ?poll:float -> bool Atomic.t -> unit
-(** Sleep-poll the flag until it is set (EINTR-safe, so the signal
-    itself wakes the wait). Pair with {!close_listener} to complete
-    drain-and-unlink. *)

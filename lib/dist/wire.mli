@@ -25,7 +25,7 @@ type error =
   | Bad_magic
   | Bad_version of int  (** The version byte that was seen. *)
   | Bad_crc
-  | Oversized of int  (** Declared payload length beyond {!max_payload}. *)
+  | Oversized of int  (** Declared payload length beyond 1 GiB. *)
   | Trailing of int  (** [decode] only: bytes left over after the frame. *)
 
 val error_to_string : error -> string
@@ -34,16 +34,12 @@ val version : int
 val header_size : int
 (** 13 bytes. *)
 
-val max_payload : int
-(** 1 GiB — a sanity bound so a corrupt length field cannot trigger a
-    giant allocation. *)
-
 val crc32 : string -> int
 (** IEEE CRC-32 (the zlib/PNG polynomial), as an unsigned 32-bit value
     in an OCaml [int]. *)
 
 val encode : string -> string
-(** Frame a payload. @raise Invalid_argument beyond {!max_payload}. *)
+(** Frame a payload. @raise Invalid_argument beyond 1 GiB. *)
 
 val decode : string -> (string, error) result
 (** Decode exactly one frame: the whole string must be the frame —

@@ -223,9 +223,11 @@ let main ?(resolve = H.Registry.find) ~address () =
 
 (* Listen mode: a pre-started roster worker. Serves one coordinator
    session per accepted connection, forever, until SIGINT/SIGTERM —
-   then drains (the in-flight session sees the flag between cells) and
-   unlinks its endpoint. A Reject is logged but not fatal: the skewed
-   coordinator goes away, and a rebuilt one may dial in later. *)
+   then drains (the in-flight session sees the flag between cells),
+   unlinks its endpoint and returns, so the caller's own teardown (a
+   metrics endpoint's unlink) still runs. A Reject is logged but not
+   fatal: the skewed coordinator goes away, and a rebuilt one may dial
+   in later. *)
 let main_listen ?(resolve = H.Registry.find) ~address () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let addr = parse_address address in
@@ -257,5 +259,4 @@ let main_listen ?(resolve = H.Registry.find) ~address () =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     done;
     Transport.close_listener l;
-    Printf.eprintf "[worker %d] stopped, endpoint removed\n%!" (Unix.getpid ());
-    exit 0
+    Printf.eprintf "[worker %d] stopped, endpoint removed\n%!" (Unix.getpid ())

@@ -48,6 +48,6 @@ val main_listen :
   unit
 (** Listen mode. Binds [address] (e.g. [tcp:127.0.0.1:7801]), serves
     coordinator sessions until SIGINT/SIGTERM, removes the endpoint and
-    exits 0. A handshake rejection ends the session but not the
+    returns. A handshake rejection ends the session but not the
     process. Exits 3 if the address cannot be bound or a session hits a
     fatal protocol error, 66 on an injected crash. *)

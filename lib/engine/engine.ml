@@ -31,8 +31,6 @@ let runs_metric = Metrics.Counter.v "engine.runs"
 let rounds_metric = Metrics.Counter.v "engine.rounds"
 let emissions_metric = Metrics.Counter.v "engine.emissions"
 
-let run_count () = Metrics.Counter.total runs_metric
-
 let domain_run_count () = Metrics.Counter.local runs_metric
 
 let run ?(observers = []) spec ~init_state ~init_inbox =

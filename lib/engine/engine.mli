@@ -20,14 +20,6 @@ type ('state, 'inbox) outcome = {
   rounds_used : int;
 }
 
-val run_count : unit -> int
-(** Process-wide count of {!run} invocations — a view over the sharded
-    [engine.runs] counter of {!Bcclb_obs.Metrics} (each pool worker
-    increments its own shard lock-free; the total merges them). Reads
-    concurrent with live workers may miss in-flight increments; deltas
-    taken after workers join are exact. The loop also maintains
-    [engine.rounds] and [engine.emissions]. *)
-
 val domain_run_count : unit -> int
 (** The {!run} invocations made on the calling domain: its own shard of
     [engine.runs]. Exact at any time, and blind to runs on other

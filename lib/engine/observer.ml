@@ -19,8 +19,6 @@ let make ?(on_start = nop4) ?(on_round_start = nop1) ?(on_emit = nop_emit) ?(on_
     () =
   { on_start; on_round_start; on_emit; on_round_end }
 
-let nop = { on_start = nop4; on_round_start = nop1; on_emit = nop_emit; on_round_end = nop_end }
-
 let combine observers =
   { on_start = (fun ~n ~rounds -> List.iter (fun o -> o.on_start ~n ~rounds) observers);
     on_round_start = (fun ~round -> List.iter (fun o -> o.on_round_start ~round) observers);
@@ -51,21 +49,6 @@ let counter ~width =
       ()
   in
   (obs, fun () -> !total)
-
-(* Per-vertex packed emission recorder: each emission's [width]-bit
-   [code] is appended to that vertex's growable bit sequence as it
-   happens — no per-round message arrays, no string concatenation. The
-   BCC layer instantiates this with the 2-bit {0,1,⊥} code to capture
-   broadcast sequences directly in packed form. *)
-let packed_recorder ~n ~width ~code =
-  let seqs = Array.init n (fun _ -> Bcclb_util.Bits.Seq.create ()) in
-  let obs =
-    make
-      ~on_emit:(fun ~round:_ ~vertex ~inbox:_ ~emit ->
-        Bcclb_util.Bits.Seq.append_word seqs.(vertex) ~width ~value:(code emit))
-      ()
-  in
-  (obs, fun () -> seqs)
 
 (* Monotonic, same clock as Obs.Trace spans: wall-clock steps (NTP
    slews, DST) can never produce a negative or skewed round time, and a

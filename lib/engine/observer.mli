@@ -18,8 +18,6 @@ type ('emit, 'inbox) t = {
       (** After the exchange of [round]: the inboxes for the next round. *)
 }
 
-val nop : ('emit, 'inbox) t
-
 val make :
   ?on_start:(n:int -> rounds:int -> unit) ->
   ?on_round_start:(round:int -> unit) ->
@@ -41,16 +39,6 @@ val counter : width:('emit -> int) -> ('emit, 'inbox) t * (unit -> int)
     feeds the process-wide [engine.bits_broadcast] series of
     {!Bcclb_obs.Metrics}, so manifests and traces see broadcast volume
     without a second mechanism. *)
-
-val packed_recorder :
-  n:int ->
-  width:int ->
-  code:('emit -> int) ->
-  ('emit, 'inbox) t * (unit -> Bcclb_util.Bits.Seq.seq array)
-(** [packed_recorder ~n ~width ~code]: record each vertex's emissions as
-    a packed bit sequence, [width] bits per round appended directly — the
-    allocation-light way to capture broadcast sequences. The reader
-    returns the live per-vertex sequences (do not mutate). *)
 
 val round_timer : unit -> ('emit, 'inbox) t * (unit -> float array)
 (** Per-round elapsed time, in round order. Unit: seconds, measured on

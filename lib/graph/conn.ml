@@ -3,7 +3,6 @@ module Ufind = Bcclb_ufind.Ufind
 type t = Ufind.t
 
 let create = Ufind.create
-let size = Ufind.size
 let union = Ufind.union
 let find = Ufind.find
 let same = Ufind.same_set

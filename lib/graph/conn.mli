@@ -14,7 +14,6 @@
 type t
 
 val create : int -> t
-val size : t -> int
 
 val union : t -> int -> int -> bool
 (** Merge; [true] iff the sets were distinct. *)

@@ -28,8 +28,6 @@ val lengths : t -> int list
 val equal : t -> t -> bool
 val compare_t : t -> t -> int
 
-val to_edges : t -> (int * int) list
-
 val to_graph : n:int -> t -> Graph.t
 
 val of_graph : Graph.t -> t option

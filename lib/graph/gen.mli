@@ -7,9 +7,6 @@
 val cycle : int -> Graph.t
 (** The canonical n-cycle 0−1−…−(n−1)−0. @raise Invalid_argument for n < 3. *)
 
-val cycle_of_order : int array -> Graph.t
-(** Cycle visiting the vertices in the given order. *)
-
 val random_cycle : Bcclb_util.Rng.t -> int -> Graph.t
 (** Uniformly random one-cycle instance on n vertices. *)
 

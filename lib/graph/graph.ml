@@ -92,11 +92,6 @@ let conn t =
   iter_edges (fun u v -> ignore (Conn.union c u v)) t;
   c
 
-let ufind t =
-  let uf = Bcclb_ufind.Ufind.create t.n in
-  iter_edges (fun u v -> ignore (Bcclb_ufind.Ufind.union uf u v)) t;
-  uf
-
 let components_of_edges ~n edges =
   let c = Conn.create n in
   Array.iter (fun (u, v) -> ignore (Conn.union c u v)) edges;
@@ -113,12 +108,3 @@ let is_regular t ~k =
   loop 0
 
 let equal a b = a.n = b.n && a.adj = b.adj
-
-let compare_graphs a b = compare (a.n, a.adj) (b.n, b.adj)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<hov 2>graph(n=%d,@ edges=[%a])@]" t.n
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt ";@ ")
-       (fun fmt (u, v) -> Format.fprintf fmt "%d-%d" u v))
-    (edges t)

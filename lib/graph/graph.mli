@@ -35,17 +35,11 @@ val iter_edges : (int -> int -> unit) -> t -> unit
 (** Visit each edge once, (u, v) with u < v, lexicographic order,
     without materialising a list. *)
 
-val ufind : t -> Bcclb_ufind.Ufind.t
-(** Lock-free component structure of the graph — the shared-memory form
-    the serve daemon and bulk component calls build once and query
-    concurrently. *)
-
 val components_of_edges : n:int -> (int * int) array -> int array
 (** Bulk entry point for the Borůvka-family hot loops: canonical
     component labels (smallest member) of the graph with the given edges,
-    without constructing a {!t}. Dispatches on the same oracle switch as
-    {!components}; both paths canonicalise identically, so downstream
-    reports are byte-identical either way. *)
+    without constructing a {!t}. Runs on the same {!Conn} oracle as
+    {!components} and labels identically. *)
 
 val components : t -> int array
 (** Canonical component labels (smallest vertex in each component). *)
@@ -60,5 +54,3 @@ val is_regular : t -> k:int -> bool
     unions of the TwoCycle/MultiCycle promise problems. *)
 
 val equal : t -> t -> bool
-val compare_graphs : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -9,13 +9,8 @@ type t
 val create : int -> t
 (** [create n]: n singleton sets {0}, …, {n−1}. *)
 
-val size : t -> int
-
 val components : t -> int
 (** Current number of disjoint sets. *)
-
-val find : t -> int -> int
-(** Representative of the set containing the element. *)
 
 val union : t -> int -> int -> bool
 (** Merge two sets; [true] iff they were distinct. *)

@@ -12,8 +12,6 @@ let stores_metric = Obs.Metrics.Counter.v "cache.stores"
 let load_seconds = Obs.Metrics.Histogram.v "cache.load_seconds"
 let store_seconds = Obs.Metrics.Histogram.v "cache.store_seconds"
 
-let default_root = Filename.concat "results" "cache"
-
 let create ~root =
   Fsutil.mkdir_p root;
   { root }

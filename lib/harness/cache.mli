@@ -28,9 +28,6 @@ val format_epoch : int
     against a different epoch are refused at handshake time before they
     can write incompatible entries into a shared cache root. *)
 
-val default_root : string
-(** ["results/cache"]. *)
-
 val create : root:string -> t
 (** Creates [root] (and parents) if missing. *)
 

@@ -282,8 +282,6 @@ let of_string s =
   if !pos <> n then parse_error !pos "trailing content after JSON value";
   v
 
-let of_string_opt s = try Some (of_string s) with Failure _ -> None
-
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
 let to_list_opt = function List xs -> Some xs | _ -> None

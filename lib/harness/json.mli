@@ -30,8 +30,6 @@ val of_string : string -> t
     @raise Failure with a position-annotated message on malformed
     input. *)
 
-val of_string_opt : string -> t option
-
 (** Accessors for walking parsed documents; [None] on shape mismatch. *)
 
 val member : string -> t -> t option

@@ -19,8 +19,6 @@ let v bindings =
   check sorted;
   sorted
 
-let bindings t = t
-
 let find_opt t k = List.assoc_opt k t
 
 let missing fn t k =
@@ -29,7 +27,6 @@ let missing fn t k =
 
 let int t k = match find_opt t k with Some (Int i) -> i | _ -> missing "int" t k
 let float t k = match find_opt t k with Some (Float f) -> f | _ -> missing "float" t k
-let bool t k = match find_opt t k with Some (Bool b) -> b | _ -> missing "bool" t k
 let str t k = match find_opt t k with Some (Str s) -> s | _ -> missing "str" t k
 
 let value_to_display = function

@@ -17,16 +17,13 @@ val v : (string * value) list -> t
     @raise Invalid_argument on duplicate keys or a key containing ['='],
     [';'] or a newline (they would break the canonical encoding). *)
 
-val bindings : t -> (string * value) list
-
 val find_opt : t -> string -> value option
 
 val int : t -> string -> int
 (** @raise Invalid_argument when missing or not an [Int]; same pattern
-    for {!float}, {!bool} and {!str}. *)
+    for {!float} and {!str}. *)
 
 val float : t -> string -> float
-val bool : t -> string -> bool
 val str : t -> string -> string
 
 val value_to_display : value -> string

@@ -54,24 +54,6 @@ type report = {
   cell_reports : cell_report list;  (** In grid order. *)
 }
 
-val metrics_json : unit -> Json.t
-(** The merged {!Bcclb_obs.Metrics} snapshot as one JSON object keyed by
-    metric name. Counters/gauges carry a [value]; histograms carry
-    [count]/[sum]/[mean], [p50]/[p90]/[p99] estimates, the finite bucket
-    bounds [le] and the [length le + 1] bucket [counts] (last =
-    overflow). This is the ["metrics"] block of the run manifest, and
-    what [experiments stats] renders. *)
-
-val process_json : unit -> Json.t
-(** GC words/collections and peak RSS at call time — the ["process"]
-    block. *)
-
-val provenance_json : unit -> Json.t
-(** Git commit, OCaml version, hostname and the raw
-    [$BCCLB_NUM_DOMAINS] value ([null] where unavailable). Recorded in
-    the manifest so cached reports are attributable; cache keys ignore
-    all of it. *)
-
 val write_manifest :
   path:string -> cache_root:string option -> num_domains:int -> report list -> unit
 (** Pretty-printed JSON ([bcclb-run-manifest-v2]) with per-experiment

@@ -18,11 +18,7 @@ let of_weighted pairs =
 
 let uniform xs = of_weighted (List.map (fun x -> (x, 1.0)) xs)
 
-let of_samples xs = uniform xs
-
 let prob t x = Option.value ~default:0.0 (Hashtbl.find_opt t x)
-
-let support t = Hashtbl.fold (fun x _ acc -> x :: acc) t []
 
 let size t = Hashtbl.length t
 

@@ -10,13 +10,9 @@ val of_weighted : ('a * float) list -> 'a t
 val uniform : 'a list -> 'a t
 (** Uniform over the multiset (duplicates accumulate). *)
 
-val of_samples : 'a list -> 'a t
-(** Empirical distribution of samples (alias of {!uniform}). *)
-
 val prob : 'a t -> 'a -> float
 (** 0 outside the support. *)
 
-val support : 'a t -> 'a list
 val size : 'a t -> int
 
 val fold : ('a -> float -> 'b -> 'b) -> 'a t -> 'b -> 'b

@@ -5,12 +5,6 @@
     cross-check rank(Mⁿ) = Bₙ and rank(Eⁿ) = r at small n, and in
     property tests against the mod-p rank. *)
 
-val rank : Bcclb_bignum.Zint.t array array -> int
-(** Rank over ℚ of an integer matrix. The input is not modified. *)
-
 val rank_int : int array array -> int
-
-val det : Bcclb_bignum.Zint.t array array -> Bcclb_bignum.Zint.t
-(** Exact determinant. @raise Invalid_argument if not square. *)
 
 val det_int : int array array -> Bcclb_bignum.Zint.t

@@ -21,10 +21,6 @@
 
 type sample = { name : string; labels : (string * string) list; value : float }
 
-val metric_name : string -> string
-(** Registry name to exposition name: [bcclb_] prefix, every character
-    outside [[a-zA-Z0-9_:]] replaced with [_]. *)
-
 val render : (string * Metrics.value) list -> string
 (** Render a snapshot (as returned by {!Metrics.snapshot}) to
     OpenMetrics text, terminated by [# EOF]. *)

@@ -56,14 +56,10 @@ end
 module Histogram : sig
   type t
 
-  val default_time_buckets : float array
-  (** Upper bounds in seconds, 1µs to 100s in decades — the default for
-      every latency histogram in the repository. *)
-
   val v : ?buckets:float array -> string -> t
   (** [buckets] are strictly increasing finite upper bounds; an implicit
       overflow bucket catches everything above the last. Defaults to
-      {!default_time_buckets}. *)
+      1 µs … 100 s in decades, for latencies in seconds. *)
 
   val observe : t -> float -> unit
   (** Record one observation: bump the first bucket whose upper bound is

@@ -60,9 +60,6 @@ val start_from_env : ?var:string -> unit -> unit
 (** [start_from_env ()] calls {!start} with the value of [$BCCLB_TRACE]
     (or [var]) when set and nonempty; otherwise does nothing. *)
 
-val env_var : string
-(** ["BCCLB_TRACE"]. *)
-
 val enabled : unit -> bool
 
 val trace_id : unit -> string option

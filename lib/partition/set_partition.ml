@@ -78,11 +78,7 @@ let coarsest n =
 
 let is_coarsest t = num_parts t = 1
 
-let is_finest t = num_parts t = Array.length t
-
 let equal (a : t) (b : t) = a = b
-let compare_t (a : t) (b : t) = compare a b
-let hash (t : t) = Hashtbl.hash t
 
 (* P ∨ Q: the finest partition refined by both. Elements i, j end up
    together iff they are linked by a chain alternating between P-parts and

@@ -40,11 +40,8 @@ val coarsest : int -> t
 (** The one-block partition 1; [Partition] asks whether P_A ∨ P_B equals it. *)
 
 val is_coarsest : t -> bool
-val is_finest : t -> bool
 
 val equal : t -> t -> bool
-val compare_t : t -> t -> int
-val hash : t -> int
 
 val join : t -> t -> t
 (** P ∨ Q, the finest common coarsening (§1.1).

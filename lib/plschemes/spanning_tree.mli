@@ -8,6 +8,5 @@ val scheme : Scheme.t
 
 type fields = { id : int; root : int; parent : int; dist : int }
 
-val field_width : n:int -> int
 val encode : n:int -> fields -> string
 val decode : n:int -> string -> fields option

@@ -23,10 +23,6 @@ type 'o packed = Packed : ('s, 'o) t -> 'o packed
 
 let pack a = Packed a
 
-let name (Packed a) = a.name
-let rounds (Packed a) ~n = a.rounds ~n
-let range (Packed a) ~n = a.range ~n
-
 let distinct_messages msgs =
   let seen = Hashtbl.create 8 in
   Array.iter

@@ -18,9 +18,6 @@ type ('s, 'o) t = {
 type 'o packed = Packed : ('s, 'o) t -> 'o packed
 
 val pack : ('s, 'o) t -> 'o packed
-val name : 'o packed -> string
-val rounds : 'o packed -> n:int -> int
-val range : 'o packed -> n:int -> int
 
 val distinct_messages : Bcclb_bcc.Msg.t array -> int
 (** Number of distinct non-silent values (the quantity the range bounds). *)

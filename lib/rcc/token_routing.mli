@@ -5,11 +5,6 @@
     ⌈(n−1)/r⌉ rounds — 1 round at the CC end (r = n−1), n−1 rounds at the
     BCC end (r = 1), matching the information floor (n−1)/r exactly. *)
 
-val token : n:int -> src:int -> dst:int -> int
-(** The token [src] owes [dst]. *)
-
-val token_width : n:int -> int
-
 val rounds_needed : n:int -> r:int -> int
 (** ⌈(n−1)/r⌉. *)
 

@@ -1,10 +1,12 @@
 (** Lock-free concurrent union-find on OCaml-multicore atomics.
 
-    The shared-memory connectivity oracle behind the serving subsystem
-    and the per-instance component checks in the census hot loops — the
-    OCaml equivalent of the plain-compare-and-swap variant that Alistarh,
-    Fedorov and Koval measured fastest in "In Search of the Fastest
-    Concurrent Union-Find Algorithm" (OPODIS 2019).
+    The structure behind [Bcclb_graph.Conn], and so behind every
+    per-instance component check — the OCaml equivalent of the
+    plain-compare-and-swap variant that Alistarh, Fedorov and Koval
+    measured fastest in "In Search of the Fastest Concurrent Union-Find
+    Algorithm" (OPODIS 2019). Every current caller uses one structure
+    from a single domain; the concurrent guarantees below are what this
+    module's tests check.
 
     {2 Packed word layout}
 
@@ -36,8 +38,7 @@
     two sets were disjoint.
 
     The structure never shrinks and elements cannot be added after
-    [create]: grow by creating a larger oracle and replaying unions
-    (what the serve daemon's [Load] request does). *)
+    [create]: grow by creating a larger one and replaying unions. *)
 
 type t
 
@@ -76,13 +77,8 @@ val labels : t -> int array
     [Union_find.labels] parity oracle, so byte-identity of downstream
     reports reduces to partition equality. Quiescent use. *)
 
-val add_edges : t -> (int * int) array -> unit
-(** Bulk [union] over an edge array (duplicates and already-merged pairs
-    are no-ops). Safe to call concurrently from several domains over
-    disjoint or overlapping slices. *)
-
 val of_edges : n:int -> (int * int) array -> t
-(** [create n] then [add_edges]. *)
+(** [create n], then [union] over every edge. *)
 
 val check_invariants : t -> (unit, string) result
 (** Structural audit for tests (quiescent use): every parent chain

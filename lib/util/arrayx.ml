@@ -14,28 +14,7 @@ let find_index p a =
 
 let count p a = Array.fold_left (fun acc x -> if p x then acc + 1 else acc) 0 a
 
-let min_by f a =
-  if Array.length a = 0 then invalid_arg "Arrayx.min_by: empty array";
-  let best = ref a.(0) in
-  let best_key = ref (f a.(0)) in
-  for i = 1 to Array.length a - 1 do
-    let k = f a.(i) in
-    if k < !best_key then begin
-      best := a.(i);
-      best_key := k
-    end
-  done;
-  !best
-
 let sum a = Array.fold_left ( + ) 0 a
-
-let sum_float a = Array.fold_left ( +. ) 0.0 a
-
-let for_all2 p a b =
-  if Array.length a <> Array.length b then invalid_arg "Arrayx.for_all2: length mismatch";
-  let n = Array.length a in
-  let rec loop i = i >= n || (p a.(i) b.(i) && loop (i + 1)) in
-  loop 0
 
 let rev_in_place a =
   let n = Array.length a in
@@ -81,12 +60,3 @@ let take n l =
 let range lo hi =
   let rec loop acc i = if i < lo then acc else loop (i :: acc) (i - 1) in
   loop [] (hi - 1)
-
-let group_by_key pairs =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (k, v) ->
-      let cur = try Hashtbl.find tbl k with Not_found -> [] in
-      Hashtbl.replace tbl k (v :: cur))
-    pairs;
-  Hashtbl.fold (fun k vs acc -> (k, List.rev vs) :: acc) tbl []

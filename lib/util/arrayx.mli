@@ -11,15 +11,7 @@ val find_index : ('a -> bool) -> 'a array -> int option
 
 val count : ('a -> bool) -> 'a array -> int
 
-val min_by : ('a -> 'b) -> 'a array -> 'a
-(** Element minimising [f] (polymorphic compare on keys).
-    @raise Invalid_argument on empty array. *)
-
 val sum : int array -> int
-val sum_float : float array -> float
-
-val for_all2 : ('a -> 'b -> bool) -> 'a array -> 'b array -> bool
-(** @raise Invalid_argument on length mismatch. *)
 
 val rev_in_place : 'a array -> unit
 
@@ -36,6 +28,3 @@ val take : int -> 'a list -> 'a list
 
 val range : int -> int -> int list
 (** [range lo hi] is [lo; lo+1; …; hi-1]. *)
-
-val group_by_key : ('k * 'v) list -> ('k * 'v list) list
-(** Group values by key; order of groups unspecified, values keep order. *)

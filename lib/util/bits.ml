@@ -8,8 +8,6 @@ let make ~width ~value =
     invalid_arg "Bits.make: value does not fit in width";
   { width; value }
 
-let empty = { width = 0; value = 0 }
-
 let width t = t.width
 
 let value t = t.value
@@ -54,8 +52,6 @@ let of_string s =
       0 s
   in
   make ~width ~value
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (* Growable packed bit sequences: the >62-bit sibling of the fixed word
    above. Bits are stored LSB-first inside bytes; every bit of [data] at
@@ -215,6 +211,4 @@ module Seq = struct
     let s = create ~capacity:w.width () in
     append s w;
     s
-
-  let pp fmt s = Format.pp_print_string fmt (to_string s)
 end

@@ -13,9 +13,6 @@ val max_width : int
 val make : width:int -> value:int -> t
 (** @raise Invalid_argument if width is out of range or value does not fit. *)
 
-val empty : t
-(** The zero-width word. *)
-
 val width : t -> int
 val value : t -> int
 
@@ -46,8 +43,6 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** Inverse of {!to_string}. @raise Invalid_argument on other characters. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** Growable packed bit sequences of unbounded length — the backing store
     of BCC transcripts. Bytes-backed, LSB-first within bytes, amortised
@@ -104,6 +99,4 @@ module Seq : sig
   val of_string : string -> seq
 
   val of_bits : t -> seq
-
-  val pp : Format.formatter -> seq -> unit
 end

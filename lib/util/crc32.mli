@@ -8,4 +8,3 @@ val string_sub : string -> int -> int -> int
 (** [string_sub s pos len]. @raise Invalid_argument out of range. *)
 
 val bytes : Bytes.t -> int
-val bytes_sub : Bytes.t -> int -> int -> int

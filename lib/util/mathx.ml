@@ -46,21 +46,6 @@ let binomial n k =
     loop 1 1
   end
 
-let factorial n =
-  if n < 0 then invalid_arg "Mathx.factorial: negative argument";
-  if n > 20 then invalid_arg "Mathx.factorial: overflow (use Bignum.Factorial)";
-  let rec loop acc i = if i > n then acc else loop (acc * i) (i + 1) in
-  loop 1 1
-
-let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
-
 let log2 x = log x /. log 2.0
 
 let float_eq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
-
-let sum_float l = List.fold_left ( +. ) 0.0 l
-
-let mean l =
-  match l with
-  | [] -> invalid_arg "Mathx.mean: empty list"
-  | _ -> sum_float l /. float_of_int (List.length l)

@@ -22,18 +22,7 @@ val binomial : int -> int -> int
 (** Exact binomial coefficient; 0 outside the triangle.
     @raise Invalid_argument on int overflow. *)
 
-val factorial : int -> int
-(** Exact factorial for n ≤ 20. @raise Invalid_argument beyond. *)
-
-val gcd : int -> int -> int
-(** Non-negative greatest common divisor. *)
-
 val log2 : float -> float
 
 val float_eq : ?eps:float -> float -> float -> bool
 (** Relative-tolerance float comparison. *)
-
-val sum_float : float list -> float
-
-val mean : float list -> float
-(** @raise Invalid_argument on empty list. *)

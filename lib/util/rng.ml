@@ -49,12 +49,3 @@ let permutation t n =
   let a = Array.init n (fun i -> i) in
   shuffle_in_place t a;
   a
-
-let choose t l =
-  match l with
-  | [] -> invalid_arg "Rng.choose: empty list"
-  | _ -> List.nth l (int t (List.length l))
-
-let split t =
-  let seed = Int64.to_int (next_int64 t) in
-  create ~seed

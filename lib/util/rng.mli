@@ -14,12 +14,6 @@ val create : seed:int -> t
 val copy : t -> t
 (** Independent copy that will replay the same future stream. *)
 
-val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
-
-val bits61 : t -> int
-(** Next 61 uniformly random bits as a non-negative [int]. *)
-
 val bool : t -> bool
 
 val int : t -> int -> int
@@ -37,9 +31,3 @@ val shuffle_in_place : t -> 'a array -> unit
 
 val permutation : t -> int -> int array
 (** Uniform random permutation of [0..n-1]. *)
-
-val choose : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
-
-val split : t -> t
-(** Derive an independent generator (e.g. one per worker). *)

@@ -87,7 +87,23 @@ let worker_env = "BCCLB_DIST_TEST_WORKER"
 let listen_env = "BCCLB_DIST_TEST_LISTEN"
 
 let worker_main address = Dist.Worker.main ~resolve ~address ()
-let worker_main_listen address = Dist.Worker.main_listen ~resolve ~address ()
+
+(* The listen variable holds LISTEN or LISTEN,METRICS: the second
+   address gives the worker a metrics endpoint, wrapped the way
+   [worker --listen ADDR --metrics-addr METRICS] wraps it. *)
+let worker_main_listen spec =
+  let listen address = Dist.Worker.main_listen ~resolve ~address () in
+  match String.split_on_char ',' spec with
+  | [ address; metrics ] -> (
+    match
+      Result.bind (Addr.of_string metrics) (fun m ->
+          Dist.Expose.with_endpoint ~address:m (fun _ -> listen address))
+    with
+    | Ok () -> ()
+    | Error e ->
+      prerr_endline ("dist test worker: " ^ e);
+      exit 3)
+  | _ -> listen spec
 
 let spawn_env extra_env =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
@@ -107,8 +123,9 @@ let spawn ~address = spawn_env [| worker_env ^ "=" ^ address |]
 let spawn_skewed ~address =
   spawn_env [| worker_env ^ "=" ^ address; Msg.fingerprint_env ^ "=deadbeef" |]
 
-(* A pre-started listen-mode worker (the --workers roster fixture). *)
-let spawn_listen address = spawn_env [| listen_env ^ "=" ^ address |]
+(* A pre-started listen-mode worker (the --workers roster fixture);
+   [spec] is [worker_main_listen]'s LISTEN[,METRICS]. *)
+let spawn_listen spec = spawn_env [| listen_env ^ "=" ^ spec |]
 
 (* ---- scratch dirs (as in test_harness) ---- *)
 
@@ -135,6 +152,12 @@ let rec rm_rf path =
 let with_dir f =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+let fresh_sock () =
+  incr temp_counter;
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "bcclb_dist_test.%d.%d.sock" (Unix.getpid ()) !temp_counter)
 
 (* ---- wire: deterministic rejection cases ---- *)
 
@@ -223,12 +246,11 @@ let test_msg_direction_tags () =
   | Ok Msg.Heartbeat -> ()
   | _ -> Alcotest.fail "from_worker round-trip"
 
-(* Trace plumbing over the wire: the context embedded in a Lease, the
-   span shipment riding a Lease_done, and the Traced query wrapper all
-   survive frame + Marshal round-trips bit-for-bit. *)
+(* Trace plumbing over the wire: the context embedded in a Lease and
+   the span shipment riding a Lease_done survive frame + Marshal
+   round-trips bit-for-bit. *)
 let test_trace_context_wire_roundtrip () =
   let module Trace = Bcclb_obs.Trace in
-  let module Qmsg = Bcclb_dist.Qmsg in
   let ctx = { Trace.trace_id = "0123abcd"; parent_span = (42 lsl 32) lor 7 } in
   let lease =
     Msg.Lease
@@ -272,16 +294,11 @@ let test_trace_context_wire_roundtrip () =
       depth = 0;
     }
   in
-  (match Msg.of_payload_from_worker (Msg.from_worker_payload (Msg.Lease_done { metrics = []; spans = [ ev ] })) with
+  match Msg.of_payload_from_worker (Msg.from_worker_payload (Msg.Lease_done { metrics = []; spans = [ ev ] })) with
   | Ok (Msg.Lease_done { spans = [ got ]; _ }) ->
     Alcotest.(check bool) "shipped span survives verbatim" true (got = ev)
   | Ok _ -> Alcotest.fail "lease_done decoded to something else"
-  | Error e -> Alcotest.failf "lease_done round-trip: %s" e);
-  match Qmsg.request_of_payload (Qmsg.request_payload (Qmsg.Traced (ctx, Qmsg.Connected (1, 2)))) with
-  | Ok (Qmsg.Traced (got, Qmsg.Connected (1, 2))) ->
-    Alcotest.(check string) "query trace id survives" ctx.Trace.trace_id got.Trace.trace_id
-  | Ok _ -> Alcotest.fail "traced query decoded to something else"
-  | Error e -> Alcotest.failf "traced query round-trip: %s" e
+  | Error e -> Alcotest.failf "lease_done round-trip: %s" e
 
 let test_faults_spec () =
   let f = Result.get_ok (Faults.parse "crash:2, stall:5") in
@@ -521,13 +538,19 @@ let test_roster_of_listen_workers () =
   (* The pre-started roster path end to end: two listen-mode workers on
      unix sockets, dialed via `Roster — cold run byte-identical, warm
      run over the same still-alive workers all hits, and SIGTERM drains
-     them and unlinks their endpoints. *)
+     them: each exits 0 with its endpoint unlinked, and the first one
+     unlinks the metrics endpoint it exposes too. *)
   install ();
   with_faults "" @@ fun () ->
   with_dir @@ fun dir ->
   let socks = [ Filename.concat dir "w1.sock"; Filename.concat dir "w2.sock" ] in
+  let metrics_sock = Filename.concat dir "m1.sock" in
   let entries = List.map (fun p -> "unix:" ^ p) socks in
-  let pids = List.map spawn_listen entries in
+  let pids =
+    List.mapi
+      (fun i e -> spawn_listen (if i = 0 then e ^ ",unix:" ^ metrics_sock else e))
+      entries
+  in
   Fun.protect
     ~finally:(fun () ->
       List.iter (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()) pids;
@@ -546,13 +569,70 @@ let test_roster_of_listen_workers () =
   let out_warm, warm = render_run ~backend:(`Roster entries) ~cache toy in
   Alcotest.(check string) "warm roster report byte-identical" out_cold out_warm;
   Alcotest.(check int) "warm run is all hits" warm.H.Sink.cells warm.H.Sink.hits;
-  (* Drain-and-unlink: SIGTERM each worker, wait, and the socket files
-     must be gone. *)
+  (* The first worker's metrics endpoint is live and serves its own
+     registry: the cold run's session is counted there. *)
+  (match Result.bind (Dist.Expose.scrape (Addr.Unix_socket metrics_sock)) Obs.Expo.parse with
+  | Error e -> Alcotest.failf "worker metrics scrape: %s" e
+  | Ok samples -> (
+    match
+      List.find_opt (fun s -> s.Obs.Expo.name = "bcclb_dist_worker_sessions_total") samples
+    with
+    | Some s -> Alcotest.(check bool) "worker sessions scraped live" true (s.Obs.Expo.value >= 1.0)
+    | None -> Alcotest.fail "worker sessions counter missing from scrape"));
+  (* Drain-and-unlink: SIGTERM each worker; each must exit 0, and every
+     socket file it bound, metrics endpoint included, must be gone. *)
   List.iter (fun pid -> Unix.kill pid Sys.sigterm) pids;
-  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
+  List.iter
+    (fun pid ->
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _, Unix.WEXITED k -> Alcotest.failf "worker %d exited %d after SIGTERM" pid k
+      | _ -> Alcotest.failf "worker %d killed by a signal after SIGTERM" pid)
+    pids;
   List.iter
     (fun p -> Alcotest.(check bool) ("endpoint unlinked: " ^ p) false (Sys.file_exists p))
-    socks
+    (socks @ [ metrics_sock ])
+
+(* The metrics endpoint, scraped over a real socket. *)
+let test_metrics_endpoint () =
+  let module Expose = Bcclb_dist.Expose in
+  let module Expo = Bcclb_obs.Expo in
+  let path = fresh_sock () in
+  match Expose.start ~address:(Addr.Unix_socket path) () with
+  | Error e -> Alcotest.fail e
+  | Ok ep ->
+    Fun.protect ~finally:(fun () -> Expose.stop ep) @@ fun () ->
+    let counter = Bcclb_obs.Metrics.Counter.v "test.expose.pings" in
+    Bcclb_obs.Metrics.Counter.add counter 3;
+    let body =
+      match Expose.scrape (Expose.address ep) with
+      | Ok b -> b
+      | Error e -> Alcotest.fail e
+    in
+    let samples =
+      match Expo.parse body with
+      | Ok s -> s
+      | Error e -> Alcotest.failf "scrape does not lint: %s" e
+    in
+    (match
+       List.find_opt (fun s -> s.Expo.name = "bcclb_test_expose_pings_total") samples
+     with
+    | Some s -> Alcotest.(check (float 0.0)) "live counter visible" 3.0 s.Expo.value
+    | None -> Alcotest.fail "test counter missing from scrape");
+    (* A second scrape sees the first one counted. *)
+    (match Expose.scrape (Expose.address ep) with
+    | Error e -> Alcotest.fail e
+    | Ok body2 -> (
+      match
+        Result.map
+          (List.find_opt (fun s -> s.Expo.name = "bcclb_obs_scrapes_total"))
+          (Expo.parse body2)
+      with
+      | Ok (Some s) ->
+        Alcotest.(check bool) "scrape counter advanced" true (s.Expo.value >= 1.0)
+      | _ -> Alcotest.fail "obs.scrapes missing from scrape"));
+    Expose.stop ep;
+    Alcotest.(check bool) "endpoint socket unlinked after stop" false (Sys.file_exists path)
 
 let suites =
   [ Alcotest.test_case "wire rejects truncation, corruption, version skew" `Quick
@@ -565,6 +645,7 @@ let suites =
     Alcotest.test_case "fault specs parse and are one-shot" `Quick test_faults_spec;
     Alcotest.test_case "addresses: IPv6 brackets, bad forms, rosters" `Quick test_addr_forms;
     Alcotest.test_case "handshake accepts self, names skews" `Quick test_handshake_check;
+    Alcotest.test_case "metrics endpoint scrapes and lints" `Quick test_metrics_endpoint;
     Alcotest.test_case "procs backend byte-identical + shared cache" `Slow
       test_procs_matches_domains;
     Alcotest.test_case "crashed workers are replaced, cells reassigned" `Slow

@@ -11,7 +11,9 @@ let () =
     (* Listen-mode variant: a pre-started roster worker for the
        `Roster end-to-end tests. *)
     match Sys.getenv_opt Test_dist.listen_env with
-    | Some address when address <> "" -> Test_dist.worker_main_listen address
+    | Some spec when spec <> "" ->
+      Test_dist.worker_main_listen spec;
+      exit 0
     | _ -> ())
 
 let () =
@@ -35,5 +37,4 @@ let () =
       ("obs", Test_obs.suites @ q Test_obs.qsuites);
       ("dist", Test_dist.suites @ q Test_dist.qsuites);
       ("ufind", Test_ufind.suites @ q Test_ufind.qsuites);
-      ("serve", Test_serve.suites @ q Test_serve.qsuites);
       ("orbit", Test_orbit.suites @ q Test_orbit.qsuites) ]
