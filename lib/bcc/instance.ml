@@ -163,7 +163,7 @@ let names (neighbors : (int * int) array) u v =
 let kt0_circulant_sweep n =
   if n < 2 then invalid_arg "Instance.kt0_circulant_sweep: need at least 2 vertices";
   let c = circulant n in
-  let peer = c.c_peer in
+  let port_to = c.c_port_to in
   fun neighbors ->
     if Array.length neighbors <> n then
       invalid_arg "Instance.kt0_circulant_sweep: neighbour table size mismatch";
@@ -176,9 +176,12 @@ let kt0_circulant_sweep n =
     let input =
       Array.init n (fun v ->
           let a, b = neighbors.(v) in
-          Array.map (fun u -> u = a || u = b) peer.(v))
+          let row = Array.make (n - 1) false in
+          row.(port_to.(v).(a)) <- true;
+          row.(port_to.(v).(b)) <- true;
+          row)
     in
-    { knowledge = KT0; n; ids = c.c_ids; peer; port_to = c.c_port_to; input }
+    { knowledge = KT0; n; ids = c.c_ids; peer = c.c_peer; port_to; input }
 
 let kt0_random ?ids rng g =
   let n = Graph.n g in

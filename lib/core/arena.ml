@@ -131,9 +131,24 @@ let cross_key cyc i j =
      c_{j+1}..c_i (wrapping). *)
   key_of_arcs cyc (i + 1) len1 cyc (if j + 1 = k then 0 else j + 1) len2
 
-let key_smaller_len ~n key =
-  let l1 = key land 15 in
-  Int.min l1 (n - l1)
+(* The packed key of a one-cycle structure, read off a traversal [a] of
+   its n vertices whose canonical form starts at [arc_start a 0 n]: the
+   canonical sequence minus its leading 0, 4 bits per vertex, LSB-first,
+   as for a two-cycle key's first cycle. *)
+let one_key a start = arc_bits a 0 (Array.length a) start ~first:1 ~shift:0
+
+(* Tables keyed by packed keys: int equality and a multiplicative hash
+   folded onto the low bits that pick the bucket, in place of the
+   polymorphic [Hashtbl]'s C-side hash and compare. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 32)
+end)
 
 let supported ~n =
   if n < min_n || n > max_n then
@@ -162,7 +177,7 @@ type t = {
   one : Cycles.t array;
   one_cyc : int array array;  (* the single canonical cycle of each V1 structure *)
   two : Cycles.t array;
-  two_index : (int, handle) Hashtbl.t;  (* packed canonical key -> handle *)
+  two_index : handle Key_tbl.t;  (* packed canonical key -> handle *)
   codes_memo : (string * int * bool, int array array) Hashtbl.t;
       (* (algorithm, seed, rotation atlas?) -> codes per representative *)
   memo_lock : Mutex.t;
@@ -177,8 +192,8 @@ let create ~n =
       let one = Census.one_cycles ~n in
       let two = Census.two_cycles ~n in
       let one_cyc = Array.map (fun s -> List.hd (Cycles.cycles s)) one in
-      let two_index = Hashtbl.create (2 * Array.length two) in
-      Array.iteri (fun h s -> Hashtbl.replace two_index (key_two s) h) two;
+      let two_index = Key_tbl.create (2 * Array.length two) in
+      Array.iteri (fun h s -> Key_tbl.replace two_index (key_two s) h) two;
       Obs.Metrics.Counter.add interned_one_metric (Array.length one);
       Obs.Metrics.Counter.add interned_two_metric (Array.length two);
       { n;
@@ -227,7 +242,7 @@ let one_cycle t h = t.one_cyc.(h)
 
 let two_handle t ~key =
   Obs.Metrics.Counter.incr cross_probes_metric;
-  match Hashtbl.find t.two_index key with
+  match Key_tbl.find t.two_index key with
   | h -> h
   | exception Not_found -> invalid_arg "Arena.two_handle: key does not intern a census structure"
 
@@ -237,35 +252,37 @@ let cross_handle t cyc i j = two_handle t ~key:(cross_key cyc i j)
    which is exactly Cycles.compare_t order on one-cycle structures — so
    within a rotation orbit the representative (the minimal rotation) is
    the smallest handle, and one ascending scan that expands each
-   yet-unclaimed handle's orbit visits representatives first. *)
+   yet-unclaimed handle's orbit visits representatives first. Each
+   rotated member is found by its packed key ([one_key]); it is flipped
+   when its canonical traversal walks the rotated representative
+   backwards. *)
 let compute_orbit_one t =
   let n = t.n in
   let m = Array.length t.one in
-  let index = Hashtbl.create (2 * m) in
-  Array.iteri (fun h s -> Hashtbl.replace index (Cycles.cycles s) h) t.one;
+  let index = Key_tbl.create (2 * m) in
+  (* A canonical cycle walks forward from its leading 0: start 0. *)
+  Array.iteri (fun h cyc -> Key_tbl.replace index (one_key cyc 0) h) t.one_cyc;
   let rep_of = Array.make m (-1) in
   let shift_of = Array.make m 0 in
   let flip_of = Array.make m false in
   let reps = ref [] and weights = ref [] and nreps = ref 0 in
-  let inv_r = Array.make n 0 in
+  let rotated = Array.make n 0 in
   for h = 0 to m - 1 do
     if rep_of.(h) = -1 then begin
       let rep_idx = !nreps in
       incr nreps;
       let weight = ref 0 in
       let cyc_r = t.one_cyc.(h) in
-      Array.iteri (fun pos v -> inv_r.(v) <- pos) cyc_r;
       for c = 0 to n - 1 do
-        let h' = Hashtbl.find index (Cycles.cycles (Census.rotate ~n c t.one.(h))) in
+        for i = 0 to n - 1 do
+          rotated.(i) <- (cyc_r.(i) + c) mod n
+        done;
+        let start = arc_start rotated 0 n in
+        let h' = Key_tbl.find index (one_key rotated start) in
         if rep_of.(h') = -1 then begin
           rep_of.(h') <- rep_idx;
           shift_of.(h') <- c;
-          (* Does the member's canonical traversal follow the shifted
-             representative's, or its reversal? Vertex 0 of the member is
-             rep vertex −c; compare the member's second vertex with the
-             shifted image of that vertex's successor in the rep. *)
-          let succ = cyc_r.((inv_r.((n - c) mod n) + 1) mod n) in
-          flip_of.(h') <- t.one_cyc.(h').(1) <> (succ + c) mod n;
+          flip_of.(h') <- start land 1 = 1;
           incr weight
         end
       done;
@@ -320,7 +337,7 @@ let rotation_map_two t c =
                 for i = 0 to l2 - 1 do
                   rb.(i) <- (c2.(i) + c) mod n
                 done;
-                Hashtbl.find t.two_index (key_of_arcs ra 0 l1 rb 0 l2)
+                Key_tbl.find t.two_index (key_of_arcs ra 0 l1 rb 0 l2)
               | _ -> invalid_arg "Arena.rotation_map_two: not a two-cycle structure")
             t.two
         in

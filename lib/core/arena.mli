@@ -76,9 +76,9 @@ val cross_key : int array -> int -> int -> int
     @raise Invalid_argument under the same conditions as
     {!Census.cross_one_cycle}. *)
 
-val key_smaller_len : n:int -> int -> int
-(** Smaller cycle length of the n-vertex two-cycle structure a key
-    names, read off the key's length field. *)
+module Key_tbl : Hashtbl.S with type key = int
+(** Hash tables keyed by packed keys (or any int): int equality and a
+    multiplicative hash, no polymorphic hashing or compare. *)
 
 val two_handle : t -> key:int -> handle
 (** Resolve a packed key to its V₂ handle.

@@ -8,11 +8,12 @@ open Bcclb_graph
    (see DESIGN.md). *)
 
 (* All distinct cycles on a given vertex set: fix the smallest vertex
-   first and quotient reflections by requiring second < last. [second]
-   restricts the vertex placed right after the minimum — the slices over
-   all second choices partition the enumeration, which is how the orbit
-   enumerator fans out across Pool workers. *)
-let iter_cycles_on_restricted ?second vertices f =
+   first and quotient reflections by requiring second < last. [f] gets a
+   scratch sequence, valid during the call. [admit seq depth v] may
+   refuse vertex v at position [depth] after the prefix
+   seq.(0..depth-1), which prunes every completion of it: how the orbit
+   enumerator skips prefixes that cannot be representatives. *)
+let iter_cycles_on_restricted ?admit vertices f =
   let k = Array.length vertices in
   if k < 3 then invalid_arg "Census.iter_cycles_on: need at least 3 vertices";
   let vs = Array.copy vertices in
@@ -27,7 +28,7 @@ let iter_cycles_on_restricted ?second vertices f =
     end
     else
       for i = 0 to k - 2 do
-        if (not used.(i)) && (depth > 1 || match second with None -> true | Some s -> rest.(i) = s)
+        if (not used.(i)) && (match admit with None -> true | Some ok -> ok seq depth rest.(i))
         then begin
           used.(i) <- true;
           seq.(depth) <- rest.(i);
@@ -121,10 +122,28 @@ let one_cycle_orbit ~n seq inv =
     n / !stab
   with Smaller -> 0
 
+(* The scan admits only prefixes that can still be representatives. If a
+   cycle edge {u, v} has circular distance g = min(v − u, u − v) (mod n)
+   below seq.(1), the rotation taking u or v to 0 puts 0 next to g, so
+   that rotation's canonical sequence is smaller at position 1 and no
+   completion is a representative: every placed edge keeps distance
+   >= seq.(1), which itself is at most n/2. The orbit test still decides
+   each surviving leaf, so the output is the unpruned scan's. [second]
+   fixes the vertex placed right after 0 — the slices over all second
+   choices partition the enumeration, which is how the orbit store fans
+   out across Pool workers. *)
 let iter_one_cycle_orbits ?second ~n f =
   if n < 3 then invalid_arg "Census.iter_one_cycle_orbits: need n >= 3";
+  let distance u v =
+    let d = abs (u - v) in
+    Int.min d (n - d)
+  in
+  let admit seq depth v =
+    if depth = 1 then 2 * v <= n && (match second with None -> true | Some s -> v = s)
+    else distance seq.(depth - 1) v >= seq.(1)
+  in
   let inv = Array.make n 0 in
-  iter_cycles_on_restricted ?second (Array.init n Fun.id) (fun seq ->
+  iter_cycles_on_restricted ~admit (Array.init n Fun.id) (fun seq ->
       Array.iteri (fun pos v -> inv.(v) <- pos) seq;
       let w = one_cycle_orbit ~n seq inv in
       if w > 0 then f (Cycles.make [ seq ]) ~weight:w)

@@ -27,18 +27,18 @@ type t = {
   radj : int array array;  (* v2 index -> sorted distinct v1 indices *)
 }
 
-(* Rows arrive as unsorted int arrays that may repeat a handle (two
-   crossings can reach one structure); each is deduplicated in place. The
-   reverse adjacency is a counting transpose: scanning left vertices in
-   ascending order leaves every radj row sorted and distinct. *)
-let finish ~n ~x ~y ~v1 ~v2 rows =
-  let adj =
-    Array.map
-      (fun row ->
-        let d = Bcclb_util.Arrayx.sort_uniq_prefix row (Array.length row) in
-        if d = Array.length row then row else Array.sub row 0 d)
-      rows
-  in
+(* Rows arrive as unsorted int arrays of distinct handles: distinct
+   crossable pairs cross to distinct structures (DESIGN §2g), and a
+   rotation map permutes handles. Each is sorted in place, and a repeat
+   is refused rather than dropped. The reverse adjacency is a counting
+   transpose: scanning left vertices in ascending order leaves every
+   radj row sorted and distinct. *)
+let finish ~n ~x ~y ~v1 ~v2 adj =
+  Array.iter
+    (fun row ->
+      if Bcclb_util.Arrayx.sort_uniq_prefix row (Array.length row) <> Array.length row then
+        invalid_arg "Indist_graph: two crossings reached one structure")
+    adj;
   let fill = Array.make (Array.length v2) 0 in
   Array.iter (Array.iter (fun i2 -> fill.(i2) <- fill.(i2) + 1)) adj;
   let radj = Array.map (fun d -> Array.make d 0) fill in
@@ -54,8 +54,8 @@ let finish ~n ~x ~y ~v1 ~v2 rows =
   { n; x; y; v1; v2; adj; radj }
 
 (* The crossing successors of a one-cycle over its crossable pairs
-   (i < j, both arcs >= 3) that [pair] accepts, as a sorted distinct
-   handle row. An n-cycle has n(n-5)/2 crossable pairs. *)
+   (i < j, both arcs >= 3) that [pair] accepts, in pair order ([finish]
+   sorts). An n-cycle has n(n-5)/2 crossable pairs. *)
 let crossing_row arena cyc pair =
   let k = Array.length cyc in
   let buf = Array.make (k * (k - 5) / 2) 0 and m = ref 0 in
@@ -67,7 +67,7 @@ let crossing_row arena cyc pair =
       end
     done
   done;
-  Array.sub buf 0 (Bcclb_util.Arrayx.sort_uniq_prefix buf !m)
+  Array.sub buf 0 !m
 
 (* Both directed edges (c_i, c_i+1) and (c_j, c_j+1) carry the label
    (x, y): the active pairs of Definition 3.6. *)
@@ -86,31 +86,48 @@ let same_label_row arena cyc (sent : int array) =
 (* Most frequent (head, tail) code label across all one-cycle edges,
    each representative counted with its weight: a rotated member's
    edge-label multiset is its representative's, so the weighted counts
-   are the full-census counts. Ties break on the DECODED string pair —
-   int code order differs from lexicographic string order ('_' sorts
-   after '1' in ASCII but codes as 0), and the string-label oracle fixes
+   are the full-census counts. Codes can be 62 bits wide, so a label does
+   not pack into one int: the tally is two levels of int-keyed tables,
+   head code then tail code. Ties break on the DECODED string pair — int
+   code order differs from lexicographic string order ('_' sorts after
+   '1' in ASCII but codes as 0), and the string-label oracle fixes
    string order. *)
 let most_frequent_code ~rounds ~weight codes1 one_cyc =
-  let tbl = Hashtbl.create 256 in
+  let module T = Arena.Key_tbl in
+  let find_or_add tbl key fresh =
+    match T.find tbl key with
+    | v -> v
+    | exception Not_found ->
+      let v = fresh () in
+      T.add tbl key v;
+      v
+  in
+  let tally = T.create 16 in
   Array.iteri
     (fun i1 sent ->
       let cyc = one_cyc i1 in
       let k = Array.length cyc in
       let w = weight i1 in
       for i = 0 to k - 1 do
-        let lbl = (sent.(cyc.(i)), sent.(cyc.((i + 1) mod k))) in
-        Hashtbl.replace tbl lbl (w + Option.value ~default:0 (Hashtbl.find_opt tbl lbl))
+        let tails = find_or_add tally sent.(cyc.(i)) (fun () -> T.create 16) in
+        let count = find_or_add tails sent.(cyc.((i + 1) mod k)) (fun () -> ref 0) in
+        count := !count + w
       done)
     codes1;
   let decode (cx, cy) = (Labels.string_of_code ~rounds cx, Labels.string_of_code ~rounds cy) in
   let best = ref None in
-  Hashtbl.iter
-    (fun lbl count ->
-      match !best with
-      | None -> best := Some (lbl, count)
-      | Some (lbl', count') ->
-        if count > count' || (count = count' && decode lbl < decode lbl') then best := Some (lbl, count))
-    tbl;
+  T.iter
+    (fun x tails ->
+      T.iter
+        (fun y count ->
+          let lbl = (x, y) and count = !count in
+          match !best with
+          | None -> best := Some (lbl, count)
+          | Some (lbl', count') ->
+            if count > count' || (count = count' && decode lbl < decode lbl') then
+              best := Some (lbl, count))
+        tails)
+    tally;
   match !best with
   | None -> invalid_arg "Indist_graph: no edge labels"
   | Some (lbl, _) -> lbl

@@ -11,12 +11,12 @@ module Obs = Bcclb_obs
    automorphisms — for rotation-equivariant transcripts a member's
    degree equals its representative's — so every left-side aggregate is
    a weighted sum over representatives. The right side never appears at
-   all: a representative's neighbours are identified by their packed
-   canonical keys (computed arithmetically from the arc decomposition)
-   and deduplicated per row by sorting, while the global |V₂| and |Tᵢ|
-   come from Census's closed forms. Peak memory is one segment plus one
-   row: n = 13 streams 18.7M representatives standing for the 239.5M
-   instances of V₁ against a 197-billion-strong V₂. *)
+   all: distinct crossable pairs of a one-cycle cross to distinct
+   two-cycle structures (DESIGN §2g), so a representative's degree is
+   its count of same-label pairs, and the global |V₂| and |Tᵢ| come from
+   Census's closed forms. Peak memory is one segment: n = 13 streams
+   18.4M representatives standing for the 239.5M instances of V₁
+   against the 171.1M of V₂. *)
 
 let reps_metric = Obs.Metrics.Counter.v "quotient.reps"
 
@@ -57,30 +57,25 @@ let require_sound algo ~n =
   Arena.require_codable "Quotient" algo ~n
 
 (* Degree computation for one representative, given its executed codes:
-   enumerate independent same-label pairs, identify the crossed
-   structure by its packed canonical key (no V₂ table — n <= 13 keys fit
-   a word), and deduplicate by sorting the keys in [keys], the chunk's
-   scratch row. A key's length field gives its smaller cycle length. *)
-let process_rep p keys cyc (sent : int array) ~weight =
+   count its independent same-label pairs (i < j, both arcs >= 3).
+   Crossing (i, j) deletes exactly the cycle edges eᵢ and eⱼ and adds two
+   chords, so distinct pairs reach distinct structures and the degree is
+   the pair count; the neighbour's smaller cycle has min(j − i, k − (j − i))
+   vertices. *)
+let process_rep p cyc (sent : int array) ~weight =
   let k = Array.length cyc in
-  let m = ref 0 in
-  for i = 0 to k - 1 do
-    for j = i + 3 to k - 1 do
-      if k - (j - i) >= 3 then begin
-        let vi = cyc.(i) and ui = cyc.((i + 1) mod k) in
-        let vj = cyc.(j) and uj = cyc.((j + 1) mod k) in
-        if sent.(vi) = sent.(vj) && sent.(ui) = sent.(uj) then begin
-          keys.(!m) <- Arena.cross_key cyc i j;
-          incr m
-        end
+  let deg = ref 0 in
+  for i = 0 to k - 4 do
+    let si = sent.(cyc.(i)) and si' = sent.(cyc.(i + 1)) in
+    for j = i + 3 to Int.min (k - 1) (i + k - 3) do
+      if sent.(cyc.(j)) = si && sent.(cyc.((j + 1) mod k)) = si' then begin
+        incr deg;
+        let smaller = Int.min (j - i) (k - (j - i)) in
+        p.p_by_smaller.(smaller) <- p.p_by_smaller.(smaller) + weight
       end
     done
   done;
-  let deg = Bcclb_util.Arrayx.sort_uniq_prefix keys !m in
-  for idx = 0 to deg - 1 do
-    let smaller = Arena.key_smaller_len ~n:k keys.(idx) in
-    p.p_by_smaller.(smaller) <- p.p_by_smaller.(smaller) + weight
-  done;
+  let deg = !deg in
   p.p_reps <- p.p_reps + 1;
   p.p_edges <- p.p_edges + (weight * deg);
   if deg = 0 then p.p_isolated <- p.p_isolated + weight
@@ -124,14 +119,12 @@ let full_stats ?(seed = 0) ?root algo ~n () =
             p_by_smaller = Array.make ((n / 2) + 1) 0 }
         in
         let neighbors = Array.make n (0, 0) in
-        (* An n-cycle has n(n-5)/2 crossable pairs. *)
-        let keys = Array.make (n * (n - 5) / 2) 0 in
         Arena.Orbit.iter_segment ~lo ~hi store si (fun cyc ~weight ->
             for i = 0 to n - 1 do
               neighbors.(cyc.(i)) <- (cyc.((i + n - 1) mod n), cyc.((i + 1) mod n))
             done;
             let sent = Simulator.run_sent_codes ~seed algo (stamp neighbors) in
-            process_rep p keys cyc sent ~weight);
+            process_rep p cyc sent ~weight);
         p)
       (Array.of_list !chunks)
   in

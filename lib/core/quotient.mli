@@ -3,13 +3,13 @@
     beyond the materialisable census.
 
     The left side streams off the segmented orbit store
-    ({!Arena.Orbit}); the right side is never materialised — crossing
-    successors are identified by packed canonical keys and |V₂|, |Tᵢ|
-    come from {!Census}'s closed forms. Sound only for
+    ({!Arena.Orbit}); the right side is never materialised — distinct
+    crossable pairs of a one-cycle cross to distinct two-cycle
+    structures, so a degree is a count of same-label pairs, and |V₂|,
+    |Tᵢ| come from {!Census}'s closed forms. Sound only for
     rotation-equivariant transcripts ({!Arena.rotation_sound}: anonymous
-    algorithms, or rounds = 0). Peak memory is one segment
-    plus one adjacency row, which is what carries the exhaustive §3
-    pipeline to n = 13. *)
+    algorithms, or rounds = 0). Peak memory is one segment, which is
+    what carries the exhaustive §3 pipeline to n = 13. *)
 
 type stats = {
   n : int;

@@ -19,14 +19,20 @@ let make ?(on_start = nop4) ?(on_round_start = nop1) ?(on_emit = nop_emit) ?(on_
     () =
   { on_start; on_round_start; on_emit; on_round_end }
 
-let combine observers =
-  { on_start = (fun ~n ~rounds -> List.iter (fun o -> o.on_start ~n ~rounds) observers);
-    on_round_start = (fun ~round -> List.iter (fun o -> o.on_round_start ~round) observers);
-    on_emit =
-      (fun ~round ~vertex ~inbox ~emit ->
-        List.iter (fun o -> o.on_emit ~round ~vertex ~inbox ~emit) observers);
-    on_round_end =
-      (fun ~round ~inboxes -> List.iter (fun o -> o.on_round_end ~round ~inboxes) observers) }
+(* A lone observer runs as it is, and none as the no-op: only a real
+   list pays for the per-hook [List.iter] closure, which on [on_emit]
+   would be an allocation per emission. *)
+let combine = function
+  | [] -> make ()
+  | [ o ] -> o
+  | observers ->
+    { on_start = (fun ~n ~rounds -> List.iter (fun o -> o.on_start ~n ~rounds) observers);
+      on_round_start = (fun ~round -> List.iter (fun o -> o.on_round_start ~round) observers);
+      on_emit =
+        (fun ~round ~vertex ~inbox ~emit ->
+          List.iter (fun o -> o.on_emit ~round ~vertex ~inbox ~emit) observers);
+      on_round_end =
+        (fun ~round ~inboxes -> List.iter (fun o -> o.on_round_end ~round ~inboxes) observers) }
 
 let validator check =
   make ~on_emit:(fun ~round ~vertex ~inbox:_ ~emit -> check ~round ~vertex emit) ()

@@ -28,7 +28,9 @@ val make :
 (** Missing hooks default to no-ops. *)
 
 val combine : ('emit, 'inbox) t list -> ('emit, 'inbox) t
-(** One observer running each hook of the list in order. *)
+(** One observer running each hook of the list in order. A one-element
+    list is returned as it is and [[]] is [make ()], so neither adds a
+    call, or an allocation, per hook. *)
 
 val validator : (round:int -> vertex:int -> 'emit -> unit) -> ('emit, 'inbox) t
 (** An observer that only checks emissions (raise to reject). *)

@@ -43,7 +43,7 @@ let indist_graph =
               E.icol ~width:8 ~header:"maxDeg" "max_deg" ]
         } ]
     ~notes:
-      [ "note: at t=0 every V1 vertex has degree n(n-3)/2 and |V2|<|V1|, so k=1 Hall fails";
+      [ "note: at t=0 every V1 vertex has degree n(n-5)/2 and |V2|<|V1|, so k=1 Hall fails";
         "globally but every V2 vertex is reachable; as t grows the graph thins out.";
         "orbit frontier: weighted sums over one representative per rotation class, streamed";
         "off the segmented store — V1/reps -> n as orbits become free; feasible to n = 13." ]

@@ -316,6 +316,38 @@ let simulate_cell seed =
   let r = Simulator.run ~seed (discovery Instance.KT0) inst in
   (Problems.system_decision r.Simulator.outputs, Simulator.total_bits_broadcast r)
 
+(* The emission path's allocation. One more round of [run_sent_codes] at
+   n = 10 costs a step's (state, emit) pair and the round's share of the
+   emissions array and board, under 8 words per vertex: a closure per
+   emission, as a [List.iter] over a lone observer would allocate, does
+   not fit. And a combined empty or lone observer allocates nothing on
+   [on_emit]. *)
+let test_emission_allocation () =
+  let n = 10 in
+  let inst = Instance.kt0_circulant (Ggen.cycle n) in
+  let words rounds =
+    let algo = Bcclb_algorithms.Adjacency_broadcast.connectivity_truncated ~rounds ~optimist:true in
+    ignore (Simulator.run_sent_codes algo inst);
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Simulator.run_sent_codes algo inst));
+    Gc.minor_words () -. w0
+  in
+  let per_vertex = (words 3 -. words 2) /. float_of_int n in
+  if per_vertex >= 8. then
+    Alcotest.failf "one more round allocates %.1f words per vertex (want < 8)" per_vertex;
+  let nop = Observer.make ~on_emit:(fun ~round:_ ~vertex:_ ~inbox:_ ~emit:_ -> ()) () in
+  List.iter
+    (fun (what, (o : (int, unit) Observer.t)) ->
+      let emit () = o.Observer.on_emit ~round:1 ~vertex:0 ~inbox:() ~emit:0 in
+      emit ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        emit ()
+      done;
+      Alcotest.(check (float 0.)) (what ^ ": minor words over 1000 emissions") 0.
+        (Gc.minor_words () -. w0))
+    [ ("combine []", Observer.combine []); ("combine [o]", Observer.combine [ nop ]) ]
+
 let test_pool_determinism () =
   let seeds = Array.init 16 (fun i -> i) in
   let seq = Pool.map_batch ~num_domains:1 simulate_cell seeds in
@@ -405,6 +437,7 @@ let suites =
     Alcotest.test_case "engine emits in vertex order" `Quick test_engine_vertex_order;
     Alcotest.test_case "counter and round timer observers" `Quick test_engine_counter_and_timer;
     Alcotest.test_case "negative round bound rejected" `Quick test_engine_rejects_negative_rounds;
+    Alcotest.test_case "emission path allocation" `Quick test_emission_allocation;
     Alcotest.test_case "pool determinism across domain counts" `Quick test_pool_determinism;
     Alcotest.test_case "pool nesting falls back to sequential" `Quick test_pool_tabulate_and_nesting;
     Alcotest.test_case "pool re-raises lowest-index failure" `Quick test_pool_exception_order;

@@ -49,7 +49,8 @@ let test_census_orbit_weights () =
         (Printf.sprintf "weights sum to |V1| n=%d" n)
         (Census.num_one_cycles ~n) !total;
       Alcotest.(check bool) "fewer reps than instances" true (!reps < Census.num_one_cycles ~n))
-    [ 6; 7; 8 ]
+    (* n = 3 has one instance, so it has no fewer reps than instances. *)
+    [ 4; 5; 6; 7; 8; 9 ]
 
 let test_census_orbit_partition () =
   (* Every census instance maps to exactly one representative, and the
@@ -161,6 +162,36 @@ let test_cross_key_allocation_free () =
   let words = Gc.minor_words () -. w0 in
   ignore (Sys.opaque_identity !sink);
   Alcotest.(check (float 0.)) "minor words over 1000 probes" 0. words
+
+(* The crossing lemma behind Quotient's pair count and Indist_graph's
+   unsorted-but-distinct rows: crossing (i, j) deletes exactly the cycle
+   edges eᵢ, eⱼ and adds two chords, so distinct crossable pairs of one
+   cycle cross to distinct structures. Checked on every one-cycle at
+   n = 6..9: its n(n-5)/2 crossable pairs have pairwise distinct keys
+   (362,880 pairs at n = 9). *)
+let test_crossings_distinct () =
+  List.iter
+    (fun n ->
+      let pairs = n * (n - 5) / 2 in
+      let keys = Array.make pairs 0 in
+      Census.iter_one_cycles ~n (fun s ->
+          let cyc = List.hd (Cycles.cycles s) in
+          let m = ref 0 in
+          for i = 0 to n - 1 do
+            for j = i + 3 to n - 1 do
+              if n - (j - i) >= 3 then begin
+                keys.(!m) <- Arena.cross_key cyc i j;
+                incr m
+              end
+            done
+          done;
+          if !m <> pairs then Alcotest.failf "n=%d: %d crossable pairs, want %d" n !m pairs;
+          Array.sort Int.compare keys;
+          for p = 1 to pairs - 1 do
+            if keys.(p) = keys.(p - 1) then
+              Alcotest.failf "n=%d: two crossings of one cycle reach one structure" n
+          done))
+    [ 6; 7; 8; 9 ]
 
 let test_rotation_map_two_oracle () =
   List.iter
@@ -546,25 +577,21 @@ let test_build_dispatch_through_orbit () =
 
 let test_quotient_parity () =
   let root = fresh_root () in
-  let n = 8 in
   List.iter
-    (fun t ->
+    (fun (n, t) ->
       let algo = anonymous ~rounds:t in
       let s = Quotient.full_stats ~root algo ~n () in
       let g = Indist_graph.build_full algo ~n () in
       let degrees = Array.map Array.length g.Indist_graph.adj in
-      Alcotest.(check int) (Printf.sprintf "v1 t=%d" t) (Census.num_one_cycles ~n) s.Quotient.v1;
-      Alcotest.(check int) (Printf.sprintf "v2 t=%d" t) (Array.length g.Indist_graph.v2) s.Quotient.v2;
-      Alcotest.(check int) (Printf.sprintf "edges t=%d" t) (Indist_graph.num_edges g) s.Quotient.edges;
-      Alcotest.(check int)
-        (Printf.sprintf "isolated t=%d" t)
+      let at what = Printf.sprintf "%s n=%d t=%d" what n t in
+      Alcotest.(check int) (at "v1") (Census.num_one_cycles ~n) s.Quotient.v1;
+      Alcotest.(check int) (at "v2") (Array.length g.Indist_graph.v2) s.Quotient.v2;
+      Alcotest.(check int) (at "edges") (Indist_graph.num_edges g) s.Quotient.edges;
+      Alcotest.(check int) (at "isolated")
         (Array.fold_left (fun acc d -> if d = 0 then acc + 1 else acc) 0 degrees)
         s.Quotient.isolated_v1;
-      Alcotest.(check int)
-        (Printf.sprintf "max degree t=%d" t)
-        (Array.fold_left max 0 degrees) s.Quotient.max_degree_v1;
-      Alcotest.(check int)
-        (Printf.sprintf "min live degree t=%d" t)
+      Alcotest.(check int) (at "max degree") (Array.fold_left max 0 degrees) s.Quotient.max_degree_v1;
+      Alcotest.(check int) (at "min live degree")
         (Array.fold_left (fun acc d -> if d > 0 && (acc = 0 || d < acc) then d else acc) 0 degrees)
         s.Quotient.min_live_degree;
       let by_smaller = Array.make ((n / 2) + 1) 0 in
@@ -574,16 +601,17 @@ let test_quotient_parity () =
              by_smaller.(i) <- by_smaller.(i) + 1))
         g.Indist_graph.adj;
       Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "edges by smaller cycle t=%d" t)
+        (at "edges by smaller cycle")
         (List.filter (fun (_, c) -> c > 0) (List.mapi (fun i c -> (i, c)) (Array.to_list by_smaller)))
         s.Quotient.edges_by_smaller;
       (* Closed-form |T_i| agrees with the census-level counts. *)
       List.iter
         (fun (i, c) ->
-          Alcotest.(check (option int)) (Printf.sprintf "T_%d" i) (Some c)
+          Alcotest.(check (option int)) (at (Printf.sprintf "T_%d" i)) (Some c)
             (List.assoc_opt i s.Quotient.t_i))
         (Census.t_i_counts ~n))
-    [ 0; 2 ]
+    (* Every truncation E2's orbit frontier runs, t = 0..3. *)
+    (List.concat_map (fun n -> List.map (fun t -> (n, t)) [ 0; 1; 2; 3 ]) [ 7; 8 ])
 
 let test_quotient_rejects_unsound () =
   let root = fresh_root () in
@@ -669,6 +697,8 @@ let suites =
     Alcotest.test_case "arena orbit atlas" `Quick test_arena_orbit_atlas;
     Alcotest.test_case "arena flip_of orientation" `Quick test_arena_flip_of_orientation;
     Alcotest.test_case "cross_key allocates nothing" `Quick test_cross_key_allocation_free;
+    Alcotest.test_case "crossable pairs cross to distinct structures, n=6..9" `Quick
+      test_crossings_distinct;
     Alcotest.test_case "rotation_map_two = rotate oracle" `Quick test_rotation_map_two_oracle;
     Alcotest.test_case "Hall witness violates" `Quick test_hall_witness;
     Alcotest.test_case "Hall holds on matching" `Quick test_hall_passes_when_satisfied;
