@@ -75,7 +75,8 @@ let make ~name ?(bandwidth = 1) ~answer () =
     rounds;
     init;
     step;
-    finish }
+    finish;
+    truncates = None }
 
 let connectivity ?bandwidth () =
   Algo.pack

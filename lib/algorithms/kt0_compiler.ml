@@ -89,7 +89,8 @@ let compile (Algo.Packed a) =
       let inner = a.Algo.init (synthesize st inbox) in
       a.Algo.finish inner ~inbox:(Inbox.shift inbox ~rounds:(Inbox.rounds inbox))
   in
-  Algo.pack { Algo.name; anonymous = false; bandwidth; rounds; init; step; finish }
+  Algo.pack
+    { Algo.name; anonymous = false; bandwidth; rounds; init; step; finish; truncates = None }
 
 let learning_rounds ~n ~bandwidth =
   let l = Codec.id_width ~n in

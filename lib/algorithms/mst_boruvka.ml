@@ -134,7 +134,7 @@ let make ~name ~finish =
     let st = absorb st ~inbox in
     (st, encode st)
   in
-  { Algo.name; anonymous = false; bandwidth; rounds; init; step; finish }
+  { Algo.name; anonymous = false; bandwidth; rounds; init; step; finish; truncates = None }
 
 let forest () =
   Algo.pack

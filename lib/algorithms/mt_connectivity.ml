@@ -251,7 +251,7 @@ let make ~name ?params ~finish_of_uf () =
     finish_phase st;
     finish_of_uf st st.conn
   in
-  { Algo.name; anonymous = false; bandwidth; rounds; init; step; finish }
+  { Algo.name; anonymous = false; bandwidth; rounds; init; step; finish; truncates = None }
 
 let connectivity ?params () =
   Algo.pack

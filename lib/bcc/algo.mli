@@ -34,6 +34,10 @@ type ('s, 'o) t = {
           (the input graph a discovery family rebuilds) may go through
           [Inbox.once], so one vertex computes it for the run and the
           others read it; the rest stays per vertex. *)
+  truncates : ('s, 'o) t option;
+      (** The algorithm this one is a truncation of ({!truncate}), so
+          that {!deepen} can build other members of its family; [None]
+          for any other construction. *)
 }
 
 type 'o packed = Packed : ('s, 'o) t -> 'o packed
@@ -71,4 +75,14 @@ val map_output : ('o -> 'p) -> ('s, 'o) t -> ('s, 'p) t
 val truncate : rounds:int -> ('s, 'o) t -> ('s, 'o) t
 (** Run only the first [rounds] rounds, then decide from the truncated
     state — the family of t-round algorithms the lower-bound experiments
-    quantify over. *)
+    quantify over. Only the name and the round bound change, and the
+    untruncated algorithm is kept ({!field-truncates}). *)
+
+val deepen : rounds:int -> 'o packed -> 'o packed option
+(** [deepen ~rounds a] is [Some] of the [rounds]-round member of the
+    family [a] truncates — [truncate ~rounds] of the same untruncated
+    algorithm, with the same name that construction gives — or [None]
+    if [a] is not a truncation. Members agree on every round both run:
+    a vertex's broadcasts in rounds 1..t are the same under every member
+    with at least t rounds (the prefix property the §3 census reads
+    codes by). *)

@@ -95,4 +95,11 @@ let compile (Algo.Packed a) =
   (* Splitting re-encodes the inner broadcasts bit-by-bit, so the compiled
      transcripts are ID-free exactly when the inner ones are. *)
   Algo.pack
-    { Algo.name; anonymous = a.Algo.anonymous; bandwidth = (fun ~n:_ -> 1); rounds; init; step; finish }
+    { Algo.name;
+      anonymous = a.Algo.anonymous;
+      bandwidth = (fun ~n:_ -> 1);
+      rounds;
+      init;
+      step;
+      finish;
+      truncates = None }

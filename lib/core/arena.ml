@@ -25,9 +25,9 @@ let orbit_load_seconds = Obs.Metrics.Histogram.v "arena.orbit.cold_load_seconds"
    consumer), each two-cycle structure is keyed by a packed canonical
    key, and crossing successors resolve by hash lookup of that key —
    computed directly from the one-cycle arc decomposition without
-   allocating intermediate Cycles.t values. Broadcast codes are memoised
-   per (algorithm, seed, atlas), so each distinct execution runs once per
-   arena. *)
+   allocating intermediate Cycles.t values. Broadcast codes are
+   single-flight pool batches per (arena, algorithm, seed, atlas), so
+   each distinct execution runs once per process. *)
 
 type handle = int
 
@@ -173,18 +173,18 @@ type orbit_one = {
 }
 
 type t = {
+  id : int;  (* names this arena's code batches (Pool.shared keys) *)
   n : int;
   one : Cycles.t array;
   one_cyc : int array array;  (* the single canonical cycle of each V1 structure *)
   two : Cycles.t array;
   two_index : handle Key_tbl.t;  (* packed canonical key -> handle *)
-  codes_memo : (string * int * bool, int array array) Hashtbl.t;
-      (* (algorithm, seed, rotation atlas?) -> codes per representative *)
-  memo_lock : Mutex.t;
   mutable orbit1 : orbit_one option;
   rot2_memo : (int, int array) Hashtbl.t;  (* rotation c -> V2 handle map *)
   aux_lock : Mutex.t;
 }
+
+let next_id = Atomic.make 0
 
 let create ~n =
   (match supported ~n with Error m -> invalid_arg ("Arena.create: " ^ m) | Ok () -> ());
@@ -196,13 +196,12 @@ let create ~n =
       Array.iteri (fun h s -> Key_tbl.replace two_index (key_two s) h) two;
       Obs.Metrics.Counter.add interned_one_metric (Array.length one);
       Obs.Metrics.Counter.add interned_two_metric (Array.length two);
-      { n;
+      { id = Atomic.fetch_and_add next_id 1;
+        n;
         one;
         one_cyc;
         two;
         two_index;
-        codes_memo = Hashtbl.create 4;
-        memo_lock = Mutex.create ();
         orbit1 = None;
         rot2_memo = Hashtbl.create 4;
         aux_lock = Mutex.create () })
@@ -313,36 +312,46 @@ let orbit_one t =
         o)
 
 (* V₂ handle map of the rotation ρ_c — the bridge that turns a
-   representative's adjacency row into any orbit member's row. *)
+   representative's adjacency row into any orbit member's. ρ₁ is read
+   off the arc canonicaliser, structure by structure; every other shift
+   composes, ρ_c(h) = ρ₁(ρ_{c−1}(h)): one array read per handle. *)
+let rotation_map_one t =
+  let n = t.n in
+  let ra = Array.make n 0 and rb = Array.make n 0 in
+  Array.map
+    (fun s ->
+      match Cycles.cycles s with
+      | [ c1; c2 ] ->
+        let l1 = Array.length c1 and l2 = Array.length c2 in
+        for i = 0 to l1 - 1 do
+          ra.(i) <- (c1.(i) + 1) mod n
+        done;
+        for i = 0 to l2 - 1 do
+          rb.(i) <- (c2.(i) + 1) mod n
+        done;
+        Key_tbl.find t.two_index (key_of_arcs ra 0 l1 rb 0 l2)
+      | _ -> invalid_arg "Arena.rotation_map_two: not a two-cycle structure")
+    t.two
+
 let rotation_map_two t c =
   let c = ((c mod t.n) + t.n) mod t.n in
-  Mutex.lock t.aux_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.aux_lock)
-    (fun () ->
-      match Hashtbl.find_opt t.rot2_memo c with
-      | Some m -> m
-      | None ->
-        let n = t.n in
-        let ra = Array.make n 0 and rb = Array.make n 0 in
-        let m =
-          Array.map
-            (fun s ->
-              match Cycles.cycles s with
-              | [ c1; c2 ] ->
-                let l1 = Array.length c1 and l2 = Array.length c2 in
-                for i = 0 to l1 - 1 do
-                  ra.(i) <- (c1.(i) + c) mod n
-                done;
-                for i = 0 to l2 - 1 do
-                  rb.(i) <- (c2.(i) + c) mod n
-                done;
-                Key_tbl.find t.two_index (key_of_arcs ra 0 l1 rb 0 l2)
-              | _ -> invalid_arg "Arena.rotation_map_two: not a two-cycle structure")
-            t.two
-        in
-        Hashtbl.replace t.rot2_memo c m;
-        m)
+  Mutex.protect t.aux_lock (fun () ->
+      let rec map c =
+        match Hashtbl.find_opt t.rot2_memo c with
+        | Some m -> m
+        | None ->
+          let m =
+            if c = 0 then Array.init (Array.length t.two) Fun.id
+            else if c = 1 then rotation_map_one t
+            else begin
+              let r1 = map 1 in
+              Array.map (fun h -> r1.(h)) (map (c - 1))
+            end
+          in
+          Hashtbl.replace t.rot2_memo c m;
+          m
+      in
+      map c)
 
 (* ---- atlases ----
 
@@ -402,46 +411,50 @@ let run_codes ~seed ~n algo stamp cyc =
   done;
   Simulator.run_sent_codes ~seed algo (stamp neighbors)
 
-(* Per-(algorithm, seed, atlas) broadcast codes of the atlas's
-   representatives, one lightweight engine execution each, fanned over
-   the pool. Keyed by the algorithm's name — truncations rename
-   themselves per round bound, so distinct truncations never share an
-   entry. The span name says which atlas ran: perfbench reads the two
-   apart. *)
-let codes arena atlas ?(seed = 0) algo =
+(* The execution whose codes serve [algo]: the [deepest]-round member of
+   its truncation family (Algo.deepen) when that member runs more rounds,
+   computes on the same atlas and still packs — else [algo] itself.
+   run_sent_codes packs round r at bits 2(r - 1), and members agree on
+   every round both run, so [algo]'s codes are the low 2·rounds bits of
+   the member's. *)
+let code_source ?deepest algo ~n =
+  match Option.bind deepest (fun rounds -> Algo.deepen ~rounds algo) with
+  | Some deep
+    when Algo.rounds deep ~n > Algo.rounds algo ~n
+         && rotation_sound deep ~n = rotation_sound algo ~n
+         && codable deep ~n -> deep
+  | _ -> algo
+
+let codes_id : int array array Type.Id.t = Type.Id.make ()
+
+(* Broadcast codes of the atlas's representatives under the source
+   execution, one lightweight engine execution each, as a single-flight
+   pool batch: cells that need the same execution at once share its
+   items, and later ones read the stored result. Keyed by the source's
+   name — truncations rename themselves per round bound, so distinct
+   executions never share a batch — and by the arena, so an arena made
+   with [create] shares nothing. The span name says which atlas ran:
+   perfbench reads the two apart. *)
+let codes arena atlas ?(seed = 0) ?deepest algo =
+  let n = arena.n in
+  let source = code_source ?deepest algo ~n in
   let rotations = match atlas with Instances -> false | Rotations _ -> true in
-  let key = (Algo.name algo, seed, rotations) in
   let span_name = if rotations then "arena.codes_reps" else "arena.codes" in
-  let cached =
-    Mutex.lock arena.memo_lock;
-    let c = Hashtbl.find_opt arena.codes_memo key in
-    Mutex.unlock arena.memo_lock;
-    c
+  let codes, created =
+    Obs.span span_name
+      ~attrs:[ ("algo", Algo.name source); ("seed", string_of_int seed); ("n", string_of_int n) ]
+      (fun () ->
+        (* Shared circulant wiring: the clique tables are built once,
+           each instance only needs its per-vertex cycle-neighbour
+           pairs. *)
+        let stamp = Instance.kt0_circulant_sweep n in
+        Bcclb_engine.Pool.shared codes_id
+          ~key:(Printf.sprintf "arena%d.codes|%s|%d|%b" arena.id (Algo.name source) seed rotations)
+          (num_reps arena atlas)
+          (fun ri -> run_codes ~seed ~n source stamp arena.one_cyc.(rep atlas ri)))
   in
-  match cached with
-  | Some c ->
-    Obs.Metrics.Counter.incr memo_hits_metric;
-    c
-  | None ->
-    Obs.Metrics.Counter.incr memo_misses_metric;
-    let computed =
-      Obs.span span_name
-        ~attrs:[ ("algo", Algo.name algo); ("seed", string_of_int seed); ("n", string_of_int arena.n) ]
-        (fun () ->
-          let n = arena.n in
-          (* Shared circulant wiring: the clique tables are built once,
-             each instance only needs its per-vertex cycle-neighbour
-             pairs. *)
-          let stamp = Instance.kt0_circulant_sweep n in
-          Bcclb_engine.Pool.tabulate (num_reps arena atlas) (fun ri ->
-              run_codes ~seed ~n algo stamp arena.one_cyc.(rep atlas ri)))
-    in
-    Mutex.lock arena.memo_lock;
-    (* A racing recompute stores the identical deterministic result. *)
-    if not (Hashtbl.mem arena.codes_memo key) then Hashtbl.replace arena.codes_memo key computed;
-    let result = Hashtbl.find arena.codes_memo key in
-    Mutex.unlock arena.memo_lock;
-    result
+  Obs.Metrics.Counter.incr (if created then memo_misses_metric else memo_hits_metric);
+  (codes, (1 lsl (2 * Algo.rounds algo ~n)) - 1)
 
 (* ---- the segmented, spillable orbit store ----
 
@@ -636,8 +649,8 @@ module Orbit = struct
               let buf = Buffer.create (1 lsl 16) in
               let scratch = Bytes.create record_bytes in
               let count = ref 0 and wsum = ref 0 in
-              Census.iter_one_cycle_orbits ~second ~n:nn (fun s ~weight ->
-                  encode_rep scratch ~n:nn ~width ~record_bytes (List.hd (Cycles.cycles s)) weight;
+              Census.iter_one_cycle_orbits ~second ~n:nn (fun seq ~weight ->
+                  encode_rep scratch ~n:nn ~width ~record_bytes seq weight;
                   Buffer.add_bytes buf scratch;
                   incr count;
                   wsum := !wsum + weight);

@@ -9,9 +9,11 @@
     successors of a one-cycle instance resolve by hash lookup of the
     crossed key — computed arithmetically from the arc decomposition,
     allocating nothing. Broadcast codes (2 bits per round,
-    {!Bcclb_bcc.Simulator.run_sent_codes}) are memoised per
-    (algorithm name, seed, atlas): each distinct execution runs
-    once per arena, which is what makes {!Indist_graph} cheap.
+    {!Bcclb_bcc.Simulator.run_sent_codes}) are computed once per
+    (algorithm name, seed, atlas) as single-flight pool batches: each
+    distinct execution runs once per process, and sibling truncations
+    read the codes of their family's deepest member. That is what makes
+    {!Indist_graph} cheap.
 
     On top of the full census, {!orbit_one} tabulates the rotation-orbit
     atlas of V₁ (representatives, weights, and the rotation taking each
@@ -45,11 +47,11 @@ val create : n:int -> t
 
 val get : n:int -> t
 (** The process-wide shared arena for [n], created on first use —
-    census enumeration and the execution memo are per-n facts, so
-    sweeps that rebuild indistinguishability graphs (different t, same
-    n) enumerate once and run each distinct execution once. Thread-safe.
-    Use {!create} only when memo isolation is required (e.g. peak-memory
-    measurements). *)
+    census enumeration and the executions are per-n facts, so sweeps
+    that rebuild indistinguishability graphs (different t, same n)
+    enumerate once and run each distinct execution once. Thread-safe.
+    Use {!create} only when isolation is required: a created arena
+    shares no code batches with any other. *)
 
 val n : t -> int
 val n_one : t -> int
@@ -107,9 +109,9 @@ val orbit_one : t -> orbit_one
 val rotation_map_two : t -> int -> int array
 (** [rotation_map_two t c].(h) is the V₂ handle of the rotation by [c]
     of structure [h] — the handle permutation that maps a
-    representative's adjacency row to any orbit member's. Keys come from
-    the same allocation-free canonicaliser as {!cross_key}. Memoised
-    per [c]. *)
+    representative's adjacency row to any orbit member's. ρ₁'s keys come
+    from the same allocation-free canonicaliser as {!cross_key}; every
+    other shift composes it, ρ_c(h) = ρ₁(ρ_{c−1}(h)). Memoised per [c]. *)
 
 val rotation_sound : 'o Bcclb_bcc.Algo.packed -> n:int -> bool
 (** Are the algorithm's transcripts rotation-equivariant on the circulant
@@ -149,13 +151,27 @@ val expand :
     pushed through {!rotation_map_two}. On {!Instances} the result is
     [fwd] itself: no rotation map, no copy. *)
 
-val codes : t -> atlas -> ?seed:int -> 'o Bcclb_bcc.Algo.packed -> int array array
-(** Per-representative, per-vertex packed broadcast codes under the
-    algorithm, indexed by representative — memoised per (algorithm name,
-    seed, atlas), pool-parallel on a miss (span [arena.codes] for
-    {!Instances}, [arena.codes_reps] for {!Rotations}). Requires a codable
-    algorithm ({!require_codable}); raises as
-    {!Bcclb_bcc.Simulator.run_sent_codes} otherwise. *)
+val code_source : ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> 'o Bcclb_bcc.Algo.packed
+(** The execution whose codes serve the algorithm: the [deepest]-round
+    member of its truncation family ({!Bcclb_bcc.Algo.deepen}) when that
+    member runs more rounds, has the same {!rotation_sound} verdict (so
+    the same atlas) and is codable — else the algorithm itself. Its codes
+    restricted to the low 2·rounds bits are the algorithm's own: the
+    simulator packs round r at bits 2(r−1), and members of one family
+    agree on every round both run. *)
+
+val codes :
+  t -> atlas -> ?seed:int -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> int array array * int
+(** [(codes, mask)]: per-representative, per-vertex packed broadcast
+    codes of the {!code_source} execution, indexed by representative,
+    and the mask that restricts them to the algorithm's own rounds
+    ([code land mask] is the algorithm's code). Computed once per
+    (arena, source name, seed, atlas) as a single-flight
+    {!Bcclb_engine.Pool.shared} batch — concurrent callers share its
+    executions, later ones read the stored result — under span
+    [arena.codes] for {!Instances} and [arena.codes_reps] for
+    {!Rotations}. Requires a codable algorithm ({!require_codable});
+    raises as {!Bcclb_bcc.Simulator.run_sent_codes} otherwise. *)
 
 val require_codable : string -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit
 (** [require_codable who algo ~n] accepts a codable algorithm: bandwidth

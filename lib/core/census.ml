@@ -41,9 +41,13 @@ let iter_cycles_on_restricted ?admit vertices f =
 
 let iter_cycles_on vertices f = iter_cycles_on_restricted vertices (fun seq -> f (Array.copy seq))
 
+(* The enumerators' sequences are canonical by construction (smallest
+   vertex first, second < last), so they become structures as they are:
+   Cycles.of_canonical checks that in O(k) instead of re-canonicalising
+   into fresh arrays. *)
 let iter_one_cycles ~n f =
   if n < 3 then invalid_arg "Census.iter_one_cycles: need n >= 3";
-  iter_cycles_on (Array.init n Fun.id) (fun seq -> f (Cycles.make [ seq ]))
+  iter_cycles_on (Array.init n Fun.id) (fun seq -> f (Cycles.of_canonical [ seq ]))
 
 let one_cycles ~n =
   let acc = ref [] in
@@ -61,7 +65,8 @@ let iter_two_cycles ~n f =
       let in_s = Array.make n false in
       Array.iter (fun v -> in_s.(v) <- true) s;
       let complement = Array.of_list (List.filter (fun v -> not in_s.(v)) (Bcclb_util.Arrayx.range 0 n)) in
-      iter_cycles_on s (fun c1 -> iter_cycles_on complement (fun c2 -> f (Cycles.make [ c1; c2 ])))
+      iter_cycles_on s (fun c1 ->
+          iter_cycles_on complement (fun c2 -> f (Cycles.of_canonical [ c1; c2 ])))
     end
     else
       for v = start to n - 1 do
@@ -146,7 +151,7 @@ let iter_one_cycle_orbits ?second ~n f =
   iter_cycles_on_restricted ~admit (Array.init n Fun.id) (fun seq ->
       Array.iteri (fun pos v -> inv.(v) <- pos) seq;
       let w = one_cycle_orbit ~n seq inv in
-      if w > 0 then f (Cycles.make [ seq ]) ~weight:w)
+      if w > 0 then f seq ~weight:w)
 
 (* Generic orbit test through Cycles.compare_t — used for the two-cycle
    set, whose representatives are only materialised at small n where the

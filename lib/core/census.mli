@@ -43,10 +43,12 @@ val orbit_size : n:int -> Bcclb_graph.Cycles.t -> int
 val orbit_rep : n:int -> Bcclb_graph.Cycles.t -> Bcclb_graph.Cycles.t
 (** The minimal rotation of [s] — the class representative. *)
 
-val iter_one_cycle_orbits :
-  ?second:int -> n:int -> (Bcclb_graph.Cycles.t -> weight:int -> unit) -> unit
+val iter_one_cycle_orbits : ?second:int -> n:int -> (int array -> weight:int -> unit) -> unit
 (** One representative per rotation class of V₁ with its class size;
-    Σ weight = (n−1)!/2. [second] restricts to canonical sequences whose
+    Σ weight = (n−1)!/2. The callback receives the representative's
+    canonical cycle as a scratch buffer valid only for the duration of
+    the call (copy to retain; [Cycles.of_canonical [ Array.copy seq ]] is
+    its structure). [second] restricts to canonical sequences whose
     second vertex is the given value — the slices over
     [second ∈ 1..n−1] partition the enumeration, so workers can scan
     branches in parallel. @raise Invalid_argument for n < 3. *)

@@ -126,7 +126,8 @@ let check_reps ?(seed = 0) ?(verify = `Sampled 16) algo ~n =
   Obs.span "crossing.check_reps" ~attrs:[ ("n", string_of_int n) ] @@ fun () ->
   let r =
     sweep ~seed ~verify algo (fun visit ->
-        Census.iter_one_cycle_orbits ~n (fun s ~weight ->
+        Census.iter_one_cycle_orbits ~n (fun seq ~weight ->
+            let s = Cycles.of_canonical [ Array.copy seq ] in
             visit (Instance.kt0_circulant (Cycles.to_graph ~n s)) s ~weight))
   in
   { r with instances = Census.num_one_cycles ~n }

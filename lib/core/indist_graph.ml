@@ -70,18 +70,21 @@ let crossing_row arena cyc pair =
   Array.sub buf 0 !m
 
 (* Both directed edges (c_i, c_i+1) and (c_j, c_j+1) carry the label
-   (x, y): the active pairs of Definition 3.6. *)
-let active_row arena cyc (sent : int array) ~x ~y =
+   (x, y): the active pairs of Definition 3.6. Here and below labels are
+   read through [mask]: the codes may be a deeper sibling truncation's
+   (Arena.codes), whose low bits are this algorithm's. *)
+let active_row arena cyc (sent : int array) ~mask ~x ~y =
   let k = Array.length cyc in
-  let active i = sent.(cyc.(i)) = x && sent.(cyc.((i + 1) mod k)) = y in
+  let active i = sent.(cyc.(i)) land mask = x && sent.(cyc.((i + 1) mod k)) land mask = y in
   crossing_row arena cyc (fun i j -> active i && active j)
 
 (* The two directed edges carry the same label, whatever it is: the
    same-label condition of Lemma 3.4, i.e. the full graph. *)
-let same_label_row arena cyc (sent : int array) =
+let same_label_row arena cyc (sent : int array) ~mask =
   let k = Array.length cyc in
   crossing_row arena cyc (fun i j ->
-      sent.(cyc.(i)) = sent.(cyc.(j)) && sent.(cyc.((i + 1) mod k)) = sent.(cyc.((j + 1) mod k)))
+      (sent.(cyc.(i)) lxor sent.(cyc.(j))) land mask = 0
+      && (sent.(cyc.((i + 1) mod k)) lxor sent.(cyc.((j + 1) mod k))) land mask = 0)
 
 (* Most frequent (head, tail) code label across all one-cycle edges,
    each representative counted with its weight: a rotated member's
@@ -92,7 +95,7 @@ let same_label_row arena cyc (sent : int array) =
    code order differs from lexicographic string order ('_' sorts after
    '1' in ASCII but codes as 0), and the string-label oracle fixes
    string order. *)
-let most_frequent_code ~rounds ~weight codes1 one_cyc =
+let most_frequent_code ~rounds ~mask ~weight codes1 one_cyc =
   let module T = Arena.Key_tbl in
   let find_or_add tbl key fresh =
     match T.find tbl key with
@@ -109,8 +112,8 @@ let most_frequent_code ~rounds ~weight codes1 one_cyc =
       let k = Array.length cyc in
       let w = weight i1 in
       for i = 0 to k - 1 do
-        let tails = find_or_add tally sent.(cyc.(i)) (fun () -> T.create 16) in
-        let count = find_or_add tails sent.(cyc.((i + 1) mod k)) (fun () -> ref 0) in
+        let tails = find_or_add tally (sent.(cyc.(i)) land mask) (fun () -> T.create 16) in
+        let count = find_or_add tails (sent.(cyc.((i + 1) mod k)) land mask) (fun () -> ref 0) in
         count := !count + w
       done)
     codes1;
@@ -140,13 +143,13 @@ let prepare who algo ~n =
   let arena = Arena.get ~n in
   (arena, Arena.atlas arena algo)
 
-let build ?(seed = 0) algo ~n () =
+let build ?(seed = 0) ?deepest algo ~n () =
   Bcclb_obs.span "indist.build" ~attrs:[ ("n", string_of_int n) ] @@ fun () ->
   let arena, atlas = prepare "Indist_graph.build" algo ~n in
   let rounds = Bcclb_bcc.Algo.rounds algo ~n in
-  let codes = Arena.codes arena atlas ~seed algo in
+  let codes, mask = Arena.codes arena atlas ~seed ?deepest algo in
   let rep_cycle ri = Arena.one_cycle arena (Arena.rep atlas ri) in
-  let x, y = most_frequent_code ~rounds ~weight:(Arena.rep_weight atlas) codes rep_cycle in
+  let x, y = most_frequent_code ~rounds ~mask ~weight:(Arena.rep_weight atlas) codes rep_cycle in
   (* Each representative's row is independent (the arena's key table is
      read-only here), so rows run on the pool. Crossing is
      orientation-free but the (x, y) label condition is not: a member
@@ -155,7 +158,7 @@ let build ?(seed = 0) algo ~n () =
      compute those rows too (they coincide when x = y). *)
   let rows ~x ~y =
     Bcclb_engine.Pool.tabulate (Arena.num_reps arena atlas) (fun ri ->
-        active_row arena (rep_cycle ri) codes.(ri) ~x ~y)
+        active_row arena (rep_cycle ri) codes.(ri) ~mask ~x ~y)
   in
   let fwd = rows ~x ~y in
   let rev = if x = y || not (Arena.reverses atlas) then fwd else rows ~x:y ~y:x in
@@ -168,10 +171,10 @@ let build ?(seed = 0) algo ~n () =
 let build_full ?(seed = 0) algo ~n () =
   Bcclb_obs.span "indist.build_full" ~attrs:[ ("n", string_of_int n) ] @@ fun () ->
   let arena, atlas = prepare "Indist_graph.build_full" algo ~n in
-  let codes = Arena.codes arena atlas ~seed algo in
+  let codes, mask = Arena.codes arena atlas ~seed algo in
   let rows =
     Bcclb_engine.Pool.tabulate (Arena.num_reps arena atlas) (fun ri ->
-        same_label_row arena (Arena.one_cycle arena (Arena.rep atlas ri)) codes.(ri))
+        same_label_row arena (Arena.one_cycle arena (Arena.rep atlas ri)) codes.(ri) ~mask)
   in
   finish ~n ~x:"*" ~y:"*" ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena)
     (Arena.expand arena atlas ~fwd:rows ~rev:rows)

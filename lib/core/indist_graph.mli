@@ -19,12 +19,16 @@ type t = {
   radj : int array array;
 }
 
-val build : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
+val build : ?seed:int -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
 (** Run the (already truncated) algorithm and connect crossings of
     same-label active edge pairs, for the most frequent label (x, y)
     across V₁. Rows are computed once per representative of
     {!Arena.atlas} and expanded to every member: V₁'s rotation classes
-    where {!Arena.rotation_sound}, every instance otherwise.
+    where {!Arena.rotation_sound}, every instance otherwise. With
+    [deepest], labels are read off the codes of the family's
+    [deepest]-round member, masked to this algorithm's rounds
+    ({!Arena.codes}), so sibling truncations share one execution per
+    instance; the graph is the same.
     @raise Invalid_argument, naming the limit, for n outside
     {!Arena.supported} or an algorithm {!Arena.require_codable} refuses. *)
 

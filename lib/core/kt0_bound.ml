@@ -50,8 +50,8 @@ type indist_stats = {
   k_matching_found : bool;
 }
 
-let indist_stats ?(seed = 0) ?(samples = 200) algo ~n ~rounds ~k rng =
-  let g = Indist_graph.build ~seed algo ~n () in
+let indist_stats ?(seed = 0) ?(samples = 200) ?deepest algo ~n ~rounds ~k rng =
+  let g = Indist_graph.build ~seed ?deepest algo ~n () in
   let nl = Array.length g.Indist_graph.v1 in
   let isolated = ref 0 and min_live = ref max_int and max_deg = ref 0 in
   for i = 0 to nl - 1 do
@@ -94,8 +94,8 @@ type orbit_row = {
   warm : bool;
 }
 
-let orbit_row ?(seed = 0) ?root algo ~n () =
-  let s = Quotient.full_stats ~seed ?root algo ~n () in
+let orbit_row ?(seed = 0) ?root ?deepest algo ~n () =
+  let s = Quotient.full_stats ~seed ?root ?deepest algo ~n () in
   { n;
     rounds = s.Quotient.rounds;
     v1 = s.Quotient.v1;

@@ -34,10 +34,11 @@ type indist_stats = {
 }
 
 val indist_stats :
-  ?seed:int -> ?samples:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> rounds:int -> k:int ->
-  Bcclb_util.Rng.t -> indist_stats
+  ?seed:int -> ?samples:int -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> rounds:int ->
+  k:int -> Bcclb_util.Rng.t -> indist_stats
 (** Build G^t for the given (pre-truncated to [rounds]) algorithm; check
-    the sampled Hall condition and construct a k-matching. *)
+    the sampled Hall condition and construct a k-matching. [deepest] as
+    in {!Indist_graph.build}. *)
 
 type orbit_row = {
   n : int;
@@ -54,11 +55,12 @@ type orbit_row = {
   warm : bool;
 }
 
-val orbit_row : ?seed:int -> ?root:string -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> orbit_row
+val orbit_row :
+  ?seed:int -> ?root:string -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> orbit_row
 (** Exhaustive full-graph statistics through the streaming
     {!Quotient} — E2's frontier table past the materialisable census
-    (n ≤ {!Arena.Orbit.max_n}). Same soundness condition and exceptions
-    as {!Quotient.full_stats}. *)
+    (n ≤ {!Arena.Orbit.max_n}). Same [deepest], soundness condition and
+    exceptions as {!Quotient.full_stats}. *)
 
 type error_row = {
   n : int;

@@ -36,7 +36,8 @@ type stats = {
   warm : bool;
 }
 
-(* Per-worker partial aggregate over one segment. *)
+(* Partial aggregate over one chunk of representatives, for one
+   truncation. *)
 type partial = {
   mutable p_reps : int;
   mutable p_edges : int;
@@ -56,46 +57,60 @@ let require_sound algo ~n =
          (Algo.name algo));
   Arena.require_codable "Quotient" algo ~n
 
-(* Degree computation for one representative, given its executed codes:
-   count its independent same-label pairs (i < j, both arcs >= 3).
-   Crossing (i, j) deletes exactly the cycle edges eᵢ and eⱼ and adds two
-   chords, so distinct pairs reach distinct structures and the degree is
-   the pair count; the neighbour's smaller cycle has min(j − i, k − (j − i))
-   vertices. *)
-let process_rep p cyc (sent : int array) ~weight =
+(* Degrees of one representative under every truncation t = 0..depth,
+   given the deepest member's codes: count its independent same-label
+   pairs (i < j, both arcs >= 3). A pair has the same label at t iff
+   both edges' codes agree on their low 2t bits, so the pair counts at
+   every t up to the first round where they differ. Crossing (i, j)
+   deletes exactly the cycle edges eᵢ and eⱼ and adds two chords, so
+   distinct pairs reach distinct structures and the degree is the pair
+   count; the neighbour's smaller cycle has min(j − i, k − (j − i))
+   vertices. [deg] is scratch, one slot per t. *)
+let process_rep ps deg cyc (sent : int array) ~weight =
   let k = Array.length cyc in
-  let deg = ref 0 in
+  let depth = Array.length ps - 1 in
+  Array.fill deg 0 (depth + 1) 0;
   for i = 0 to k - 4 do
     let si = sent.(cyc.(i)) and si' = sent.(cyc.(i + 1)) in
     for j = i + 3 to Int.min (k - 1) (i + k - 3) do
-      if sent.(cyc.(j)) = si && sent.(cyc.((j + 1) mod k)) = si' then begin
-        incr deg;
-        let smaller = Int.min (j - i) (k - (j - i)) in
-        p.p_by_smaller.(smaller) <- p.p_by_smaller.(smaller) + weight
-      end
+      let differ = (si lxor sent.(cyc.(j))) lor (si' lxor sent.(cyc.((j + 1) mod k))) in
+      let smaller = Int.min (j - i) (k - (j - i)) in
+      let t = ref 0 in
+      while !t <= depth && differ land ((1 lsl (2 * !t)) - 1) = 0 do
+        deg.(!t) <- deg.(!t) + 1;
+        let by = ps.(!t).p_by_smaller in
+        by.(smaller) <- by.(smaller) + weight;
+        incr t
+      done
     done
   done;
-  let deg = !deg in
-  p.p_reps <- p.p_reps + 1;
-  p.p_edges <- p.p_edges + (weight * deg);
-  if deg = 0 then p.p_isolated <- p.p_isolated + weight
-  else begin
-    p.p_live <- p.p_live + weight;
-    if deg < p.p_min_live then p.p_min_live <- deg
-  end;
-  if deg > p.p_max then p.p_max <- deg
+  for t = 0 to depth do
+    let p = ps.(t) and deg = deg.(t) in
+    p.p_reps <- p.p_reps + 1;
+    p.p_edges <- p.p_edges + (weight * deg);
+    if deg = 0 then p.p_isolated <- p.p_isolated + weight
+    else begin
+      p.p_live <- p.p_live + weight;
+      if deg < p.p_min_live then p.p_min_live <- deg
+    end;
+    if deg > p.p_max then p.p_max <- deg
+  done
 
 (* Work units finer than a segment: small n fits one segment entirely,
    and even at n = 13 (71 segments) range-splitting keeps every pool
    worker busy through the tail. *)
 let chunk_records = 16384
 
-let full_stats ?(seed = 0) ?root algo ~n () =
-  if n < 6 then invalid_arg "Quotient.full_stats: need n >= 6 (V2 is empty below)";
-  require_sound algo ~n;
-  Obs.span "quotient.full_stats" ~attrs:[ ("n", string_of_int n); ("algo", Algo.name algo) ]
-  @@ fun () ->
-  let store = Arena.Orbit.get ?root ~n () in
+let stream_id : partial array array Type.Id.t = Type.Id.make ()
+
+(* One stream of the orbit store per (n, store, source execution, seed):
+   a single-flight pool batch over chunks, each executing the source on
+   its representatives and yielding partials for every truncation up to
+   the source's depth. Sibling cells read their own truncation's
+   partials off the same stream; a sibling that arrives mid-stream
+   claims chunks instead of waiting. *)
+let stream ~seed ?root source ~n store =
+  let depth = Algo.rounds source ~n in
   let chunks = ref [] in
   for si = Arena.Orbit.num_segments store - 1 downto 0 do
     let records = Arena.Orbit.segment_records store si in
@@ -105,31 +120,48 @@ let full_stats ?(seed = 0) ?root algo ~n () =
       lo := !lo + chunk_records
     done
   done;
+  let chunks = Array.of_list !chunks in
   let stamp = Instance.kt0_circulant_sweep n in
+  let key =
+    Printf.sprintf "quotient|%d|%s|%s|%d" n (Option.value root ~default:"") (Algo.name source) seed
+  in
+  fst
+    (Bcclb_engine.Pool.shared stream_id ~key (Array.length chunks) (fun ci ->
+         let si, lo, hi = chunks.(ci) in
+         let ps =
+           Array.init (depth + 1) (fun _ ->
+               { p_reps = 0;
+                 p_edges = 0;
+                 p_isolated = 0;
+                 p_live = 0;
+                 p_min_live = max_int;
+                 p_max = 0;
+                 p_by_smaller = Array.make ((n / 2) + 1) 0 })
+         in
+         let deg = Array.make (depth + 1) 0 in
+         let neighbors = Array.make n (0, 0) in
+         Arena.Orbit.iter_segment ~lo ~hi store si (fun cyc ~weight ->
+             for i = 0 to n - 1 do
+               neighbors.(cyc.(i)) <- (cyc.((i + n - 1) mod n), cyc.((i + 1) mod n))
+             done;
+             let sent = Simulator.run_sent_codes ~seed source (stamp neighbors) in
+             process_rep ps deg cyc sent ~weight);
+         Obs.Metrics.Counter.add reps_metric (hi - lo);
+         ps))
+
+let full_stats ?(seed = 0) ?root ?deepest algo ~n () =
+  if n < 6 then invalid_arg "Quotient.full_stats: need n >= 6 (V2 is empty below)";
+  require_sound algo ~n;
+  Obs.span "quotient.full_stats" ~attrs:[ ("n", string_of_int n); ("algo", Algo.name algo) ]
+  @@ fun () ->
+  let store = Arena.Orbit.get ?root ~n () in
+  let rounds = Algo.rounds algo ~n in
   let partials =
-    Bcclb_engine.Pool.map_batch
-      (fun (si, lo, hi) ->
-        let p =
-          { p_reps = 0;
-            p_edges = 0;
-            p_isolated = 0;
-            p_live = 0;
-            p_min_live = max_int;
-            p_max = 0;
-            p_by_smaller = Array.make ((n / 2) + 1) 0 }
-        in
-        let neighbors = Array.make n (0, 0) in
-        Arena.Orbit.iter_segment ~lo ~hi store si (fun cyc ~weight ->
-            for i = 0 to n - 1 do
-              neighbors.(cyc.(i)) <- (cyc.((i + n - 1) mod n), cyc.((i + 1) mod n))
-            done;
-            let sent = Simulator.run_sent_codes ~seed algo (stamp neighbors) in
-            process_rep p cyc sent ~weight);
-        p)
-      (Array.of_list !chunks)
+    Array.map
+      (fun ps -> ps.(rounds))
+      (stream ~seed ?root (Arena.code_source ?deepest algo ~n) ~n store)
   in
   let reps = Array.fold_left (fun acc p -> acc + p.p_reps) 0 partials in
-  Obs.Metrics.Counter.add reps_metric reps;
   let by_smaller = Array.make ((n / 2) + 1) 0 in
   Array.iter
     (fun p -> Array.iteri (fun i w -> by_smaller.(i) <- by_smaller.(i) + w) p.p_by_smaller)
@@ -140,7 +172,7 @@ let full_stats ?(seed = 0) ?root algo ~n () =
   assert (reps = Arena.Orbit.n_reps store);
   assert (isolated + live = Census.num_one_cycles ~n);
   { n;
-    rounds = Algo.rounds algo ~n;
+    rounds;
     v1 = Census.num_one_cycles ~n;
     v2 = Census.num_two_cycles ~n;
     reps;

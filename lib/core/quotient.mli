@@ -30,12 +30,17 @@ type stats = {
 }
 
 val full_stats :
-  ?seed:int -> ?root:string -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> stats
+  ?seed:int -> ?root:string -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> stats
 (** Aggregate the full graph's left-side degree statistics by streaming
     every representative (pool-parallel over segment record ranges).
-    Every quantity agrees exactly with the materialised
-    {!Indist_graph.build_full} wherever both are feasible (n ≤ 10 is
-    tested).
+    The stream executes the family's [deepest]-round member
+    ({!Arena.code_source}; the algorithm itself by default) and yields
+    partials for every truncation up to its depth; it is one
+    single-flight {!Bcclb_engine.Pool.shared} batch per (n, [root],
+    member, seed), so the sibling truncations of one sweep share it and
+    each reads its own. Every quantity agrees exactly with the
+    materialised {!Indist_graph.build_full} wherever both are feasible
+    (n ≤ 10 is tested), whatever [deepest].
     @raise Invalid_argument if n < 6, n > {!Arena.Orbit.max_n}, the
     algorithm is not {!Arena.rotation_sound}, or its codes do not pack
     ({!Arena.require_codable}). *)

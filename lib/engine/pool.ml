@@ -67,15 +67,22 @@ let span_batch ~n ~d f =
     f
 
 (* The batch skeleton: [run i] runs task [i] and stores its result.
-   The sequential path runs on the calling domain; the parallel path
-   spawns [d - 1] workers and joins the caller in. *)
-let dispatch ~n ~d (run : int -> unit) =
-  if d <= 1 || Domain.DLS.get inside_pool then
-    for i = 0 to n - 1 do
-      run i
-    done
+   Indices come off [cursor] (a fresh one by default; a shared batch
+   passes its own, so every caller claims from it). The sequential path
+   claims on the calling domain; the parallel path spawns [d - 1]
+   workers and joins the caller in. *)
+let dispatch ?(cursor = Atomic.make 0) ~n ~d (run : int -> unit) =
+  if d <= 1 || Domain.DLS.get inside_pool then begin
+    let rec loop () =
+      let i = Atomic.fetch_and_add cursor 1 in
+      if i < n then begin
+        run i;
+        loop ()
+      end
+    in
+    loop ()
+  end
   else begin
-    let cursor = Atomic.make 0 in
     let depth = Domain.DLS.get task_depth in
     let worker () =
       Domain.DLS.set inside_pool true;
@@ -161,3 +168,93 @@ let map_batch_timed ?num_domains f items =
 
 let tabulate ?num_domains n f =
   map_batch ?num_domains f (Array.init n (fun i -> i))
+
+(* ---- single-flight batches ----
+
+   One process-wide table of batches by key. The first caller creates
+   the batch and claims items off its cursor; a caller that arrives while
+   it runs claims from the same cursor, so nobody idles while items
+   remain, then waits for the items others still hold. Each item
+   therefore runs exactly once, whatever the number of callers or
+   domains, and every caller gets the same array. The outcome — the
+   array, or the lowest-index failure once every item has settled — is
+   kept for the life of the process. *)
+
+type 'a flight = {
+  items : int;
+  cursor : int Atomic.t;
+  mutable slots : 'a option array;
+  mutable failure : (int * exn) option;  (* lowest-index failure so far *)
+  settled : int Atomic.t;
+  lock : Mutex.t;
+  all_settled : Condition.t;
+  mutable outcome : ('a array, exn) result option;
+}
+
+type flight_entry = Flight : 'a array Type.Id.t * 'a flight -> flight_entry
+
+let flights : (string, flight_entry) Hashtbl.t = Hashtbl.create 16
+let flights_lock = Mutex.create ()
+
+let find_or_create_flight (type a) (id : a array Type.Id.t) ~key n : a flight * bool =
+  Mutex.protect flights_lock (fun () ->
+      match Hashtbl.find_opt flights key with
+      | Some (Flight (id', fl)) -> (
+        match Type.Id.provably_equal id id' with
+        | Some Type.Equal -> ((fl : a flight), false)
+        | None -> invalid_arg (Printf.sprintf "Pool.shared: key %S is in use at another type" key))
+      | None ->
+        let fl =
+          { items = n;
+            cursor = Atomic.make 0;
+            slots = Array.make n None;
+            failure = None;
+            settled = Atomic.make 0;
+            lock = Mutex.create ();
+            all_settled = Condition.create ();
+            outcome = None }
+        in
+        Hashtbl.add flights key (Flight (id, fl));
+        (fl, true))
+
+let shared id ~key n f =
+  let fl, created = find_or_create_flight id ~key n in
+  if fl.items <> n then
+    invalid_arg (Printf.sprintf "Pool.shared: key %S holds %d items, not %d" key fl.items n);
+  if created then Obs.Metrics.Counter.incr batches_metric;
+  let run i =
+    (match fst (run_task f i) with
+    | Ok v -> fl.slots.(i) <- Some v
+    | Error e ->
+      Mutex.protect fl.lock (fun () ->
+          match fl.failure with
+          | Some (j, _) when j < i -> ()
+          | _ -> fl.failure <- Some (i, e)));
+    if Atomic.fetch_and_add fl.settled 1 = n - 1 then
+      Mutex.protect fl.lock (fun () -> Condition.broadcast fl.all_settled)
+  in
+  if Atomic.get fl.cursor < n then begin
+    (* Only the creator fans out; a caller that joins a running batch
+       claims on its own domain. *)
+    let d = if created then resolve_domains None n else 1 in
+    span_batch ~n ~d (fun () -> dispatch ~cursor:fl.cursor ~n ~d run)
+  end;
+  let outcome =
+    Mutex.protect fl.lock (fun () ->
+        while Atomic.get fl.settled < n do
+          Condition.wait fl.all_settled fl.lock
+        done;
+        match fl.outcome with
+        | Some o -> o
+        | None ->
+          let o =
+            match fl.failure with
+            | Some (_, e) -> Error e
+            | None -> Ok (Array.map Option.get fl.slots)
+          in
+          fl.outcome <- Some o;
+          fl.slots <- [||];
+          o)
+  in
+  match outcome with Ok a -> (a, created) | Error e -> raise e
+

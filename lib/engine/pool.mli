@@ -41,3 +41,21 @@ val map_batch_timed : ?num_domains:int -> ('a -> 'b) -> 'a array -> ('b * float)
 
 val tabulate : ?num_domains:int -> int -> (int -> 'b) -> 'b array
 (** [tabulate n f] = [map_batch f [|0; ...; n-1|]]. *)
+
+val shared : 'a array Type.Id.t -> key:string -> int -> (int -> 'a) -> 'a array * bool
+(** [shared id ~key n f] is [(Array.init n f, created)], computed once
+    per [key] for the life of the process: a single-flight batch. The
+    first caller creates it ([created = true]); a concurrent caller with
+    the same key claims unclaimed items off the same cursor, then waits
+    for the items others still run; a later caller gets the stored
+    result at once. So each item runs exactly once at any domain count,
+    and every caller gets the same array. Failures follow [map_batch]:
+    every item settles, then the lowest-index exception is re-raised to
+    every caller, now and later. Outside a pool task the creator fans
+    the items out over {!default_num_domains} domains, as [map_batch]
+    does; inside one, each caller claims on its own domain. The key
+    names one batch: [f] must be the same computation for every caller
+    (and must not call [shared] on its own key).
+    @raise Invalid_argument if [key] is held by a batch of another type
+    ([id]) or another length. *)
+

@@ -32,6 +32,33 @@ let make cycles =
     canon;
   List.sort (fun a b -> Int.compare a.(0) b.(0)) canon
 
+(* What [make] guarantees, checked instead of established: each cycle
+   starts at its minimum and walks toward its smaller neighbour, cycles
+   are sorted by first vertex, and no vertex repeats (an int bitmask, so
+   vertices must be below [Sys.int_size]). O(total length), and the
+   family itself becomes the value: nothing is allocated. *)
+let of_canonical cycles =
+  let refuse what = invalid_arg ("Cycles.of_canonical: " ^ what) in
+  let rec check seen prev = function
+    | [] -> ()
+    | c :: rest ->
+      let k = Array.length c in
+      if k < 3 then refuse "cycle of length < 3";
+      if c.(0) <= prev then refuse "cycles not sorted by first vertex";
+      if c.(1) >= c.(k - 1) then refuse "cycle not oriented toward the smaller neighbour";
+      let seen = ref seen in
+      for i = 0 to k - 1 do
+        let v = c.(i) in
+        if v < c.(0) then refuse "cycle does not start at its minimum";
+        if v >= Sys.int_size then refuse "vertex beyond the bitmask";
+        if !seen land (1 lsl v) <> 0 then refuse "cycles are not disjoint";
+        seen := !seen lor (1 lsl v)
+      done;
+      check !seen c.(0) rest
+  in
+  check 0 (-1) cycles;
+  cycles
+
 let cycles t = t
 
 let num_cycles t = List.length t

@@ -18,6 +18,16 @@ val make : int array list -> t
 (** Canonicalise a family of vertex-disjoint cycles.
     @raise Invalid_argument if cycles share a vertex or one is too short. *)
 
+val of_canonical : int array list -> t
+(** The family itself, when it is already in {!make}'s canonical form —
+    each cycle starts at its minimum vertex and its second entry is less
+    than its last, cycles are sorted by first vertex and vertex-disjoint —
+    so [of_canonical cs] equals [make cs] without copying or
+    re-canonicalising. Checked in O(total length) without allocating.
+    The arrays become the value: do not mutate them afterwards.
+    @raise Invalid_argument on a non-canonical or overlapping family, or
+    a vertex outside [0, Sys.int_size). *)
+
 val cycles : t -> int array list
 (** The canonical cycles, sorted by their smallest vertex. Do not mutate. *)
 

@@ -7,9 +7,14 @@ let inf = max_int
 
 type result = { size : int; pair_left : int array; pair_right : int array }
 
-let max_matching ~nl ~nr ~adj =
-  if Array.length adj <> nl then invalid_arg "Hopcroft_karp.max_matching: adjacency size mismatch";
-  Array.iter (Array.iter (fun v -> if v < 0 || v >= nr then invalid_arg "Hopcroft_karp.max_matching: right vertex out of range")) adj;
+let check_adjacency who ~nl ~nr adj =
+  if Array.length adj <> nl then invalid_arg ("Hopcroft_karp." ^ who ^ ": adjacency size mismatch");
+  Array.iter
+    (Array.iter (fun v ->
+         if v < 0 || v >= nr then invalid_arg ("Hopcroft_karp." ^ who ^ ": right vertex out of range")))
+    adj
+
+let maximum ~nl ~nr ~adj =
   let pair_left = Array.make nl (-1) in
   let pair_right = Array.make nr (-1) in
   let dist = Array.make nl inf in
@@ -71,15 +76,22 @@ let max_matching ~nl ~nr ~adj =
   done;
   { size = !size; pair_left; pair_right }
 
+let max_matching ~nl ~nr ~adj =
+  check_adjacency "max_matching" ~nl ~nr adj;
+  maximum ~nl ~nr ~adj
+
 (* A k-matching (§2, Polygamous Hall) assigns k distinct, globally disjoint
    right-neighbours to each matched left vertex. Realised as a maximum
-   matching in the graph with k copies of each left vertex. *)
+   matching in the graph with k copies of each left vertex — unless
+   counting already refutes it: the k·nl copies need k·nl distinct right
+   vertices. *)
 let k_matching ~k ~nl ~nr ~adj =
   if k <= 0 then invalid_arg "Hopcroft_karp.k_matching: k must be positive";
-  let adj' = Array.init (nl * k) (fun i -> adj.(i / k)) in
-  let { size; pair_left; pair_right = _ } = max_matching ~nl:(nl * k) ~nr ~adj:adj' in
-  if size < nl * k then None
+  check_adjacency "k_matching" ~nl ~nr adj;
+  if k * nl > nr then None
   else begin
-    let groups = Array.init nl (fun u -> Array.init k (fun c -> pair_left.((u * k) + c))) in
-    Some groups
+    let adj' = Array.init (nl * k) (fun i -> adj.(i / k)) in
+    let { size; pair_left; pair_right = _ } = maximum ~nl:(nl * k) ~nr ~adj:adj' in
+    if size < nl * k then None
+    else Some (Array.init nl (fun u -> Array.init k (fun c -> pair_left.((u * k) + c))))
   end

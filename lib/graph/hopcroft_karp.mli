@@ -19,5 +19,6 @@ val max_matching : nl:int -> nr:int -> adj:int array array -> result
 val k_matching : k:int -> nl:int -> nr:int -> adj:int array array -> int array array option
 (** [Some groups] with [groups.(u)] the k pairwise-disjoint right vertices
     assigned to left vertex [u], if every left vertex can get k; [None]
-    otherwise. By Theorem 2.1 this succeeds whenever |N(S)| ≥ k|S| for all
-    S ⊆ L. @raise Invalid_argument if k ≤ 0. *)
+    otherwise — at once, without matching, when k·nl > nr. By Theorem 2.1
+    this succeeds whenever |N(S)| ≥ k|S| for all S ⊆ L.
+    @raise Invalid_argument if k ≤ 0 or on malformed adjacency. *)

@@ -10,15 +10,23 @@ open Exp_common
    n = 10); the streaming orbit frontier reaches Arena.Orbit.max_n. *)
 let indist_max_n = 10
 
+(* Every part sweeps these truncations. A cell reads its labels off one
+   execution of the deepest — the t-round codes are the low 2t bits of
+   the deepest member's — so one run per instance serves the part's
+   cells (Arena.codes, Quotient.full_stats); only discovery at t = 0,
+   which computes on rotation classes, keeps its own run. *)
+let truncations = [ 0; 1; 2; 3 ]
+let deepest = List.fold_left max 0 truncations
+
 let indist_grid ns =
   List.concat_map
     (fun n ->
       if n <= indist_max_n then
-        List.map (fun t -> P.v [ ps "part" "indist"; pi "n" n; pi "t" t ]) [ 0; 1; 2; 3 ]
+        List.map (fun t -> P.v [ ps "part" "indist"; pi "n" n; pi "t" t ]) truncations
       else [])
     ns
   @ List.concat_map
-      (fun n -> List.map (fun t -> P.v [ ps "part" "orbit"; pi "n" n; pi "t" t ]) [ 0; 1; 2; 3 ])
+      (fun n -> List.map (fun t -> P.v [ ps "part" "orbit"; pi "n" n; pi "t" t ]) truncations)
       ns
 
 let indist_graph =
@@ -56,7 +64,7 @@ let indist_graph =
       | "indist" ->
         let rng = Rng.create ~seed:(1000 + n + t) in
         let algo = truncated_optimist ~rounds:t in
-        let s = Core.Kt0_bound.indist_stats algo ~n ~rounds:t ~k:1 rng in
+        let s = Core.Kt0_bound.indist_stats ~deepest algo ~n ~rounds:t ~k:1 rng in
         Core.Kt0_bound.
           [ E.row
               [ pi "n" n; pi "t" t; pi "v1" s.v1_count; pi "v2" s.v2_count; pi "edges" s.edges;
@@ -66,7 +74,7 @@ let indist_graph =
           ]
       | "orbit" ->
         let algo = anonymous_optimist ~rounds:t in
-        let r = Core.Kt0_bound.orbit_row algo ~n () in
+        let r = Core.Kt0_bound.orbit_row ~deepest algo ~n () in
         Core.Kt0_bound.
           [ E.row ~table:"orbit frontier (full graph, anonymous algorithm)"
               [ pi "n" n; pi "t" t; pi "v1" r.v1; pi "v2" r.v2; pi "reps" r.reps;

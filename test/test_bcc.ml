@@ -505,7 +505,8 @@ let test_split_preserves_silence_patterns () =
             let received = Array.to_list (Array.map Msg.to_string (Inbox.to_array inbox)) in
             let msg = if (round + id) mod 2 = 0 then Msg.silent else Msg.of_int ~width:(1 + (round mod 5)) round in
             ((id, received :: log), msg));
-        finish = (fun (_, log) ~inbox -> List.length log = 4 && Inbox.ports inbox > 0) }
+        finish = (fun (_, log) ~inbox -> List.length log = 4 && Inbox.ports inbox > 0);
+        truncates = None }
   in
   let outer = Split.compile inner in
   let inst = Instance.kt0_circulant (Bcclb_graph.Gen.cycle 6) in
@@ -572,7 +573,8 @@ let fuzz_inner ~b ~rounds_n seed =
           let heard =
             Array.fold_left (fun acc m -> acc + (Msg.width m * 7) + 1) heard (Inbox.to_array inbox)
           in
-          (id + heard) land 0xFFFF) }
+          (id + heard) land 0xFFFF);
+      truncates = None }
 
 let qsuites =
   let open QCheck2 in

@@ -31,6 +31,21 @@ let test_census_distinct () =
       Hashtbl.add seen s ());
   Alcotest.(check int) "count" 360 (Hashtbl.length seen)
 
+(* The enumerators hand out their canonical sequences as structures
+   without re-canonicalising: each must be what Cycles.make would build. *)
+let test_census_structures_canonical () =
+  let check what s =
+    if not (Cycles.equal s (Cycles.make (Cycles.cycles s))) then
+      Alcotest.failf "%s: a structure differs from Cycles.make of itself" what
+  in
+  List.iter
+    (fun n ->
+      Census.iter_one_cycles ~n (check (Printf.sprintf "V1 n=%d" n));
+      Census.iter_two_cycles ~n (check (Printf.sprintf "V2 n=%d" n));
+      Census.iter_one_cycle_orbits ~n (fun seq ~weight:_ ->
+          check (Printf.sprintf "orbit reps n=%d" n) (Cycles.of_canonical [ Array.copy seq ])))
+    [ 6; 7; 8; 9 ]
+
 let test_cross_one_cycle () =
   let cyc = [| 0; 1; 2; 3; 4; 5; 6; 7 |] in
   let s = Census.cross_one_cycle cyc 0 4 in
@@ -425,6 +440,8 @@ let test_lemma_3_9_t_i_bound () =
 let suites =
   [ Alcotest.test_case "census counts" `Quick test_census_counts;
     Alcotest.test_case "census distinct" `Quick test_census_distinct;
+    Alcotest.test_case "census structures = Cycles.make, n=6..9" `Quick
+      test_census_structures_canonical;
     Alcotest.test_case "cross one cycle" `Quick test_cross_one_cycle;
     Alcotest.test_case "cross/merge inverse" `Quick test_cross_two_cycles_inverse;
     Alcotest.test_case "label pigeonhole" `Quick test_labels_pigeonhole;

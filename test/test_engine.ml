@@ -422,6 +422,105 @@ let test_pool_empty_and_default () =
   Alcotest.(check (array int)) "empty batch" [||] (Pool.map_batch ~num_domains:4 (fun x -> x) [||]);
   Alcotest.(check bool) "default domains >= 1" true (Pool.default_num_domains () >= 1)
 
+(* ---- single-flight batches ---- *)
+
+(* [callers] domains released together, each calling [call]; returns
+   each caller's outcome in domain order. *)
+let race callers call =
+  let ready = Atomic.make 0 in
+  let domains =
+    Array.init callers (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < callers do
+              Domain.cpu_relax ()
+            done;
+            try Ok (call ()) with e -> Error e))
+  in
+  Array.map Domain.join domains
+
+(* Enough work per item that the racing callers overlap. *)
+let slow x =
+  let acc = ref x in
+  for i = 1 to 20_000 do
+    acc := Sys.opaque_identity ((!acc * 31) + i)
+  done;
+  x
+
+let shared_int : int array Type.Id.t = Type.Id.make ()
+
+let test_pool_shared_once () =
+  let items = 300 in
+  let ran = Atomic.make 0 in
+  let f i =
+    Atomic.incr ran;
+    slow (i * i)
+  in
+  let key = "test.pool.shared.once" in
+  let outcomes = race 4 (fun () -> Pool.shared shared_int ~key items f) in
+  let expected = Array.init items (fun i -> i * i) in
+  let created =
+    Array.fold_left
+      (fun acc -> function
+        | Ok (a, c) ->
+          Alcotest.(check (array int)) "every caller gets the batch" expected a;
+          if c then acc + 1 else acc
+        | Error e -> Alcotest.failf "caller raised %s" (Printexc.to_string e))
+      0 outcomes
+  in
+  Alcotest.(check int) "one caller created the batch" 1 created;
+  Alcotest.(check int) "every item ran exactly once" items (Atomic.get ran);
+  (* Inside pool tasks too: siblings of one batch share the flight. *)
+  let inner =
+    Pool.tabulate ~num_domains:4 6 (fun _ ->
+        fst (Pool.shared shared_int ~key:"test.pool.shared.nested" 50 f))
+  in
+  Array.iter
+    (Alcotest.(check (array int)) "nested callers agree" (Array.init 50 (fun i -> i * i)))
+    inner;
+  Alcotest.(check int) "nested items ran once" (items + 50) (Atomic.get ran);
+  let again, created = Pool.shared shared_int ~key items f in
+  Alcotest.(check bool) "a later call is a hit" false created;
+  Alcotest.(check (array int)) "the hit returns the batch" expected again;
+  Alcotest.(check int) "the hit runs nothing" (items + 50) (Atomic.get ran)
+
+let test_pool_shared_failure () =
+  let items = 120 in
+  let ran = Atomic.make 0 in
+  let f i =
+    Atomic.incr ran;
+    if i = 37 || i = 80 then failwith (Printf.sprintf "item %d" i) else slow i
+  in
+  let key = "test.pool.shared.failure" in
+  let raised = function
+    | Error (Failure m) -> Some m
+    | Error e -> Some (Printexc.to_string e)
+    | Ok _ -> None
+  in
+  Array.iter
+    (fun o ->
+      Alcotest.(check (option string))
+        "every caller raises the lowest failure" (Some "item 37") (raised o))
+    (race 4 (fun () -> Pool.shared shared_int ~key items f));
+  Alcotest.(check int) "every item settled once" items (Atomic.get ran);
+  Alcotest.(check (option string)) "a later call raises it too" (Some "item 37")
+    (raised (try Ok (Pool.shared shared_int ~key items f) with e -> Error e));
+  Alcotest.(check int) "and runs nothing" items (Atomic.get ran)
+
+let test_pool_shared_refusals () =
+  let key = "test.pool.shared.typed" in
+  ignore (Pool.shared shared_int ~key 3 Fun.id);
+  let shared_string : string array Type.Id.t = Type.Id.make () in
+  let refused what f =
+    Alcotest.(check bool) what true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  refused "a key reused at another type" (fun () -> Pool.shared shared_string ~key 3 string_of_int);
+  refused "a key reused at another length" (fun () -> Pool.shared shared_int ~key 4 Fun.id)
+
 let suites =
   [ Alcotest.test_case "BCC simulator parity with seed loop" `Quick test_bcc_parity;
     Alcotest.test_case "board parity: discovery truncations" `Quick test_board_parity_discovery;
@@ -443,7 +542,11 @@ let suites =
     Alcotest.test_case "pool re-raises lowest-index failure" `Quick test_pool_exception_order;
     Alcotest.test_case "pool counts nested tasks as inner tasks" `Quick
       test_pool_nested_accounting;
-    Alcotest.test_case "pool edge cases" `Quick test_pool_empty_and_default ]
+    Alcotest.test_case "pool edge cases" `Quick test_pool_empty_and_default;
+    Alcotest.test_case "pool shared: racing callers run each item once" `Quick
+      test_pool_shared_once;
+    Alcotest.test_case "pool shared: failures reach every caller" `Quick test_pool_shared_failure;
+    Alcotest.test_case "pool shared: key refusals" `Quick test_pool_shared_refusals ]
 
 let qsuites =
   let open QCheck2 in

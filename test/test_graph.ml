@@ -45,6 +45,26 @@ let test_cycles_canonical () =
   let rot = [| 4; 2; 3; 0; 1 |] in
   Alcotest.(check (array int)) "rotation" (Cycles.canonical_cycle base) (Cycles.canonical_cycle rot)
 
+let test_cycles_of_canonical () =
+  let canonical = [ [| 0; 1; 5; 2 |]; [| 3; 4; 7; 6 |] ] in
+  Alcotest.(check bool) "canonical input = make" true
+    (Cycles.equal (Cycles.of_canonical canonical) (Cycles.make canonical));
+  let refused what cycles =
+    Alcotest.(check bool) what true
+      (try
+         ignore (Cycles.of_canonical cycles);
+         false
+       with Invalid_argument _ -> true)
+  in
+  refused "minimum not first" [ [| 1; 0; 2 |] ];
+  refused "walks toward the larger neighbour" [ [| 0; 3; 2; 1 |] ];
+  refused "second = last" [ [| 0; 1; 1 |] ];
+  refused "overlapping cycles" [ [| 0; 1; 2 |]; [| 1; 3; 4 |] ];
+  refused "repeated vertex" [ [| 0; 1; 2; 1; 3 |] ];
+  refused "cycles out of order" [ [| 3; 4; 5 |]; [| 0; 1; 2 |] ];
+  refused "too short" [ [| 0; 1 |] ];
+  refused "vertex past the bitmask" [ [| 0; 1; Sys.int_size |] ]
+
 let test_cycles_graph_roundtrip () =
   let s = Cycles.make [ [| 0; 1; 2 |]; [| 3; 5; 4 |] ] in
   Alcotest.(check int) "num cycles" 2 (Cycles.num_cycles s);
@@ -142,6 +162,7 @@ let suites =
     Alcotest.test_case "graph basics" `Quick test_graph_basics;
     Alcotest.test_case "graph invalid" `Quick test_graph_invalid;
     Alcotest.test_case "cycles canonical" `Quick test_cycles_canonical;
+    Alcotest.test_case "cycles of_canonical checks make's form" `Quick test_cycles_of_canonical;
     Alcotest.test_case "cycles roundtrip" `Quick test_cycles_graph_roundtrip;
     Alcotest.test_case "cycles rejects" `Quick test_cycles_of_graph_rejects;
     Alcotest.test_case "hopcroft-karp basic" `Quick test_hopcroft_karp_basic;
@@ -189,4 +210,16 @@ let qsuites =
               Array.of_list row)
         in
         let hk = Hopcroft_karp.max_matching ~nl ~nr ~adj in
-        hk.size = brute_force_matching ~nl ~nr ~adj) ]
+        hk.size = brute_force_matching ~nl ~nr ~adj);
+    Test.make ~name:"k-matching refuses k*nl > nr by counting" ~count:200
+      Gen.(triple (1 -- 4) (1 -- 8) (0 -- 10000))
+      (fun (k, nl, seed) ->
+        let rng = Rng.create ~seed in
+        let nr = Rng.int rng (k * nl) in
+        let adj =
+          Array.init nl (fun _ ->
+              Array.of_list (List.filter (fun _ -> Rng.bool rng) (Bcclb_util.Arrayx.range 0 nr)))
+        in
+        let blown_up = Array.init (k * nl) (fun i -> adj.(i / k)) in
+        Hopcroft_karp.k_matching ~k ~nl ~nr ~adj = None
+        && (Hopcroft_karp.max_matching ~nl:(k * nl) ~nr ~adj:blown_up).size < k * nl) ]

@@ -39,7 +39,8 @@ let test_census_orbit_weights () =
   List.iter
     (fun n ->
       let total = ref 0 and reps = ref 0 in
-      Census.iter_one_cycle_orbits ~n (fun s ~weight ->
+      Census.iter_one_cycle_orbits ~n (fun seq ~weight ->
+          let s = Cycles.of_canonical [ Array.copy seq ] in
           incr reps;
           total := !total + weight;
           Alcotest.(check bool) "rep flag" true (Census.is_orbit_rep ~n s);
@@ -60,7 +61,8 @@ let test_census_orbit_partition () =
   Census.iter_one_cycles ~n (fun s ->
       let r = Census.orbit_rep ~n s in
       Hashtbl.replace members r (1 + Option.value ~default:0 (Hashtbl.find_opt members r)));
-  Census.iter_one_cycle_orbits ~n (fun s ~weight ->
+  Census.iter_one_cycle_orbits ~n (fun seq ~weight ->
+      let s = Cycles.of_canonical [ Array.copy seq ] in
       Alcotest.(check (option int))
         "members = weight" (Some weight) (Hashtbl.find_opt members s);
       Hashtbl.remove members s);
@@ -584,6 +586,10 @@ let test_quotient_parity () =
       let g = Indist_graph.build_full algo ~n () in
       let degrees = Array.map Array.length g.Indist_graph.adj in
       let at what = Printf.sprintf "%s n=%d t=%d" what n t in
+      (* The t-round stats read off the shared depth-3 stream are the
+         t-round stream's own. *)
+      Alcotest.(check bool) (at "deepest = 3 gives deepest = t's stats") true
+        (Quotient.full_stats ~root ~deepest:3 algo ~n () = s);
       Alcotest.(check int) (at "v1") (Census.num_one_cycles ~n) s.Quotient.v1;
       Alcotest.(check int) (at "v2") (Array.length g.Indist_graph.v2) s.Quotient.v2;
       Alcotest.(check int) (at "edges") (Indist_graph.num_edges g) s.Quotient.edges;
@@ -612,6 +618,57 @@ let test_quotient_parity () =
         (Census.t_i_counts ~n))
     (* Every truncation E2's orbit frontier runs, t = 0..3. *)
     (List.concat_map (fun n -> List.map (fun t -> (n, t)) [ 0; 1; 2; 3 ]) [ 7; 8 ])
+
+(* ---- one execution serves every truncation ---- *)
+
+(* The t-round codes of both E2 families are the low 2t bits of the
+   3-round member's, instance by instance; Arena.codes hands out exactly
+   that pair (deep codes, mask); and a deeper member that reads IDs where
+   the cell's own algorithm computes on rotation classes is not used. *)
+let test_deep_codes_prefix () =
+  List.iter
+    (fun (family, make) ->
+      List.iter
+        (fun n ->
+          let deep = make ~rounds:3 in
+          let deep_codes =
+            Array.map
+              (fun s -> Simulator.run_sent_codes deep (Census.to_instance s ~n))
+              (Census.one_cycles ~n)
+          in
+          let arena = Arena.create ~n in
+          for t = 0 to 3 do
+            let algo = make ~rounds:t in
+            let at what = Printf.sprintf "%s n=%d t=%d: %s" family n t what in
+            (match Algo.deepen ~rounds:3 algo with
+            | Some d ->
+              Alcotest.(check string) (at "deepen names the member") (Algo.name deep) (Algo.name d)
+            | None -> Alcotest.fail (at "a truncation deepens"));
+            let mask = (1 lsl (2 * t)) - 1 in
+            Array.iteri
+              (fun h s ->
+                let direct = Simulator.run_sent_codes algo (Census.to_instance s ~n) in
+                if Array.map (fun c -> c land mask) deep_codes.(h) <> direct then
+                  Alcotest.failf "%s: instance %d differs from the masked deep codes"
+                    (at "prefix") h)
+              (Census.one_cycles ~n);
+            let atlas = Arena.atlas arena algo in
+            let own, own_mask = Arena.codes arena atlas algo in
+            let shared, shared_mask = Arena.codes arena atlas ~deepest:3 algo in
+            Alcotest.(check (pair int int))
+              (at "masks select t rounds") (mask, mask) (own_mask, shared_mask);
+            Alcotest.(check bool) (at "Arena.codes: masked deep codes = own codes") true
+              (Array.map (Array.map (fun c -> c land shared_mask)) shared = own);
+            (* Discovery at t = 0 computes on rotation classes; its t = 3
+               member reads IDs, so it keeps its own execution. *)
+            let rotation_sound = Arena.rotation_sound algo ~n in
+            let deep_sound = Arena.rotation_sound deep ~n in
+            Alcotest.(check bool) (at "deep source only on the same atlas") true
+              (Algo.name (Arena.code_source ~deepest:3 algo ~n)
+               = if t < 3 && rotation_sound = deep_sound then Algo.name deep else Algo.name algo)
+          done)
+        [ 6; 7; 8 ])
+    [ ("discovery", id_reading); ("adjacency broadcast", anonymous) ]
 
 let test_quotient_rejects_unsound () =
   let root = fresh_root () in
@@ -715,6 +772,7 @@ let suites =
     Alcotest.test_case "indist rows sorted, transposed" `Slow test_indist_rows_every_path;
     Alcotest.test_case "dispatch routes orbit" `Slow test_build_dispatch_through_orbit;
     Alcotest.test_case "quotient streaming parity" `Slow test_quotient_parity;
+    Alcotest.test_case "t-round codes = deep codes masked, n=6..8" `Slow test_deep_codes_prefix;
     Alcotest.test_case "quotient soundness gate" `Quick test_quotient_rejects_unsound;
     Alcotest.test_case "check_reps weighted sweep" `Slow test_check_reps_weighted;
     Alcotest.test_case "check_reps = per-instance totals" `Slow test_check_reps_per_instance_totals;
