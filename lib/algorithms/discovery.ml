@@ -104,7 +104,8 @@ let components_of_id_edges ~ids edges =
   (Graph.num_components g, fun id -> Hashtbl.find comp_min labels.(Hashtbl.find index id))
 
 (* [on_incomplete] decides behaviour under truncation: what to output when
-   the transcript does not determine the graph. *)
+   the transcript does not determine the graph, given the edges it does
+   determine (decoded on demand). *)
 let make ~knowledge ~max_degree ~name ~on_incomplete () =
   let rounds ~n =
     let l = Codec.id_width ~n in
@@ -136,9 +137,16 @@ let make ~knowledge ~max_degree ~name ~on_incomplete () =
   let answer st (num_components, label_of) =
     { connected = num_components = 1; component = label_of (View.id st.view) }
   in
+  (* Before the last round every port's last block is still unheard (an
+     instance has n >= 2, so a port), and no graph is complete: the
+     decider gets the edges heard so far only if it reads them. *)
   let decide st inbox =
-    let edges, complete = decode_graph st inbox in
-    if complete then answer st (components st edges) else on_incomplete st edges
+    if Inbox.rounds inbox < rounds ~n:(View.n st.view) then
+      on_incomplete st (lazy (fst (decode_graph st inbox)))
+    else begin
+      let edges, complete = decode_graph st inbox in
+      if complete then answer st (components st edges) else on_incomplete st (Lazy.from_val edges)
+    end
   in
   let graph = Type.Id.make () in
   (* Once a vertex has heard the whole schedule and knows its own list,
@@ -224,7 +232,7 @@ let connectivity_partial ~knowledge ~max_degree ~rounds ~optimist =
             distinct := key :: !distinct
           end
         end)
-      edges;
+      (Lazy.force edges);
     (* Closing a cycle with fewer than n known edges certifies that some
        cycle shorter than n exists: a NO-certificate for TwoCycle. *)
     let uf = Bcclb_graph.Conn.create (n + 1) in

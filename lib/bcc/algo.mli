@@ -33,7 +33,11 @@ type ('s, 'o) t = {
           vertex computes alike once it has heard the whole schedule
           (the input graph a discovery family rebuilds) may go through
           [Inbox.once], so one vertex computes it for the run and the
-          others read it; the rest stays per vertex. *)
+          others read it; the rest stays per vertex. [finish] must not
+          mutate the state it reads: {!Simulator.run_members} calls it
+          on the live state of a truncation's deepest member at each
+          shallower member's last round, and the run goes on from that
+          state. *)
   truncates : ('s, 'o) t option;
       (** The algorithm this one is a truncation of ({!truncate}), so
           that {!deepen} can build other members of its family; [None]
@@ -76,7 +80,9 @@ val truncate : rounds:int -> ('s, 'o) t -> ('s, 'o) t
 (** Run only the first [rounds] rounds, then decide from the truncated
     state — the family of t-round algorithms the lower-bound experiments
     quantify over. Only the name and the round bound change, and the
-    untruncated algorithm is kept ({!field-truncates}). *)
+    untruncated algorithm is kept ({!field-truncates}), so a
+    t-round member's states and board after t rounds are any deeper
+    member's after t rounds. *)
 
 val deepen : rounds:int -> 'o packed -> 'o packed option
 (** [deepen ~rounds a] is [Some] of the [rounds]-round member of the

@@ -7,16 +7,17 @@
     algorithm cannot cheat the model. Randomness is public-coin: all
     vertices receive generators with the same [seed].
 
-    The three entries share one engine setup and differ only in what
-    they record: {!run} keeps full transcripts, {!run_outputs} only the
-    outputs, {!run_sent_codes} only the packed broadcast codes. Every
-    entry enforces the bandwidth and feeds [engine.bits_broadcast]. A
-    run keeps one board — each round's emissions, indexed by sender —
-    and every vertex's inbox is a view of it through the vertex's port
-    row ({!Inbox}); only {!run} copies inboxes, into its transcripts.
-    The entries that call [finish] land the board's shared-value counts
-    ({!Inbox.once}) once per run in [bcc.shared_misses] (computed) and
-    [bcc.shared_hits] (reused). *)
+    The entries share one engine setup and differ only in what they
+    record: {!run} keeps full transcripts, {!run_members} the outputs
+    of every requested member of a truncation family ({!run_outputs}
+    the algorithm's own), {!run_sent_codes} only the packed broadcast
+    codes. Every entry enforces the bandwidth and feeds
+    [engine.bits_broadcast]. A run keeps one board — each round's
+    emissions, indexed by sender — and every vertex's inbox is a view of
+    it through the vertex's port row ({!Inbox}); only {!run} copies
+    inboxes, into its transcripts. The entries that call [finish] land
+    the board's shared-value counts ({!Inbox.once}) once per run in
+    [bcc.shared_misses] (computed) and [bcc.shared_hits] (reused). *)
 
 type 'o result = {
   outputs : 'o array;  (** Per-vertex outputs. *)
@@ -28,10 +29,27 @@ val run : ?seed:int -> 'o Algo.packed -> Instance.t -> 'o result
 (** Execute the algorithm on the instance.
     @raise Invalid_argument if a vertex exceeds the declared bandwidth. *)
 
+val run_members : ?seed:int -> 'o Algo.packed -> Instance.t -> rounds:int array -> 'o array array
+(** [run_members algo inst ~rounds] executes [algo] once and returns,
+    for each entry r of [rounds], the outputs {!run_outputs} gives for
+    the r-round member of its truncation family ({!Algo.deepen}): every
+    vertex's [finish] on its live state and view once the run has played
+    r rounds (r = 0 before round 1). Members run the same steps on the
+    same board up to their own last round, so one execution of the
+    deepest serves them all. A value [finish] shares through
+    {!Inbox.once} is keyed by the rounds heard, so a finish at round r
+    shares only with the other views at r. Only a read before the
+    algorithm's last round mirrors the per-vertex states, and [finish]
+    must leave the state it reads unchanged ({!Algo.field-finish}).
+    @raise Invalid_argument if a vertex exceeds the declared bandwidth,
+    if some r lies outside [0..rounds] of [algo], or if some r differs
+    from [algo]'s own round count and [algo] is not a truncation. *)
+
 val run_outputs : ?seed:int -> 'o Algo.packed -> Instance.t -> 'o array
-(** [(run ?seed algo inst).outputs] without recording any traffic: the
-    entry for callers that read only the decision (Monte Carlo error
-    cells, exact distributional error, execution checks).
+(** [(run ?seed algo inst).outputs] without recording any traffic — the
+    {!run_members} read at the algorithm's own round count: the entry
+    for callers that read only the decision (Monte Carlo error cells,
+    execution checks).
     @raise Invalid_argument if a vertex exceeds the declared bandwidth. *)
 
 val run_sent_codes : ?seed:int -> 'o Algo.packed -> Instance.t -> int array

@@ -18,8 +18,22 @@ type error_report = {
 
 val error_float : error_report -> float
 
-val exact_error : ?seed:int -> bool Bcclb_bcc.Algo.packed -> n:int -> error_report
-(** Run on every instance of the census (feasible to n ≈ 9). *)
+val exact_error :
+  ?seed:int -> ?truncations:int list -> bool Bcclb_bcc.Algo.packed -> n:int -> error_report
+(** Run on every instance of the census — {!Arena.get}'s V₁ and V₂,
+    each stamped over the shared circulant wiring — once. With
+    [truncations], the round bounds of the truncation family [algo]
+    belongs to, every instance runs once under the family's deepest
+    member and is read at each member's last round
+    ({!Bcclb_bcc.Simulator.run_members}); the members' decisions, one
+    bit each, are a single-flight {!Bcclb_engine.Pool.shared} batch per
+    (n, deepest member, seed, list) kept for the life of the process, so
+    every member's report reads the same executions. Without it, or if
+    [algo] is not a truncation, [algo] runs alone ({!Bcclb_engine.Pool.map_batch})
+    and nothing is kept. Either way under span [hard.exact_error]
+    (attributes n, the executed algorithm and the round counts read).
+    @raise Invalid_argument for n outside {!Arena.supported}, or if [algo]'s
+    round count is not among its family's members'. *)
 
 val star_support : n:int -> Bcclb_graph.Cycles.t * Bcclb_graph.Cycles.t list
 (** The Theorem 3.5 warm-up family: a fixed one-cycle instance and the

@@ -168,10 +168,10 @@ let build ?(seed = 0) ?deepest algo ~n () =
     ~v1:(Arena.one_structures arena) ~v2:(Arena.two_structures arena)
     (Arena.expand arena atlas ~fwd ~rev)
 
-let build_full ?(seed = 0) algo ~n () =
+let build_full ?(seed = 0) ?deepest algo ~n () =
   Bcclb_obs.span "indist.build_full" ~attrs:[ ("n", string_of_int n) ] @@ fun () ->
   let arena, atlas = prepare "Indist_graph.build_full" algo ~n in
-  let codes, mask = Arena.codes arena atlas ~seed algo in
+  let codes, mask = Arena.codes arena atlas ~seed ?deepest algo in
   let rows =
     Bcclb_engine.Pool.tabulate (Arena.num_reps arena atlas) (fun ri ->
         same_label_row arena (Arena.one_cycle arena (Arena.rep atlas ri)) codes.(ri) ~mask)

@@ -46,11 +46,11 @@ val k_matching : t -> k:int -> (int array * int array array) option
     (their indices, per-vertex groups of k pairwise-disjoint right
     indices), or [None] if none exists. *)
 
-val build_full : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
+val build_full : ?seed:int -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
 (** The union of G^t_{x,y} over ALL label pairs: {I₁, I₂} is an edge iff
     some same-label active independent pair of I₁ crosses to I₂ — every
-    edge is an execution-indistinguishable pair (Lemma 3.4). Same atlas
-    and refusals as {!build}. *)
+    edge is an execution-indistinguishable pair (Lemma 3.4). Same atlas,
+    [deepest] and refusals as {!build}. *)
 
 val certified_error_lb : t -> int * Bcclb_bignum.Ratio.t
 (** (matching size, certified error): a maximum matching in the full

@@ -120,9 +120,9 @@ type error_row = {
   pigeonhole_floor : float;  (* n / 3^{2t} *)
 }
 
-let error_row ?(seed = 0) ~n ~t (make_algo : rounds:int -> bool Algo.packed) rng =
+let error_row ?(seed = 0) ?truncations ~n ~t (make_algo : rounds:int -> bool Algo.packed) rng =
   let algo = make_algo ~rounds:t in
-  let report = Hard_distribution.exact_error ~seed algo ~n in
+  let report = Hard_distribution.exact_error ~seed ?truncations algo ~n in
   (* Largest same-label class on a few random one-cycle instances. The
      graphs are drawn sequentially (the rng stream is part of the
      deterministic contract); the independent simulations behind each

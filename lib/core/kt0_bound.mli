@@ -72,8 +72,13 @@ type error_row = {
 }
 
 val error_row :
-  ?seed:int -> n:int -> t:int -> (rounds:int -> bool Bcclb_bcc.Algo.packed) -> Bcclb_util.Rng.t ->
-  error_row
+  ?seed:int -> ?truncations:int list -> n:int -> t:int -> (rounds:int -> bool Bcclb_bcc.Algo.packed) ->
+  Bcclb_util.Rng.t -> error_row
+(** The [t]-round member's exact error under μ, its smallest largest
+    same-label class over five random one-cycle instances, and the
+    pigeonhole floor. [truncations] as in
+    {!Hard_distribution.exact_error}: the family's members share one
+    execution per instance. *)
 
 val theorem_3_1_threshold : n:int -> float
 (** 0.1·log₃ n: below this many rounds Theorem 3.1 forces constant error. *)

@@ -14,22 +14,33 @@ let error_algo_make = function
   | "partial-optimist" -> partial_optimist
   | a -> invalid_arg ("kt0-error: unknown algorithm " ^ a)
 
+(* The truncations the error part sweeps at n. Its cells read their
+   decisions off one execution of the deepest per instance and decider
+   (Hard_distribution.exact_error), and the certified part's measured
+   column reads the same executions. *)
+let error_ts ~n =
+  let tmax = Core.Kt0_bound.upper_bound_rounds ~n in
+  List.sort_uniq Int.compare [ 0; 1; 2; 3; 4; 6; tmax / 2; tmax ]
+
+(* The certified part's truncations. Its graphs read their labels off
+   the deepest one's codes (Arena.codes), the batch E2's cells share. *)
+let certified_ts = [ 0; 1; 2; 3 ]
+let certified_deepest = List.fold_left max 0 certified_ts
+
 let kt0_error_grid ns =
   let errors =
     List.concat_map
       (fun n ->
-        let tmax = Core.Kt0_bound.upper_bound_rounds ~n in
-        let ts = List.sort_uniq Int.compare [ 0; 1; 2; 3; 4; 6; tmax / 2; tmax ] in
         List.concat_map
           (fun t ->
             List.map (fun a -> P.v [ ps "part" "error"; pi "n" n; pi "t" t; ps "algo" a ]) error_algos)
-          ts)
+          (error_ts ~n))
       ns
   in
   let thresholds = List.map (fun n -> P.v [ ps "part" "threshold"; pi "n" n ]) ns in
   let certified =
     List.concat_map
-      (fun n -> List.map (fun t -> P.v [ ps "part" "certified"; pi "n" n; pi "t" t ]) [ 0; 1; 2; 3 ])
+      (fun n -> List.map (fun t -> P.v [ ps "part" "certified"; pi "n" n; pi "t" t ]) certified_ts)
       (Arrayx.take 3 ns)
   in
   let star =
@@ -80,7 +91,9 @@ let kt0_error =
       | "error" ->
         let t = P.int p "t" in
         let rng = Rng.create ~seed:(2000 + n + t) in
-        let r = Core.Kt0_bound.error_row ~n ~t (error_algo_make (P.str p "algo")) rng in
+        let r =
+          Core.Kt0_bound.error_row ~truncations:(error_ts ~n) ~n ~t (error_algo_make (P.str p "algo")) rng
+        in
         Core.Kt0_bound.
           [ E.row
               [ pi "n" n; pi "t" t; ps "algo" r.algo_name; pf "mu_error" r.mu_error;
@@ -94,10 +107,11 @@ let kt0_error =
       | "certified" ->
         let t = P.int p "t" in
         let algo = truncated_optimist ~rounds:t in
-        let g = Core.Indist_graph.build_full algo ~n () in
+        let g = Core.Indist_graph.build_full ~deepest:certified_deepest algo ~n () in
         let size, lb = Core.Indist_graph.certified_error_lb g in
         let measured =
-          Core.Hard_distribution.error_float (Core.Hard_distribution.exact_error algo ~n)
+          Core.Hard_distribution.error_float
+            (Core.Hard_distribution.exact_error ~truncations:(error_ts ~n) algo ~n)
         in
         [ E.row ~table:"certified per-algorithm error lower bounds (matching in full G^t)"
             [ pi "n" n; pi "t" t; pi "matching" size; pf "certified" (Ratio.to_float lb);

@@ -169,6 +169,108 @@ let test_error_monotone_in_rounds () =
   let full = Kt0_bound.upper_bound_rounds ~n in
   Alcotest.(check bool) "full rounds exact" true (Bcclb_util.Mathx.float_eq (err full) 0.0)
 
+(* ---- one execution per truncation family ---- *)
+
+module E3 = Bcclb_harness.E03_kt0_error
+module Simulator = Bcclb_bcc.Simulator
+
+(* Every census instance at n = 6, 7 and every 7th at n = 8, built by
+   Census.to_instance (Cycles.to_graph, kt0_circulant) rather than the
+   sweep stamp exact_error uses. *)
+let census_sample ~n =
+  let all = Array.append (Census.one_cycles ~n) (Census.two_cycles ~n) in
+  let step = if n <= 7 then 1 else 7 in
+  List.filter_map
+    (fun i -> if i mod step = 0 then Some (Census.to_instance all.(i) ~n) else None)
+    (List.init (Array.length all) Fun.id)
+
+(* The recorder's read at t, on one execution of the deepest member, is
+   what running the t-round member alone outputs: for every E3 decider
+   and every t of E3's list. *)
+let test_run_members_equals_members () =
+  List.iter
+    (fun n ->
+      let ts = E3.error_ts ~n in
+      let reads = Array.of_list ts in
+      List.iter
+        (fun decider ->
+          let make = E3.error_algo_make decider in
+          let deep = make ~rounds:(List.fold_left max 0 ts) in
+          List.iteri
+            (fun i inst ->
+              let outputs = Simulator.run_members deep inst ~rounds:reads in
+              Array.iteri
+                (fun k t ->
+                  if outputs.(k) <> Simulator.run_outputs (make ~rounds:t) inst then
+                    Alcotest.failf "%s n=%d t=%d: instance %d differs from its own run" decider n t i)
+                reads)
+            (census_sample ~n))
+        E3.error_algos)
+    [ 6; 7; 8 ]
+
+(* The shared batch reports what each member's own census sweep does. *)
+let test_exact_error_family_batch () =
+  let report = Alcotest.(pair string (pair (pair int int) (pair int int))) in
+  let fields r =
+    Hard_distribution.(r.algo_name, ((r.v1_total, r.v1_errors), (r.v2_total, r.v2_errors)))
+  in
+  List.iter
+    (fun n ->
+      let truncations = E3.error_ts ~n in
+      List.iter
+        (fun decider ->
+          List.iter
+            (fun t ->
+              let algo = E3.error_algo_make decider ~rounds:t in
+              let alone = Hard_distribution.exact_error algo ~n in
+              let shared = Hard_distribution.exact_error ~truncations algo ~n in
+              let what = Printf.sprintf "%s n=%d t=%d" decider n t in
+              Alcotest.check report what (fields alone) (fields shared);
+              Alcotest.(check bool) (what ^ ": error") true
+                (Bcclb_bignum.Ratio.equal alone.Hard_distribution.error shared.Hard_distribution.error))
+            truncations)
+        E3.error_algos)
+    [ 6; 7 ]
+
+(* Each read is taken at its own round: a member that counts its steps
+   and the rounds its inbox has heard reads (r, r) at every r, in any
+   order and repeated. *)
+let test_run_members_reads_each_round () =
+  let module Algo = Bcclb_bcc.Algo in
+  let counter =
+    Algo.bcc1 ~name:"counter" ~rounds:(fun ~n:_ -> 5) ~init:(fun _ -> 0)
+      ~step:(fun steps ~round:_ ~inbox:_ -> (steps + 1, Bcclb_bcc.Msg.silent))
+      ~finish:(fun steps ~inbox -> (steps, Bcclb_bcc.Inbox.rounds inbox))
+  in
+  let n = 6 in
+  let inst = Census.to_instance (Census.one_cycles ~n).(0) ~n in
+  let reads = [| 3; 0; 5; 1; 3 |] in
+  let outputs = Simulator.run_members (Algo.pack (Algo.truncate ~rounds:5 counter)) inst ~rounds:reads in
+  Array.iteri
+    (fun k r ->
+      Alcotest.(check (array (pair int int))) (Printf.sprintf "read at %d" r) (Array.make n (r, r))
+        outputs.(k))
+    reads
+
+let test_run_members_refusals () =
+  let n = 7 in
+  let inst = Census.to_instance (Census.one_cycles ~n).(0) ~n in
+  let refused what f =
+    Alcotest.(check bool) what true (try ignore (f ()); false with Invalid_argument _ -> true)
+  in
+  let full = Bcclb_algorithms.Discovery.connectivity ~knowledge:Instance.KT0 ~max_degree:2 in
+  let own = Bcclb_bcc.Algo.rounds full ~n in
+  Alcotest.(check int) "a non-truncation reads its own round count" 1
+    (Array.length (Simulator.run_members full inst ~rounds:[| own |]));
+  refused "a non-truncation has no shallower member" (fun () ->
+      Simulator.run_members full inst ~rounds:[| 2; own |]);
+  refused "no read past the run" (fun () ->
+      Simulator.run_members (truncated ~rounds:3) inst ~rounds:[| 4 |]);
+  refused "no negative read" (fun () ->
+      Simulator.run_members (truncated ~rounds:3) inst ~rounds:[| -1 |]);
+  refused "exact_error: the algorithm must be a member" (fun () ->
+      Hard_distribution.exact_error ~truncations:[ 0; 1 ] (truncated ~rounds:3) ~n)
+
 let test_star_distribution () =
   let n = 9 in
   let yes, nos = Hard_distribution.star_support ~n in
@@ -449,6 +551,12 @@ let suites =
     Alcotest.test_case "indist graph edge accounting" `Slow test_indist_graph_k_matching_t0;
     Alcotest.test_case "hard distribution baselines" `Slow test_hard_distribution_baselines;
     Alcotest.test_case "error vs rounds" `Slow test_error_monotone_in_rounds;
+    Alcotest.test_case "run_members = each member's run (E3 deciders)" `Slow
+      test_run_members_equals_members;
+    Alcotest.test_case "exact_error family batch = members alone" `Slow
+      test_exact_error_family_batch;
+    Alcotest.test_case "run_members reads each round" `Quick test_run_members_reads_each_round;
+    Alcotest.test_case "run_members refusals" `Quick test_run_members_refusals;
     Alcotest.test_case "star distribution (Thm 3.5)" `Quick test_star_distribution;
     Alcotest.test_case "Lemma 3.4 by execution" `Slow test_crossing_check_lemma_3_4;
     Alcotest.test_case "Lemma 3.4 random wiring" `Slow test_crossing_check_random_wiring;
