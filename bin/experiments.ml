@@ -46,22 +46,11 @@ let backend_arg =
 let workers_arg =
   Arg.(
     value
-    & opt (some string) None
-    & info [ "workers" ] ~docv:"N|ROSTER"
+    & opt (some int) None
+    & info [ "workers" ] ~docv:"N"
         ~doc:
-          "Worker roster. A count $(b,N) spawns that many local worker processes for \
-           $(b,--backend procs) (default: the $(b,--jobs) resolution). A comma-separated \
-           address list ($(b,tcp:HOST:PORT,tcp:[V6HOST]:PORT,unix:PATH)) connects to \
-           pre-started $(b,experiments worker --listen) processes instead — and implies \
-           the procs backend. Ignored by the domains backend when it is a count.")
-
-let tcp_arg =
-  Arg.(
-    value & flag
-    & info [ "tcp" ]
-        ~doc:
-          "With $(b,--backend procs): talk to workers over loopback TCP instead of a \
-           Unix-domain socket.")
+          "Worker processes that $(b,--backend procs) spawns (default: the $(b,--jobs) \
+           resolution). Ignored by the domains backend.")
 
 let results_arg =
   Arg.(
@@ -100,48 +89,25 @@ let require_positive flag v =
     Stdlib.exit 2
   | _ -> ()
 
-(* --workers is either a process count (self-spawned roster) or an
-   address list (pre-started roster). *)
-let parse_workers s =
-  match int_of_string_opt (String.trim s) with
-  | Some w ->
-    if w < 1 then begin
-      Printf.eprintf "experiments: --workers must be >= 1 (got %d)\n" w;
-      Stdlib.exit 2
-    end;
-    `Count w
-  | None -> (
-    match Bcclb_dist.Addr.roster_of_string s with
-    | Ok addrs -> `Roster (List.map Bcclb_dist.Addr.to_string addrs)
-    | Error e ->
-      Printf.eprintf "experiments: --workers: %s\n" e;
-      Stdlib.exit 2)
-
 (* The procs backend self-execs this very binary as `experiments worker
-   --socket ADDR`; install wires that spawn into the Runner hook. A
-   pre-started roster never spawns, but installs the same runner. *)
-let resolve_backend ~backend ~jobs ~workers ~tcp =
+   --socket ADDR`; install wires that spawn into the Runner hook. *)
+let resolve_backend ~backend ~jobs ~workers =
   require_positive "--jobs" jobs;
-  let workers = Option.map parse_workers workers in
-  let install () =
-    Bcclb_dist.Backend.install
-      ~transport:(if tcp then `Tcp else `Unix_socket)
-      ~spawn:
-        (Bcclb_dist.Backend.spawn_argv (fun addr ->
-             [| Sys.executable_name; "worker"; "--socket"; addr |]))
-      ()
-  in
-  match (backend, workers) with
-  | _, Some (`Roster entries) ->
-    install ();
-    `Roster entries
-  | `Domains, _ -> `Domains
-  | `Procs, Some (`Count w) ->
-    install ();
-    `Procs w
-  | `Procs, None ->
-    install ();
-    `Procs (resolved_domains jobs)
+  require_positive "--workers" workers;
+  match backend with
+  | `Domains -> `Domains
+  | `Procs -> (
+    match
+      Bcclb_dist.Backend.install
+        ~spawn:
+          (Bcclb_dist.Backend.spawn_argv (fun addr ->
+               [| Sys.executable_name; "worker"; "--socket"; addr |]))
+        ()
+    with
+    | Ok () -> `Procs (Option.value workers ~default:(resolved_domains jobs))
+    | Error e ->
+      Printf.eprintf "experiments: %s\n" e;
+      Stdlib.exit 2)
 
 (* Tracing wraps a whole invocation: --trace wins over $BCCLB_TRACE, and
    the files are written once the run (and its manifest) is done. *)
@@ -280,7 +246,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const (fun id ns no_cache jobs backend workers tcp results_dir trace metrics ->
+      const (fun id ns no_cache jobs backend workers results_dir trace metrics ->
           match H.Registry.find id with
           | None ->
             (match H.Registry.suggest id with
@@ -295,65 +261,38 @@ let run_cmd =
                 id);
             Stdlib.exit 2
           | Some exp ->
-            let backend = resolve_backend ~backend ~jobs ~workers ~tcp in
+            let backend = resolve_backend ~backend ~jobs ~workers in
             with_metrics metrics (fun () ->
                 with_trace trace (fun () ->
                     run_experiments ~results_dir ~no_cache ~jobs ~backend ~ns [ exp ])))
-      $ id_arg $ ns_arg $ no_cache_arg $ jobs_arg $ backend_arg $ workers_arg $ tcp_arg
-      $ results_arg $ trace_arg $ metrics_addr_arg)
+      $ id_arg $ ns_arg $ no_cache_arg $ jobs_arg $ backend_arg $ workers_arg $ results_arg
+      $ trace_arg $ metrics_addr_arg)
 
 let all_cmd =
   let doc = "Run every experiment at default scale" in
   Cmd.v (Cmd.info "all" ~doc)
     Term.(
-      const (fun no_cache jobs backend workers tcp results_dir trace metrics ->
-          let backend = resolve_backend ~backend ~jobs ~workers ~tcp in
+      const (fun no_cache jobs backend workers results_dir trace metrics ->
+          let backend = resolve_backend ~backend ~jobs ~workers in
           with_metrics metrics (fun () ->
               with_trace trace (fun () ->
                   run_experiments ~results_dir ~no_cache ~jobs ~backend ~ns:None H.Registry.all)))
-      $ no_cache_arg $ jobs_arg $ backend_arg $ workers_arg $ tcp_arg $ results_arg
-      $ trace_arg $ metrics_addr_arg)
+      $ no_cache_arg $ jobs_arg $ backend_arg $ workers_arg $ results_arg $ trace_arg
+      $ metrics_addr_arg)
 
-(* The worker process. Two modes: --socket is the hidden half of
-   --backend procs (the coordinator self-execs it, it dials back);
-   --listen is the pre-started half of --workers rosters (it binds an
-   address and serves coordinator sessions until SIGINT/SIGTERM). *)
+(* The worker process: the hidden half of --backend procs (the
+   coordinator self-execs it, it dials back). *)
 let worker_cmd =
   let socket_arg =
     Arg.(
-      value
+      required
       & opt (some string) None
       & info [ "socket" ] ~docv:"ADDR"
-          ~doc:
-            "Dial-back mode (internal, spawned by $(b,--backend procs)): connect to the \
-             coordinator at $(docv), $(b,unix:PATH) or $(b,tcp:HOST:PORT).")
-  in
-  let listen_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "listen" ] ~docv:"ADDR"
-          ~doc:
-            "Pre-started roster mode: bind $(docv) (e.g. $(b,tcp:127.0.0.1:7801)) and \
-             serve coordinator sessions — one sweep after another — until SIGINT/SIGTERM, \
-             then drain and remove the endpoint. Point a coordinator at it with \
-             $(b,--workers ADDR,...).")
+          ~doc:"The coordinator's socket to dial back to, $(b,unix:PATH).")
   in
   Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "dist worker process: spawned by --backend procs, or pre-started with --listen \
-          for --workers rosters")
-    Term.(
-      const (fun socket listen metrics ->
-          match (socket, listen) with
-          | Some address, None -> Bcclb_dist.Worker.main ~address ()
-          | None, Some address ->
-            with_metrics metrics (fun () -> Bcclb_dist.Worker.main_listen ~address ())
-          | _ ->
-            Printf.eprintf "experiments worker: exactly one of --socket or --listen is required\n";
-            Stdlib.exit 2)
-      $ socket_arg $ listen_arg $ metrics_addr_arg)
+    (Cmd.info "worker" ~doc:"dist worker process (internal, spawned by --backend procs)")
+    Term.(const (fun address -> Bcclb_dist.Worker.main ~address ()) $ socket_arg)
 
 (* ---- stats: render the manifest's metrics block as a table ---- *)
 

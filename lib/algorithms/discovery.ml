@@ -204,6 +204,50 @@ let connectivity_truncated ~knowledge ~max_degree ~rounds ~optimist =
   let algo = make ~knowledge ~max_degree ~name ~on_incomplete:guess () in
   Algo.pack (Algo.truncate ~rounds (Algo.map_output (fun o -> o.connected) algo))
 
+(* Known edges are over IDs 1..n (KT-0 convention). *)
+let valid_edge ~n (u, v) = u >= 1 && u <= n && v >= 1 && v <= n && u <> v
+
+(* [three_distinct ~n (-1) (-1) edges]: whether [edges] holds three
+   distinct valid edges, the fewest that can close a cycle; [a] and [b]
+   carry the int keys of the distinct ones seen so far. Most truncated
+   reads hear fewer, and this scan allocates nothing. *)
+let rec three_distinct ~n a b = function
+  | [] -> false
+  | ((u, v) as e) :: rest ->
+    if not (valid_edge ~n e) then three_distinct ~n a b rest
+    else
+      let k = (min u v * (n + 1)) + max u v in
+      if k = a || k = b then three_distinct ~n a b rest
+      else if a < 0 then three_distinct ~n k b rest
+      else if b < 0 then three_distinct ~n a k rest
+      else true
+
+(* Whether the known edges close a cycle while fewer than n are known:
+   some cycle shorter than n exists, a NO-certificate for TwoCycle. *)
+let closes_short_cycle ~n edges =
+  (* Each edge can be reported by both endpoints, so deduplicate before
+     cycle-testing. *)
+  let seen = Hashtbl.create 16 in
+  let distinct = ref [] in
+  List.iter
+    (fun ((u, v) as e) ->
+      if valid_edge ~n e then begin
+        let key = (min u v, max u v) in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.add seen key ();
+          distinct := key :: !distinct
+        end
+      end)
+    edges;
+  let uf = Bcclb_graph.Conn.create (n + 1) in
+  let short_cycle = ref false in
+  let known = List.length !distinct in
+  List.iter
+    (fun (u, v) ->
+      if (not (Bcclb_graph.Conn.union uf u v)) && known < n then short_cycle := true)
+    !distinct;
+  !short_cycle
+
 (* A smarter truncation: use whatever part of the graph the transcript
    already determines. If the known edges close a cycle shorter than n,
    the input must be a two-cycle instance (answer NO with certainty);
@@ -219,30 +263,9 @@ let connectivity_partial ~knowledge ~max_degree ~rounds ~optimist =
   in
   let infer st edges =
     let n = View.n st.view in
-    (* Known edges are over IDs 1..n (KT-0 convention); each edge can be
-       reported by both endpoints, so deduplicate before cycle-testing. *)
-    let seen = Hashtbl.create 16 in
-    let distinct = ref [] in
-    List.iter
-      (fun (u, v) ->
-        if u >= 1 && u <= n && v >= 1 && v <= n && u <> v then begin
-          let key = (min u v, max u v) in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
-            distinct := key :: !distinct
-          end
-        end)
-      (Lazy.force edges);
-    (* Closing a cycle with fewer than n known edges certifies that some
-       cycle shorter than n exists: a NO-certificate for TwoCycle. *)
-    let uf = Bcclb_graph.Conn.create (n + 1) in
-    let short_cycle = ref false in
-    let known = List.length !distinct in
-    List.iter
-      (fun (u, v) ->
-        if (not (Bcclb_graph.Conn.union uf u v)) && known < n then short_cycle := true)
-      !distinct;
-    if !short_cycle then { connected = false; component = View.id st.view }
+    let edges = Lazy.force edges in
+    if three_distinct ~n (-1) (-1) edges && closes_short_cycle ~n edges then
+      { connected = false; component = View.id st.view }
     else { connected = optimist; component = View.id st.view }
   in
   let algo = make ~knowledge ~max_degree ~name ~on_incomplete:infer () in

@@ -56,25 +56,6 @@ let of_string s =
       if rest <> "" && rest.[0] = '[' then parse_bracketed rest s else parse_plain rest s
     | _ -> Error (Printf.sprintf "unknown transport %S (want unix: or tcp:)" scheme))
 
-(* ---- rosters: comma-separated address lists (the --workers syntax) ---- *)
-
-let roster_to_string addrs = String.concat "," (List.map to_string addrs)
-
-let roster_of_string s =
-  let items = List.filter (fun x -> String.trim x <> "") (String.split_on_char ',' s) in
-  if items = [] then Error "empty worker roster"
-  else
-    List.fold_left
-      (fun acc item ->
-        match acc with
-        | Error _ as e -> e
-        | Ok acc -> (
-          match of_string (String.trim item) with
-          | Ok a -> Ok (a :: acc)
-          | Error e -> Error e))
-      (Ok []) items
-    |> Result.map List.rev
-
 let is_ipv6_literal host = String.contains host ':'
 
 let sockaddr = function

@@ -1,14 +1,17 @@
 module H = Bcclb_harness
 
-(* Timeout knobs are env-overridable so CI fault smokes can shorten the
-   stall deadline without new CLI surface. *)
-let env_float var default =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some s -> ( match float_of_string_opt (String.trim s) with Some f when f > 0.0 -> f | _ -> default)
-
+(* The stall deadline is env-overridable so CI fault smokes can shorten
+   it without new CLI surface; a typo must fail, not wait ten minutes. *)
 let cell_timeout_env = "BCCLB_DIST_CELL_TIMEOUT"
-let heartbeat_timeout_env = "BCCLB_DIST_HEARTBEAT_TIMEOUT"
+
+let cell_timeout_of_env default =
+  match Option.map String.trim (Sys.getenv_opt cell_timeout_env) with
+  | None | Some "" -> Ok default
+  | Some s -> (
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f > 0.0 -> Ok f
+    | _ ->
+      Error (Printf.sprintf "%s=%S is not a positive number of seconds" cell_timeout_env s))
 
 let spawn_argv argv_of_address ~address =
   let argv = argv_of_address address in
@@ -20,31 +23,9 @@ let spawn_argv argv_of_address ~address =
     ~finally:(fun () -> Unix.close devnull)
     (fun () -> Unix.create_process argv.(0) argv devnull Unix.stderr Unix.stderr)
 
-let install ?transport ?heartbeat_interval ?heartbeat_timeout ?cell_timeout ?max_retries
-    ?lease_target_seconds ~spawn () =
-  let heartbeat_timeout =
-    Some (env_float heartbeat_timeout_env (Option.value heartbeat_timeout ~default:30.0))
-  in
-  let cell_timeout =
-    Some (env_float cell_timeout_env (Option.value cell_timeout ~default:600.0))
-  in
-  H.Runner.set_procs_runner (fun ~roster ~cache ~cells ->
-      let c =
-        match roster with
-        | `Local workers ->
-          Coordinator.config ?transport ?heartbeat_interval ?heartbeat_timeout ?cell_timeout
-            ?max_retries ?lease_target_seconds ~spawn ~workers ()
-        | `Remote entries ->
-          let remotes =
-            List.map
-              (fun s ->
-                match Addr.of_string s with
-                | Ok a -> a
-                | Error e -> failwith ("dist: --workers roster: " ^ e))
-              entries
-          in
-          Coordinator.config ?transport ?heartbeat_interval ?heartbeat_timeout ?cell_timeout
-            ?max_retries ?lease_target_seconds ~remotes ~spawn
-            ~workers:(List.length remotes) ()
-      in
-      Coordinator.run c ~cache ~cells)
+let install ?(cell_timeout = 600.0) ~spawn () =
+  Result.map
+    (fun cell_timeout ->
+      H.Runner.set_procs_runner (fun ~workers ~cache ~cells ->
+          Coordinator.run { Coordinator.workers; cell_timeout; spawn } ~cache ~cells))
+    (cell_timeout_of_env cell_timeout)

@@ -1,12 +1,12 @@
 (** Live metrics endpoint: OpenMetrics over minimal HTTP/1.0.
 
     [start] binds a {!Transport} listener (unix or TCP — the
-    [--metrics-addr] flag on [experiments run], [all] and
-    [worker --listen]) and answers every connection with
-    {!Bcclb_obs.Expo.render} of the registry snapshot taken at scrape
-    time, so a sweep's live counters (including deltas absorbed from
-    workers mid-flight) are visible to Prometheus, [curl], or
-    [stats --follow] without waiting for the manifest.
+    [--metrics-addr] flag on [experiments run] and [all]) and answers
+    every connection with {!Bcclb_obs.Expo.render} of the registry
+    snapshot taken at scrape time, so a sweep's live counters
+    (including deltas absorbed from workers mid-flight) are visible to
+    Prometheus, [curl], or [stats --follow] without waiting for the
+    manifest.
 
     The endpoint is deliberately dumb: any request head gets the same
     [200] with [Content-Type: application/openmetrics-text]; a client

@@ -10,18 +10,14 @@ type assignment = {
 }
 
 type to_worker =
-  | Init of {
-      cache_root : string option;
-      heartbeat_interval : float;
-      trace : Bcclb_obs.Trace.context option;
-    }
+  | Init of { cache_root : string option; trace : Bcclb_obs.Trace.context option }
   | Lease of { cells : assignment array; trace : Bcclb_obs.Trace.context option }
   | Revoke of { cells : int list }
   | Reject of { reason : string }
   | Shutdown
 
 type from_worker =
-  | Hello of { pid : int; fingerprint : string; cache_epoch : int; now_ns : int }
+  | Hello of { pid : int; fingerprint : string; cache_epoch : int }
   | Heartbeat
   | Result of { cell : int; outcome : Bcclb_harness.Runner.cell_outcome; seconds : float }
   | Cell_error of { cell : int; message : string }
@@ -39,11 +35,12 @@ type from_worker =
 
    Wire.version catches a framing change; the fingerprint catches
    everything else — two binaries whose marshalled representations (or
-   cell semantics) could disagree. Digesting the executable is the
-   whole same-executable contract made checkable across machines:
-   identical builds digest identically, anything else is refused at
-   join time. The env override exists so tests can force a skew without
-   building a second binary. *)
+   cell semantics) could disagree. A worker re-executes the
+   coordinator's executable by path, so a rebuild landing on disk
+   between the coordinator's start and a (re)spawn is the skew this
+   catches: identical builds digest identically, anything else is
+   refused at join time. The env override exists so tests can force a
+   skew without building a second binary. *)
 
 let fingerprint_env = "BCCLB_DIST_FINGERPRINT"
 
@@ -61,8 +58,8 @@ let handshake_error ~fingerprint:fp ~cache_epoch =
   if not (String.equal fp (fingerprint ())) then
     Some
       (Printf.sprintf
-         "binary fingerprint mismatch (coordinator %s, worker %s) — the roster must run \
-          the same build"
+         "binary fingerprint mismatch (coordinator %s, worker %s) — worker and \
+          coordinator run different builds"
          (fingerprint ()) fp)
   else if cache_epoch <> Bcclb_harness.Cache.format_epoch then
     Some
@@ -78,7 +75,6 @@ let hello () =
       pid = Unix.getpid ();
       fingerprint = fingerprint ();
       cache_epoch = Bcclb_harness.Cache.format_epoch;
-      now_ns = Bcclb_obs.Mclock.now_ns ();
     }
 
 let tag_to_worker = 'C'

@@ -1,10 +1,9 @@
 (* The endpoint layer under the dist runtime: socket setup and framed
-   I/O for the coordinator's listener, the worker's dial-back and
-   listen endpoint, and the metrics endpoint. A [listener] owns
-   bind/listen/accept and the unlink of a unix-domain socket path; a
-   [Conn.t] owns one connected fd, its incremental {!Wire} reader and a
-   last-activity clock for heartbeat deadlines. The SIGINT/SIGTERM stop
-   flag of the drain-and-unlink shutdown lives here too
+   I/O for the coordinator's listener, the worker's dial-back and the
+   metrics endpoint. A [listener] owns bind/listen/accept and the
+   unlink of a unix-domain socket path; a [Conn.t] owns one connected
+   fd, its incremental {!Wire} reader and a last-activity clock for
+   heartbeat deadlines. The SIGINT/SIGTERM stop flag lives here too
    ({!install_stop_signals}). *)
 
 module Obs = Bcclb_obs
@@ -55,23 +54,17 @@ let listen ?(backlog = 64) addr =
 
 let sock_counter = Atomic.make 0
 
-(* A fresh local endpoint nobody else can be squatting on: a unique
-   socket path in $TMPDIR, or a kernel-chosen loopback TCP port. *)
-let listen_local transport =
-  let addr =
-    match transport with
-    | `Unix_socket ->
-      let path =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "bcclb-dist-%d-%d.sock" (Unix.getpid ())
-             (Atomic.fetch_and_add sock_counter 1))
-      in
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      Addr.Unix_socket path
-    | `Tcp -> Addr.Tcp ("127.0.0.1", 0)
+(* A fresh endpoint nobody else can be squatting on: a unique socket
+   path in $TMPDIR. *)
+let listen_local () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "bcclb-dist-%d-%d.sock" (Unix.getpid ())
+         (Atomic.fetch_and_add sock_counter 1))
   in
-  match listen addr with
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  match listen (Addr.Unix_socket path) with
   | Ok l -> l
   | Error e -> failwith ("dist: " ^ e)
 
@@ -97,9 +90,8 @@ module Conn = struct
 
   (* A fresh socket per attempt: a fd whose connect failed is not
      reusable. Retries cover scheduler lag between a coordinator
-     listening and its spawned workers dialing back (and the converse
-     for pre-started rosters). *)
-  let dial ?(tries = 20) addr =
+     listening and its spawned workers dialing back. *)
+  let dial addr =
     let rec go tries =
       match Unix.socket ~cloexec:true (Addr.domain addr) Unix.SOCK_STREAM 0 with
       | exception Unix.Unix_error (err, _, _) ->
@@ -122,7 +114,7 @@ module Conn = struct
           (try Unix.close fd with Unix.Unix_error _ -> ());
           Error msg)
     in
-    go tries
+    go 20
 
   let send t payload = Wire.write_frame t.fd payload
   let recv t = Wire.read_frame t.fd
@@ -167,26 +159,13 @@ let accept_all l ~on_conn =
   in
   go ()
 
-(* ---- the SIGINT/SIGTERM stop flag ----
-
-   The handler only flips the flag; the caller polls it, drains its
-   in-flight work, and closes its listener (which unlinks a unix socket
-   path). A trace flush does file I/O and must not run in signal
-   context, so the span buffer is flushed by an [at_exit] hook instead:
-   whichever way the drained process leaves (normal return, [exit 0],
-   even a Fatal's [exit 3]), an active file-backed trace is written out
-   rather than lost. Registered once, from the first
-   [install_stop_signals]. *)
-
-let trace_flush_registered = Atomic.make false
-
+(* The SIGINT/SIGTERM stop flag: the handler only flips it; the caller
+   polls it and winds down. *)
 let install_stop_signals () =
   let flag = Atomic.make false in
   let handler = Sys.Signal_handle (fun _ -> Atomic.set flag true) in
   Sys.set_signal Sys.sigint handler;
   Sys.set_signal Sys.sigterm handler;
-  if not (Atomic.exchange trace_flush_registered true) then
-    at_exit (fun () -> Obs.Trace.stop ());
   flag
 
 let stop_requested flag = Atomic.get flag

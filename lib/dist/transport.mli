@@ -1,11 +1,11 @@
 (** Poll-driven endpoints over unix-domain and TCP sockets.
 
     Every socket the dist runtime opens goes through this layer: the
-    coordinator's listener and its dial-outs to roster workers, the
-    worker's dial-back and its [--listen] endpoint, and the metrics
-    endpoint's listener. It owns accept/connect setup, {!Wire} framing
-    over a connected fd, and activity clocks for heartbeat deadlines —
-    plus the SIGINT/SIGTERM stop flag of the drain-and-unlink shutdown. *)
+    coordinator's listener, the spawned worker's dial-back, and the
+    metrics endpoint's listener. It owns accept/connect setup, {!Wire}
+    framing over a connected fd, and activity clocks for heartbeat
+    deadlines — plus the SIGINT/SIGTERM stop flag that
+    [stats --follow] polls. *)
 
 val now : unit -> float
 (** Monotonic seconds ({!Bcclb_obs.Mclock}) — the clock every deadline
@@ -22,10 +22,11 @@ val listen : ?backlog:int -> Addr.t -> (listener, string) result
     bind/listen failure (e.g. a unix socket path that already
     exists). *)
 
-val listen_local : [ `Unix_socket | `Tcp ] -> listener
-(** A fresh local endpoint for self-populated rosters: a unique socket
-    path under [$TMPDIR] ([bcclb-dist-<pid>-<n>.sock]) or an ephemeral
-    loopback TCP port. @raise Failure if the kernel refuses. *)
+val listen_local : unit -> listener
+(** A fresh endpoint for the coordinator's spawned workers: a unique
+    unix-domain socket path under [$TMPDIR]
+    ([bcclb-dist-<pid>-<n>.sock]). @raise Failure if the kernel
+    refuses. *)
 
 val listener_fd : listener -> Unix.file_descr
 val listener_addr : listener -> Addr.t
@@ -38,14 +39,11 @@ val close_listener : listener -> unit
 module Conn : sig
   type t
 
-  val of_fd : Unix.file_descr -> t
-  (** Wrap an accepted fd; the activity clock starts now. *)
-
-  val dial : ?tries:int -> Addr.t -> (t, string) result
-  (** Connect to [addr], retrying refused/absent endpoints [tries]
-      times (default 20) 50 ms apart (covers the race between a process
-      listening and its peer dialing). A fresh socket per attempt — a
-      failed connect poisons its fd. *)
+  val dial : Addr.t -> (t, string) result
+  (** Connect to [addr], retrying a refused or absent endpoint 20 times
+      50 ms apart (covers the race between a process listening and its
+      peer dialing). A fresh socket per attempt — a failed connect
+      poisons its fd. *)
 
   val fd : t -> Unix.file_descr
   val is_closed : t -> bool
@@ -80,15 +78,11 @@ val accept_all : listener -> on_conn:(Conn.t -> unit) -> unit
 (** Drain every pending connection (the listener fd must be in
     nonblocking mode); stops on [EAGAIN]. *)
 
-(** {2 Drain-and-unlink shutdown} *)
+(** {2 Stop flag} *)
 
 val install_stop_signals : unit -> bool Atomic.t
 (** Install SIGINT/SIGTERM handlers that set (and only set) the
-    returned flag — the first half of the drain protocol shared by the
-    listen-mode worker and [stats --follow]. Also registers
-    (once per process) an [at_exit] hook calling
-    {!Bcclb_obs.Trace.stop}, so a SIGTERM'd daemon that traces via
-    [$BCCLB_TRACE] flushes a complete file on every exit path instead
-    of losing its span buffer. *)
+    returned flag; the caller polls it with {!stop_requested} and winds
+    down at its next check — how [stats --follow] ends cleanly. *)
 
 val stop_requested : bool Atomic.t -> bool

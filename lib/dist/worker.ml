@@ -22,8 +22,11 @@ let cells_metric = Obs.Metrics.Counter.v "dist.worker.cells"
 let heartbeats_metric = Obs.Metrics.Counter.v "dist.worker.heartbeats"
 let leases_metric = Obs.Metrics.Counter.v "dist.worker.leases"
 let revoked_metric = Obs.Metrics.Counter.v "dist.worker.cells_revoked"
-let sessions_metric = Obs.Metrics.Counter.v "dist.worker.sessions"
 let cell_seconds = Obs.Metrics.Histogram.v "dist.worker.cell_seconds"
+
+(* Idle heartbeat period, far inside the coordinator's 30 s silence
+   limit. *)
+let heartbeat_interval = 0.25
 
 exception Done  (* clean shutdown requested *)
 exception Coordinator_gone  (* EOF from the coordinator *)
@@ -69,20 +72,16 @@ let serve_cell tc faults ?trace ~cache ~exp ~cell ~attempt ~params () =
     send tc (Msg.Result { cell; outcome; seconds })
   | exception H.Runner.Cell_failed { message; _ } -> send tc (Msg.Cell_error { cell; message })
 
-(* One coordinator session: Hello, Init, leases until Shutdown (or the
-   peer vanishes). Shared by the dial-back (spawned) and listen-mode
-   (pre-started) workers; the latter runs one session per accepted
-   coordinator and then returns to accepting. *)
+(* The coordinator session: Hello, Init, leases until Shutdown (or the
+   peer vanishes). *)
 type session = {
   tc : Conn.t;
   faults : Faults.t;
   resolve : string -> H.Experiment.t option;
   mutable cache : H.Cache.t option;
-  mutable interval : float;
   mutable work : Msg.assignment list;  (* local queue, lease order *)
   mutable baseline : (string * Obs.Metrics.value) list;  (* last shipped snapshot *)
   mutable trace : Obs.Trace.context option;  (* parent for this lease's cell spans *)
-  mutable collecting : bool;  (* we own a Trace collect buffer for this session *)
 }
 
 let ship_delta s =
@@ -91,20 +90,13 @@ let ship_delta s =
   s.baseline <- current;
   d
 
-(* Only drain a buffer this session created: a listen-mode worker
-   tracing to its own $BCCLB_TRACE file keeps its spans local. *)
-let ship_spans s = if s.collecting then Obs.Trace.drain () else []
-
 let handle s = function
-  | Msg.Init { cache_root; heartbeat_interval; trace } ->
+  | Msg.Init { cache_root; trace } ->
     s.cache <- Option.map (fun root -> H.Cache.create ~root) cache_root;
-    s.interval <- heartbeat_interval;
     s.trace <- trace;
-    (match trace with
-    | Some ctx when not (Obs.Trace.enabled ()) ->
-      Obs.Trace.start_collect ~trace_id:ctx.trace_id ();
-      s.collecting <- true
-    | _ -> ())
+    Option.iter
+      (fun (ctx : Obs.Trace.context) -> Obs.Trace.start_collect ~trace_id:ctx.trace_id ())
+      trace
   | Msg.Lease { cells; trace } ->
     Obs.Metrics.Counter.incr leases_metric;
     (match trace with Some _ -> s.trace <- trace | None -> ());
@@ -115,7 +107,7 @@ let handle s = function
     Obs.Metrics.Counter.add revoked_metric (before - List.length s.work)
   | Msg.Reject { reason } -> raise (Rejected reason)
   | Msg.Shutdown ->
-    send s.tc (Msg.Bye { metrics = ship_delta s; spans = ship_spans s });
+    send s.tc (Msg.Bye { metrics = ship_delta s; spans = Obs.Trace.drain () });
     raise Done
 
 let read_one s =
@@ -148,10 +140,9 @@ let run_next s =
     | Some exp ->
       serve_cell s.tc s.faults ?trace:s.trace ~cache:s.cache ~exp ~cell ~attempt ~params ());
     if s.work = [] then
-      send s.tc (Msg.Lease_done { metrics = ship_delta s; spans = ship_spans s })
+      send s.tc (Msg.Lease_done { metrics = ship_delta s; spans = Obs.Trace.drain () })
 
-let session ?stop ~resolve tc =
-  Obs.Metrics.Counter.incr sessions_metric;
+let session ~resolve tc =
   let faults = match Faults.of_env () with Ok f -> f | Error e -> fatal tc e in
   let s =
     {
@@ -159,104 +150,49 @@ let session ?stop ~resolve tc =
       faults;
       resolve;
       cache = None;
-      interval = 0.25;
       work = [];
       baseline = Obs.Metrics.snapshot ();
       trace = None;
-      collecting = false;
     }
   in
-  let stopped () = match stop with Some flag -> Atomic.get flag | None -> false in
+  (* Ends only by exception: Shutdown, EOF, Reject or a dead socket. *)
+  let rec loop () =
+    (if s.work <> [] then begin
+       drain_control s;
+       run_next s
+     end
+     else
+       match Unix.select [ Conn.fd tc ] [] [] heartbeat_interval with
+       | [], _, _ ->
+         Obs.Metrics.Counter.incr heartbeats_metric;
+         send tc Msg.Heartbeat
+       | _ -> read_one s
+       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    loop ()
+  in
   let result =
     try
       send tc (Msg.hello ());
-      while not (stopped ()) do
-        if s.work <> [] then begin
-          drain_control s;
-          run_next s
-        end
-        else
-          match Unix.select [ Conn.fd tc ] [] [] s.interval with
-          | [], _, _ ->
-            Obs.Metrics.Counter.incr heartbeats_metric;
-            send tc Msg.Heartbeat
-          | _ -> read_one s
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done;
-      `Stopped
+      loop ()
     with
-    | Done -> `Done
-    | Coordinator_gone -> `Gone
-    | Rejected reason -> `Rejected reason
-    | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> `Gone
+    | Done | Coordinator_gone | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> Ok ()
+    | Rejected reason -> Error reason
   in
-  (* Tear down a session-owned collect buffer so the next coordinator
-     (listen mode) starts clean; stop on Buffer_only discards. *)
-  if s.collecting then Obs.Trace.stop ();
   Conn.close tc;
   result
 
-let parse_address address =
-  match Addr.of_string address with
-  | Ok a -> a
-  | Error e ->
-    prerr_endline ("dist worker: " ^ e);
-    exit 3
-
-(* Dial-back mode: one session against the coordinator that spawned us,
-   then exit. *)
+(* One session against the coordinator that spawned us, then exit. *)
 let main ?(resolve = H.Registry.find) ~address () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let addr = parse_address address in
   let tc =
-    match Conn.dial addr with
+    match Result.bind (Addr.of_string address) Conn.dial with
     | Ok tc -> tc
     | Error e ->
       prerr_endline ("dist worker: " ^ e);
       exit 3
   in
   match session ~resolve tc with
-  | `Done | `Gone | `Stopped -> exit 0
-  | `Rejected reason ->
+  | Ok () -> exit 0
+  | Error reason ->
     prerr_endline ("dist worker: rejected by coordinator: " ^ reason);
     exit 3
-
-(* Listen mode: a pre-started roster worker. Serves one coordinator
-   session per accepted connection, forever, until SIGINT/SIGTERM —
-   then drains (the in-flight session sees the flag between cells),
-   unlinks its endpoint and returns, so the caller's own teardown (a
-   metrics endpoint's unlink) still runs. A Reject is logged but not
-   fatal: the skewed coordinator goes away, and a rebuilt one may dial
-   in later. *)
-let main_listen ?(resolve = H.Registry.find) ~address () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let addr = parse_address address in
-  let stop = Transport.install_stop_signals () in
-  (* A pre-started worker may trace to its own file ($BCCLB_TRACE);
-     install_stop_signals registered the at_exit flush, so SIGTERM
-     still writes a complete trace. *)
-  Obs.Trace.start_from_env ();
-  match Transport.listen addr with
-  | Error e ->
-    prerr_endline ("dist worker: " ^ e);
-    exit 3
-  | Ok l ->
-    Printf.eprintf "[worker %d] listening on %s\n%!" (Unix.getpid ())
-      (Addr.to_string (Transport.listener_addr l));
-    let lfd = Transport.listener_fd l in
-    while not (Transport.stop_requested stop) do
-      match Unix.select [ lfd ] [] [] 0.2 with
-      | [], _, _ -> ()
-      | _ -> (
-        match Unix.accept ~cloexec:true lfd with
-        | fd, _ -> (
-          match session ~stop ~resolve (Conn.of_fd fd) with
-          | `Rejected reason ->
-            Printf.eprintf "[worker %d] rejected by coordinator: %s — still listening\n%!"
-              (Unix.getpid ()) reason
-          | `Done | `Gone | `Stopped -> ())
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    done;
-    Transport.close_listener l;
-    Printf.eprintf "[worker %d] stopped, endpoint removed\n%!" (Unix.getpid ())

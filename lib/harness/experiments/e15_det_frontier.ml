@@ -10,7 +10,7 @@
    row, and checks correctness by execution against the Graph.Conn
    oracle. Every cell is a pure function of its params (per-cell seeds),
    so the sweep is cached, checkpointable and byte-identical across the
-   domains/procs/roster backends. *)
+   domains and procs backends. *)
 
 open Exp_common
 module Metrics = Bcclb_obs.Metrics

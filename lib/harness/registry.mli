@@ -13,8 +13,8 @@ val index_json : unit -> Json.t
 (** The catalogue as a JSON array — one object per experiment with id,
     title, cells, doc, version, and (when declared) the feasible
     [n_range] both as an explicit two-element ["n_range"] array and as
-    flat ["n_min"]/["n_max"] fields, so roster drivers can pre-validate
-    a [-n] override before dialing any worker. What
+    flat ["n_min"]/["n_max"] fields, so a script driving sweeps can
+    pre-validate a [-n] override before starting one. What
     [experiments list --json] prints. *)
 
 val suggest : string -> string option

@@ -71,12 +71,10 @@ let run_cell ?cache (exp : Experiment.t) params =
   in
   { rows; hit; executions; peak_words = (Gc.quick_stat ()).Gc.top_heap_words }
 
-type roster = [ `Local of int | `Remote of string list ]
-
-type backend = [ `Domains | `Procs of int | `Roster of string list ]
+type backend = [ `Domains | `Procs of int ]
 
 type procs_runner =
-  roster:roster ->
+  workers:int ->
   cache:Cache.t option ->
   cells:(Experiment.t * Params.t) array ->
   (cell_outcome * float, exn) result array
@@ -137,7 +135,6 @@ let run ?(backend = `Domains) ?cache ?num_domains ~sink sweeps =
     match backend with
     | `Domains -> "domains"
     | `Procs w -> Printf.sprintf "procs:%d" w
-    | `Roster addrs -> Printf.sprintf "roster:%d" (List.length addrs)
   in
   let results =
     Obs.span "runner.experiment"
@@ -158,16 +155,13 @@ let run ?(backend = `Domains) ?cache ?num_domains ~sink sweeps =
             (Pool.map_batch_timed ?num_domains
                (fun (exp, params) -> try Ok (run_cell ?cache exp params) with e -> Error e)
                cells)
-        | (`Procs _ | `Roster _) as b -> (
-          let roster =
-            match b with `Procs workers -> `Local workers | `Roster addrs -> `Remote addrs
-          in
+        | `Procs workers -> (
           match !procs_runner with
           | None ->
             failwith
               "Runner: `Procs backend requested but no procs runner is installed (link \
                Bcclb_dist and call Backend.install)"
-          | Some r -> r ~roster ~cache ~cells))
+          | Some r -> r ~workers ~cache ~cells))
   in
   Obs.Metrics.Histogram.observe experiment_seconds (stopwatch ());
   (* Render experiment by experiment, in order, up to the first one

@@ -45,22 +45,13 @@ val run_cell : ?cache:Cache.t -> Experiment.t -> Params.t -> cell_outcome
     reports and cache contents backend-independent. A raising cell
     propagates {!Cell_failed}. *)
 
-type roster = [ `Local of int | `Remote of string list ]
-(** How the procs runner populates its worker roster: [`Local w] — it
-    spawns [w] processes itself and they dial back in; [`Remote addrs] —
-    it dials out to pre-started workers at the given addresses
-    (["tcp:host:port"] / ["unix:path"] strings; the harness stays below
-    the dist layer, so addresses travel as strings here and are parsed
-    by the installed runner). *)
-
-type backend = [ `Domains | `Procs of int | `Roster of string list ]
+type backend = [ `Domains | `Procs of int ]
 (** [`Domains] — shared-memory domains in this process (the default);
-    [`Procs w] — [w] self-spawned worker processes driven by the
-    registered procs runner; [`Roster addrs] — the same runner over
-    pre-started workers listening at [addrs]. *)
+    [`Procs w] — [w] worker processes spawned and driven by the
+    registered procs runner. *)
 
 type procs_runner =
-  roster:roster ->
+  workers:int ->
   cache:Cache.t option ->
   cells:(Experiment.t * Params.t) array ->
   (cell_outcome * float, exn) result array

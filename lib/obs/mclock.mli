@@ -6,7 +6,10 @@
 
 val now_ns : unit -> int
 (** Nanoseconds on [CLOCK_MONOTONIC]. The absolute value is meaningful
-    only relative to other [now_ns] readings in the same process. *)
+    only relative to other [now_ns] readings on the same host: the clock
+    is system-wide, so a process and the children it spawns share it
+    (which is what lets a dist coordinator merge its workers' spans
+    without a clock offset). *)
 
 val elapsed_ns : since:int -> int
 (** [elapsed_ns ~since] is [now_ns () - since]. *)

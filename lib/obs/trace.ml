@@ -9,9 +9,11 @@
    tree extends across processes: a [context] — trace id plus parent
    span id — travels over the dist wire, remote children buffer in
    [collect] mode with raw monotonic timestamps, and the coordinator
-   {!ingest}s the shipped events after mapping them onto its own clock
-   with the handshake-derived offset. Each process keeps its own pid
-   lane in the merged Perfetto timeline. *)
+   {!ingest}s the shipped events onto its own timeline. Its workers are
+   processes it spawned on the same host, so both read the one
+   system-wide CLOCK_MONOTONIC (Mclock) and a raw worker timestamp
+   needs no offset. Each process keeps its own pid lane in the merged
+   Perfetto timeline. *)
 
 type event = {
   name : string;
@@ -141,25 +143,12 @@ let drain () =
     let pid = Unix.getpid () in
     List.rev_map (fun ev -> if ev.pid = 0 then { ev with pid } else ev) events
 
-(* Midpoint estimate: the remote clock reading [remote_ns] was taken
-   somewhere between [sent_ns] (local clock when the connection was
-   initiated) and [recv_ns] (local clock when the reading arrived), so
-   assume the midpoint. Maps remote raw ns onto the local raw clock:
-   local ≈ remote + offset. Any remote event timestamped at or after
-   [remote_ns] therefore lands at or after [sent_ns] — ingested child
-   spans can never start before the local span that initiated the
-   connection. *)
-let offset_of_handshake ~sent_ns ~recv_ns ~remote_ns =
-  ((sent_ns + recv_ns) / 2) - remote_ns
-
-let ingest ~offset_ns events =
+let ingest events =
   match !current with
   | None -> ()
   | Some st ->
     let shifted =
-      List.map
-        (fun ev -> { ev with start_ns = max 0 (ev.start_ns + offset_ns - st.t0) })
-        events
+      List.map (fun ev -> { ev with start_ns = max 0 (ev.start_ns - st.t0) }) events
     in
     Mutex.lock st.lock;
     st.events <- List.rev_append shifted st.events;

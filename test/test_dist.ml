@@ -84,26 +84,8 @@ let resolve id = List.find_opt (fun (e : Experiment.t) -> String.equal e.id id) 
 (* What the re-exec'd test binary runs instead of alcotest (test_main
    checks the env var before anything else). *)
 let worker_env = "BCCLB_DIST_TEST_WORKER"
-let listen_env = "BCCLB_DIST_TEST_LISTEN"
 
 let worker_main address = Dist.Worker.main ~resolve ~address ()
-
-(* The listen variable holds LISTEN or LISTEN,METRICS: the second
-   address gives the worker a metrics endpoint, wrapped the way
-   [worker --listen ADDR --metrics-addr METRICS] wraps it. *)
-let worker_main_listen spec =
-  let listen address = Dist.Worker.main_listen ~resolve ~address () in
-  match String.split_on_char ',' spec with
-  | [ address; metrics ] -> (
-    match
-      Result.bind (Addr.of_string metrics) (fun m ->
-          Dist.Expose.with_endpoint ~address:m (fun _ -> listen address))
-    with
-    | Ok () -> ()
-    | Error e ->
-      prerr_endline ("dist test worker: " ^ e);
-      exit 3)
-  | _ -> listen spec
 
 let spawn_env extra_env =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
@@ -122,10 +104,6 @@ let spawn ~address = spawn_env [| worker_env ^ "=" ^ address |]
    keeps its own executable digest. *)
 let spawn_skewed ~address =
   spawn_env [| worker_env ^ "=" ^ address; Msg.fingerprint_env ^ "=deadbeef" |]
-
-(* A pre-started listen-mode worker (the --workers roster fixture);
-   [spec] is [worker_main_listen]'s LISTEN[,METRICS]. *)
-let spawn_listen spec = spawn_env [| listen_env ^ "=" ^ spec |]
 
 (* ---- scratch dirs (as in test_harness) ---- *)
 
@@ -315,10 +293,33 @@ let test_faults_spec () =
       | Ok _ -> Alcotest.fail ("accepted malformed spec " ^ bad))
     [ "crash"; "crash:"; "crash:x"; "explode:3"; "crash:-1"; "crash:1:2" ]
 
+let test_cell_timeout_env () =
+  (* A malformed stall deadline fails the install, naming the variable,
+     instead of falling back to the 600 s default. Blank means unset. *)
+  let var = "BCCLB_DIST_CELL_TIMEOUT" in
+  Fun.protect ~finally:(fun () -> Unix.putenv var "") @@ fun () ->
+  List.iter
+    (fun bad ->
+      Unix.putenv var bad;
+      match Dist.Backend.install ~spawn () with
+      | Ok () -> Alcotest.failf "accepted %s=%S" var bad
+      | Error e ->
+        Alcotest.(check bool) (Printf.sprintf "%S: error names %s" bad var) true (contains e var))
+    [ "10s"; "0"; "-1"; "abc"; "nan"; "inf" ];
+  List.iter
+    (fun good ->
+      Unix.putenv var good;
+      match Dist.Backend.install ~spawn () with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "refused %S: %s" good e)
+    [ "10"; " 2.5 "; "" ]
+
 (* ---- end to end ---- *)
 
-let install ?cell_timeout ?heartbeat_timeout () =
-  Dist.Backend.install ?cell_timeout ?heartbeat_timeout ~spawn ()
+let install ?cell_timeout ?(spawn = spawn) () =
+  match Dist.Backend.install ?cell_timeout ~spawn () with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
 
 let set_faults spec = Unix.putenv Faults.env_var spec
 
@@ -433,7 +434,7 @@ let test_unknown_experiment_is_fatal () =
     Alcotest.(check bool) "failure names the unknown id" true
       (contains msg "unknown experiment id \"dist-stranger\"")
 
-(* ---- addresses and rosters ---- *)
+(* ---- addresses ---- *)
 
 let test_addr_forms () =
   (match Addr.of_string "tcp:[::1]:7501" with
@@ -455,15 +456,7 @@ let test_addr_forms () =
       match Addr.of_string bad with
       | Error _ -> ()
       | Ok a -> Alcotest.fail (Printf.sprintf "accepted %S as %s" bad (Addr.to_string a)))
-    [ "tcp:[::1]7501"; "tcp:[::1]:"; "tcp:[]:75"; "tcp:h:0"; "tcp:h:99999"; "unix:"; "x:y" ];
-  (* Rosters: blanks are skipped, the empty roster is an error. *)
-  (match Addr.roster_of_string " tcp:a:1, ,unix:/b.sock ," with
-  | Ok [ Addr.Tcp ("a", 1); Addr.Unix_socket "/b.sock" ] -> ()
-  | Ok _ -> Alcotest.fail "roster mis-parsed"
-  | Error e -> Alcotest.fail e);
-  match Addr.roster_of_string " , ," with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty roster accepted"
+    [ "tcp:[::1]7501"; "tcp:[::1]:"; "tcp:[]:75"; "tcp:h:0"; "tcp:h:99999"; "unix:"; "x:y" ]
 
 let test_handshake_check () =
   (match Msg.hello () with
@@ -480,13 +473,12 @@ let test_handshake_check () =
     | None -> Alcotest.fail "skewed cache epoch accepted")
   | _ -> Alcotest.fail "hello () is not a Hello")
 
-(* ---- end-to-end: handshake, stealing, streaming deltas, rosters ---- *)
+(* ---- end-to-end: handshake, stealing, streaming deltas, tracing ---- *)
 
 let test_skewed_worker_rejected () =
   (* A worker whose binary fingerprint differs is rejected at join time;
-     for a self-spawned roster that is a fail-fast (respawning the same
-     binary cannot help). *)
-  Dist.Backend.install ~spawn:spawn_skewed ();
+     that is a fail-fast (respawning the same binary cannot help). *)
+  install ~spawn:spawn_skewed ();
   with_faults "" @@ fun () ->
   let rejects_before = counter_value "dist.handshake_rejects" in
   (match render_run ~backend:(`Procs 2) toy with
@@ -534,105 +526,84 @@ let test_metric_deltas_stream_before_bye () =
   Alcotest.(check int) "every worker cell accounted across delta shipments" 8
     (counter_value "dist.worker.cells" - cells_before)
 
-let test_roster_of_listen_workers () =
-  (* The pre-started roster path end to end: two listen-mode workers on
-     unix sockets, dialed via `Roster — cold run byte-identical, warm
-     run over the same still-alive workers all hits, and SIGTERM drains
-     them: each exits 0 with its endpoint unlinked, and the first one
-     unlinks the metrics endpoint it exposes too. *)
+let test_traced_sweep_merges_worker_spans () =
+  (* The coordinator traces (collect mode keeps the raw monotonic clock,
+     as a spawned worker's does) and its workers ship their spans home:
+     the merged buffer holds dist.cell spans from other pids, and none
+     starts before the coordinator's dist.sweep — spawned workers read
+     the same system-wide clock, so no offset is needed to keep the
+     ordering. *)
+  let module Trace = Obs.Trace in
   install ();
   with_faults "" @@ fun () ->
-  with_dir @@ fun dir ->
-  let socks = [ Filename.concat dir "w1.sock"; Filename.concat dir "w2.sock" ] in
-  let metrics_sock = Filename.concat dir "m1.sock" in
-  let entries = List.map (fun p -> "unix:" ^ p) socks in
-  let pids =
-    List.mapi
-      (fun i e -> spawn_listen (if i = 0 then e ^ ",unix:" ^ metrics_sock else e))
-      entries
+  Trace.start_collect ~trace_id:"dist-traced-sweep" ();
+  let events =
+    Fun.protect ~finally:Trace.stop (fun () ->
+        let out, _ = render_run ~backend:(`Procs 2) toy in
+        Alcotest.(check string) "traced report byte-identical" (domains_reference ()) out;
+        Trace.drain ())
   in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()) pids;
-      List.iter (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()) pids)
-  @@ fun () ->
-  let cache = H.Cache.create ~root:(Filename.concat dir "cache") in
-  let joins_before = counter_value "dist.remote_workers_joined" in
-  let out_cold, cold = render_run ~backend:(`Roster entries) ~cache toy in
-  Alcotest.(check string) "roster report byte-identical to domains" (domains_reference ())
-    out_cold;
-  Alcotest.(check int) "cold run is all misses" 0 cold.H.Sink.hits;
-  Alcotest.(check int) "both roster workers joined" 2
-    (counter_value "dist.remote_workers_joined" - joins_before);
-  (* Same worker processes serve a second sweep (one session each per
-     sweep): the roster is reusable, and the warm run is pure hits. *)
-  let out_warm, warm = render_run ~backend:(`Roster entries) ~cache toy in
-  Alcotest.(check string) "warm roster report byte-identical" out_cold out_warm;
-  Alcotest.(check int) "warm run is all hits" warm.H.Sink.cells warm.H.Sink.hits;
-  (* The first worker's metrics endpoint is live and serves its own
-     registry: the cold run's session is counted there. *)
-  (match Result.bind (Dist.Expose.scrape (Addr.Unix_socket metrics_sock)) Obs.Expo.parse with
-  | Error e -> Alcotest.failf "worker metrics scrape: %s" e
-  | Ok samples -> (
-    match
-      List.find_opt (fun s -> s.Obs.Expo.name = "bcclb_dist_worker_sessions_total") samples
-    with
-    | Some s -> Alcotest.(check bool) "worker sessions scraped live" true (s.Obs.Expo.value >= 1.0)
-    | None -> Alcotest.fail "worker sessions counter missing from scrape"));
-  (* Drain-and-unlink: SIGTERM each worker; each must exit 0, and every
-     socket file it bound, metrics endpoint included, must be gone. *)
-  List.iter (fun pid -> Unix.kill pid Sys.sigterm) pids;
+  let named name = List.filter (fun (e : Trace.event) -> e.Trace.name = name) events in
+  let sweep =
+    match named "dist.sweep" with
+    | [ e ] -> e
+    | l -> Alcotest.failf "want one dist.sweep span, got %d" (List.length l)
+  in
+  (* A steal race can compute a cell twice, so at least one span per
+     cell. *)
+  let cells = named "dist.cell" in
+  Alcotest.(check bool) "a dist.cell span per cell" true
+    (List.length cells >= List.length toy_grid);
   List.iter
-    (fun pid ->
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _, Unix.WEXITED k -> Alcotest.failf "worker %d exited %d after SIGTERM" pid k
-      | _ -> Alcotest.failf "worker %d killed by a signal after SIGTERM" pid)
-    pids;
-  List.iter
-    (fun p -> Alcotest.(check bool) ("endpoint unlinked: " ^ p) false (Sys.file_exists p))
-    (socks @ [ metrics_sock ])
+    (fun (e : Trace.event) ->
+      Alcotest.(check bool) "dist.cell comes from a worker pid" true
+        (e.Trace.pid <> Unix.getpid () && e.Trace.pid > 0);
+      Alcotest.(check bool) "dist.cell starts at or after dist.sweep" true
+        (e.Trace.start_ns >= sweep.Trace.start_ns))
+    cells
 
-(* The metrics endpoint, scraped over a real socket. *)
+(* The metrics endpoint, scraped over a real socket: a unix path, and
+   loopback TCP on a kernel-chosen port, the one TCP endpoint the
+   runtime binds (for a Prometheus scrape). *)
 let test_metrics_endpoint () =
   let module Expose = Bcclb_dist.Expose in
   let module Expo = Bcclb_obs.Expo in
-  let path = fresh_sock () in
-  match Expose.start ~address:(Addr.Unix_socket path) () with
-  | Error e -> Alcotest.fail e
-  | Ok ep ->
-    Fun.protect ~finally:(fun () -> Expose.stop ep) @@ fun () ->
-    let counter = Bcclb_obs.Metrics.Counter.v "test.expose.pings" in
-    Bcclb_obs.Metrics.Counter.add counter 3;
-    let body =
-      match Expose.scrape (Expose.address ep) with
-      | Ok b -> b
-      | Error e -> Alcotest.fail e
-    in
-    let samples =
-      match Expo.parse body with
-      | Ok s -> s
-      | Error e -> Alcotest.failf "scrape does not lint: %s" e
-    in
-    (match
-       List.find_opt (fun s -> s.Expo.name = "bcclb_test_expose_pings_total") samples
-     with
-    | Some s -> Alcotest.(check (float 0.0)) "live counter visible" 3.0 s.Expo.value
-    | None -> Alcotest.fail "test counter missing from scrape");
-    (* A second scrape sees the first one counted. *)
-    (match Expose.scrape (Expose.address ep) with
+  let counter = Bcclb_obs.Metrics.Counter.v "test.expose.pings" in
+  Bcclb_obs.Metrics.Counter.add counter 3;
+  let sample name samples = List.find_opt (fun s -> s.Expo.name = name) samples in
+  let scrape_one requested =
+    let what = Addr.to_string requested in
+    match Expose.start ~address:requested () with
     | Error e -> Alcotest.fail e
-    | Ok body2 -> (
-      match
-        Result.map
-          (List.find_opt (fun s -> s.Expo.name = "bcclb_obs_scrapes_total"))
-          (Expo.parse body2)
-      with
-      | Ok (Some s) ->
-        Alcotest.(check bool) "scrape counter advanced" true (s.Expo.value >= 1.0)
-      | _ -> Alcotest.fail "obs.scrapes missing from scrape"));
-    Expose.stop ep;
-    Alcotest.(check bool) "endpoint socket unlinked after stop" false (Sys.file_exists path)
+    | Ok ep ->
+      let bound = Expose.address ep in
+      (match bound with
+      | Addr.Tcp (_, port) ->
+        Alcotest.(check bool) (what ^ ": real port read back") true (port > 0)
+      | Addr.Unix_socket _ -> ());
+      let scrape () =
+        match Result.bind (Expose.scrape bound) Expo.parse with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "%s: scrape fails or does not lint: %s" what e
+      in
+      Fun.protect ~finally:(fun () -> Expose.stop ep) (fun () ->
+          (match sample "bcclb_test_expose_pings_total" (scrape ()) with
+          | Some s ->
+            Alcotest.(check (float 0.0)) (what ^ ": live counter visible") 3.0 s.Expo.value
+          | None -> Alcotest.fail "test counter missing from scrape");
+          (* A second scrape sees the first one counted. *)
+          match sample "bcclb_obs_scrapes_total" (scrape ()) with
+          | Some s ->
+            Alcotest.(check bool) (what ^ ": scrape counter advanced") true
+              (s.Expo.value >= 1.0)
+          | None -> Alcotest.fail "obs.scrapes missing from scrape");
+      Alcotest.(check bool) (what ^ ": a stopped endpoint refuses scrapes") true
+        (Result.is_error (Expose.scrape bound))
+  in
+  let path = fresh_sock () in
+  scrape_one (Addr.Unix_socket path);
+  Alcotest.(check bool) "endpoint socket unlinked after stop" false (Sys.file_exists path);
+  scrape_one (Addr.Tcp ("127.0.0.1", 0))
 
 let suites =
   [ Alcotest.test_case "wire rejects truncation, corruption, version skew" `Quick
@@ -643,7 +614,10 @@ let suites =
     Alcotest.test_case "trace contexts and span shipments survive the wire" `Quick
       test_trace_context_wire_roundtrip;
     Alcotest.test_case "fault specs parse and are one-shot" `Quick test_faults_spec;
-    Alcotest.test_case "addresses: IPv6 brackets, bad forms, rosters" `Quick test_addr_forms;
+    Alcotest.test_case "a malformed cell timeout is refused, naming its variable" `Quick
+      test_cell_timeout_env;
+    Alcotest.test_case "addresses: IPv6 brackets, bad forms, multi-colon hosts" `Quick
+      test_addr_forms;
     Alcotest.test_case "handshake accepts self, names skews" `Quick test_handshake_check;
     Alcotest.test_case "metrics endpoint scrapes and lints" `Quick test_metrics_endpoint;
     Alcotest.test_case "procs backend byte-identical + shared cache" `Slow
@@ -664,8 +638,8 @@ let suites =
       test_steal_under_stall;
     Alcotest.test_case "metric deltas stream home before Bye" `Slow
       test_metric_deltas_stream_before_bye;
-    Alcotest.test_case "pre-started roster: two sweeps, then drain-and-unlink" `Slow
-      test_roster_of_listen_workers ]
+    Alcotest.test_case "a traced procs sweep merges worker spans after its start" `Slow
+      test_traced_sweep_merges_worker_spans ]
 
 let qsuites =
   let open QCheck2 in
@@ -688,10 +662,8 @@ let qsuites =
         | Error Wire.Truncated -> true
         | Error _ -> false (* a strict prefix must read as truncation, nothing else *)
         | Ok _ -> false);
-    (* Roster strings round-trip: any mix of unix paths, v4/hostname and
-       bracketed-v6 TCP endpoints survives to_string/of_string both as
-       single addresses and as comma-joined rosters. (Paths are drawn
-       comma- and colon-free — the separators the roster syntax owns.) *)
+    (* Addresses round-trip: unix paths, v4/hostname and bracketed-v6
+       TCP endpoints all survive to_string/of_string. *)
     (let addr_gen =
        let open Gen in
        let word = string_size ~gen:(char_range 'a' 'z') (1 -- 12) in
@@ -706,8 +678,5 @@ let qsuites =
              (oneofl [ "::1"; "fe80::2"; "2001:db8::17" ])
              (1 -- 65535) ]
      in
-     Test.make ~name:"rosters round-trip through their printed form" ~count:200
-       Gen.(list_size (1 -- 6) addr_gen)
-       (fun addrs ->
-         Addr.roster_of_string (Addr.roster_to_string addrs) = Ok addrs
-         && List.for_all (fun a -> Addr.of_string (Addr.to_string a) = Ok a) addrs)) ]
+     Test.make ~name:"addresses round-trip through their printed form" ~count:200 addr_gen
+       (fun a -> Addr.of_string (Addr.to_string a) = Ok a)) ]

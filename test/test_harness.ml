@@ -453,7 +453,7 @@ let test_registry_index_json () =
       (Option.map (fun j -> j = Json.Int hi) (field "n_max" e15))
   | _ -> Alcotest.fail "det-frontier lacks a two-int n_range");
   (* The whole catalogue must survive a print/parse round trip — this is
-     what `experiments list --json` ships to roster drivers. *)
+     what `experiments list --json` ships to sweep scripts. *)
   let j = Registry.index_json () in
   Alcotest.(check bool) "catalogue round-trips through the printer" true
     (Json.of_string (Json.to_string ~pretty:true j) = j)

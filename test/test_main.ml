@@ -7,14 +7,7 @@ let q = List.map QCheck_alcotest.to_alcotest
 let () =
   match Sys.getenv_opt Test_dist.worker_env with
   | Some address when address <> "" -> Test_dist.worker_main address
-  | _ -> (
-    (* Listen-mode variant: a pre-started roster worker for the
-       `Roster end-to-end tests. *)
-    match Sys.getenv_opt Test_dist.listen_env with
-    | Some spec when spec <> "" ->
-      Test_dist.worker_main_listen spec;
-      exit 0
-    | _ -> ())
+  | _ -> ()
 
 let () =
   Alcotest.run "bcclb"

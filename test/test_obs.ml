@@ -457,7 +457,7 @@ let test_trace_context_and_merge () =
      keep their pid and land at clamped non-negative timestamps. *)
   Trace.start ~trace_id:"trace-under-test" ~file ();
   Obs.span "local.sweep" (fun () -> ());
-  Trace.ingest ~offset_ns:0 shipped;
+  Trace.ingest shipped;
   Alcotest.(check int) "local + ingested events" 3 (Trace.event_count ());
   Trace.stop ();
   let lines = read_lines (Trace.jsonl_path file) in
@@ -517,17 +517,4 @@ let qsuites =
         in
         s.Metrics.count = List.length obs
         && monotone qs
-        && List.for_all (fun q -> q >= 0.0 && q <= 100.0) qs);
-    (* The offset model's contract: a remote span recorded at or after
-       the handshake reply (remote_ns) maps to a local time at or after
-       the local clock when the connection was initiated (sent_ns) —
-       i.e. a worker's spans can never render before the coordinator
-       span that dialed it. *)
-    Test.make ~name:"handshake offset never maps remote spans before the dial" ~count:500
-      Gen.(
-        quad (int_range 0 1_000_000_000) (int_range 0 50_000_000)
-          (int_range 0 2_000_000_000) (int_range 0 100_000_000))
-      (fun (sent_ns, rtt_ns, remote_ns, after_ns) ->
-        let recv_ns = sent_ns + rtt_ns in
-        let offset = Trace.offset_of_handshake ~sent_ns ~recv_ns ~remote_ns in
-        remote_ns + after_ns + offset >= sent_ns) ]
+        && List.for_all (fun q -> q >= 0.0 && q <= 100.0) qs) ]
