@@ -65,17 +65,7 @@ let trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write a Chrome trace_event file (open in Perfetto / about:tracing) plus a JSONL \
-           span log next to it. $(b,BCCLB_TRACE)=FILE does the same without the flag.")
-
-let metrics_addr_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-addr" ] ~docv:"ADDR"
-        ~doc:
-          "Expose the live metrics registry as OpenMetrics text on $(docv) \
-           ($(b,tcp:HOST:PORT) or $(b,unix:PATH)) for the duration of the command. Scrape \
-           it with Prometheus, curl, or $(b,experiments stats --follow ADDR).")
+           span log next to it.")
 
 let resolved_domains jobs =
   match jobs with Some j -> j | None -> Bcclb_engine.Pool.default_num_domains ()
@@ -90,7 +80,7 @@ let require_positive flag v =
   | _ -> ()
 
 (* The procs backend self-execs this very binary as `experiments worker
-   --socket ADDR`; install wires that spawn into the Runner hook. *)
+   --socket PATH`; install wires that spawn into the Runner hook. *)
 let resolve_backend ~backend ~jobs ~workers =
   require_positive "--jobs" jobs;
   require_positive "--workers" workers;
@@ -100,8 +90,8 @@ let resolve_backend ~backend ~jobs ~workers =
     match
       Bcclb_dist.Backend.install
         ~spawn:
-          (Bcclb_dist.Backend.spawn_argv (fun addr ->
-               [| Sys.executable_name; "worker"; "--socket"; addr |]))
+          (Bcclb_dist.Backend.spawn_argv (fun path ->
+               [| Sys.executable_name; "worker"; "--socket"; path |]))
         ()
     with
     | Ok () -> `Procs (Option.value workers ~default:(resolved_domains jobs))
@@ -109,46 +99,19 @@ let resolve_backend ~backend ~jobs ~workers =
       Printf.eprintf "experiments: %s\n" e;
       Stdlib.exit 2)
 
-(* Tracing wraps a whole invocation: --trace wins over $BCCLB_TRACE, and
-   the files are written once the run (and its manifest) is done. *)
+(* Tracing wraps a whole invocation: the files are written once the run
+   (and its manifest) is done. *)
 let with_trace trace f =
-  (match trace with
-  | Some file -> Obs.Trace.start ~file ()
-  | None -> Obs.Trace.start_from_env ());
-  Fun.protect
-    ~finally:(fun () ->
-      if Obs.Trace.enabled () then begin
-        (match trace with
-        | Some file ->
-          Printf.eprintf "[trace] %d spans -> %s + %s\n%!" (Obs.Trace.event_count ()) file
-            (Obs.Trace.jsonl_path file)
-        | None -> Printf.eprintf "[trace] %d spans\n%!" (Obs.Trace.event_count ()));
-        Obs.Trace.stop ()
-      end)
-    f
-
-(* --metrics-addr wraps a whole invocation too: bind the OpenMetrics
-   endpoint before the work starts, tear it down (join the acceptor,
-   unlink the socket) once the work returns or raises. *)
-let with_metrics metrics f =
-  match metrics with
+  match trace with
   | None -> f ()
-  | Some spec -> (
-    let fail e =
-      Printf.eprintf "experiments: --metrics-addr: %s\n" e;
-      Stdlib.exit 2
-    in
-    match Bcclb_dist.Addr.of_string spec with
-    | Error e -> fail e
-    | Ok address -> (
-      match
-        Bcclb_dist.Expose.with_endpoint ~address (fun endpoint ->
-            Printf.eprintf "[metrics] OpenMetrics on %s\n%!"
-              (Bcclb_dist.Addr.to_string (Bcclb_dist.Expose.address endpoint));
-            f ())
-      with
-      | Ok v -> v
-      | Error e -> fail e))
+  | Some file ->
+    Obs.Trace.start ~file ();
+    Fun.protect
+      ~finally:(fun () ->
+        Printf.eprintf "[trace] %d spans -> %s + %s\n%!" (Obs.Trace.event_count ()) file
+          (Obs.Trace.jsonl_path file);
+        Obs.Trace.stop ())
+      f
 
 (* A -n override is validated against each experiment's declared range
    BEFORE any enumeration starts: an infeasible size is a one-line
@@ -246,7 +209,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const (fun id ns no_cache jobs backend workers results_dir trace metrics ->
+      const (fun id ns no_cache jobs backend workers results_dir trace ->
           match H.Registry.find id with
           | None ->
             (match H.Registry.suggest id with
@@ -262,23 +225,20 @@ let run_cmd =
             Stdlib.exit 2
           | Some exp ->
             let backend = resolve_backend ~backend ~jobs ~workers in
-            with_metrics metrics (fun () ->
-                with_trace trace (fun () ->
-                    run_experiments ~results_dir ~no_cache ~jobs ~backend ~ns [ exp ])))
+            with_trace trace (fun () ->
+                run_experiments ~results_dir ~no_cache ~jobs ~backend ~ns [ exp ]))
       $ id_arg $ ns_arg $ no_cache_arg $ jobs_arg $ backend_arg $ workers_arg $ results_arg
-      $ trace_arg $ metrics_addr_arg)
+      $ trace_arg)
 
 let all_cmd =
   let doc = "Run every experiment at default scale" in
   Cmd.v (Cmd.info "all" ~doc)
     Term.(
-      const (fun no_cache jobs backend workers results_dir trace metrics ->
+      const (fun no_cache jobs backend workers results_dir trace ->
           let backend = resolve_backend ~backend ~jobs ~workers in
-          with_metrics metrics (fun () ->
-              with_trace trace (fun () ->
-                  run_experiments ~results_dir ~no_cache ~jobs ~backend ~ns:None H.Registry.all)))
-      $ no_cache_arg $ jobs_arg $ backend_arg $ workers_arg $ results_arg $ trace_arg
-      $ metrics_addr_arg)
+          with_trace trace (fun () ->
+              run_experiments ~results_dir ~no_cache ~jobs ~backend ~ns:None H.Registry.all))
+      $ no_cache_arg $ jobs_arg $ backend_arg $ workers_arg $ results_arg $ trace_arg)
 
 (* The worker process: the hidden half of --backend procs (the
    coordinator self-execs it, it dials back). *)
@@ -287,12 +247,12 @@ let worker_cmd =
     Arg.(
       required
       & opt (some string) None
-      & info [ "socket" ] ~docv:"ADDR"
-          ~doc:"The coordinator's socket to dial back to, $(b,unix:PATH).")
+      & info [ "socket" ] ~docv:"PATH"
+          ~doc:"The coordinator's unix-domain socket to dial back to.")
   in
   Cmd.v
     (Cmd.info "worker" ~doc:"dist worker process (internal, spawned by --backend procs)")
-    Term.(const (fun address -> Bcclb_dist.Worker.main ~address ()) $ socket_arg)
+    Term.(const (fun socket -> Bcclb_dist.Worker.main ~socket ()) $ socket_arg)
 
 (* ---- stats: render the manifest's metrics block as a table ---- *)
 
@@ -327,102 +287,11 @@ let print_metrics metrics =
       | _ -> Printf.printf "%-28s %-9s ?\n" name "?")
     metrics
 
-(* Live mode: poll a --metrics-addr endpoint, strictly parse each
-   scrape (a malformed exposition is a hard failure — this loop doubles
-   as the OpenMetrics linter in CI), and print the non-bucket samples.
-   Buckets are elided from the table: the quantile family carries the
-   same signal in three lines instead of a dozen. *)
-let print_samples samples =
-  List.iter
-    (fun { Obs.Expo.name; labels; value } ->
-      if not (Filename.check_suffix name "_bucket") then begin
-        let rendered =
-          match labels with
-          | [] -> name
-          | l ->
-            name ^ "{"
-            ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) l)
-            ^ "}"
-        in
-        Printf.printf "%-52s %s\n" rendered (Printf.sprintf "%.9g" value)
-      end)
-    samples
-
-let follow_stats ~spec ~interval ~iterations =
-  (match iterations with
-  | n when n < 0 ->
-    Printf.eprintf "experiments stats: --iterations must be >= 0 (got %d)\n" n;
-    Stdlib.exit 2
-  | _ -> ());
-  if interval <= 0.0 then begin
-    Printf.eprintf "experiments stats: --interval must be > 0 (got %g)\n" interval;
-    Stdlib.exit 2
-  end;
-  match Bcclb_dist.Addr.of_string spec with
-  | Error e ->
-    Printf.eprintf "experiments stats: --follow: %s\n" e;
-    Stdlib.exit 2
-  | Ok addr ->
-    let stop = Bcclb_dist.Transport.install_stop_signals () in
-    let polls = ref 0 and misses = ref 0 in
-    let rec loop () =
-      if not (Bcclb_dist.Transport.stop_requested stop) then begin
-        (match Bcclb_dist.Expose.scrape addr with
-        | Error e ->
-          (* A refused connect can be a sweep that has not bound yet;
-             tolerate a few before giving up. *)
-          incr misses;
-          Printf.eprintf "experiments stats: %s\n%!" e;
-          if !misses > 5 then Stdlib.exit 1
-        | Ok body -> (
-          match Obs.Expo.parse body with
-          | Error e ->
-            Printf.eprintf "experiments stats: malformed exposition: %s\n" e;
-            Stdlib.exit 1
-          | Ok samples ->
-            misses := 0;
-            incr polls;
-            Printf.printf "-- %s: scrape %d, %d samples --\n" spec !polls (List.length samples);
-            print_samples samples;
-            print_newline ();
-            flush stdout));
-        if iterations = 0 || !polls < iterations then begin
-          (try Unix.sleepf interval with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          loop ()
-        end
-      end
-    in
-    loop ()
-
 let stats_cmd =
   let doc = "Summarize the metrics block of an existing run manifest" in
-  let follow_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "follow" ] ~docv:"ADDR"
-          ~doc:
-            "Instead of reading a manifest, poll the live OpenMetrics endpoint a running \
-             command exposes via $(b,--metrics-addr) at $(docv), strictly validating every \
-             scrape (exits nonzero on a malformed exposition).")
-  in
-  let interval_arg =
-    Arg.(
-      value & opt float 2.0
-      & info [ "interval" ] ~docv:"SECONDS" ~doc:"Delay between $(b,--follow) polls.")
-  in
-  let iterations_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "iterations" ] ~docv:"N"
-          ~doc:"Stop after $(docv) successful $(b,--follow) polls (0 = until SIGINT).")
-  in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
-      const (fun results_dir follow interval iterations ->
-          match follow with
-          | Some spec -> follow_stats ~spec ~interval ~iterations
-          | None ->
+      const (fun results_dir ->
           let path = Filename.concat results_dir "manifest.json" in
           if not (Sys.file_exists path) then begin
             Printf.eprintf
@@ -449,7 +318,7 @@ let stats_cmd =
             | _ ->
               Printf.eprintf "experiments stats: manifest has no metrics block (pre-v2?)\n";
               Stdlib.exit 2))
-      $ results_arg $ follow_arg $ interval_arg $ iterations_arg)
+      $ results_arg)
 
 let () =
   let info =

@@ -13,8 +13,8 @@ let cell_timeout_of_env default =
     | _ ->
       Error (Printf.sprintf "%s=%S is not a positive number of seconds" cell_timeout_env s))
 
-let spawn_argv argv_of_address ~address =
-  let argv = argv_of_address address in
+let spawn_argv argv_of_socket ~socket =
+  let argv = argv_of_socket socket in
   (* Workers inherit stderr but must never write to the coordinator's
      stdout — that stream is the byte-identical report — so their stdout
      is pointed at stderr. *)

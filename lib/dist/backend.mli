@@ -7,15 +7,15 @@
     the test binary. A [`Procs w] backend becomes a {!Coordinator.run}
     over [w] spawned workers. *)
 
-val spawn_argv : (string -> string array) -> address:string -> int
+val spawn_argv : (string -> string array) -> socket:string -> int
 (** Build a {!Coordinator.config.spawn} from an argv function:
-    [spawn_argv (fun addr -> [| Sys.executable_name; "worker"; "--socket"; addr |])].
+    [spawn_argv (fun path -> [| Sys.executable_name; "worker"; "--socket"; path |])].
     The child gets [/dev/null] as stdin and the parent's {e stderr} as
     both stdout and stderr — worker chatter must never leak into the
     coordinator's report stream. *)
 
 val install :
-  ?cell_timeout:float -> spawn:(address:string -> int) -> unit -> (unit, string) result
+  ?cell_timeout:float -> spawn:(socket:string -> int) -> unit -> (unit, string) result
 (** Register the coordinator as the {!Bcclb_harness.Runner.procs_runner}.
     [cell_timeout] (default 600 s) is overridden by
     [$BCCLB_DIST_CELL_TIMEOUT] when that is set and not blank; a value

@@ -38,7 +38,7 @@ let snapshots_metric = Obs.Metrics.Counter.v "dist.metric_snapshots_absorbed"
 let rejects_metric = Obs.Metrics.Counter.v "dist.handshake_rejects"
 let spans_ingested = Obs.Metrics.Counter.v "dist.spans_ingested"
 
-type config = { workers : int; cell_timeout : float; spawn : address:string -> int }
+type config = { workers : int; cell_timeout : float; spawn : socket:string -> int }
 
 (* Scheduling constants. An idle worker heartbeats every 0.25 s
    (Worker.heartbeat_interval), so 30 s of silence means it is wedged. *)
@@ -80,7 +80,7 @@ let run c ~cache ~cells =
     let listener = Transport.listen_local () in
     let lfd = Transport.listener_fd listener in
     Unix.set_nonblock lfd;
-    let address = Addr.to_string (Transport.listener_addr listener) in
+    let socket = Transport.listener_path listener in
     let results : (H.Runner.cell_outcome * float) option array = Array.make n None in
     let failures : string option array = Array.make n None in
     let grants = Array.make n 0 in  (* lease grants, incl. steals: the wire's [attempt] *)
@@ -120,7 +120,7 @@ let run c ~cache ~cells =
       if !spawned >= spawn_cap then
         fail "spawn budget exhausted after %d workers (is the worker binary broken?)" !spawned;
       incr spawned;
-      let pid = c.spawn ~address in
+      let pid = c.spawn ~socket in
       Hashtbl.replace live_pids pid ();
       incr unconnected;
       Obs.Metrics.Counter.incr workers_spawned

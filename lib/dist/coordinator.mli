@@ -44,15 +44,16 @@
     worker count, batching, stealing or faults.
 
     Worker metrics stream home as {!Bcclb_obs.Metrics.delta}s with each
-    [Lease_done] (and a final delta in [Bye]), absorbed live — [stats]
-    reflects an in-flight sweep, and a crashed worker loses only the
-    tail since its last completed lease. *)
+    [Lease_done] (and a final delta in [Bye]), absorbed live, so a
+    crashed worker loses only the tail since its last completed
+    lease. *)
 
 type config = {
   workers : int;  (** Target live worker processes. *)
   cell_timeout : float;  (** Leased-worker limit per {e result}, not per lease. *)
-  spawn : address:string -> int;
-      (** Start one worker process pointed at [address]; return its pid.
+  spawn : socket:string -> int;
+      (** Start one worker process pointed at the coordinator's [socket]
+          path; return its pid.
           See {!Backend.spawn_argv}. *)
 }
 

@@ -73,10 +73,9 @@ type from_worker =
       (** The local queue drained; carries the {!Bcclb_obs.Metrics.delta}
           since the worker's previous shipment, absorbed live by the
           coordinator — which is why a crashed worker loses only the
-          tail since its last completed lease, and why [stats] reflects
-          in-flight sweeps. [spans] is the worker's drained trace
-          buffer (empty when the coordinator is not tracing), ingested
-          into the merged timeline the same way. *)
+          tail since its last completed lease. [spans] is the worker's
+          drained trace buffer (empty when the coordinator is not
+          tracing), ingested into the merged timeline the same way. *)
   | Bye of {
       metrics : (string * Bcclb_obs.Metrics.value) list;
       spans : Bcclb_obs.Trace.event list;

@@ -1,56 +1,24 @@
 (* The endpoint layer under the dist runtime: socket setup and framed
-   I/O for the coordinator's listener, the worker's dial-back and the
-   metrics endpoint. A [listener] owns bind/listen/accept and the
-   unlink of a unix-domain socket path; a [Conn.t] owns one connected
-   fd, its incremental {!Wire} reader and a last-activity clock for
-   heartbeat deadlines. The SIGINT/SIGTERM stop flag lives here too
-   ({!install_stop_signals}). *)
+   I/O for the coordinator's listener and the worker's dial-back. A
+   [listener] owns bind/listen/accept and the unlink of its unix-domain
+   socket path; a [Conn.t] owns one connected fd, its incremental
+   {!Wire} reader and a last-activity clock for heartbeat deadlines. *)
 
 module Obs = Bcclb_obs
 
 let now () = Obs.Mclock.ns_to_s (Obs.Mclock.now_ns ())
 
-type listener = { lfd : Unix.file_descr; laddr : Addr.t; mutable lclosed : bool }
+type listener = { lfd : Unix.file_descr; path : string; mutable lclosed : bool }
 
 let listener_fd l = l.lfd
-let listener_addr l = l.laddr
+let listener_path l = l.path
 
 let close_listener l =
   if not l.lclosed then begin
     l.lclosed <- true;
     (try Unix.close l.lfd with Unix.Unix_error _ -> ());
-    match l.laddr with
-    | Addr.Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Addr.Tcp _ -> ()
+    try Unix.unlink l.path with Unix.Unix_error _ -> ()
   end
-
-let listen ?(backlog = 64) addr =
-  match
-    let fd = Unix.socket ~cloexec:true (Addr.domain addr) Unix.SOCK_STREAM 0 in
-    (try
-       (match addr with
-       | Addr.Unix_socket _ -> ()
-       | Addr.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
-       Unix.bind fd (Addr.sockaddr addr);
-       Unix.listen fd backlog
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-  with
-  | exception Unix.Unix_error (err, _, _) ->
-    Error
-      (Printf.sprintf "cannot listen on %s: %s" (Addr.to_string addr) (Unix.error_message err))
-  | exception Failure msg -> Error msg
-  | fd ->
-    (* An ephemeral TCP port (0) resolves here so the caller learns the
-       address it can actually print. *)
-    let addr =
-      match (addr, Unix.getsockname fd) with
-      | Addr.Tcp (host, 0), Unix.ADDR_INET (_, port) -> Addr.Tcp (host, port)
-      | _ -> addr
-    in
-    Ok { lfd = fd; laddr = addr; lclosed = false }
 
 let sock_counter = Atomic.make 0
 
@@ -64,9 +32,20 @@ let listen_local () =
          (Atomic.fetch_and_add sock_counter 1))
   in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
-  match listen (Addr.Unix_socket path) with
-  | Ok l -> l
-  | Error e -> failwith ("dist: " ^ e)
+  let fail err =
+    failwith (Printf.sprintf "dist: cannot listen on %s: %s" path (Unix.error_message err))
+  in
+  let fd =
+    try Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+    with Unix.Unix_error (err, _, _) -> fail err
+  in
+  (try
+     Unix.bind fd (Unix.ADDR_UNIX path);
+     Unix.listen fd 64
+   with Unix.Unix_error (err, _, _) ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     fail err);
+  { lfd = fd; path; lclosed = false }
 
 module Conn = struct
   type t = {
@@ -91,28 +70,21 @@ module Conn = struct
   (* A fresh socket per attempt: a fd whose connect failed is not
      reusable. Retries cover scheduler lag between a coordinator
      listening and its spawned workers dialing back. *)
-  let dial addr =
+  let dial path =
     let rec go tries =
-      match Unix.socket ~cloexec:true (Addr.domain addr) Unix.SOCK_STREAM 0 with
+      match Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 with
       | exception Unix.Unix_error (err, _, _) ->
         Error (Printf.sprintf "socket: %s" (Unix.error_message err))
       | fd -> (
-        match Unix.connect fd (Addr.sockaddr addr) with
+        match Unix.connect fd (Unix.ADDR_UNIX path) with
         | () -> Ok (of_fd fd)
-        | exception
-            Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.ETIMEDOUT), _, _)
-          when tries > 0 ->
+        | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) when tries > 0 ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
           Unix.sleepf 0.05;
           go (tries - 1)
         | exception Unix.Unix_error (err, _, _) ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
-          Error
-            (Printf.sprintf "cannot connect to %s: %s" (Addr.to_string addr)
-               (Unix.error_message err))
-        | exception Failure msg ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Error msg)
+          Error (Printf.sprintf "cannot connect to %s: %s" path (Unix.error_message err)))
     in
     go 20
 
@@ -158,14 +130,3 @@ let accept_all l ~on_conn =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   in
   go ()
-
-(* The SIGINT/SIGTERM stop flag: the handler only flips it; the caller
-   polls it and winds down. *)
-let install_stop_signals () =
-  let flag = Atomic.make false in
-  let handler = Sys.Signal_handle (fun _ -> Atomic.set flag true) in
-  Sys.set_signal Sys.sigint handler;
-  Sys.set_signal Sys.sigterm handler;
-  flag
-
-let stop_requested flag = Atomic.get flag

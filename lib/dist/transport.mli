@@ -1,11 +1,9 @@
-(** Poll-driven endpoints over unix-domain and TCP sockets.
+(** Poll-driven endpoints over unix-domain sockets.
 
     Every socket the dist runtime opens goes through this layer: the
-    coordinator's listener, the spawned worker's dial-back, and the
-    metrics endpoint's listener. It owns accept/connect setup, {!Wire}
-    framing over a connected fd, and activity clocks for heartbeat
-    deadlines — plus the SIGINT/SIGTERM stop flag that
-    [stats --follow] polls. *)
+    coordinator's listener and the spawned worker's dial-back. It owns
+    accept/connect setup, {!Wire} framing over a connected fd, and
+    activity clocks for heartbeat deadlines. *)
 
 val now : unit -> float
 (** Monotonic seconds ({!Bcclb_obs.Mclock}) — the clock every deadline
@@ -15,35 +13,28 @@ val now : unit -> float
 
 type listener
 
-val listen : ?backlog:int -> Addr.t -> (listener, string) result
-(** Bind and listen on [addr] ([backlog] defaults to 64). TCP listeners
-    set [SO_REUSEADDR]; a TCP port of [0] is resolved to the
-    kernel-chosen port in {!listener_addr}. [Error] explains a
-    bind/listen failure (e.g. a unix socket path that already
-    exists). *)
-
 val listen_local : unit -> listener
 (** A fresh endpoint for the coordinator's spawned workers: a unique
     unix-domain socket path under [$TMPDIR]
-    ([bcclb-dist-<pid>-<n>.sock]). @raise Failure if the kernel
-    refuses. *)
+    ([bcclb-dist-<pid>-<n>.sock]), bound and listening. @raise Failure
+    if the kernel refuses. *)
 
 val listener_fd : listener -> Unix.file_descr
-val listener_addr : listener -> Addr.t
+val listener_path : listener -> string
 
 val close_listener : listener -> unit
-(** Close the fd and unlink a unix-domain socket path. Idempotent. *)
+(** Close the fd and unlink the socket path. Idempotent. *)
 
 (** {2 Connections} *)
 
 module Conn : sig
   type t
 
-  val dial : Addr.t -> (t, string) result
-  (** Connect to [addr], retrying a refused or absent endpoint 20 times
-      50 ms apart (covers the race between a process listening and its
-      peer dialing). A fresh socket per attempt — a failed connect
-      poisons its fd. *)
+  val dial : string -> (t, string) result
+  (** Connect to the unix-domain socket at a path, retrying a refused
+      or absent endpoint 20 times 50 ms apart (covers the race between
+      a process listening and its peer dialing). A fresh socket per
+      attempt — a failed connect poisons its fd. *)
 
   val fd : t -> Unix.file_descr
   val is_closed : t -> bool
@@ -77,12 +68,3 @@ end
 val accept_all : listener -> on_conn:(Conn.t -> unit) -> unit
 (** Drain every pending connection (the listener fd must be in
     nonblocking mode); stops on [EAGAIN]. *)
-
-(** {2 Stop flag} *)
-
-val install_stop_signals : unit -> bool Atomic.t
-(** Install SIGINT/SIGTERM handlers that set (and only set) the
-    returned flag; the caller polls it with {!stop_requested} and winds
-    down at its next check — how [stats --follow] ends cleanly. *)
-
-val stop_requested : bool Atomic.t -> bool

@@ -182,10 +182,10 @@ let session ~resolve tc =
   result
 
 (* One session against the coordinator that spawned us, then exit. *)
-let main ?(resolve = H.Registry.find) ~address () =
+let main ?(resolve = H.Registry.find) ~socket () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let tc =
-    match Result.bind (Addr.of_string address) Conn.dial with
+    match Conn.dial socket with
     | Ok tc -> tc
     | Error e ->
       prerr_endline ("dist worker: " ^ e);

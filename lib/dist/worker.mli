@@ -1,7 +1,7 @@
 (** The worker process entry point.
 
     A worker is a process the coordinator spawned from its own
-    executable — the hidden [experiments worker --socket ADDR]
+    executable — the hidden [experiments worker --socket PATH]
     subcommand, or the test binary under an environment flag — and the
     fingerprint handshake in [Hello] checks that it is the same build.
     It dials back, serves one session and exits.
@@ -29,11 +29,11 @@
 
 val main :
   ?resolve:(string -> Bcclb_harness.Experiment.t option) ->
-  address:string ->
+  socket:string ->
   unit ->
   unit
-(** Dial the coordinator at [address] and serve. Never returns
-    normally: exits 0 on shutdown or coordinator disappearance, 3 on a
+(** Dial the coordinator's unix-domain [socket] path and serve. Never
+    returns normally: exits 0 on shutdown or coordinator disappearance, 3 on a
     fatal protocol/setup error or handshake rejection (after attempting
     to report), 66 on an injected crash. [resolve] defaults to {!Bcclb_harness.Registry.find}; tests
     pass their own registry. *)

@@ -102,10 +102,6 @@ module Gauge = struct
 
   let v name = register name Gauge_max_k
 
-  let set t x =
-    let s = my_shard t.id in
-    s.floats.(t.id) <- x
-
   let max t x =
     let s = my_shard t.id in
     if x > s.floats.(t.id) then s.floats.(t.id) <- x
@@ -164,8 +160,9 @@ type value = Counter of int | Gauge of float | Histogram of hist
 let quantile h q =
   (* Total on degenerate input: no observations, or a bucket layout
      with no finite bounds (e.g. absorbed from a foreign registry),
-     must yield 0.0 rather than NaN or an index error — the exposition
-     renderer and bench reports interpolate over whatever is here. *)
+     must yield 0.0 rather than NaN or an index error — the manifest
+     (where Json writes a NaN as null) and bench reports interpolate
+     over whatever is here. *)
   if h.count = 0 || Array.length h.le = 0 then 0.0
   else begin
     let q = Float.max 0.0 (Float.min 1.0 q) in

@@ -41,9 +41,6 @@ module Gauge : sig
   type t
 
   val v : string -> t
-  val set : t -> float -> unit
-  (** Shard-local last-written value. *)
-
   val max : t -> float -> unit
   (** Shard-local running maximum. *)
 

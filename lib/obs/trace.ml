@@ -42,8 +42,6 @@ type state = {
 
 let current : state option ref = ref None
 
-let env_var = "BCCLB_TRACE"
-
 (* Stack of open span ids on this domain; depth is its length. *)
 let stack_key = Domain.DLS.new_key (fun () -> [])
 
@@ -78,11 +76,6 @@ let start_collect ~trace_id () =
   current :=
     Some
       { sink = Buffer_only; trace_id; t0 = 0; events = []; count = 0; lock = Mutex.create () }
-
-let start_from_env ?(var = env_var) () =
-  match Sys.getenv_opt var with
-  | Some file when String.trim file <> "" -> start ~file ()
-  | _ -> ()
 
 let trace_id () = Option.map (fun st -> st.trace_id) !current
 

@@ -58,10 +58,6 @@ val start_collect : trace_id:string -> unit -> unit
     place them on its own timeline. {!stop} discards; use {!drain} to
     ship. *)
 
-val start_from_env : ?var:string -> unit -> unit
-(** [start_from_env ()] calls {!start} with the value of [$BCCLB_TRACE]
-    (or [var]) when set and nonempty; otherwise does nothing. *)
-
 val enabled : unit -> bool
 
 val trace_id : unit -> string option

@@ -14,7 +14,6 @@
 
 module Dist = Bcclb_dist
 module Wire = Bcclb_dist.Wire
-module Addr = Bcclb_dist.Addr
 module Faults = Bcclb_dist.Faults
 module Msg = Bcclb_dist.Msg
 module H = Bcclb_harness
@@ -85,7 +84,7 @@ let resolve id = List.find_opt (fun (e : Experiment.t) -> String.equal e.id id) 
    checks the env var before anything else). *)
 let worker_env = "BCCLB_DIST_TEST_WORKER"
 
-let worker_main address = Dist.Worker.main ~resolve ~address ()
+let worker_main socket = Dist.Worker.main ~resolve ~socket ()
 
 let spawn_env extra_env =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
@@ -97,13 +96,13 @@ let spawn_env extra_env =
         (Array.append (Unix.environment ()) extra_env)
         devnull Unix.stderr Unix.stderr)
 
-let spawn ~address = spawn_env [| worker_env ^ "=" ^ address |]
+let spawn ~socket = spawn_env [| worker_env ^ "=" ^ socket |]
 
 (* A worker whose fingerprint cannot match the coordinator's: the env
    override goes into the child's environment only, so the coordinator
    keeps its own executable digest. *)
-let spawn_skewed ~address =
-  spawn_env [| worker_env ^ "=" ^ address; Msg.fingerprint_env ^ "=deadbeef" |]
+let spawn_skewed ~socket =
+  spawn_env [| worker_env ^ "=" ^ socket; Msg.fingerprint_env ^ "=deadbeef" |]
 
 (* ---- scratch dirs (as in test_harness) ---- *)
 
@@ -130,12 +129,6 @@ let rec rm_rf path =
 let with_dir f =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-let fresh_sock () =
-  incr temp_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "bcclb_dist_test.%d.%d.sock" (Unix.getpid ()) !temp_counter)
 
 (* ---- wire: deterministic rejection cases ---- *)
 
@@ -353,6 +346,11 @@ let test_procs_matches_domains () =
   let out_warm, warm = render_run ~backend:(`Procs 3) ~cache toy in
   Alcotest.(check string) "warm procs report byte-identical" out_cold out_warm;
   Alcotest.(check int) "warm run is all hits" warm.H.Sink.cells warm.H.Sink.hits;
+  (* Each session unlinks its socket path when it ends. *)
+  let prefix = Printf.sprintf "bcclb-dist-%d-" (Unix.getpid ()) in
+  Alcotest.(check (list string)) "no coordinator socket left behind" []
+    (List.filter (String.starts_with ~prefix)
+       (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ()))));
   (* And the domains backend hits the cache the procs workers wrote:
      the key contract is backend-independent. *)
   let _, cross = render_run ~cache toy in
@@ -433,30 +431,6 @@ let test_unknown_experiment_is_fatal () =
   | exception Failure msg ->
     Alcotest.(check bool) "failure names the unknown id" true
       (contains msg "unknown experiment id \"dist-stranger\"")
-
-(* ---- addresses ---- *)
-
-let test_addr_forms () =
-  (match Addr.of_string "tcp:[::1]:7501" with
-  | Ok (Addr.Tcp ("::1", 7501)) -> ()
-  | Ok a -> Alcotest.fail ("bracketed v6 mis-parsed as " ^ Addr.to_string a)
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check string) "v6 prints bracketed" "tcp:[::1]:7501"
-    (Addr.to_string (Addr.Tcp ("::1", 7501)));
-  Alcotest.(check string) "v4 prints bare" "tcp:127.0.0.1:80"
-    (Addr.to_string (Addr.Tcp ("127.0.0.1", 80)));
-  (* An unbracketed multi-colon host is refused, and the error teaches
-     the bracket syntax instead of silently mis-splitting at the last
-     colon. *)
-  (match Addr.of_string "tcp:fe80::7501" with
-  | Error e -> Alcotest.(check bool) "error names brackets" true (contains e "bracket")
-  | Ok a -> Alcotest.fail ("multi-colon host accepted as " ^ Addr.to_string a));
-  List.iter
-    (fun bad ->
-      match Addr.of_string bad with
-      | Error _ -> ()
-      | Ok a -> Alcotest.fail (Printf.sprintf "accepted %S as %s" bad (Addr.to_string a)))
-    [ "tcp:[::1]7501"; "tcp:[::1]:"; "tcp:[]:75"; "tcp:h:0"; "tcp:h:99999"; "unix:"; "x:y" ]
 
 let test_handshake_check () =
   (match Msg.hello () with
@@ -562,49 +536,6 @@ let test_traced_sweep_merges_worker_spans () =
         (e.Trace.start_ns >= sweep.Trace.start_ns))
     cells
 
-(* The metrics endpoint, scraped over a real socket: a unix path, and
-   loopback TCP on a kernel-chosen port, the one TCP endpoint the
-   runtime binds (for a Prometheus scrape). *)
-let test_metrics_endpoint () =
-  let module Expose = Bcclb_dist.Expose in
-  let module Expo = Bcclb_obs.Expo in
-  let counter = Bcclb_obs.Metrics.Counter.v "test.expose.pings" in
-  Bcclb_obs.Metrics.Counter.add counter 3;
-  let sample name samples = List.find_opt (fun s -> s.Expo.name = name) samples in
-  let scrape_one requested =
-    let what = Addr.to_string requested in
-    match Expose.start ~address:requested () with
-    | Error e -> Alcotest.fail e
-    | Ok ep ->
-      let bound = Expose.address ep in
-      (match bound with
-      | Addr.Tcp (_, port) ->
-        Alcotest.(check bool) (what ^ ": real port read back") true (port > 0)
-      | Addr.Unix_socket _ -> ());
-      let scrape () =
-        match Result.bind (Expose.scrape bound) Expo.parse with
-        | Ok s -> s
-        | Error e -> Alcotest.failf "%s: scrape fails or does not lint: %s" what e
-      in
-      Fun.protect ~finally:(fun () -> Expose.stop ep) (fun () ->
-          (match sample "bcclb_test_expose_pings_total" (scrape ()) with
-          | Some s ->
-            Alcotest.(check (float 0.0)) (what ^ ": live counter visible") 3.0 s.Expo.value
-          | None -> Alcotest.fail "test counter missing from scrape");
-          (* A second scrape sees the first one counted. *)
-          match sample "bcclb_obs_scrapes_total" (scrape ()) with
-          | Some s ->
-            Alcotest.(check bool) (what ^ ": scrape counter advanced") true
-              (s.Expo.value >= 1.0)
-          | None -> Alcotest.fail "obs.scrapes missing from scrape");
-      Alcotest.(check bool) (what ^ ": a stopped endpoint refuses scrapes") true
-        (Result.is_error (Expose.scrape bound))
-  in
-  let path = fresh_sock () in
-  scrape_one (Addr.Unix_socket path);
-  Alcotest.(check bool) "endpoint socket unlinked after stop" false (Sys.file_exists path);
-  scrape_one (Addr.Tcp ("127.0.0.1", 0))
-
 let suites =
   [ Alcotest.test_case "wire rejects truncation, corruption, version skew" `Quick
       test_wire_rejections;
@@ -616,10 +547,7 @@ let suites =
     Alcotest.test_case "fault specs parse and are one-shot" `Quick test_faults_spec;
     Alcotest.test_case "a malformed cell timeout is refused, naming its variable" `Quick
       test_cell_timeout_env;
-    Alcotest.test_case "addresses: IPv6 brackets, bad forms, multi-colon hosts" `Quick
-      test_addr_forms;
     Alcotest.test_case "handshake accepts self, names skews" `Quick test_handshake_check;
-    Alcotest.test_case "metrics endpoint scrapes and lints" `Quick test_metrics_endpoint;
     Alcotest.test_case "procs backend byte-identical + shared cache" `Slow
       test_procs_matches_domains;
     Alcotest.test_case "crashed workers are replaced, cells reassigned" `Slow
@@ -661,22 +589,4 @@ let qsuites =
         match Wire.decode (String.sub frame 0 cut) with
         | Error Wire.Truncated -> true
         | Error _ -> false (* a strict prefix must read as truncation, nothing else *)
-        | Ok _ -> false);
-    (* Addresses round-trip: unix paths, v4/hostname and bracketed-v6
-       TCP endpoints all survive to_string/of_string. *)
-    (let addr_gen =
-       let open Gen in
-       let word = string_size ~gen:(char_range 'a' 'z') (1 -- 12) in
-       oneof
-         [ map (fun w -> Addr.Unix_socket ("/tmp/" ^ w ^ ".sock")) word;
-           map2
-             (fun h p -> Addr.Tcp (h, p))
-             (oneofl [ "127.0.0.1"; "localhost"; "worker-7.example" ])
-             (1 -- 65535);
-           map2
-             (fun h p -> Addr.Tcp (h, p))
-             (oneofl [ "::1"; "fe80::2"; "2001:db8::17" ])
-             (1 -- 65535) ]
-     in
-     Test.make ~name:"addresses round-trip through their printed form" ~count:200 addr_gen
-       (fun a -> Addr.of_string (Addr.to_string a) = Ok a)) ]
+        | Ok _ -> false) ]

@@ -6,7 +6,7 @@ let q = List.map QCheck_alcotest.to_alcotest
    worker, not a test run — connect and serve, never touch alcotest. *)
 let () =
   match Sys.getenv_opt Test_dist.worker_env with
-  | Some address when address <> "" -> Test_dist.worker_main address
+  | Some socket when socket <> "" -> Test_dist.worker_main socket
   | _ -> ()
 
 let () =

@@ -331,101 +331,40 @@ let test_span_disabled_and_exceptional () =
   Alcotest.(check int) "exceptional spans still recorded" 1 (Trace.event_count ());
   Trace.stop ()
 
-(* ---- OpenMetrics exposition: render, strict parse, NaN guards ---- *)
+(* ---- empty histograms in the manifest: 0, never NaN ---- *)
 
-module Expo = Bcclb_obs.Expo
-
-let test_expo_roundtrip () =
-  Metrics.reset ();
-  let c = Metrics.Counter.v "test.expo.hits" in
-  let g = Metrics.Gauge.v "test.expo.depth" in
-  let h = Metrics.Histogram.v ~buckets:[| 1.0; 2.0; 4.0 |] "test.expo.lat" in
-  Metrics.Counter.add c 7;
-  Metrics.Gauge.set g 2.5;
-  List.iter (Metrics.Histogram.observe h) [ 0.5; 0.5; 1.5; 3.0; 9.0 ];
-  let body = Expo.render (Metrics.snapshot ()) in
-  Alcotest.(check bool) "lint accepts the renderer's own output" true
-    (Result.is_ok (Expo.lint body));
-  let samples =
-    match Expo.parse body with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "parse: %s" e
-  in
-  let value ?(labels = []) name =
-    match
-      List.find_opt (fun s -> s.Expo.name = name && s.Expo.labels = labels) samples
-    with
-    | Some s -> s.Expo.value
-    | None -> Alcotest.failf "sample %s%s missing" name (if labels = [] then "" else "{...}")
-  in
-  Alcotest.(check (float 0.0)) "counter total" 7.0 (value "bcclb_test_expo_hits_total");
-  Alcotest.(check (float 0.0)) "gauge" 2.5 (value "bcclb_test_expo_depth");
-  (* Buckets are cumulative and end at +Inf = count. *)
-  Alcotest.(check (float 0.0)) "le=1 bucket" 2.0
-    (value ~labels:[ ("le", "1") ] "bcclb_test_expo_lat_bucket");
-  Alcotest.(check (float 0.0)) "le=+Inf bucket" 5.0
-    (value ~labels:[ ("le", "+Inf") ] "bcclb_test_expo_lat_bucket");
-  Alcotest.(check (float 0.0)) "count" 5.0 (value "bcclb_test_expo_lat_count");
-  Alcotest.(check (float 1e-9)) "sum" 14.5 (value "bcclb_test_expo_lat_sum");
-  Alcotest.(check (float 1e-9)) "p50 quantile sample" (Metrics.quantile (get_hist "test.expo.lat") 0.5)
-    (value ~labels:[ ("quantile", "0.5") ] "bcclb_test_expo_lat_quantiles")
-
-let test_expo_empty_histogram_nan_free () =
+let test_empty_histogram_manifest () =
   Metrics.reset ();
   (* Registered, never observed: every derived value (mean, quantiles)
-     divides by zero somewhere — the guard must render them all as 0. *)
-  ignore (Metrics.Histogram.v "test.expo.silent");
-  let s = get_hist "test.expo.silent" in
+     divides by zero somewhere, and Json writes a non-finite float as
+     null, so the guard must make each of them a plain 0. *)
+  ignore (Metrics.Histogram.v "test.manifest.silent");
+  let s = get_hist "test.manifest.silent" in
   List.iter
     (fun q ->
-      let v = Metrics.quantile s q in
-      Alcotest.(check bool) "quantile of empty histogram is finite" true (Float.is_finite v);
-      Alcotest.(check (float 0.0)) "quantile of empty histogram is 0" 0.0 v)
-    [ 0.0; 0.5; 0.99; 1.0 ];
-  let body = Expo.render (Metrics.snapshot ()) in
-  let lower = String.lowercase_ascii body in
-  let contains needle =
-    let n = String.length needle and l = String.length lower in
-    let rec go i = i + n <= l && (String.sub lower i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "no nan in exposition" false (contains "nan");
-  Alcotest.(check bool) "parses cleanly" true (Result.is_ok (Expo.parse body))
-
-let test_expo_strict_parser () =
-  Metrics.reset ();
-  ignore (Metrics.Counter.v "test.expo.c");
-  let h = Metrics.Histogram.v ~buckets:[| 1.0; 2.0 |] "test.expo.h" in
-  Metrics.Histogram.observe h 1.5;
-  let body = Expo.render (Metrics.snapshot ()) in
-  let reject what doctored =
-    match Expo.parse doctored with
-    | Ok _ -> Alcotest.failf "parser accepted %s" what
-    | Error _ -> ()
-  in
-  let replace ~old ~new_ s =
-    let ol = String.length old in
-    let rec find i =
-      if i + ol > String.length s then None
-      else if String.sub s i ol = old then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> Alcotest.failf "corruption %S not applicable" old
-    | Some i -> String.sub s 0 i ^ new_ ^ String.sub s (i + ol) (String.length s - i - ol)
-  in
-  reject "a truncated body (missing # EOF)" (String.sub body 0 (String.length body - 6));
-  reject "an undeclared family"
-    (replace ~old:"# EOF" ~new_:"mystery_series 1\n# EOF" body);
-  reject "a non-finite value"
-    (replace ~old:"bcclb_test_expo_c_total 0" ~new_:"bcclb_test_expo_c_total nan" body);
-  reject "a non-monotone bucket"
-    (replace ~old:"bcclb_test_expo_h_bucket{le=\"1\"} 0"
-       ~new_:"bcclb_test_expo_h_bucket{le=\"1\"} 9" body);
-  reject "a count disagreeing with +Inf"
-    (replace ~old:"bcclb_test_expo_h_count 1" ~new_:"bcclb_test_expo_h_count 3" body);
-  reject "an escape in a label"
-    (replace ~old:"{le=\"1\"}" ~new_:"{le=\"1\\n\"}" body)
+      Alcotest.(check (float 0.0)) (Printf.sprintf "quantile %g of empty histogram" q) 0.0
+        (Metrics.quantile s q))
+    [ 0.0; 0.5; 0.9; 0.99; 1.0 ];
+  Alcotest.(check (float 0.0)) "mean of empty histogram" 0.0 (Metrics.hist_mean s);
+  let path = fresh_path ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Bcclb_harness.Sink.write_manifest ~path ~cache_root:None ~num_domains:1 [];
+      let manifest = Json.of_string (String.trim (Bcclb_harness.Fsutil.read_file path)) in
+      let hist =
+        match
+          Option.bind (Json.member "metrics" manifest) (Json.member "test.manifest.silent")
+        with
+        | Some h -> h
+        | None -> Alcotest.fail "silent histogram missing from the manifest"
+      in
+      List.iter
+        (fun k ->
+          Alcotest.(check (option (float 0.0)))
+            (k ^ " is the number 0") (Some 0.0)
+            (Option.bind (Json.member k hist) Json.to_float_opt))
+        [ "mean"; "p50"; "p90"; "p99" ])
 
 (* ---- cross-process trace merge: context, drain, ingest ---- *)
 
@@ -489,11 +428,8 @@ let suites =
       test_chrome_trace_roundtrip;
     Alcotest.test_case "spans are transparent when disabled, recorded on raise" `Quick
       test_span_disabled_and_exceptional;
-    Alcotest.test_case "OpenMetrics render/parse round-trip" `Quick test_expo_roundtrip;
-    Alcotest.test_case "empty histograms expose as 0, never NaN" `Quick
-      test_expo_empty_histogram_nan_free;
-    Alcotest.test_case "exposition parser rejects corrupted scrapes" `Quick
-      test_expo_strict_parser;
+    Alcotest.test_case "empty histograms write 0 to the manifest, never NaN" `Quick
+      test_empty_histogram_manifest;
     Alcotest.test_case "trace context, drain and ingest merge pid lanes" `Quick
       test_trace_context_and_merge ]
 
