@@ -428,7 +428,7 @@ let suites =
       test_chrome_trace_roundtrip;
     Alcotest.test_case "spans are transparent when disabled, recorded on raise" `Quick
       test_span_disabled_and_exceptional;
-    Alcotest.test_case "empty histograms write 0 to the manifest, never NaN" `Quick
+    Alcotest.test_case "empty histograms expose as 0, never NaN" `Quick
       test_empty_histogram_manifest;
     Alcotest.test_case "trace context, drain and ingest merge pid lanes" `Quick
       test_trace_context_and_merge ]
