@@ -79,8 +79,9 @@ let require_positive flag v =
     Stdlib.exit 2
   | _ -> ()
 
-(* The procs backend self-execs this very binary as `experiments worker
-   --socket PATH`; install wires that spawn into the Runner hook. *)
+(* The procs backend self-execs this very binary as `experiments worker`,
+   connected through its stdin; install wires that spawn into the Runner
+   hook. *)
 let resolve_backend ~backend ~jobs ~workers =
   require_positive "--jobs" jobs;
   require_positive "--workers" workers;
@@ -89,9 +90,7 @@ let resolve_backend ~backend ~jobs ~workers =
   | `Procs -> (
     match
       Bcclb_dist.Backend.install
-        ~spawn:
-          (Bcclb_dist.Backend.spawn_argv (fun path ->
-               [| Sys.executable_name; "worker"; "--socket"; path |]))
+        ~spawn:(Bcclb_dist.Backend.spawn_argv [| Sys.executable_name; "worker" |])
         ()
     with
     | Ok () -> `Procs (Option.value workers ~default:(resolved_domains jobs))
@@ -241,18 +240,11 @@ let all_cmd =
       $ no_cache_arg $ jobs_arg $ backend_arg $ workers_arg $ results_arg $ trace_arg)
 
 (* The worker process: the hidden half of --backend procs (the
-   coordinator self-execs it, it dials back). *)
+   coordinator self-execs it with its end of a socketpair as stdin). *)
 let worker_cmd =
-  let socket_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:"The coordinator's unix-domain socket to dial back to.")
-  in
   Cmd.v
     (Cmd.info "worker" ~doc:"dist worker process (internal, spawned by --backend procs)")
-    Term.(const (fun socket -> Bcclb_dist.Worker.main ~socket ()) $ socket_arg)
+    Term.(const (fun () -> Bcclb_dist.Worker.main ()) $ const ())
 
 (* ---- stats: render the manifest's metrics block as a table ---- *)
 
@@ -278,11 +270,6 @@ let print_metrics metrics =
       | Some "counter" ->
         Printf.printf "%-28s %-9s %d\n" name "counter"
           (Option.value ~default:0 (Option.bind (H.Json.member "value" v) H.Json.to_int_opt))
-      | Some "gauge" ->
-        Printf.printf "%-28s %-9s %s\n" name "gauge"
-          (float_s
-             (Option.value ~default:0.0
-                (Option.bind (H.Json.member "value" v) H.Json.to_float_opt)))
       | Some "histogram" -> hist_line name v
       | _ -> Printf.printf "%-28s %-9s ?\n" name "?")
     metrics

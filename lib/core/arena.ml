@@ -517,17 +517,10 @@ module Orbit = struct
       try Sys.mkdir path 0o755 with Sys_error _ -> ()
     end
 
-  (* The tmp name must be unique per writer: concurrent processes (procs
-     backend) may build the same store simultaneously, and since builds
-     are deterministic whichever rename lands last wins harmlessly. *)
-  let write_file_atomic path content =
-    let tmp =
-      Filename.temp_file ~temp_dir:(Filename.dirname path) (Filename.basename path ^ ".") ".tmp"
-    in
-    let oc = open_out_bin tmp in
+  let write_file path content =
+    let oc = open_out_bin path in
     output_bytes oc content;
-    close_out oc;
-    Sys.rename tmp path
+    close_out oc
 
   let read_file path =
     let ic = open_in_bin path in
@@ -535,11 +528,26 @@ module Orbit = struct
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
 
-  let remove_store_dir dir =
-    if Sys.file_exists dir && Sys.is_directory dir then begin
-      Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ()) (Sys.readdir dir);
-      try Sys.rmdir dir with Sys_error _ -> ()
-    end
+  let rec remove_tree path =
+    match Sys.is_directory path with
+    | true ->
+      Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    | false -> Sys.remove path
+    | exception Sys_error _ -> ()
+
+  (* A fresh directory under the store root that no other builder,
+     domain or process, can be using. *)
+  let private_dir ~root = Filename.temp_dir ~temp_dir:root ~perms:0o755 ".private-" ""
+
+  (* A store leaves its address in one rename, so nobody else ever sees
+     it half deleted; the copy moved aside is then removed at leisure.
+     Losing the rename to another discarder is fine: it is gone either
+     way. *)
+  let discard dir =
+    let aside = private_dir ~root:(Filename.dirname dir) in
+    (try Sys.rename dir (Filename.concat aside "old") with Sys_error _ -> ());
+    remove_tree aside
 
   (* LSB-first bit packing, the Bits.Seq layout flattened to an absolute
      bit offset inside a record scratch buffer. *)
@@ -595,50 +603,48 @@ module Orbit = struct
     Buffer.add_string b
       (Printf.sprintf "reps=%d weight=%d segments=%d\n" n_reps total_weight (Array.length segs));
     Array.iter (fun s -> Buffer.add_string b (Printf.sprintf "%d %08x\n" s.records s.crc)) segs;
-    write_file_atomic (manifest_path dir) (Buffer.to_bytes b)
+    write_file (manifest_path dir) (Buffer.to_bytes b)
 
   (* A warm open trusts the manifest for layout but cross-checks the one
      invariant it can get for free — Σ weight must be the closed-form
      |V1| — and the on-disk byte counts; segment payloads are CRC-checked
-     lazily, when first loaded. Any discrepancy means "not warm": the
-     caller wipes and rebuilds. *)
+     lazily, when first loaded. Any discrepancy, or a store moved away
+     mid-read, means "not warm": the caller rebuilds. *)
   let try_open_warm ~dir ~nn ~width ~record_bytes =
-    let mp = manifest_path dir in
-    if not (Sys.file_exists mp) then None
-    else
-      match String.split_on_char '\n' (read_file mp) with
-      | magic :: sp :: counts :: rest when magic = manifest_magic && sp = spec ~n:nn ~width -> (
-        try
-          let n_reps, total_weight, n_segs =
-            Scanf.sscanf counts "reps=%d weight=%d segments=%d" (fun a b c -> (a, b, c))
+    match String.split_on_char '\n' (read_file (manifest_path dir)) with
+    | magic :: sp :: counts :: rest when magic = manifest_magic && sp = spec ~n:nn ~width -> (
+      try
+        let n_reps, total_weight, n_segs =
+          Scanf.sscanf counts "reps=%d weight=%d segments=%d" (fun a b c -> (a, b, c))
+        in
+        if total_weight <> Census.num_one_cycles ~n:nn then None
+        else begin
+          let segs =
+            Array.init n_segs (fun i ->
+                let records, crc = Scanf.sscanf (List.nth rest i) "%d %x" (fun a b -> (a, b)) in
+                { path = seg_path dir i; records; crc; resident = None })
           in
-          if total_weight <> Census.num_one_cycles ~n:nn then None
-          else begin
-            let segs =
-              Array.init n_segs (fun i ->
-                  let records, crc = Scanf.sscanf (List.nth rest i) "%d %x" (fun a b -> (a, b)) in
-                  { path = seg_path dir i; records; crc; resident = None })
-            in
-            let sizes_ok =
-              Array.for_all
-                (fun s ->
-                  Sys.file_exists s.path
-                  && (let ic = open_in_bin s.path in
-                      let len = in_channel_length ic in
-                      close_in_noerr ic;
-                      len = s.records * record_bytes))
-                segs
-            in
-            if sizes_ok && Array.fold_left (fun acc s -> acc + s.records) 0 segs = n_reps then
-              Some (segs, n_reps, total_weight)
-            else None
-          end
-        with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
-      | _ -> None
+          let sizes_ok =
+            Array.for_all
+              (fun s ->
+                let ic = open_in_bin s.path in
+                let len = in_channel_length ic in
+                close_in_noerr ic;
+                len = s.records * record_bytes)
+              segs
+          in
+          if sizes_ok && Array.fold_left (fun acc s -> acc + s.records) 0 segs = n_reps then
+            Some (segs, n_reps, total_weight)
+          else None
+        end
+      with Scanf.Scan_failure _ | Failure _ | End_of_file | Sys_error _ -> None)
+    | _ -> None
+    | exception Sys_error _ -> None
 
-  let build ~dir ~nn ~width ~record_bytes =
+  (* Writes the store into [into], a private directory, with segment
+     paths that point at [dir], where it will be published. *)
+  let build ~into ~dir ~nn ~width ~record_bytes =
     Obs.span "arena.orbit.build" ~attrs:[ ("n", string_of_int nn) ] (fun () ->
-        mkdir_p dir;
         (* Branch-parallel enumeration: the slices over the second vertex
            partition V1, and concatenating them in branch order keeps the
            store order deterministic for any domain count. *)
@@ -674,12 +680,11 @@ module Orbit = struct
               let records = min seg_records (n_reps - lo) in
               let bytes = Bytes.sub all (lo * record_bytes) (records * record_bytes) in
               let crc = Bcclb_util.Crc32.bytes bytes in
-              let path = seg_path dir i in
-              write_file_atomic path bytes;
+              write_file (seg_path into i) bytes;
               Obs.Metrics.Counter.add orbit_spill_metric (Bytes.length bytes);
-              { path; records; crc; resident = Some bytes })
+              { path = seg_path dir i; records; crc; resident = Some bytes })
         in
-        write_manifest ~dir ~n:nn ~width ~n_reps ~total_weight segs;
+        write_manifest ~dir:into ~n:nn ~width ~n_reps ~total_weight segs;
         Obs.Metrics.Counter.add orbit_reps_metric n_reps;
         (segs, n_reps, total_weight))
 
@@ -693,12 +698,28 @@ module Orbit = struct
     let record_bytes = record_bytes_for ~n:nn ~width in
     let dir = dir_of ~root ~n:nn ~width in
     mkdir_p root;
+    (* A build is published by one rename of its private directory, so a
+       store is never seen half written. A builder that loses that race
+       to another domain or process drops its copy and keeps its records:
+       builds are deterministic, so they are the winner's bytes. A stale
+       or corrupt store in the way is discarded and the rename retried. *)
+    let published tmp =
+      match Sys.rename tmp dir with
+      | () -> true
+      | exception Sys_error _ -> try_open_warm ~dir ~nn ~width ~record_bytes <> None
+    in
     let segs, n_reps, total_weight, warm =
       match try_open_warm ~dir ~nn ~width ~record_bytes with
       | Some (segs, n_reps, total_weight) -> (segs, n_reps, total_weight, true)
       | None ->
-        remove_store_dir dir;
-        let segs, n_reps, total_weight = build ~dir ~nn ~width ~record_bytes in
+        let tmp = private_dir ~root in
+        Fun.protect ~finally:(fun () -> remove_tree tmp) @@ fun () ->
+        let segs, n_reps, total_weight = build ~into:tmp ~dir ~nn ~width ~record_bytes in
+        if not (published tmp) then begin
+          discard dir;
+          if not (published tmp) then
+            failwith (Printf.sprintf "Arena.Orbit: cannot publish the store at %s" dir)
+        end;
         (segs, n_reps, total_weight, false)
     in
     let resident_bytes =
@@ -745,7 +766,7 @@ module Orbit = struct
             (* A corrupt cold segment cannot be healed mid-iteration;
                drop the whole store so the next open rebuilds it. *)
             Obs.Metrics.Counter.incr orbit_rebuilds_metric;
-            remove_store_dir (Filename.dirname s.path);
+            discard (Filename.dirname s.path);
             failwith
               (Printf.sprintf
                  "Arena.Orbit: segment %s failed its checksum; the store was removed — re-run to \

@@ -13,15 +13,19 @@ let cell_timeout_of_env default =
     | _ ->
       Error (Printf.sprintf "%s=%S is not a positive number of seconds" cell_timeout_env s))
 
-let spawn_argv argv_of_socket ~socket =
-  let argv = argv_of_socket socket in
+let spawn_argv argv () =
+  let ours, theirs = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (* Workers inherit stderr but must never write to the coordinator's
      stdout — that stream is the byte-identical report — so their stdout
      is pointed at stderr. *)
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close devnull)
-    (fun () -> Unix.create_process argv.(0) argv devnull Unix.stderr Unix.stderr)
+  match Unix.create_process argv.(0) argv theirs Unix.stderr Unix.stderr with
+  | pid ->
+    Unix.close theirs;
+    (pid, ours)
+  | exception e ->
+    Unix.close theirs;
+    Unix.close ours;
+    raise e
 
 let install ?(cell_timeout = 600.0) ~spawn () =
   Result.map

@@ -7,15 +7,20 @@
     the test binary. A [`Procs w] backend becomes a {!Coordinator.run}
     over [w] spawned workers. *)
 
-val spawn_argv : (string -> string array) -> socket:string -> int
-(** Build a {!Coordinator.config.spawn} from an argv function:
-    [spawn_argv (fun path -> [| Sys.executable_name; "worker"; "--socket"; path |])].
-    The child gets [/dev/null] as stdin and the parent's {e stderr} as
-    both stdout and stderr — worker chatter must never leak into the
-    coordinator's report stream. *)
+val spawn_argv : string array -> unit -> int * Unix.file_descr
+(** [spawn_argv argv] is a {!Coordinator.config.spawn}: each call makes
+    a close-on-exec socketpair and starts [argv] with its end as stdin,
+    returning the pid and the coordinator's end. The child's stdout and
+    stderr are the parent's {e stderr} — worker chatter must never leak
+    into the coordinator's report stream. The spawner keeps no copy of
+    the child's end and no later child inherits the coordinator's, so
+    either side dying is an EOF on the other. *)
 
 val install :
-  ?cell_timeout:float -> spawn:(socket:string -> int) -> unit -> (unit, string) result
+  ?cell_timeout:float ->
+  spawn:(unit -> int * Unix.file_descr) ->
+  unit ->
+  (unit, string) result
 (** Register the coordinator as the {!Bcclb_harness.Runner.procs_runner}.
     [cell_timeout] (default 600 s) is overridden by
     [$BCCLB_DIST_CELL_TIMEOUT] when that is set and not blank; a value

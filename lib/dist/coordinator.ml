@@ -1,14 +1,14 @@
-(* The coordinator event loop. Single-threaded: one select over the
-   listener and every worker socket, then four passes per tick —
-   population (spawn up to the target while work remains), assignment
-   (idle workers get a batched cell lease, or steal the tail of the
-   slowest lease when the queue is dry), reaping (waitpid WNOHANG so
-   crashed pids are seen even before their socket EOFs), and deadlines
-   (leased workers against cell_timeout since their last progress,
-   idle ones against heartbeat_timeout). All
-   worker fds are nonblocking and read through Transport.Conn.pump;
-   frames the reader rejects poison the connection and the worker is
-   treated as crashed.
+(* The coordinator event loop. Single-threaded: one select over every
+   worker's socketpair end, then four passes per tick — population
+   (spawn up to the target while work remains), assignment (idle
+   workers get a fair-share cell lease, or steal the tail of the
+   largest lease when the queue is dry), reaping (waitpid WNOHANG on
+   exited pids; their deaths arrive as EOF, since only the child held
+   its end), and deadlines (leased workers against cell_timeout since
+   their last progress, a worker yet to say Hello or Bye against
+   handshake_timeout). All worker fds are nonblocking and read through
+   Transport.Conn.pump; frames the reader rejects poison the connection
+   and the worker is treated as crashed.
 
    Recovery invariant: a cell is *held* by at most one live worker at a
    time — grants come off the pending queue, steals move cells from one
@@ -32,28 +32,26 @@ let stolen_cells_metric = Obs.Metrics.Counter.v "dist.stolen_cells"
 let requeues = Obs.Metrics.Counter.v "dist.requeues"
 let frames_in = Obs.Metrics.Counter.v "dist.frames_in"
 let bytes_in = Obs.Metrics.Counter.v "dist.bytes_in"
-let heartbeats_metric = Obs.Metrics.Counter.v "dist.heartbeats"
 let deltas_metric = Obs.Metrics.Counter.v "dist.metric_deltas_absorbed"
 let snapshots_metric = Obs.Metrics.Counter.v "dist.metric_snapshots_absorbed"
 let rejects_metric = Obs.Metrics.Counter.v "dist.handshake_rejects"
 let spans_ingested = Obs.Metrics.Counter.v "dist.spans_ingested"
 
-type config = { workers : int; cell_timeout : float; spawn : socket:string -> int }
+type config = { workers : int; cell_timeout : float; spawn : unit -> int * Unix.file_descr }
 
-(* Scheduling constants. An idle worker heartbeats every 0.25 s
-   (Worker.heartbeat_interval), so 30 s of silence means it is wedged. *)
-let heartbeat_timeout = 30.0
+(* A worker must say Hello within this many seconds of its spawn, and
+   Bye within as many of Shutdown. *)
+let handshake_timeout = 30.0
 let max_retries = 2
-let lease_target_seconds = 1.0
 
 type wstate =
-  | Greeting  (** Connected, no accepted [Hello] yet. *)
+  | Greeting of float  (** Spawned at this time, no accepted [Hello] yet. *)
   | Ready  (** Joined; may hold a lease (lease <> []) or be idle. *)
   | Saying_bye of float  (** [Shutdown] sent at this time. *)
 
 type conn = {
   tc : Conn.t;
-  mutable pid : int;  (* -1 until Hello *)
+  pid : int;
   mutable state : wstate;
   mutable lease : int list;  (* outstanding cells, current first *)
   mutable progress_at : float;  (* lease grant or last Result *)
@@ -77,10 +75,6 @@ let run c ~cache ~cells =
     Obs.span "dist.sweep"
       ~attrs:[ ("cells", string_of_int n); ("workers", string_of_int c.workers) ]
     @@ fun () ->
-    let listener = Transport.listen_local () in
-    let lfd = Transport.listener_fd listener in
-    Unix.set_nonblock lfd;
-    let socket = Transport.listener_path listener in
     let results : (H.Runner.cell_outcome * float) option array = Array.make n None in
     let failures : string option array = Array.make n None in
     let grants = Array.make n 0 in  (* lease grants, incl. steals: the wire's [attempt] *)
@@ -90,16 +84,9 @@ let run c ~cache ~cells =
     Array.iteri (fun i _ -> Queue.push i pending) cells;
     let conns : conn list ref = ref [] in
     let live_pids : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    let helloed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    let unconnected = ref 0 in
     let spawned = ref 0 in
     let spawn_cap = c.workers + ((max_retries + 1) * n) in
     let shutdown_at = ref None in
-    (* EWMA of observed per-cell seconds, for adaptive lease sizes. *)
-    let avg_cell = ref None in
-    let observe_seconds s =
-      avg_cell := Some (match !avg_cell with None -> s | Some a -> (0.7 *. a) +. (0.3 *. s))
-    in
 
     let is_resolved i = results.(i) <> None || failures.(i) <> None in
     let resolve_result i r =
@@ -120,9 +107,12 @@ let run c ~cache ~cells =
       if !spawned >= spawn_cap then
         fail "spawn budget exhausted after %d workers (is the worker binary broken?)" !spawned;
       incr spawned;
-      let pid = c.spawn ~socket in
+      let pid, fd = c.spawn () in
+      Unix.set_nonblock fd;
       Hashtbl.replace live_pids pid ();
-      incr unconnected;
+      let t = now () in
+      conns :=
+        { tc = Conn.of_fd fd; pid; state = Greeting t; lease = []; progress_at = t } :: !conns;
       Obs.Metrics.Counter.incr workers_spawned
     in
 
@@ -139,13 +129,14 @@ let run c ~cache ~cells =
     (* Graceful end of a connection (after Bye): no kill, no requeue —
        the pid is reaped by the WNOHANG pass once it exits. *)
     let retire conn = Conn.close conn.tc in
-    (* Crash/timeout path: close, kill the process, and requeue the
-       outstanding lease. *)
+    (* Crash/timeout path: close, kill the process (unless it is already
+       reaped: its pid may be reused), and requeue the outstanding
+       lease. *)
     let destroy ?(kill = true) conn =
       if not (Conn.is_closed conn.tc) then begin
         Conn.close conn.tc;
-        if kill && conn.pid > 0 then (
-          try Unix.kill conn.pid Sys.sigkill with Unix.Unix_error _ -> ());
+        if kill && Hashtbl.mem live_pids conn.pid then
+          (try Unix.kill conn.pid Sys.sigkill with Unix.Unix_error _ -> ());
         Obs.Metrics.Counter.incr worker_deaths;
         let lease = conn.lease in
         conn.lease <- [];
@@ -162,23 +153,13 @@ let run c ~cache ~cells =
         (List.filter (fun k -> (not (Conn.is_closed k.tc)) && k.state = Ready) !conns)
     in
 
-    (* Lease sizing: carve the remaining grid fairly across the workers
-       while latency is unknown, then shrink to ~lease_target_seconds
-       of work per batch once cell times are observed. Shrinking fair
-       shares as the grid drains is what makes the active set contract
-       near the end — late leases are small, and idle workers steal the
-       stragglers' tails. *)
+    (* Lease sizing: a fair share of the remaining grid. Contiguous
+       cells let neighbours share a worker's per-process memos, and
+       shares shrink as the grid drains, so late leases are small and
+       idle workers steal the stragglers' tails. *)
     let lease_size () =
-      let live = max c.workers (max 1 (live_ready ())) in
-      let remaining = max 1 (n - !resolved) in
-      let fair = max 1 ((remaining + live - 1) / live) in
-      match !avg_cell with
-      | None -> fair
-      | Some a ->
-        let by_latency =
-          int_of_float (Float.ceil (lease_target_seconds /. Float.max a 1e-6))
-        in
-        max 1 (min fair by_latency)
+      let live = max c.workers (live_ready ()) in
+      max 1 ((n - !resolved + live - 1) / live)
     in
 
     let next_pending () =
@@ -252,9 +233,7 @@ let run c ~cache ~cells =
     in
 
     let handle conn = function
-      | Msg.Hello { pid; fingerprint; cache_epoch } -> (
-        conn.pid <- pid;
-        Hashtbl.replace helloed pid ();
+      | Msg.Hello { fingerprint; cache_epoch } -> (
         match Msg.handshake_error ~fingerprint ~cache_epoch with
         | Some reason ->
           Obs.Metrics.Counter.incr rejects_metric;
@@ -262,25 +241,21 @@ let run c ~cache ~cells =
           (* A spawned worker skews only when the executable changed on
              disk (or through the test hook); respawning it cannot help,
              so fail loudly now. *)
-          fail "worker %d rejected at handshake: %s" pid reason
+          fail "worker %d rejected at handshake: %s" conn.pid reason
         | None ->
-          if !shutdown_at <> None then begin
-            (* Late joiner of a finished sweep: straight to goodbye. *)
-            send conn Msg.Shutdown;
-            if not (Conn.is_closed conn.tc) then conn.state <- Saying_bye (now ())
-          end
-          else begin
+          (* Once the sweep is done, every open connection has been
+             sent Shutdown: a worker that joins late answers it with
+             Bye. *)
+          if !shutdown_at = None then begin
             conn.state <- Ready;
             send conn
               (Msg.Init
                  { cache_root = Option.map H.Cache.root cache; trace = Obs.Trace.context () })
           end)
-      | Msg.Heartbeat -> Obs.Metrics.Counter.incr heartbeats_metric
       | Msg.Result { cell; outcome; seconds } ->
         resolve_result cell (outcome, seconds);
         conn.lease <- List.filter (fun i -> i <> cell) conn.lease;
-        conn.progress_at <- now ();
-        observe_seconds seconds
+        conn.progress_at <- now ()
       | Msg.Cell_error { cell; message } ->
         resolve_failure cell message;
         conn.lease <- List.filter (fun i -> i <> cell) conn.lease;
@@ -319,40 +294,18 @@ let run c ~cache ~cells =
       | `Error _ -> destroy conn
     in
 
-    let accept_new () =
-      Transport.accept_all listener ~on_conn:(fun tc ->
-          Unix.set_nonblock (Conn.fd tc);
-          if !unconnected > 0 then decr unconnected;
-          let conn = { tc; pid = -1; state = Greeting; lease = []; progress_at = now () } in
-          conns := conn :: !conns)
-    in
-
+    (* Only the exit status is collected here: a dead worker's end of its
+       socketpair is closed, so its death reaches [pump] as EOF, after
+       every frame it sent. *)
     let reap () =
-      let gone =
-        Hashtbl.fold
-          (fun pid () acc ->
-            match Unix.waitpid [ Unix.WNOHANG ] pid with
-            | 0, _ -> acc
-            | _ -> pid :: acc
-            | exception Unix.Unix_error (Unix.ECHILD, _, _) -> pid :: acc)
-          live_pids []
-      in
-      List.iter
-        (fun pid ->
-          Hashtbl.remove live_pids pid;
-          if Hashtbl.mem helloed pid then (
-            (* Its connection EOF handles (or handled) the rest. *)
-            match
-              List.find_opt (fun k -> k.pid = pid && not (Conn.is_closed k.tc)) !conns
-            with
-            | Some conn -> destroy ~kill:false conn
-            | None -> ())
-          else if
-            (* Died before it ever connected: give its spawn slot back so
-               the population pass replaces it. *)
-            !unconnected > 0
-          then decr unconnected)
-        gone
+      Hashtbl.fold
+        (fun pid () acc ->
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ -> acc
+          | _ -> pid :: acc
+          | exception Unix.Unix_error (Unix.ECHILD, _, _) -> pid :: acc)
+        live_pids []
+      |> List.iter (Hashtbl.remove live_pids)
     in
 
     let check_deadlines () =
@@ -368,17 +321,15 @@ let run c ~cache ~cells =
             end
             else
               match conn.state with
-              | Greeting | Ready ->
-                if Conn.idle_for ~now:t conn.tc > heartbeat_timeout then destroy conn
-              | Saying_bye since -> if t -. since > heartbeat_timeout then destroy conn)
+              | Ready -> ()
+              | Greeting since | Saying_bye since ->
+                if t -. since > handshake_timeout then destroy conn)
         !conns
     in
 
     let ensure_workers () =
       if !shutdown_at = None then begin
-        let live =
-          List.length (List.filter (fun k -> not (Conn.is_closed k.tc)) !conns) + !unconnected
-        in
+        let live = List.length (List.filter (fun k -> not (Conn.is_closed k.tc)) !conns) in
         let want = min c.workers (n - !resolved) in
         for _ = live + 1 to want do
           spawn_one ()
@@ -410,19 +361,14 @@ let run c ~cache ~cells =
     in
 
     let cleanup () =
-      List.iter
-        (fun conn ->
-          Conn.close conn.tc;
-          if conn.pid > 0 then try Unix.kill conn.pid Sys.sigkill with Unix.Unix_error _ -> ())
-        !conns;
+      List.iter (fun conn -> Conn.close conn.tc) !conns;
       Hashtbl.iter
         (fun pid () -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
         live_pids;
       Hashtbl.iter
         (fun pid () ->
           try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        live_pids;
-      Transport.close_listener listener
+        live_pids
     in
 
     Fun.protect ~finally:cleanup @@ fun () ->
@@ -432,14 +378,10 @@ let run c ~cache ~cells =
       assign ();
       if !resolved = n then broadcast_shutdown ();
       let rds =
-        lfd
-        :: List.filter_map
-             (fun k -> if Conn.is_closed k.tc then None else Some (Conn.fd k.tc))
-             !conns
+        List.filter_map (fun k -> if Conn.is_closed k.tc then None else Some (Conn.fd k.tc)) !conns
       in
       (match Unix.select rds [] [] 0.05 with
       | ready, _, _ ->
-        if List.memq lfd ready then accept_new ();
         List.iter
           (fun k -> if (not (Conn.is_closed k.tc)) && List.memq (Conn.fd k.tc) ready then pump k)
           !conns

@@ -1,34 +1,36 @@
 (** The coordinator: spawned workers, batched leases, stealing,
     deadlines, recovery.
 
-    [run] drives a sweep over worker processes it spawns itself: it
-    opens a fresh unix-domain listener ({!Transport.listen_local}),
-    starts [workers] processes via the caller-supplied [spawn], and
-    they dial back. A worker joins by [Hello], which carries the binary
+    [run] drives a sweep over worker processes it spawns itself: each
+    call of the caller-supplied [spawn] starts one and returns the
+    coordinator's end of its socketpair, so a worker is connected from
+    birth. A worker joins by [Hello], which carries the binary
     fingerprint and cache format epoch — a skewed build (the executable
     changed on disk mid-sweep) is {!Msg.Reject}ed at join time, before
     it can compute a cell or write a cache entry.
 
     Scheduling is by {b batched cell leases}: an idle worker receives a
-    contiguous batch off the pending queue — sized to a fair share of
-    the remaining grid, shrunk toward 1 s of work once per-cell latency
-    is observed — and streams one [Result] back per cell. When the
-    queue drains, an idle worker {b steals}: the coordinator revokes
-    the tail half of the largest outstanding lease and re-leases it, so
-    one slow or stalled worker cannot strand the sweep's last cells.
+    contiguous batch off the pending queue — a fair share,
+    ⌈remaining / workers⌉, of the grid — and streams one [Result] back
+    per cell. When the queue drains, an idle worker {b steals}: the
+    coordinator revokes the tail half of the largest outstanding lease
+    and re-leases it, so one slow or stalled worker cannot strand the
+    sweep's last cells.
 
     The failure model, concretely:
     {ul
     {- {b Crash} (SIGKILL, injected exit, OOM): the worker's socket hits
-       EOF (or its pid is reaped). Its outstanding lease is requeued and
-       a replacement is spawned.}
+       EOF — only the worker held its end. Its outstanding lease is
+       requeued and a replacement is spawned.}
     {- {b Stall} (hung cell, livelocked worker): a leased worker must
        produce a result every [cell_timeout] (the clock resets per
        [Result]); silence beyond that is treated as a crash. Stealing
        usually rescues the lease tail earlier — only the in-flight head
        waits for the deadline.}
-    {- {b Silence} (wedged before/between leases): an idle worker that
-       has not heartbeat within 30 s is destroyed.}
+    {- {b Handshake} (wedged at either end of its session): a worker
+       that has not sent [Hello] within 30 s of its spawn, or [Bye]
+       within 30 s of [Shutdown], is destroyed. An idle worker holds no
+       cells, so nothing else is timed.}
     {- {b Bounded retries}: two worker {e deaths} per cell are
        tolerated, not counting lease grants — stealing re-grants
        freely. A third (or an exhausted spawn budget) aborts the
@@ -51,10 +53,10 @@
 type config = {
   workers : int;  (** Target live worker processes. *)
   cell_timeout : float;  (** Leased-worker limit per {e result}, not per lease. *)
-  spawn : socket:string -> int;
-      (** Start one worker process pointed at the coordinator's [socket]
-          path; return its pid.
-          See {!Backend.spawn_argv}. *)
+  spawn : unit -> int * Unix.file_descr;
+      (** Start one worker process; return its pid and the
+          coordinator's end of its connection. See
+          {!Backend.spawn_argv}. *)
 }
 
 val run :
@@ -71,5 +73,4 @@ val run :
     session has drained. Raises [Invalid_argument] when [workers < 1],
     and [Failure] on infrastructure exhaustion (retry cap, spawn
     budget, handshake rejection). Always tears down: sockets closed,
-    socket file unlinked, every spawned pid killed or reaped before
-    returning or raising. *)
+    every spawned pid killed or reaped before returning or raising. *)

@@ -17,8 +17,7 @@ type to_worker =
   | Shutdown
 
 type from_worker =
-  | Hello of { pid : int; fingerprint : string; cache_epoch : int }
-  | Heartbeat
+  | Hello of { fingerprint : string; cache_epoch : int }
   | Result of { cell : int; outcome : Bcclb_harness.Runner.cell_outcome; seconds : float }
   | Cell_error of { cell : int; message : string }
   | Lease_done of {
@@ -69,13 +68,7 @@ let handshake_error ~fingerprint:fp ~cache_epoch =
          Bcclb_harness.Cache.format_epoch cache_epoch)
   else None
 
-let hello () =
-  Hello
-    {
-      pid = Unix.getpid ();
-      fingerprint = fingerprint ();
-      cache_epoch = Bcclb_harness.Cache.format_epoch;
-    }
+let hello () = Hello { fingerprint = fingerprint (); cache_epoch = Bcclb_harness.Cache.format_epoch }
 
 let tag_to_worker = 'C'
 let tag_from_worker = 'W'

@@ -36,11 +36,10 @@ type to_worker =
           buffer spans under ([Some] switches the worker to
           {!Bcclb_obs.Trace.start_collect} mode). *)
   | Lease of { cells : assignment array; trace : Bcclb_obs.Trace.context option }
-      (** A batch of cells, to be computed in order with one [Result]
-          streamed back per cell. Batching is what amortises round
-          trips; the coordinator adapts the batch size to observed cell
-          latency. [trace] carries the coordinator's sweep span as the
-          parent for the cells' spans. *)
+      (** A batch of contiguous cells — a fair share of what remains, or
+          a stolen tail — to be computed in order with one [Result]
+          streamed back per cell. [trace] carries the coordinator's
+          sweep span as the parent for the cells' spans. *)
   | Revoke of { cells : int list }
       (** Work stealing: stop holding these cells (they were re-leased
           to an idle worker). Cells already computed or in flight are
@@ -52,12 +51,11 @@ type to_worker =
   | Shutdown  (** No more work: send [Bye] and wind down. *)
 
 type from_worker =
-  | Hello of { pid : int; fingerprint : string; cache_epoch : int }
+  | Hello of { fingerprint : string; cache_epoch : int }
       (** First frame on a fresh connection, carrying the join
           handshake: the worker binary's digest and its cache-entry
           format epoch, both checked against the coordinator's own
           before any work is leased. *)
-  | Heartbeat  (** Sent while idle, every 0.25 s. *)
   | Result of {
       cell : int;
       outcome : Bcclb_harness.Runner.cell_outcome;
@@ -99,7 +97,7 @@ val handshake_error : fingerprint:string -> cache_epoch:int -> string option
     [Reject] should carry; [None] means the worker may join. *)
 
 val hello : unit -> from_worker
-(** The [Hello] this process sends: pid, own fingerprint, own
+(** The [Hello] this process sends: own fingerprint, own
     {!Bcclb_harness.Cache.format_epoch}. *)
 
 (** {2 Payload codec} *)

@@ -1,48 +1,24 @@
-(** Poll-driven endpoints over unix-domain sockets.
+(** Framed I/O over a worker's socketpair.
 
-    Every socket the dist runtime opens goes through this layer: the
-    coordinator's listener and the spawned worker's dial-back. It owns
-    accept/connect setup, {!Wire} framing over a connected fd, and
-    activity clocks for heartbeat deadlines. *)
+    Every connection the dist runtime uses is one end of the socketpair
+    {!Backend.spawn_argv} makes when it spawns a worker: the coordinator
+    keeps one end, the worker serves the other as its stdin. This layer
+    owns {!Wire} framing over such an fd. *)
 
 val now : unit -> float
 (** Monotonic seconds ({!Bcclb_obs.Mclock}) — the clock every deadline
     in the dist runtime is measured on. *)
 
-(** {2 Listeners} *)
-
-type listener
-
-val listen_local : unit -> listener
-(** A fresh endpoint for the coordinator's spawned workers: a unique
-    unix-domain socket path under [$TMPDIR]
-    ([bcclb-dist-<pid>-<n>.sock]), bound and listening. @raise Failure
-    if the kernel refuses. *)
-
-val listener_fd : listener -> Unix.file_descr
-val listener_path : listener -> string
-
-val close_listener : listener -> unit
-(** Close the fd and unlink the socket path. Idempotent. *)
-
-(** {2 Connections} *)
-
 module Conn : sig
   type t
 
-  val dial : string -> (t, string) result
-  (** Connect to the unix-domain socket at a path, retrying a refused
-      or absent endpoint 20 times 50 ms apart (covers the race between
-      a process listening and its peer dialing). A fresh socket per
-      attempt — a failed connect poisons its fd. *)
+  val of_fd : Unix.file_descr -> t
+  (** A connection over a connected stream socket; {!close} closes the
+      fd. *)
 
   val fd : t -> Unix.file_descr
   val is_closed : t -> bool
   val close : t -> unit
-
-  val idle_for : now:float -> t -> float
-  (** Heartbeat-deadline support: seconds since the last byte
-      arrived. *)
 
   val send : t -> string -> unit
   (** One {!Wire} frame out, blocking. Raises [Unix.Unix_error] as
@@ -64,7 +40,3 @@ module Conn : sig
       stops there). [`Eof] on orderly close, [`Error] on a framing or
       I/O error (sticky — the conn should be destroyed). *)
 end
-
-val accept_all : listener -> on_conn:(Conn.t -> unit) -> unit
-(** Drain every pending connection (the listener fd must be in
-    nonblocking mode); stops on [EAGAIN]. *)

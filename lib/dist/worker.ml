@@ -1,8 +1,9 @@
 (* The worker half of the dist runtime: a single-threaded loop around
-   one coordinator connection. While idle it wakes every
-   heartbeat_interval to send a Heartbeat; while working a lease it
-   drains control frames (more leases, revokes, shutdown) between
-   cells, so a Revoke lands before the next stolen cell is started.
+   one coordinator connection, the socketpair end it was spawned with
+   as stdin. While idle it blocks on the next frame; while working a
+   lease it drains control frames (more leases, revokes, shutdown)
+   between cells, so a Revoke lands before the next stolen cell is
+   started.
    Cells run through Runner.run_cell — the same probe/compute/
    checkpoint path as the in-process backend — so cache keys, stored
    entries and rows cannot diverge.
@@ -19,14 +20,9 @@ module Obs = Bcclb_obs
 module Conn = Transport.Conn
 
 let cells_metric = Obs.Metrics.Counter.v "dist.worker.cells"
-let heartbeats_metric = Obs.Metrics.Counter.v "dist.worker.heartbeats"
 let leases_metric = Obs.Metrics.Counter.v "dist.worker.leases"
 let revoked_metric = Obs.Metrics.Counter.v "dist.worker.cells_revoked"
 let cell_seconds = Obs.Metrics.Histogram.v "dist.worker.cell_seconds"
-
-(* Idle heartbeat period, far inside the coordinator's 30 s silence
-   limit. *)
-let heartbeat_interval = 0.25
 
 exception Done  (* clean shutdown requested *)
 exception Coordinator_gone  (* EOF from the coordinator *)
@@ -157,17 +153,11 @@ let session ~resolve tc =
   in
   (* Ends only by exception: Shutdown, EOF, Reject or a dead socket. *)
   let rec loop () =
-    (if s.work <> [] then begin
-       drain_control s;
-       run_next s
-     end
-     else
-       match Unix.select [ Conn.fd tc ] [] [] heartbeat_interval with
-       | [], _, _ ->
-         Obs.Metrics.Counter.incr heartbeats_metric;
-         send tc Msg.Heartbeat
-       | _ -> read_one s
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    if s.work <> [] then begin
+      drain_control s;
+      run_next s
+    end
+    else read_one s;
     loop ()
   in
   let result =
@@ -181,17 +171,16 @@ let session ~resolve tc =
   Conn.close tc;
   result
 
-(* One session against the coordinator that spawned us, then exit. *)
-let main ?(resolve = H.Registry.find) ~socket () =
+(* One session against the coordinator that spawned us, then exit. A
+   stdin that is not a socket (someone ran the worker by hand) has no
+   coordinator behind it. *)
+let main ?(resolve = H.Registry.find) () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let tc =
-    match Conn.dial socket with
-    | Ok tc -> tc
-    | Error e ->
-      prerr_endline ("dist worker: " ^ e);
-      exit 3
-  in
-  match session ~resolve tc with
+  if (Unix.fstat Unix.stdin).Unix.st_kind <> Unix.S_SOCK then begin
+    prerr_endline "dist worker: stdin is not a coordinator's socket (workers are spawned by --backend procs)";
+    exit 3
+  end;
+  match session ~resolve (Conn.of_fd Unix.stdin) with
   | Ok () -> exit 0
   | Error reason ->
     prerr_endline ("dist worker: rejected by coordinator: " ^ reason);

@@ -1,7 +1,7 @@
 (* Per-round instrumentation for the engine: everything the four former
    simulators inlined — bandwidth/range validation, bit counting,
-   transcript capture, wall-clock timing — is expressed as an observer
-   composed into the one round loop instead of a fifth copy of it. *)
+   transcript capture — is expressed as an observer composed into the
+   one round loop instead of a fifth copy of it. *)
 
 type ('emit, 'inbox) t = {
   on_start : n:int -> rounds:int -> unit;
@@ -36,36 +36,3 @@ let combine = function
 
 let validator check =
   make ~on_emit:(fun ~round ~vertex ~inbox:_ ~emit -> check ~round ~vertex emit) ()
-
-(* Counters are thin views over the obs layer: the per-run total is
-   still read locally (callers need this run's bits, not the process
-   total), but every width also feeds the process-wide
-   [engine.bits_broadcast] series so traces and manifests see broadcast
-   volume without a second mechanism. *)
-let bits_broadcast_metric = Bcclb_obs.Metrics.Counter.v "engine.bits_broadcast"
-
-let counter ~width =
-  let total = ref 0 in
-  let obs =
-    make
-      ~on_emit:(fun ~round:_ ~vertex:_ ~inbox:_ ~emit ->
-        let w = width emit in
-        total := !total + w;
-        Bcclb_obs.Metrics.Counter.add bits_broadcast_metric w)
-      ()
-  in
-  (obs, fun () -> !total)
-
-(* Monotonic, same clock as Obs.Trace spans: wall-clock steps (NTP
-   slews, DST) can never produce a negative or skewed round time, and a
-   round timing laid next to a span timeline lines up. *)
-let round_timer () =
-  let times = ref [] and started = ref 0 in
-  let obs =
-    make
-      ~on_round_start:(fun ~round:_ -> started := Bcclb_obs.Mclock.now_ns ())
-      ~on_round_end:(fun ~round:_ ~inboxes:_ ->
-        times := Bcclb_obs.Mclock.(ns_to_s (elapsed_ns ~since:!started)) :: !times)
-      ()
-  in
-  (obs, fun () -> Array.of_list (List.rev !times))

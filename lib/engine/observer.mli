@@ -1,9 +1,9 @@
 (** Composable per-round instrumentation for {!Engine.run}.
 
-    Observers are how bandwidth checks, bit counters, transcripts and
-    timers attach to the single round loop: each hook is invoked at a
-    fixed point of the round and may raise (validators do) or accumulate
-    into its own state (counters, timers). ['emit] is whatever a vertex
+    Observers are how bandwidth checks, bit counters and transcripts
+    attach to the single round loop: each hook is invoked at a fixed
+    point of the round and may raise (validators do) or accumulate into
+    its own state (counters, transcripts). ['emit] is whatever a vertex
     emits per round, ['inbox] whatever it receives. *)
 
 type ('emit, 'inbox) t = {
@@ -34,15 +34,3 @@ val combine : ('emit, 'inbox) t list -> ('emit, 'inbox) t
 
 val validator : (round:int -> vertex:int -> 'emit -> unit) -> ('emit, 'inbox) t
 (** An observer that only checks emissions (raise to reject). *)
-
-val counter : width:('emit -> int) -> ('emit, 'inbox) t * (unit -> int)
-(** [counter ~width] returns an observer summing [width emit] over every
-    emission, and a function reading the running total. Every width also
-    feeds the process-wide [engine.bits_broadcast] series of
-    {!Bcclb_obs.Metrics}, so manifests and traces see broadcast volume
-    without a second mechanism. *)
-
-val round_timer : unit -> ('emit, 'inbox) t * (unit -> float array)
-(** Per-round elapsed time, in round order. Unit: seconds, measured on
-    the monotonic clock ({!Bcclb_obs.Mclock}) — immune to wall-clock
-    steps, and directly comparable with [Obs] span timelines. *)

@@ -126,8 +126,6 @@ let metrics_json () =
            match v with
            | Obs.Metrics.Counter c ->
              Json.Obj [ ("type", Json.Str "counter"); ("value", Json.Int c) ]
-           | Obs.Metrics.Gauge g ->
-             Json.Obj [ ("type", Json.Str "gauge"); ("value", Json.Float g) ]
            | Obs.Metrics.Histogram h -> hist_json h ))
        (Obs.Metrics.snapshot ()))
 

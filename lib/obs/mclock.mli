@@ -11,9 +11,6 @@ val now_ns : unit -> int
     (which is what lets a dist coordinator merge its workers' spans
     without a clock offset). *)
 
-val elapsed_ns : since:int -> int
-(** [elapsed_ns ~since] is [now_ns () - since]. *)
-
 val ns_to_s : int -> float
 (** Nanoseconds to seconds. *)
 

@@ -5,7 +5,7 @@
    path — Counter.add, Histogram.observe — touches only the caller's
    own shard: no locks, no atomics, no allocation. *)
 
-type kind = Counter_k | Gauge_max_k | Hist_k of float array
+type kind = Counter_k | Hist_k of float array
 
 type def = { id : int; name : string; kind : kind }
 
@@ -16,7 +16,7 @@ let n_defs = ref 0
 
 type shard = {
   mutable ints : int array;  (* counter totals, by slot id *)
-  mutable floats : float array;  (* gauge values / histogram sums, by slot id *)
+  mutable floats : float array;  (* histogram sums, by slot id *)
   mutable buckets : int array array;  (* histogram bucket counts, [||] until first observe *)
 }
 
@@ -55,7 +55,7 @@ let my_shard id =
 
 let same_kind a b =
   match (a, b) with
-  | Counter_k, Counter_k | Gauge_max_k, Gauge_max_k -> true
+  | Counter_k, Counter_k -> true
   | Hist_k x, Hist_k y -> x = y
   | _ -> false
 
@@ -95,24 +95,6 @@ module Counter = struct
     List.fold_left (fun acc s -> if t.id < Array.length s.ints then acc + s.ints.(t.id) else acc) 0 ss
 
   let local t = (my_shard t.id).ints.(t.id)
-end
-
-module Gauge = struct
-  type t = def
-
-  let v name = register name Gauge_max_k
-
-  let max t x =
-    let s = my_shard t.id in
-    if x > s.floats.(t.id) then s.floats.(t.id) <- x
-
-  let read t =
-    Mutex.lock lock;
-    let ss = !shards in
-    Mutex.unlock lock;
-    List.fold_left
-      (fun acc s -> if t.id < Array.length s.floats then Float.max acc s.floats.(t.id) else acc)
-      0.0 ss
 end
 
 module Histogram = struct
@@ -155,7 +137,7 @@ end
 
 type hist = { le : float array; counts : int array; sum : float; count : int }
 
-type value = Counter of int | Gauge of float | Histogram of hist
+type value = Counter of int | Histogram of hist
 
 let quantile h q =
   (* Total on degenerate input: no observations, or a bucket layout
@@ -196,11 +178,6 @@ let snapshot () =
         (List.fold_left
            (fun acc s -> if d.id < Array.length s.ints then acc + s.ints.(d.id) else acc)
            0 ss)
-    | Gauge_max_k ->
-      Gauge
-        (List.fold_left
-           (fun acc s -> if d.id < Array.length s.floats then Float.max acc s.floats.(d.id) else acc)
-           0.0 ss)
     | Hist_k bounds ->
       let counts = Array.make (Array.length bounds + 1) 0 in
       let sum = ref 0.0 in
@@ -221,11 +198,11 @@ let snapshot () =
 
 (* Merging a remote snapshot: each value is folded into the calling
    domain's own shard through the ordinary write path semantics —
-   counters add, gauges max, histogram buckets and sums add — so an
-   absorbed snapshot is indistinguishable from the same work having run
-   locally, and [snapshot]/[total] after an absorb merge it like any
-   other shard. Registration is by name, exactly as [Counter.v] etc.
-   would have done it in this process. *)
+   counters add, histogram buckets and sums add — so an absorbed
+   snapshot is indistinguishable from the same work having run locally,
+   and [snapshot]/[total] after an absorb merge it like any other shard.
+   Registration is by name, exactly as [Counter.v] etc. would have done
+   it in this process. *)
 let absorb entries =
   List.iter
     (fun (name, v) ->
@@ -235,10 +212,6 @@ let absorb entries =
         if n < 0 then invalid_arg ("Metrics.absorb: negative counter " ^ name);
         let s = my_shard d.id in
         s.ints.(d.id) <- s.ints.(d.id) + n
-      | Gauge x ->
-        let d = register name Gauge_max_k in
-        let s = my_shard d.id in
-        if x > s.floats.(d.id) then s.floats.(d.id) <- x
       | Histogram h ->
         if Array.length h.counts <> Array.length h.le + 1 then
           invalid_arg ("Metrics.absorb: malformed histogram " ^ name);
@@ -260,10 +233,9 @@ let absorb entries =
 (* The inverse direction: [delta ~baseline current] is the snapshot of
    everything that happened between the two, shaped so that absorbing
    the deltas of a partition of a timeline equals absorbing its final
-   snapshot once — counters and histogram buckets subtract, gauges pass
-   through unchanged (absorb maxes them, so repetition is idempotent).
-   Series that did not move are dropped, which keeps streamed deltas
-   small on chatty registries. *)
+   snapshot once — counters and histogram buckets subtract. Series that
+   did not move are dropped, which keeps streamed deltas small on chatty
+   registries. *)
 let delta ~baseline current =
   List.filter_map
     (fun (name, v) ->
@@ -274,7 +246,6 @@ let delta ~baseline current =
         else if d < 0 then invalid_arg ("Metrics.delta: counter went backwards: " ^ name)
         else Some (name, Counter d)
       | Counter c, _ -> if c = 0 then None else Some (name, Counter c)
-      | Gauge x, _ -> if x = 0.0 then None else Some (name, Gauge x)
       | Histogram h, Some (Histogram b) when h.le = b.le ->
         let counts = Array.mapi (fun i c -> c - b.counts.(i)) h.counts in
         let count = Array.fold_left ( + ) 0 counts in

@@ -1,4 +1,4 @@
-(** Process-wide metrics registry: counters, gauges and fixed-bucket
+(** Process-wide metrics registry: counters and fixed-bucket
     histograms, {e per-domain sharded}.
 
     Every writer (a {!Bcclb_engine.Pool} worker, the main domain) owns a
@@ -37,19 +37,6 @@ module Counter : sig
       exact at any time and blind to every other domain. *)
 end
 
-module Gauge : sig
-  type t
-
-  val v : string -> t
-  val max : t -> float -> unit
-  (** Shard-local running maximum. *)
-
-  val read : t -> float
-  (** Merged view: the maximum over all shards (shards start at 0, so
-      gauges are for nonnegative high-water marks — peak sizes, peak
-      depths). *)
-end
-
 module Histogram : sig
   type t
 
@@ -74,7 +61,7 @@ type hist = {
   count : int;  (** Total observations = sum of [counts]. *)
 }
 
-type value = Counter of int | Gauge of float | Histogram of hist
+type value = Counter of int | Histogram of hist
 
 val quantile : hist -> float -> float
 (** [quantile h q] estimates the [q]-quantile ([0 <= q <= 1]) by linear
@@ -93,21 +80,20 @@ val snapshot : unit -> (string * value) list
 val absorb : (string * value) list -> unit
 (** Merge a snapshot taken elsewhere (typically in a worker {e process},
     serialised home over a socket) into this process's registry:
-    counters add their totals, gauges take the running maximum,
-    histograms add bucket counts and sums — the same integer-sum merge
-    {!snapshot} applies to domain shards, so totals after an absorb are
-    what they would have been had the work run locally. Metrics are
-    registered by name on first sight; absorbing a name already
-    registered with a different kind (or different histogram buckets)
-    raises [Invalid_argument], as {!Counter.v} would. *)
+    counters add their totals, histograms add bucket counts and sums —
+    the same integer-sum merge {!snapshot} applies to domain shards, so
+    totals after an absorb are what they would have been had the work
+    run locally. Metrics are registered by name on first sight;
+    absorbing a name already registered with a different kind (or
+    different histogram buckets) raises [Invalid_argument], as
+    {!Counter.v} would. *)
 
 val delta : baseline:(string * value) list -> (string * value) list -> (string * value) list
 (** [delta ~baseline current] is what happened between two snapshots of
     the same registry: counters and histogram buckets/sums subtract,
-    gauges pass through as-is (they merge by maximum, so repeating one
-    is idempotent), and series that did not move are dropped. The
-    defining property — what makes streamed deltas safe to {!absorb}
-    mid-run — is that absorbing every delta of a partitioned timeline
+    and series that did not move are dropped. The defining property —
+    what makes streamed deltas safe to {!absorb} mid-run — is that
+    absorbing every delta of a partitioned timeline
     [s0 -> s1 -> ... -> sk] accumulates exactly [delta ~baseline:s0 sk]:
     nothing is counted twice, so a worker can ship a delta per batch
     instead of one [Bye] snapshot, and a crash loses only the tail since

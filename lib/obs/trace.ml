@@ -1,8 +1,7 @@
 (* Span tracer. Completed spans append to one mutex-guarded in-memory
    buffer (tracing-on runs are diagnostic, not benchmarked); the
    disabled path is a single ref read. Timestamps come from Mclock so
-   spans, Observer.round_timer and the pool histograms all share one
-   clock.
+   spans and the pool histograms share one clock.
 
    Spans form a tree: every span gets a process-unique id and records
    the id of the innermost span open on its domain (its parent). The

@@ -7,7 +7,8 @@
    - Faults: spec parsing and the attempt-0-only contract.
    - End to end: real coordinator, real worker processes (this very
      test binary, re-exec'd — see [worker_main] and the hook at the top
-     of test_main.ml), over a real Unix-domain socket. The recovery
+     of test_main.ml), each over the socketpair it was spawned with,
+     whose fd hygiene is tested on its own. The recovery
      cases inject crashes and stalls mid-sweep and assert the sweep
      still completes with a report byte-identical to the in-process
      Domains backend. *)
@@ -80,29 +81,20 @@ let toy_sq =
 
 let resolve id = List.find_opt (fun (e : Experiment.t) -> String.equal e.id id) [ toy; toy_sq ]
 
-(* What the re-exec'd test binary runs instead of alcotest (test_main
-   checks the env var before anything else). *)
-let worker_env = "BCCLB_DIST_TEST_WORKER"
+(* What the re-exec'd test binary runs instead of alcotest when its first
+   argument is [worker_arg] (test_main checks before anything else). *)
+let worker_arg = "dist-worker"
+let skewed_arg = "skewed"
 
-let worker_main socket = Dist.Worker.main ~resolve ~socket ()
+let worker_main () =
+  (* A skewed worker's fingerprint cannot match the coordinator's: the
+     override is set in the child only, so the coordinator keeps its own
+     executable digest. *)
+  if Array.mem skewed_arg Sys.argv then Unix.putenv Msg.fingerprint_env "deadbeef";
+  Dist.Worker.main ~resolve ()
 
-let spawn_env extra_env =
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close devnull)
-    (fun () ->
-      Unix.create_process_env Sys.executable_name
-        [| Sys.executable_name |]
-        (Array.append (Unix.environment ()) extra_env)
-        devnull Unix.stderr Unix.stderr)
-
-let spawn ~socket = spawn_env [| worker_env ^ "=" ^ socket |]
-
-(* A worker whose fingerprint cannot match the coordinator's: the env
-   override goes into the child's environment only, so the coordinator
-   keeps its own executable digest. *)
-let spawn_skewed ~socket =
-  spawn_env [| worker_env ^ "=" ^ socket; Msg.fingerprint_env ^ "=deadbeef" |]
+let spawn = Dist.Backend.spawn_argv [| Sys.executable_name; worker_arg |]
+let spawn_skewed = Dist.Backend.spawn_argv [| Sys.executable_name; worker_arg; skewed_arg |]
 
 (* ---- scratch dirs (as in test_harness) ---- *)
 
@@ -213,8 +205,8 @@ let test_msg_direction_tags () =
   (match Msg.of_payload_from_worker p with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "coordinator payload accepted as worker payload");
-  match Msg.of_payload_from_worker (Msg.from_worker_payload Msg.Heartbeat) with
-  | Ok Msg.Heartbeat -> ()
+  match Msg.of_payload_from_worker (Msg.from_worker_payload (Msg.Fatal { message = "m" })) with
+  | Ok (Msg.Fatal { message = "m" }) -> ()
   | _ -> Alcotest.fail "from_worker round-trip"
 
 (* Trace plumbing over the wire: the context embedded in a Lease and
@@ -307,6 +299,57 @@ let test_cell_timeout_env () =
       | Error e -> Alcotest.failf "refused %S: %s" good e)
     [ "10"; " 2.5 "; "" ]
 
+(* ---- the socketpairs' fd hygiene ----
+
+   Either side's death reaches the other as EOF only if nobody else
+   holds its end: no later worker may inherit the coordinator's end of
+   an earlier pair, and the spawner must keep no copy of the child's. *)
+
+let test_spawned_pairs_are_private () =
+  let pid1, fd1 = spawn () in
+  let pid2, fd2 = spawn () in
+  let reaped = ref [] in
+  let status pid =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ -> None
+    | _, st ->
+      reaped := pid :: !reaped;
+      Some st
+  in
+  let rec await pid ~tries =
+    match status pid with
+    | None when tries > 0 ->
+      Unix.sleepf 0.02;
+      await pid ~tries:(tries - 1)
+    | st -> st
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd2;
+      List.iter
+        (fun pid ->
+          if not (List.mem pid !reaped) then begin
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid)
+          end)
+        [ pid1; pid2 ])
+  @@ fun () ->
+  Unix.close fd1;
+  (match await pid1 ~tries:250 with
+  | Some (Unix.WEXITED 0) -> ()
+  | Some _ -> Alcotest.fail "the first worker did not exit 0 on EOF"
+  | None -> Alcotest.fail "the first worker outlived its coordinator end by 5 s");
+  Alcotest.(check bool) "the second worker is still alive" true (status pid2 = None);
+  Unix.kill pid2 Sys.sigkill;
+  (* Past the second worker's Hello, a read must hit EOF. *)
+  let buf = Bytes.create 4096 in
+  let rec eof () =
+    match Unix.select [ fd2 ] [] [] 5.0 with
+    | [], _, _ -> false
+    | _ -> Unix.read fd2 buf 0 (Bytes.length buf) = 0 || eof ()
+  in
+  Alcotest.(check bool) "the killed worker's pair reads EOF" true (eof ())
+
 (* ---- end to end ---- *)
 
 let install ?cell_timeout ?(spawn = spawn) () =
@@ -346,11 +389,6 @@ let test_procs_matches_domains () =
   let out_warm, warm = render_run ~backend:(`Procs 3) ~cache toy in
   Alcotest.(check string) "warm procs report byte-identical" out_cold out_warm;
   Alcotest.(check int) "warm run is all hits" warm.H.Sink.cells warm.H.Sink.hits;
-  (* Each session unlinks its socket path when it ends. *)
-  let prefix = Printf.sprintf "bcclb-dist-%d-" (Unix.getpid ()) in
-  Alcotest.(check (list string)) "no coordinator socket left behind" []
-    (List.filter (String.starts_with ~prefix)
-       (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ()))));
   (* And the domains backend hits the cache the procs workers wrote:
      the key contract is backend-independent. *)
   let _, cross = render_run ~cache toy in
@@ -548,6 +586,8 @@ let suites =
     Alcotest.test_case "a malformed cell timeout is refused, naming its variable" `Quick
       test_cell_timeout_env;
     Alcotest.test_case "handshake accepts self, names skews" `Quick test_handshake_check;
+    Alcotest.test_case "spawned socketpairs reach only their own worker" `Quick
+      test_spawned_pairs_are_private;
     Alcotest.test_case "procs backend byte-identical + shared cache" `Slow
       test_procs_matches_domains;
     Alcotest.test_case "crashed workers are replaced, cells reassigned" `Slow

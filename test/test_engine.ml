@@ -279,19 +279,6 @@ let test_engine_vertex_order () =
     "emit order" [ (1, 0); (1, 1); (1, 2); (2, 0); (2, 1); (2, 2) ]
     (List.rev !trace)
 
-let test_engine_counter_and_timer () =
-  let counter, total = Observer.counter ~width:(fun e -> e) in
-  let timer, times = Observer.round_timer () in
-  let spec =
-    { Engine.n = 4;
-      rounds = 3;
-      step = (fun s ~round:_ ~vertex ~inbox:_ -> (s, vertex));
-      exchange = (fun ~round:_ ~prev:_ _ -> Array.make 4 ()) }
-  in
-  let _ = Engine.run ~observers:[ counter; timer ] spec ~init_state:(fun _ -> ()) ~init_inbox:(fun _ -> ()) in
-  Alcotest.(check int) "counted widths" (3 * (0 + 1 + 2 + 3)) (total ());
-  Alcotest.(check int) "one timing per round" 3 (Array.length (times ()))
-
 let test_engine_rejects_negative_rounds () =
   let spec =
     { Engine.n = 1;
@@ -534,7 +521,6 @@ let suites =
     Alcotest.test_case "2-party protocol parity with seed loop" `Quick test_protocol_parity;
     Alcotest.test_case "section-4.3 simulation parity" `Quick test_bcc_simulation_parity;
     Alcotest.test_case "engine emits in vertex order" `Quick test_engine_vertex_order;
-    Alcotest.test_case "counter and round timer observers" `Quick test_engine_counter_and_timer;
     Alcotest.test_case "negative round bound rejected" `Quick test_engine_rejects_negative_rounds;
     Alcotest.test_case "emission path allocation" `Quick test_emission_allocation;
     Alcotest.test_case "pool determinism across domain counts" `Quick test_pool_determinism;

@@ -2,12 +2,12 @@ let q = List.map QCheck_alcotest.to_alcotest
 
 (* The dist end-to-end tests re-exec this very binary as their worker
    processes (same-executable contract of the Marshal audit in
-   Bcclb_dist.Msg): when the flag variable is set, this process is a
-   worker, not a test run — connect and serve, never touch alcotest. *)
+   Bcclb_dist.Msg): given the worker argument, this process is a worker,
+   not a test run — serve the coordinator on stdin, never touch
+   alcotest. *)
 let () =
-  match Sys.getenv_opt Test_dist.worker_env with
-  | Some socket when socket <> "" -> Test_dist.worker_main socket
-  | _ -> ()
+  if Array.length Sys.argv > 1 && Sys.argv.(1) = Test_dist.worker_arg then
+    Test_dist.worker_main ()
 
 let () =
   Alcotest.run "bcclb"

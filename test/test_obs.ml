@@ -77,14 +77,10 @@ let test_registration_contract () =
   Alcotest.(check int) "idempotent registration shares the series" 3 (Metrics.Counter.total a);
   Alcotest.check_raises "kind mismatch rejected"
     (Invalid_argument "Metrics: test.idem re-registered with a different kind") (fun () ->
-      ignore (Metrics.Gauge.v "test.idem"));
+      ignore (Metrics.Histogram.v "test.idem"));
   Alcotest.check_raises "negative add rejected"
     (Invalid_argument "Metrics.Counter.add: negative increment") (fun () ->
-      Metrics.Counter.add a (-1));
-  let g = Metrics.Gauge.v "test.gauge" in
-  Metrics.Gauge.max g 3.0;
-  Metrics.Gauge.max g 1.0;
-  Alcotest.(check (float 0.0)) "gauge keeps the high-water mark" 3.0 (Metrics.Gauge.read g)
+      Metrics.Counter.add a (-1))
 
 (* ---- deterministic shard merge across domain counts ---- *)
 
@@ -121,15 +117,12 @@ let test_absorb_merges_foreign_snapshot () =
   Metrics.reset ();
   let c = Metrics.Counter.v "test.absorb.counter" in
   Metrics.Counter.add c 5;
-  let g = Metrics.Gauge.v "test.absorb.gauge" in
-  Metrics.Gauge.max g 2.0;
   let h = Metrics.Histogram.v ~buckets:[| 1.0; 10.0 |] "test.absorb.hist" in
   Metrics.Histogram.observe h 0.5;
   (* A snapshot as a worker process would ship it home: known series plus
      one this process has never registered. *)
   let foreign =
     [ ("test.absorb.counter", Metrics.Counter 7);
-      ("test.absorb.gauge", Metrics.Gauge 1.5);
       ( "test.absorb.hist",
         Metrics.Histogram
           { Metrics.le = [| 1.0; 10.0 |]; counts = [| 1; 2; 1 |]; sum = 29.5; count = 4 } );
@@ -138,10 +131,8 @@ let test_absorb_merges_foreign_snapshot () =
   Metrics.absorb foreign;
   Metrics.absorb foreign;
   (* Counters and histogram buckets add (twice absorbed = twice counted —
-     absorb is a merge, not an idempotent upsert); gauges take the max. *)
+     absorb is a merge, not an idempotent upsert). *)
   Alcotest.(check int) "counter totals add" (5 + 7 + 7) (Metrics.Counter.total c);
-  Alcotest.(check (float 0.0)) "gauge keeps the local high-water mark" 2.0
-    (Metrics.Gauge.read g);
   let s = get_hist "test.absorb.hist" in
   Alcotest.(check (array int)) "bucket counts add" [| 3; 4; 2 |] s.Metrics.counts;
   Alcotest.(check int) "observation counts add" 9 s.Metrics.count;
@@ -152,12 +143,14 @@ let test_absorb_merges_foreign_snapshot () =
     Alcotest.failf "unseen series registered wrong: %s"
       (match v with
       | Metrics.Counter n -> Printf.sprintf "Counter %d" n
-      | Metrics.Gauge x -> Printf.sprintf "Gauge %g" x
       | Metrics.Histogram _ -> "Histogram"));
   (* Kind clashes are programming errors, same as at registration. *)
   Alcotest.check_raises "kind mismatch rejected"
     (Invalid_argument "Metrics: test.absorb.counter re-registered with a different kind")
-    (fun () -> Metrics.absorb [ ("test.absorb.counter", Metrics.Gauge 1.0) ])
+    (fun () ->
+      Metrics.absorb
+        [ ( "test.absorb.counter",
+            Metrics.Histogram { Metrics.le = [| 1.0 |]; counts = [| 1; 0 |]; sum = 0.5; count = 1 } ) ])
 
 (* ---- deltas: what dist workers ship between leases ---- *)
 
@@ -171,8 +164,6 @@ let test_delta_partitions_the_timeline () =
   let s1 = Metrics.snapshot () in
   Metrics.Counter.add c 4;
   Metrics.Histogram.observe h 2.0;
-  let g = Metrics.Gauge.v "test.delta.gauge" in
-  Metrics.Gauge.max g 1.25;
   let s2 = Metrics.snapshot () in
   (* The per-segment deltas carry exactly each segment's activity... *)
   let d01 = Metrics.delta ~baseline:s0 s1 in

@@ -328,6 +328,29 @@ let test_orbit_store_corruption () =
   Alcotest.(check int) "rebuilt weight" (Census.num_one_cycles ~n)
     (Arena.Orbit.total_weight rebuilt)
 
+(* Several builders of one store at once, as two procs workers are when a
+   steal splits one n's cells: each racer must come away with a complete
+   store, and the root must end up holding one that reopens warm. *)
+let test_orbit_store_concurrent_builds () =
+  let n = 8 and racers = 4 in
+  for _ = 1 to 12 do
+    let root = fresh_root () in
+    Fun.protect ~finally:(fun () -> Test_harness.rm_rf root) @@ fun () ->
+    List.init racers (fun _ ->
+        Domain.spawn (fun () ->
+            try Ok (Arena.Orbit.create ~root ~n ()) with e -> Error (Printexc.to_string e)))
+    |> List.map Domain.join
+    |> List.iter (function
+         | Error e -> Alcotest.failf "a racer's create raised %s" e
+         | Ok store ->
+           let sum = ref 0 in
+           Arena.Orbit.iter store (fun _ ~weight -> sum := !sum + weight);
+           Alcotest.(check int) "racer's weights sum to total_weight"
+             (Arena.Orbit.total_weight store) !sum);
+    Alcotest.(check bool) "a later open is warm" true
+      (Arena.Orbit.warm (Arena.Orbit.create ~root ~n ()))
+  done
+
 (* ---- Bits.Seq packed round-trip + CRC vector (the segment codec) ---- *)
 
 let qtest_seq_packed_roundtrip =
@@ -761,6 +784,7 @@ let suites =
     Alcotest.test_case "Hall holds on matching" `Quick test_hall_passes_when_satisfied;
     Alcotest.test_case "orbit store cold/warm" `Quick test_orbit_store_cold_warm;
     Alcotest.test_case "orbit store corruption" `Quick test_orbit_store_corruption;
+    Alcotest.test_case "orbit store concurrent builds" `Quick test_orbit_store_concurrent_builds;
     Alcotest.test_case "crc32 vector" `Quick test_crc32_vector;
     Alcotest.test_case "adjacency broadcast exact" `Slow test_adjacency_broadcast_exact;
     Alcotest.test_case "rotation equivariance" `Slow test_adjacency_broadcast_rotation_equivariant;
