@@ -53,7 +53,7 @@ let build_own_samplers view params specs =
   Array.map
     (fun spec ->
       let s = L0_sampler.create ~universe ~check_bits:params.check_bits spec in
-      List.iter
+      Array.iter
         (fun p ->
           let nbr = index_of_id all (View.neighbor_id view p) in
           L0_sampler.toggle s (Edge_coding.encode ~n me nbr))

@@ -24,7 +24,7 @@ let own_label st = Hashtbl.find st.labels (View.id st.view)
 let min_foreign st =
   let mine = own_label st in
   let best = ref 0 in
-  List.iter
+  Array.iter
     (fun p ->
       let nbr = View.neighbor_id st.view p in
       let lbl = Hashtbl.find st.labels nbr in

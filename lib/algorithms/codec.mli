@@ -17,5 +17,11 @@ val decode : Bcclb_bcc.Inbox.t -> port:int -> first:int -> width:int -> int * bo
     [complete = false], so truncated algorithms can fall back to
     guessing. *)
 
+val decode_ports : Bcclb_bcc.Inbox.t -> int array -> first:int -> width:int -> int array
+(** [decode_ports inbox ports ~first ~width]: the values {!decode} reads
+    completely behind each of [ports], ascending; incomplete ones are
+    dropped. How the discovery family reads its neighbours' broadcasts
+    off the port row {!Bcclb_bcc.View.input_ports}. *)
+
 val id_width : n:int -> int
 (** Bits needed for IDs under the repository's default ID space 1..n. *)

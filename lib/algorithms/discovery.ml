@@ -23,19 +23,9 @@ type state = {
 
 let phase1_rounds st = match View.kt1 st.view with Some _ -> 0 | None -> st.l
 
-let sorted ids =
-  let a = Array.of_list ids in
-  Array.sort Int.compare a;
-  a
-
 (* KT-0: the IDs heard on input ports in rounds 1..L. *)
 let decode_neighbors st inbox =
-  sorted
-    (List.filter_map
-       (fun p ->
-         let v, complete = Codec.decode inbox ~port:p ~first:1 ~width:st.l in
-         if complete then Some v else None)
-       (View.input_ports st.view))
+  Codec.decode_ports inbox (View.input_ports st.view) ~first:1 ~width:st.l
 
 let step st ~round ~inbox =
   let p1 = phase1_rounds st in
@@ -119,7 +109,10 @@ let make ~knowledge ~max_degree ~name ~on_incomplete () =
     | _ -> ());
     let nbrs =
       match View.kt1 view with
-      | Some _ -> sorted (List.map (View.neighbor_id view) (View.input_ports view))
+      | Some _ ->
+        let ids = Array.map (View.neighbor_id view) (View.input_ports view) in
+        Array.sort Int.compare ids;
+        ids
       | None -> [||]
     in
     { view; l = Codec.id_width ~n:(View.n view); d = max_degree; nbrs }

@@ -32,34 +32,34 @@ let hash_of ~coins ~k id =
 
 (* The hashes heard on the input ports in rounds 1..k, ascending. *)
 let decode_neighbors st inbox =
-  let nbrs =
-    Array.of_list
-      (List.filter_map
-         (fun p ->
-           let v, ok = Codec.decode inbox ~port:p ~first:1 ~width:st.k in
-           if ok then Some v else None)
-         (View.input_ports st.view))
-  in
-  Array.sort Int.compare nbrs;
-  nbrs
+  Codec.decode_ports inbox (View.input_ports st.view) ~first:1 ~width:st.k
 
 (* Connectivity of the hashed graph that the inbox and our own
    neighbour hashes describe. Its vertices are the hashes actually
-   touched — at most 3(n-1)+3 — given dense indices as they appear, so
-   the work never depends on 2^k. *)
+   touched — at most 3(n-1)+3 — each held in a slot of a flat
+   linear-probing table with more slots than that, and the slots are the
+   union-find's elements, unioned as each edge is decoded; so the work
+   never depends on 2^k. The graph is connected iff its touched hashes
+   minus the merging unions is at most one. At n = 48 the table's 256
+   slots still fit the minor heap. *)
 let hashed_graph_connected st inbox =
   let ports = View.num_ports st.view in
-  let dense = Hashtbl.create 64 in
-  let index hash =
-    match Hashtbl.find_opt dense hash with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length dense in
-      Hashtbl.add dense hash i;
-      i
+  let bits = Mathx.ceil_log2 ((3 * ports) + 4) in
+  let mask = (1 lsl bits) - 1 in
+  let keys = Array.make (mask + 1) (-1) and uf = Conn.create (mask + 1) in
+  let touched = ref 0 and merges = ref 0 in
+  let rec probe hash s =
+    if keys.(s) = hash then s
+    else if keys.(s) < 0 then begin
+      keys.(s) <- hash;
+      incr touched;
+      s
+    end
+    else probe hash ((s + 1) land mask)
   in
-  let edges = ref [] in
-  let link h1 h2 = edges := (index h1, index h2) :: !edges in
+  (* Multiplicative hashing: the top [bits] bits of the 63-bit product. *)
+  let slot hash = probe hash ((hash * 0x2545F4914F6CDD1D) lsr (63 - bits)) in
+  let link h1 h2 = if Conn.union uf (slot h1) (slot h2) then incr merges in
   (* Every sender's hash with both of its neighbour hashes, plus our own. *)
   Array.iter (fun nbr -> link st.hash nbr) st.nbrs;
   for p = 0 to ports - 1 do
@@ -71,9 +71,7 @@ let hashed_graph_connected st inbox =
       if ok2 then link sender n2
     end
   done;
-  let uf = Conn.create (Hashtbl.length dense) in
-  List.iter (fun (i, j) -> ignore (Conn.union uf i j)) !edges;
-  Conn.components uf <= 1
+  !touched - !merges <= 1
 
 let make ~k () =
   if k < 1 || k > 20 then invalid_arg "Hashed_discovery.make: k out of range";

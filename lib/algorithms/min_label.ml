@@ -43,7 +43,7 @@ let make ~phases_of =
       if pos = 0 && round > 1 then begin
         let labels = decode_phase_labels st inbox in
         let lbl = ref st.label in
-        List.iter
+        Array.iter
           (fun p -> match labels.(p) with Some v -> lbl := min !lbl v | None -> ())
           (View.input_ports st.view);
         { st with label = !lbl }

@@ -31,7 +31,7 @@ let best_outgoing st =
   let me = View.id st.view in
   let mine = own_label st in
   let best = ref 0 in
-  List.iter
+  Array.iter
     (fun p ->
       let nbr = View.neighbor_id st.view p in
       if Hashtbl.find st.labels nbr <> mine then

@@ -210,7 +210,7 @@ let make ~name ?params ~finish_of_uf () =
       let all = View.all_ids view in
       let me = index_of_id all (View.id view) in
       let incident = Array.make n false in
-      List.iter
+      Array.iter
         (fun p -> incident.(index_of_id all (View.neighbor_id view p)) <- true)
         (View.input_ports view);
       let st =

@@ -9,7 +9,7 @@ type t = {
   ids : int array;
   peer : int array array;
   port_to : int array array;
-  input : bool array array;
+  input : int array array;  (* row v: v's input ports, ascending *)
 }
 
 let n t = t.n
@@ -24,17 +24,24 @@ let port_to t v u =
   if p < 0 then invalid_arg "Instance.port_to: no port between these vertices";
   p
 
-let is_input_edge t v u = t.input.(v).(port_to t v u)
+let is_input_edge t v u = Arrayx.mem_sorted t.input.(v) (port_to t v u)
 
 (* The input marking over a wiring already known to be a symmetric
-   clique: table sizes, and each flag equal at both ends of its edge. *)
-let validate_input ~n ~peer ~port_to (input : bool array array) =
+   clique, in O(n + m): every row strictly ascending in range, and every
+   marked port's mirror marked. The mirror map (v, p) ↦ (u, port_to u v),
+   u = peer v p, is an involution on the port slots of such a clique, so
+   a marking closed under it also leaves every unmarked slot's mirror
+   unmarked: each flag is equal at both ends of its edge. *)
+let validate_input ~n ~peer ~port_to (input : int array array) =
   if Array.length input <> n then invalid_arg "Instance.validate: table size mismatch";
   for v = 0 to n - 1 do
-    if Array.length input.(v) <> n - 1 then invalid_arg "Instance.validate: port table size mismatch";
-    for p = 0 to n - 2 do
+    let row = input.(v) in
+    for i = 0 to Array.length row - 1 do
+      let p = row.(i) in
+      if p < 0 || p > n - 2 || (i > 0 && p <= row.(i - 1)) then
+        invalid_arg "Instance.validate: input port row not ascending in range";
       let u = peer.(v).(p) in
-      if input.(v).(p) <> input.(u).(port_to.(u).(v)) then
+      if not (Arrayx.mem_sorted input.(u) port_to.(u).(v)) then
         invalid_arg "Instance.validate: input flags not symmetric"
     done
   done
@@ -90,12 +97,13 @@ let make_port_to ~n peer =
       Array.iteri (fun p u -> row.(u) <- p) peer.(v);
       row)
 
-(* Row v marks the ports of v's graph neighbours, found through v's
-   port map: O(n + m) writes. *)
+(* Row v lists the ports of v's graph neighbours, found through v's
+   port map and sorted: O(n + m log Δ). *)
 let input_of_graph ~n ~port_to g =
   Array.init n (fun v ->
-      let row = Array.make (n - 1) false in
-      Array.iter (fun u -> row.(port_to.(v).(u)) <- true) (Graph.neighbors g v);
+      let to_v = port_to.(v) in
+      let row = Array.map (fun u -> to_v.(u)) (Graph.neighbors g v) in
+      Array.sort Int.compare row;
       row)
 
 (* Canonical circulant wiring: port p of v leads to v + p + 1 (mod n). The
@@ -109,8 +117,8 @@ let default_ids n = Array.init n (fun v -> v + 1)
 (* The circulant wiring and default IDs depend only on n: built and
    validated once per n and shared by every instance built on them,
    process-wide under a mutex (the pattern of [Arena.get]). Nothing
-   writes them in place: [cross] and [copy] copy first, and [peer_row]'s
-   readers must not mutate. *)
+   writes them in place: [cross] copies first, and [peer_row]'s readers
+   must not mutate. *)
 type circulant = { c_ids : int array; c_peer : int array array; c_port_to : int array array }
 
 let circulant_registry : (int, circulant) Hashtbl.t = Hashtbl.create 8
@@ -127,8 +135,7 @@ let circulant n =
         let ids = default_ids n and peer = circulant_peer n in
         let port_to = make_port_to ~n peer in
         (* Every structural check, once, on the empty input graph. *)
-        let input = Array.make_matrix n (n - 1) false in
-        ignore (validate { knowledge = KT0; n; ids; peer; port_to; input });
+        ignore (validate { knowledge = KT0; n; ids; peer; port_to; input = Array.make n [||] });
         let c = { c_ids = ids; c_peer = peer; c_port_to = port_to } in
         Hashtbl.replace circulant_registry n c;
         c)
@@ -152,9 +159,9 @@ let kt0_circulant ?ids g =
    from per-vertex cycle-neighbour pairs rather than a graph. The tables
    are the validated shared ones; per instance only the neighbour table
    is checked — in range, two distinct others, and each pair mutual,
-   which makes the input marking symmetric — in O(n), not the O(n²)
-   input scan. This is the difference between instance construction
-   dominating an arena sweep and it being noise. *)
+   which makes the input marking symmetric — in O(n), and each row is
+   the two ports that lead to the pair. This is the difference between
+   instance construction dominating an arena sweep and it being noise. *)
 (* Does vertex u's neighbour pair name v? *)
 let names (neighbors : (int * int) array) u v =
   let a, b = neighbors.(u) in
@@ -176,10 +183,8 @@ let kt0_circulant_sweep n =
     let input =
       Array.init n (fun v ->
           let a, b = neighbors.(v) in
-          let row = Array.make (n - 1) false in
-          row.(port_to.(v).(a)) <- true;
-          row.(port_to.(v).(b)) <- true;
-          row)
+          let pa = port_to.(v).(a) and pb = port_to.(v).(b) in
+          if pa < pb then [| pa; pb |] else [| pb; pa |])
     in
     { knowledge = KT0; n; ids = c.c_ids; peer = c.c_peer; port_to; input }
 
@@ -211,10 +216,11 @@ let kt1_of_graph ?ids g =
 let input_graph t =
   let edges = ref [] in
   for v = 0 to t.n - 1 do
-    for p = 0 to t.n - 2 do
-      let u = t.peer.(v).(p) in
-      if t.input.(v).(p) && v < u then edges := (v, u) :: !edges
-    done
+    Array.iter
+      (fun p ->
+        let u = t.peer.(v).(p) in
+        if v < u then edges := (v, u) :: !edges)
+      t.input.(v)
   done;
   Graph.of_edges ~n:t.n !edges
 
@@ -230,7 +236,7 @@ let view ?(coins_seed = 0) t v =
   { View.n = t.n;
     id = t.ids.(v);
     num_ports = t.n - 1;
-    input_ports = Array.copy t.input.(v);
+    input_ports = t.input.(v);
     kt1;
     coins = Rng.create ~seed:coins_seed }
 
@@ -245,8 +251,8 @@ let independent t (v1, u1) (v2, u2) =
 
 (* Port-preserving crossing, Definition 3.3. Only the [peer]/[port_to]
    tables change: at each of the four endpoints the two relevant ports
-   swap their far ends, while the per-port input flags stay fixed — which
-   is exactly why local views are preserved (Lemma 3.4). *)
+   swap their far ends, while the input ports stay fixed — which is
+   exactly why local views are preserved (Lemma 3.4). *)
 let cross t (v1, u1) (v2, u2) =
   if t.knowledge <> KT0 then invalid_arg "Instance.cross: crossings only exist in KT-0";
   if not (independent t (v1, u1) (v2, u2)) then invalid_arg "Instance.cross: edges are not independent";

@@ -1,6 +1,8 @@
 (** A size-n instance of the BCC(b) model (§1.2): an n-clique of network
     edges with explicit port wiring, a subset of edges marked as the input
-    graph, and per-vertex IDs.
+    graph, and per-vertex IDs. The marking is stored once, as each
+    vertex's input ports in ascending order, so everything that reads it
+    costs O(degree) per vertex, not O(n).
 
     Vertices are internally indexed 0..n−1 (the simulator's bookkeeping);
     algorithms only ever see IDs and ports through {!View.t}. In KT-0 the
@@ -30,22 +32,25 @@ val port_to : t -> int -> int -> int
     @raise Invalid_argument if [u = v]. *)
 
 val is_input_edge : t -> int -> int -> bool
-(** Is {u, v} an input-graph edge? *)
+(** Is {u, v} an input-graph edge? A binary search of [v]'s port row. *)
 
 val kt0_circulant : ?ids:int array -> Bcclb_graph.Graph.t -> t
 (** KT-0 instance over the canonical circulant wiring
     (port p of v → v+p+1 mod n); the shared background wiring of all
     census-level instances. Default IDs are 1..n: the wiring tables and
-    IDs are then built and validated once per n and shared, and only the
-    input marking is checked per instance. With [?ids] everything is
-    built and validated afresh. *)
+    IDs are then built and validated once per n and shared, and per
+    instance only the input marking is built and checked, in O(n + m)
+    (each port row from the graph's adjacency row; each row ascending
+    and each marked port's mirror marked). With [?ids] everything is
+    built and validated afresh, the wiring in O(n²). *)
 
 val kt0_circulant_sweep : int -> (int * int) array -> t
 (** [kt0_circulant_sweep n] returns a stamp over the same shared,
     validated tables: applied to a per-vertex cycle-neighbour table (the
     two input-graph neighbours of each vertex of a 2-regular instance),
     it builds the same instance [kt0_circulant (Cycles.to_graph ...)]
-    would, without the graph construction, checking the table in O(n).
+    would, without the graph construction, checking the table in O(n)
+    and writing each vertex's two-entry port row.
     The hot constructor behind the core layer's census sweeps.
     @raise Invalid_argument if the table is not 2-regular (a pair out
     of range, repeated, naming the vertex itself, or not mutual). *)
@@ -62,11 +67,13 @@ val input_graph : t -> Bcclb_graph.Graph.t
 
 val view : ?coins_seed:int -> t -> int -> View.t
 (** Initial knowledge of vertex [v]; every vertex of a run must receive
-    the same [coins_seed] (public-coin model). *)
+    the same [coins_seed] (public-coin model). Its input ports are the
+    instance's row for [v], shared and not copied. *)
 
 val validate : t -> t
 (** Re-check all structural invariants (clique wiring, symmetric port
-    maps, symmetric input flags, distinct IDs, KT-1 ID-ordering).
+    maps, ascending in-range port rows marking each input edge at both
+    ends, distinct IDs, KT-1 ID-ordering).
     @raise Invalid_argument describing the violation. *)
 
 val independent : t -> int * int -> int * int -> bool

@@ -6,7 +6,7 @@ type t = {
   n : int;
   id : int;
   num_ports : int;
-  input_ports : bool array;
+  input_ports : int array;
   kt1 : kt1_info option;
   coins : Rng.t;
 }
@@ -17,16 +17,11 @@ let num_ports t = t.num_ports
 
 let is_input_port t p =
   if p < 0 || p >= t.num_ports then invalid_arg "View.is_input_port: port out of range";
-  t.input_ports.(p)
+  Arrayx.mem_sorted t.input_ports p
 
-let input_ports t =
-  let acc = ref [] in
-  for p = t.num_ports - 1 downto 0 do
-    if t.input_ports.(p) then acc := p :: !acc
-  done;
-  !acc
+let input_ports t = t.input_ports
 
-let degree t = Arrayx.count Fun.id t.input_ports
+let degree t = Array.length t.input_ports
 
 let kt1 t = t.kt1
 
@@ -64,6 +59,6 @@ let fingerprint t =
         (String.concat "," (Array.to_list (Array.map string_of_int k.all_ids)))
         (String.concat "," (Array.to_list (Array.map string_of_int k.neighbor_ids)))
   in
-  Printf.sprintf "n=%d|id=%d|in=%s%s" t.n t.id
-    (String.init t.num_ports (fun p -> if t.input_ports.(p) then '1' else '0'))
-    kt1_part
+  let flags = Bytes.make t.num_ports '0' in
+  Array.iter (fun p -> Bytes.set flags p '1') t.input_ports;
+  Printf.sprintf "n=%d|id=%d|in=%s%s" t.n t.id (Bytes.unsafe_to_string flags) kt1_part

@@ -16,7 +16,9 @@ type t = {
   n : int;
   id : int;
   num_ports : int;
-  input_ports : bool array;
+  input_ports : int array;
+      (** The ports carrying input edges, ascending: the instance's own
+          row, shared and not copied, so do not mutate it. *)
   kt1 : kt1_info option;
   coins : Bcclb_util.Rng.t;
 }
@@ -26,13 +28,15 @@ val id : t -> int
 val num_ports : t -> int
 
 val is_input_port : t -> int -> bool
-(** @raise Invalid_argument on out-of-range port. *)
+(** Binary search of {!input_ports}; allocates nothing.
+    @raise Invalid_argument on out-of-range port. *)
 
-val input_ports : t -> int list
-(** Ports carrying input edges, ascending. *)
+val input_ports : t -> int array
+(** Ports carrying input edges, ascending: the record's shared row, so
+    do not mutate it. *)
 
 val degree : t -> int
-(** Input-graph degree. *)
+(** Input-graph degree: the length of {!input_ports}, O(1). *)
 
 val kt1 : t -> kt1_info option
 

@@ -1,33 +1,33 @@
+open Bcclb_util
+
 type t = { n : int; adj : int array array; m : int }
 
-let normalize_edge (u, v) = if u <= v then (u, v) else (v, u)
+(* Sort [a] and drop repeats: [a] itself when it has none. *)
+let sorted_distinct (a : int array) =
+  Array.sort Int.compare a;
+  let d = ref (Int.min (Array.length a) 1) in
+  for i = 1 to Array.length a - 1 do
+    if a.(i) <> a.(!d - 1) then begin
+      a.(!d) <- a.(i);
+      incr d
+    end
+  done;
+  if !d = Array.length a then a else Array.sub a 0 !d
 
+(* Each edge lands in both endpoints' rows, so a repeated edge is a
+   repeat in both rows, and the rows' distinct lengths sum to 2m. *)
 let of_edges ~n edges =
   if n < 0 then invalid_arg "Graph.of_edges: negative vertex count";
-  let seen = Hashtbl.create (List.length edges) in
   let lists = Array.make n [] in
-  let m = ref 0 in
   List.iter
     (fun (u, v) ->
       if u < 0 || u >= n || v < 0 || v >= n then invalid_arg "Graph.of_edges: endpoint out of range";
       if u = v then invalid_arg "Graph.of_edges: self-loop";
-      let e = normalize_edge (u, v) in
-      if not (Hashtbl.mem seen e) then begin
-        Hashtbl.add seen e ();
-        lists.(u) <- v :: lists.(u);
-        lists.(v) <- u :: lists.(v);
-        incr m
-      end)
+      lists.(u) <- v :: lists.(u);
+      lists.(v) <- u :: lists.(v))
     edges;
-  let adj =
-    Array.map
-      (fun l ->
-        let a = Array.of_list l in
-        Array.sort Int.compare a;
-        a)
-      lists
-  in
-  { n; adj; m = !m }
+  let adj = Array.map (fun l -> sorted_distinct (Array.of_list l)) lists in
+  { n; adj; m = Array.fold_left (fun acc a -> acc + Array.length a) 0 adj / 2 }
 
 let n t = t.n
 let num_edges t = t.m
@@ -43,17 +43,7 @@ let max_degree t =
   done;
   !d
 
-let mem_edge t u v =
-  let a = t.adj.(u) in
-  (* Binary search in the sorted adjacency row. *)
-  let rec loop lo hi =
-    if lo >= hi then false
-    else begin
-      let mid = (lo + hi) / 2 in
-      if a.(mid) = v then true else if a.(mid) < v then loop (mid + 1) hi else loop lo mid
-    end
-  in
-  loop 0 (Array.length a)
+let mem_edge t u v = Arrayx.mem_sorted t.adj.(u) v
 
 (* Edge iteration drives the hot connectivity loops (union-find per
    sketch round, MST candidate scans), so it walks the adjacency rows

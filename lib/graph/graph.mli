@@ -8,8 +8,10 @@
 type t
 
 val of_edges : n:int -> (int * int) list -> t
-(** Build from an edge list; duplicates are merged.
-    @raise Invalid_argument on self-loops or endpoints out of range. *)
+(** Build from an edge list; duplicates are merged by sorting each
+    adjacency row and dropping its repeats, O(n + m log Δ).
+    @raise Invalid_argument on the first self-loop or endpoint out of
+    range, in list order. *)
 
 val n : t -> int
 (** Number of vertices. *)

@@ -97,7 +97,7 @@ let verify view ~own ~by_port =
         if me.id = me.root then me.dist = 0 && me.parent = me.root
         else
           me.dist >= 1
-          && List.exists
+          && Array.exists
                (fun p ->
                  let f = others.(p) in
                  f.id = me.parent && f.dist = me.dist - 1)

@@ -12,7 +12,16 @@ let find_index p a =
   let rec loop i = if i >= n then None else if p a.(i) then Some i else loop (i + 1) in
   loop 0
 
-let count p a = Array.fold_left (fun acc x -> if p x then acc + 1 else acc) 0 a
+(* A top-level recursion: a local closure over [a] and [x] would
+   allocate on every call, and the per-round port tests must not. *)
+let rec mem_sorted_in (a : int array) x lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) lsr 1 in
+  let y = a.(mid) in
+  y = x || if y < x then mem_sorted_in a x (mid + 1) hi else mem_sorted_in a x lo mid
+
+let mem_sorted a x = mem_sorted_in a x 0 (Array.length a)
 
 let sum a = Array.fold_left ( + ) 0 a
 

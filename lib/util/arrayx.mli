@@ -9,7 +9,9 @@ val matrix_copy : 'a array array -> 'a array array
 
 val find_index : ('a -> bool) -> 'a array -> int option
 
-val count : ('a -> bool) -> 'a array -> int
+val mem_sorted : int array -> int -> bool
+(** [mem_sorted a x]: is [x] in the strictly ascending array [a]? A
+    binary search that allocates nothing. *)
 
 val sum : int array -> int
 

@@ -51,6 +51,27 @@ let test_circulant_tables () =
     (Invalid_argument "Instance.kt0_circulant_sweep: neighbour table is not 2-regular") (fun () ->
       ignore (stamp broken))
 
+(* Set-up is sized by degree, not by n: at n = 200 every row an instance
+   or a view could allocate fits the minor heap, so [Gc.minor_words] sees
+   all of it. A cycle's instance stays under 64 words a vertex and its n
+   views under 16, well below the n words a vertex that any per-port
+   marking or per-view row copy would cost. *)
+let test_setup_allocation () =
+  let n = 200 in
+  let g = Gen.cycle n in
+  ignore (Instance.kt0_circulant g);
+  let per_vertex f =
+    let w0 = Gc.minor_words () in
+    let x = Sys.opaque_identity (f ()) in
+    ((Gc.minor_words () -. w0) /. float_of_int n, x)
+  in
+  let inst_words, inst = per_vertex (fun () -> Instance.kt0_circulant g) in
+  let view_words, _ = per_vertex (fun () -> Array.init n (Instance.view inst)) in
+  if inst_words > 64. then
+    Alcotest.failf "kt0_circulant: %.1f words per vertex (want <= 64)" inst_words;
+  if view_words > 16. then
+    Alcotest.failf "n views: %.1f words per vertex (want <= 16)" view_words
+
 let test_instance_random_wiring () =
   let rng = Rng.create ~seed:9 in
   let inst = Instance.kt0_random rng cycle6 in
@@ -75,7 +96,7 @@ let test_kt0_view_hides_ids () =
   Alcotest.check_raises "neighbor_id raises" (Invalid_argument "View.neighbor_id: not available in KT-0")
     (fun () -> ignore (View.neighbor_id v 0));
   Alcotest.(check int) "degree" 2 (View.degree v);
-  Alcotest.(check (list int)) "input ports" [ 0; 4 ] (View.input_ports v)
+  Alcotest.(check (array int)) "input ports" [| 0; 4 |] (View.input_ports v)
 
 let test_independence () =
   let inst = Instance.kt0_circulant (Gen.cycle 8) in
@@ -518,6 +539,7 @@ let suites =
   [ Alcotest.test_case "instance construction" `Quick test_instance_construction;
     Alcotest.test_case "random wiring" `Quick test_instance_random_wiring;
     Alcotest.test_case "circulant tables shared per n" `Quick test_circulant_tables;
+    Alcotest.test_case "instance and view set-up sized by degree" `Quick test_setup_allocation;
     Alcotest.test_case "KT-1 wiring" `Quick test_kt1_wiring;
     Alcotest.test_case "KT-0 hides ids" `Quick test_kt0_view_hides_ids;
     Alcotest.test_case "independence (Def 3.2)" `Quick test_independence;
@@ -576,9 +598,83 @@ let fuzz_inner ~b ~rounds_n seed =
           (id + heard) land 0xFFFF);
       truncates = None }
 
+(* Every constructor's port rows against its wiring: for each vertex the
+   view's input ports are strictly ascending, are exactly the ports whose
+   far end is an input neighbour, number [View.degree] = the vertex's
+   degree in [input_graph], and agree with [View.is_input_port] on every
+   port; and [validate] accepts the instance. *)
+let rows_agree_with_wiring inst =
+  let n = Instance.n inst in
+  let g = Instance.input_graph inst in
+  let all_ports = List.init (n - 1) Fun.id in
+  ignore (Instance.validate inst);
+  List.for_all
+    (fun v ->
+      let view = Instance.view inst v in
+      let ports = View.input_ports view in
+      (* Ascending and distinct, as [all_ports] is. *)
+      let wired =
+        List.filter (fun p -> Instance.is_input_edge inst v (Instance.peer inst v p)) all_ports
+      in
+      Array.to_list ports = wired
+      && Array.length ports = View.degree view
+      && View.degree view = G.degree g v
+      && List.for_all (fun p -> View.is_input_port view p = List.mem p wired) all_ports)
+    (List.init n Fun.id)
+
+(* The first pair of input edges [Instance.independent] accepts, trying
+   both orientations of the second. *)
+let independent_pair inst g =
+  let edges = G.edges g in
+  List.find_map
+    (fun e1 ->
+      List.find_map
+        (fun (a, b) ->
+          List.find_opt (Instance.independent inst e1) [ (a, b); (b, a) ]
+          |> Option.map (fun e2 -> (e1, e2)))
+        edges)
+    edges
+
 let qsuites =
   let open QCheck2 in
-  [ Test.make ~name:"crossing is an involution on the input graph" ~count:200
+  [ Test.make ~name:"port rows agree with the wiring under every constructor" ~count:120
+      Gen.(triple (0 -- 3) (6 -- 24) (0 -- 100000))
+      (fun (family, n, seed) ->
+        let rng = Rng.create ~seed in
+        let g =
+          match family with
+          | 0 -> Bcclb_graph.Gen.random_cycle rng n
+          | 1 -> Bcclb_graph.Gen.random_multicycle rng n
+          | 2 -> Bcclb_graph.Gen.gnp rng n (0.3 +. (0.6 *. Rng.float rng))
+          | _ -> Bcclb_graph.Gen.random_bounded_degree rng n (1 + Rng.int rng 5)
+        in
+        let ids = Array.map (fun i -> (3 * i) + 7) (Rng.permutation rng n) in
+        let circulant = Instance.kt0_circulant g in
+        let built =
+          [ circulant; Instance.kt0_circulant ~ids g; Instance.kt0_random rng g;
+            Instance.kt1_of_graph ~ids g ]
+          @
+          if G.is_regular g ~k:2 then
+            [ Instance.kt0_circulant_sweep n
+                (Array.init n (fun v -> ((G.neighbors g v).(0), (G.neighbors g v).(1)))) ]
+          else []
+        in
+        let crossed =
+          match independent_pair circulant g with
+          | Some (e1, e2) -> [ Instance.cross circulant e1 e2 ]
+          | None -> []
+        in
+        List.for_all
+          (fun inst -> rows_agree_with_wiring inst && G.equal (Instance.input_graph inst) g)
+          built
+        && List.for_all
+             (fun inst ->
+               rows_agree_with_wiring inst
+               && List.for_all
+                    (fun v -> G.degree (Instance.input_graph inst) v = G.degree g v)
+                    (List.init n Fun.id))
+             crossed);
+    Test.make ~name:"crossing is an involution on the input graph" ~count:200
       Gen.(pair (8 -- 16) (0 -- 100000))
       (fun (n, seed) ->
         let rng = Rng.create ~seed in

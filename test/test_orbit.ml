@@ -21,17 +21,18 @@ let id_reading ~rounds =
   Bcclb_algorithms.Discovery.connectivity_truncated ~knowledge:Instance.KT0 ~max_degree:2 ~rounds
     ~optimist:true
 
-(* A scratch spill root per test run, so store tests never touch the
-   repo's results/ directory and never see a previous run's segments. *)
-let fresh_root =
+(* [with_root f]: [f] on a fresh scratch spill root, so store tests
+   never touch the repo's results/ directory and never see a previous
+   run's segments; the root is removed when [f] returns or raises. *)
+let with_root =
   let counter = ref 0 in
-  fun () ->
+  fun f ->
     incr counter;
-    let dir =
+    let root =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "bcclb-test-orbit-%d-%d" (Unix.getpid ()) !counter)
     in
-    dir
+    Fun.protect ~finally:(fun () -> Test_harness.rm_rf root) (fun () -> f root)
 
 (* ---- census orbit enumerator ---- *)
 
@@ -248,7 +249,7 @@ let test_hall_passes_when_satisfied () =
 (* ---- the segmented store: cold build, warm reopen, corruption ---- *)
 
 let test_orbit_store_cold_warm () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let n = 8 in
   let cold = Arena.Orbit.create ~root ~n () in
   Alcotest.(check bool) "cold build" false (Arena.Orbit.warm cold);
@@ -285,7 +286,7 @@ let test_orbit_store_cold_warm () =
 let test_orbit_store_corruption () =
   (* Flipping a byte in a segment must not produce silently wrong
      records: the CRC check forces a rebuild (cold, correct content). *)
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let n = 7 in
   let s0 = Arena.Orbit.create ~root ~n () in
   let reps = Arena.Orbit.n_reps s0 in
@@ -334,8 +335,7 @@ let test_orbit_store_corruption () =
 let test_orbit_store_concurrent_builds () =
   let n = 8 and racers = 4 in
   for _ = 1 to 12 do
-    let root = fresh_root () in
-    Fun.protect ~finally:(fun () -> Test_harness.rm_rf root) @@ fun () ->
+    with_root @@ fun root ->
     List.init racers (fun _ ->
         Domain.spawn (fun () ->
             try Ok (Arena.Orbit.create ~root ~n ()) with e -> Error (Printexc.to_string e)))
@@ -601,7 +601,7 @@ let test_build_dispatch_through_orbit () =
 (* ---- quotient streaming parity ---- *)
 
 let test_quotient_parity () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   List.iter
     (fun (n, t) ->
       let algo = anonymous ~rounds:t in
@@ -694,7 +694,7 @@ let test_deep_codes_prefix () =
     [ ("discovery", id_reading); ("adjacency broadcast", anonymous) ]
 
 let test_quotient_rejects_unsound () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   Alcotest.(check bool) "raises on id-reading t>=1" true
     (try
        ignore (Quotient.full_stats ~root (id_reading ~rounds:2) ~n:7 ());

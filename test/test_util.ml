@@ -192,7 +192,11 @@ let test_arrayx () =
   Arrayx.rev_in_place b;
   Alcotest.(check (array int)) "rev" [| 7; 6; 5 |] b;
   check "sum" 10 (Arrayx.sum [| 1; 2; 3; 4 |]);
-  check "count" 2 (Arrayx.count (fun x -> x mod 2 = 0) [| 1; 2; 3; 4 |]);
+  let sorted = [| 1; 3; 4; 8; 9 |] in
+  Alcotest.(check (list bool)) "mem_sorted"
+    [ false; true; false; true; true; false; true; true; false ]
+    (List.map (Arrayx.mem_sorted sorted) [ 0; 1; 2; 3; 4; 5; 8; 9; 10 ]);
+  Alcotest.(check bool) "mem_sorted on []" false (Arrayx.mem_sorted [||] 0);
   Alcotest.(check (list int)) "range" [ 2; 3; 4 ] (Arrayx.range 2 5);
   Alcotest.(check (list int)) "take" [ 1; 2 ] (Arrayx.take 2 [ 1; 2; 3 ])
 
