@@ -30,20 +30,18 @@ let make ~name ?(bandwidth = 1) ~answer () =
     (* Sender behind port p has some ID; its port q leads to the vertex
        with the (q+1)-th smallest ID among the others. Build the graph on
        the shared ID order. *)
-    let ids = View.all_ids st.view in
-    let index = Hashtbl.create n in
-    Array.iteri (fun i id -> Hashtbl.add index id i) ids;
+    let index = View.index_of_id st.view in
     let edges = ref [] in
     (* Own row first. *)
-    let own = Hashtbl.find index (View.id st.view) in
+    let own = index (View.id st.view) in
     for p = 0 to n - 2 do
       if View.is_input_port st.view p then begin
-        let nbr = Hashtbl.find index (View.neighbor_id st.view p) in
+        let nbr = index (View.neighbor_id st.view p) in
         edges := (own, nbr) :: !edges
       end
     done;
     for p = 0 to n - 2 do
-      let sender = Hashtbl.find index (View.neighbor_id st.view p) in
+      let sender = index (View.neighbor_id st.view p) in
       let row = Chunked.payload inbox ~port:p in
       (* The sender's port q skips itself in the sorted ID order. *)
       for q = 0 to n - 2 do
@@ -57,7 +55,8 @@ let make ~name ?(bandwidth = 1) ~answer () =
   in
   let decode st inbox =
     let g = reconstruct st ~inbox in
-    (Graph.is_connected g, Graph.components g)
+    let ids = View.all_ids st.view in
+    (Graph.is_connected g, Array.map (fun c -> ids.(c)) (Graph.components g))
   in
   (* Once every row has been heard the matrix is common knowledge: one
      vertex builds it for the run. A truncated view decodes alone. *)
@@ -87,9 +86,5 @@ let connectivity ?bandwidth () =
 let components ?bandwidth () =
   Algo.pack
     (make ~name:"adjacency-matrix-components" ?bandwidth
-       ~answer:(fun st (_, labels) ->
-         let ids = View.all_ids st.view in
-         let index = Hashtbl.create (View.n st.view) in
-         Array.iteri (fun i id -> Hashtbl.add index id i) ids;
-         ids.(labels.(Hashtbl.find index (View.id st.view))))
+       ~answer:(fun st (_, labels) -> labels.(View.index_of_id st.view (View.id st.view)))
        ())

@@ -35,27 +35,16 @@ type state = {
   own_bits : string;  (* serialisation of our samplers *)
 }
 
-let index_of_id all_ids id =
-  let rec go lo hi =
-    if lo >= hi then invalid_arg "Agm_connectivity: unknown id"
-    else begin
-      let mid = (lo + hi) / 2 in
-      if all_ids.(mid) = id then mid else if all_ids.(mid) < id then go (mid + 1) hi else go lo mid
-    end
-  in
-  go 0 (Array.length all_ids)
-
 let build_own_samplers view params specs =
   let n = View.n view in
   let universe = Edge_coding.universe ~n in
-  let all = View.all_ids view in
-  let me = index_of_id all (View.id view) in
+  let me = View.index_of_id view (View.id view) in
   Array.map
     (fun spec ->
       let s = L0_sampler.create ~universe ~check_bits:params.check_bits spec in
       Array.iter
         (fun p ->
-          let nbr = index_of_id all (View.neighbor_id view p) in
+          let nbr = View.index_of_id view (View.neighbor_id view p) in
           L0_sampler.toggle s (Edge_coding.encode ~n me nbr))
         (View.input_ports view);
       s)
@@ -133,8 +122,7 @@ let make ~name ?(bandwidth = 1) ~answer () =
   let decode st inbox =
     let n = View.n st.view in
     let universe = Edge_coding.universe ~n in
-    let all = View.all_ids st.view in
-    let me = index_of_id all (View.id st.view) in
+    let me = View.index_of_id st.view (View.id st.view) in
     let k_total = st.params.phases * st.params.copies in
     let sb = sampler_bits ~n ~check_bits:st.params.check_bits in
     let decode_family bits =
@@ -145,11 +133,12 @@ let make ~name ?(bandwidth = 1) ~answer () =
     let samplers = Array.make n [||] in
     samplers.(me) <- decode_family st.own_bits;
     for p = 0 to View.num_ports st.view - 1 do
-      let sender = index_of_id all (View.neighbor_id st.view p) in
+      let sender = View.index_of_id st.view (View.neighbor_id st.view p) in
       samplers.(sender) <- decode_family (Chunked.payload inbox ~port:p)
     done;
     let uf = local_components ~n st.params samplers in
-    (Conn.components uf, Conn.labels uf)
+    let ids = View.all_ids st.view in
+    (Conn.components uf, Array.map (fun l -> ids.(l)) (Conn.labels uf))
   in
   (* Shared once the payload is complete; a truncated view decodes alone. *)
   let finish st ~inbox =
@@ -180,6 +169,5 @@ let components ?bandwidth () =
     (make ~name:"agm-sketch-components" ?bandwidth
        ~answer:(fun st (_, labels) ->
          (* Label: the smallest member ID of our component. *)
-         let all = View.all_ids st.view in
-         all.(labels.(index_of_id all (View.id st.view))))
+         labels.(View.index_of_id st.view (View.id st.view)))
        ())

@@ -24,11 +24,6 @@ let add_word buf = function
     done
   | Msg.Silent -> ()
 
-let absorb ~into inbox =
-  for p = 0 to Inbox.ports inbox - 1 do
-    add_word into.(p) (Inbox.latest inbox p)
-  done
-
 let payload inbox ~port =
   let buf = Buffer.create (Inbox.rounds inbox) in
   for round = 1 to Inbox.rounds inbox do

@@ -5,9 +5,10 @@
 
     Edge weights are the canonical injective function
     {!Bcclb_graph.Mst.weight_of_ids} of the endpoint IDs, so weights are
-    distinct (the forest is unique) and never transmitted. Every vertex
-    deterministically replays the same global merge, so all vertices
-    output identical forests. *)
+    distinct (the forest is unique) and never transmitted. The global
+    merge is the same at every vertex, so it runs once per round for the
+    whole run ({!Bcclb_bcc.Inbox.once}), and all vertices output the one
+    forest it yields. *)
 
 val forest : unit -> (int * int) list Bcclb_bcc.Algo.packed
 (** The minimum spanning forest as sorted (min-ID, max-ID) edge pairs;

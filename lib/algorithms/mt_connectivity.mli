@@ -5,14 +5,18 @@
     Every vertex broadcasts, per phase, the deterministic power-sum
     syndrome ({!Bcclb_detsketch.Syndrome}) of its residual incidence
     vector — the incident edges whose status is not yet public — chunked
-    b bits per round; then every vertex replays the identical public
-    decode: per-vertex exact sparse recovery (which certifies non-edges
-    too), a peeling cascade (newly learnt edges are subtracted from both
-    endpoints' syndromes, unlocking further decodes), and per-component
-    syndrome sums whose internal edges cancel, so a component decodes its
-    whole outgoing cut at once — sketch-Borůvka. The sparsity budget
-    doubles each phase (s·2^k), so O(1) phases cover the degree range of
-    the promise families.
+    b bits per round. Every vertex hears every syndrome, so the phase's
+    decode is public: it runs once per run, when the phase's last round
+    has been heard ({!Bcclb_bcc.Inbox.once}), and yields an immutable
+    edge-status table and component labels that every vertex reads. The
+    decode is per-vertex exact sparse recovery (which certifies
+    non-edges too), a peeling cascade (newly learnt edges are subtracted
+    from both endpoints' syndromes, unlocking further decodes), and
+    per-component syndrome sums whose internal edges cancel, so a
+    component decodes its whole outgoing cut at once — sketch-Borůvka.
+    A vertex keeps only its view, its own incidence, the public state
+    and its payload. The sparsity budget doubles each phase (s·2^k), so
+    O(1) phases cover the degree range of the promise families.
 
     Everything is coin-free. Exactness promise, from
     {!Bcclb_detsketch.Syndrome.decode}: any residual vector within 3 of

@@ -30,14 +30,14 @@ type ('s, 'o) t = {
           round. *)
   finish : 's -> inbox:Inbox.t -> 'o;
       (** Final output; the inbox has heard rounds 1..T. What every
-          vertex computes alike once it has heard the whole schedule
-          (the input graph a discovery family rebuilds) may go through
-          [Inbox.once], so one vertex computes it for the run and the
-          others read it; the rest stays per vertex. [finish] must not
-          mutate the state it reads: {!Simulator.run_members} calls it
-          on the live state of a truncation's deepest member at each
-          shallower member's last round, and the run goes on from that
-          state. *)
+          vertex computes alike from the board (the input graph a
+          discovery family rebuilds, MT's last phase decode) may go
+          through [Inbox.once], so one vertex computes it for the run
+          and the others read it; the rest stays per vertex. [finish]
+          must not mutate the state it reads, so a second call returns
+          what the first did: {!Simulator.run_members} calls it on the
+          live state of a truncation's deepest member at each shallower
+          member's last round, and the run goes on from that state. *)
   truncates : ('s, 'o) t option;
       (** The algorithm this one is a truncation of ({!truncate}), so
           that {!deepen} can build other members of its family; [None]

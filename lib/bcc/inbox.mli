@@ -62,14 +62,19 @@ val once : t -> 'a Type.Id.t -> (unit -> 'a) -> 'a
     with the same rounds heard and the same {!shift} gets the stored
     value ({!Bcclb_engine.Topology.Board.once}). [f] is the caller's own
     per-vertex computation, read through its own view; the caller
-    declares that every vertex would compute the same value — in BCC
-    every broadcast reaches every vertex (§1.2), so this holds once the
-    vertex has heard its algorithm's full schedule, and not before (a
-    truncated view still knows its own neighbours before anyone else has
-    heard them). Like [Algo.anonymous] this is a declaration that tests
-    check, not something the types prove. Share only immutable values
-    (a bool, an int, a labels array), never a union-find. Make [key]
-    once per algorithm value ([Type.Id.make ()]). *)
+    declares that every vertex would compute the same value. In BCC
+    every broadcast reaches every vertex (§1.2), so a value computed
+    after r rounds may be shared when it follows from rounds 1..r and
+    from knowledge every vertex starts with (n, the KT-1 IDs, the public
+    coins) — a vertex's own broadcasts count, since they are on the
+    board. What it has not broadcast yet does not: a truncated discovery
+    view still knows its own neighbours before anyone else has heard
+    them. [step] may share as well as [finish]: MT decodes each phase
+    here, the Borůvkas merge each round. Like [Algo.anonymous] this is a
+    declaration that tests check, not something the types prove. Share
+    only immutable values (a bool, an int, a labels array, a status
+    string), never a union-find. Make [key] once per algorithm value
+    ([Type.Id.make ()]). *)
 
 val shift : t -> rounds:int -> t
 (** The same view with its first [rounds] rounds dropped, so round 1 of

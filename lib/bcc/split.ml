@@ -25,11 +25,11 @@ type ('s, 'o) outer_state = {
   inner_inbox : Inbox.t;  (* [decoded] through the identity row *)
 }
 
-(* The inner messages of the block that ends with the latest outer
-   round, read from the outer inbox where they lie. *)
-let decode_block ~b inbox =
+(* The inner messages of block [j] (1-based), read from the outer inbox
+   where they lie. *)
+let decode_block ~b inbox j =
   let h = header_bits ~b in
-  let first = Inbox.rounds inbox - block_len ~b in
+  let first = (j - 1) * block_len ~b in
   Array.init (Inbox.ports inbox) (fun p ->
       let bit r =
         match Inbox.heard inbox ~round:(first + r + 1) p with
@@ -61,6 +61,16 @@ let encode_round ~b pending ~pos =
     | Msg.Word w -> if i < Bits.width w then Msg.of_bit (Bits.bit w i) else Msg.zero
   end
 
+(* Post each block the outer inbox has completed and the inner board
+   lacks. The inner board then follows from the outer inbox alone, so a
+   [finish] may run twice, or before later steps, without posting a
+   block twice. *)
+let catch_up st inbox =
+  let bl = block_len ~b:st.b in
+  for j = Inbox.rounds st.inner_inbox + 1 to Inbox.rounds inbox / bl do
+    Topology.Board.post st.decoded (decode_block ~b:st.b inbox j)
+  done
+
 let compile (Algo.Packed a) =
   let name = Printf.sprintf "bcc1-split[%s]" a.Algo.name in
   let rounds ~n = a.Algo.rounds ~n * block_len ~b:(a.Algo.bandwidth ~n) in
@@ -79,7 +89,7 @@ let compile (Algo.Packed a) =
     let st =
       if pos = 0 then begin
         (* Block boundary: previous block complete (or this is round 1). *)
-        if round > 1 then Topology.Board.post st.decoded (decode_block ~b:st.b inbox);
+        catch_up st inbox;
         let inner_round = ((round - 1) / bl) + 1 in
         let inner', msg = a.Algo.step st.inner ~round:inner_round ~inbox:st.inner_inbox in
         { st with inner = inner'; pending = msg }
@@ -89,7 +99,7 @@ let compile (Algo.Packed a) =
     (st, encode_round ~b:st.b st.pending ~pos)
   in
   let finish st ~inbox =
-    if Inbox.rounds inbox > 0 then Topology.Board.post st.decoded (decode_block ~b:st.b inbox);
+    catch_up st inbox;
     a.Algo.finish st.inner ~inbox:st.inner_inbox
   in
   (* Splitting re-encodes the inner broadcasts bit-by-bit, so the compiled

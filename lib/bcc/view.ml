@@ -45,6 +45,19 @@ let port_of_id t target =
     | Some p -> p
     | None -> raise Not_found)
 
+let rec index_in (ids : int array) id lo hi =
+  if lo >= hi then raise Not_found
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    let y = ids.(mid) in
+    if y = id then mid else if y < id then index_in ids id (mid + 1) hi else index_in ids id lo mid
+  end
+
+let index_of_id t id =
+  match t.kt1 with
+  | None -> invalid_arg "View.index_of_id: not available in KT-0"
+  | Some k -> index_in k.all_ids id 0 (Array.length k.all_ids)
+
 let coins t = t.coins
 
 (* The initial knowledge that indistinguishability compares (§3): id, port

@@ -50,6 +50,12 @@ val port_of_id : t -> int -> int
 (** KT-1 only: the port whose far end has the given ID.
     @raise Not_found if no such neighbour, Invalid_argument in KT-0. *)
 
+val index_of_id : t -> int -> int
+(** KT-1 only: the ID's position in the sorted {!all_ids}, the shared
+    vertex numbering of the KT-1 families. A binary search that copies
+    nothing.
+    @raise Not_found on an ID no vertex has, Invalid_argument in KT-0. *)
+
 val coins : t -> Bcclb_util.Rng.t
 (** Public-coin stream: every vertex of a run gets an identical copy. *)
 

@@ -43,7 +43,6 @@ let run ?(observers = []) spec ~init_state ~init_inbox =
   let inbox = ref (Array.init n init_inbox) in
   obs.Observer.on_start ~n ~rounds:spec.rounds;
   for round = 1 to spec.rounds do
-    obs.Observer.on_round_start ~round;
     (* Step vertices in increasing index order — validators rely on it —
        and seed the emissions array from vertex 0 to stay allocation-free
        of dummies. *)

@@ -8,7 +8,6 @@
 
 type ('emit, 'inbox) t = {
   on_start : n:int -> rounds:int -> unit;  (** Once, before round 1. *)
-  on_round_start : round:int -> unit;
   on_emit : round:int -> vertex:int -> inbox:'inbox -> emit:'emit -> unit;
       (** After vertex [vertex] steps in [round]: the inbox it consumed
           and the message(s) it emitted. Raise to reject the emission —
@@ -20,7 +19,6 @@ type ('emit, 'inbox) t = {
 
 val make :
   ?on_start:(n:int -> rounds:int -> unit) ->
-  ?on_round_start:(round:int -> unit) ->
   ?on_emit:(round:int -> vertex:int -> inbox:'inbox -> emit:'emit -> unit) ->
   ?on_round_end:(round:int -> inboxes:'inbox array -> unit) ->
   unit ->

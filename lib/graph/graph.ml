@@ -82,11 +82,6 @@ let conn t =
   iter_edges (fun u v -> ignore (Conn.union c u v)) t;
   c
 
-let components_of_edges ~n edges =
-  let c = Conn.create n in
-  Array.iter (fun (u, v) -> ignore (Conn.union c u v)) edges;
-  Conn.labels c
-
 let components t = Conn.labels (conn t)
 
 let num_components t = Conn.components (conn t)

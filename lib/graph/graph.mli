@@ -37,12 +37,6 @@ val iter_edges : (int -> int -> unit) -> t -> unit
 (** Visit each edge once, (u, v) with u < v, lexicographic order,
     without materialising a list. *)
 
-val components_of_edges : n:int -> (int * int) array -> int array
-(** Bulk entry point for the Borůvka-family hot loops: canonical
-    component labels (smallest member) of the graph with the given edges,
-    without constructing a {!t}. Runs on the same {!Conn} oracle as
-    {!components} and labels identically. *)
-
 val components : t -> int array
 (** Canonical component labels (smallest vertex in each component). *)
 

@@ -1,16 +1,19 @@
-(* The isolated-replay oracle for shared finishes. A run computes what
-   every vertex can work out alike once per board (Inbox.once); here each
-   vertex v instead runs alone on a board of its own, indexed by port and
-   fed round by round with what its ports carried in a Simulator.run
-   (port p carries sent.(peer v p)). Nothing is shared with any other
-   vertex, so v's finish is computed by v from its own state and ports.
-   Every step's emission is checked against the one the run recorded, so
-   the replay is the run as v saw it. *)
+(* The isolated-replay oracle for shared steps and finishes. A run
+   computes what every vertex can work out alike once per board
+   (Inbox.once); here each vertex v instead runs alone on a board of its
+   own, indexed by port and fed round by round with what its ports
+   carried in a Simulator.run (port p carries sent.(peer v p)). Nothing
+   is shared with any other vertex, so v's steps and finish are computed
+   by v from its own state and ports. Every step's emission is checked
+   against the one the run recorded, so the replay is the run as v saw
+   it. *)
 
 open Bcclb_bcc
 module Board = Bcclb_engine.Topology.Board
 
-let outputs ?(seed = 0) (Algo.Packed a as algo) inst =
+(* Each vertex's [finish], called [calls] times on its final state and
+   inbox. *)
+let finishes ?(seed = 0) ~calls (Algo.Packed a as algo) inst =
   let n = Instance.n inst in
   let rounds = a.Algo.rounds ~n in
   let transcripts = (Simulator.run ~seed algo inst).Simulator.transcripts in
@@ -29,7 +32,9 @@ let outputs ?(seed = 0) (Algo.Packed a as algo) inst =
         state := next;
         Board.post board (Array.init (n - 1) (fun p -> sent (Instance.peer inst v p) round))
       done;
-      a.Algo.finish !state ~inbox)
+      List.init calls (fun _ -> a.Algo.finish !state ~inbox))
+
+let outputs ?seed algo inst = Array.map List.hd (finishes ?seed ~calls:1 algo inst)
 
 (* The vertices whose [Simulator.run_outputs] entry differs from their
    isolated finish. *)

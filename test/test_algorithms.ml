@@ -326,8 +326,94 @@ let test_replay_board_readers () =
     (Kt0_compiler.compile (Agm_connectivity.components ~bandwidth:4 ()))
     (Instance.kt0_random rng g)
 
+let complete n = G.of_edges ~n (List.concat (List.init n (fun u -> List.init u (fun v -> (v, u)))))
+
+let test_replay_mt () =
+  (* MT decodes each phase once per run, at the phase's last round: the
+     same as every vertex decoding alone, at three bandwidths, on inputs
+     it answers correctly and on dense ones it gets wrong (K16, G(24, 1/2)).
+     IDs are a sparse permutation, not 1..n in vertex order. *)
+  let rng = Rng.create ~seed:215 in
+  List.iter
+    (fun (what, g) ->
+      let n = G.n g in
+      let ids = Array.map (fun v -> (7 * v) + 3) (Rng.permutation rng n) in
+      let inst = Instance.kt1_of_graph ~ids g in
+      List.iter
+        (fun (tag, params) ->
+          let case family = Printf.sprintf "mt %s %s on %s" family tag what in
+          check_replay ~seed:1 (case "connectivity") (Mt_connectivity.connectivity ?params ()) inst;
+          check_replay ~seed:1 (case "components") (Mt_connectivity.components ?params ()) inst)
+        [ ("default", None);
+          ("b=1", Some { Mt_connectivity.s0 = 4; phases = 2; bandwidth = 1 });
+          ("b=3", Some { Mt_connectivity.s0 = 4; phases = 2; bandwidth = 3 }) ])
+    [ ("K16", complete 16);
+      ("G(24, 1/2)", Ggen.gnp rng 24 0.5);
+      ("multicycle", Ggen.random_multicycle rng 14) ]
+
+let test_replay_boruvka () =
+  (* Both Borůvkas merge once per round for the run; so do the BCC(1)
+     split (each vertex's inner board is its own) and the KT-0 compiled
+     Borůvka (inner views shifted past the learning rounds). KT-1 IDs are
+     a random permutation of 1..n, KT-0 wirings random. *)
+  let rng = Rng.create ~seed:216 in
+  List.iter
+    (fun (what, g) ->
+      let n = G.n g in
+      let inst = Instance.kt1_of_graph ~ids:(Array.map succ (Rng.permutation rng n)) g in
+      let check family algo = check_replay ~seed:1 (family ^ " on " ^ what) algo inst in
+      check "boruvka connectivity" (Boruvka.connectivity ());
+      check "boruvka components" (Boruvka.components ());
+      check "mst forest" (Mst_boruvka.forest ());
+      check "mst total weight" (Mst_boruvka.total_weight ());
+      check "split boruvka" (Split.compile (Boruvka.components ()));
+      check_replay ~seed:1 ("kt0 boruvka on " ^ what)
+        (Kt0_compiler.compile (Boruvka.components ()))
+        (Instance.kt0_random rng g))
+    [ ("K16", complete 16);
+      ("G(24, 1/2)", Ggen.gnp rng 24 0.5);
+      ("G(20, 0.1)", Ggen.gnp rng 20 0.1);
+      ("multicycle", Ggen.random_multicycle rng 14) ]
+
+let test_finish_repeatable () =
+  (* Algo.finish must not mutate the state it reads: a second finish on a
+     vertex's final state and inbox returns what the first did, for
+     every family the run_algo driver offers, and for the BCC(1) split
+     of MT, whose inner finish reads how many blocks the split has
+     posted. *)
+  let rng = Rng.create ~seed:217 in
+  let kt1 g = Instance.kt1_of_graph ~ids:(Array.map succ (Rng.permutation rng (G.n g))) g in
+  let kt0 g = Instance.kt0_random rng g in
+  let cycle = Ggen.random_cycle rng 12 and connected = Ggen.random_connected rng 24 in
+  List.iter
+    (fun (what, algo, inst) ->
+      Array.iteri
+        (fun v calls ->
+          match calls with
+          | [ first; second ] ->
+            Alcotest.(check bool) (Printf.sprintf "%s: vertex %d finishes alike twice" what v) first second
+          | _ -> Alcotest.fail "two finishes expected")
+        (Isolated_replay.finishes ~seed:3 ~calls:2 algo inst))
+    [ ("discovery-kt0", Discovery.connectivity ~knowledge:Instance.KT0 ~max_degree:2, kt0 cycle);
+      ("discovery-kt1", Discovery.connectivity ~knowledge:Instance.KT1 ~max_degree:2, kt1 cycle);
+      ("min-label", Min_label.connectivity (), kt0 cycle);
+      ("boruvka", Boruvka.connectivity (), kt1 connected);
+      ("boruvka-bcc1", Split.compile (Boruvka.connectivity ()), kt1 cycle);
+      ("adjacency-matrix", Adjacency_matrix.connectivity (), kt1 connected);
+      ("hashed-k6", Hashed_discovery.connectivity ~k:6, kt0 cycle);
+      ("boruvka-kt0", Kt0_compiler.compile (Boruvka.connectivity ()), kt0 cycle);
+      ("agm", Agm_connectivity.connectivity (), kt1 cycle);
+      ("mt", Mt_connectivity.connectivity (), kt1 connected);
+      ("mt n=12", Mt_connectivity.connectivity (), kt1 cycle);
+      ( "mt-bcc1",
+        Mt_connectivity.connectivity ~params:{ Mt_connectivity.s0 = 4; phases = 2; bandwidth = 1 } (),
+        kt1 cycle );
+      ("split mt", Split.compile (Mt_connectivity.connectivity ()), kt1 cycle);
+      ("always-yes", Trivial.always_yes (), kt0 cycle) ]
+
 let test_shared_counts () =
-  (* One computation and n-1 lookups per full run; none when truncated. *)
+  (* One computation and n-1 lookups per shared value; none when
+     truncated. *)
   let misses = Bcclb_obs.Metrics.Counter.v "bcc.shared_misses"
   and hits = Bcclb_obs.Metrics.Counter.v "bcc.shared_hits" in
   let counted f =
@@ -346,7 +432,15 @@ let test_shared_counts () =
     Alcotest.(check (pair int int)) "truncated run" (0, 0)
       (counted (run (Algo.pack (Algo.truncate ~rounds:11 a)))));
   Alcotest.(check (pair int int)) "sent codes call no finish" (0, 0)
-    (counted (fun () -> ignore (Simulator.run_sent_codes (Hashed_discovery.connectivity ~k:4) inst)))
+    (counted (fun () -> ignore (Simulator.run_sent_codes (Hashed_discovery.connectivity ~k:4) inst)));
+  (* Steps share too: Borůvka merges once per round heard (rounds 1..T−1
+     in the steps, round T in finish), MT decodes once per phase. *)
+  let kt1 = Instance.kt1_of_graph (Ggen.random_cycle rng n) in
+  let rounds = Algo.rounds (Boruvka.connectivity ()) ~n in
+  Alcotest.(check (pair int int)) "boruvka: one merge per round" (rounds, (n - 1) * rounds)
+    (counted (fun () -> ignore (Simulator.run_outputs (Boruvka.connectivity ()) kt1)));
+  Alcotest.(check (pair int int)) "mt: one decode per phase" (2, 2 * (n - 1))
+    (counted (fun () -> ignore (Simulator.run_outputs (Mt_connectivity.connectivity ()) kt1)))
 
 let test_connectivity_partial () =
   (* With enough rounds to learn a short cycle's worth of edges, the
@@ -669,6 +763,9 @@ let suites =
       test_replay_hashed_discovery;
     Alcotest.test_case "shared finish = isolated replay: discovery" `Quick test_replay_discovery;
     Alcotest.test_case "shared finish = isolated replay: agm, adjacency" `Quick test_replay_board_readers;
+    Alcotest.test_case "shared step = isolated replay: mt" `Quick test_replay_mt;
+    Alcotest.test_case "shared step = isolated replay: boruvka, mst, compiled" `Quick test_replay_boruvka;
+    Alcotest.test_case "finish is repeatable" `Quick test_finish_repeatable;
     Alcotest.test_case "shared finish counts" `Quick test_shared_counts;
     Alcotest.test_case "partial decider" `Quick test_connectivity_partial;
     Alcotest.test_case "agm sketch connectivity" `Slow test_agm_connectivity;
