@@ -17,6 +17,8 @@ let () =
     (Nat.to_string (Combi.one_cycle_count n))
     (Array.length v2)
     (Nat.to_string (Combi.two_cycle_count n));
+  assert (Nat.to_string (Combi.one_cycle_count n) = string_of_int (Array.length v1));
+  assert (Nat.to_string (Combi.two_cycle_count n) = string_of_int (Array.length v2));
   Format.printf "a one-cycle instance : %a@." Cycles.pp v1.(0);
   Format.printf "a two-cycle instance : %a@." Cycles.pp v2.(0);
 
@@ -36,7 +38,9 @@ let () =
     [ 0; 1; 2; 3 ];
 
   (* The exact error a truncated algorithm makes under the hard
-     distribution mu — the quantity Theorem 3.1 lower-bounds. *)
+     distribution mu — the quantity Theorem 3.1 lower-bounds. The full
+     round budget makes none. *)
+  let full = Core.Kt0_bound.upper_bound_rounds ~n in
   List.iter
     (fun t ->
       let algo =
@@ -46,6 +50,7 @@ let () =
       let r = Core.Hard_distribution.exact_error algo ~n in
       Printf.printf "t=%2d: mu-error = %s (%.4f)\n" t
         (Bcclb_bignum.Ratio.to_string r.Core.Hard_distribution.error)
-        (Core.Hard_distribution.error_float r))
-    [ 0; 2; 4; Core.Kt0_bound.upper_bound_rounds ~n ];
+        (Core.Hard_distribution.error_float r);
+      if t = full then assert (Core.Hard_distribution.error_float r = 0.))
+    [ 0; 2; 4; full ];
   print_endline "census_explorer: OK"

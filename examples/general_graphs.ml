@@ -31,9 +31,10 @@ let () =
 
   let run name algo =
     let r = S.run ~seed:1 algo inst in
-    let dec = P.system_decision r.S.outputs in
+    let correct = P.system_decision r.S.outputs = Graph.is_connected g in
     Printf.printf "%-28s %6d rounds  b=%-2d  -> %s\n" name r.S.rounds_used (A.bandwidth algo ~n)
-      (if dec = Graph.is_connected g then "correct" else "WRONG")
+      (if correct then "correct" else "WRONG");
+    assert correct
   in
   run "agm-sketch (BCC(1))" (Bcclb_algorithms.Agm_connectivity.connectivity ());
   run "adjacency-matrix (BCC(1))" (Bcclb_algorithms.Adjacency_matrix.connectivity ());
@@ -54,6 +55,7 @@ let () =
     (if got = kruskal then "= Kruskal" else "MISMATCH")
     (List.length got)
     (Bcclb_graph.Mst.total_weight ~weight got);
+  assert (got = kruskal);
 
   (* The asymptotic picture the paper paints: Omega(log n) <= polylog for
      general graphs; Theta(log n) exactly for bounded degree. *)

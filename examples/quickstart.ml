@@ -53,5 +53,5 @@ let () =
     (if Problems.system_decision r.Simulator.outputs then "CONNECTED" else "DISCONNECTED")
     r.Simulator.rounds_used;
 
-  assert (yes_decision && not no_decision);
+  assert (yes_decision && (not no_decision) && not (Problems.system_decision r.Simulator.outputs));
   print_endline "quickstart: OK"

@@ -49,8 +49,6 @@ let bits t ~port ~first ~width =
   done;
   (!v, !complete)
 
-let to_array t = Array.init (ports t) (latest t)
-
 (* The key includes the shift, so a compiled algorithm's inner views
    (shifted past its own rounds) never meet its outer ones. *)
 let once t key f = Board.once t.board key ~shift:t.first f

@@ -52,10 +52,6 @@ val bits : t -> port:int -> first:int -> width:int -> int * bool
     silent round reads as a 0 bit and makes [complete] false.
     @raise Invalid_argument on a heard word wider than 1 bit. *)
 
-val to_array : t -> Msg.t array
-(** The latest round by port, freshly allocated: what transcripts
-    record. *)
-
 val once : t -> 'a Type.Id.t -> (unit -> 'a) -> 'a
 (** [once t key f]: common knowledge, computed once per board. The
     first view that asks runs [f ()]; every other view of the same board

@@ -240,6 +240,17 @@ let view ?(coins_seed = 0) t v =
     kt1;
     coins = Rng.create ~seed:coins_seed }
 
+(* Equal views but for the coins, field by field: the input ports are an
+   ascending row, and in KT-1 the IDs behind the ports together with the
+   own ID are all n IDs, so the sorted ID list needs no compare of its
+   own. *)
+let same_knowledge a v b u =
+  let same_row x y = Array.length x = Array.length y && Array.for_all2 Int.equal x y in
+  a.knowledge = b.knowledge && a.n = b.n
+  && a.ids.(v) = b.ids.(u)
+  && same_row a.input.(v) b.input.(u)
+  && (a.knowledge = KT0 || Array.for_all2 (fun p q -> a.ids.(p) = b.ids.(q)) a.peer.(v) b.peer.(u))
+
 (* Edge independence, Definition 3.2: four distinct endpoints and neither
    "diagonal" (v1,u2), (v2,u1) is an input edge. *)
 let independent t (v1, u1) (v2, u2) =

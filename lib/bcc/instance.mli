@@ -70,6 +70,13 @@ val view : ?coins_seed:int -> t -> int -> View.t
     the same [coins_seed] (public-coin model). Its input ports are the
     instance's row for [v], shared and not copied. *)
 
+val same_knowledge : t -> int -> t -> int -> bool
+(** [same_knowledge a v b u]: does vertex [v] of [a] start with the
+    knowledge vertex [u] of [b] starts with — are their views ({!view})
+    equal but for the public coins, which every vertex shares? In O(n),
+    without building either view. Two vertices with the same knowledge
+    are "initially indistinguishable" (§3). *)
+
 val validate : t -> t
 (** Re-check all structural invariants (clique wiring, symmetric port
     maps, ascending in-range port rows marking each input edge at both

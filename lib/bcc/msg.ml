@@ -40,8 +40,8 @@ let to_char1 = function
 
 (* Packed 2-bit code for the BCC(1) alphabet {0, 1, ⊥}: bit 0 is the
    "spoke" flag, bit 1 the value. 0b00 = silent, 0b10 = broadcast 0,
-   0b11 = broadcast 1. Transcripts and edge labels pack these codes into
-   machine words / Bits.Seq instead of building strings. *)
+   0b11 = broadcast 1. Sent codes and edge labels pack these codes into
+   machine words instead of building strings. *)
 let code1 = function
   | Silent -> 0
   | Word b ->

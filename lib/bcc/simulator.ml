@@ -1,5 +1,4 @@
 module Engine = Bcclb_engine.Engine
-module Observer = Bcclb_engine.Observer
 module Topology = Bcclb_engine.Topology
 
 type 'o result = { outputs : 'o array; transcripts : Transcript.t array; rounds_used : int }
@@ -20,27 +19,24 @@ let check_width ~b ~round ~vertex msg =
       (Printf.sprintf "Simulator: vertex %d broadcast %d bits in round %d (bandwidth %d)" vertex
          (Msg.width msg) round b)
 
-(* The one engine setup behind every entry; they differ only in their
-   recorder and in [reads]. [record ~n ~rounds] is called once the run
-   is validated and sized, and returns what the entry keeps plus the
-   observers that fill it. Every emission is checked against the
-   bandwidth and counted as it leaves [step], before any observer sees
-   it, so no entry lets an algorithm cheat the model. The run has one
-   board: each round's emissions array is posted as the engine built it,
-   and vertex v's inbox is a view of it through v's port row, built once
-   per run. [reads] are the round counts at which every vertex's
-   [finish] runs on its live state and view; the result holds one
-   outputs array per read. A read at the run's own round count runs
-   after the loop on the final states; only a read before it mirrors
-   each vertex's state as it is stepped, so the plain entries keep the
-   bare step. Entries that read land the board's shared-value counts in
-   their series once. *)
-let execute ~entry ~seed ~record ~reads (Algo.Packed a) inst =
+(* The one execution behind every entry. Every emission is checked
+   against the bandwidth and counted as it leaves [step], so no entry
+   lets an algorithm cheat the model. The run has one board: each
+   round's emissions array is posted as the engine built it, and vertex
+   v's inbox is a view of it through v's port row, built once per run.
+   The board is the run's whole record, and it is returned; the entries
+   read transcripts and codes off it. [reads] are the round counts at
+   which every vertex's [finish] runs on its live state and view; the
+   result holds one outputs array per read. A read at the run's own
+   round count runs after the loop on the final states; only a read
+   before it mirrors each vertex's state as it is stepped, so the other
+   entries keep the bare step. Entries that read land the board's
+   shared-value counts in their series once. *)
+let execute ~entry ~seed ~reads (Algo.Packed a) inst =
   let n = Instance.n inst in
   let b = a.Algo.bandwidth ~n in
   let rounds = a.Algo.rounds ~n in
   if rounds < 0 then invalid_arg (entry ^ ": negative round bound");
-  let kept, observers = record ~n ~rounds in
   (* Widths accumulate in a plain local and land in the shard once per
      run: the emit path stays free of domain-local lookups. *)
   let bits = ref 0 in
@@ -62,26 +58,23 @@ let execute ~entry ~seed ~record ~reads (Algo.Packed a) inst =
       Array.iteri (fun i r' -> if r' = r then outputs.(i) <- o) reads
     end
   in
-  let step, init, view, observers =
-    if not (Array.exists (fun r -> r < rounds) reads) then (step, init, view, observers)
+  let step, init, view =
+    if not (Array.exists (fun r -> r < rounds) reads) then (step, init, view)
     else begin
       let live = Array.init n init and views = Array.init n view in
+      (* Vertex 0 steps first in every round, so just before it steps in
+         round r + 1 every state and the board are at round r. *)
       let mirrored state ~round ~vertex ~inbox =
+        if vertex = 0 then read (round - 1) live views;
         let ((state', _) as stepped) = step state ~round ~vertex ~inbox in
         live.(vertex) <- state';
         stepped
       in
-      let early =
-        Observer.make
-          ~on_start:(fun ~n:_ ~rounds:_ -> read 0 live views)
-          ~on_round_end:(fun ~round ~inboxes:_ -> if round < rounds then read round live views)
-          ()
-      in
-      (mirrored, Array.get live, Array.get views, early :: observers)
+      (mirrored, Array.get live, Array.get views)
     end
   in
   let outcome =
-    Engine.run ~observers
+    Engine.run
       { Engine.n; rounds; step; exchange = Topology.board board }
       ~init_state:init ~init_inbox:view
   in
@@ -92,32 +85,15 @@ let execute ~entry ~seed ~record ~reads (Algo.Packed a) inst =
     Bcclb_obs.Metrics.Counter.add shared_misses_metric misses;
     Bcclb_obs.Metrics.Counter.add shared_hits_metric hits
   end;
-  (kept, outputs)
+  (board, outputs)
 
-(* Transcripts: every emission and every inbox, per vertex and round,
-   next to each vertex's coin-free initial knowledge. The only entry
-   that copies inboxes: it materialises each view as it is stepped. *)
+(* Transcripts are views of the board, next to the outputs after the
+   last round. *)
 let run ?(seed = 0) packed inst =
-  let record ~n ~rounds =
-    let sent = Array.init n (fun _ -> Array.make rounds Msg.silent) in
-    let received = Array.init n (fun _ -> Array.make rounds [||]) in
-    let keep ~round ~vertex ~inbox ~emit =
-      received.(vertex).(round - 1) <- Inbox.to_array inbox;
-      sent.(vertex).(round - 1) <- emit
-    in
-    ((rounds, sent, received), [ Observer.make ~on_emit:keep () ])
-  in
-  let reads = [| Algo.rounds packed ~n:(Instance.n inst) |] in
-  let (rounds, sent, received), outputs =
-    execute ~entry:"Simulator.run" ~seed ~record ~reads packed inst
-  in
-  let outputs = outputs.(0) in
-  let transcripts =
-    Array.init (Instance.n inst) (fun v ->
-        let fingerprint = View.fingerprint (Instance.view inst v) in
-        Transcript.make ~fingerprint ~sent:sent.(v) ~received:received.(v))
-  in
-  { outputs; transcripts; rounds_used = rounds }
+  let n = Instance.n inst in
+  let rounds = Algo.rounds packed ~n in
+  let board, outputs = execute ~entry:"Simulator.run" ~seed ~reads:[| rounds |] packed inst in
+  { outputs = outputs.(0); transcripts = Array.init n (Transcript.of_board board inst); rounds_used = rounds }
 
 (* Outputs only, at each requested round count: what Monte Carlo,
    decision and exact-error cells read. A count other than the
@@ -141,27 +117,27 @@ let run_members ?(seed = 0) packed inst ~rounds:reads =
                (Algo.name packed) r)
       end)
     reads;
-  let record ~n:_ ~rounds:_ = ((), []) in
-  snd (execute ~entry:"Simulator.run_members" ~seed ~record ~reads packed inst)
+  snd (execute ~entry:"Simulator.run_members" ~seed ~reads packed inst)
 
 let run_outputs ?seed packed inst =
   (run_members ?seed packed inst ~rounds:[| Algo.rounds packed ~n:(Instance.n inst) |]).(0)
 
 (* Packed codes for the §3 label machinery: each vertex's broadcast
-   sequence as one machine word (2 bits per round), so labels compare as
-   ints — no received-traffic capture, no transcripts, no outputs. *)
+   sequence as one machine word (2 bits per round), read off the board
+   after the loop, so labels compare as ints — no transcripts, no
+   outputs. *)
 let run_sent_codes ?(seed = 0) packed inst =
-  let record ~n ~rounds =
-    if 2 * rounds > Bcclb_util.Bits.max_width then
-      invalid_arg "Simulator.run_sent_codes: more than 31 rounds do not pack into a word";
-    let codes = Array.make n 0 in
-    let keep ~round ~vertex ~inbox:_ ~emit =
-      codes.(vertex) <- codes.(vertex) lor (Msg.code1 emit lsl (2 * (round - 1)))
-    in
-    (codes, [ Observer.make ~on_emit:keep () ])
-  in
-  let codes, _ = execute ~entry:"Simulator.run_sent_codes" ~seed ~record ~reads:[||] packed inst in
-  codes
+  let n = Instance.n inst in
+  if 2 * Algo.rounds packed ~n > Bcclb_util.Bits.max_width then
+    invalid_arg "Simulator.run_sent_codes: more than 31 rounds do not pack into a word";
+  let board, _ = execute ~entry:"Simulator.run_sent_codes" ~seed ~reads:[||] packed inst in
+  let posts = board.Topology.Board.posts in
+  Array.init n (fun v ->
+      let code = ref 0 in
+      for i = board.Topology.Board.rounds - 1 downto 0 do
+        code := (!code lsl 2) lor Msg.code1 posts.(i).(v)
+      done;
+      !code)
 
 let indistinguishable_from result i2 =
   let n = Array.length result.transcripts in

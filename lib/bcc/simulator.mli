@@ -7,17 +7,18 @@
     algorithm cannot cheat the model. Randomness is public-coin: all
     vertices receive generators with the same [seed].
 
-    The entries share one engine setup and differ only in what they
-    record: {!run} keeps full transcripts, {!run_members} the outputs
-    of every requested member of a truncation family ({!run_outputs}
-    the algorithm's own), {!run_sent_codes} only the packed broadcast
-    codes. Every entry enforces the bandwidth and feeds
-    [engine.bits_broadcast]. A run keeps one board — each round's
-    emissions, indexed by sender — and every vertex's inbox is a view of
-    it through the vertex's port row ({!Inbox}); only {!run} copies
-    inboxes, into its transcripts. The entries that call [finish] land
-    the board's shared-value counts ({!Inbox.once}) once per run in
-    [bcc.shared_misses] (computed) and [bcc.shared_hits] (reused). *)
+    A run keeps one board — each round's emissions, indexed by sender —
+    and it is the run's only record: every vertex's inbox is a view of
+    it through the vertex's port row ({!Inbox}). The entries are reads
+    of one execution: {!run} returns the outputs and every vertex's
+    transcript, a view of the same board ({!Transcript}); {!run_members}
+    the outputs of every requested member of a truncation family
+    ({!run_outputs} the algorithm's own); {!run_sent_codes} the packed
+    broadcast codes, read off the board after the last round. Every
+    entry enforces the bandwidth and feeds [engine.bits_broadcast]. The
+    entries that call [finish] land the board's shared-value counts
+    ({!Inbox.once}) once per run in [bcc.shared_misses] (computed) and
+    [bcc.shared_hits] (reused). *)
 
 type 'o result = {
   outputs : 'o array;  (** Per-vertex outputs. *)
@@ -46,26 +47,25 @@ val run_members : ?seed:int -> 'o Algo.packed -> Instance.t -> rounds:int array 
     from [algo]'s own round count and [algo] is not a truncation. *)
 
 val run_outputs : ?seed:int -> 'o Algo.packed -> Instance.t -> 'o array
-(** [(run ?seed algo inst).outputs] without recording any traffic — the
-    {!run_members} read at the algorithm's own round count: the entry
-    for callers that read only the decision (Monte Carlo error cells,
-    execution checks).
+(** [(run ?seed algo inst).outputs] — the {!run_members} read at the
+    algorithm's own round count: the entry for callers that read only
+    the decision (Monte Carlo error cells, execution checks).
     @raise Invalid_argument if a vertex exceeds the declared bandwidth. *)
 
 val run_sent_codes : ?seed:int -> 'o Algo.packed -> Instance.t -> int array
-(** Lightweight execution recording only each vertex's packed broadcast
-    sequence: 2 bits per round ({!Msg.code1}), LSB-first, one machine
-    word per vertex. This is the fast path behind the §3 label machinery
-    — no received-traffic capture, no transcript construction.
-    @raise Invalid_argument if a vertex exceeds the declared bandwidth
-    (which must be 1 for the code to be meaningful) or the round bound
-    exceeds 31 (codes would not fit a word). *)
+(** Each vertex's broadcast sequence packed 2 bits per round
+    ({!Msg.code1}), LSB-first, one machine word per vertex, read off the
+    board after the last round. This is the fast path behind the §3
+    label machinery — no transcripts, no [finish].
+    @raise Invalid_argument if a vertex exceeds the declared bandwidth,
+    if some broadcast is wider than 1 bit (codes exist for BCC(1) only),
+    or if the round bound exceeds 31 (codes would not fit a word). *)
 
 val indistinguishable : ?seed:int -> 'o Algo.packed -> Instance.t -> Instance.t -> bool
-(** Do the two instances produce identical per-vertex states (initial
-    knowledge + transcript) under this algorithm — the relation of
-    Lemma 3.4? Vertices are compared by index, which is the natural
-    correspondence for crossed instances. *)
+(** Do the two instances produce equal transcripts ({!Transcript.equal},
+    initial knowledge included) at every vertex under this algorithm —
+    the relation of Lemma 3.4? Vertices are compared by index, which is
+    the natural correspondence for crossed instances. *)
 
 val indistinguishable_from : 'o result -> Instance.t -> 'o result -> bool
 (** [indistinguishable_from base i2 r2]: is [r2] (a run on [i2])

@@ -1,75 +1,56 @@
-module Bits = Bcclb_util.Bits
+module Board = Bcclb_engine.Topology.Board
 
-(* A transcript keeps the per-round message structure for callers that
-   inspect it, plus a packed twin computed once at [make]: every message
-   of the sent-then-received traffic is encoded as a 6-bit width followed
-   by its value bits. The encoding is a prefix code, so two transcripts
-   with the same dimensions are equal iff their packed twins are equal —
-   one bytewise Bits.Seq compare instead of O(rounds * ports) message
-   compares. For BCC(1) traffic the broadcast sequence additionally packs
-   into 2 bits per round ([sent_code]), the representation the §3 label
-   machinery compares and hashes. *)
+(* A window onto the run's board: the vertex's own column of every round
+   posted, and round r − 1's columns through its port row as what it
+   received into round r. Initial knowledge stays on the instance. *)
+type t = { board : Inbox.board; inst : Instance.t; vertex : int; row : int array; rounds : int }
 
-type t = {
-  fingerprint : string;
-  sent : Msg.t array;
-  received : Msg.t array array;
-  packed : Bits.Seq.seq;
-  sent_code : Bits.Seq.seq option;  (* 2 bits/round; None if a message is wider than 1 bit *)
-}
+let of_board board inst v =
+  { board; inst; vertex = v; row = Instance.peer_row inst v; rounds = board.Board.rounds }
 
-let pack_msg seq m =
-  match m with
-  | Msg.Silent -> Bits.Seq.append_word seq ~width:6 ~value:0
-  | Msg.Word b ->
-    Bits.Seq.append_word seq ~width:6 ~value:(Bits.width b);
-    Bits.Seq.append seq b
-
-let make ~fingerprint ~sent ~received =
-  let rounds = Array.length sent in
-  let ports = if rounds = 0 then 0 else Array.length received.(0) in
-  let packed = Bits.Seq.create ~capacity:(8 * rounds * (ports + 1)) () in
-  Array.iter (fun m -> pack_msg packed m) sent;
-  Array.iter (fun row -> Array.iter (fun m -> pack_msg packed m) row) received;
-  let sent_code =
-    if Array.for_all (fun m -> Msg.width m <= 1) sent then begin
-      let code = Bits.Seq.create ~capacity:(2 * rounds) () in
-      Array.iter (fun m -> Bits.Seq.append_word code ~width:2 ~value:(Msg.code1 m)) sent;
-      Some code
-    end
-    else None
-  in
-  { fingerprint; sent; received; packed; sent_code }
-
-let rounds t = Array.length t.sent
+let rounds t = t.rounds
 
 let sent t r =
-  if r < 1 || r > rounds t then invalid_arg "Transcript.sent: round out of range";
-  t.sent.(r - 1)
+  if r < 1 || r > t.rounds then invalid_arg "Transcript.sent: round out of range";
+  t.board.Board.posts.(r - 1).(t.vertex)
 
 let received t r p =
-  if r < 1 || r > rounds t then invalid_arg "Transcript.received: round out of range";
-  t.received.(r - 1).(p)
+  if r < 1 || r > t.rounds then invalid_arg "Transcript.received: round out of range";
+  if p < 0 || p >= Array.length t.row then invalid_arg "Transcript.received: port out of range";
+  if r = 1 then Msg.silent else t.board.Board.posts.(r - 2).(t.row.(p))
 
-let sent_sequence t = Array.copy t.sent
+let knowledge t = Instance.view t.inst t.vertex
 
-let sent_code t =
-  match t.sent_code with
-  | Some c -> c
-  | None -> invalid_arg "Transcript.sent_code: a message is wider than 1 bit"
+let sent_string t = String.init t.rounds (fun i -> Msg.to_char1 (sent t (i + 1)))
 
-(* Thin view over the packed code: decode 2-bit codes back to chars. *)
-let sent_string t =
-  let code = sent_code t in
-  String.init (rounds t) (fun i ->
-      Msg.char_of_code1 (Bits.value (Bits.Seq.word code ~pos:(2 * i) ~len:2)))
+(* Width and value: a 0-bit word carries no more than silence does. *)
+let same_msg a b =
+  match (a, b) with
+  | Msg.Word x, Msg.Word y -> Bcclb_util.Bits.equal x y
+  | _ -> Msg.width a = 0 && Msg.width b = 0
 
 let equal a b =
-  String.equal a.fingerprint b.fingerprint
-  && Array.length a.sent = Array.length b.sent
-  && Array.length a.received = Array.length b.received
-  && (Array.length a.received = 0
-     || Array.length a.received.(0) = Array.length b.received.(0))
-  && Bits.Seq.equal a.packed b.packed
+  let pa = a.board.Board.posts and pb = b.board.Board.posts in
+  let ports = Array.length a.row in
+  (* Round i + 1's broadcasts through every port from [p] on: what each
+     vertex received into round i + 2. *)
+  let rec heard i p =
+    p >= ports || (same_msg pa.(i).(a.row.(p)) pb.(i).(b.row.(p)) && heard i (p + 1))
+  in
+  let rec from i =
+    i >= a.rounds
+    || same_msg pa.(i).(a.vertex) pb.(i).(b.vertex)
+       && (i + 1 >= a.rounds || heard i 0)
+       && from (i + 1)
+  in
+  a.rounds = b.rounds
+  && ports = Array.length b.row
+  && Instance.same_knowledge a.inst a.vertex b.inst b.vertex
+  && from 0
 
-let bits_broadcast t = Array.fold_left (fun acc m -> acc + Msg.width m) 0 t.sent
+let bits_broadcast t =
+  let bits = ref 0 in
+  for i = 0 to t.rounds - 1 do
+    bits := !bits + Msg.width t.board.Board.posts.(i).(t.vertex)
+  done;
+  !bits

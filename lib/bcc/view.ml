@@ -59,19 +59,3 @@ let index_of_id t id =
   | Some k -> index_in k.all_ids id 0 (Array.length k.all_ids)
 
 let coins t = t.coins
-
-(* The initial knowledge that indistinguishability compares (§3): id, port
-   count, which ports carry input edges, and — in KT-1 — the ID labelling
-   of ports. The coin stream is shared (public coins), so it is excluded. *)
-let fingerprint t =
-  let kt1_part =
-    match t.kt1 with
-    | None -> ""
-    | Some k ->
-      Printf.sprintf "|ids=%s|nbr=%s"
-        (String.concat "," (Array.to_list (Array.map string_of_int k.all_ids)))
-        (String.concat "," (Array.to_list (Array.map string_of_int k.neighbor_ids)))
-  in
-  let flags = Bytes.make t.num_ports '0' in
-  Array.iter (fun p -> Bytes.set flags p '1') t.input_ports;
-  Printf.sprintf "n=%d|id=%d|in=%s%s" t.n t.id (Bytes.unsafe_to_string flags) kt1_part

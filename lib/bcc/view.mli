@@ -58,7 +58,3 @@ val index_of_id : t -> int -> int
 
 val coins : t -> Bcclb_util.Rng.t
 (** Public-coin stream: every vertex of a run gets an identical copy. *)
-
-val fingerprint : t -> string
-(** Canonical encoding of the coin-free initial knowledge; two vertices
-    are "initially indistinguishable" iff fingerprints are equal. *)

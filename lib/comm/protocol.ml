@@ -8,7 +8,6 @@
    other party's messages. *)
 
 module Engine = Bcclb_engine.Engine
-module Observer = Bcclb_engine.Observer
 module Topology = Bcclb_engine.Topology
 
 type ('ia, 'ib, 'oa, 'ob) spec = {
@@ -35,37 +34,35 @@ let check_bits name s =
         invalid_arg (Printf.sprintf "Protocol %s: message contains non-bit character %c" name c))
     s
 
+(* Each message is checked as it leaves its party. The final inboxes
+   are the whole conversation: party 0's holds Bob's messages and party
+   1's Alice's, newest first, so the transcript and the bill are read
+   off them after the last round. *)
 let run spec ia ib =
-  let bits_a = ref 0 and bits_b = ref 0 in
-  let transcript = ref [] in
-  let last = [| ""; "" |] in
-  let meter =
-    Observer.make
-      ~on_emit:(fun ~round:_ ~vertex ~inbox:_ ~emit ->
-        check_bits spec.name emit;
-        let counter = if vertex = 0 then bits_a else bits_b in
-        counter := !counter + String.length emit;
-        last.(vertex) <- emit)
-      ~on_round_end:(fun ~round:_ ~inboxes:_ -> transcript := (last.(0), last.(1)) :: !transcript)
-      ()
-  in
   let outcome =
-    Engine.run ~observers:[ meter ]
+    Engine.run
       { Engine.n = 2;
         rounds = spec.rounds;
         step =
           (fun () ~round ~vertex ~inbox ->
             let received = List.rev inbox in
-            ((), if vertex = 0 then spec.alice ia ~round ~received else spec.bob ib ~round ~received));
+            let msg =
+              if vertex = 0 then spec.alice ia ~round ~received else spec.bob ib ~round ~received
+            in
+            check_bits spec.name msg;
+            ((), msg));
         exchange = Topology.two_party }
       ~init_state:(fun _ -> ())
       ~init_inbox:(fun _ -> [])
   in
-  { out_a = spec.output_a ia ~received:(List.rev outcome.Engine.final_inbox.(0));
-    out_b = spec.output_b ib ~received:(List.rev outcome.Engine.final_inbox.(1));
-    transcript = List.rev !transcript;
-    bits_a = !bits_a;
-    bits_b = !bits_b }
+  let from_bob = List.rev outcome.Engine.final_inbox.(0)
+  and from_alice = List.rev outcome.Engine.final_inbox.(1) in
+  let bits = List.fold_left (fun acc m -> acc + String.length m) 0 in
+  { out_a = spec.output_a ia ~received:from_bob;
+    out_b = spec.output_b ib ~received:from_alice;
+    transcript = List.combine from_alice from_bob;
+    bits_a = bits from_alice;
+    bits_b = bits from_bob }
 
 let total_bits r = r.bits_a + r.bits_b
 

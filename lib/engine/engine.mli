@@ -1,11 +1,12 @@
 (** The single synchronous round loop behind every simulator.
 
-    A round is: each vertex consumes its inbox and emits (in increasing
-    vertex order), observers see each emission (and may raise — that is
-    how bandwidth/range validation works), then the {!Topology.t}
-    exchange turns the emissions into the next round's inboxes. After
-    [rounds] rounds the final states and inboxes are returned for the
-    caller's output extraction. *)
+    A round is: each vertex consumes its inbox and emits, in increasing
+    vertex order, then the {!Topology.t} exchange turns the emissions
+    into the next round's inboxes. After [rounds] rounds the final
+    states and inboxes are returned for the caller's output extraction.
+    A model checks or counts an emission in its own [step] wrapper, as
+    it leaves the vertex: a raise there rejects it before the
+    exchange. *)
 
 type ('state, 'emit, 'inbox) spec = {
   n : int;  (** Number of vertices / parties. *)
@@ -17,7 +18,6 @@ type ('state, 'emit, 'inbox) spec = {
 type ('state, 'inbox) outcome = {
   states : 'state array;  (** Per-vertex states after the last round. *)
   final_inbox : 'inbox array;  (** Inboxes produced by the last exchange. *)
-  rounds_used : int;
 }
 
 val domain_run_count : unit -> int
@@ -27,7 +27,6 @@ val domain_run_count : unit -> int
     that work — the per-cell execution count of the run manifest. *)
 
 val run :
-  ?observers:('emit, 'inbox) Observer.t list ->
   ('state, 'emit, 'inbox) spec ->
   init_state:(int -> 'state) ->
   init_inbox:(int -> 'inbox) ->
@@ -35,4 +34,4 @@ val run :
 (** Execute the loop. [init_inbox v] is what vertex [v] consumes in
     round 1 (nothing was sent in "round 0").
     @raise Invalid_argument on a negative round bound or vertex count;
-    whatever observers raise propagates. *)
+    whatever [step] raises propagates. *)

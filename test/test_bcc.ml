@@ -5,6 +5,12 @@ module Rng = Bcclb_util.Rng
 
 let cycle6 = Gen.cycle 6
 
+(* The latest round heard, by port. *)
+let latest_row inbox = Array.init (Inbox.ports inbox) (Inbox.latest inbox)
+
+(* The same initial knowledge: views equal but for the public coins. *)
+let same_view a b = { a with View.coins = b.View.coins } = b
+
 let test_instance_construction () =
   let inst = Instance.kt0_circulant cycle6 in
   Alcotest.(check int) "n" 6 (Instance.n inst);
@@ -119,9 +125,8 @@ let test_crossing_structure () =
   Alcotest.(check bool) "edge 0-1 gone" false (G.mem_edge g 0 1);
   (* Views (per-port input flags) are unchanged at every vertex. *)
   for v = 0 to 7 do
-    Alcotest.(check string) "view preserved"
-      (View.fingerprint (Instance.view inst v))
-      (View.fingerprint (Instance.view crossed v))
+    Alcotest.(check bool) "view preserved" true
+      (same_view (Instance.view inst v) (Instance.view crossed v))
   done
 
 let test_crossing_errors () =
@@ -148,7 +153,19 @@ let test_crossing_distinguished_by_discovery () =
   let algo = Bcclb_algorithms.Discovery.connectivity ~knowledge:Instance.KT0 ~max_degree:2 in
   let inst = Instance.kt0_circulant (Gen.cycle 8) in
   let crossed = Instance.cross inst (0, 1) (4, 5) in
-  Alcotest.(check bool) "distinguished" false (Simulator.indistinguishable algo inst crossed)
+  Alcotest.(check bool) "distinguished" false (Simulator.indistinguishable algo inst crossed);
+  (* So is an algorithm whose every vertex broadcasts the same on both
+     (whether its ID is at most 4): the rewired ports of vertices 0, 1, 4
+     and 5 deliver other bits in round 2. *)
+  let low =
+    Algo.pack
+      (Algo.bcc1 ~name:"low" ~rounds:(fun ~n:_ -> 2)
+         ~init:(fun view -> Msg.of_bit (View.id view <= 4))
+         ~step:(fun m ~round:_ ~inbox:_ -> (m, m))
+         ~finish:(fun _ ~inbox:_ -> true))
+  in
+  Alcotest.(check bool) "distinguished through the ports" false
+    (Simulator.indistinguishable low inst crossed)
 
 let test_simulator_bandwidth_enforced () =
   let cheat =
@@ -190,7 +207,7 @@ let test_simulator_delivery () =
                 (fun p m ->
                   let sender_id = (((v + p + 1) mod n) + 1) land 1 = 1 in
                   Msg.equal m (Msg.of_bit sender_id))
-                (Inbox.to_array inbox))))
+                (latest_row inbox))))
   in
   let inst = Instance.kt0_circulant cycle6 in
   let result = Simulator.run algo inst in
@@ -234,37 +251,87 @@ let test_transcript_bounds () =
       ignore (Transcript.sent t 0));
   Alcotest.check_raises "round past end" (Invalid_argument "Transcript.received: round out of range")
     (fun () -> ignore (Transcript.received t 3 0));
-  (* Transcript equality is sensitive to the fingerprint. *)
-  let t' =
-    Transcript.make ~fingerprint:"other" ~sent:(Transcript.sent_sequence t)
-      ~received:(Array.init 2 (fun r -> Array.init 5 (fun p -> Transcript.received t (r + 1) p)))
+  Alcotest.check_raises "port past end" (Invalid_argument "Transcript.received: port out of range")
+    (fun () -> ignore (Transcript.received t 1 5));
+  (* Transcript equality is sensitive to the initial knowledge: the same
+     traffic on instances that differ only in IDs is distinguished at
+     every vertex, and the same IDs are not. *)
+  let on ids = Simulator.run algo (Instance.kt0_circulant ~ids cycle6) in
+  let same = on (Array.init 6 succ) and other = on (Array.init 6 (fun v -> 10 + v)) in
+  Array.iteri
+    (fun v t ->
+      Alcotest.(check string) "same traffic" (Transcript.sent_string t)
+        (Transcript.sent_string other.Simulator.transcripts.(v));
+      Alcotest.(check bool) "same IDs, equal" true (Transcript.equal t same.Simulator.transcripts.(v));
+      Alcotest.(check bool) "fingerprint matters" false
+        (Transcript.equal t other.Simulator.transcripts.(v)))
+    r.Simulator.transcripts;
+  (* One round, so nothing is received: only [sent] tells the runs
+     apart, and messages compare by width and value, so a 0-bit word
+     equals silence. *)
+  let once msg =
+    (Simulator.run
+       (Algo.pack
+          (Algo.bcc1 ~name:"once" ~rounds:(fun ~n:_ -> 1) ~init:ignore
+             ~step:(fun () ~round:_ ~inbox:_ -> ((), msg))
+             ~finish:(fun () ~inbox:_ -> true)))
+       (Instance.kt0_circulant cycle6))
+      .Simulator.transcripts
   in
-  Alcotest.(check bool) "fingerprint matters" false (Transcript.equal t t')
+  let equal a b = Array.for_all2 Transcript.equal (once a) (once b) in
+  Alcotest.(check bool) "0-bit word = silence" true (equal (Msg.of_int ~width:0 0) Msg.silent);
+  Alcotest.(check bool) "last broadcast matters" false (equal Msg.zero Msg.one)
 
-(* Randomized parity: sent_string decoded from the packed 2-bit code must
-   match the character-by-character construction from the raw Msg array,
-   including sequences long past one machine word (40 rounds = 80 bits). *)
-let test_packed_sent_code () =
-  let module Bits = Bcclb_util.Bits in
-  let rng = Rng.create ~seed:77 in
-  for _ = 1 to 100 do
-    let rounds = 1 + Rng.int rng 40 in
-    let sent =
-      Array.init rounds (fun _ ->
-          match Rng.int rng 3 with 0 -> Msg.silent | 1 -> Msg.zero | _ -> Msg.one)
-    in
-    let received = Array.map (fun _ -> [||]) sent in
-    let t = Transcript.make ~fingerprint:"fp" ~sent ~received in
-    let expect = String.init rounds (fun i -> Msg.to_char1 sent.(i)) in
-    Alcotest.(check string) "sent_string parity" expect (Transcript.sent_string t);
-    let code = Transcript.sent_code t in
-    Alcotest.(check int) "code length" (2 * rounds) (Bits.Seq.length code);
-    for r = 0 to rounds - 1 do
-      Alcotest.(check int) "code1 per round"
-        (Msg.code1 sent.(r))
-        (Bits.value (Bits.Seq.word code ~pos:(2 * r) ~len:2))
-    done
-  done
+(* [Instance.same_knowledge] is view equality but for the coins, without
+   the views: on both models, with and without other IDs, after a
+   crossing and across vertices. *)
+let test_same_knowledge () =
+  let rng = Rng.create ~seed:13 in
+  let g = Gen.random_cycle rng 8 and c8 = Instance.kt0_circulant (Gen.cycle 8) in
+  let insts =
+    [ c8; Instance.cross c8 (0, 1) (4, 5); Instance.kt0_circulant g; Instance.kt0_random rng g;
+      Instance.kt0_circulant ~ids:(Array.init 8 (fun v -> 20 - v)) g; Instance.kt1_of_graph g;
+      Instance.kt1_of_graph ~ids:(Array.init 8 (fun v -> 3 * (v + 1))) g;
+      Instance.kt1_of_graph (Gen.cycle 8) ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          for i = 0 to 63 do
+            let v = i / 8 and u = i mod 8 in
+            Alcotest.(check bool) "same_knowledge = equal views"
+              (same_view (Instance.view a v) (Instance.view b u))
+              (Instance.same_knowledge a v b u)
+          done)
+        insts)
+    insts
+
+(* sent_string is one Msg.to_char1 per round, read off the board, on a
+   run long past one machine word of 2-bit codes: 45 rounds of silence,
+   0s and 1s drawn from each vertex's ID and the round. *)
+let test_sent_string () =
+  let rounds = 45 in
+  let char ~id ~round = "_01".[((id * 7) + (round * round)) mod 3] in
+  let algo =
+    Algo.pack
+      (Algo.bcc1 ~name:"mixed"
+         ~rounds:(fun ~n:_ -> rounds)
+         ~init:View.id
+         ~step:(fun id ~round ~inbox:_ ->
+           ( id,
+             match char ~id ~round with '_' -> Msg.silent | c -> Msg.of_bit (c = '1') ))
+         ~finish:(fun _ ~inbox:_ -> true))
+  in
+  let inst = Instance.kt0_circulant (Gen.cycle 9) in
+  let r = Simulator.run algo inst in
+  Array.iteri
+    (fun v t ->
+      let expect = String.init rounds (fun i -> char ~id:(v + 1) ~round:(i + 1)) in
+      Alcotest.(check string) "per-round to_char1" expect
+        (String.init rounds (fun i -> Msg.to_char1 (Transcript.sent t (i + 1))));
+      Alcotest.(check string) "sent_string" expect (Transcript.sent_string t))
+    r.Simulator.transcripts
 
 (* run_sent_codes must agree with the full simulator's transcripts. *)
 let test_run_sent_codes () =
@@ -281,8 +348,8 @@ let test_run_sent_codes () =
       Alcotest.(check string) "codes = transcript" (Transcript.sent_string t) decoded)
     r.Simulator.transcripts
 
-(* The three simulator entries share one engine setup and differ only in
-   their recorder, so they must agree wherever their outputs overlap:
+(* The simulator entries are reads of one execution, so they must agree
+   wherever their outputs overlap:
    [run_outputs] is [run]'s outputs, and [run_sent_codes] is [run]'s
    transcripts packed 2 bits per round (where codes apply: BCC(1), at
    most 31 rounds). *)
@@ -523,7 +590,7 @@ let test_split_preserves_silence_patterns () =
         init = (fun view -> (View.id view, []));
         step =
           (fun (id, log) ~round ~inbox ->
-            let received = Array.to_list (Array.map Msg.to_string (Inbox.to_array inbox)) in
+            let received = Array.to_list (Array.map Msg.to_string (latest_row inbox)) in
             let msg = if (round + id) mod 2 = 0 then Msg.silent else Msg.of_int ~width:(1 + (round mod 5)) round in
             ((id, received :: log), msg));
         finish = (fun (_, log) ~inbox -> List.length log = 4 && Inbox.ports inbox > 0);
@@ -550,7 +617,8 @@ let suites =
     Alcotest.test_case "bandwidth enforced" `Quick test_simulator_bandwidth_enforced;
     Alcotest.test_case "message delivery" `Quick test_simulator_delivery;
     Alcotest.test_case "transcripts" `Quick test_transcripts;
-    Alcotest.test_case "packed sent_code parity" `Quick test_packed_sent_code;
+    Alcotest.test_case "sent_string = per-round to_char1" `Quick test_sent_string;
+    Alcotest.test_case "same_knowledge = equal views" `Quick test_same_knowledge;
     Alcotest.test_case "run_sent_codes = transcripts" `Quick test_run_sent_codes;
     Alcotest.test_case "simulator entries agree" `Quick test_entries_agree;
     Alcotest.test_case "indistinguishable_from" `Quick test_indistinguishable_from;
@@ -581,7 +649,7 @@ let fuzz_inner ~b ~rounds_n seed =
       step =
         (fun (id, heard) ~round ~inbox ->
           let heard =
-            Array.fold_left (fun acc m -> acc + (Msg.width m * 7) + 1) heard (Inbox.to_array inbox)
+            Array.fold_left (fun acc m -> acc + (Msg.width m * 7) + 1) heard (latest_row inbox)
           in
           let h = (id * 31) + (round * 101) + (heard * 17) + seed in
           let msg =
@@ -593,7 +661,7 @@ let fuzz_inner ~b ~rounds_n seed =
       finish =
         (fun (id, heard) ~inbox ->
           let heard =
-            Array.fold_left (fun acc m -> acc + (Msg.width m * 7) + 1) heard (Inbox.to_array inbox)
+            Array.fold_left (fun acc m -> acc + (Msg.width m * 7) + 1) heard (latest_row inbox)
           in
           (id + heard) land 0xFFFF);
       truncates = None }
@@ -710,11 +778,7 @@ let qsuites =
             let crossed = Instance.cross inst e1 e2 in
             ignore (Instance.validate crossed);
             let rec ok v =
-              v >= n
-              || String.equal
-                   (View.fingerprint (Instance.view inst v))
-                   (View.fingerprint (Instance.view crossed v))
-                 && ok (v + 1)
+              v >= n || (same_view (Instance.view inst v) (Instance.view crossed v) && ok (v + 1))
             in
             ok 0
           end);

@@ -184,7 +184,7 @@ let census_sample ~n =
     (fun i -> if i mod step = 0 then Some (Census.to_instance all.(i) ~n) else None)
     (List.init (Array.length all) Fun.id)
 
-(* The recorder's read at t, on one execution of the deepest member, is
+(* [run_members]' read at t, on one execution of the deepest member, is
    what running the t-round member alone outputs: for every E3 decider
    and every t of E3's list. *)
 let test_run_members_equals_members () =

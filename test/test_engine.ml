@@ -7,7 +7,6 @@
 
 open Bcclb_bcc
 module Engine = Bcclb_engine.Engine
-module Observer = Bcclb_engine.Observer
 module Topology = Bcclb_engine.Topology
 module Pool = Bcclb_engine.Pool
 module Rcc_simulator = Bcclb_rcc.Rcc_simulator
@@ -45,11 +44,7 @@ let reference_bcc_run ?(seed = 0) (Algo.Packed a) inst =
     Array.iteri (fun v box -> Topology.Board.post copies.(v) box) !current_inbox
   done;
   let outputs = Array.init n (fun v -> a.Algo.finish states.(v) ~inbox:inboxes.(v)) in
-  let transcripts =
-    Array.init n (fun v ->
-        Transcript.make ~fingerprint:(View.fingerprint views.(v)) ~sent:sent.(v) ~received:received.(v))
-  in
-  (outputs, transcripts)
+  (outputs, views, sent, received)
 
 let reference_rcc_run ?(seed = 0) (Rcc_algo.Packed a) inst =
   let n = Instance.n inst in
@@ -101,22 +96,35 @@ let discovery knowledge = Bcclb_algorithms.Discovery.connectivity ~knowledge ~ma
 
 (* The board against the seed loop: the same outputs from both
    simulator entries that return them, and every vertex's transcript
-   (each emission and each inbox, per round) equal to the one built from
-   the oracle's per-port copies. *)
+   read off the board — each emission, each inbox entry per round and
+   port, and the initial knowledge — equal to the oracle's own arrays
+   and views, and so equal to itself. *)
 let check_bcc_parity ~seed algo inst =
-  let expected_outputs, expected_transcripts = reference_bcc_run ~seed algo inst in
+  let expected_outputs, views, sent, received = reference_bcc_run ~seed algo inst in
   let r = Simulator.run ~seed algo inst in
   Alcotest.(check bool) "outputs" true (expected_outputs = r.Simulator.outputs);
   Alcotest.(check bool) "run_outputs" true
     (expected_outputs = Simulator.run_outputs ~seed algo inst);
-  Alcotest.(check int) "rounds" (Algo.rounds algo ~n:(Instance.n inst)) r.Simulator.rounds_used;
+  let rounds = Algo.rounds algo ~n:(Instance.n inst) in
+  Alcotest.(check int) "rounds" rounds r.Simulator.rounds_used;
   Array.iteri
     (fun v t ->
       Alcotest.(check bool)
-        (Printf.sprintf "transcript %d" v)
+        (Printf.sprintf "vertex %d knowledge" v)
         true
-        (Transcript.equal t r.Simulator.transcripts.(v)))
-    expected_transcripts
+        ({ (Transcript.knowledge t) with View.coins = views.(v).View.coins } = views.(v));
+      for round = 1 to rounds do
+        if not (Msg.equal sent.(v).(round - 1) (Transcript.sent t round)) then
+          Alcotest.failf "vertex %d round %d: sent differs" v round;
+        Array.iteri
+          (fun p m ->
+            if not (Msg.equal m (Transcript.received t round p)) then
+              Alcotest.failf "vertex %d round %d port %d: received differs" v round p)
+          received.(v).(round - 1)
+      done;
+      Alcotest.(check bool) (Printf.sprintf "transcript %d equals itself" v) true
+        (Transcript.equal t t))
+    r.Simulator.transcripts
 
 let test_bcc_parity () =
   let rng = Rng.create ~seed:42 in
@@ -264,19 +272,21 @@ let test_bcc_simulation_parity () =
 (* ---- engine semantics ---- *)
 
 let test_engine_vertex_order () =
-  (* on_emit fires in increasing vertex order within each round, after the
-     vertex consumed the previous round's exchange. *)
+  (* Vertices step in increasing order within each round, each after
+     consuming the previous round's exchange. *)
   let trace = ref [] in
-  let obs = Observer.make ~on_emit:(fun ~round ~vertex ~inbox:_ ~emit:_ -> trace := (round, vertex) :: !trace) () in
   let spec =
     { Engine.n = 3;
       rounds = 2;
-      step = (fun s ~round:_ ~vertex:_ ~inbox:_ -> (s, ()));
+      step =
+        (fun s ~round ~vertex ~inbox:_ ->
+          trace := (round, vertex) :: !trace;
+          (s, ()));
       exchange = (fun ~round:_ ~prev:_ _ -> Array.make 3 ()) }
   in
-  let _ = Engine.run ~observers:[ obs ] spec ~init_state:(fun _ -> ()) ~init_inbox:(fun _ -> ()) in
+  let _ = Engine.run spec ~init_state:(fun _ -> ()) ~init_inbox:(fun _ -> ()) in
   Alcotest.(check (list (pair int int)))
-    "emit order" [ (1, 0); (1, 1); (1, 2); (2, 0); (2, 1); (2, 2) ]
+    "step order" [ (1, 0); (1, 1); (1, 2); (2, 0); (2, 1); (2, 2) ]
     (List.rev !trace)
 
 let test_engine_rejects_negative_rounds () =
@@ -303,37 +313,45 @@ let simulate_cell seed =
   let r = Simulator.run ~seed (discovery Instance.KT0) inst in
   (Problems.system_decision r.Simulator.outputs, Simulator.total_bits_broadcast r)
 
+(* Minor words of one call of [f], after one call to warm up. *)
+let minor_words f =
+  ignore (f ());
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
 (* The emission path's allocation. One more round of [run_sent_codes] at
    n = 10 costs a step's (state, emit) pair and the round's share of the
    emissions array and board, under 8 words per vertex: a closure per
-   emission, as a [List.iter] over a lone observer would allocate, does
-   not fit. And a combined empty or lone observer allocates nothing on
-   [on_emit]. *)
+   emission does not fit. *)
 let test_emission_allocation () =
   let n = 10 in
   let inst = Instance.kt0_circulant (Ggen.cycle n) in
   let words rounds =
     let algo = Bcclb_algorithms.Adjacency_broadcast.connectivity_truncated ~rounds ~optimist:true in
-    ignore (Simulator.run_sent_codes algo inst);
-    let w0 = Gc.minor_words () in
-    ignore (Sys.opaque_identity (Simulator.run_sent_codes algo inst));
-    Gc.minor_words () -. w0
+    minor_words (fun () -> Simulator.run_sent_codes algo inst)
   in
   let per_vertex = (words 3 -. words 2) /. float_of_int n in
   if per_vertex >= 8. then
-    Alcotest.failf "one more round allocates %.1f words per vertex (want < 8)" per_vertex;
-  let nop = Observer.make ~on_emit:(fun ~round:_ ~vertex:_ ~inbox:_ ~emit:_ -> ()) () in
+    Alcotest.failf "one more round allocates %.1f words per vertex (want < 8)" per_vertex
+
+(* Transcripts are views of the board a run keeps anyway, so [run]
+   allocates at most twice what [run_outputs] does on the same run. *)
+let test_transcript_allocation () =
+  let rng = Rng.create ~seed:61 in
   List.iter
-    (fun (what, (o : (int, unit) Observer.t)) ->
-      let emit () = o.Observer.on_emit ~round:1 ~vertex:0 ~inbox:() ~emit:0 in
-      emit ();
-      let w0 = Gc.minor_words () in
-      for _ = 1 to 1000 do
-        emit ()
-      done;
-      Alcotest.(check (float 0.)) (what ^ ": minor words over 1000 emissions") 0.
-        (Gc.minor_words () -. w0))
-    [ ("combine []", Observer.combine []); ("combine [o]", Observer.combine [ nop ]) ]
+    (fun (what, algo, inst) ->
+      let full = minor_words (fun () -> Simulator.run ~seed:3 algo inst)
+      and outputs = minor_words (fun () -> Simulator.run_outputs ~seed:3 algo inst) in
+      if full > 2. *. outputs then
+        Alcotest.failf "%s: run allocates %.0f minor words, %.1fx run_outputs' %.0f (want <= 2x)"
+          what full (full /. outputs) outputs)
+    [ ( "KT-0 hashed discovery, k = 12, n = 48",
+        Bcclb_algorithms.Hashed_discovery.connectivity ~k:12,
+        Instance.kt0_circulant (Ggen.random_cycle rng 48) );
+      ( "KT-1 discovery, n = 128",
+        discovery Instance.KT1,
+        Instance.kt1_of_graph (Ggen.random_multicycle rng 128) ) ]
 
 let test_pool_determinism () =
   let seeds = Array.init 16 (fun i -> i) in
@@ -523,6 +541,7 @@ let suites =
     Alcotest.test_case "engine emits in vertex order" `Quick test_engine_vertex_order;
     Alcotest.test_case "negative round bound rejected" `Quick test_engine_rejects_negative_rounds;
     Alcotest.test_case "emission path allocation" `Quick test_emission_allocation;
+    Alcotest.test_case "run allocates at most 2x run_outputs" `Quick test_transcript_allocation;
     Alcotest.test_case "pool determinism across domain counts" `Quick test_pool_determinism;
     Alcotest.test_case "pool nesting falls back to sequential" `Quick test_pool_tabulate_and_nesting;
     Alcotest.test_case "pool re-raises lowest-index failure" `Quick test_pool_exception_order;
