@@ -43,15 +43,18 @@ let step st ~round ~inbox =
     (st, Codec.msg_of_bit (Codec.bit_of_int ~width:st.l ~pos value))
   end
 
+(* Own adjacency, last neighbour first: in KT-0 it is only known once
+   phase 1 decoded. *)
+let own_edges st =
+  let own = View.id st.view in
+  Array.fold_left (fun acc nbr -> (own, nbr) :: acc) [] st.nbrs
+
 (* Decode everything heard (tolerating truncation) into a graph over IDs.
    Returns the edge list over IDs and whether decoding was complete. *)
 let decode_graph st inbox =
   let p1 = phase1_rounds st in
   let complete = ref true in
-  let edges = ref [] in
-  (* Own adjacency: in KT-0 it is only known once phase 1 decoded. *)
-  let own = View.id st.view in
-  Array.iter (fun nbr -> edges := (own, nbr) :: !edges) st.nbrs;
+  let edges = ref (own_edges st) in
   if Array.length st.nbrs < View.degree st.view then complete := false;
   for p = 0 to View.num_ports st.view - 1 do
     let sender_id =
@@ -132,14 +135,17 @@ let make ~knowledge ~max_degree ~name ~on_incomplete () =
   in
   (* Before the last round every port's last block is still unheard (an
      instance has n >= 2, so a port), and no graph is complete: the
-     decider gets the edges heard so far only if it reads them. *)
+     decider gets the edges heard so far only if it reads them. Before
+     the first neighbour block ends, no block decodes, and those edges
+     are the vertex's own. *)
   let decide st inbox =
-    if Inbox.rounds inbox < rounds ~n:(View.n st.view) then
-      on_incomplete st (lazy (fst (decode_graph st inbox)))
-    else begin
+    let heard = Inbox.rounds inbox in
+    if heard >= rounds ~n:(View.n st.view) then begin
       let edges, complete = decode_graph st inbox in
       if complete then answer st (components st edges) else on_incomplete st (Lazy.from_val edges)
     end
+    else if heard < phase1_rounds st + st.l then on_incomplete st (lazy (own_edges st))
+    else on_incomplete st (lazy (fst (decode_graph st inbox)))
   in
   let graph = Type.Id.make () in
   (* Once a vertex has heard the whole schedule and knows its own list,

@@ -24,34 +24,20 @@ type t = {
   v1 : Cycles.t array;
   v2 : Cycles.t array;
   adj : int array array;  (* v1 index -> sorted distinct v2 indices *)
-  radj : int array array;  (* v2 index -> sorted distinct v1 indices *)
 }
 
 (* Rows arrive as unsorted int arrays of distinct handles: distinct
    crossable pairs cross to distinct structures (DESIGN §2g), and a
    rotation map permutes handles. Each is sorted in place, and a repeat
-   is refused rather than dropped. The reverse adjacency is a counting
-   transpose: scanning left vertices in ascending order leaves every
-   radj row sorted and distinct. *)
+   is refused rather than dropped. §3 reads the graph from V₁ alone, so
+   no V₂-side rows are kept. *)
 let finish ~n ~x ~y ~v1 ~v2 adj =
   Array.iter
     (fun row ->
       if Bcclb_util.Arrayx.sort_uniq_prefix row (Array.length row) <> Array.length row then
         invalid_arg "Indist_graph: two crossings reached one structure")
     adj;
-  let fill = Array.make (Array.length v2) 0 in
-  Array.iter (Array.iter (fun i2 -> fill.(i2) <- fill.(i2) + 1)) adj;
-  let radj = Array.map (fun d -> Array.make d 0) fill in
-  Array.fill fill 0 (Array.length fill) 0;
-  Array.iteri
-    (fun i1 row ->
-      Array.iter
-        (fun i2 ->
-          radj.(i2).(fill.(i2)) <- i1;
-          fill.(i2) <- fill.(i2) + 1)
-        row)
-    adj;
-  { n; x; y; v1; v2; adj; radj }
+  { n; x; y; v1; v2; adj }
 
 (* The crossing successors of a one-cycle over its crossable pairs
    (i < j, both arcs >= 3) that [pair] accepts, in pair order ([finish]
@@ -184,7 +170,10 @@ let build_full ?(seed = 0) ?deepest algo ~n () =
 let num_edges t = Array.fold_left (fun acc row -> acc + Array.length row) 0 t.adj
 
 let degree_v1 t i = Array.length t.adj.(i)
-let degree_v2 t i = Array.length t.radj.(i)
+
+let live_vertices t =
+  Array.of_list
+    (List.filter (fun i -> degree_v1 t i > 0) (Bcclb_util.Arrayx.range 0 (Array.length t.v1)))
 
 let neighborhood t indices =
   let seen = Bytes.make (Array.length t.v2) '\000' and count = ref 0 in
@@ -205,8 +194,7 @@ let neighborhood t indices =
    exponential, so we sample [samples] random subsets. A violating
    witness S is returned if found. *)
 let hall_condition_sampled ?(samples = 200) rng t ~k =
-  let live = List.filter (fun i -> degree_v1 t i > 0) (Bcclb_util.Arrayx.range 0 (Array.length t.v1)) in
-  let live = Array.of_list live in
+  let live = live_vertices t in
   let m = Array.length live in
   if m = 0 then Ok ()
   else begin
@@ -228,14 +216,19 @@ let hall_condition_sampled ?(samples = 200) rng t ~k =
 (* Construct an explicit k-matching of size |V1| (Theorem 2.1's
    conclusion) with Hopcroft-Karp on the k-fold blow-up; only left
    vertices of positive degree participate (isolated one-cycle instances
-   have no active pair at all and are excluded, as in Lemma 3.8). *)
+   have no active pair at all and are excluded, as in Lemma 3.8).
+   Counting refutes it first, before any row is copied or checked: the
+   k copies of each live vertex need k·|live| distinct right vertices. *)
 let k_matching t ~k =
-  let live = List.filter (fun i -> degree_v1 t i > 0) (Bcclb_util.Arrayx.range 0 (Array.length t.v1)) in
-  let live = Array.of_list live in
-  let adj = Array.map (fun i -> t.adj.(i)) live in
-  match Hopcroft_karp.k_matching ~k ~nl:(Array.length live) ~nr:(Array.length t.v2) ~adj with
-  | None -> None
-  | Some groups -> Some (live, groups)
+  let num_live = Array.fold_left (fun c row -> if Array.length row > 0 then c + 1 else c) 0 t.adj in
+  if k * num_live > Array.length t.v2 then None
+  else begin
+    let live = live_vertices t in
+    let adj = Array.map (fun i -> t.adj.(i)) live in
+    match Hopcroft_karp.k_matching ~k ~nl:(Array.length live) ~nr:(Array.length t.v2) ~adj with
+    | None -> None
+    | Some groups -> Some (live, groups)
+  end
 
 (* Certified error lower bound under mu for THIS algorithm: a maximum
    matching M in the full indistinguishability graph forces, for every
@@ -246,17 +239,3 @@ let certified_error_lb t =
   let m = Hopcroft_karp.max_matching ~nl ~nr ~adj:t.adj in
   let denom = 2 * max nl nr in
   (m.Hopcroft_karp.size, Bcclb_bignum.Ratio.of_ints m.Hopcroft_karp.size denom)
-
-(* Lemma 3.7's quantitative content at t = 0 for one instance: the
-   multiset of neighbour degrees of I1, grouped by the smaller cycle
-   length i of the neighbour. *)
-let neighbor_degree_histogram t i1 =
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun i2 ->
-      let smaller = List.fold_left min t.n (Cycles.lengths t.v2.(i2)) in
-      let d = degree_v2 t i2 in
-      let key = (smaller, d) in
-      Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)))
-    t.adj.(i1);
-  List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl [])

@@ -15,8 +15,7 @@ type t = {
   y : string;
   v1 : Bcclb_graph.Cycles.t array;
   v2 : Bcclb_graph.Cycles.t array;
-  adj : int array array;
-  radj : int array array;
+  adj : int array array;  (** V₁ index -> ascending V₂ indices: the only adjacency. *)
 }
 
 val build : ?seed:int -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
@@ -34,7 +33,6 @@ val build : ?seed:int -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> un
 
 val num_edges : t -> int
 val degree_v1 : t -> int -> int
-val degree_v2 : t -> int -> int
 
 val hall_condition_sampled :
   ?samples:int -> Bcclb_util.Rng.t -> t -> k:int -> (unit, int list) result
@@ -44,7 +42,8 @@ val hall_condition_sampled :
 val k_matching : t -> k:int -> (int array * int array array) option
 (** A k-matching covering every positive-degree left vertex: returns
     (their indices, per-vertex groups of k pairwise-disjoint right
-    indices), or [None] if none exists. *)
+    indices), or [None] if none exists — at once, by counting, when k
+    times their number exceeds |V₂|. *)
 
 val build_full : ?seed:int -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
 (** The union of G^t_{x,y} over ALL label pairs: {I₁, I₂} is an edge iff
@@ -57,7 +56,3 @@ val certified_error_lb : t -> int * Bcclb_bignum.Ratio.t
     graph forces any output assignment of this algorithm to err with
     μ-mass ≥ size/(2·max(|V₁|,|V₂|)) — the Theorem 3.1 argument
     instantiated as a per-algorithm certificate. *)
-
-val neighbor_degree_histogram : t -> int -> ((int * int) * int) list
-(** For one left instance: [((smaller_cycle_len, neighbour_degree), count)]
-    over its neighbours, sorted — the per-i structure of Lemma 3.7. *)

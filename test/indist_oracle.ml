@@ -1,9 +1,10 @@
 (* The string-label reference for Indist_graph, the oracle its two
    builders are tested against. Labels are the strings of full simulator
    transcripts, crossing successors come from Census.cross_one_cycle
-   looked up by structure, and rows are deduplicated and transposed here
-   rather than by the library. Slow by design: one full execution per
-   instance, lists and string comparisons throughout. *)
+   looked up by structure, and rows are deduplicated here rather than by
+   the library. Slow by design: one full execution per instance, lists
+   and string comparisons throughout. The library keeps only the V₁
+   side; [transpose] gives the tests the V₂ side. *)
 
 open Bcclb_core
 module Cycles = Bcclb_graph.Cycles
@@ -32,11 +33,27 @@ let most_frequent_label histogram =
 
 let finish ~n ~x ~y ~v1 ~v2 rows =
   let adj = Array.map (fun row -> Array.of_list (List.sort_uniq Int.compare row)) rows in
-  let radj = Array.make (Array.length v2) [] in
-  for i1 = Array.length adj - 1 downto 0 do
-    Array.iter (fun i2 -> radj.(i2) <- i1 :: radj.(i2)) adj.(i1)
+  { Indist_graph.n; x; y; v1; v2; adj }
+
+(* V₂ index -> ascending V₁ indices, from the V₁ rows. *)
+let transpose (g : Indist_graph.t) =
+  let radj = Array.make (Array.length g.v2) [] in
+  for i1 = Array.length g.adj - 1 downto 0 do
+    Array.iter (fun i2 -> radj.(i2) <- i1 :: radj.(i2)) g.adj.(i1)
   done;
-  { Indist_graph.n; x; y; v1; v2; adj; radj = Array.map Array.of_list radj }
+  Array.map Array.of_list radj
+
+(* Lemma 3.7's quantitative content for one left instance, given the
+   transpose: [((smaller_cycle_len, neighbour_degree), count)] over its
+   neighbours, sorted. *)
+let neighbor_degree_histogram (g : Indist_graph.t) radj i1 =
+  let tbl = Hashtbl.create 16 in
+  Array.iter
+    (fun i2 ->
+      let key = (List.fold_left min g.n (Cycles.lengths g.v2.(i2)), Array.length radj.(i2)) in
+      Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)))
+    g.adj.(i1);
+  List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl [])
 
 let census ~n =
   let v1 = Census.one_cycles ~n and v2 = Census.two_cycles ~n in

@@ -120,10 +120,11 @@ let test_indist_graph_t0 () =
   Array.iteri
     (fun i _ -> Alcotest.(check int) "V1 degree n(n-5)/2" (n * (n - 5) / 2) (Indist_graph.degree_v1 g i))
     g.Indist_graph.v1;
+  let radj = Indist_oracle.transpose g in
   Array.iteri
     (fun i s2 ->
       let smaller = List.fold_left min n (Cycles.lengths s2) in
-      Alcotest.(check int) "V2 degree 2i(n-i)" (2 * smaller * (n - smaller)) (Indist_graph.degree_v2 g i))
+      Alcotest.(check int) "V2 degree 2i(n-i)" (2 * smaller * (n - smaller)) (Array.length radj.(i)))
     g.Indist_graph.v2;
   (* Handshake: edge count agrees from both sides. *)
   Alcotest.(check int) "handshake" (360 * (n * (n - 5) / 2)) (Indist_graph.num_edges g)
@@ -142,8 +143,31 @@ let test_indist_graph_k_matching_t0 () =
   (match Indist_graph.hall_condition_sampled ~samples:50 rng g ~k:1 with
   | Ok () -> Alcotest.fail "k=1 Hall cannot hold at t=0 for n=8 (|V2| < |V1|)"
   | Error _ -> ());
+  (* Counting refutes the 1-matching (2,520 live > 987) before any row is
+     copied or checked. *)
+  let before = Gc.minor_words () in
+  let m = Indist_graph.k_matching g ~k:1 in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "k=1 refuted" true (m = None);
+  if words > 64. then Alcotest.failf "refuting k=1 allocated %.0f words" words;
   Alcotest.(check bool) "edges counted both ways" true
-    (Indist_graph.num_edges g = Array.fold_left (fun acc r -> acc + Array.length r) 0 g.Indist_graph.radj)
+    (Indist_graph.num_edges g
+    = Array.fold_left (fun acc r -> acc + Array.length r) 0 (Indist_oracle.transpose g))
+
+(* G keeps one adjacency, its V₁ rows. Past the census arrays it shares
+   with the arena, G⁰ at n = 8 (|V₁| = 2,520, |E| = 30,240) holds the
+   row entries, one header per row, the row array, the record and its two
+   labels: |E| + 2|V₁| and a few words. A V₂→V₁ transpose would add
+   |E| + |V₂| + 1 more. *)
+let test_indist_graph_footprint () =
+  let n = 8 in
+  let g = Indist_graph.build (truncated ~rounds:0) ~n () in
+  let nl = Array.length g.Indist_graph.v1 and edges = Indist_graph.num_edges g in
+  Alcotest.(check int) "|V1|" 2520 nl;
+  Alcotest.(check int) "|E|" 30240 edges;
+  let words v = Obj.reachable_words (Obj.repr v) in
+  let own = words g - words (g.Indist_graph.v1, g.Indist_graph.v2) and bound = edges + (2 * nl) + 16 in
+  if own > bound then Alcotest.failf "G0 at n=8 holds %d words past v1 and v2, bound %d" own bound
 
 let test_hard_distribution_baselines () =
   (* always-yes errs exactly on all of V2: error = 1/2. *)
@@ -345,7 +369,7 @@ let test_indist_build_parity () =
       Alcotest.(check string) (what "x") r.Indist_graph.x p.Indist_graph.x;
       Alcotest.(check string) (what "y") r.Indist_graph.y p.Indist_graph.y;
       Alcotest.(check bool) (what "adj") true (p.Indist_graph.adj = r.Indist_graph.adj);
-      Alcotest.(check bool) (what "radj") true (p.Indist_graph.radj = r.Indist_graph.radj))
+      Alcotest.(check bool) (what "radj") true (Indist_oracle.transpose p = Indist_oracle.transpose r))
     parity_inputs
 
 let test_indist_build_full_parity () =
@@ -356,7 +380,7 @@ let test_indist_build_full_parity () =
       let r = Indist_oracle.build_full algo ~n () in
       let what field = Printf.sprintf "%s n=%d t=%d" field n t in
       Alcotest.(check bool) (what "adj") true (p.Indist_graph.adj = r.Indist_graph.adj);
-      Alcotest.(check bool) (what "radj") true (p.Indist_graph.radj = r.Indist_graph.radj))
+      Alcotest.(check bool) (what "radj") true (Indist_oracle.transpose p = Indist_oracle.transpose r))
     parity_inputs
 
 (* Inputs no caller sends are refused at entry with a message naming the
@@ -502,13 +526,14 @@ let test_lemma_3_7_neighbor_structure () =
   let n = 8 in
   let g = Indist_graph.build (truncated ~rounds:0) ~n () in
   let expected = [ ((3, 2 * 3 * 5), 8); ((4, 2 * 4 * 4), 4) ] in
+  let radj = Indist_oracle.transpose g in
   Array.iteri
     (fun i1 _ ->
       if i1 < 10 then
         Alcotest.(check bool)
           (Printf.sprintf "histogram of I1=%d" i1)
           true
-          (Indist_graph.neighbor_degree_histogram g i1 = expected))
+          (Indist_oracle.neighbor_degree_histogram g radj i1 = expected))
     g.Indist_graph.v1
 
 let test_lemma_3_9_t_i_bound () =
@@ -549,6 +574,7 @@ let suites =
     Alcotest.test_case "label pigeonhole" `Quick test_labels_pigeonhole;
     Alcotest.test_case "indist graph t=0 degrees (Lemma 3.9)" `Slow test_indist_graph_t0;
     Alcotest.test_case "indist graph edge accounting" `Slow test_indist_graph_k_matching_t0;
+    Alcotest.test_case "indist graph footprint: one adjacency" `Slow test_indist_graph_footprint;
     Alcotest.test_case "hard distribution baselines" `Slow test_hard_distribution_baselines;
     Alcotest.test_case "error vs rounds" `Slow test_error_monotone_in_rounds;
     Alcotest.test_case "run_members = each member's run (E3 deciders)" `Slow
