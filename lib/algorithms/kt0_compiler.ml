@@ -59,7 +59,7 @@ let compile (Algo.Packed a) =
     in
     let all = Array.append [| View.id st.view |] neighbor_ids in
     Array.sort Int.compare all;
-    { st.view with View.kt1 = Some { View.all_ids = all; neighbor_ids } }
+    { st.view with View.kt1 = Some { View.all_ids = all; neighbor_ids = Port_row.of_array neighbor_ids } }
   in
   (* The inner algorithm's round 1 is the first round after learning:
      its inbox is the outer one with the learning rounds dropped. *)

@@ -2,8 +2,8 @@
 
     In BCC every vertex hears every broadcast, so a run keeps one board
     — each round's emissions array, indexed by sender — and a vertex's
-    inbox is a view of it through the vertex's own port→sender row. The
-    type is abstract and answers by port, never by sender, so KT-0
+    inbox is a view of it through the vertex's wiring
+    ({!Instance.port_row}). The type is abstract and answers by port, never by sender, so KT-0
     algorithms still cannot learn who sits behind a port.
 
     A view is live: it shows every round posted to its board so far, so
@@ -19,9 +19,9 @@ type t
 
 type board = Msg.t Bcclb_engine.Topology.Board.t
 
-val view : board -> row:int array -> t
-(** The inbox of a vertex whose port [p] leads to sender [row.(p)]. The
-    row is shared, not copied: do not mutate it. *)
+val view : board -> row:Port_row.t -> t
+(** The inbox of a vertex whose port [p] leads to sender
+    [Port_row.get row p]. *)
 
 val of_ports : board -> ports:int -> t
 (** A board whose arrays are already indexed by port, read through the

@@ -8,7 +8,8 @@
     algorithms only ever see IDs and ports through {!View.t}. In KT-0 the
     wiring is arbitrary; in KT-1 port p of every vertex leads to the
     vertex with the p-th smallest ID among the others, realising "ports
-    are labelled by IDs". *)
+    are labelled by IDs". The circulant and KT-1 wirings are computed,
+    in O(n) words; only {!kt0_random} and {!cross} store tables. *)
 
 type knowledge = KT0 | KT1
 
@@ -22,10 +23,9 @@ val ids : t -> int array
 val peer : t -> int -> int -> int
 (** [peer t v p]: the vertex at the far end of port [p] of vertex [v]. *)
 
-val peer_row : t -> int -> int array
-(** [peer_row t v]: the row [p ↦ peer t v p] — shared with the instance,
-    not copied, so do not mutate it. What the simulator reads each
-    vertex's inbox through ({!Inbox.view}). *)
+val port_row : t -> int -> Port_row.t
+(** [port_row t v]: the row [p ↦ peer t v p], copying nothing: what an
+    inbox ({!Inbox.view}) and a transcript read senders through. *)
 
 val port_to : t -> int -> int -> int
 (** [port_to t v u]: the port of [v] whose far end is [u].
@@ -36,17 +36,13 @@ val is_input_edge : t -> int -> int -> bool
 
 val kt0_circulant : ?ids:int array -> Bcclb_graph.Graph.t -> t
 (** KT-0 instance over the canonical circulant wiring
-    (port p of v → v+p+1 mod n); the shared background wiring of all
-    census-level instances. Default IDs are 1..n: the wiring tables and
-    IDs are then built and validated once per n and shared, and per
-    instance only the input marking is built and checked, in O(n + m)
-    (each port row from the graph's adjacency row; each row ascending
-    and each marked port's mirror marked). With [?ids] everything is
-    built and validated afresh, the wiring in O(n²). *)
+    (port p of v → v+p+1 mod n); the background wiring of all
+    census-level instances. Default IDs are 1..n. Built and validated in
+    O(n + m) words. *)
 
 val kt0_circulant_sweep : int -> (int * int) array -> t
-(** [kt0_circulant_sweep n] returns a stamp over the same shared,
-    validated tables: applied to a per-vertex cycle-neighbour table (the
+(** [kt0_circulant_sweep n] returns a stamp over one circulant wiring
+    and default IDs: applied to a per-vertex cycle-neighbour table (the
     two input-graph neighbours of each vertex of a 2-regular instance),
     it builds the same instance [kt0_circulant (Cycles.to_graph ...)]
     would, without the graph construction, checking the table in O(n)
@@ -60,15 +56,16 @@ val kt0_random : ?ids:int array -> Bcclb_util.Rng.t -> Bcclb_graph.Graph.t -> t
     vertex — the adversarial wiring freedom of the KT-0 model. *)
 
 val kt1_of_graph : ?ids:int array -> Bcclb_graph.Graph.t -> t
-(** KT-1 instance; the wiring is forced by the IDs. *)
+(** KT-1 instance; the wiring is forced by the IDs, computed from one
+    sort of them, in O(n + m) words. *)
 
 val input_graph : t -> Bcclb_graph.Graph.t
 (** The input graph (on vertex indices). *)
 
 val view : ?coins_seed:int -> t -> int -> View.t
 (** Initial knowledge of vertex [v]; every vertex of a run must receive
-    the same [coins_seed] (public-coin model). Its input ports are the
-    instance's row for [v], shared and not copied. *)
+    the same [coins_seed] (public-coin model). Its input ports, and in
+    KT-1 its IDs, are the instance's arrays, shared and not copied. *)
 
 val same_knowledge : t -> int -> t -> int -> bool
 (** [same_knowledge a v b u]: does vertex [v] of [a] start with the
@@ -78,9 +75,10 @@ val same_knowledge : t -> int -> t -> int -> bool
     are "initially indistinguishable" (§3). *)
 
 val validate : t -> t
-(** Re-check all structural invariants (clique wiring, symmetric port
-    maps, ascending in-range port rows marking each input edge at both
-    ends, distinct IDs, KT-1 ID-ordering).
+(** Re-check the structural invariants: distinct IDs, ascending
+    in-range port rows marking each input edge at both ends, and for
+    tables a clique wiring with symmetric port maps (computed wirings
+    hold it, and KT-1's ID order, by construction).
     @raise Invalid_argument describing the violation. *)
 
 val independent : t -> int * int -> int * int -> bool
@@ -91,7 +89,7 @@ val cross : t -> int * int -> int * int -> t
 (** The port-preserving crossing I(e₁, e₂) of Definition 3.3, for directed
     input edges e₁ = (v₁, u₁) and e₂ = (v₂, u₂): input edges e₁, e₂ are
     replaced by (v₁, u₂), (v₂, u₁) and the wiring is rewired so that every
-    vertex's per-port view is unchanged.
+    vertex's per-port view is unchanged. The result stores tables.
     @raise Invalid_argument if the edges are not independent or the
     instance is KT-1 (where ports are pinned to IDs). *)
 

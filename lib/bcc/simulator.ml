@@ -23,7 +23,7 @@ let check_width ~b ~round ~vertex msg =
    against the bandwidth and counted as it leaves [step], so no entry
    lets an algorithm cheat the model. The run has one board: each
    round's emissions array is posted as the engine built it, and vertex
-   v's inbox is a view of it through v's port row, built once per run.
+   v's inbox is a view of it through v's wiring, built once per run.
    The board is the run's whole record, and it is returned; the entries
    read transcripts and codes off it. [reads] are the round counts at
    which every vertex's [finish] runs on its live state and view; the
@@ -47,7 +47,7 @@ let execute ~entry ~seed ~reads (Algo.Packed a) inst =
     stepped
   in
   let board = Topology.Board.create () in
-  let view v = Inbox.view board ~row:(Instance.peer_row inst v) in
+  let view v = Inbox.view board ~row:(Instance.port_row inst v) in
   let init v = a.Algo.init (Instance.view ~coins_seed:seed inst v) in
   let outputs = Array.make (Array.length reads) [||] in
   (* Every read of [r] gets one array: a finish runs once per vertex and

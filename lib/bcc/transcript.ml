@@ -1,12 +1,12 @@
 module Board = Bcclb_engine.Topology.Board
 
 (* A window onto the run's board: the vertex's own column of every round
-   posted, and round r − 1's columns through its port row as what it
+   posted, and round r − 1's columns through its wiring as what it
    received into round r. Initial knowledge stays on the instance. *)
-type t = { board : Inbox.board; inst : Instance.t; vertex : int; row : int array; rounds : int }
+type t = { board : Inbox.board; inst : Instance.t; vertex : int; row : Port_row.t; rounds : int }
 
 let of_board board inst v =
-  { board; inst; vertex = v; row = Instance.peer_row inst v; rounds = board.Board.rounds }
+  { board; inst; vertex = v; row = Instance.port_row inst v; rounds = board.Board.rounds }
 
 let rounds t = t.rounds
 
@@ -16,8 +16,8 @@ let sent t r =
 
 let received t r p =
   if r < 1 || r > t.rounds then invalid_arg "Transcript.received: round out of range";
-  if p < 0 || p >= Array.length t.row then invalid_arg "Transcript.received: port out of range";
-  if r = 1 then Msg.silent else t.board.Board.posts.(r - 2).(t.row.(p))
+  if p < 0 || p >= Port_row.ports t.row then invalid_arg "Transcript.received: port out of range";
+  if r = 1 then Msg.silent else t.board.Board.posts.(r - 2).(Port_row.get t.row p)
 
 let knowledge t = Instance.view t.inst t.vertex
 
@@ -31,11 +31,12 @@ let same_msg a b =
 
 let equal a b =
   let pa = a.board.Board.posts and pb = b.board.Board.posts in
-  let ports = Array.length a.row in
+  let ports = Port_row.ports a.row in
   (* Round i + 1's broadcasts through every port from [p] on: what each
      vertex received into round i + 2. *)
   let rec heard i p =
-    p >= ports || (same_msg pa.(i).(a.row.(p)) pb.(i).(b.row.(p)) && heard i (p + 1))
+    p >= ports
+    || (same_msg pa.(i).(Port_row.get a.row p) pb.(i).(Port_row.get b.row p) && heard i (p + 1))
   in
   let rec from i =
     i >= a.rounds
@@ -44,7 +45,7 @@ let equal a b =
        && from (i + 1)
   in
   a.rounds = b.rounds
-  && ports = Array.length b.row
+  && ports = Port_row.ports b.row
   && Instance.same_knowledge a.inst a.vertex b.inst b.vertex
   && from 0
 

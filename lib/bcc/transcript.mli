@@ -2,7 +2,7 @@
     broadcast, everything it heard per port, and its initial knowledge.
     In BCC every vertex hears every broadcast, so a run's one board
     ({!Inbox.board}) holds every transcript, and a transcript is a view
-    of it through the vertex's port row: it copies no traffic, and the
+    of it through the vertex's wiring: it copies no traffic, and the
     initial knowledge is read off the instance only when asked.
 
     Two instances are indistinguishable after T rounds of an algorithm
@@ -14,7 +14,8 @@ type t
 val of_board : Inbox.board -> Instance.t -> int -> t
 (** [of_board board inst v]: vertex [v]'s transcript of the run on
     [inst] whose broadcasts [board] holds, over the rounds posted so
-    far. Shares the board and [v]'s port row. *)
+    far. Shares the board and reads [v]'s senders through
+    {!Instance.port_row}. *)
 
 val rounds : t -> int
 

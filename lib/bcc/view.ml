@@ -1,6 +1,6 @@
 open Bcclb_util
 
-type kt1_info = { all_ids : int array; neighbor_ids : int array }
+type kt1_info = { all_ids : int array; neighbor_ids : Port_row.t }
 
 type t = {
   n : int;
@@ -30,20 +30,12 @@ let neighbor_id t p =
   | None -> invalid_arg "View.neighbor_id: not available in KT-0"
   | Some k ->
     if p < 0 || p >= t.num_ports then invalid_arg "View.neighbor_id: port out of range";
-    k.neighbor_ids.(p)
+    Port_row.get k.neighbor_ids p
 
 let all_ids t =
   match t.kt1 with
   | None -> invalid_arg "View.all_ids: not available in KT-0"
   | Some k -> Array.copy k.all_ids
-
-let port_of_id t target =
-  match t.kt1 with
-  | None -> invalid_arg "View.port_of_id: not available in KT-0"
-  | Some k ->
-    (match Arrayx.find_index (Int.equal target) k.neighbor_ids with
-    | Some p -> p
-    | None -> raise Not_found)
 
 let rec index_in (ids : int array) id lo hi =
   if lo >= hi then raise Not_found

@@ -8,8 +8,8 @@
     cannot access knowledge its model does not grant. *)
 
 type kt1_info = {
-  all_ids : int array;  (** All n IDs, sorted. *)
-  neighbor_ids : int array;  (** [neighbor_ids.(p)] = ID across port [p]. *)
+  all_ids : int array;  (** All n IDs, sorted; shared, so do not mutate it. *)
+  neighbor_ids : Port_row.t;  (** Port [p] leads to ID [Port_row.get neighbor_ids p]. *)
 }
 
 type t = {
@@ -45,10 +45,6 @@ val neighbor_id : t -> int -> int
 
 val all_ids : t -> int array
 (** KT-1 only (fresh copy). @raise Invalid_argument in KT-0. *)
-
-val port_of_id : t -> int -> int
-(** KT-1 only: the port whose far end has the given ID.
-    @raise Not_found if no such neighbour, Invalid_argument in KT-0. *)
 
 val index_of_id : t -> int -> int
 (** KT-1 only: the ID's position in the sorted {!all_ids}, the shared

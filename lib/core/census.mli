@@ -53,7 +53,7 @@ val iter_one_cycle_orbits : ?second:int -> n:int -> (int array -> weight:int -> 
     [second ∈ 1..n−1] partition the enumeration, so workers can scan
     branches in parallel. @raise Invalid_argument for n < 3. *)
 
-val to_instance : ?ids:int array -> Bcclb_graph.Cycles.t -> n:int -> Bcclb_bcc.Instance.t
+val to_instance : Bcclb_graph.Cycles.t -> n:int -> Bcclb_bcc.Instance.t
 (** KT-0 instance of the structure over the circulant background wiring. *)
 
 val cross_one_cycle : int array -> int -> int -> Bcclb_graph.Cycles.t

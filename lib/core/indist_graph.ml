@@ -175,44 +175,6 @@ let live_vertices t =
   Array.of_list
     (List.filter (fun i -> degree_v1 t i > 0) (Bcclb_util.Arrayx.range 0 (Array.length t.v1)))
 
-let neighborhood t indices =
-  let seen = Bytes.make (Array.length t.v2) '\000' and count = ref 0 in
-  List.iter
-    (fun i ->
-      Array.iter
-        (fun j ->
-          if Bytes.get seen j = '\000' then begin
-            Bytes.set seen j '\001';
-            incr count
-          end)
-        t.adj.(i))
-    indices;
-  !count
-
-(* Check the Polygamous Hall condition |N(S)| >= k|S| on sampled subsets
-   of the positive-degree left vertices; exhaustive subsets are
-   exponential, so we sample [samples] random subsets. A violating
-   witness S is returned if found. *)
-let hall_condition_sampled ?(samples = 200) rng t ~k =
-  let live = live_vertices t in
-  let m = Array.length live in
-  if m = 0 then Ok ()
-  else begin
-    (* The full live set is the extremal witness whenever k|L| > |R|;
-       check it first, then random subsets of varied sizes. *)
-    let full = Array.to_list live in
-    let violation = ref (if neighborhood t full < k * m then Some full else None) in
-    for _ = 1 to samples do
-      if !violation = None then begin
-        let size = 1 + Bcclb_util.Rng.int rng m in
-        let perm = Bcclb_util.Rng.permutation rng m in
-        let s = List.init size (fun i -> live.(perm.(i))) in
-        if neighborhood t s < k * size then violation := Some s
-      end
-    done;
-    match !violation with None -> Ok () | Some s -> Error s
-  end
-
 (* Construct an explicit k-matching of size |V1| (Theorem 2.1's
    conclusion) with Hopcroft-Karp on the k-fold blow-up; only left
    vertices of positive degree participate (isolated one-cycle instances

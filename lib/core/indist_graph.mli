@@ -34,16 +34,13 @@ val build : ?seed:int -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> un
 val num_edges : t -> int
 val degree_v1 : t -> int -> int
 
-val hall_condition_sampled :
-  ?samples:int -> Bcclb_util.Rng.t -> t -> k:int -> (unit, int list) result
-(** Check |N(S)| ≥ k·|S| on random subsets of the positive-degree left
-    vertices; [Error s] returns a violating witness. *)
-
 val k_matching : t -> k:int -> (int array * int array array) option
 (** A k-matching covering every positive-degree left vertex: returns
     (their indices, per-vertex groups of k pairwise-disjoint right
     indices), or [None] if none exists — at once, by counting, when k
-    times their number exceeds |V₂|. *)
+    times their number exceeds |V₂|. By Theorem 2.1 one exists iff
+    |N(S)| ≥ k·|S| for every set S of those vertices, so this is the
+    Hall condition decided exactly. *)
 
 val build_full : ?seed:int -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
 (** The union of G^t_{x,y} over ALL label pairs: {I₁, I₂} is an edge iff

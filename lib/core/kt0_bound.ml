@@ -45,12 +45,11 @@ type indist_stats = {
   isolated_v1 : int;
   min_live_degree : int;
   max_degree_v1 : int;
-  hall_ok : bool;  (* sampled Hall condition for the k below *)
   k : int;
   k_matching_found : bool;
 }
 
-let indist_stats ?(seed = 0) ?(samples = 200) ?deepest algo ~n ~rounds ~k rng =
+let indist_stats ?(seed = 0) ?deepest algo ~n ~rounds ~k =
   let g = Indist_graph.build ~seed ?deepest algo ~n () in
   let nl = Array.length g.Indist_graph.v1 in
   let isolated = ref 0 and min_live = ref max_int and max_deg = ref 0 in
@@ -59,7 +58,6 @@ let indist_stats ?(seed = 0) ?(samples = 200) ?deepest algo ~n ~rounds ~k rng =
     if d = 0 then incr isolated else min_live := min !min_live d;
     max_deg := max !max_deg d
   done;
-  let hall_ok = match Indist_graph.hall_condition_sampled ~samples rng g ~k with Ok () -> true | Error _ -> false in
   let matching = Indist_graph.k_matching g ~k <> None in
   { n;
     rounds;
@@ -71,7 +69,6 @@ let indist_stats ?(seed = 0) ?(samples = 200) ?deepest algo ~n ~rounds ~k rng =
     isolated_v1 = !isolated;
     min_live_degree = (if !min_live = max_int then 0 else !min_live);
     max_degree_v1 = !max_deg;
-    hall_ok;
     k;
     k_matching_found = matching }
 
@@ -91,7 +88,6 @@ type orbit_row = {
   live_v1 : int;
   min_live_degree : int;
   max_degree_v1 : int;
-  warm : bool;
 }
 
 let orbit_row ?(seed = 0) ?root ?deepest algo ~n () =
@@ -106,8 +102,7 @@ let orbit_row ?(seed = 0) ?root ?deepest algo ~n () =
     isolated_v1 = s.Quotient.isolated_v1;
     live_v1 = s.Quotient.live_v1;
     min_live_degree = s.Quotient.min_live_degree;
-    max_degree_v1 = s.Quotient.max_degree_v1;
-    warm = s.Quotient.warm }
+    max_degree_v1 = s.Quotient.max_degree_v1 }
 
 (* ---- Theorem 3.1/3.5: error of t-round algorithms under mu. ---- *)
 

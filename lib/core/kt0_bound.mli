@@ -28,17 +28,15 @@ type indist_stats = {
   isolated_v1 : int;
   min_live_degree : int;
   max_degree_v1 : int;
-  hall_ok : bool;
   k : int;
-  k_matching_found : bool;
+  k_matching_found : bool;  (** = Hall's condition (Theorem 2.1). *)
 }
 
 val indist_stats :
-  ?seed:int -> ?samples:int -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> rounds:int ->
-  k:int -> Bcclb_util.Rng.t -> indist_stats
-(** Build G^t for the given (pre-truncated to [rounds]) algorithm; check
-    the sampled Hall condition and construct a k-matching. [deepest] as
-    in {!Indist_graph.build}. *)
+  ?seed:int -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> rounds:int -> k:int ->
+  indist_stats
+(** Build G^t for the given (pre-truncated to [rounds]) algorithm and
+    construct a k-matching. [deepest] as in {!Indist_graph.build}. *)
 
 type orbit_row = {
   n : int;
@@ -52,7 +50,6 @@ type orbit_row = {
   live_v1 : int;
   min_live_degree : int;
   max_degree_v1 : int;
-  warm : bool;
 }
 
 val orbit_row :

@@ -33,7 +33,6 @@ type stats = {
   max_degree_v1 : int;
   edges_by_smaller : (int * int) list;
   t_i : (int * int) list;
-  warm : bool;
 }
 
 (* Partial aggregate over one chunk of representatives, for one
@@ -185,5 +184,4 @@ let full_stats ?(seed = 0) ?root ?deepest algo ~n () =
       List.filter
         (fun (_, w) -> w > 0)
         (List.mapi (fun i w -> (i, w)) (Array.to_list by_smaller));
-    t_i = Census.t_i_closed_form ~n;
-    warm = Arena.Orbit.warm store }
+    t_i = Census.t_i_closed_form ~n }

@@ -26,7 +26,6 @@ type stats = {
       (** Edge count by the smaller cycle length of the right endpoint —
           the per-Tᵢ structure behind Lemma 3.9's double counting. *)
   t_i : (int * int) list;  (** Closed-form |Tᵢ| for comparison. *)
-  warm : bool;  (** Did the orbit store reopen from disk? *)
 }
 
 val full_stats :

@@ -61,10 +61,10 @@ let run_task f x =
   else Obs.Metrics.Counter.incr inner_tasks_metric;
   (r, dt)
 
-let span_batch ~n ~d f =
-  Obs.span "pool.batch"
-    ~attrs:[ ("items", string_of_int n); ("domains", string_of_int d) ]
-    f
+(* A shared batch names its key, so a trace shows which one ran. *)
+let span_batch ?key ~n ~d f =
+  let attrs = [ ("items", string_of_int n); ("domains", string_of_int d) ] in
+  Obs.span "pool.batch" ~attrs:(match key with Some k -> ("key", k) :: attrs | None -> attrs) f
 
 (* The batch skeleton: [run i] runs task [i] and stores its result.
    Indices come off [cursor] (a fresh one by default; a shared batch
@@ -237,7 +237,7 @@ let shared id ~key n f =
     (* Only the creator fans out; a caller that joins a running batch
        claims on its own domain. *)
     let d = if created then resolve_domains None n else 1 in
-    span_batch ~n ~d (fun () -> dispatch ~cursor:fl.cursor ~n ~d run)
+    span_batch ~key ~n ~d (fun () -> dispatch ~cursor:fl.cursor ~n ~d run)
   end;
   let outcome =
     Mutex.protect fl.lock (fun () ->

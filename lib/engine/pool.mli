@@ -55,7 +55,8 @@ val shared : 'a array Type.Id.t -> key:string -> int -> (int -> 'a) -> 'a array 
     the items out over {!default_num_domains} domains, as [map_batch]
     does; inside one, each caller claims on its own domain. The key
     names one batch: [f] must be the same computation for every caller
-    (and must not call [shared] on its own key).
+    (and must not call [shared] on its own key). Each caller that runs
+    items does so in a [pool.batch] span whose [key] attribute is [key].
     @raise Invalid_argument if [key] is held by a batch of another type
     ([id]) or another length. *)
 

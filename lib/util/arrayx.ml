@@ -5,8 +5,6 @@ let swap a i j =
 
 let init_matrix rows cols f = Array.init rows (fun i -> Array.init cols (fun j -> f i j))
 
-let matrix_copy m = Array.map Array.copy m
-
 let find_index p a =
   let n = Array.length a in
   let rec loop i = if i >= n then None else if p a.(i) then Some i else loop (i + 1) in

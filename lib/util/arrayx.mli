@@ -4,9 +4,6 @@ val swap : 'a array -> int -> int -> unit
 
 val init_matrix : int -> int -> (int -> int -> 'a) -> 'a array array
 
-val matrix_copy : 'a array array -> 'a array array
-(** Deep copy of a 2-d array. *)
-
 val find_index : ('a -> bool) -> 'a array -> int option
 
 val mem_sorted : int array -> int -> bool

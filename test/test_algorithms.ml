@@ -729,7 +729,7 @@ let test_codec () =
     List.iter
       (fun m -> Bcclb_engine.Topology.Board.post board [| Bcclb_bcc.Msg.zero; m |])
       round_msgs;
-    Bcclb_bcc.Inbox.view board ~row:[| 1; 0 |]
+    Bcclb_bcc.Inbox.view board ~row:(Bcclb_bcc.Port_row.of_array [| 1; 0 |])
   in
   let seq = history (List.map Bcclb_bcc.Msg.of_bit [ true; false; true ]) in
   let decode ~first ~width h = Codec.decode h ~port:0 ~first ~width in

@@ -23,26 +23,34 @@ let test_instance_construction () =
   Alcotest.(check bool) "no edge 0-2" false (Instance.is_input_edge inst 0 2);
   Alcotest.(check bool) "graph roundtrip" true (G.equal (Instance.input_graph inst) cycle6)
 
-let test_circulant_tables () =
-  (* Default-ID circulant instances share tables built and validated once
-     per n; they equal the fully built and validated [?ids] path. *)
+let test_circulant_wiring () =
+  (* Default IDs are 1..n: the same instance as passing them. *)
   let rng = Rng.create ~seed:31 in
   List.iter
     (fun g ->
       let n = G.n g in
-      let shared = Instance.kt0_circulant g in
-      Alcotest.(check bool) "= the fully validated build" true
-        (Instance.equal shared (Instance.kt0_circulant ~ids:(Array.init n succ) g));
-      ignore (Instance.validate shared))
+      let inst = Instance.kt0_circulant g in
+      Alcotest.(check bool) "default IDs = 1..n" true
+        (Instance.equal inst (Instance.kt0_circulant ~ids:(Array.init n succ) g));
+      ignore (Instance.validate inst))
     [ Gen.random_cycle rng 9; Gen.random_two_cycles rng 12; Gen.gnp rng 10 0.4;
       Gen.random_bounded_degree rng 11 3 ];
-  (* Crossing copies the shared tables first: later instances see none of
-     its rewiring. *)
+  (* Crossing tabulates the wiring into its own tables: the instance it
+     crossed keeps its wiring, and equality reads through both forms, so
+     crossing back restores an equal instance. *)
   let base = Instance.kt0_circulant cycle6 in
   let crossed = Instance.cross base (0, 1) (3, 4) in
   Alcotest.(check bool) "crossing rewired its copy" false (Instance.equal base crossed);
-  Alcotest.(check bool) "shared tables untouched" true (Instance.equal base (Instance.kt0_circulant cycle6));
-  Alcotest.(check int) "peer row untouched" 1 (Instance.peer (Instance.kt0_circulant cycle6) 0 0);
+  Alcotest.(check int) "base wiring untouched" 1 (Instance.peer base 0 0);
+  Alcotest.(check bool) "crossing back restores it" true
+    (Instance.equal base (Instance.cross crossed (0, 4) (3, 1)));
+  Alcotest.check_raises "port past end" (Invalid_argument "Instance.peer: no such port") (fun () ->
+      ignore (Instance.peer base 0 5));
+  Alcotest.check_raises "no port to itself"
+    (Invalid_argument "Instance.port_to: no port between these vertices") (fun () ->
+      ignore (Instance.port_to base 2 2));
+  Alcotest.check_raises "duplicate IDs" (Invalid_argument "Instance.validate: duplicate ID") (fun () ->
+      ignore (Instance.kt1_of_graph ~ids:[| 4; 1; 2; 3; 4; 5 |] cycle6));
   (* The census stamp builds the same instance from a cycle-neighbour
      table, and refuses a table whose pairs are not mutual. *)
   let g = Gen.random_cycle rng 10 in
@@ -57,26 +65,129 @@ let test_circulant_tables () =
     (Invalid_argument "Instance.kt0_circulant_sweep: neighbour table is not 2-regular") (fun () ->
       ignore (stamp broken))
 
-(* Set-up is sized by degree, not by n: at n = 200 every row an instance
-   or a view could allocate fits the minor heap, so [Gc.minor_words] sees
-   all of it. A cycle's instance stays under 64 words a vertex and its n
-   views under 16, well below the n words a vertex that any per-port
-   marking or per-view row copy would cost. *)
+(* Words [f ()] allocates per vertex of an n-vertex instance, on both
+   heaps: an array past 256 words skips the minor heap, so
+   [Gc.minor_words] alone would miss the wirings' rings and ID arrays.
+   The minor heap is emptied first, so every word promoted during the
+   call was allocated by it. *)
+let per_vertex n f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  Gc.minor ();
+  let w0 = words () in
+  let x = Sys.opaque_identity (f ()) in
+  ((words () -. w0) /. float_of_int n, x)
+
+(* Set-up is sized by degree, not by n: a cycle's instance stays under
+   64 words a vertex and its n views under 16 at n = 200, well below the
+   n words a vertex that a wiring table, a per-port marking or a
+   per-view row copy would cost. *)
 let test_setup_allocation () =
   let n = 200 in
   let g = Gen.cycle n in
-  ignore (Instance.kt0_circulant g);
-  let per_vertex f =
-    let w0 = Gc.minor_words () in
-    let x = Sys.opaque_identity (f ()) in
-    ((Gc.minor_words () -. w0) /. float_of_int n, x)
-  in
-  let inst_words, inst = per_vertex (fun () -> Instance.kt0_circulant g) in
-  let view_words, _ = per_vertex (fun () -> Array.init n (Instance.view inst)) in
+  let inst_words, inst = per_vertex n (fun () -> Instance.kt0_circulant g) in
+  let view_words, _ = per_vertex n (fun () -> Array.init n (Instance.view inst)) in
   if inst_words > 64. then
     Alcotest.failf "kt0_circulant: %.1f words per vertex (want <= 64)" inst_words;
   if view_words > 16. then
     Alcotest.failf "n views: %.1f words per vertex (want <= 16)" view_words
+
+(* The computed wirings at n = 2048: a KT-1 instance on a random
+   multicycle with its n views, and a circulant instance, each in O(n)
+   words — not the 2n² words of a peer and a port_to table, nor a KT-1
+   view's copied n-entry ID and neighbour rows. *)
+let test_wiring_allocation () =
+  let n = 2048 in
+  let g = Gen.random_multicycle (Rng.create ~seed:12) n in
+  let kt1_words, _ =
+    per_vertex n (fun () ->
+        let inst = Instance.kt1_of_graph g in
+        Array.init n (Instance.view inst))
+  in
+  if kt1_words > 64. then
+    Alcotest.failf "KT-1 instance and n views: %.1f words per vertex (want <= 64)" kt1_words;
+  let circulant_words, _ = per_vertex n (fun () -> Instance.kt0_circulant g) in
+  if circulant_words > 64. then
+    Alcotest.failf "kt0_circulant: %.1f words per vertex (want <= 64)" circulant_words
+
+(* The first pair of input edges [Instance.independent] accepts, trying
+   both orientations of the second. *)
+let independent_pair inst g =
+  let edges = G.edges g in
+  List.find_map
+    (fun e1 ->
+      List.find_map
+        (fun (a, b) ->
+          List.find_opt (Instance.independent inst e1) [ (a, b); (b, a) ]
+          |> Option.map (fun e2 -> (e1, e2)))
+        edges)
+    edges
+
+(* Distinct IDs in [1, n³]: default, a permutation, descending, 3i + 7
+   and random. *)
+let id_families rng n =
+  let seen = Hashtbl.create n in
+  let rec fresh () =
+    let id = 1 + Rng.int rng (n * n * n) in
+    if Hashtbl.mem seen id then fresh ()
+    else begin
+      Hashtbl.add seen id ();
+      id
+    end
+  in
+  [ Array.init n succ; Array.map succ (Rng.permutation rng n); Array.init n (fun v -> n - v);
+    Array.init n (fun i -> (3 * i) + 7); Array.init n (fun _ -> fresh ()) ]
+
+(* Every constructor's wiring against the tabulated reference
+   ([Wiring_oracle]): peer, port_to, port rows, input marking and KT-1
+   views, then [same_knowledge] across every pair of instances and
+   vertices. *)
+let test_wiring_oracle () =
+  let rng = Rng.create ~seed:41 in
+  List.iter
+    (fun (n, g) ->
+      let built = ref [] in
+      let add oracle inst =
+        if not (Wiring_oracle.agrees oracle inst) then
+          Alcotest.failf "n = %d: instance %d disagrees with its oracle" n (List.length !built);
+        built := (oracle, inst) :: !built
+      in
+      add (Wiring_oracle.circulant g) (Instance.kt0_circulant g);
+      add (Wiring_oracle.kt1 g) (Instance.kt1_of_graph g);
+      List.iter
+        (fun ids ->
+          let seed = Rng.int rng 1_000_000 in
+          add (Wiring_oracle.circulant ~ids g) (Instance.kt0_circulant ~ids g);
+          add (Wiring_oracle.kt1 ~ids g) (Instance.kt1_of_graph ~ids g);
+          add
+            (Wiring_oracle.random ~ids (Rng.create ~seed) g)
+            (Instance.kt0_random ~ids (Rng.create ~seed) g))
+        (id_families rng n);
+      if G.is_regular g ~k:2 then
+        add (Wiring_oracle.circulant g)
+          (Instance.kt0_circulant_sweep n
+             (Array.init n (fun v -> ((G.neighbors g v).(0), (G.neighbors g v).(1)))));
+      List.iter
+        (fun (oracle, inst) ->
+          match independent_pair inst g with
+          | Some (e1, e2) -> add (Wiring_oracle.cross oracle e1 e2) (Instance.cross inst e1 e2)
+          | None -> ())
+        (List.filter (fun (o, _) -> not o.Wiring_oracle.kt1) !built);
+      List.iter
+        (fun (oa, a) ->
+          List.iter
+            (fun (ob, b) ->
+              for i = 0 to (n * n) - 1 do
+                let v = i / n and u = i mod n in
+                if Instance.same_knowledge a v b u <> Wiring_oracle.same_knowledge oa v ob u then
+                  Alcotest.failf "n = %d: same_knowledge %d %d disagrees with the oracle" n v u
+              done)
+            !built)
+        !built)
+    [ (2, G.of_edges ~n:2 [ (0, 1) ]); (3, Gen.cycle 3); (7, Gen.random_cycle rng 7);
+      (8, Gen.gnp rng 8 0.5); (12, Gen.random_multicycle rng 12); (13, Gen.random_bounded_degree rng 13 3) ]
 
 let test_instance_random_wiring () =
   let rng = Rng.create ~seed:9 in
@@ -230,14 +341,14 @@ let test_view_details () =
   let inst = Instance.kt1_of_graph cycle6 in
   let v = Instance.view inst 2 in
   (* Vertex 2 has id 3; its KT-1 ports are ordered by the other ids
-     [1; 2; 4; 5; 6], so id 2 sits behind port 1. *)
-  Alcotest.(check int) "port of id 2" 1 (View.port_of_id v 2);
-  Alcotest.(check bool) "port leads back" true (View.neighbor_id v (View.port_of_id v 4) = 4);
-  Alcotest.(check bool) "own id has no port" true
-    (try
-       ignore (View.port_of_id v 3);
-       false
-     with Not_found -> true);
+     [1; 2; 4; 5; 6], so id 2 sits behind port 1 and its own id behind
+     none. *)
+  Alcotest.(check (array int)) "ports in ID order" [| 1; 2; 4; 5; 6 |]
+    (Array.init 5 (View.neighbor_id v));
+  Alcotest.(check int) "own id's index" 2 (View.index_of_id v 3);
+  Alcotest.check_raises "port past end" (Invalid_argument "View.neighbor_id: port out of range")
+    (fun () -> ignore (View.neighbor_id v 5));
+  Alcotest.check_raises "unknown id" Not_found (fun () -> ignore (View.index_of_id v 7));
   (* KT-0 view raises on all_ids. *)
   let v0 = Instance.view (Instance.kt0_circulant cycle6) 0 in
   Alcotest.check_raises "all_ids KT-0" (Invalid_argument "View.all_ids: not available in KT-0")
@@ -491,7 +602,7 @@ let test_once_per_run () =
 let test_once_keys () =
   let module Board = Bcclb_engine.Topology.Board in
   let board = Board.create () in
-  let a = Inbox.of_ports board ~ports:2 and b = Inbox.view board ~row:[| 1; 0 |] in
+  let a = Inbox.of_ports board ~ports:2 and b = Inbox.view board ~row:(Port_row.of_array [| 1; 0 |]) in
   let key = Type.Id.make () and other = Type.Id.make () in
   let calls = ref 0 in
   let f () =
@@ -605,8 +716,10 @@ let test_split_preserves_silence_patterns () =
 let suites =
   [ Alcotest.test_case "instance construction" `Quick test_instance_construction;
     Alcotest.test_case "random wiring" `Quick test_instance_random_wiring;
-    Alcotest.test_case "circulant tables shared per n" `Quick test_circulant_tables;
+    Alcotest.test_case "circulant wiring and census stamp" `Quick test_circulant_wiring;
     Alcotest.test_case "instance and view set-up sized by degree" `Quick test_setup_allocation;
+    Alcotest.test_case "wiring set-up at n = 2048 in O(n) words" `Quick test_wiring_allocation;
+    Alcotest.test_case "wirings = the tabulated oracle" `Quick test_wiring_oracle;
     Alcotest.test_case "KT-1 wiring" `Quick test_kt1_wiring;
     Alcotest.test_case "KT-0 hides ids" `Quick test_kt0_view_hides_ids;
     Alcotest.test_case "independence (Def 3.2)" `Quick test_independence;
@@ -689,19 +802,6 @@ let rows_agree_with_wiring inst =
       && View.degree view = G.degree g v
       && List.for_all (fun p -> View.is_input_port view p = List.mem p wired) all_ports)
     (List.init n Fun.id)
-
-(* The first pair of input edges [Instance.independent] accepts, trying
-   both orientations of the second. *)
-let independent_pair inst g =
-  let edges = G.edges g in
-  List.find_map
-    (fun e1 ->
-      List.find_map
-        (fun (a, b) ->
-          List.find_opt (Instance.independent inst e1) [ (a, b); (b, a) ]
-          |> Option.map (fun e2 -> (e1, e2)))
-        edges)
-    edges
 
 let qsuites =
   let open QCheck2 in

@@ -133,18 +133,9 @@ let test_indist_graph_k_matching_t0 () =
   let n = 8 in
   let algo = truncated ~rounds:0 in
   let g = Indist_graph.build algo ~n () in
-  (* |V2|/|V1| = 987/2520 ~ 0.39; a 1-matching exhausts... k must satisfy
-     k * live <= |V2|; here the interesting claim is a k-matching for
-     small k exists by Hall. With n=8 and full activity, k=1 must exist
-     (wait: k-matching of size |V1| needs k*|V1| <= |V2|... 2520 > 987!).
-     At t=0 every V1 instance is live, so only k=0... Instead check the
-     Hall condition ratio directly on samples. *)
-  let rng = Rng.create ~seed:7 in
-  (match Indist_graph.hall_condition_sampled ~samples:50 rng g ~k:1 with
-  | Ok () -> Alcotest.fail "k=1 Hall cannot hold at t=0 for n=8 (|V2| < |V1|)"
-  | Error _ -> ());
-  (* Counting refutes the 1-matching (2,520 live > 987) before any row is
-     copied or checked. *)
+  (* At t = 0 every one of the 2,520 V1 instances is live and |V2| = 987,
+     so Hall's condition fails at k = 1 on S = V1, and counting refutes
+     the 1-matching before any row is copied or checked. *)
   let before = Gc.minor_words () in
   let m = Indist_graph.k_matching g ~k:1 in
   let words = Gc.minor_words () -. before in

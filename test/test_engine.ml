@@ -526,6 +526,22 @@ let test_pool_shared_refusals () =
   refused "a key reused at another type" (fun () -> Pool.shared shared_string ~key 3 string_of_int);
   refused "a key reused at another length" (fun () -> Pool.shared shared_int ~key 4 Fun.id)
 
+(* A trace names the shared batch that ran: its [pool.batch] span
+   carries the key. *)
+let test_pool_shared_traced () =
+  let module Trace = Bcclb_obs.Trace in
+  let key = "test.pool.shared.traced" in
+  Trace.start_collect ~trace_id:"pool-shared-key" ();
+  let events =
+    Fun.protect ~finally:Trace.stop (fun () ->
+        ignore (Pool.shared shared_int ~key 8 Fun.id);
+        Trace.drain ())
+  in
+  Alcotest.(check bool) "a pool.batch span names the key" true
+    (List.exists
+       (fun (e : Trace.event) -> e.Trace.name = "pool.batch" && List.assoc_opt "key" e.Trace.attrs = Some key)
+       events)
+
 let suites =
   [ Alcotest.test_case "BCC simulator parity with seed loop" `Quick test_bcc_parity;
     Alcotest.test_case "board parity: discovery truncations" `Quick test_board_parity_discovery;
@@ -551,7 +567,8 @@ let suites =
     Alcotest.test_case "pool shared: racing callers run each item once" `Quick
       test_pool_shared_once;
     Alcotest.test_case "pool shared: failures reach every caller" `Quick test_pool_shared_failure;
-    Alcotest.test_case "pool shared: key refusals" `Quick test_pool_shared_refusals ]
+    Alcotest.test_case "pool shared: key refusals" `Quick test_pool_shared_refusals;
+    Alcotest.test_case "pool shared: the trace names the key" `Quick test_pool_shared_traced ]
 
 let qsuites =
   let open QCheck2 in

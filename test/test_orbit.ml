@@ -213,38 +213,43 @@ let test_rotation_map_two_oracle () =
 
 (* ---- satellite 2: Hall witness on a constructed violation ---- *)
 
-let test_hall_witness () =
-  (* Three live left vertices funneling into one right vertex: any
-     sampled S with |S| >= 2 violates |N(S)| >= |S| at k = 1. The
-     witness must be a genuine violation, not just nonempty. *)
+(* A hand-built G with three live left vertices over [right] right
+   vertices. *)
+let hall_graph ~right adj =
   let dummy = Cycles.make [ [| 0; 1; 2 |] ] in
-  let g =
-    { Indist_graph.n = 3; x = "x"; y = "y";
-      v1 = Array.make 3 dummy; v2 = Array.make 1 dummy;
-      adj = [| [| 0 |]; [| 0 |]; [| 0 |] |] }
-  in
-  match Indist_graph.hall_condition_sampled ~samples:100 (Rng.create ~seed:3) g ~k:1 with
-  | Ok () -> Alcotest.fail "constructed violation not found"
-  | Error s ->
-    Alcotest.(check bool) "witness nonempty" true (s <> []);
-    List.iter
-      (fun i -> Alcotest.(check bool) "witness indexes live v1" true (i >= 0 && i < 3))
-      s;
-    let neighbours = List.sort_uniq Int.compare (List.concat_map (fun i -> Array.to_list g.Indist_graph.adj.(i)) s) in
-    Alcotest.(check bool) "witness violates |N(S)| >= k|S|" true
-      (List.length neighbours < 1 * List.length s)
+  { Indist_graph.n = 3; x = "x"; y = "y"; v1 = Array.make 3 dummy; v2 = Array.make right dummy; adj }
+
+let test_hall_witness () =
+  (* Three live left vertices funneling into one of three right
+     vertices: counting allows a 1-matching, but S = all three has
+     |N(S)| = 1 < |S|, so Hall's condition fails and no 1-matching
+     exists — found by the matching, not by counting. Dropping one
+     funnel edge for a free right vertex leaves S = the other two
+     violating. *)
+  let funnel = hall_graph ~right:3 [| [| 0 |]; [| 0 |]; [| 0 |] |] in
+  Alcotest.(check bool) "violated: no 1-matching" true (Indist_graph.k_matching funnel ~k:1 = None);
+  let pair = hall_graph ~right:3 [| [| 0 |]; [| 0 |]; [| 1; 2 |] |] in
+  Alcotest.(check bool) "pair violates: no 1-matching" true (Indist_graph.k_matching pair ~k:1 = None)
 
 let test_hall_passes_when_satisfied () =
-  (* A perfect matching satisfies Hall for k = 1: no witness exists. *)
-  let dummy = Cycles.make [ [| 0; 1; 2 |] ] in
-  let g =
-    { Indist_graph.n = 3; x = "x"; y = "y";
-      v1 = Array.make 3 dummy; v2 = Array.make 3 dummy;
-      adj = [| [| 0 |]; [| 1 |]; [| 2 |] |] }
-  in
-  match Indist_graph.hall_condition_sampled ~samples:100 (Rng.create ~seed:3) g ~k:1 with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "no violation exists in a perfect matching"
+  (* A perfect matching satisfies Hall for k = 1, and the matching found
+     is one: each live vertex gets k adjacent right vertices, disjoint
+     across vertices. At k = 2 Hall fails on any single vertex. *)
+  let g = hall_graph ~right:3 [| [| 0; 1 |]; [| 1; 2 |]; [| 2; 0 |] |] in
+  (match Indist_graph.k_matching g ~k:1 with
+  | None -> Alcotest.fail "Hall holds, so a 1-matching exists"
+  | Some (live, groups) ->
+    Alcotest.(check (array int)) "every vertex live" [| 0; 1; 2 |] live;
+    let used = Array.concat (Array.to_list groups) in
+    Alcotest.(check int) "one right vertex each" 3 (Array.length used);
+    Alcotest.(check int) "disjoint" 3 (List.length (List.sort_uniq Int.compare (Array.to_list used)));
+    Array.iteri
+      (fun i group ->
+        Array.iter
+          (fun j -> Alcotest.(check bool) "adjacent" true (Array.mem j g.Indist_graph.adj.(live.(i))))
+          group)
+      groups);
+  Alcotest.(check bool) "k=2 violated" true (Indist_graph.k_matching g ~k:2 = None)
 
 (* ---- the segmented store: cold build, warm reopen, corruption ---- *)
 
