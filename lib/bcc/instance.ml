@@ -167,34 +167,32 @@ let kt0_circulant ?ids g =
   of_wiring ~ids:(ids_of ~n ids) (Circulant (ring n)) g
 
 (* Census sweeps build one circulant instance per enumerated structure,
-   from per-vertex cycle-neighbour pairs rather than a graph, on one
-   ring and one ID array per stamp. Per instance only the neighbour
-   table is checked — in range, two distinct others, and each pair
-   mutual, which makes the input marking symmetric — in O(n), and each
-   row is the two ports that lead to the pair. *)
-(* Does vertex u's neighbour pair name v? *)
-let names (neighbors : (int * int) array) u v =
-  let a, b = neighbors.(u) in
-  a = v || b = v
-
+   from its cycles rather than a graph, on one ring and one ID array per
+   stamp. Per instance the cycles are checked — each of length >= 3,
+   together covering 0..n-1 exactly once — in O(n), and each vertex's
+   row is the two ports that lead to its cycle neighbours. *)
 let kt0_circulant_sweep n =
   if n < 2 then invalid_arg "Instance.kt0_circulant_sweep: need at least 2 vertices";
   let ids = ids_of ~n None and wiring = Circulant (ring n) in
-  fun neighbors ->
-    if Array.length neighbors <> n then
-      invalid_arg "Instance.kt0_circulant_sweep: neighbour table size mismatch";
-    for v = 0 to n - 1 do
-      let a, b = neighbors.(v) in
-      if a < 0 || a >= n || b < 0 || b >= n || a = v || b = v || a = b
-         || not (names neighbors a v && names neighbors b v)
-      then invalid_arg "Instance.kt0_circulant_sweep: neighbour table is not 2-regular"
-    done;
-    let input =
-      Array.init n (fun v ->
-          let a, b = neighbors.(v) in
-          let pa = (a - v - 1 + n) mod n and pb = (b - v - 1 + n) mod n in
-          if pa < pb then [| pa; pb |] else [| pb; pa |])
-    in
+  let cover () =
+    invalid_arg "Instance.kt0_circulant_sweep: cycles do not cover 0..n-1 exactly once"
+  in
+  fun cycles ->
+    let input = Array.make n [||] and covered = ref 0 in
+    List.iter
+      (fun cyc ->
+        let k = Array.length cyc in
+        if k < 3 then invalid_arg "Instance.kt0_circulant_sweep: a cycle is shorter than 3";
+        for i = 0 to k - 1 do
+          let v = cyc.(i) in
+          if v < 0 || v >= n || Array.length input.(v) > 0 then cover ();
+          let pa = (cyc.(if i = 0 then k - 1 else i - 1) - v - 1 + n) mod n
+          and pb = (cyc.(if i = k - 1 then 0 else i + 1) - v - 1 + n) mod n in
+          input.(v) <- (if pa < pb then [| pa; pb |] else [| pb; pa |])
+        done;
+        covered := !covered + k)
+      cycles;
+    if !covered <> n then cover ();
     { n; ids; wiring; input }
 
 let kt0_random ?ids rng g =

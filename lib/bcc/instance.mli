@@ -40,16 +40,17 @@ val kt0_circulant : ?ids:int array -> Bcclb_graph.Graph.t -> t
     census-level instances. Default IDs are 1..n. Built and validated in
     O(n + m) words. *)
 
-val kt0_circulant_sweep : int -> (int * int) array -> t
+val kt0_circulant_sweep : int -> int array list -> t
 (** [kt0_circulant_sweep n] returns a stamp over one circulant wiring
-    and default IDs: applied to a per-vertex cycle-neighbour table (the
-    two input-graph neighbours of each vertex of a 2-regular instance),
-    it builds the same instance [kt0_circulant (Cycles.to_graph ...)]
-    would, without the graph construction, checking the table in O(n)
-    and writing each vertex's two-entry port row.
+    and default IDs: applied to the cycles of a 2-regular instance, each
+    a vertex sequence, it builds the same instance
+    [kt0_circulant (Cycles.to_graph ...)] would, without the graph
+    construction, checking the cycles in O(n) and writing each vertex's
+    two-entry port row.
     The hot constructor behind the core layer's census sweeps.
-    @raise Invalid_argument if the table is not 2-regular (a pair out
-    of range, repeated, naming the vertex itself, or not mutual). *)
+    @raise Invalid_argument if a cycle is shorter than 3, or the cycles
+    do not cover 0..n−1 exactly once (a vertex repeated, missing or out
+    of range). *)
 
 val kt0_random : ?ids:int array -> Bcclb_util.Rng.t -> Bcclb_graph.Graph.t -> t
 (** KT-0 instance with independently random port numbering at every

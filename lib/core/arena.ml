@@ -25,9 +25,11 @@ let orbit_load_seconds = Obs.Metrics.Histogram.v "arena.orbit.cold_load_seconds"
    consumer), each two-cycle structure is keyed by a packed canonical
    key, and crossing successors resolve by hash lookup of that key —
    computed directly from the one-cycle arc decomposition without
-   allocating intermediate Cycles.t values. Broadcast codes are
-   single-flight pool batches per (arena, algorithm, seed, atlas), so
-   each distinct execution runs once per process. *)
+   allocating intermediate Cycles.t values. Every census memo — the
+   arena of each n, its rotation atlas and maps, its broadcast codes per
+   (algorithm, seed, atlas), the orbit store of each (n, root) — is a
+   Pool.shared batch keyed by what it depends on, so each is computed
+   once per process and a caller waits only for the key it needs. *)
 
 type handle = int
 
@@ -173,15 +175,12 @@ type orbit_one = {
 }
 
 type t = {
-  id : int;  (* names this arena's code batches (Pool.shared keys) *)
+  id : int;  (* names this arena's Pool.shared batches *)
   n : int;
   one : Cycles.t array;
   one_cyc : int array array;  (* the single canonical cycle of each V1 structure *)
   two : Cycles.t array;
   two_index : handle Key_tbl.t;  (* packed canonical key -> handle *)
-  mutable orbit1 : orbit_one option;
-  rot2_memo : (int, int array) Hashtbl.t;  (* rotation c -> V2 handle map *)
-  aux_lock : Mutex.t;
 }
 
 let next_id = Atomic.make 0
@@ -196,15 +195,11 @@ let create ~n =
       Array.iteri (fun h s -> Key_tbl.replace two_index (key_two s) h) two;
       Obs.Metrics.Counter.add interned_one_metric (Array.length one);
       Obs.Metrics.Counter.add interned_two_metric (Array.length two);
-      { id = Atomic.fetch_and_add next_id 1;
-        n;
-        one;
-        one_cyc;
-        two;
-        two_index;
-        orbit1 = None;
-        rot2_memo = Hashtbl.create 4;
-        aux_lock = Mutex.create () })
+      { id = Atomic.fetch_and_add next_id 1; n; one; one_cyc; two; two_index })
+
+(* One value per key for the life of the process: a one-item
+   Pool.shared batch. *)
+let memo id key f = (fst (Bcclb_engine.Pool.shared id ~key 1 (fun _ -> f ()))).(0)
 
 (* Process-level interning: census enumeration and the execution memo
    are per-n facts, so sharing one arena per n across all builds in the
@@ -212,23 +207,9 @@ let create ~n =
    (e.g. E2 over t = 0..4) enumerates the census once and runs each
    distinct (algorithm, seed) execution once, ever. Memory stays
    bounded: practical exhaustive n is <= 11, far below [max_n]. *)
-let registry : (int, t) Hashtbl.t = Hashtbl.create 4
-let registry_lock = Mutex.create ()
+let arena_id : t array Type.Id.t = Type.Id.make ()
 
-let get ~n =
-  Mutex.lock registry_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock registry_lock)
-    (fun () ->
-      match Hashtbl.find_opt registry n with
-      | Some a -> a
-      | None ->
-        (* Enumeration can be slow; holding the lock keeps racing
-           callers from duplicating it, and nothing here re-enters
-           [get]. *)
-        let a = create ~n in
-        Hashtbl.replace registry n a;
-        a)
+let get ~n = memo arena_id (Printf.sprintf "arena|%d" n) (fun () -> create ~n)
 
 let n t = t.n
 let n_one t = Array.length t.one
@@ -296,62 +277,49 @@ let compute_orbit_one t =
     shift_of;
     flip_of }
 
-let orbit_one t =
-  Mutex.lock t.aux_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.aux_lock)
-    (fun () ->
-      match t.orbit1 with
-      | Some o -> o
-      | None ->
-        let o =
-          Obs.span "arena.orbit_one" ~attrs:[ ("n", string_of_int t.n) ] (fun () ->
-              compute_orbit_one t)
-        in
-        t.orbit1 <- Some o;
-        o)
+let orbit_one_id : orbit_one array Type.Id.t = Type.Id.make ()
 
-(* V₂ handle map of the rotation ρ_c — the bridge that turns a
-   representative's adjacency row into any orbit member's. ρ₁ is read
+let orbit_one t =
+  memo orbit_one_id (Printf.sprintf "arena%d.orbit_one" t.id) (fun () ->
+      Obs.span "arena.orbit_one" ~attrs:[ ("n", string_of_int t.n) ] (fun () ->
+          compute_orbit_one t))
+
+(* V₂ handle maps of the rotations ρ_0..ρ_{n−1} — the bridge that turns
+   a representative's adjacency row into any orbit member's. ρ₁ is read
    off the arc canonicaliser, structure by structure; every other shift
    composes, ρ_c(h) = ρ₁(ρ_{c−1}(h)): one array read per handle. *)
-let rotation_map_one t =
+let compute_rotations t =
   let n = t.n in
   let ra = Array.make n 0 and rb = Array.make n 0 in
-  Array.map
-    (fun s ->
-      match Cycles.cycles s with
-      | [ c1; c2 ] ->
-        let l1 = Array.length c1 and l2 = Array.length c2 in
-        for i = 0 to l1 - 1 do
-          ra.(i) <- (c1.(i) + 1) mod n
-        done;
-        for i = 0 to l2 - 1 do
-          rb.(i) <- (c2.(i) + 1) mod n
-        done;
-        Key_tbl.find t.two_index (key_of_arcs ra 0 l1 rb 0 l2)
-      | _ -> invalid_arg "Arena.rotation_map_two: not a two-cycle structure")
-    t.two
+  let r1 =
+    Array.map
+      (fun s ->
+        match Cycles.cycles s with
+        | [ c1; c2 ] ->
+          let l1 = Array.length c1 and l2 = Array.length c2 in
+          for i = 0 to l1 - 1 do
+            ra.(i) <- (c1.(i) + 1) mod n
+          done;
+          for i = 0 to l2 - 1 do
+            rb.(i) <- (c2.(i) + 1) mod n
+          done;
+          Key_tbl.find t.two_index (key_of_arcs ra 0 l1 rb 0 l2)
+        | _ -> invalid_arg "Arena.rotation_map_two: not a two-cycle structure")
+      t.two
+  in
+  let maps = Array.make n r1 in
+  maps.(0) <- Array.init (Array.length t.two) Fun.id;
+  for c = 2 to n - 1 do
+    maps.(c) <- Array.map (fun h -> r1.(h)) maps.(c - 1)
+  done;
+  maps
 
-let rotation_map_two t c =
-  let c = ((c mod t.n) + t.n) mod t.n in
-  Mutex.protect t.aux_lock (fun () ->
-      let rec map c =
-        match Hashtbl.find_opt t.rot2_memo c with
-        | Some m -> m
-        | None ->
-          let m =
-            if c = 0 then Array.init (Array.length t.two) Fun.id
-            else if c = 1 then rotation_map_one t
-            else begin
-              let r1 = map 1 in
-              Array.map (fun h -> r1.(h)) (map (c - 1))
-            end
-          in
-          Hashtbl.replace t.rot2_memo c m;
-          m
-      in
-      map c)
+let rotations_id : int array array array Type.Id.t = Type.Id.make ()
+
+let rotations t =
+  memo rotations_id (Printf.sprintf "arena%d.rotations" t.id) (fun () -> compute_rotations t)
+
+let rotation_map_two t c = (rotations t).(((c mod t.n) + t.n) mod t.n)
 
 (* ---- atlases ----
 
@@ -381,7 +349,7 @@ let expand t atlas ~fwd ~rev =
   match atlas with
   | Instances -> fwd
   | Rotations o ->
-    let rot = Array.init t.n (fun c -> if c = 0 then [||] else rotation_map_two t c) in
+    let rot = rotations t in
     Array.init (Array.length t.one) (fun h ->
         let ri = o.rep_of.(h) in
         let row = if o.flip_of.(h) then rev.(ri) else fwd.(ri) in
@@ -400,16 +368,6 @@ let require_codable who algo ~n =
          "%s: %S does not pack into machine-word codes (needs bandwidth <= 1 and at most %d \
           rounds; has bandwidth %d and %d rounds)"
          who (Algo.name algo) (Bits.max_width / 2) (Algo.bandwidth algo ~n) (Algo.rounds algo ~n))
-
-(* One lightweight engine execution of a one-cycle instance given as its
-   canonical cycle, over the shared circulant sweep stamp. *)
-let run_codes ~seed ~n algo stamp cyc =
-  let k = Array.length cyc in
-  let neighbors = Array.make n (0, 0) in
-  for i = 0 to k - 1 do
-    neighbors.(cyc.(i)) <- (cyc.((i + k - 1) mod k), cyc.((i + 1) mod k))
-  done;
-  Simulator.run_sent_codes ~seed algo (stamp neighbors)
 
 (* The execution whose codes serve [algo]: the [deepest]-round member of
    its truncation family (Algo.deepen) when that member runs more rounds,
@@ -444,14 +402,14 @@ let codes arena atlas ?(seed = 0) ?deepest algo =
     Obs.span span_name
       ~attrs:[ ("algo", Algo.name source); ("seed", string_of_int seed); ("n", string_of_int n) ]
       (fun () ->
-        (* Shared circulant wiring: the clique tables are built once,
-           each instance only needs its per-vertex cycle-neighbour
-           pairs. *)
+        (* One circulant wiring for every execution, each stamped from
+           its representative's cycle. *)
         let stamp = Instance.kt0_circulant_sweep n in
         Bcclb_engine.Pool.shared codes_id
           ~key:(Printf.sprintf "arena%d.codes|%s|%d|%b" arena.id (Algo.name source) seed rotations)
           (num_reps arena atlas)
-          (fun ri -> run_codes ~seed ~n source stamp arena.one_cyc.(rep atlas ri)))
+          (fun ri ->
+            Simulator.run_sent_codes ~seed source (stamp [ arena.one_cyc.(rep atlas ri) ])))
   in
   Obs.Metrics.Counter.incr (if created then memo_misses_metric else memo_hits_metric);
   (codes, (1 lsl (2 * Algo.rounds algo ~n)) - 1)
@@ -796,21 +754,10 @@ module Orbit = struct
       iter_segment t i f
     done
 
-  (* Shared per-(n, root) stores, mirroring the arena registry: the warm
-     manifest makes reopening cheap, but in-process sharing also shares
-     the resident segments. *)
-  let registry : (int * string, store) Hashtbl.t = Hashtbl.create 4
-  let orbit_registry_lock = Mutex.create ()
+  (* Shared per-(n, root) stores: the warm manifest makes reopening
+     cheap, but in-process sharing also shares the resident segments. *)
+  let store_id : store array Type.Id.t = Type.Id.make ()
 
   let get ?(root = default_root) ~n () =
-    Mutex.lock orbit_registry_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock orbit_registry_lock)
-      (fun () ->
-        match Hashtbl.find_opt registry (n, root) with
-        | Some s -> s
-        | None ->
-          let s = create ~root ~n () in
-          Hashtbl.replace registry (n, root) s;
-          s)
+    memo store_id (Printf.sprintf "orbit|%d|%s" n root) (fun () -> create ~root ~n ())
 end

@@ -15,6 +15,13 @@
     read the codes of their family's deepest member. That is what makes
     {!Indist_graph} cheap.
 
+    Every memo here is a {!Bcclb_engine.Pool.shared} batch kept for the
+    life of the process and keyed by what it depends on: [arena|n] for
+    {!get}, [arena<id>.orbit_one] and [arena<id>.rotations] for an
+    arena's atlas and rotation maps, [arena<id>.codes|…] for its codes
+    and [orbit|n|root] for {!Orbit.get}. A caller therefore waits only
+    for the key it needs, and an arena ({!t}) is an immutable value.
+
     On top of the full census, {!orbit_one} tabulates the rotation-orbit
     atlas of V₁ (representatives, weights, and the rotation taking each
     handle back to its representative) and {!rotation_map_two} the
@@ -51,7 +58,7 @@ val get : n:int -> t
     that rebuild indistinguishability graphs (different t, same n)
     enumerate once and run each distinct execution once. Thread-safe.
     Use {!create} only when isolation is required: a created arena
-    shares no code batches with any other. *)
+    shares no batch with any other. *)
 
 val n : t -> int
 val n_one : t -> int
@@ -111,7 +118,8 @@ val rotation_map_two : t -> int -> int array
     of structure [h] — the handle permutation that maps a
     representative's adjacency row to any orbit member's. ρ₁'s keys come
     from the same allocation-free canonicaliser as {!cross_key}; every
-    other shift composes it, ρ_c(h) = ρ₁(ρ_{c−1}(h)). Memoised per [c]. *)
+    other shift composes it, ρ_c(h) = ρ₁(ρ_{c−1}(h)). All n maps are
+    built in one loop on first use, then shared (thread-safe). *)
 
 val rotation_sound : 'o Bcclb_bcc.Algo.packed -> n:int -> bool
 (** Are the algorithm's transcripts rotation-equivariant on the circulant

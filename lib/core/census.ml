@@ -82,7 +82,7 @@ let two_cycles ~n =
   iter_two_cycles ~n (fun s -> acc := s :: !acc);
   Array.of_list (List.rev !acc)
 
-let to_instance s ~n = Bcclb_bcc.Instance.kt0_circulant (Cycles.to_graph ~n s)
+let to_instance s ~n = Bcclb_bcc.Instance.kt0_circulant_sweep n (Cycles.cycles s)
 
 (* ---- rotation orbits ----
 

@@ -54,7 +54,9 @@ val iter_one_cycle_orbits : ?second:int -> n:int -> (int array -> weight:int -> 
     branches in parallel. @raise Invalid_argument for n < 3. *)
 
 val to_instance : Bcclb_graph.Cycles.t -> n:int -> Bcclb_bcc.Instance.t
-(** KT-0 instance of the structure over the circulant background wiring. *)
+(** KT-0 instance of the structure over the circulant background wiring,
+    stamped from its cycles ({!Bcclb_bcc.Instance.kt0_circulant_sweep}).
+    @raise Invalid_argument unless the cycles cover 0..n−1. *)
 
 val cross_one_cycle : int array -> int -> int -> Bcclb_graph.Cycles.t
 (** [cross_one_cycle cyc i j]: cross the directed cycle edges

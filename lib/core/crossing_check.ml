@@ -15,11 +15,11 @@ open Bcclb_graph
    [`Sampled k] executes the first k same-label and
    first k different-label pairs per instance (deterministic in
    enumeration order) and counts the remaining same-label pairs as
-   indistinguishable by Lemma 3.4, [`Off] executes none. [check] draws
+   indistinguishable by Lemma 3.4 ([`Sampled 0] executes none). [check] draws
    random instances and [check_reps] sweeps V₁'s rotation classes; both
    run the same pair sweep. *)
 
-type verify = [ `All | `Sampled of int | `Off ]
+type verify = [ `All | `Sampled of int ]
 
 module Obs = Bcclb_obs
 
@@ -52,16 +52,16 @@ let directed_edges structure =
 (* The one pair sweep. [instances] feeds every examined one-cycle
    instance to [visit] with its structure and the weight it counts with;
    pair counts are weighted, executions are not. *)
-let sweep ~seed ~verify algo instances =
+let sweep ~verify algo instances =
   let crossable = ref 0 and same_label = ref 0 and indist = ref 0 in
   let violations = ref 0 and diff_dist = ref 0 in
   let executed = ref 0 and verified = ref 0 in
   instances (fun inst s ~weight ->
       (* One base execution per instance; crossed runs compare against it. *)
-      let base = Simulator.run ~seed algo inst in
+      let base = Simulator.run algo inst in
       let indist_from_base = Simulator.indistinguishable_from base in
       let sent v = Transcript.sent_string base.Simulator.transcripts.(v) in
-      let same_budget = ref (match verify with `All -> max_int | `Sampled k -> k | `Off -> 0) in
+      let same_budget = ref (match verify with `All -> max_int | `Sampled k -> k) in
       let diff_budget = ref !same_budget in
       let edges = Array.of_list (directed_edges s) in
       let m = Array.length edges in
@@ -73,7 +73,7 @@ let sweep ~seed ~verify algo instances =
             let run_crossed () =
               incr executed;
               let crossed = Instance.cross inst (v1, u1) (v2, u2) in
-              indist_from_base crossed (Simulator.run ~seed algo crossed)
+              indist_from_base crossed (Simulator.run algo crossed)
             in
             if sent v1 = sent v2 && sent u1 = sent u2 then begin
               same_label := !same_label + weight;
@@ -116,7 +116,7 @@ let sweep ~seed ~verify algo instances =
    report, pair counts are census-weighted and [instances] is |V₁|;
    [executed]/[verified] stay actual execution counts, so the reduction
    factor is visible as verified ≪ same_label_pairs even under [`All]. *)
-let check_reps ?(seed = 0) ?(verify = `Sampled 16) algo ~n =
+let check_reps ?(verify = `Sampled 16) algo ~n =
   if not (Arena.rotation_sound algo ~n) then
     invalid_arg
       (Printf.sprintf
@@ -124,20 +124,21 @@ let check_reps ?(seed = 0) ?(verify = `Sampled 16) algo ~n =
           anonymous algorithms (or at rounds = 0); %S reads vertex IDs"
          (Algo.name algo));
   Obs.span "crossing.check_reps" ~attrs:[ ("n", string_of_int n) ] @@ fun () ->
+  let stamp = Instance.kt0_circulant_sweep n in
   let r =
-    sweep ~seed ~verify algo (fun visit ->
+    sweep ~verify algo (fun visit ->
         Census.iter_one_cycle_orbits ~n (fun seq ~weight ->
             let s = Cycles.of_canonical [ Array.copy seq ] in
-            visit (Instance.kt0_circulant (Cycles.to_graph ~n s)) s ~weight))
+            visit (stamp (Cycles.cycles s)) s ~weight))
   in
   { r with instances = Census.num_one_cycles ~n }
 
-let check ?(seed = 0) ?(verify = `Sampled 16) algo ~n ~instances ~wiring rng =
+let check ?(verify = `Sampled 16) algo ~n ~instances ~wiring rng =
   Obs.span "crossing.check"
     ~attrs:[ ("n", string_of_int n); ("instances", string_of_int instances) ]
   @@ fun () ->
   let r =
-    sweep ~seed ~verify algo (fun visit ->
+    sweep ~verify algo (fun visit ->
         for _ = 1 to instances do
           let g = Gen.random_cycle rng n in
           let inst =

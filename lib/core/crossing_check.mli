@@ -3,13 +3,13 @@
     (initial knowledge + transcript) are identical to the original's —
     over genuinely rewired ports, not just at the census level. *)
 
-type verify = [ `All | `Sampled of int | `Off ]
+type verify = [ `All | `Sampled of int ]
 (** How many pairs to re-check by genuine port-rewired execution.
     [`All] executes every independent pair;
     [`Sampled k] executes the first k same-label and first k
     different-label pairs per instance (deterministic in enumeration
     order) and counts remaining same-label pairs as indistinguishable by
-    Lemma 3.4; [`Off] executes none. *)
+    Lemma 3.4; [`Sampled 0] executes none. *)
 
 type report = {
   instances : int;
@@ -27,7 +27,6 @@ type report = {
 }
 
 val check :
-  ?seed:int ->
   ?verify:verify ->
   'o Bcclb_bcc.Algo.packed ->
   n:int ->
@@ -39,8 +38,7 @@ val check :
     one-cycle instances under the given algorithm. [verify] defaults to
     [`Sampled 16]. *)
 
-val check_reps :
-  ?seed:int -> ?verify:verify -> 'o Bcclb_bcc.Algo.packed -> n:int -> report
+val check_reps : ?verify:verify -> 'o Bcclb_bcc.Algo.packed -> n:int -> report
 (** Exhaustive census-weighted sweep: every independent pair of every
     V₁ instance is accounted for, but enumeration and execution touch
     only one representative per rotation class — orbit members are

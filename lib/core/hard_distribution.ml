@@ -19,33 +19,22 @@ type error_report = {
 
 let error_float r = Ratio.to_float r.error
 
-let decide ?(seed = 0) algo inst =
-  Problems.system_decision (Simulator.run_outputs ~seed algo inst)
-
-(* Each vertex's two cycle neighbours: the table a sweep stamp reads. *)
-let neighbors ~n cycles =
-  let table = Array.make n (0, 0) in
-  List.iter
-    (fun cyc ->
-      let k = Array.length cyc in
-      Array.iteri (fun i v -> table.(v) <- (cyc.((i + k - 1) mod k), cyc.((i + 1) mod k))) cyc)
-    cycles;
-  table
+let decide algo inst = Problems.system_decision (Simulator.run_outputs algo inst)
 
 (* One execution of [source] on census item [i] — V1's handles, then
    V2's — read at each round count of [reads]: bit k of the result is
    the system decision of the reads.(k)-round member. *)
-let decisions ~seed ~reads source arena stamp i =
+let decisions ~reads source arena stamp i =
   let n_one = Arena.n_one arena in
   let cycles =
     if i < n_one then [ Arena.one_cycle arena i ]
     else Bcclb_graph.Cycles.cycles (Arena.two_structure arena (i - n_one))
   in
-  let inst = stamp (neighbors ~n:(Arena.n arena) cycles) in
+  let inst = stamp cycles in
   let mask = ref 0 in
   Array.iteri
     (fun k outputs -> if Problems.system_decision outputs then mask := !mask lor (1 lsl k))
-    (Simulator.run_members ~seed source inst ~rounds:reads);
+    (Simulator.run_members source inst ~rounds:reads);
   !mask
 
 let decisions_id : int array Type.Id.t = Type.Id.make ()
@@ -56,7 +45,7 @@ let decisions_id : int array Type.Id.t = Type.Id.make ()
    (Simulator.run_members) and kept as a single-flight pool batch, so
    every member's error reads the same executions. Without, the
    algorithm runs alone and nothing is kept. *)
-let exact_error ?(seed = 0) ?truncations algo ~n =
+let exact_error ?truncations algo ~n =
   let arena = Arena.get ~n in
   let items = Arena.n_one arena + Arena.n_two arena in
   let family =
@@ -72,7 +61,7 @@ let exact_error ?(seed = 0) ?truncations algo ~n =
         invalid_arg "Hard_distribution.exact_error: more truncations than bits in an int";
       let depth = Algo.rounds deep ~n in
       let key =
-        Printf.sprintf "hard.exact_error|%d|%s|%d|%s" n (Algo.name deep) seed
+        Printf.sprintf "hard.exact_error|%d|%s|%s" n (Algo.name deep)
           (String.concat "," (List.map string_of_int ts))
       in
       ( deep,
@@ -94,7 +83,7 @@ let exact_error ?(seed = 0) ?truncations algo ~n =
           ("rounds", String.concat "," (Array.to_list (Array.map string_of_int reads))) ]
       (fun () ->
         let stamp = Instance.kt0_circulant_sweep n in
-        batch (decisions ~seed ~reads source arena stamp))
+        batch (decisions ~reads source arena stamp))
   in
   let v1_total = Arena.n_one arena and v2_total = Arena.n_two arena in
   let v1_errors = ref 0 and v2_errors = ref 0 in
@@ -133,10 +122,10 @@ let star_support ~n =
     positions;
   (Bcclb_graph.Cycles.make [ base ], List.rev !crossings)
 
-let star_error ?(seed = 0) algo ~n =
+let star_error algo ~n =
   let yes, nos = star_support ~n in
   let half = Ratio.of_ints 1 2 in
-  let yes_err = if decide ~seed algo (Census.to_instance yes ~n) then Ratio.zero else Ratio.one in
-  let no_errs = List.filter (fun s -> decide ~seed algo (Census.to_instance s ~n)) nos in
+  let yes_err = if decide algo (Census.to_instance yes ~n) then Ratio.zero else Ratio.one in
+  let no_errs = List.filter (fun s -> decide algo (Census.to_instance s ~n)) nos in
   Ratio.add (Ratio.mul half yes_err)
     (Ratio.mul half (Ratio.of_ints (List.length no_errs) (List.length nos)))

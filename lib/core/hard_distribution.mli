@@ -18,8 +18,7 @@ type error_report = {
 
 val error_float : error_report -> float
 
-val exact_error :
-  ?seed:int -> ?truncations:int list -> bool Bcclb_bcc.Algo.packed -> n:int -> error_report
+val exact_error : ?truncations:int list -> bool Bcclb_bcc.Algo.packed -> n:int -> error_report
 (** Run on every instance of the census — {!Arena.get}'s V₁ and V₂,
     each stamped over the shared circulant wiring — once. With
     [truncations], the round bounds of the truncation family [algo]
@@ -27,7 +26,7 @@ val exact_error :
     member and is read at each member's last round
     ({!Bcclb_bcc.Simulator.run_members}); the members' decisions, one
     bit each, are a single-flight {!Bcclb_engine.Pool.shared} batch per
-    (n, deepest member, seed, list) kept for the life of the process, so
+    (n, deepest member, list) kept for the life of the process, so
     every member's report reads the same executions. Without it, or if
     [algo] is not a truncation, [algo] runs alone ({!Bcclb_engine.Pool.map_batch})
     and nothing is kept. Either way under span [hard.exact_error]
@@ -40,6 +39,6 @@ val star_support : n:int -> Bcclb_graph.Cycles.t * Bcclb_graph.Cycles.t list
     Θ(n²) two-cycle instances obtained by crossing pairs from an
     independent set of ⌊n/3⌋ edges. @raise Invalid_argument for n < 9. *)
 
-val star_error : ?seed:int -> bool Bcclb_bcc.Algo.packed -> n:int -> Bcclb_bignum.Ratio.t
+val star_error : bool Bcclb_bcc.Algo.packed -> n:int -> Bcclb_bignum.Ratio.t
 (** Exact error under the star distribution (mass 1/2 on the YES
     instance, 1/2 uniform on its crossings). *)

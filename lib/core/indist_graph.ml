@@ -129,11 +129,11 @@ let prepare who algo ~n =
   let arena = Arena.get ~n in
   (arena, Arena.atlas arena algo)
 
-let build ?(seed = 0) ?deepest algo ~n () =
+let build ?deepest algo ~n () =
   Bcclb_obs.span "indist.build" ~attrs:[ ("n", string_of_int n) ] @@ fun () ->
   let arena, atlas = prepare "Indist_graph.build" algo ~n in
   let rounds = Bcclb_bcc.Algo.rounds algo ~n in
-  let codes, mask = Arena.codes arena atlas ~seed ?deepest algo in
+  let codes, mask = Arena.codes arena atlas ?deepest algo in
   let rep_cycle ri = Arena.one_cycle arena (Arena.rep atlas ri) in
   let x, y = most_frequent_code ~rounds ~mask ~weight:(Arena.rep_weight atlas) codes rep_cycle in
   (* Each representative's row is independent (the arena's key table is

@@ -18,7 +18,7 @@ type t = {
   adj : int array array;  (** V₁ index -> ascending V₂ indices: the only adjacency. *)
 }
 
-val build : ?seed:int -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
+val build : ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> t
 (** Run the (already truncated) algorithm and connect crossings of
     same-label active edge pairs, for the most frequent label (x, y)
     across V₁. Rows are computed once per representative of

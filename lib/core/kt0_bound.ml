@@ -15,10 +15,10 @@ type census_row = {
   predicted : float;  (* H_{n/2} - 3/2, the Lemma 3.9 shape *)
 }
 
-let census_row ?(enumerate_to = 9) ~n () =
+let census_row ~n =
   let v1 = Combi.one_cycle_count n in
   let v2 = Combi.two_cycle_count n in
-  let enum_ok = n <= enumerate_to in
+  let enum_ok = n <= 9 in
   let count iter =
     let c = ref 0 in
     iter ~n (fun _ -> incr c);
@@ -49,8 +49,8 @@ type indist_stats = {
   k_matching_found : bool;
 }
 
-let indist_stats ?(seed = 0) ?deepest algo ~n ~rounds ~k =
-  let g = Indist_graph.build ~seed ?deepest algo ~n () in
+let indist_stats ?deepest algo ~n ~k =
+  let g = Indist_graph.build ?deepest algo ~n () in
   let nl = Array.length g.Indist_graph.v1 in
   let isolated = ref 0 and min_live = ref max_int and max_deg = ref 0 in
   for i = 0 to nl - 1 do
@@ -60,7 +60,7 @@ let indist_stats ?(seed = 0) ?deepest algo ~n ~rounds ~k =
   done;
   let matching = Indist_graph.k_matching g ~k <> None in
   { n;
-    rounds;
+    rounds = Algo.rounds algo ~n;
     x = g.Indist_graph.x;
     y = g.Indist_graph.y;
     v1_count = nl;
@@ -90,8 +90,8 @@ type orbit_row = {
   max_degree_v1 : int;
 }
 
-let orbit_row ?(seed = 0) ?root ?deepest algo ~n () =
-  let s = Quotient.full_stats ~seed ?root ?deepest algo ~n () in
+let orbit_row ?deepest algo ~n () =
+  let s = Quotient.full_stats ?deepest algo ~n () in
   { n;
     rounds = s.Quotient.rounds;
     v1 = s.Quotient.v1;
@@ -115,9 +115,9 @@ type error_row = {
   pigeonhole_floor : float;  (* n / 3^{2t} *)
 }
 
-let error_row ?(seed = 0) ?truncations ~n ~t (make_algo : rounds:int -> bool Algo.packed) rng =
+let error_row ?truncations ~n ~t (make_algo : rounds:int -> bool Algo.packed) rng =
   let algo = make_algo ~rounds:t in
-  let report = Hard_distribution.exact_error ~seed ?truncations algo ~n in
+  let report = Hard_distribution.exact_error ?truncations algo ~n in
   (* Largest same-label class on a few random one-cycle instances. The
      graphs are drawn sequentially (the rng stream is part of the
      deterministic contract); the independent simulations behind each
@@ -128,7 +128,7 @@ let error_row ?(seed = 0) ?truncations ~n ~t (make_algo : rounds:int -> bool Alg
   done;
   let sizes =
     Bcclb_engine.Pool.map_batch
-      (function None -> max_int | Some s -> Labels.largest_active_set ~seed algo ~n s)
+      (function None -> max_int | Some s -> Labels.largest_active_set algo ~n s)
       structures
   in
   let largest = ref (Array.fold_left min max_int sizes) in

@@ -13,9 +13,9 @@ type census_row = {
   predicted : float;  (** H_{n/2} − 3/2, Lemma 3.9's Θ(log n) shape. *)
 }
 
-val census_row : ?enumerate_to:int -> n:int -> unit -> census_row
+val census_row : n:int -> census_row
 (** Closed-form |V₁|, |V₂| for any n; cross-checked against direct
-    enumeration up to [enumerate_to] (default 9). *)
+    enumeration up to n = 9. *)
 
 type indist_stats = {
   n : int;
@@ -32,11 +32,10 @@ type indist_stats = {
   k_matching_found : bool;  (** = Hall's condition (Theorem 2.1). *)
 }
 
-val indist_stats :
-  ?seed:int -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> rounds:int -> k:int ->
-  indist_stats
-(** Build G^t for the given (pre-truncated to [rounds]) algorithm and
-    construct a k-matching. [deepest] as in {!Indist_graph.build}. *)
+val indist_stats : ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> k:int -> indist_stats
+(** Build G^t for the given (pre-truncated) algorithm, t its round
+    count at n, and construct a k-matching. [deepest] as in
+    {!Indist_graph.build}. *)
 
 type orbit_row = {
   n : int;
@@ -52,8 +51,7 @@ type orbit_row = {
   max_degree_v1 : int;
 }
 
-val orbit_row :
-  ?seed:int -> ?root:string -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> orbit_row
+val orbit_row : ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> orbit_row
 (** Exhaustive full-graph statistics through the streaming
     {!Quotient} — E2's frontier table past the materialisable census
     (n ≤ {!Arena.Orbit.max_n}). Same [deepest], soundness condition and
@@ -69,7 +67,7 @@ type error_row = {
 }
 
 val error_row :
-  ?seed:int -> ?truncations:int list -> n:int -> t:int -> (rounds:int -> bool Bcclb_bcc.Algo.packed) ->
+  ?truncations:int list -> n:int -> t:int -> (rounds:int -> bool Bcclb_bcc.Algo.packed) ->
   Bcclb_util.Rng.t -> error_row
 (** The [t]-round member's exact error under μ, its smallest largest
     same-label class over five random one-cycle instances, and the

@@ -11,8 +11,7 @@ open Bcclb_graph
    (0 = silent, 2 = '0', 3 = '1'). Vertices of a BCC(1) run compare as
    ints; strings remain the presentation layer. *)
 
-let sent_codes ?(seed = 0) algo ~n structure =
-  Simulator.run_sent_codes ~seed algo (Census.to_instance structure ~n)
+let sent_codes algo ~n structure = Simulator.run_sent_codes algo (Census.to_instance structure ~n)
 
 let string_of_code ~rounds code =
   String.init rounds (fun i -> Bcclb_bcc.Msg.char_of_code1 ((code lsr (2 * i)) land 3))
@@ -32,10 +31,10 @@ let code_of_string s =
     s;
   !code
 
-let sent_strings ?(seed = 0) algo ~n structure =
+let sent_strings algo ~n structure =
   Arena.require_codable "Labels.sent_strings" algo ~n;
   let rounds = Algo.rounds algo ~n in
-  Array.map (fun c -> string_of_code ~rounds c) (sent_codes ~seed algo ~n structure)
+  Array.map (fun c -> string_of_code ~rounds c) (sent_codes algo ~n structure)
 
 (* Directed edges along each cycle's stored orientation, with labels. *)
 let edge_labels sent structure =
@@ -50,8 +49,8 @@ let edge_labels sent structure =
 (* Largest class of positions with the same (head, tail) label within one
    instance — the pigeonhole quantity of Theorems 3.1/3.5: at least
    n/3^{2t} of the n cycle edges share a label. *)
-let largest_active_set ?(seed = 0) algo ~n structure =
-  let sent = sent_strings ~seed algo ~n structure in
+let largest_active_set algo ~n structure =
+  let sent = sent_strings algo ~n structure in
   let counts = Hashtbl.create 64 in
   List.iter
     (fun (_, lbl) -> Hashtbl.replace counts lbl (1 + Option.value ~default:0 (Hashtbl.find_opt counts lbl)))

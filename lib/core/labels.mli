@@ -9,7 +9,7 @@ val string_of_code : rounds:int -> int -> string
 val code_of_string : string -> int
 (** Inverse of {!string_of_code}. @raise Invalid_argument off-alphabet. *)
 
-val sent_strings : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> Bcclb_graph.Cycles.t -> string array
+val sent_strings : 'o Bcclb_bcc.Algo.packed -> n:int -> Bcclb_graph.Cycles.t -> string array
 (** Per-vertex broadcast strings after running the algorithm on the
     structure's canonical instance: a decoded view of the packed codes
     {!Indist_graph} compares.
@@ -21,6 +21,6 @@ val edge_labels :
 (** Directed edges along each cycle's stored orientation with their
     (head-string, tail-string) labels. *)
 
-val largest_active_set : ?seed:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> Bcclb_graph.Cycles.t -> int
+val largest_active_set : 'o Bcclb_bcc.Algo.packed -> n:int -> Bcclb_graph.Cycles.t -> int
 (** Size of the largest same-label edge class in one instance; the
     pigeonhole lower bound of §3 says ≥ n/3^{2t} after t rounds. *)

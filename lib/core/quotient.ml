@@ -138,12 +138,8 @@ let stream ~seed ?root source ~n store =
                  p_by_smaller = Array.make ((n / 2) + 1) 0 })
          in
          let deg = Array.make (depth + 1) 0 in
-         let neighbors = Array.make n (0, 0) in
          Arena.Orbit.iter_segment ~lo ~hi store si (fun cyc ~weight ->
-             for i = 0 to n - 1 do
-               neighbors.(cyc.(i)) <- (cyc.((i + n - 1) mod n), cyc.((i + 1) mod n))
-             done;
-             let sent = Simulator.run_sent_codes ~seed source (stamp neighbors) in
+             let sent = Simulator.run_sent_codes ~seed source (stamp [ cyc ]) in
              process_rep ps deg cyc sent ~weight);
          Obs.Metrics.Counter.add reps_metric (hi - lo);
          ps))

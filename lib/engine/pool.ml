@@ -32,6 +32,7 @@ let inner_tasks_metric = Obs.Metrics.Counter.v "pool.inner_tasks"
 let domains_metric = Obs.Metrics.Counter.v "pool.domains_spawned"
 let cell_seconds = Obs.Metrics.Histogram.v "pool.cell_seconds"
 let queue_wait_seconds = Obs.Metrics.Histogram.v "pool.queue_wait_seconds"
+let wait_seconds = Obs.Metrics.Histogram.v "pool.wait_seconds"
 
 (* Nested map_batch calls (a parallelized sweep whose tasks call a
    parallelized builder) run sequentially instead of spawning domains
@@ -174,8 +175,9 @@ let tabulate ?num_domains n f =
    One process-wide table of batches by key. The first caller creates
    the batch and claims items off its cursor; a caller that arrives while
    it runs claims from the same cursor, so nobody idles while items
-   remain, then waits for the items others still hold. Each item
-   therefore runs exactly once, whatever the number of callers or
+   remain, then waits for the items others still hold, in a [pool.wait]
+   span that names the key and with a [pool.wait_seconds] sample. Each
+   item therefore runs exactly once, whatever the number of callers or
    domains, and every caller gets the same array. The outcome — the
    array, or the lowest-index failure once every item has settled — is
    kept for the life of the process. *)
@@ -239,11 +241,17 @@ let shared id ~key n f =
     let d = if created then resolve_domains None n else 1 in
     span_batch ~key ~n ~d (fun () -> dispatch ~cursor:fl.cursor ~n ~d run)
   end;
+  if Atomic.get fl.settled < n then begin
+    let stop = Obs.Mclock.counter () in
+    Obs.span "pool.wait" ~attrs:[ ("key", key) ] (fun () ->
+        Mutex.protect fl.lock (fun () ->
+            while Atomic.get fl.settled < n do
+              Condition.wait fl.all_settled fl.lock
+            done));
+    Obs.Metrics.Histogram.observe wait_seconds (stop ())
+  end;
   let outcome =
     Mutex.protect fl.lock (fun () ->
-        while Atomic.get fl.settled < n do
-          Condition.wait fl.all_settled fl.lock
-        done;
         match fl.outcome with
         | Some o -> o
         | None ->

@@ -56,7 +56,11 @@ val shared : 'a array Type.Id.t -> key:string -> int -> (int -> 'a) -> 'a array 
     does; inside one, each caller claims on its own domain. The key
     names one batch: [f] must be the same computation for every caller
     (and must not call [shared] on its own key). Each caller that runs
-    items does so in a [pool.batch] span whose [key] attribute is [key].
+    items does so in a [pool.batch] span whose [key] attribute is [key],
+    and a caller that finds items still held by other domains waits for
+    them in a [pool.wait] span with the same attribute and records the
+    wait in the [pool.wait_seconds] histogram; a caller that does not
+    wait records neither.
     @raise Invalid_argument if [key] is held by a batch of another type
     ([id]) or another length. *)
 

@@ -18,7 +18,7 @@ let census =
     ~grid_of_ns:(grid1 "n")
     (fun p ->
       let n = P.int p "n" in
-      let r = Core.Kt0_bound.census_row ~n () in
+      let r = Core.Kt0_bound.census_row ~n in
       let enum = function Some v -> string_of_int v | None -> "-" in
       Core.Kt0_bound.
         [ E.row

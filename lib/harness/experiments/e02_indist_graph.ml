@@ -63,7 +63,7 @@ let indist_graph =
       match P.str p "part" with
       | "indist" ->
         let algo = truncated_optimist ~rounds:t in
-        let s = Core.Kt0_bound.indist_stats ~deepest algo ~n ~rounds:t ~k:1 in
+        let s = Core.Kt0_bound.indist_stats ~deepest algo ~n ~k:1 in
         Core.Kt0_bound.
           [ E.row
               [ pi "n" n; pi "t" t; pi "v1" s.v1_count; pi "v2" s.v2_count; pi "edges" s.edges;

@@ -8,11 +8,10 @@ open Exp_common
 
 let verify_of_param = function
   | "all" -> `All
-  | "off" -> `Off
   | v -> (
     match int_of_string_opt v with
     | Some k when k >= 0 -> `Sampled k
-    | _ -> invalid_arg ("crossing: verify must be \"all\", \"off\" or a sample count, got " ^ v))
+    | _ -> invalid_arg ("crossing: verify must be \"all\" or a sample count, got " ^ v))
 
 let crossing_grid ns =
   List.concat_map

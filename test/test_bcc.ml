@@ -1,6 +1,7 @@
 open Bcclb_bcc
 module G = Bcclb_graph.Graph
 module Gen = Bcclb_graph.Gen
+module Cycles = Bcclb_graph.Cycles
 module Rng = Bcclb_util.Rng
 
 let cycle6 = Gen.cycle 6
@@ -51,19 +52,20 @@ let test_circulant_wiring () =
       ignore (Instance.port_to base 2 2));
   Alcotest.check_raises "duplicate IDs" (Invalid_argument "Instance.validate: duplicate ID") (fun () ->
       ignore (Instance.kt1_of_graph ~ids:[| 4; 1; 2; 3; 4; 5 |] cycle6));
-  (* The census stamp builds the same instance from a cycle-neighbour
-     table, and refuses a table whose pairs are not mutual. *)
-  let g = Gen.random_cycle rng 10 in
-  let nbrs = Array.init 10 (fun v -> ((G.neighbors g v).(0), (G.neighbors g v).(1))) in
+  (* The census stamp builds the same instance from the cycles, and
+     refuses cycles that repeat or miss a vertex, or a 2-cycle. *)
+  let g = Gen.random_multicycle rng 10 in
   let stamp = Instance.kt0_circulant_sweep 10 in
-  Alcotest.(check bool) "stamp = kt0_circulant" true (Instance.equal (stamp nbrs) (Instance.kt0_circulant g));
-  let a, b = nbrs.(0) in
-  let stranger = List.find (fun u -> u <> 0 && u <> a && u <> b) (List.init 10 Fun.id) in
-  let broken = Array.copy nbrs in
-  broken.(0) <- (a, stranger);
-  Alcotest.check_raises "not mutual"
-    (Invalid_argument "Instance.kt0_circulant_sweep: neighbour table is not 2-regular") (fun () ->
-      ignore (stamp broken))
+  Alcotest.(check bool) "stamp = kt0_circulant" true
+    (Instance.equal (stamp (Cycles.cycles (Option.get (Cycles.of_graph g)))) (Instance.kt0_circulant g));
+  let cover = Invalid_argument "Instance.kt0_circulant_sweep: cycles do not cover 0..n-1 exactly once" in
+  Alcotest.check_raises "repeated vertex" cover (fun () ->
+      ignore (stamp [ [| 0; 1; 2; 3 |]; [| 3; 4; 5; 6; 7; 8; 9 |] ]));
+  Alcotest.check_raises "missing vertex" cover (fun () ->
+      ignore (stamp [ [| 0; 1; 2; 3 |]; [| 4; 5; 6; 7; 8 |] ]));
+  Alcotest.check_raises "2-cycle"
+    (Invalid_argument "Instance.kt0_circulant_sweep: a cycle is shorter than 3") (fun () ->
+      ignore (stamp [ [| 0; 1 |]; [| 2; 3; 4; 5; 6; 7; 8; 9 |] ]))
 
 (* Words [f ()] allocates per vertex of an n-vertex instance, on both
    heaps: an array past 256 words skips the minor heap, so
@@ -165,10 +167,9 @@ let test_wiring_oracle () =
             (Wiring_oracle.random ~ids (Rng.create ~seed) g)
             (Instance.kt0_random ~ids (Rng.create ~seed) g))
         (id_families rng n);
-      if G.is_regular g ~k:2 then
-        add (Wiring_oracle.circulant g)
-          (Instance.kt0_circulant_sweep n
-             (Array.init n (fun v -> ((G.neighbors g v).(0), (G.neighbors g v).(1)))));
+      Option.iter
+        (fun s -> add (Wiring_oracle.circulant g) (Instance.kt0_circulant_sweep n (Cycles.cycles s)))
+        (Cycles.of_graph g);
       List.iter
         (fun (oracle, inst) ->
           match independent_pair inst g with
@@ -822,10 +823,9 @@ let qsuites =
           [ circulant; Instance.kt0_circulant ~ids g; Instance.kt0_random rng g;
             Instance.kt1_of_graph ~ids g ]
           @
-          if G.is_regular g ~k:2 then
-            [ Instance.kt0_circulant_sweep n
-                (Array.init n (fun v -> ((G.neighbors g v).(0), (G.neighbors g v).(1)))) ]
-          else []
+          match Cycles.of_graph g with
+          | Some s -> [ Instance.kt0_circulant_sweep n (Cycles.cycles s) ]
+          | None -> []
         in
         let crossed =
           match independent_pair circulant g with

@@ -190,13 +190,14 @@ module E3 = Bcclb_harness.E03_kt0_error
 module Simulator = Bcclb_bcc.Simulator
 
 (* Every census instance at n = 6, 7 and every 7th at n = 8, built by
-   Census.to_instance (Cycles.to_graph, kt0_circulant) rather than the
-   sweep stamp exact_error uses. *)
+   Cycles.to_graph and kt0_circulant rather than the sweep stamp
+   exact_error uses. *)
 let census_sample ~n =
   let all = Array.append (Census.one_cycles ~n) (Census.two_cycles ~n) in
   let step = if n <= 7 then 1 else 7 in
   List.filter_map
-    (fun i -> if i mod step = 0 then Some (Census.to_instance all.(i) ~n) else None)
+    (fun i ->
+      if i mod step = 0 then Some (Instance.kt0_circulant (Cycles.to_graph ~n all.(i))) else None)
     (List.init (Array.length all) Fun.id)
 
 (* [run_members]' read at t, on one execution of the deepest member, is
@@ -323,7 +324,7 @@ let test_crossing_check_verify_modes () =
   let run verify =
     Crossing_check.check ~verify algo ~n:9 ~instances:2 ~wiring:`Circulant (Rng.create ~seed:8)
   in
-  let all = run `All and sampled = run (`Sampled 4) and off = run `Off in
+  let all = run `All and sampled = run (`Sampled 4) and none = run (`Sampled 0) in
   List.iter
     (fun (name, r) ->
       Alcotest.(check int) (name ^ " crossable") all.Crossing_check.crossable_pairs
@@ -333,9 +334,9 @@ let test_crossing_check_verify_modes () =
       Alcotest.(check int) (name ^ " indistinguishable") all.Crossing_check.indistinguishable
         r.Crossing_check.indistinguishable;
       Alcotest.(check int) (name ^ " violations") 0 r.Crossing_check.violations)
-    [ ("all", all); ("sampled", sampled); ("off", off) ];
-  Alcotest.(check int) "off executes nothing" 0 off.Crossing_check.executed;
-  Alcotest.(check int) "off verifies nothing" 0 off.Crossing_check.verified;
+    [ ("all", all); ("sampled", sampled); ("sampled 0", none) ];
+  Alcotest.(check int) "sampled 0 executes nothing" 0 none.Crossing_check.executed;
+  Alcotest.(check int) "sampled 0 verifies nothing" 0 none.Crossing_check.verified;
   Alcotest.(check bool) "sampled executes fewer than all" true
     (sampled.Crossing_check.executed < all.Crossing_check.executed);
   Alcotest.(check bool) "sampled verifies a bounded sample" true
@@ -439,7 +440,7 @@ let test_arena_cross_key () =
   done
 
 let test_census_row () =
-  let row = Kt0_bound.census_row ~n:8 () in
+  let row = Kt0_bound.census_row ~n:8 in
   Alcotest.(check (option int)) "v1 enumerated" (Some 2520) row.Kt0_bound.v1_enumerated;
   Alcotest.(check (option int)) "v2 enumerated" (Some 987) row.Kt0_bound.v2_enumerated;
   Alcotest.check nat "v1 closed form" (Nat.of_int 2520) row.Kt0_bound.v1;

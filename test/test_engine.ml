@@ -542,6 +542,49 @@ let test_pool_shared_traced () =
        (fun (e : Trace.event) -> e.Trace.name = "pool.batch" && List.assoc_opt "key" e.Trace.attrs = Some key)
        events)
 
+(* A caller that finds the item held by another domain waits in a
+   [pool.wait] span naming the key and records one [pool.wait_seconds]
+   sample; the holder, which waits for nothing, records neither. *)
+let test_pool_shared_wait_traced () =
+  let module Trace = Bcclb_obs.Trace in
+  let module M = Bcclb_obs.Metrics in
+  let key = "test.pool.shared.wait" in
+  let waits () =
+    match List.assoc_opt "pool.wait_seconds" (M.snapshot ()) with
+    | Some (M.Histogram h) -> h.M.count
+    | _ -> 0
+  in
+  let holding = Atomic.make false and started = Atomic.make false in
+  let f _ =
+    Atomic.set holding true;
+    while not (Atomic.get started) do
+      Domain.cpu_relax ()
+    done;
+    Unix.sleepf 0.1;
+    7
+  in
+  let w0 = waits () in
+  Trace.start_collect ~trace_id:"pool-shared-wait" ();
+  let got, events =
+    Fun.protect ~finally:Trace.stop (fun () ->
+        let holder = Domain.spawn (fun () -> Pool.shared shared_int ~key 1 f) in
+        while not (Atomic.get holding) do
+          Domain.cpu_relax ()
+        done;
+        Atomic.set started true;
+        let got = Pool.shared shared_int ~key 1 f in
+        ignore (Domain.join holder);
+        (got, Trace.drain ()))
+  in
+  Alcotest.(check (pair (array int) bool)) "the waiter gets the holder's item" ([| 7 |], false) got;
+  let me = (Domain.self () :> int) in
+  Alcotest.(check bool) "the waiter's pool.wait span names the key" true
+    (List.exists
+       (fun (e : Trace.event) ->
+         e.Trace.name = "pool.wait" && e.Trace.tid = me && List.assoc_opt "key" e.Trace.attrs = Some key)
+       events);
+  Alcotest.(check int) "one pool.wait_seconds sample" 1 (waits () - w0)
+
 let suites =
   [ Alcotest.test_case "BCC simulator parity with seed loop" `Quick test_bcc_parity;
     Alcotest.test_case "board parity: discovery truncations" `Quick test_board_parity_discovery;
@@ -568,7 +611,9 @@ let suites =
       test_pool_shared_once;
     Alcotest.test_case "pool shared: failures reach every caller" `Quick test_pool_shared_failure;
     Alcotest.test_case "pool shared: key refusals" `Quick test_pool_shared_refusals;
-    Alcotest.test_case "pool shared: the trace names the key" `Quick test_pool_shared_traced ]
+    Alcotest.test_case "pool shared: the trace names the key" `Quick test_pool_shared_traced;
+    Alcotest.test_case "pool shared: a wait is a span and a sample" `Quick
+      test_pool_shared_wait_traced ]
 
 let qsuites =
   let open QCheck2 in

@@ -207,9 +207,53 @@ let test_rotation_map_two_oracle () =
         in
         Alcotest.(check (array int))
           (Printf.sprintf "n=%d c=%d" n c)
-          expect (Arena.rotation_map_two arena c)
+          expect (Arena.rotation_map_two arena c);
+        Alcotest.(check bool)
+          (Printf.sprintf "n=%d c=%d memoised" n c)
+          true
+          (Arena.rotation_map_two arena c == Arena.rotation_map_two arena (c + n))
       done)
     [ 6; 7; 8; 9 ]
+
+(* ---- the one memo: every census memo is a Pool.shared key ---- *)
+
+let counter name =
+  match List.assoc_opt name (Bcclb_obs.Metrics.snapshot ()) with
+  | Some (Bcclb_obs.Metrics.Counter c) -> c
+  | _ -> 0
+
+(* Two domains asking at once get one arena, and one store at a fresh
+   root, built once. *)
+let test_memo_two_domains () =
+  let both f = Bcclb_engine.Pool.map_batch ~num_domains:2 (fun _ -> f ()) [| 0; 1 |] in
+  let arenas = both (fun () -> Arena.get ~n:8) in
+  Alcotest.(check bool) "one arena" true (arenas.(0) == arenas.(1));
+  with_root @@ fun root ->
+  let n = 9 in
+  let reps0 = counter "arena.orbit.reps" in
+  let stores = both (fun () -> Arena.Orbit.get ~root ~n ()) in
+  Alcotest.(check bool) "one store" true (stores.(0) == stores.(1));
+  Alcotest.(check int) "its representatives counted once" (Arena.Orbit.n_reps stores.(0))
+    (counter "arena.orbit.reps" - reps0);
+  Alcotest.(check bool) "a later get returns it" true (Arena.Orbit.get ~root ~n () == stores.(0))
+
+(* An arena made with [create] keys its own batches: it computes what
+   [get]'s arena does and shares none of it. *)
+let test_memo_create_shares_nothing () =
+  let n = 7 and algo = anonymous ~rounds:2 in
+  let shared = Arena.get ~n and own = Arena.create ~n in
+  let codes arena = fst (Arena.codes arena (Arena.atlas arena algo) algo) in
+  let from_get = codes shared in
+  let misses0 = counter "arena.memo_misses" in
+  let from_create = codes own in
+  Alcotest.(check int) "the created arena's codes are its own batch" 1
+    (counter "arena.memo_misses" - misses0);
+  Alcotest.(check bool) "equal codes" true (from_get = from_create);
+  Alcotest.(check bool) "distinct batches" true (from_get != from_create);
+  Alcotest.(check bool) "get's batch is kept" true (codes shared == from_get);
+  Alcotest.(check bool) "distinct atlases" true (Arena.orbit_one shared != Arena.orbit_one own);
+  Alcotest.(check bool) "distinct rotation maps" true
+    (Arena.rotation_map_two shared 1 != Arena.rotation_map_two own 1)
 
 (* ---- satellite 2: Hall witness on a constructed violation ---- *)
 
@@ -470,9 +514,7 @@ let test_build_full_orbit_parity () =
 let own_rows arena stamp algo ~xy h =
   let n = Arena.n arena in
   let cyc = Arena.one_cycle arena h in
-  let neighbors = Array.make n (0, 0) in
-  Array.iteri (fun i v -> neighbors.(v) <- (cyc.((i + n - 1) mod n), cyc.((i + 1) mod n))) cyc;
-  let sent = Simulator.run_sent_codes algo (stamp neighbors) in
+  let sent = Simulator.run_sent_codes algo (stamp [ cyc ]) in
   let label i = (sent.(cyc.(i)), sent.(cyc.((i + 1) mod n))) in
   let labelled = ref [] and full = ref [] in
   for i = 0 to n - 1 do
@@ -717,7 +759,7 @@ let test_check_reps_weighted () =
   List.iter
     (fun t ->
       let algo = anonymous ~rounds:t in
-      let r = Crossing_check.check_reps ~verify:`Off algo ~n in
+      let r = Crossing_check.check_reps ~verify:(`Sampled 0) algo ~n in
       Alcotest.(check int) (Printf.sprintf "instances t=%d" t) (Census.num_one_cycles ~n)
         r.Crossing_check.instances;
       Alcotest.(check int) (Printf.sprintf "violations t=%d" t) 0 r.Crossing_check.violations;
@@ -789,6 +831,10 @@ let suites =
     Alcotest.test_case "crossable pairs cross to distinct structures, n=6..9" `Quick
       test_crossings_distinct;
     Alcotest.test_case "rotation_map_two = rotate oracle" `Quick test_rotation_map_two_oracle;
+    Alcotest.test_case "memo: two domains share one arena and one store" `Quick
+      test_memo_two_domains;
+    Alcotest.test_case "memo: a created arena shares no batch" `Quick
+      test_memo_create_shares_nothing;
     Alcotest.test_case "Hall witness violates" `Quick test_hall_witness;
     Alcotest.test_case "Hall holds on matching" `Quick test_hall_passes_when_satisfied;
     Alcotest.test_case "orbit store cold/warm" `Quick test_orbit_store_cold_warm;
