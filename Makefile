@@ -9,7 +9,7 @@ test:
 	dune runtest
 
 # The tier-1 gate: what CI runs. Stray trace files from local --trace
-# runs and the arena orbit spill segments (results/cache/arena —
+# runs and the arena orbit store files (results/cache/arena —
 # content-addressed, always rebuildable) are cleaned up so they never
 # end up in commits. After the tests, tools/unused_exports fails the
 # gate on any lib/**/*.mli value that no other compilation unit

@@ -4,21 +4,15 @@ module Obs = Bcclb_obs
 module Bits = Bcclb_util.Bits
 
 (* Arena observability: intern volume, cross-key hash probes, the
-   execution-memo hit ratio, and the orbit-segment traffic — the numbers
-   that show whether a sweep is actually reusing the census instead of
-   re-enumerating it, and whether the segmented store is serving from RAM
-   or from disk. *)
+   execution-memo hit ratio and the enumerated orbit representatives —
+   the numbers that show whether a sweep is actually reusing the census
+   instead of re-enumerating it. *)
 let interned_one_metric = Obs.Metrics.Counter.v "arena.interned_one"
 let interned_two_metric = Obs.Metrics.Counter.v "arena.interned_two"
 let cross_probes_metric = Obs.Metrics.Counter.v "arena.cross_key_probes"
 let memo_hits_metric = Obs.Metrics.Counter.v "arena.memo_hits"
 let memo_misses_metric = Obs.Metrics.Counter.v "arena.memo_misses"
 let orbit_reps_metric = Obs.Metrics.Counter.v "arena.orbit.reps"
-let orbit_spill_metric = Obs.Metrics.Counter.v "arena.orbit.spill_bytes"
-let orbit_cold_metric = Obs.Metrics.Counter.v "arena.orbit.cold_loads"
-let orbit_hits_metric = Obs.Metrics.Counter.v "arena.orbit.resident_hits"
-let orbit_rebuilds_metric = Obs.Metrics.Counter.v "arena.orbit.rebuilds"
-let orbit_load_seconds = Obs.Metrics.Histogram.v "arena.orbit.cold_load_seconds"
 
 (* Interned arena of the §3.1 instance sets: V1 and V2 are enumerated
    once (in Census order, so handles line up with every existing census
@@ -414,98 +408,56 @@ let codes arena atlas ?(seed = 0) ?deepest algo =
   Obs.Metrics.Counter.incr (if created then memo_misses_metric else memo_hits_metric);
   (codes, (1 lsl (2 * Algo.rounds algo ~n)) - 1)
 
-(* ---- the segmented, spillable orbit store ----
+(* ---- the orbit store ----
 
    One fixed-width record per V₁ rotation-class representative: the
    canonical cycle minus its leading 0, coord_width bits per vertex,
-   zero-padded to whole bytes, then one weight byte. Records are packed
-   into segments of [seg_records]; segments live as CRC-32-checksummed
-   files under a content-addressed directory of results/cache/arena (the
-   spec string — format version, n, widths — is the address, in the
-   style of the harness result cache), with recently used segments kept
-   resident in RAM up to a budget. A warm process therefore reopens the
-   manifest and streams records off disk: re-runs never pay the
-   enumeration scan, which is the dominant cold cost at n >= 12. *)
+   zero-padded to whole bytes, then one weight byte. A store is its
+   records as one resident string, kept as one file under a
+   content-addressed name in results/cache/arena (the spec string —
+   format version, n, width — is the address, in the style of the
+   harness result cache): a header line, then the records. A warm
+   process reads the file whole instead of paying the enumeration scan,
+   which is the dominant cold cost at n >= 12. *)
 module Orbit = struct
   let max_n = orbit_max_n
   let min_n = 3
-  let format_version = 1
-  let seg_records = 1 lsl 18
-  let resident_budget = 64 * 1024 * 1024
+  let format_version = 2
   let default_root = Filename.concat (Filename.concat "results" "cache") "arena"
-
-  type seg = {
-    path : string;
-    records : int;
-    crc : int;
-    mutable resident : Bytes.t option;
-  }
 
   type store = {
     n : int;
     width : int;  (* bits per vertex coordinate *)
     record_bytes : int;
-    segs : seg array;
+    records : string;
     n_reps : int;
     total_weight : int;
     warm : bool;
-    lock : Mutex.t;
-    mutable resident_bytes : int;
   }
 
   let n_reps t = t.n_reps
   let total_weight t = t.total_weight
-  let num_segments t = Array.length t.segs
   let warm t = t.warm
 
-  let record_bytes_for ~n ~width = (((n - 1) * width) + 7) / 8 + 1
+  let spec ~n ~width = Printf.sprintf "arena-orbit|v%d|n=%d|width=%d" format_version n width
 
-  let spec ~n ~width =
-    Printf.sprintf "arena-orbit-segments|v%d|n=%d|width=%d|seg=%d" format_version n width
-      seg_records
-
-  let dir_of ~root ~n ~width =
+  let path_of ~root ~n ~width =
     let hash = String.sub (Digest.to_hex (Digest.string (spec ~n ~width))) 0 12 in
-    Filename.concat root (Printf.sprintf "n%02d-%s" n hash)
+    Filename.concat root (Printf.sprintf "n%02d-%s.orbit" n hash)
 
-  (* Stdlib-only fs helpers (core does not link unix). *)
+  (* The header a store's file carries: its spec, record count, Σ weight
+     and the records' CRC-32. A file is valid exactly when its first line
+     is the header its records would be written with today. *)
+  let header ~spec ~n_reps ~total_weight records =
+    Printf.sprintf "%s reps=%d weight=%d crc=%08x" spec n_reps total_weight
+      (Bcclb_util.Crc32.string records)
+
+  (* Stdlib-only fs helper (core does not link unix). *)
   let rec mkdir_p path =
     if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
       mkdir_p (Filename.dirname path);
       try Sys.mkdir path 0o755 with Sys_error _ -> ()
     end
-
-  let write_file path content =
-    let oc = open_out_bin path in
-    output_bytes oc content;
-    close_out oc
-
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-
-  let rec remove_tree path =
-    match Sys.is_directory path with
-    | true ->
-      Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    | false -> Sys.remove path
-    | exception Sys_error _ -> ()
-
-  (* A fresh directory under the store root that no other builder,
-     domain or process, can be using. *)
-  let private_dir ~root = Filename.temp_dir ~temp_dir:root ~perms:0o755 ".private-" ""
-
-  (* A store leaves its address in one rename, so nobody else ever sees
-     it half deleted; the copy moved aside is then removed at leisure.
-     Losing the rename to another discarder is fine: it is gone either
-     way. *)
-  let discard dir =
-    let aside = private_dir ~root:(Filename.dirname dir) in
-    (try Sys.rename dir (Filename.concat aside "old") with Sys_error _ -> ());
-    remove_tree aside
 
   (* LSB-first bit packing, the Bits.Seq layout flattened to an absolute
      bit offset inside a record scratch buffer. *)
@@ -522,12 +474,12 @@ module Orbit = struct
       remaining := !remaining - take
     done
 
-  let get_bits buf ~bitpos ~width =
+  let get_bits s ~bitpos ~width =
     let v = ref 0 and got = ref 0 and p = ref bitpos in
     while !got < width do
       let byte = !p lsr 3 and off = !p land 7 in
       let take = min (width - !got) (8 - off) in
-      let chunk = Char.code (Bytes.unsafe_get buf byte) lsr off land ((1 lsl take) - 1) in
+      let chunk = Char.code (String.unsafe_get s byte) lsr off land ((1 lsl take) - 1) in
       v := !v lor (chunk lsl !got);
       got := !got + take;
       p := !p + take
@@ -541,221 +493,122 @@ module Orbit = struct
     done;
     Bytes.set scratch (record_bytes - 1) (Char.chr weight)
 
-  (* Decodes record [r] of a segment into [cyc] (length n, cyc.(0) stays
-     0); returns the weight. *)
-  let decode_rep seg_bytes ~n ~width ~record_bytes ~r cyc =
-    let base = r * record_bytes in
-    for idx = 1 to n - 1 do
-      cyc.(idx) <- get_bits seg_bytes ~bitpos:((base * 8) + ((idx - 1) * width)) ~width
+  (* Decodes record [r] into [cyc] (length n, cyc.(0) stays 0); returns
+     the weight. *)
+  let decode_rep t ~r cyc =
+    let base = r * t.record_bytes in
+    for idx = 1 to t.n - 1 do
+      cyc.(idx) <- get_bits t.records ~bitpos:((base * 8) + ((idx - 1) * t.width)) ~width:t.width
     done;
-    Char.code (Bytes.get seg_bytes (base + record_bytes - 1))
+    Char.code t.records.[base + t.record_bytes - 1]
 
-  let manifest_magic = "BCCLB-ARENA-SEG-1"
-  let manifest_path dir = Filename.concat dir "MANIFEST"
-  let seg_path dir i = Filename.concat dir (Printf.sprintf "seg-%04d.bin" i)
+  (* The records of a valid file at [path], else None: missing,
+     truncated, corrupt or of another spec all read as "not warm", and
+     the caller rebuilds. *)
+  let read_warm ~path ~spec ~record_bytes ~total_weight =
+    match
+      In_channel.with_open_bin path (fun ic ->
+          let line = input_line ic in
+          (line, really_input_string ic (in_channel_length ic - pos_in ic)))
+    with
+    | exception (Sys_error _ | End_of_file) -> None
+    | line, records ->
+      let n_reps = String.length records / record_bytes in
+      if
+        String.length records = n_reps * record_bytes
+        && line = header ~spec ~n_reps ~total_weight records
+      then Some records
+      else None
 
-  let write_manifest ~dir ~n ~width ~n_reps ~total_weight segs =
-    let b = Buffer.create 256 in
-    Buffer.add_string b (manifest_magic ^ "\n");
-    Buffer.add_string b (spec ~n ~width ^ "\n");
-    Buffer.add_string b
-      (Printf.sprintf "reps=%d weight=%d segments=%d\n" n_reps total_weight (Array.length segs));
-    Array.iter (fun s -> Buffer.add_string b (Printf.sprintf "%d %08x\n" s.records s.crc)) segs;
-    write_file (manifest_path dir) (Buffer.to_bytes b)
+  (* Branch-parallel enumeration: the slices over the second vertex
+     partition V1, and concatenating them in branch order keeps the store
+     order deterministic for any domain count. *)
+  let enumerate ~n ~width ~record_bytes =
+    let chunks =
+      Bcclb_engine.Pool.map_batch
+        (fun second ->
+          let buf = Buffer.create (1 lsl 16) in
+          let scratch = Bytes.create record_bytes in
+          let wsum = ref 0 in
+          Census.iter_one_cycle_orbits ~second ~n (fun seq ~weight ->
+              encode_rep scratch ~n ~width ~record_bytes seq weight;
+              Buffer.add_bytes buf scratch;
+              wsum := !wsum + weight);
+          (Buffer.contents buf, !wsum))
+        (Array.init (n - 1) (fun i -> i + 1))
+    in
+    assert (Array.fold_left (fun acc (_, w) -> acc + w) 0 chunks = Census.num_one_cycles ~n);
+    String.concat "" (Array.to_list (Array.map fst chunks))
 
-  (* A warm open trusts the manifest for layout but cross-checks the one
-     invariant it can get for free — Σ weight must be the closed-form
-     |V1| — and the on-disk byte counts; segment payloads are CRC-checked
-     lazily, when first loaded. Any discrepancy, or a store moved away
-     mid-read, means "not warm": the caller rebuilds. *)
-  let try_open_warm ~dir ~nn ~width ~record_bytes =
-    match String.split_on_char '\n' (read_file (manifest_path dir)) with
-    | magic :: sp :: counts :: rest when magic = manifest_magic && sp = spec ~n:nn ~width -> (
-      try
-        let n_reps, total_weight, n_segs =
-          Scanf.sscanf counts "reps=%d weight=%d segments=%d" (fun a b c -> (a, b, c))
-        in
-        if total_weight <> Census.num_one_cycles ~n:nn then None
-        else begin
-          let segs =
-            Array.init n_segs (fun i ->
-                let records, crc = Scanf.sscanf (List.nth rest i) "%d %x" (fun a b -> (a, b)) in
-                { path = seg_path dir i; records; crc; resident = None })
-          in
-          let sizes_ok =
-            Array.for_all
-              (fun s ->
-                let ic = open_in_bin s.path in
-                let len = in_channel_length ic in
-                close_in_noerr ic;
-                len = s.records * record_bytes)
-              segs
-          in
-          if sizes_ok && Array.fold_left (fun acc s -> acc + s.records) 0 segs = n_reps then
-            Some (segs, n_reps, total_weight)
-          else None
-        end
-      with Scanf.Scan_failure _ | Failure _ | End_of_file | Sys_error _ -> None)
-    | _ -> None
-    | exception Sys_error _ -> None
-
-  (* Writes the store into [into], a private directory, with segment
-     paths that point at [dir], where it will be published. *)
-  let build ~into ~dir ~nn ~width ~record_bytes =
-    Obs.span "arena.orbit.build" ~attrs:[ ("n", string_of_int nn) ] (fun () ->
-        (* Branch-parallel enumeration: the slices over the second vertex
-           partition V1, and concatenating them in branch order keeps the
-           store order deterministic for any domain count. *)
-        let branches = Array.init (nn - 1) (fun i -> i + 1) in
-        let chunks =
-          Bcclb_engine.Pool.map_batch
-            (fun second ->
-              let buf = Buffer.create (1 lsl 16) in
-              let scratch = Bytes.create record_bytes in
-              let count = ref 0 and wsum = ref 0 in
-              Census.iter_one_cycle_orbits ~second ~n:nn (fun seq ~weight ->
-                  encode_rep scratch ~n:nn ~width ~record_bytes seq weight;
-                  Buffer.add_bytes buf scratch;
-                  incr count;
-                  wsum := !wsum + weight);
-              (Buffer.contents buf, !count, !wsum))
-            branches
-        in
-        let n_reps = Array.fold_left (fun acc (_, c, _) -> acc + c) 0 chunks in
-        let total_weight = Array.fold_left (fun acc (_, _, w) -> acc + w) 0 chunks in
-        assert (total_weight = Census.num_one_cycles ~n:nn);
-        let all = Bytes.create (n_reps * record_bytes) in
-        let off = ref 0 in
-        Array.iter
-          (fun (s, _, _) ->
-            Bytes.blit_string s 0 all !off (String.length s);
-            off := !off + String.length s)
-          chunks;
-        let n_segs = max 1 ((n_reps + seg_records - 1) / seg_records) in
-        let segs =
-          Array.init n_segs (fun i ->
-              let lo = i * seg_records in
-              let records = min seg_records (n_reps - lo) in
-              let bytes = Bytes.sub all (lo * record_bytes) (records * record_bytes) in
-              let crc = Bcclb_util.Crc32.bytes bytes in
-              write_file (seg_path into i) bytes;
-              Obs.Metrics.Counter.add orbit_spill_metric (Bytes.length bytes);
-              { path = seg_path dir i; records; crc; resident = Some bytes })
-        in
-        write_manifest ~dir:into ~n:nn ~width ~n_reps ~total_weight segs;
-        Obs.Metrics.Counter.add orbit_reps_metric n_reps;
-        (segs, n_reps, total_weight))
+  (* A build is written to a temporary file in the root and renamed over
+     the store's path. The rename replaces the file in one step, so
+     another domain or process opening it — or building it too, as procs
+     workers do when a steal splits one n's cells — sees a whole store,
+     old or new, never half of one; and builds are deterministic, so every
+     racer publishes the same bytes. *)
+  let publish ~root ~path ~header records =
+    let tmp, oc =
+      Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o644 ~temp_dir:root ".orbit-" ".tmp"
+    in
+    match
+      output_string oc header;
+      output_char oc '\n';
+      output_string oc records;
+      close_out oc;
+      Sys.rename tmp path
+    with
+    | () -> ()
+    | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
 
   let create ?(root = default_root) ~n:nn () =
     if nn < min_n || nn > max_n then
       invalid_arg
-        (Printf.sprintf
-           "Arena.Orbit.create: the segmented orbit store supports %d <= n <= %d (got n = %d)"
+        (Printf.sprintf "Arena.Orbit.create: the orbit store supports %d <= n <= %d (got n = %d)"
            min_n max_n nn);
     let width = coord_width ~n:nn in
-    let record_bytes = record_bytes_for ~n:nn ~width in
-    let dir = dir_of ~root ~n:nn ~width in
-    mkdir_p root;
-    (* A build is published by one rename of its private directory, so a
-       store is never seen half written. A builder that loses that race
-       to another domain or process drops its copy and keeps its records:
-       builds are deterministic, so they are the winner's bytes. A stale
-       or corrupt store in the way is discarded and the rename retried. *)
-    let published tmp =
-      match Sys.rename tmp dir with
-      | () -> true
-      | exception Sys_error _ -> try_open_warm ~dir ~nn ~width ~record_bytes <> None
-    in
-    let segs, n_reps, total_weight, warm =
-      match try_open_warm ~dir ~nn ~width ~record_bytes with
-      | Some (segs, n_reps, total_weight) -> (segs, n_reps, total_weight, true)
+    let record_bytes = (((nn - 1) * width) + 7) / 8 + 1 in
+    let spec = spec ~n:nn ~width in
+    let path = path_of ~root ~n:nn ~width in
+    let total_weight = Census.num_one_cycles ~n:nn in
+    let records, warm =
+      match read_warm ~path ~spec ~record_bytes ~total_weight with
+      | Some records -> (records, true)
       | None ->
-        let tmp = private_dir ~root in
-        Fun.protect ~finally:(fun () -> remove_tree tmp) @@ fun () ->
-        let segs, n_reps, total_weight = build ~into:tmp ~dir ~nn ~width ~record_bytes in
-        if not (published tmp) then begin
-          discard dir;
-          if not (published tmp) then
-            failwith (Printf.sprintf "Arena.Orbit: cannot publish the store at %s" dir)
-        end;
-        (segs, n_reps, total_weight, false)
+        ( Obs.span "arena.orbit.build" ~attrs:[ ("n", string_of_int nn) ] (fun () ->
+              let records = enumerate ~n:nn ~width ~record_bytes in
+              let n_reps = String.length records / record_bytes in
+              Obs.Metrics.Counter.add orbit_reps_metric n_reps;
+              mkdir_p root;
+              publish ~root ~path ~header:(header ~spec ~n_reps ~total_weight records) records;
+              records),
+          false )
     in
-    let resident_bytes =
-      Array.fold_left
-        (fun acc s -> match s.resident with Some b -> acc + Bytes.length b | None -> acc)
-        0 segs
-    in
-    (* Over-budget builds drop their tail segments back to disk-only. *)
-    let resident_bytes = ref resident_bytes in
-    Array.iter
-      (fun s ->
-        match s.resident with
-        | Some b when !resident_bytes > resident_budget ->
-          s.resident <- None;
-          resident_bytes := !resident_bytes - Bytes.length b
-        | _ -> ())
-      (Array.of_list (List.rev (Array.to_list segs)));
     { n = nn;
       width;
       record_bytes;
-      segs;
-      n_reps;
+      records;
+      n_reps = String.length records / record_bytes;
       total_weight;
-      warm;
-      lock = Mutex.create ();
-      resident_bytes = !resident_bytes }
+      warm }
 
-  let segment_bytes t i =
-    let s = t.segs.(i) in
-    Mutex.lock t.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.lock)
-      (fun () ->
-        match s.resident with
-        | Some b ->
-          Obs.Metrics.Counter.incr orbit_hits_metric;
-          b
-        | None ->
-          let stop = Obs.Mclock.counter () in
-          let content = Bytes.of_string (read_file s.path) in
-          Obs.Metrics.Counter.incr orbit_cold_metric;
-          Obs.Metrics.Histogram.observe orbit_load_seconds (stop ());
-          if Bcclb_util.Crc32.bytes content <> s.crc then begin
-            (* A corrupt cold segment cannot be healed mid-iteration;
-               drop the whole store so the next open rebuilds it. *)
-            Obs.Metrics.Counter.incr orbit_rebuilds_metric;
-            discard (Filename.dirname s.path);
-            failwith
-              (Printf.sprintf
-                 "Arena.Orbit: segment %s failed its checksum; the store was removed — re-run to \
-                  rebuild it"
-                 s.path)
-          end;
-          if t.resident_bytes + Bytes.length content <= resident_budget then begin
-            s.resident <- Some content;
-            t.resident_bytes <- t.resident_bytes + Bytes.length content
-          end;
-          content)
-
-  let segment_records t i = t.segs.(i).records
-
-  let iter_segment ?(lo = 0) ?hi t i f =
-    let b = segment_bytes t i in
-    let s = t.segs.(i) in
-    let hi = Option.value ~default:s.records hi in
+  let iter_range t ~lo ~hi f =
+    if lo < 0 || hi > t.n_reps || lo > hi then
+      invalid_arg
+        (Printf.sprintf "Arena.Orbit.iter_range: [%d, %d) is not a range of %d records" lo hi
+           t.n_reps);
     let cyc = Array.make t.n 0 in
     for r = lo to hi - 1 do
-      let weight = decode_rep b ~n:t.n ~width:t.width ~record_bytes:t.record_bytes ~r cyc in
+      let weight = decode_rep t ~r cyc in
       f cyc ~weight
     done
 
-  let iter t f =
-    for i = 0 to Array.length t.segs - 1 do
-      iter_segment t i f
-    done
+  let iter t f = iter_range t ~lo:0 ~hi:t.n_reps f
 
-  (* Shared per-(n, root) stores: the warm manifest makes reopening
-     cheap, but in-process sharing also shares the resident segments. *)
+  (* Shared per-(n, root) stores: the file makes reopening cheap, but
+     in-process sharing also shares the resident records. *)
   let store_id : store array Type.Id.t = Type.Id.make ()
 
   let get ?(root = default_root) ~n () =

@@ -1,6 +1,5 @@
 (** Interned arena of the §3.1 instance sets V₁/V₂ with integer handles,
-    plus the segmented on-disk store of V₁'s rotation-orbit
-    representatives.
+    plus the on-disk store of V₁'s rotation-orbit representatives.
 
     The census is enumerated once per arena (in {!Census} order, so
     handles agree with every array-indexed census consumer), two-cycle
@@ -28,9 +27,9 @@
     induced V₂ handle permutations. An {!atlas} names the representatives
     {!Indist_graph} computes on: the rotation classes where
     {!rotation_sound}, else every instance. The {!Orbit} submodule is the
-    arena's past-the-census form: a segmented, spillable, checksummed
-    store of just the representatives and weights, reaching n = 13 where
-    materialising the census is impossible. *)
+    arena's past-the-census form: a checksummed store of just the
+    representatives and weights, reaching n = 13 where materialising the
+    census is impossible. *)
 
 type handle = int
 (** Index into the arena's V₁ or V₂ array (context disambiguates). *)
@@ -188,17 +187,17 @@ val require_codable : string -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit
     @raise Invalid_argument naming [who], the algorithm and both limits
     otherwise. *)
 
-(** Segmented, spillable store of V₁'s rotation-orbit representatives.
+(** The store of V₁'s rotation-orbit representatives, past the census.
 
     One fixed-width record per representative — the canonical cycle minus
-    its leading 0 at 4 bits per vertex (⌈log₂ n⌉ past n = 16), then a weight byte —
-    packed into segments that live as CRC-32-checksummed files under a
-    content-addressed directory of [results/cache/arena]. A warm process
-    reopens the manifest and streams records off disk, so re-runs never
-    pay the enumeration scan (the dominant cold cost at n ≥ 12); segments
-    are kept resident in RAM up to a budget once touched. Segment traffic
-    lands in the [arena.orbit.*] metrics: resident hits vs cold loads
-    (the orbit hit rate), spilled bytes, cold-load latency. *)
+    its leading 0 at 4 bits per vertex (⌈log₂ n⌉ past n = 16), then a
+    weight byte — held as one resident string. Each (n, root) keeps it as
+    one file, [<root>/nNN-<hash>.orbit] under [results/cache/arena] by
+    default, named by the format version, n and width: a header line
+    [<spec> reps=R weight=W crc=C], then the records. A warm process
+    reads the file whole, so re-runs never pay the enumeration scan (the
+    dominant cold cost at n ≥ 12). A build counts its representatives in
+    [arena.orbit.reps] under span [arena.orbit.build]. *)
 module Orbit : sig
   type store
 
@@ -207,10 +206,14 @@ module Orbit : sig
       the 239.5M instances of V₁. *)
 
   val create : ?root:string -> n:int -> unit -> store
-  (** Open warm from a valid manifest, else enumerate (branch-parallel
-      over the pool), spill and manifest. A corrupt or stale store
-      directory is wiped and rebuilt.
-      @raise Invalid_argument outside [min_n..max_n]. *)
+  (** Open warm from a valid file, else enumerate (branch-parallel over
+      the pool) and publish. A file is valid when its header names this
+      spec, its records have the length and CRC-32 the header records,
+      and the header's Σ weight is (n−1)!/2; any other file is rebuilt
+      in place. A build is written to a temporary file in the root and
+      renamed over the path, so concurrent builders and readers, domains
+      or processes, only ever see a whole store.
+      @raise Invalid_argument outside [3..max_n]. *)
 
   val get : ?root:string -> n:int -> unit -> store
   (** Shared per-(n, root) store, created on first use. Thread-safe. *)
@@ -222,24 +225,16 @@ module Orbit : sig
   (** Σ weights = |V₁| = (n−1)!/2 — validated on open against the closed
       form. *)
 
-  val num_segments : store -> int
-
   val warm : store -> bool
-  (** True when the store was reopened from disk without enumeration. *)
+  (** True when the store was read from its file without enumeration. *)
 
   val iter : store -> (int array -> weight:int -> unit) -> unit
   (** Stream every representative in store order: the callback receives
       the canonical cycle (a scratch buffer valid only for the duration
-      of the call — copy to retain) and the orbit size.
-      @raise Failure if a segment fails its checksum (the store is
-      removed so the next open rebuilds it). *)
+      of the call — copy to retain) and the orbit size. *)
 
-  val segment_records : store -> int -> int
-  (** Number of records in segment [i]. *)
-
-  val iter_segment : ?lo:int -> ?hi:int -> store -> int -> (int array -> weight:int -> unit) -> unit
-  (** One segment's worth of {!iter} (restricted to records
-      [lo..hi-1] when given) — the unit of parallel consumption:
-      workers map over segments, or over record ranges within them when
-      a segment is larger than the useful grain. *)
+  val iter_range : store -> lo:int -> hi:int -> (int array -> weight:int -> unit) -> unit
+  (** {!iter} restricted to records [lo..hi-1] — the unit of parallel
+      consumption: workers map over record ranges.
+      @raise Invalid_argument unless [0 <= lo <= hi <= n_reps]. *)
 end

@@ -6,7 +6,7 @@ module Obs = Bcclb_obs
    same-label crossings) at n beyond the materialisable census.
 
    Neither side of the graph is materialised. The left side streams off
-   the segmented orbit store (Arena.Orbit): one record per V₁
+   the orbit store (Arena.Orbit): one record per V₁
    rotation-class representative. Rotations act on the graph as
    automorphisms — for rotation-equivariant transcripts a member's
    degree equals its representative's — so every left-side aggregate is
@@ -14,9 +14,10 @@ module Obs = Bcclb_obs
    all: distinct crossable pairs of a one-cycle cross to distinct
    two-cycle structures (DESIGN §2g), so a representative's degree is
    its count of same-label pairs, and the global |V₂| and |Tᵢ| come from
-   Census's closed forms. Peak memory is one segment: n = 13 streams
-   18.4M representatives standing for the 239.5M instances of V₁
-   against the 171.1M of V₂. *)
+   Census's closed forms. Peak memory is the store's records, 7 bytes
+   per representative, and the stream keeps nothing per representative
+   beyond them: n = 13 streams 18.4M representatives (129 MB) standing
+   for the 239.5M instances of V₁ against the 171.1M of V₂. *)
 
 let reps_metric = Obs.Metrics.Counter.v "quotient.reps"
 
@@ -95,9 +96,9 @@ let process_rep ps deg cyc (sent : int array) ~weight =
     if deg > p.p_max then p.p_max <- deg
   done
 
-(* Work units finer than a segment: small n fits one segment entirely,
-   and even at n = 13 (71 segments) range-splitting keeps every pool
-   worker busy through the tail. *)
+(* Work units: ⌈n_reps / chunk_records⌉ record ranges of equal size, so
+   even n = 10's 18,264 representatives split in two and a sibling cell
+   that joins the stream takes an equal share instead of a sliver. *)
 let chunk_records = 16384
 
 let stream_id : partial array array Type.Id.t = Type.Id.make ()
@@ -110,23 +111,15 @@ let stream_id : partial array array Type.Id.t = Type.Id.make ()
    claims chunks instead of waiting. *)
 let stream ~seed ?root source ~n store =
   let depth = Algo.rounds source ~n in
-  let chunks = ref [] in
-  for si = Arena.Orbit.num_segments store - 1 downto 0 do
-    let records = Arena.Orbit.segment_records store si in
-    let lo = ref 0 in
-    while !lo < records do
-      chunks := (si, !lo, min records (!lo + chunk_records)) :: !chunks;
-      lo := !lo + chunk_records
-    done
-  done;
-  let chunks = Array.of_list !chunks in
+  let reps = Arena.Orbit.n_reps store in
+  let k = (reps + chunk_records - 1) / chunk_records in
   let stamp = Instance.kt0_circulant_sweep n in
   let key =
     Printf.sprintf "quotient|%d|%s|%s|%d" n (Option.value root ~default:"") (Algo.name source) seed
   in
   fst
-    (Bcclb_engine.Pool.shared stream_id ~key (Array.length chunks) (fun ci ->
-         let si, lo, hi = chunks.(ci) in
+    (Bcclb_engine.Pool.shared stream_id ~key k (fun ci ->
+         let lo = ci * reps / k and hi = (ci + 1) * reps / k in
          let ps =
            Array.init (depth + 1) (fun _ ->
                { p_reps = 0;
@@ -138,7 +131,7 @@ let stream ~seed ?root source ~n store =
                  p_by_smaller = Array.make ((n / 2) + 1) 0 })
          in
          let deg = Array.make (depth + 1) 0 in
-         Arena.Orbit.iter_segment ~lo ~hi store si (fun cyc ~weight ->
+         Arena.Orbit.iter_range store ~lo ~hi (fun cyc ~weight ->
              let sent = Simulator.run_sent_codes ~seed source (stamp [ cyc ]) in
              process_rep ps deg cyc sent ~weight);
          Obs.Metrics.Counter.add reps_metric (hi - lo);

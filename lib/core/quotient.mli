@@ -2,14 +2,15 @@
     graph ({!Indist_graph.build_full}'s union over label pairs) at n
     beyond the materialisable census.
 
-    The left side streams off the segmented orbit store
-    ({!Arena.Orbit}); the right side is never materialised — distinct
-    crossable pairs of a one-cycle cross to distinct two-cycle
-    structures, so a degree is a count of same-label pairs, and |V₂|,
-    |Tᵢ| come from {!Census}'s closed forms. Sound only for
-    rotation-equivariant transcripts ({!Arena.rotation_sound}: anonymous
-    algorithms, or rounds = 0). Peak memory is one segment, which is
-    what carries the exhaustive §3 pipeline to n = 13. *)
+    The left side streams off the orbit store ({!Arena.Orbit}); the
+    right side is never materialised — distinct crossable pairs of a
+    one-cycle cross to distinct two-cycle structures, so a degree is a
+    count of same-label pairs, and |V₂|, |Tᵢ| come from {!Census}'s
+    closed forms. Sound only for rotation-equivariant transcripts
+    ({!Arena.rotation_sound}: anonymous algorithms, or rounds = 0). Peak
+    memory is the store's records, 7 bytes per representative (129 MB at
+    n = 13): nothing else is kept per representative, which is what
+    carries the exhaustive §3 pipeline to n = 13. *)
 
 type stats = {
   n : int;
@@ -31,7 +32,8 @@ type stats = {
 val full_stats :
   ?seed:int -> ?root:string -> ?deepest:int -> 'o Bcclb_bcc.Algo.packed -> n:int -> unit -> stats
 (** Aggregate the full graph's left-side degree statistics by streaming
-    every representative (pool-parallel over segment record ranges).
+    every representative (pool-parallel over equal record ranges of the
+    store).
     The stream executes the family's [deepest]-round member
     ({!Arena.code_source}; the algorithm itself by default) and yields
     partials for every truncation up to its depth; it is one

@@ -1,10 +1,11 @@
 (* Reflected IEEE-802.3 CRC-32 (the zlib/PNG polynomial), on native ints
    masked to 32 bits. One table, process-wide: both the dist wire frames
-   and the arena spill segments checksum through here, so a corruption
-   test written against one layer exercises the same arithmetic as the
-   other. The table is built at start-up, not lazily: dist workers and
-   arena spills from pool domains checksum concurrently, and two domains
-   forcing one lazy at once raise [CamlinternalLazy.Undefined]. *)
+   and the arena orbit store's file checksum through here, so a
+   corruption test written against one layer exercises the same
+   arithmetic as the other. The table is built at start-up, not lazily:
+   dist workers and orbit stores opened from pool domains checksum
+   concurrently, and two domains forcing one lazy at once raise
+   [CamlinternalLazy.Undefined]. *)
 
 let table =
   Array.init 256 (fun n ->
@@ -23,7 +24,3 @@ let string_sub s pos len =
   !c lxor 0xFFFFFFFF
 
 let string s = string_sub s 0 (String.length s)
-
-let bytes_sub b pos len = string_sub (Bytes.unsafe_to_string b) pos len
-
-let bytes b = bytes_sub b 0 (Bytes.length b)

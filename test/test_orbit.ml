@@ -1,5 +1,5 @@
 (* Tests for the rotation-orbit machinery: the census orbit enumerator,
-   the arena atlas (rep_of/shift_of/flip_of), the segmented spillable
+   the arena atlas (rep_of/shift_of/flip_of), the checksummed orbit
    store, Indist_graph on the rotation atlas, the orbit-reduced Quotient
    and Crossing_check sweeps, the anonymous adjacency-broadcast family
    they are sound for, and the Bits.Seq packed encoding under the
@@ -21,9 +21,9 @@ let id_reading ~rounds =
   Bcclb_algorithms.Discovery.connectivity_truncated ~knowledge:Instance.KT0 ~max_degree:2 ~rounds
     ~optimist:true
 
-(* [with_root f]: [f] on a fresh scratch spill root, so store tests
+(* [with_root f]: [f] on a fresh scratch store root, so store tests
    never touch the repo's results/ directory and never see a previous
-   run's segments; the root is removed when [f] returns or raises. *)
+   run's store files; the root is removed when [f] returns or raises. *)
 let with_root =
   let counter = ref 0 in
   fun f ->
@@ -295,13 +295,27 @@ let test_hall_passes_when_satisfied () =
       groups);
   Alcotest.(check bool) "k=2 violated" true (Indist_graph.k_matching g ~k:2 = None)
 
-(* ---- the segmented store: cold build, warm reopen, corruption ---- *)
+(* ---- the store: cold build, warm reopen, corruption ---- *)
 
 let test_orbit_store_cold_warm () =
   with_root @@ fun root ->
   let n = 8 in
+  (* A build killed before its rename, and a store in the old layout (a
+     segment directory with a MANIFEST): the store reads neither. *)
+  Sys.mkdir root 0o755;
+  Out_channel.with_open_bin (Filename.concat root ".orbit-killed.tmp") (fun oc ->
+      output_string oc "half a store");
+  let v1 =
+    let spec = Printf.sprintf "arena-orbit-segments|v1|n=%d|width=4|seg=262144" n in
+    Filename.concat root
+      (Printf.sprintf "n%02d-%s" n (String.sub (Digest.to_hex (Digest.string spec)) 0 12))
+  in
+  Sys.mkdir v1 0o755;
+  Out_channel.with_open_bin (Filename.concat v1 "MANIFEST") (fun oc ->
+      output_string oc "BCCLB-ARENA-SEG-1\n");
   let cold = Arena.Orbit.create ~root ~n () in
   Alcotest.(check bool) "cold build" false (Arena.Orbit.warm cold);
+  Alcotest.(check int) "one store file added" 3 (Array.length (Sys.readdir root));
   Alcotest.(check int) "total weight = |V1|" (Census.num_one_cycles ~n)
     (Arena.Orbit.total_weight cold);
   let arena = Arena.create ~n in
@@ -320,7 +334,7 @@ let test_orbit_store_cold_warm () =
       Alcotest.(check int) (Printf.sprintf "rep %d weight" r) atlas.Arena.weights.(r) weight);
   Alcotest.(check int) "streamed all reps" (Arena.Orbit.n_reps cold) !i;
   (* A second open of the same root must come back warm with identical
-     content (byte-for-byte segments, so just recheck the stream). *)
+     content (byte-for-byte records, so just recheck the stream). *)
   let warm = Arena.Orbit.create ~root ~n () in
   Alcotest.(check bool) "warm reopen" true (Arena.Orbit.warm warm);
   Alcotest.(check int) "warm n_reps" (Arena.Orbit.n_reps cold) (Arena.Orbit.n_reps warm);
@@ -332,51 +346,43 @@ let test_orbit_store_cold_warm () =
       Alcotest.(check int) "warm weight" atlas.Arena.weights.(r) weight);
   Alcotest.(check int) "warm streamed all" !i !j
 
+(* A corrupt file is refused at open and rebuilt in place: the reopen is
+   cold with the same records, and the rebuilt file reopens warm. *)
 let test_orbit_store_corruption () =
-  (* Flipping a byte in a segment must not produce silently wrong
-     records: the CRC check forces a rebuild (cold, correct content). *)
-  with_root @@ fun root ->
   let n = 7 in
-  let s0 = Arena.Orbit.create ~root ~n () in
-  let reps = Arena.Orbit.n_reps s0 in
-  let seg =
-    let rec find dir =
-      Array.fold_left
-        (fun acc name ->
-          let p = Filename.concat dir name in
-          if Sys.is_directory p then (match acc with None -> find p | some -> some)
-          else if Filename.check_suffix name ".bin" then Some p
-          else acc)
-        None (Sys.readdir dir)
-    in
-    match find root with
-    | Some p -> p
-    | None -> Alcotest.fail "no segment file under the spill root"
+  let weights store =
+    let l = ref [] in
+    Arena.Orbit.iter store (fun _ ~weight -> l := weight :: !l);
+    List.rev !l
   in
-  let ic = open_in_bin seg in
-  let len = in_channel_length ic in
-  let body = really_input_string ic len in
-  close_in ic;
-  let corrupted = Bytes.of_string body in
-  Bytes.set corrupted (len / 2) (Char.chr (Char.code (Bytes.get corrupted (len / 2)) lxor 0xff));
-  let oc = open_out_bin seg in
-  output_bytes oc corrupted;
-  close_out oc;
-  (* A byte flip preserves the sizes the warm open checks, so the reopen
-     succeeds — but the lazy CRC at first load must refuse to stream
-     corrupt records and wipe the store for the next open to rebuild. *)
-  let reopened = Arena.Orbit.create ~root ~n () in
-  Alcotest.(check bool) "size-preserving corruption opens warm" true (Arena.Orbit.warm reopened);
-  Alcotest.(check bool) "iteration detects the bad checksum" true
-    (try
-       Arena.Orbit.iter reopened (fun _ ~weight:_ -> ());
-       false
-     with Failure _ -> true);
-  let rebuilt = Arena.Orbit.create ~root ~n () in
-  Alcotest.(check bool) "rebuild is cold" false (Arena.Orbit.warm rebuilt);
-  Alcotest.(check int) "rebuilt rep count" reps (Arena.Orbit.n_reps rebuilt);
-  Alcotest.(check int) "rebuilt weight" (Census.num_one_cycles ~n)
-    (Arena.Orbit.total_weight rebuilt)
+  List.iter
+    (fun (what, corrupt) ->
+      with_root @@ fun root ->
+      let s0 = Arena.Orbit.create ~root ~n () in
+      let file =
+        match Sys.readdir root with
+        | [| f |] -> Filename.concat root f
+        | _ -> Alcotest.fail "the store is not one file"
+      in
+      let body = In_channel.with_open_bin file In_channel.input_all in
+      Out_channel.with_open_bin file (fun oc -> output_string oc (corrupt body));
+      let rebuilt = Arena.Orbit.create ~root ~n () in
+      Alcotest.(check bool) (what ^ ": reopens cold") false (Arena.Orbit.warm rebuilt);
+      Alcotest.(check int) (what ^ ": rep count") (Arena.Orbit.n_reps s0)
+        (Arena.Orbit.n_reps rebuilt);
+      Alcotest.(check (list int)) (what ^ ": weights") (weights s0) (weights rebuilt);
+      Alcotest.(check bool) (what ^ ": the rebuilt file reopens warm") true
+        (Arena.Orbit.warm (Arena.Orbit.create ~root ~n ())))
+    [ ( "flipped record byte",
+        fun body ->
+          let b = Bytes.of_string body and i = String.length body - 2 in
+          Bytes.set b i (Char.chr (Char.code body.[i] lxor 0xff));
+          Bytes.to_string b );
+      ("truncated file", fun body -> String.sub body 0 (String.length body - 3));
+      ( "header of another spec",
+        fun body ->
+          let i = String.index body ' ' in
+          "another-spec" ^ String.sub body i (String.length body - i) ) ]
 
 (* Several builders of one store at once, as two procs workers are when a
    steal splits one n's cells: each racer must come away with a complete
@@ -400,7 +406,7 @@ let test_orbit_store_concurrent_builds () =
       (Arena.Orbit.warm (Arena.Orbit.create ~root ~n ()))
   done
 
-(* ---- Bits.Seq packed round-trip + CRC vector (the segment codec) ---- *)
+(* ---- Bits.Seq packed round-trip + CRC vector (the store's codec) ---- *)
 
 let qtest_seq_packed_roundtrip =
   let open QCheck2 in
